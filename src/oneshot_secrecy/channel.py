@@ -268,6 +268,8 @@ class InputDistribution:
 
 
 def _check_pmf(label: str, vec: np.ndarray) -> None:
+    if not np.all(np.isfinite(vec)):
+        raise OperatorError(f"{label}: non-finite probability")
     if np.any(vec < -1e-12):
         raise OperatorError(f"{label}: negative probability")
     if abs(float(vec.sum()) - 1.0) > 1e-9:

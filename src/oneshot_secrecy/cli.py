@@ -22,6 +22,7 @@ from .channel import (
     load_distribution,
 )
 from .entropic import (
+    ConvergenceError,
     ToleranceParams,
     binary_entropy,
     classical_np_oracle,
@@ -294,6 +295,9 @@ def _poly_from_document(doc: dict) -> RatePolytope:
             rows.append(PolyRow(tuple(-c for c in coeffs), -value, f"eq{i}-"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ChannelFormatError(f"malformed polytope document: {exc!r}") from None
+    for row in rows:
+        if not all(math.isfinite(x) for x in (*row.coeffs, row.bound)):
+            raise OperatorError(f"polytope row {row.tag!r} has a non-finite coefficient or bound")
     return RatePolytope(variables, rows)
 
 
@@ -398,7 +402,7 @@ def main(argv=None) -> int:
     except ChannelFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OperatorError, ValueError) as exc:
+    except (OperatorError, ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

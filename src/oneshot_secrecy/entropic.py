@@ -69,6 +69,20 @@ def binary_entropy(eps: float) -> float:
     return float(-eps * math.log2(eps) - (1.0 - eps) * math.log2(1.0 - eps))
 
 
+def _weights(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Real diagonal of v^dagger m v: the weight of ``m`` on each column of ``v``."""
+    return np.real((v.conj() * (m @ v)).sum(axis=0))
+
+
+def _kernel_mass(ws: np.ndarray, weights: np.ndarray) -> float:
+    """Support condition: the weight a state puts on sigma's kernel.
+
+    ``ws`` are sigma's eigenvalues and ``weights`` the state's weight on the
+    matching eigenvectors; eigenvalues at most ``EIG_CLAMP`` span the kernel.
+    """
+    return float(weights[ws <= EIG_CLAMP].sum())
+
+
 def _clamped_spectrum(m) -> np.ndarray:
     w = np.linalg.eigvalsh(_as_matrix(m))
     w = w.copy()
@@ -88,19 +102,14 @@ def relative_entropy(rho, sigma) -> float:
     if a.shape != b.shape:
         raise OperatorError(f"dimension mismatch: {a.shape} vs {b.shape}")
     ws, vs = np.linalg.eigh(b)
-    kernel = ws <= EIG_CLAMP
-    if np.any(kernel):
-        vk = vs[:, kernel]
-        mass_out = float(np.real(np.einsum("ij,ik,kj->", vk.conj(), a, vk)))
-        if mass_out >= EIG_CLAMP:
-            return math.inf
+    weights = _weights(a, vs)
+    if _kernel_mass(ws, weights) >= EIG_CLAMP:
+        return math.inf
     wa = _clamped_spectrum(a)
     wa_pos = wa[wa > 0.0]
     tr_rho_log_rho = float(np.sum(wa_pos * np.log2(wa_pos)))
-    supp = ~kernel
-    weights = np.real(np.einsum("ij,ik,kj->j", vs[:, supp].conj(), a, vs[:, supp]))
-    weights = np.maximum(weights, 0.0)
-    tr_rho_log_sigma = float(np.sum(weights * np.log2(ws[supp])))
+    supp = ws > EIG_CLAMP
+    tr_rho_log_sigma = float(np.sum(np.maximum(weights[supp], 0.0) * np.log2(ws[supp])))
     return tr_rho_log_rho - tr_rho_log_sigma
 
 
@@ -120,12 +129,8 @@ def renyi_relative_entropy(rho, sigma, alpha: float) -> float:
         raise OperatorError(f"dimension mismatch: {a.shape} vs {b.shape}")
     if alpha > 1.0:
         ws, vs = np.linalg.eigh(b)
-        kernel = ws <= EIG_CLAMP
-        if np.any(kernel):
-            vk = vs[:, kernel]
-            mass_out = float(np.real(np.einsum("ij,ik,kj->", vk.conj(), a, vk)))
-            if mass_out >= EIG_CLAMP:
-                return math.inf
+        if _kernel_mass(ws, _weights(a, vs)) >= EIG_CLAMP:
+            return math.inf
     trace = float(np.real(np.trace(_matrix_power_psd(a, alpha) @ _matrix_power_psd(b, 1.0 - alpha))))
     if trace <= 0.0:
         return math.inf
@@ -140,14 +145,36 @@ def renyi_entropy(rho, alpha: float) -> float:
     return math.log2(trace) / (1.0 - alpha)
 
 
+def _np_beta(p: np.ndarray, q: np.ndarray, target: float) -> float:
+    """Neyman-Pearson type-II error of the best test accepting ``target`` of ``p``.
+
+    Atoms are admitted in decreasing likelihood-ratio order (zero-denominator
+    atoms first, ties by index) until the accepted ``p`` mass reaches
+    ``target``; the boundary atom is admitted fractionally.  No validation:
+    traces need not be one and tiny negative entries are tolerated.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(q > 0.0, p / np.maximum(q, 1e-300), math.inf)
+    cum_p = 0.0
+    beta = 0.0
+    for i in np.argsort(-ratio, kind="stable"):
+        if cum_p >= target - 1e-15:
+            break
+        if p[i] <= 0.0:
+            continue
+        frac = min(1.0, (target - cum_p) / p[i])
+        cum_p += frac * p[i]
+        beta += frac * q[i]
+    return float(beta)
+
+
 def classical_np_oracle(
     p: Sequence[float], q: Sequence[float], eps: float
 ) -> tuple[float, float]:
     """Exact classical Neyman-Pearson optimum for two finite distributions.
 
-    Atoms are admitted in decreasing likelihood-ratio order (zero-denominator
-    atoms first) until the accepted ``p`` mass reaches ``1 - eps``; the
-    boundary atom is admitted fractionally.  Returns ``(beta, -log2 beta)``.
+    Admits ``1 - eps`` of the ``p`` mass in decreasing likelihood-ratio order
+    (see :func:`_np_beta`).  Returns ``(beta, -log2 beta)``.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -156,27 +183,16 @@ def classical_np_oracle(
     if p.shape != q.shape or p.ndim != 1:
         raise ValueError("p and q must be 1-d arrays of equal length")
     for name, vec in (("p", p), ("q", q)):
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"{name} has non-finite entries")
         if np.any(vec < -1e-12):
             raise ValueError(f"{name} has negative entries")
         if abs(float(vec.sum()) - 1.0) > 1e-9:
             raise ValueError(f"{name} sums to {float(vec.sum())!r}, not 1")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(q > 0.0, p / np.maximum(q, 1e-300), math.inf)
-    order = sorted(range(len(p)), key=lambda i: (-ratio[i], i))
-    target = 1.0 - eps
-    cum_p = 0.0
-    beta = 0.0
-    for i in order:
-        if cum_p >= target - 1e-15:
-            break
-        if p[i] <= 0.0:
-            continue
-        frac = min(1.0, (target - cum_p) / p[i])
-        cum_p += frac * p[i]
-        beta += frac * q[i]
+    beta = _np_beta(p, q, 1.0 - eps)
     if beta <= 0.0:
         return 0.0, math.inf
-    return float(beta), float(-math.log2(beta))
+    return beta, float(-math.log2(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -184,37 +200,60 @@ def classical_np_oracle(
 # ---------------------------------------------------------------------------
 
 
+def _is_diagonal(m: np.ndarray) -> bool:
+    """No nonzero entry off the diagonal (exactly; no tolerance)."""
+    return np.count_nonzero(m) == np.count_nonzero(m.diagonal())
+
+
 def hypothesis_testing_beta(rho, sigma, eps: float, *, max_iter: int = 200) -> float:
     """Minimal type-II error beta*(eps) over tests 0 <= L <= I with Tr(L rho) >= 1-eps.
 
-    The optimum has the threshold form L = P_+(t) + c P_0(t), with P_+/P_0 the
-    projectors onto the strictly positive / zero eigenspaces of rho - t sigma.
-    Tr(L rho) is nonincreasing in t, so t is located by bisection; on the zero
-    eigenspace Tr(X rho) = t Tr(X sigma), which makes the interpolation in
-    c in [0, 1] exact.  The type-I constraint is met to 1e-9 by construction.
+    When both operators are diagonal the problem is classical and is solved
+    exactly by the Neyman-Pearson construction on the two diagonals.
+    Otherwise the optimum has the threshold form L = P_+(t) + c P_0(t), with
+    P_+/P_0 the projectors onto the strictly positive / zero eigenspaces of
+    rho - t sigma.  Tr(L rho) is nonincreasing in t, so t is located by
+    bisection; on the zero eigenspace Tr(X rho) = t Tr(X sigma), which makes
+    the interpolation in c in [0, 1] exact.  The type-I constraint is met to
+    1e-9 by construction.  Both paths return 0 when rho's weight on the kernel
+    of sigma already meets the constraint.
     """
     a, b = _as_matrix(rho), _as_matrix(sigma)
     if a.shape != b.shape:
         raise OperatorError(f"dimension mismatch: {a.shape} vs {b.shape}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise OperatorError("hypothesis testing: non-finite entries in rho or sigma")
     target = 1.0 - eps
+
+    if _is_diagonal(a) and _is_diagonal(b):
+        p, q = a.diagonal().real, b.diagonal().real
+        if _kernel_mass(q, p) >= target - 1e-12:
+            return 0.0
+        reachable = float(p[p > 0.0].sum())
+        if reachable < target - 1e-9:
+            raise ConvergenceError(
+                f"type-I constraint unreachable: rho has mass {reachable:.12g} "
+                f"below target {target:.12g} (eps={eps}, dim={len(p)})"
+            )
+        return _np_beta(p, q, target)
 
     ws, vs = np.linalg.eigh(b)
     sig_norm = float(max(ws[-1], 0.0)) if ws.size else 0.0
+    if _kernel_mass(ws, _weights(a, vs)) >= target - 1e-12:
+        return 0.0
     supp = ws > EIG_CLAMP
-    if np.any(~supp):
-        vk = vs[:, ~supp]
-        mass_out = float(np.real(np.einsum("ij,ik,kj->", vk.conj(), a, vk)))
-        if mass_out >= target - 1e-12:
-            return 0.0
     inv_half = vs[:, supp] * np.power(ws[supp], -0.5)
-    lam_max = float(np.linalg.eigvalsh(inv_half.conj().T @ a @ inv_half)[-1])
+    # with sigma's support empty the constraint is out of reach; the bracket
+    # below then starts at t = 1 and the bisection reports the failure
+    lam_max = 0.0
+    if np.any(supp):
+        lam_max = float(np.linalg.eigvalsh(inv_half.conj().T @ a @ inv_half)[-1])
 
     def probe(t: float, band: float):
         w, v = np.linalg.eigh(a - t * b)
-        ra = np.real(np.einsum("ij,ik,kj->j", v.conj(), a, v))
-        rb = np.real(np.einsum("ij,ik,kj->j", v.conj(), b, v))
+        ra, rb = _weights(a, v), _weights(b, v)
         pos = w > band
         zer = np.abs(w) <= band
         return float(ra[pos].sum()), float(ra[zer].sum()), float(rb[pos].sum()), float(rb[zer].sum())
@@ -232,7 +271,7 @@ def hypothesis_testing_beta(rho, sigma, eps: float, *, max_iter: int = 200) -> f
             break
         hi *= 2.0
     else:
-        raise ConvergenceError("could not bracket the threshold test")
+        raise ConvergenceError(f"could not bracket the threshold test (t up to {hi:.6g}, eps={eps})")
 
     lo = 0.0
     width_goal = 1e-11 * max(1.0, hi)
@@ -258,7 +297,7 @@ def hypothesis_testing_beta(rho, sigma, eps: float, *, max_iter: int = 200) -> f
     a_pos, a_zer, b_pos, b_zer = probe(mid, band)
     if a_pos > target + 1e-9 or a_pos + a_zer < target - 1e-9:
         raise ConvergenceError(
-            f"straddle detection failed at t={mid:.6g} "
+            f"straddle detection failed at t={mid:.6g}, eps={eps} "
             f"(type-I window [{a_pos:.12g}, {a_pos + a_zer:.12g}], target {target:.12g})"
         )
     return finish(a_pos, a_zer, b_pos, b_zer)
@@ -282,12 +321,9 @@ def max_relative_entropy(rho, sigma) -> float:
     if a.shape != b.shape:
         raise OperatorError(f"dimension mismatch: {a.shape} vs {b.shape}")
     ws, vs = np.linalg.eigh(b)
+    if _kernel_mass(ws, _weights(a, vs)) >= EIG_CLAMP:
+        return math.inf
     supp = ws > EIG_CLAMP
-    if np.any(~supp):
-        vk = vs[:, ~supp]
-        mass_out = float(np.real(np.einsum("ij,ik,kj->", vk.conj(), a, vk)))
-        if mass_out >= EIG_CLAMP:
-            return math.inf
     inv_half = vs[:, supp] * np.power(ws[supp], -0.5)
     lam = float(np.linalg.eigvalsh(inv_half.conj().T @ a @ inv_half)[-1])
     if lam <= 0.0:
@@ -334,7 +370,8 @@ def _diagonal_scan(p: np.ndarray, q: np.ndarray, eps: float, step: float = 1e-4)
 
     Scans, for every ordered atom pair, transfers m in a dense grid of the
     stated resolution, keeping p' a distribution; fidelity against the
-    unshifted p is monotone in m, so each scan stops at the ball boundary.
+    unshifted p is monotone in m, so only grid points inside the ball count.
+    All recipients of one donor are scanned at once on the donor's grid.
     """
     p = np.maximum(p, 0.0)
     best = _classical_dmax_ratio(p, q)
@@ -342,29 +379,36 @@ def _diagonal_scan(p: np.ndarray, q: np.ndarray, eps: float, step: float = 1e-4)
     with np.errstate(divide="ignore"):
         base = np.where(q > 0.0, p / np.maximum(q, 1e-300), math.inf)
         base = np.where((q <= 0.0) & (p <= EIG_CLAMP), 0.0, base)
+    # the largest base ratio outside {i, j} is the first of the top three
+    # atoms that is neither donor nor recipient
+    top = np.argsort(-base, kind="stable")[:3]
+    q_safe = np.where(q > 0.0, q, 1.0)
     for i in range(d):
         if p[i] <= 0.0:
             continue
         ms = np.arange(step, p[i], step)
         ms = np.append(ms, p[i])
-        for j in range(d):
-            if j == i:
-                continue
-            rest = 1.0 - p[i] - p[j]
-            f_root = rest + np.sqrt((p[i] - ms).clip(min=0.0) * p[i]) + np.sqrt((p[j] + ms) * p[j])
-            # fidelity is the square of the trace-norm overlap f_root
-            dist = np.sqrt(np.maximum(0.0, 1.0 - f_root * f_root))
-            ok = dist <= eps + 1e-12
-            if not np.any(ok):
-                continue
-            m_ok = ms[ok]
-            rest_max = float(np.max(np.delete(base, [i, j]))) if d > 2 else 0.0
-            pi_new = (p[i] - m_ok).clip(min=0.0)
-            pj_new = p[j] + m_ok
-            ri = pi_new / q[i] if q[i] > 0.0 else np.where(pi_new > EIG_CLAMP, math.inf, 0.0)
-            rj = pj_new / q[j] if q[j] > 0.0 else np.where(pj_new > EIG_CLAMP, math.inf, 0.0)
-            cand = np.maximum(np.maximum(ri, rj), rest_max)
-            best = min(best, float(np.min(cand)))
+        js = np.delete(np.arange(d), i)
+        pj, qj = p[js][:, None], q[js][:, None]
+        rest = 1.0 - p[i] - pj
+        f_root = rest + np.sqrt((p[i] - ms).clip(min=0.0) * p[i]) + np.sqrt((pj + ms) * pj)
+        # fidelity is the square of the trace-norm overlap f_root
+        dist = np.sqrt(np.maximum(0.0, 1.0 - f_root * f_root))
+        ok = dist <= eps + 1e-12
+        if not np.any(ok):
+            continue
+        if d > 2:
+            others = top[top != i]
+            rest_max = np.where(js == others[0], base[others[1]], base[others[0]])[:, None]
+        else:
+            rest_max = 0.0
+        pi_new = (p[i] - ms).clip(min=0.0)
+        pj_new = pj + ms
+        ri = pi_new / q[i] if q[i] > 0.0 else np.where(pi_new > EIG_CLAMP, math.inf, 0.0)
+        rj = np.where(qj > 0.0, pj_new / q_safe[js][:, None],
+                      np.where(pj_new > EIG_CLAMP, math.inf, 0.0))
+        cand = np.maximum(np.maximum(ri, rj), rest_max)
+        best = min(best, float(np.min(cand[ok])))
     if best <= 0.0:
         return -math.inf
     return math.log2(best) if best != math.inf else math.inf
@@ -399,8 +443,12 @@ def _parts(part) -> list[str]:
 
 def ht_mutual_info(state: CQState, part_a, part_b, eps: float) -> float:
     """Hypothesis-testing mutual information between two register groups."""
-    joint, product = joint_and_product(state, _parts(part_a), _parts(part_b))
-    return hypothesis_testing_divergence(joint, product, eps)
+    part_a, part_b = _parts(part_a), _parts(part_b)
+    joint, product = joint_and_product(state, part_a, part_b)
+    try:
+        return hypothesis_testing_divergence(joint, product, eps)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"D_H({','.join(part_a)} : {','.join(part_b)}): {exc}") from None
 
 
 def max_mutual_info(state: CQState, part_a, part_b) -> float:

@@ -38,11 +38,13 @@ def hermiticity_residual(m: np.ndarray) -> float:
 def validate_density(m, label: str | None = None) -> np.ndarray:
     """Check the density-operator invariants, raising on the first violation.
 
-    Accepts Hermiticity residual <= 1e-9, eigenvalues >= -1e-9 and trace
-    within 1e-9 of one.  Returns the matrix as a complex ndarray.
+    Accepts finite entries, Hermiticity residual <= 1e-9, eigenvalues >= -1e-9
+    and trace within 1e-9 of one.  Returns the matrix as a complex ndarray.
     """
     m = _as_matrix(m)
     who = f"state {label!r}: " if label else ""
+    if not np.all(np.isfinite(m)):
+        raise OperatorError(f"{who}non-finite entries")
     herm = hermiticity_residual(m)
     if herm > HERM_TOL:
         raise OperatorError(f"{who}hermiticity residual {herm:.1e}")
@@ -182,14 +184,6 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
         raise OperatorError(f"matrix is not Hermitian (residual {res:.1e})")
     w, v = np.linalg.eigh(m)
     return w, v
-
-
-def clamped_eigvalsh(m) -> np.ndarray:
-    """Eigenvalues with near-zero values snapped to exactly zero."""
-    w = np.linalg.eigvalsh(_as_matrix(m))
-    w = w.copy()
-    w[np.abs(w) <= EIG_CLAMP] = 0.0
-    return w
 
 
 def trace_distance(rho, sigma) -> float:

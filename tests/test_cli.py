@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from oneshot_secrecy import cli
 from oneshot_secrecy.channel import bundled_path, channel_to_document, load_channel
+from oneshot_secrecy.entropic import ConvergenceError
 
 CHAN = str(bundled_path("diag_deterministic.json"))
 DIST = str(bundled_path("uniform_t1.json"))
@@ -131,3 +133,51 @@ def test_sweep_thread_determinism(tmp_path):
 
 def test_unknown_flags_exit_2():
     assert run_cli("region", "--bogus").returncode == 2
+
+
+def _non_finite_inputs(tmp_path):
+    """One file or argument list per input the CLI reads, each carrying a NaN."""
+    chan = channel_to_document(load_channel(CHAN))
+    chan["states"]["0,0"]["re"][0][0] = float("nan")
+    (tmp_path / "chan.json").write_text(json.dumps(chan), encoding="utf-8")
+    dist = json.loads(open(DIST, encoding="utf-8").read())
+    dist["x1_given_q"][0][0] = float("nan")
+    (tmp_path / "dist.json").write_text(json.dumps(dist), encoding="utf-8")
+    poly = {
+        "variables": ["R1", "W1"],
+        "rows": [{"coeffs": {"R1": 1.0, "W1": 1.0}, "bound": float("nan")},
+                 {"coeffs": {"W1": -1.0}, "bound": 0.0}],
+    }
+    (tmp_path / "poly_nan.json").write_text(json.dumps(poly), encoding="utf-8")
+    poly["rows"][0]["bound"] = 1.0
+    poly["rows"][1]["coeffs"]["W1"] = float("-inf")
+    (tmp_path / "poly_inf.json").write_text(json.dumps(poly), encoding="utf-8")
+    out = ["--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")]
+    return {
+        "validate-channel": ["validate", str(tmp_path / "chan.json")],
+        "validate-dist": ["validate", CHAN, "--dist", str(tmp_path / "dist.json")],
+        "region-channel": ["region", "--channel", str(tmp_path / "chan.json"), "--dist", DIST,
+                           "--theorem", "t1", "--eps", "0.25", *out],
+        "region-dist": ["region", "--channel", CHAN, "--dist", str(tmp_path / "dist.json"),
+                        "--theorem", "t1", "--eps", "0.25", *out],
+        "oracle-np": ["oracle-np", "--p", "0.5,nan", "--q", "0.5,0.5", "--eps", "0.25"],
+        "fm-nan": ["fm", "--input", str(tmp_path / "poly_nan.json"), "--eliminate", "W1"],
+        "fm-inf": ["fm", "--input", str(tmp_path / "poly_inf.json"), "--eliminate", "W1"],
+    }
+
+
+def test_non_finite_inputs_exit_1(tmp_path, capsys):
+    for name, argv in _non_finite_inputs(tmp_path).items():
+        assert cli.main(argv) == 1, name
+        assert "non-finite" in capsys.readouterr().err, name
+
+
+def test_convergence_error_exits_1(monkeypatch, capsys):
+    def failing(rho, sigma, eps):
+        raise ConvergenceError(f"straddle detection failed at t=0.5, eps={eps}")
+
+    monkeypatch.setattr(cli, "hypothesis_testing_divergence", failing)
+    code = cli.main(["quantities", "--channel", CHAN, "--dist", DIST, "--grouping", "X1:Y1",
+                     "--eps", "0.25"])
+    assert code == 1
+    assert "straddle detection failed at t=0.5, eps=0.25" in capsys.readouterr().err

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oneshot_secrecy import entropic
 from oneshot_secrecy.entropic import (
+    ConvergenceError,
     ToleranceParams,
     _cond_optimize,
+    _diagonal_scan,
     binary_entropy,
     classical_np_oracle,
     cond_smooth_ht_mi,
@@ -23,9 +28,16 @@ from oneshot_secrecy.entropic import (
     smooth_max_relative_entropy,
     von_neumann_entropy,
 )
-from oneshot_secrecy.operators import OperatorError, RegisterLayout, partial_trace_matrix
+from oneshot_secrecy.operators import (
+    EIG_CLAMP,
+    OperatorError,
+    RegisterLayout,
+    partial_trace_matrix,
+    validate_density,
+)
 from oneshot_secrecy.states import CQState
 from conftest import rand_density, rand_unitary
+from util import diagonal_scan_pairwise
 
 R = np.diag([0.5, 0.5]).astype(complex)
 S = np.diag([0.9, 0.1]).astype(complex)
@@ -320,3 +332,104 @@ def test_data_processing_and_unitary_invariance(rng):
         ) <= 1e-9
         # max-relative entropy dominates the relative entropy
         assert max_relative_entropy(rho, sig) >= relative_entropy(rho, sig) - 1e-9
+
+
+# exact zeros, tiny negatives and, for q, atoms inside the clamp (0, EIG_CLAMP];
+# ordinary masses are drawn more often so that most cases bisect
+ATOM_KINDS = {
+    "zero": st.just(0.0),
+    "negative": st.just(-1e-14),
+    "clamped": st.floats(1e-13, EIG_CLAMP),
+    "mass": st.floats(0.01, 1.0),
+}
+P_ATOMS = st.sampled_from(["zero", "negative"] + ["mass"] * 4).flatmap(ATOM_KINDS.get)
+Q_ATOMS = st.sampled_from(["zero", "negative", "clamped"] + ["mass"] * 6).flatmap(ATOM_KINDS.get)
+EPS_WIDE = st.one_of(
+    st.floats(1e-6, 1e-3), st.floats(1e-3, 1.0 - 1e-3), st.floats(1.0 - 1e-3, 1.0 - 1e-6)
+)
+
+
+def _beta_or_error(rho, sigma, eps):
+    try:
+        return hypothesis_testing_beta(rho, sigma, eps)
+    except ConvergenceError:
+        return None
+
+
+@settings(max_examples=300)
+@given(
+    d=st.integers(2, 6),
+    data=st.data(),
+    p_trace=st.floats(0.6, 1.4),
+    eps=EPS_WIDE,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_diagonal_dh_matches_bisection(d, data, p_trace, eps, seed):
+    """The exact diagonal path agrees with the bisection on a rotated copy."""
+    p = np.array(data.draw(st.lists(P_ATOMS, min_size=d, max_size=d)))
+    q = np.array(data.draw(st.lists(Q_ATOMS, min_size=d, max_size=d)))
+    if p.sum() <= 0.5:
+        p[0] += 1.0
+    p = p * (p_trace / p.sum())
+    u = rand_unitary(np.random.default_rng(seed), d)
+    rho, sigma = np.diag(p).astype(complex), np.diag(q).astype(complex)
+    fast = _beta_or_error(rho, sigma, eps)
+    slow = _beta_or_error(u @ rho @ u.conj().T, u @ sigma @ u.conj().T, eps)
+    assert (fast is None) == (slow is None), (fast, slow)
+    if fast is not None:
+        assert abs(fast - slow) <= 1e-9
+
+
+def test_diagonal_dh_support_convention():
+    # the p mass on {q <= EIG_CLAMP} meets the target: beta is 0 on both paths
+    p, q = np.array([0.5, 0.25, 0.25]), np.array([0.5 * EIG_CLAMP, 0.0, 1.0])
+    u = rand_unitary(np.random.default_rng(3), 3)
+    rho, sigma = np.diag(p).astype(complex), np.diag(q).astype(complex)
+    for eps in (0.25, 0.3):
+        assert hypothesis_testing_beta(rho, sigma, eps) == 0.0
+        assert hypothesis_testing_beta(u @ rho @ u.conj().T, u @ sigma @ u.conj().T, eps) == 0.0
+    # short of it, both kernel atoms are admitted first and the clamped one
+    # costs its own tiny q; the rest comes from the last atom at ratio 1/4
+    for r, s in ((rho, sigma), (u @ rho @ u.conj().T, u @ sigma @ u.conj().T)):
+        assert abs(hypothesis_testing_beta(r, s, 0.2) - 0.2) <= 2 * EIG_CLAMP
+
+
+@given(
+    d=st.integers(2, 5),
+    data=st.data(),
+    eps=st.floats(0.01, 0.5),
+)
+def test_diagonal_scan_matches_pairwise_loop(d, data, eps):
+    masses = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    p = np.array(data.draw(st.lists(masses, min_size=d, max_size=d)))
+    q = np.array(data.draw(st.lists(masses, min_size=d, max_size=d)))
+    p[0] += 0.05
+    q[-1] += 0.05
+    p, q = p / p.sum(), q / q.sum()
+    assert _diagonal_scan(p, q, eps) == diagonal_scan_pairwise(p, q, eps)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_rejected(bad):
+    m = np.diag([0.5, 0.5]).astype(complex)
+    m_bad = m.copy()
+    m_bad[0, 1] = bad
+    d_bad = np.diag([0.5, bad]).astype(complex)
+    with pytest.raises(OperatorError, match="non-finite"):
+        validate_density(d_bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        classical_np_oracle([0.5, bad], [0.5, 0.5], 0.25)
+    with pytest.raises(ValueError, match="non-finite"):
+        classical_np_oracle([0.5, 0.5], [bad, 0.5], 0.25)
+    for rho, sigma in ((d_bad, m), (m, d_bad), (m_bad, m), (m, m_bad)):
+        with pytest.raises(OperatorError, match="non-finite"):
+            hypothesis_testing_beta(rho, sigma, 0.25)
+
+
+def test_convergence_error_names_the_term(monkeypatch):
+    def failing(rho, sigma, eps):
+        raise ConvergenceError(f"straddle detection failed at t=0.5, eps={eps}")
+
+    monkeypatch.setattr(entropic, "hypothesis_testing_divergence", failing)
+    with pytest.raises(ConvergenceError, match=r"^D_H\(A : B\): straddle .* eps=0\.25$"):
+        ht_mutual_info(correlated_bits(), "A", "B", 0.25)

@@ -2,13 +2,15 @@
 
 Everything here deliberately avoids the production code paths it is used to
 check: vertex enumeration goes through exhaustive basis solves, hulls through
-a monotone chain, and the qubit test search through a refined dense grid.
+a monotone chain, the qubit test search through a refined dense grid, and the
+diagonal-scan smoothing through one donor-recipient pair at a time.
 """
 import itertools
 import math
 
 import numpy as np
 
+from oneshot_secrecy.operators import EIG_CLAMP
 from oneshot_secrecy.regions import PolyRow, RatePolytope
 
 
@@ -130,3 +132,48 @@ def qubit_grid_beta(rho, sigma, eps, n_theta=1000, n_phi=1000):
         consider(np.clip(target / np.where(a1 > tiny, a1, np.nan), 0.0, 1.0), 0.0 * ones)
         consider(0.0 * ones, np.clip(target / np.where(a2 > tiny, a2, np.nan), 0.0, 1.0))
     return float(np.min(best))
+
+
+def diagonal_scan_pairwise(p, q, eps, step=1e-4):
+    """Diagonal-scan smoothing, one ordered (donor, recipient) pair at a time.
+
+    The same grid and arithmetic as ``entropic._diagonal_scan``, so the two
+    must agree exactly; the largest ratio outside the pair is taken over an
+    explicit deletion of both atoms.
+    """
+    p = np.maximum(p, 0.0)
+    best = 0.0
+    for pi, qi in zip(p, q):
+        if qi > 0.0:
+            best = max(best, pi / qi)
+        elif pi > EIG_CLAMP:
+            best = math.inf
+            break
+    d = len(p)
+    with np.errstate(divide="ignore"):
+        base = np.where(q > 0.0, p / np.maximum(q, 1e-300), math.inf)
+        base = np.where((q <= 0.0) & (p <= EIG_CLAMP), 0.0, base)
+    for i in range(d):
+        if p[i] <= 0.0:
+            continue
+        ms = np.append(np.arange(step, p[i], step), p[i])
+        for j in range(d):
+            if j == i:
+                continue
+            rest = 1.0 - p[i] - p[j]
+            f_root = rest + np.sqrt((p[i] - ms).clip(min=0.0) * p[i]) + np.sqrt((p[j] + ms) * p[j])
+            dist = np.sqrt(np.maximum(0.0, 1.0 - f_root * f_root))
+            ok = dist <= eps + 1e-12
+            if not np.any(ok):
+                continue
+            m_ok = ms[ok]
+            rest_max = float(np.max(np.delete(base, [i, j]))) if d > 2 else 0.0
+            pi_new = (p[i] - m_ok).clip(min=0.0)
+            pj_new = p[j] + m_ok
+            ri = pi_new / q[i] if q[i] > 0.0 else np.where(pi_new > EIG_CLAMP, math.inf, 0.0)
+            rj = pj_new / q[j] if q[j] > 0.0 else np.where(pj_new > EIG_CLAMP, math.inf, 0.0)
+            cand = np.maximum(np.maximum(ri, rj), rest_max)
+            best = min(best, float(np.min(cand)))
+    if best <= 0.0:
+        return -math.inf
+    return math.log2(best) if best != math.inf else math.inf
