@@ -195,10 +195,13 @@ def cmd_quantities(args) -> int:
                          cond_smooth_max_mi(state, part_a, part_b, cond, params.eta, args.smoothing)))
             continue
         joint, product = joint_and_product(state, part_a, part_b)
-        rows.append((text, "ht_mutual_info", hypothesis_testing_divergence(joint, product, params.eps)))
-        rows.append((text, "max_mutual_info", max_relative_entropy(joint, product)))
+        blocks = state.classical_dim(part_a + part_b)
+        rows.append((text, "ht_mutual_info",
+                     hypothesis_testing_divergence(joint, product, params.eps, blocks=blocks)))
+        rows.append((text, "max_mutual_info", max_relative_entropy(joint, product, blocks=blocks)))
         rows.append((text, "smooth_max_mutual_info",
-                     smooth_max_relative_entropy(joint, product, params.eta, args.smoothing)))
+                     smooth_max_relative_entropy(joint, product, params.eta, args.smoothing,
+                                                 blocks=blocks)))
         rows.append((text, "relative_entropy", relative_entropy(joint, product)))
         rows.append((text, "fact_bound", fact_bound(joint, product, params.eps)))
         rows.append((text, "trace_distance", trace_distance(joint, product)))

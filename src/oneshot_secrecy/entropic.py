@@ -70,8 +70,11 @@ def binary_entropy(eps: float) -> float:
 
 
 def _weights(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Real diagonal of v^dagger m v: the weight of ``m`` on each column of ``v``."""
-    return np.real((v.conj() * (m @ v)).sum(axis=0))
+    """Real diagonal of v^dagger m v: the weight of ``m`` on each column of ``v``.
+
+    Works blockwise on ``(K, d, d)`` stacks as well.
+    """
+    return np.real((v.conj() * (m @ v)).sum(axis=-2))
 
 
 def _kernel_mass(ws: np.ndarray, weights: np.ndarray) -> float:
@@ -201,11 +204,48 @@ def classical_np_oracle(
 
 
 def _is_diagonal(m: np.ndarray) -> bool:
-    """No nonzero entry off the diagonal (exactly; no tolerance)."""
-    return np.count_nonzero(m) == np.count_nonzero(m.diagonal())
+    """No nonzero entry off the diagonal(s) of a matrix or stack (exactly; no tolerance)."""
+    return np.count_nonzero(m) == np.count_nonzero(m.diagonal(axis1=-2, axis2=-1))
 
 
-def hypothesis_testing_beta(rho, sigma, eps: float, *, max_iter: int = 200) -> float:
+def _block_stack(m: np.ndarray, blocks: int) -> np.ndarray:
+    """The ``blocks`` equal diagonal blocks of ``m`` as a ``(blocks, d, d)`` stack.
+
+    Raises unless the dimension splits evenly and no nonzero entry lies off
+    the blocks (exact count, no tolerance).
+    """
+    n = m.shape[0]
+    if blocks < 1 or n % blocks:
+        raise OperatorError(f"dimension {n} does not split into {blocks} equal blocks")
+    if blocks == 1:
+        return m[None]
+    d = n // blocks
+    k = np.arange(blocks)
+    stack = m.reshape(blocks, d, blocks, d)[k, :, k, :]
+    if np.count_nonzero(stack) != np.count_nonzero(m):
+        raise OperatorError(f"nonzero entries outside the {blocks} diagonal blocks")
+    return stack
+
+
+def _support_lam_max(a: np.ndarray, ws: np.ndarray, vs: np.ndarray) -> float:
+    """Largest eigenvalue of sigma^{-1/2} rho sigma^{-1/2} on sigma's support.
+
+    ``a`` is rho's block stack and ``ws``, ``vs`` sigma's blockwise
+    eigendecomposition.  Eigenvectors off the support are zeroed rather than
+    dropped, so every block keeps its size: the maximum is then at least 0
+    when some block has a kernel, and 0 when the support is empty.
+    """
+    scale = np.zeros_like(ws)
+    supp = ws > EIG_CLAMP
+    scale[supp] = np.power(ws[supp], -0.5)
+    inv_half = vs * scale[..., None, :]
+    lam = np.linalg.eigvalsh(inv_half.conj().swapaxes(-1, -2) @ a @ inv_half)
+    return float(lam.max()) if lam.size else 0.0
+
+
+def hypothesis_testing_beta(
+    rho, sigma, eps: float, *, max_iter: int = 200, blocks: int = 1
+) -> float:
     """Minimal type-II error beta*(eps) over tests 0 <= L <= I with Tr(L rho) >= 1-eps.
 
     When both operators are diagonal the problem is classical and is solved
@@ -217,6 +257,10 @@ def hypothesis_testing_beta(rho, sigma, eps: float, *, max_iter: int = 200) -> f
     the interpolation in c in [0, 1] exact.  The type-I constraint is met to
     1e-9 by construction.  Both paths return 0 when rho's weight on the kernel
     of sigma already meets the constraint.
+
+    ``blocks`` declares both operators block diagonal with that many equal
+    contiguous blocks (see :func:`~oneshot_secrecy.states.joint_and_product`);
+    every eigendecomposition then runs on the blocks.
     """
     a, b = _as_matrix(rho), _as_matrix(sigma)
     if a.shape != b.shape:
@@ -225,10 +269,12 @@ def hypothesis_testing_beta(rho, sigma, eps: float, *, max_iter: int = 200) -> f
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise OperatorError("hypothesis testing: non-finite entries in rho or sigma")
+    a, b = _block_stack(a, blocks), _block_stack(b, blocks)
     target = 1.0 - eps
 
     if _is_diagonal(a) and _is_diagonal(b):
-        p, q = a.diagonal().real, b.diagonal().real
+        p = a.diagonal(axis1=-2, axis2=-1).real.ravel()
+        q = b.diagonal(axis1=-2, axis2=-1).real.ravel()
         if _kernel_mass(q, p) >= target - 1e-12:
             return 0.0
         reachable = float(p[p > 0.0].sum())
@@ -240,23 +286,21 @@ def hypothesis_testing_beta(rho, sigma, eps: float, *, max_iter: int = 200) -> f
         return _np_beta(p, q, target)
 
     ws, vs = np.linalg.eigh(b)
-    sig_norm = float(max(ws[-1], 0.0)) if ws.size else 0.0
+    sig_norm = float(max(ws.max(), 0.0)) if ws.size else 0.0
     if _kernel_mass(ws, _weights(a, vs)) >= target - 1e-12:
         return 0.0
-    supp = ws > EIG_CLAMP
-    inv_half = vs[:, supp] * np.power(ws[supp], -0.5)
     # with sigma's support empty the constraint is out of reach; the bracket
     # below then starts at t = 1 and the bisection reports the failure
-    lam_max = 0.0
-    if np.any(supp):
-        lam_max = float(np.linalg.eigvalsh(inv_half.conj().T @ a @ inv_half)[-1])
+    lam_max = _support_lam_max(a, ws, vs)
+
+    ab = np.stack([a, b])
 
     def probe(t: float, band: float):
         w, v = np.linalg.eigh(a - t * b)
-        ra, rb = _weights(a, v), _weights(b, v)
-        pos = w > band
-        zer = np.abs(w) <= band
-        return float(ra[pos].sum()), float(ra[zer].sum()), float(rb[pos].sum()), float(rb[zer].sum())
+        # rho's and sigma's weights on the positive and on the zero eigenspaces
+        masks = np.stack([w > band, np.abs(w) <= band], axis=-1).reshape(-1, 2)
+        (a_pos, a_zer), (b_pos, b_zer) = _weights(ab, v).reshape(2, -1) @ masks
+        return float(a_pos), float(a_zer), float(b_pos), float(b_zer)
 
     def finish(a_pos, a_zer, b_pos, b_zer):
         c = 0.0 if a_zer <= 0.0 else min(1.0, max(0.0, (target - a_pos) / a_zer))
@@ -303,8 +347,10 @@ def hypothesis_testing_beta(rho, sigma, eps: float, *, max_iter: int = 200) -> f
     return finish(a_pos, a_zer, b_pos, b_zer)
 
 
-def hypothesis_testing_divergence(rho, sigma, eps: float, *, max_iter: int = 200) -> float:
-    beta = hypothesis_testing_beta(rho, sigma, eps, max_iter=max_iter)
+def hypothesis_testing_divergence(
+    rho, sigma, eps: float, *, max_iter: int = 200, blocks: int = 1
+) -> float:
+    beta = hypothesis_testing_beta(rho, sigma, eps, max_iter=max_iter, blocks=blocks)
     if beta <= 0.0:
         return math.inf
     return float(-math.log2(beta))
@@ -315,40 +361,48 @@ def hypothesis_testing_divergence(rho, sigma, eps: float, *, max_iter: int = 200
 # ---------------------------------------------------------------------------
 
 
-def max_relative_entropy(rho, sigma) -> float:
-    """Smallest gamma with rho <= 2^gamma sigma; ``+inf`` off sigma's support."""
+def max_relative_entropy(rho, sigma, *, blocks: int = 1) -> float:
+    """Smallest gamma with rho <= 2^gamma sigma; ``+inf`` off sigma's support.
+
+    ``blocks`` is as in :func:`hypothesis_testing_beta`.
+    """
     a, b = _as_matrix(rho), _as_matrix(sigma)
     if a.shape != b.shape:
         raise OperatorError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    a, b = _block_stack(a, blocks), _block_stack(b, blocks)
     ws, vs = np.linalg.eigh(b)
     if _kernel_mass(ws, _weights(a, vs)) >= EIG_CLAMP:
         return math.inf
-    supp = ws > EIG_CLAMP
-    inv_half = vs[:, supp] * np.power(ws[supp], -0.5)
-    lam = float(np.linalg.eigvalsh(inv_half.conj().T @ a @ inv_half)[-1])
+    lam = _support_lam_max(a, ws, vs)
     if lam <= 0.0:
         return -math.inf
     return math.log2(lam)
 
 
 def _codiagonalize(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Common eigenbasis values (p, q) for commuting Hermitian rho, sigma."""
-    comm = rho @ sigma - sigma @ rho
-    if float(np.max(np.abs(comm))) > 1e-9:
-        raise OperatorError("inputs do not commute; diagonal-scan smoothing unavailable")
-    ws, vs = np.linalg.eigh(sigma)
-    r = vs.conj().T @ rho @ vs
-    d = len(ws)
-    p = np.zeros(d)
-    q = ws.copy()
-    start = 0
-    while start < d:
-        stop = start + 1
-        while stop < d and ws[stop] - ws[stop - 1] <= 1e-10 * (1.0 + abs(ws[stop])):
-            stop += 1
-        block = r[start:stop, start:stop]
-        p[start:stop] = np.linalg.eigvalsh((block + block.conj().T) / 2.0)
-        start = stop
+    """Common eigenbasis values (p, q) for commuting Hermitian rho, sigma.
+
+    Exactly diagonal pairs are read off their diagonals.
+    """
+    if _is_diagonal(rho) and _is_diagonal(sigma):
+        p, q = rho.diagonal().real.copy(), sigma.diagonal().real.copy()
+    else:
+        comm = rho @ sigma - sigma @ rho
+        if float(np.max(np.abs(comm))) > 1e-9:
+            raise OperatorError("inputs do not commute; diagonal-scan smoothing unavailable")
+        ws, vs = np.linalg.eigh(sigma)
+        r = vs.conj().T @ rho @ vs
+        d = len(ws)
+        p = np.zeros(d)
+        q = ws.copy()
+        start = 0
+        while start < d:
+            stop = start + 1
+            while stop < d and ws[stop] - ws[stop - 1] <= 1e-10 * (1.0 + abs(ws[stop])):
+                stop += 1
+            block = r[start:stop, start:stop]
+            p[start:stop] = np.linalg.eigvalsh((block + block.conj().T) / 2.0)
+            start = stop
     p[np.abs(p) <= EIG_CLAMP] = 0.0
     q[np.abs(q) <= EIG_CLAMP] = 0.0
     return p, q
@@ -414,22 +468,24 @@ def _diagonal_scan(p: np.ndarray, q: np.ndarray, eps: float, step: float = 1e-4)
     return math.log2(best) if best != math.inf else math.inf
 
 
-def smooth_max_relative_entropy(rho, sigma, eps: float, strategy: str = "none") -> float:
+def smooth_max_relative_entropy(
+    rho, sigma, eps: float, strategy: str = "none", *, blocks: int = 1
+) -> float:
     """Upper bound on the eps-smoothed max-relative entropy.
 
     ``none`` returns the unsmoothed value (the state itself lies in the ball).
     ``diagonal-scan`` minimizes over diagonal perturbations of commuting
     inputs via dense single-pair mass shifts, exact up to the scan resolution
-    within that family.
+    within that family.  ``blocks`` is as in :func:`hypothesis_testing_beta`.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if strategy not in SMOOTHING_STRATEGIES:
         raise ValueError(f"unknown smoothing strategy {strategy!r}")
     if strategy == "none":
-        return max_relative_entropy(rho, sigma)
+        return max_relative_entropy(rho, sigma, blocks=blocks)
     p, q = _codiagonalize(_as_matrix(rho), _as_matrix(sigma))
-    return min(_diagonal_scan(p, q, eps), max_relative_entropy(rho, sigma))
+    return min(_diagonal_scan(p, q, eps), max_relative_entropy(rho, sigma, blocks=blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -446,22 +502,28 @@ def ht_mutual_info(state: CQState, part_a, part_b, eps: float) -> float:
     part_a, part_b = _parts(part_a), _parts(part_b)
     joint, product = joint_and_product(state, part_a, part_b)
     try:
-        return hypothesis_testing_divergence(joint, product, eps)
+        return hypothesis_testing_divergence(
+            joint, product, eps, blocks=state.classical_dim(part_a + part_b)
+        )
     except ConvergenceError as exc:
         raise ConvergenceError(f"D_H({','.join(part_a)} : {','.join(part_b)}): {exc}") from None
 
 
 def max_mutual_info(state: CQState, part_a, part_b) -> float:
-    joint, product = joint_and_product(state, _parts(part_a), _parts(part_b))
-    return max_relative_entropy(joint, product)
+    part_a, part_b = _parts(part_a), _parts(part_b)
+    joint, product = joint_and_product(state, part_a, part_b)
+    return max_relative_entropy(joint, product, blocks=state.classical_dim(part_a + part_b))
 
 
 def smooth_max_mutual_info(
     state: CQState, part_a, part_b, eps: float, strategy: str = "none"
 ) -> float:
     """Smoothed max mutual information; the marginals of the product side stay fixed."""
-    joint, product = joint_and_product(state, _parts(part_a), _parts(part_b))
-    return smooth_max_relative_entropy(joint, product, eps, strategy)
+    part_a, part_b = _parts(part_a), _parts(part_b)
+    joint, product = joint_and_product(state, part_a, part_b)
+    return smooth_max_relative_entropy(
+        joint, product, eps, strategy, blocks=state.classical_dim(part_a + part_b)
+    )
 
 
 def _cond_optimize(state: CQState, cond: str, eps: float, per_value: Callable[[CQState], float]) -> float:

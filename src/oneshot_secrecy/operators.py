@@ -7,6 +7,7 @@ the tolerances used throughout the package.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -94,7 +95,7 @@ class RegisterLayout:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims)) if self.dims else 1
+        return math.prod(self.dims)
 
     def dim_of(self, name: str) -> int:
         return self.dims[self.index(name)]
@@ -142,7 +143,7 @@ def partial_trace_matrix(m: np.ndarray, layout: RegisterLayout, keep: Sequence[s
     col = [nb + n + i if i in keep_pos else nb + i for i in range(n)]
     out = list(range(nb)) + [nb + i for i in keep_pos] + [nb + n + i for i in keep_pos]
     reduced = np.einsum(t, list(range(nb)) + row + col, out)
-    kept_dim = int(np.prod([layout.dims[i] for i in keep_pos]))
+    kept_dim = math.prod(layout.dims[i] for i in keep_pos)
     reduced = reduced.reshape(batch_shape + (kept_dim, kept_dim))
     # reorder kept registers to the caller's order
     kept_names = [layout.names[i] for i in keep_pos]

@@ -1,6 +1,7 @@
 """Classical-quantum states: named classical registers over conditional operators."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -11,7 +12,6 @@ from .operators import (
     RegisterLayout,
     hermiticity_residual,
     partial_trace_matrix,
-    permute_registers_matrix,
 )
 
 PROB_TOL = 1e-9
@@ -151,14 +151,6 @@ class CQState:
             conds,
         )
 
-    def restrict(self, classical_keep: Sequence[str], quantum_keep: Sequence[str]) -> "CQState":
-        out = self
-        if list(quantum_keep) != list(self.quantum_layout.names):
-            out = out.trace_quantum(quantum_keep)
-        if list(classical_keep) != list(out.classical_names):
-            out = out.marginal_classical(classical_keep)
-        return out
-
     def condition(self, register: str, value: int) -> "CQState":
         """State of the remaining registers given ``register == value``."""
         ax = self._axis(register)
@@ -176,44 +168,40 @@ class CQState:
         axes = tuple(i for i in range(len(self.classical_names)) if i != ax)
         return self.probs.sum(axis=axes) if axes else self.probs.copy()
 
-    # -- embedding --------------------------------------------------------
+    def classical_dim(self, registers: Sequence[str]) -> int:
+        """Product of the alphabet sizes of the classical registers in ``registers``."""
+        return math.prod(self.size_of(r) for r in registers if self.is_classical(r))
 
-    def to_operator(
-        self,
-        classical_order: Sequence[str] | None = None,
-        quantum_order: Sequence[str] | None = None,
-    ) -> tuple[np.ndarray, RegisterLayout]:
-        """Embed as a density matrix with classical registers as diagonal factors.
 
-        Layout order is ``classical_order`` then ``quantum_order``.
-        """
-        cl = list(classical_order) if classical_order is not None else list(self.classical_names)
-        qu = list(quantum_order) if quantum_order is not None else list(self.quantum_layout.names)
-        state = self
-        if cl != list(state.classical_names):
-            state = state.reorder_classical(cl)
-        if qu != list(state.quantum_layout.names):
-            conds, qlayout = permute_registers_matrix(state.conditionals, state.quantum_layout, qu)
-            state = CQState(state.classical_names, state.alphabet_sizes, state.probs, qlayout, conds)
-        dq = state.quantum_layout.total_dim
-        flat_p = state.probs.reshape(-1)
-        flat_c = state.conditionals.reshape(-1, dq, dq)
-        n_cl = flat_p.size
-        out = np.zeros((n_cl * dq, n_cl * dq), dtype=complex)
-        for k in range(n_cl):
-            if flat_p[k] > 0.0:
-                out[k * dq : (k + 1) * dq, k * dq : (k + 1) * dq] = flat_p[k] * flat_c[k]
-        cl_layout = RegisterLayout(tuple(cl), tuple(state.alphabet_sizes))
-        return out, cl_layout.concat(state.quantum_layout)
+def _trace_to(stack: np.ndarray, layout: RegisterLayout, keep: Sequence[str]) -> np.ndarray:
+    """Partial trace of a stack of operators; keeping nothing leaves 1x1 traces."""
+    if keep:
+        return partial_trace_matrix(stack, layout, keep)
+    return np.trace(stack, axis1=-2, axis2=-1)[..., None, None]
+
+
+def _block_diag(stack: np.ndarray) -> np.ndarray:
+    """Dense block-diagonal matrix of a ``(K, d, d)`` stack."""
+    k, d = stack.shape[0], stack.shape[-1]
+    out = np.zeros((k, d, k, d), dtype=complex)
+    idx = np.arange(k)
+    out[idx, :, idx, :] = stack
+    return out.reshape(k * d, k * d)
 
 
 def joint_and_product(
     state: CQState, part_a: Sequence[str], part_b: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Embed the joint state over two register groups and the product of its marginals.
+    """The joint state over two register groups and the product of its marginals.
 
-    Both operators share the register order ``(*part_a, *part_b)`` so they can
-    be fed to any two-argument divergence directly.
+    Both operators share the classical-major register order
+    ``(a_cl, b_cl, a_qu, b_qu)``: the classical registers of ``part_a`` then
+    of ``part_b``, then their quantum registers, each in the caller's order.
+    Both are therefore block diagonal with ``state.classical_dim(part_a +
+    part_b)`` equal contiguous blocks, one per joint classical value, which
+    is the ``blocks`` argument of the divergences.  The order is a
+    permutation of ``(*part_a, *part_b)``, which leaves every divergence
+    unchanged.
     """
     part_a, part_b = list(part_a), list(part_b)
     overlap = set(part_a) & set(part_b)
@@ -223,18 +211,25 @@ def joint_and_product(
     a_qu = [r for r in part_a if r not in a_cl]
     b_cl = [r for r in part_b if state.is_classical(r)]
     b_qu = [r for r in part_b if r not in b_cl]
+    qlayout = state.quantum_layout
     for r in a_qu + b_qu:
-        state.quantum_layout.index(r)
+        qlayout.index(r)
+    # joint blocks: the quantum part traced down, the classical axes put in
+    # (a_cl, b_cl, dropped) order and the dropped ones summed out
+    n = len(state.classical_names)
+    kept = [state._axis(r) for r in a_cl + b_cl]
+    dropped = [i for i in range(n) if i not in kept]
     if a_qu + b_qu:
-        sub = state.restrict(a_cl + b_cl, a_qu + b_qu)
-        op, layout = sub.to_operator(a_cl + b_cl, a_qu + b_qu)
+        conds = partial_trace_matrix(state.conditionals, qlayout, a_qu + b_qu)
     else:
-        # all-classical grouping: the quantum part is traced out entirely
-        sub = state.restrict(a_cl + b_cl, [state.quantum_layout.names[0]])
-        op = np.diag(sub.probs.reshape(-1)).astype(complex)
-        layout = RegisterLayout(tuple(a_cl + b_cl), tuple(sub.alphabet_sizes))
-    order = part_a + part_b
-    op, layout = permute_registers_matrix(op, layout, order)
-    op_a = partial_trace_matrix(op, layout, part_a)
-    op_b = partial_trace_matrix(op, layout, part_b)
-    return op, np.kron(op_a, op_b)
+        conds = np.ones(state.probs.shape + (1, 1), dtype=complex)
+    weighted = np.transpose(state.probs[..., None, None] * conds, kept + dropped + [n, n + 1])
+    ka, kb = state.classical_dim(a_cl), state.classical_dim(b_cl)
+    sub = qlayout.subset(a_qu + b_qu)
+    da, db = sub.subset(a_qu).total_dim, sub.subset(b_qu).total_dim
+    blocks = weighted.reshape(ka, kb, -1, da * db, da * db).sum(axis=2)
+    # marginal blocks: rho_A per a_cl value, rho_B per b_cl value
+    marg_a = _trace_to(blocks.sum(axis=1), sub, a_qu)
+    marg_b = _trace_to(blocks.sum(axis=0), sub, b_qu)
+    product = np.einsum("aij,bkl->abikjl", marg_a, marg_b).reshape(ka * kb, da * db, da * db)
+    return _block_diag(blocks.reshape(ka * kb, da * db, da * db)), _block_diag(product)

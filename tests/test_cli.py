@@ -173,7 +173,7 @@ def test_non_finite_inputs_exit_1(tmp_path, capsys):
 
 
 def test_convergence_error_exits_1(monkeypatch, capsys):
-    def failing(rho, sigma, eps):
+    def failing(rho, sigma, eps, **kwargs):
         raise ConvergenceError(f"straddle detection failed at t=0.5, eps={eps}")
 
     monkeypatch.setattr(cli, "hypothesis_testing_divergence", failing)

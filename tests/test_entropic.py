@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -409,6 +410,22 @@ def test_diagonal_scan_matches_pairwise_loop(d, data, eps):
     assert _diagonal_scan(p, q, eps) == diagonal_scan_pairwise(p, q, eps)
 
 
+@given(d=st.integers(1, 6), data=st.data(), eps=st.floats(0.01, 0.5))
+def test_diagonal_smoothing_matches_eigenbasis_path(d, data, eps):
+    """Reading a diagonal pair off its diagonals gives the eigenbasis path's value.
+
+    ``eigh`` is exact on diagonal input, so the two must agree exactly.
+    """
+    p = np.array(data.draw(st.lists(P_ATOMS, min_size=d, max_size=d)))
+    q = np.array(data.draw(st.lists(Q_ATOMS, min_size=d, max_size=d)))
+    p[0] += 0.05
+    rho, sigma = np.diag(p / p.sum()).astype(complex), np.diag(q).astype(complex)
+    fast = smooth_max_relative_entropy(rho, sigma, eps, "diagonal-scan")
+    with mock.patch.object(entropic, "_is_diagonal", lambda m: False):
+        slow = smooth_max_relative_entropy(rho, sigma, eps, "diagonal-scan")
+    assert fast == slow
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_inputs_rejected(bad):
     m = np.diag([0.5, 0.5]).astype(complex)
@@ -427,7 +444,7 @@ def test_non_finite_inputs_rejected(bad):
 
 
 def test_convergence_error_names_the_term(monkeypatch):
-    def failing(rho, sigma, eps):
+    def failing(rho, sigma, eps, **kwargs):
         raise ConvergenceError(f"straddle detection failed at t=0.5, eps={eps}")
 
     monkeypatch.setattr(entropic, "hypothesis_testing_divergence", failing)

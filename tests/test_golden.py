@@ -1,0 +1,105 @@
+"""Byte-identity of the CLI outputs on the bundled channels.
+
+The files under ``tests/golden/`` were written once from a reference tree by
+running this module as a script (``PYTHONPATH=src python tests/test_golden.py``)
+and are never rewritten to make a change pass: a changed byte is a changed
+result.
+"""
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from oneshot_secrecy import cli
+from oneshot_secrecy.channel import bundled_path
+
+GOLDEN = Path(__file__).parent / "golden"
+DIAG = str(bundled_path("diag_deterministic.json"))
+XOR = str(bundled_path("xor_split.json"))
+T1DIST = str(bundled_path("uniform_t1.json"))
+HKDIST = str(bundled_path("uniform_hk.json"))
+SCAN = ["--smoothing", "diagonal-scan"]
+OFF = ["--penalties", "off"]
+
+
+def _region(channel, dist, theorem, *extra):
+    return ["region", "--channel", channel, "--dist", dist, "--theorem", theorem,
+            "--eps", "0.25", *extra]
+
+
+def _sweep(channel, theorem, *extra):
+    return ["sweep", "--channel", channel, "--theorem", theorem, "--eps", "0.25", *extra]
+
+
+def _quantities(channel, dist, groupings, *extra):
+    argv = ["quantities", "--channel", channel, "--dist", dist, "--eps", "0.25", *extra]
+    for g in groupings:
+        argv += ["--grouping", g]
+    return argv
+
+
+# name -> (argv, kind); kind "region" writes <name>.json and <name>.csv,
+# "sweep" writes <name>.csv and "stdout" keeps the printed table as <name>.txt.
+# The paper's penalties zero most bundled regions, so every region also runs
+# with them off, and the sweeps run with them off only.
+CASES = {}
+for _name, _argv in {
+    "t1_diag": _region(DIAG, T1DIST, "t1"),
+    "t1_diag_scan": _region(DIAG, T1DIST, "t1", *SCAN),
+    "t2_xor": _region(XOR, HKDIST, "t2"),
+    "conjecture_xor": _region(XOR, HKDIST, "conjecture"),
+    "conjecture_xor_scan": _region(XOR, HKDIST, "conjecture", *SCAN),
+    "hk_nosecrecy_xor": _region(XOR, HKDIST, "hk-nosecrecy"),
+    "qmac_xor": _region(XOR, HKDIST, "qmac"),
+}.items():
+    CASES[_name] = (_argv, "region")
+    CASES[f"{_name}_off"] = (_argv + OFF, "region")
+CASES.update({
+    # mixed, all-classical, all-quantum, interleaved and conditional groupings
+    "quantities_xor": (_quantities(XOR, HKDIST, ["X10,X11:Y1", "X10:X11", "Y1:Z",
+                                                 "X20,Y1:X10,Z", "X10:Y1|X11"]), "stdout"),
+    "quantities_diag_scan": (_quantities(DIAG, T1DIST, ["X1:X2,Y1|Q", "X1:Z", "Y1,X2:X1"],
+                                         *SCAN), "stdout"),
+    "sweep_t1_diag": (_sweep(DIAG, "t1", "--q-size", "2", "--grid", "3", *OFF), "sweep"),
+    "sweep_conjecture_xor": (_sweep(XOR, "conjecture", "--grid", "2", *OFF), "sweep"),
+    "sweep_conjecture_xor_scan": (_sweep(XOR, "conjecture", "--grid", "2", *OFF, *SCAN),
+                                  "sweep"),
+})
+
+
+def run_case(name, outdir: Path) -> dict[str, bytes]:
+    """Run one case into ``outdir`` and return its outputs by golden file name."""
+    argv, kind = CASES[name]
+    if kind == "region":
+        argv = argv + ["--out", str(outdir / f"{name}.json"), "--csv", str(outdir / f"{name}.csv")]
+    elif kind == "sweep":
+        argv = argv + ["--csv", str(outdir / f"{name}.csv")]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(argv) == 0, name
+    if kind == "stdout":
+        return {f"{name}.txt": buf.getvalue().encode("utf-8")}
+    return {p.name: p.read_bytes() for p in sorted(outdir.glob(f"{name}.*"))}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_outputs_byte_identical(name, tmp_path):
+    outputs = run_case(name, tmp_path)
+    assert outputs
+    for fname, data in outputs.items():
+        assert data == (GOLDEN / fname).read_bytes(), fname
+
+
+def _write_all() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for name in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            for fname, data in run_case(name, Path(tmp)).items():
+                (GOLDEN / fname).write_bytes(data)
+                print(f"wrote {fname} ({len(data)} bytes)")
+
+
+if __name__ == "__main__":
+    _write_all()
