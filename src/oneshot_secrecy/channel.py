@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .operators import OperatorError, RegisterLayout, validate_density
+from .operators import OperatorError, RegisterLayout, validate_density, validate_pmf
 from .states import CQState
 
 INPUT_NAMES = ("X1", "X2")
@@ -240,7 +240,7 @@ class InputDistribution:
             q = np.asarray(self.q, dtype=float)
             c1 = np.asarray(self.x1_given_q, dtype=float)
             c2 = np.asarray(self.x2_given_q, dtype=float)
-            _check_pmf("q", q)
+            validate_pmf(q, "q")
             if c1.shape != (len(q), len(channel.inputs["X1"])):
                 raise OperatorError(
                     f"x1_given_q shape {c1.shape} incompatible with |Q|={len(q)}, "
@@ -249,9 +249,9 @@ class InputDistribution:
             if c2.shape != (len(q), len(channel.inputs["X2"])):
                 raise OperatorError(f"x2_given_q shape {c2.shape} incompatible with channel")
             for row in c1:
-                _check_pmf("x1_given_q row", row)
+                validate_pmf(row, "x1_given_q row")
             for row in c2:
-                _check_pmf("x2_given_q row", row)
+                validate_pmf(row, "x2_given_q row")
         elif self.kind == "hk":
             if not channel.has_splits():
                 raise OperatorError("split-form distribution requires a channel with splits")
@@ -262,18 +262,9 @@ class InputDistribution:
                     raise OperatorError(
                         f"marginal {reg} has length {vec.shape}, expected {expected}"
                     )
-                _check_pmf(reg, vec)
+                validate_pmf(vec, reg)
         else:
             raise OperatorError(f"unknown distribution kind {self.kind!r}")
-
-
-def _check_pmf(label: str, vec: np.ndarray) -> None:
-    if not np.all(np.isfinite(vec)):
-        raise OperatorError(f"{label}: non-finite probability")
-    if np.any(vec < -1e-12):
-        raise OperatorError(f"{label}: negative probability")
-    if abs(float(vec.sum()) - 1.0) > 1e-9:
-        raise OperatorError(f"{label}: probabilities sum to {float(vec.sum())!r}, not 1")
 
 
 def uniform_t1(channel: ChannelSpec, q_size: int = 1) -> InputDistribution:

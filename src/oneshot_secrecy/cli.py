@@ -1,8 +1,8 @@
 """Batch command-line interface: validation, quantity tables, regions, sweeps.
 
 Outputs are machine-first (JSON and CSV) and deterministic: identical inputs
-produce byte-identical files, regardless of ONESHOT_THREADS.  Exit status is
-0 on success, 1 on validation failures, 2 on parse/file errors.
+produce byte-identical files.  Exit status is 0 on success, 1 on validation
+failures, 2 on parse/file errors.
 """
 from __future__ import annotations
 

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .operators import EIG_CLAMP, OperatorError, _as_matrix
+from .operators import EIG_CLAMP, OperatorError, _as_matrix, validate_pmf
 from .states import CQState, joint_and_product
 
 LOG2 = math.log(2.0)
@@ -186,12 +186,7 @@ def classical_np_oracle(
     if p.shape != q.shape or p.ndim != 1:
         raise ValueError("p and q must be 1-d arrays of equal length")
     for name, vec in (("p", p), ("q", q)):
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"{name} has non-finite entries")
-        if np.any(vec < -1e-12):
-            raise ValueError(f"{name} has negative entries")
-        if abs(float(vec.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"{name} sums to {float(vec.sum())!r}, not 1")
+        validate_pmf(vec, name)
     beta = _np_beta(p, q, 1.0 - eps)
     if beta <= 0.0:
         return 0.0, math.inf

@@ -58,6 +58,17 @@ def validate_density(m, label: str | None = None) -> np.ndarray:
     return m
 
 
+def validate_pmf(vec, label: str) -> None:
+    """Check a probability vector: finite, entries >= -1e-12, sum within 1e-9 of one."""
+    vec = np.asarray(vec, dtype=float)
+    if not np.all(np.isfinite(vec)):
+        raise OperatorError(f"{label}: non-finite probability")
+    if np.any(vec < -1e-12):
+        raise OperatorError(f"{label}: negative probability")
+    if abs(float(vec.sum()) - 1.0) > 1e-9:
+        raise OperatorError(f"{label}: probabilities sum to {float(vec.sum())!r}, not 1")
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """A validated density operator, optionally tagged with a register name."""

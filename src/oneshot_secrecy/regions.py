@@ -7,10 +7,9 @@ penalty modes of the same system differ exactly by the recorded constants.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -31,7 +30,7 @@ from .entropic import (
     smooth_max_mutual_info,
 )
 from .operators import OperatorError
-from .secrecy import randomizer_plan, secrecy_check
+from .secrecy import randomizer_plan, secrecy_check, within_threshold
 from .states import CQState
 
 COEF_TOL = 1e-12
@@ -147,22 +146,114 @@ class _MICalculator:
         )
 
 
-def _scaled(term: MITerm, coefficient: float) -> MITerm:
-    return replace(term, coefficient=coefficient)
+@functools.cache
+def _weighted(tokens: str) -> tuple[tuple[int, str], ...]:
+    """Split ``"c p 2C"`` into ``((1, "c"), (1, "p"), (2, "C"))``."""
+    return tuple((int(t[:-1] or 1), t[-1]) for t in tokens.split())
 
 
-def _row_from_terms(
+def _assemble(
+    calc: _MICalculator,
+    table: Sequence[tuple[str, str, tuple[str, ...], str]],
+    leaks: Mapping[str, str] | None,
+    roles: Mapping[str, str],
     variables: Sequence[str],
-    coeff_map: Mapping[str, float],
-    terms: Sequence[MITerm],
-    penalty: float,
-    tag: str,
-    alternatives: Sequence[float] = (),
-    warnings: Sequence[str] = (),
-) -> PolyRow:
-    coeffs = tuple(float(coeff_map.get(v, 0.0)) for v in variables)
-    bound = float(sum(t.coefficient * t.value for t in terms) + penalty)
-    return PolyRow(coeffs, bound, tag, tuple(terms), float(penalty), tuple(alternatives), tuple(warnings))
+    prefix: str,
+    penalty: Callable[[int, int], float],
+    cond: str | None = None,
+    tags: Mapping[str, str] | None = None,
+) -> list[PolyRow]:
+    """Rows of a region table with its roles bound to register and rate names.
+
+    A table row is ``(tag, rates, groupings, leakage)``.  A grouping
+    ``"cp:yCP"`` is the ``D_H`` term ``I(c p : y C P)``, registers in that
+    order (the order fixes the operator basis).  ``rates`` and ``leakage``
+    are role letters with optional integer weights, ``"r 2s"``; a leaked
+    role's ``D_max`` grouping is looked up in ``leaks`` and enters with
+    coefficient minus its weight (``leaks=None`` drops leakage).  ``tags``
+    renames table tags.  The penalty is ``penalty(n_l, n_eps)``: ``n_l``
+    randomizers, one per unit of leakage weight, and ``n_eps`` decoding
+    errors, one per ``D_H`` term; these are the counts the paper's constants
+    carry, so the tables need no penalty column.
+    """
+
+    def split(grouping: str) -> tuple[list[str], list[str]]:
+        part_a, part_b = grouping.split(":")
+        return [roles[x] for x in part_a], [roles[x] for x in part_b]
+
+    leak_terms = {x: calc.imax(*split(g), cond) for x, g in (leaks or {}).items()}
+    rows = []
+    for tag, rates, groupings, leakage in table:
+        terms = [calc.ht(*split(g), cond) for g in groupings]
+        n_l = 0
+        for weight, x in _weighted(leakage if leaks is not None else ""):
+            term = leak_terms[x]
+            terms.append(term if weight == 1 else replace(term, coefficient=-float(weight)))
+            n_l += weight
+        coeff_map = {roles[x]: weight for weight, x in _weighted(rates)}
+        pen = penalty(n_l, len(groupings))
+        rows.append(PolyRow(
+            tuple(float(coeff_map.get(v, 0.0)) for v in variables),
+            float(sum(t.coefficient * t.value for t in terms) + pen),
+            f"{prefix}:{(tags or {}).get(tag, tag)}",
+            tuple(terms),
+            pen,
+        ))
+    return rows
+
+
+# Time-shared rows: senders a then b (b's randomizer conditions on a) with
+# rates r and s, receiver y, eavesdropper z.
+_TIME_SHARED = (
+    ("r1", "r", ("a:by",), "a"),
+    ("r2", "s", ("b:ay",), "b"),
+    ("sum", "r s", ("ab:y",), "a b"),
+)
+_TIME_SHARED_LEAKS = {"a": "a:z", "b": "b:za"}
+
+# Roles of the split-message tables: (common, personal) messages c, p of one
+# sender and C, P of the other, with rates r and s; the mirror swaps senders.
+_SPLIT_ROLES = {"c": "X10", "p": "X11", "C": "X20", "P": "X22", "r": "R1", "s": "R2", "z": "Z"}
+_MIRRORED_ROLES = {"c": "X20", "p": "X22", "C": "X10", "P": "X11", "r": "R2", "s": "R1", "z": "Z"}
+
+# One side-information sub-channel: receiver y decodes its own split message
+# (c, p) plus the full interfering input (C, P); the interfering common part
+# conditions the later randomizers.
+_SIDE_INFORMATION = (
+    ("1", "r", ("cp:yCP",), "c p"),
+    ("2", "r", ("p:ycCP", "c:ypCP"), "c p"),
+    ("3", "s", ("CP:ycp",), "C P"),
+    ("4", "s", ("CPc:yp",), "C P"),
+    ("5", "s", ("CPp:yc",), "C P"),
+    ("6", "r s", ("p:ycCP", "cC:yp"), "c p C P"),
+    ("7", "r s", ("pCP:yc", "c:pCPy"), "c p C P"),
+    ("8", "r s", ("pcCP:y",), "c p C P"),
+    ("9", "r 2s", ("cCP:yp", "CPp:yc"), "c p 2C 2P"),
+)
+_SIDE_INFORMATION_LEAKS = {"c": "c:z", "p": "p:zcCP", "C": "C:zc", "P": "P:zcpC"}
+
+# Both receivers, y and Y, decode the split messages: the printed rows of the
+# no-secrecy region, and with leakage those of the conjectured secrecy region.
+_SPLIT_MESSAGE = (
+    ("1", "r", ("cp:yC",), "c p"),
+    ("2", "r", ("p:ycC", "c:YCP"), "c p"),
+    ("3", "s", ("CP:Yc",), "C P"),
+    ("4", "s", ("C:ycp", "P:YcC"), "C P"),
+    ("5", "r s", ("p:YcC", "cpC:Y"), "c p C P"),
+    ("6", "r s", ("p:yCc", "PCc:Y"), "c p C P"),
+    ("7", "r s", ("pC:yc", "Pc:YC"), "c p C P"),
+    ("8", "2r s", ("p:ycC", "cP:YC", "pcC:Y"), "2c 2p C P"),
+    ("9", "r 2s", ("pC:yc", "P:YcC", "PCc:y"), "c p 2C 2P"),
+)
+_SPLIT_MESSAGE_LEAKS = {"c": "c:z", "p": "p:zcC", "C": "C:zc", "P": "P:zcpC"}
+_BOTH_RECEIVERS = dict(_SPLIT_ROLES, y="Y1", Y="Y2")
+
+
+def _hk_penalties(penalties: PenaltyMode, eps: float) -> Callable[[int, int], float]:
+    """Constant of a row without secrecy: ``n_eps * (log2(eps) - 2)``."""
+    if penalties.mode == "off":
+        return lambda n_l, n_eps: 0.0
+    return lambda n_l, n_eps: n_eps * (math.log2(eps) - 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,19 +275,18 @@ def qmac_inner_bound(
     senders = list(senders)
     if len(senders) not in (2, 3):
         raise OperatorError(f"qmac_inner_bound supports 2 or 3 senders, got {len(senders)}")
-    params = ToleranceParams(eps=eps)
-    calc = _MICalculator(state, params, "none")
+    calc = _MICalculator(state, ToleranceParams(eps=eps), "none")
     variables = tuple(_rate_name(s) for s in senders)
-    penalty = math.log2(eps) - 2.0 if penalties.mode == "paper" else 0.0
-    rows = []
+    # senders a, b, c with rates A, B, C
+    letters = "abc"[: len(senders)]
+    roles = {**dict(zip(letters, senders)), **dict(zip(letters.upper(), variables)), "y": receiver}
+    table = []
     for size in range(1, len(senders) + 1):
-        for subset in itertools.combinations(range(len(senders)), size):
-            part_a = [senders[i] for i in subset]
-            part_b = [senders[i] for i in range(len(senders)) if i not in subset] + [receiver]
-            term = calc.ht(part_a, part_b)
-            coeff_map = {_rate_name(s): 1.0 for s in part_a}
-            tag = "qmac:" + "+".join(_rate_name(s) for s in part_a)
-            rows.append(_row_from_terms(variables, coeff_map, [term], penalty, tag))
+        for sub in itertools.combinations(letters, size):
+            rest = "".join(x for x in letters if x not in sub)
+            tag = "+".join(roles[x.upper()] for x in sub)
+            table.append((tag, " ".join(sub).upper(), ("".join(sub) + ":" + rest + "y",), ""))
+    rows = _assemble(calc, table, None, roles, variables, "qmac", _hk_penalties(penalties, eps))
     return RatePolytope(variables, rows, {"receiver": receiver, "penalties": penalties.mode})
 
 
@@ -205,23 +295,41 @@ def qmac_inner_bound(
 # ---------------------------------------------------------------------------
 
 
-def _log_delta(params: ToleranceParams, delta_source: str) -> float:
-    if delta_source == "delta":
-        return math.log2(params.delta)
-    if delta_source == "delta-prime":
-        return math.log2(params.delta_prime)
-    raise ValueError(f"delta_source must be 'delta' or 'delta-prime', got {delta_source!r}")
-
-
-def _secrecy_penalties(params: ToleranceParams, penalties: PenaltyMode, delta_source: str):
-    """Additive constants of the single-receiver secrecy rows (individual, sum)."""
+def _secrecy_penalties(
+    params: ToleranceParams, penalties: PenaltyMode, delta_source: str
+) -> Callable[[int, int], float]:
+    """Constant of a time-shared secrecy row: one randomizer (single) or two (joint)."""
     if penalties.mode == "off":
-        return 0.0, 0.0
+        return lambda n_l, n_eps: 0.0
+    if delta_source not in ("delta", "delta-prime"):
+        raise ValueError(f"delta_source must be 'delta' or 'delta-prime', got {delta_source!r}")
     log_l = math.log2(3.0 / params.eps_prime**3)
-    log_d = _log_delta(params, delta_source)
+    log_d = math.log2(params.delta if delta_source == "delta" else params.delta_prime)
     single = math.log2(params.eps) - 1.0 - log_l + 0.25 * log_d
     joint = math.log2(params.eps) - 1.0 - 2.0 * log_l + 0.5 * log_d + penalties.big_o_constant
-    return single, joint
+    return lambda n_l, n_eps: single if n_l == 1 else joint
+
+
+def _split_penalties(params: ToleranceParams, penalties: PenaltyMode) -> Callable[[int, int], float]:
+    """Constant of a split-message secrecy row.
+
+    ``-n_l*log2(3/eps'^3) + (n_l/2)*0.5*log2(delta') + n_eps*log2(eps) - 2*n_eps + O(1)``.
+    """
+    if penalties.mode == "off":
+        return lambda n_l, n_eps: 0.0
+    log_l = math.log2(3.0 / params.eps_prime**3)
+    log_dp = math.log2(params.delta_prime)
+
+    def build(n_l: int, n_eps: int) -> float:
+        return (
+            -n_l * log_l
+            + 0.5 * (n_l // 2) * log_dp
+            + n_eps * math.log2(params.eps)
+            - 2.0 * n_eps
+            + penalties.big_o_constant
+        )
+
+    return build
 
 
 def submac_secrecy_region(
@@ -247,47 +355,21 @@ def submac_secrecy_region(
     calc = _MICalculator(state, params, smoothing)
     if set(HK_REGISTERS) <= set(state.classical_names):
         own_c, own_p = order
-        if (own_c, own_p) not in (("X10", "X11"), ("X20", "X22")):
+        roles = {("X10", "X11"): _SPLIT_ROLES, ("X20", "X22"): _MIRRORED_ROLES}.get((own_c, own_p))
+        if roles is None:
             raise OperatorError(
                 f"order must name a (common, personal) pair of one sender, got {tuple(order)}"
             )
-        oth = ("X20", "X22") if own_c == "X10" else ("X10", "X11")
-        r_own = "R1" if own_c == "X10" else "R2"
-        r_oth = "R2" if r_own == "R1" else "R1"
-        pen = _split_penalties(params, penalties)
-        rows = _side_information_rows(
-            calc, y, own_c, own_p, oth, r_own, r_oth, pen, tag_prefix="submac"
-        )
+        rows = _assemble(calc, _SIDE_INFORMATION, _SIDE_INFORMATION_LEAKS, dict(roles, y=y),
+                         ("R1", "R2"), "submac", _split_penalties(params, penalties))
         return RatePolytope(("R1", "R2"), rows, {"receiver": y, "order": tuple(order)})
     first, second = order
     cond = "Q" if state.is_classical("Q") else None
-    single, joint = _secrecy_penalties(params, penalties, delta_source)
+    pen = _secrecy_penalties(params, penalties, delta_source)
     variables = (_rate_name(first), _rate_name(second))
-    m_first = calc.imax([first], ["Z"], cond)
-    m_second = calc.imax([second], ["Z", first], cond)
-    rows = [
-        _row_from_terms(
-            variables,
-            {_rate_name(first): 1.0},
-            [calc.ht([first], [second, y], cond), m_first],
-            single,
-            f"submac:{_rate_name(first)}",
-        ),
-        _row_from_terms(
-            variables,
-            {_rate_name(second): 1.0},
-            [calc.ht([second], [first, y], cond), m_second],
-            single,
-            f"submac:{_rate_name(second)}",
-        ),
-        _row_from_terms(
-            variables,
-            {variables[0]: 1.0, variables[1]: 1.0},
-            [calc.ht([first, second], [y], cond), m_first, m_second],
-            joint,
-            "submac:sum",
-        ),
-    ]
+    roles = {"a": first, "b": second, "r": variables[0], "s": variables[1], "y": y, "z": "Z"}
+    rows = _assemble(calc, _TIME_SHARED, _TIME_SHARED_LEAKS, roles, variables, "submac", pen,
+                     cond, tags={"r1": variables[0], "r2": variables[1]})
     return RatePolytope(variables, rows, {"receiver": y, "order": tuple(order)})
 
 
@@ -302,27 +384,17 @@ def theorem1_region(
     """Time-shared secrecy region: per row, the worse of the two receivers."""
     state = control_state_t1(channel, dist)
     calc = _MICalculator(state, params, smoothing)
-    single, joint = _secrecy_penalties(params, penalties, delta_source)
+    pen = _secrecy_penalties(params, penalties, delta_source)
     variables = ("R1", "R2")
-    m1 = calc.imax(["X1"], ["Z"], "Q")
-    m2 = calc.imax(["X2"], ["Z", "X1"], "Q")
-
-    def min_ht(part_a, other):
-        alts = [calc.ht(part_a, other + [y], "Q") for y in ("Y1", "Y2")]
-        values = [t.value for t in alts]
-        pick = alts[int(np.argmin(values))]
-        return pick, tuple(values)
-
-    t_r1, alt1 = min_ht(["X1"], ["X2"])
-    t_r2, alt2 = min_ht(["X2"], ["X1"])
-    t_sum, alt_sum = min_ht(["X1", "X2"], [])
-    rows = [
-        _row_from_terms(variables, {"R1": 1.0}, [t_r1, m1], single, "t1:r1", alt1),
-        _row_from_terms(variables, {"R2": 1.0}, [t_r2, m2], single, "t1:r2", alt2),
-        _row_from_terms(
-            variables, {"R1": 1.0, "R2": 1.0}, [t_sum, m1, m2], joint, "t1:sum", alt_sum
-        ),
+    roles = {"a": "X1", "b": "X2", "r": "R1", "s": "R2", "z": "Z"}
+    per_receiver = [
+        _assemble(calc, _TIME_SHARED, _TIME_SHARED_LEAKS, dict(roles, y=y), variables, "t1", pen, "Q")
+        for y in ("Y1", "Y2")
     ]
+    rows = []
+    for alts in zip(*per_receiver):
+        values = tuple(r.terms[0].value for r in alts)
+        rows.append(replace(alts[int(np.argmin(values))], alternatives=values))
     full = calc.imax(["X1", "X2"], ["Z"], "Q")
     meta = {
         "theorem": "t1",
@@ -331,50 +403,10 @@ def theorem1_region(
             "criterion": "Imax_eta(X1X2:Z|Q)",
             "value": full.value,
             "threshold": params.theta,
-            "pass": bool(full.value <= params.theta + 1e-9),
+            "pass": within_threshold(full.value, params.theta),
         },
     }
     return RatePolytope(variables, rows, meta)
-
-
-# split-message register shorthand: the second input is the pair (X20, X22)
-_X1 = ("X10", "X11")
-_X2 = ("X20", "X22")
-
-
-def _hk_penalty(penalties: PenaltyMode, eps: float, n_terms: int) -> float:
-    return n_terms * (math.log2(eps) - 2.0) if penalties.mode == "paper" else 0.0
-
-
-def _hk_row_specs() -> list[tuple[str, dict, list[tuple[tuple[str, ...], tuple[str, ...]]]]]:
-    """Groupings of the split-message no-secrecy rows, aligned with conj:* tags."""
-    return [
-        ("1", {"R1": 1.0}, [(("X10", "X11"), ("Y1", "X20"))]),
-        ("2", {"R1": 1.0}, [(("X11",), ("Y1", "X10", "X20")), (("X10",), ("Y2", "X20", "X22"))]),
-        ("3", {"R2": 1.0}, [(("X20", "X22"), ("Y2", "X10"))]),
-        ("4", {"R2": 1.0}, [(("X20",), ("Y1", "X10", "X11")), (("X22",), ("Y2", "X10", "X20"))]),
-        ("5", {"R1": 1.0, "R2": 1.0}, [(("X11",), ("Y2", "X10", "X20")), (("X10", "X11", "X20"), ("Y2",))]),
-        ("6", {"R1": 1.0, "R2": 1.0}, [(("X11",), ("Y1", "X20", "X10")), (("X22", "X20", "X10"), ("Y2",))]),
-        ("7", {"R1": 1.0, "R2": 1.0}, [(("X11", "X20"), ("Y1", "X10")), (("X22", "X10"), ("Y2", "X20"))]),
-        (
-            "8",
-            {"R1": 2.0, "R2": 1.0},
-            [
-                (("X11",), ("Y1", "X10", "X20")),
-                (("X10", "X22"), ("Y2", "X20")),
-                (("X11", "X10", "X20"), ("Y2",)),
-            ],
-        ),
-        (
-            "9",
-            {"R1": 1.0, "R2": 2.0},
-            [
-                (("X11", "X20"), ("Y1", "X10")),
-                (("X22",), ("Y2", "X10", "X20")),
-                (("X22", "X20", "X10"), ("Y1",)),
-            ],
-        ),
-    ]
 
 
 def hk_nosecrecy_region(
@@ -385,41 +417,10 @@ def hk_nosecrecy_region(
 ) -> RatePolytope:
     """Split-message no-secrecy region over (R1, R2), rows as printed."""
     state = control_state_hk(channel, dist)
-    params = ToleranceParams(eps=eps)
-    calc = _MICalculator(state, params, "none")
-    variables = ("R1", "R2")
-    rows = []
-    for idx, coeff_map, groupings in _hk_row_specs():
-        terms = [calc.ht(list(a), list(b)) for a, b in groupings]
-        rows.append(
-            _row_from_terms(
-                variables, coeff_map, terms, _hk_penalty(penalties, eps, len(terms)), f"hk:{idx}"
-            )
-        )
-    return RatePolytope(variables, rows, {"theorem": "hk-nosecrecy", "penalties": penalties.mode})
-
-
-def _split_penalties(params: ToleranceParams, penalties: PenaltyMode):
-    """Constant builder for split-message secrecy rows.
-
-    Returns f(n_l, n_eps, half_log_delta_units) where the row constant is
-    -n_l*log2(3/eps'^3) + half*0.5*log2(delta') + n_eps*log2(eps) - 2*n_eps + O(1).
-    """
-    if penalties.mode == "off":
-        return lambda n_l, n_eps, half: 0.0
-    log_l = math.log2(3.0 / params.eps_prime**3)
-    log_dp = math.log2(params.delta_prime)
-
-    def build(n_l: int, n_eps: int, half: int) -> float:
-        return (
-            -n_l * log_l
-            + 0.5 * half * log_dp
-            + n_eps * math.log2(params.eps)
-            - 2.0 * n_eps
-            + penalties.big_o_constant
-        )
-
-    return build
+    calc = _MICalculator(state, ToleranceParams(eps=eps), "none")
+    rows = _assemble(calc, _SPLIT_MESSAGE, None, _BOTH_RECEIVERS, ("R1", "R2"), "hk",
+                     _hk_penalties(penalties, eps))
+    return RatePolytope(("R1", "R2"), rows, {"theorem": "hk-nosecrecy", "penalties": penalties.mode})
 
 
 def conjecture_region(
@@ -433,120 +434,11 @@ def conjecture_region(
     """Split-message secrecy region (nine rows), plus the side-condition report."""
     state = control_state_hk(channel, dist)
     calc = _MICalculator(state, params, smoothing)
-    pen = _split_penalties(params, penalties)
-    variables = ("R1", "R2")
-    m10 = calc.imax(["X10"], ["Z"])
-    m11 = calc.imax(["X11"], ["Z", "X10", "X20"])
-    m20 = calc.imax(["X20"], ["Z", "X10"])
-    m22 = calc.imax(["X22"], ["Z", "X10", "X11", "X20"])
-    row_specs = _hk_row_specs()
-    leak = {
-        "1": ([m10, m11], pen(2, 1, 1)),
-        "2": ([m10, m11], pen(2, 2, 1)),
-        "3": ([m20, m22], pen(2, 1, 1)),
-        "4": ([m20, m22], pen(2, 2, 1)),
-        "5": ([m10, m11, m20, m22], pen(4, 2, 2)),
-        "6": ([m10, m11, m20, m22], pen(4, 2, 2)),
-        "7": ([m10, m11, m20, m22], pen(4, 2, 2)),
-        "8": ([_scaled(m10, -2.0), _scaled(m11, -2.0), m20, m22], pen(6, 3, 3)),
-        "9": ([m10, m11, _scaled(m20, -2.0), _scaled(m22, -2.0)], pen(6, 3, 3)),
-    }
-    rows = []
-    for idx, coeff_map, groupings in row_specs:
-        ht_terms = [calc.ht(list(a), list(b)) for a, b in groupings]
-        max_terms, penalty = leak[idx]
-        rows.append(
-            _row_from_terms(variables, coeff_map, ht_terms + list(max_terms), penalty, f"conj:{idx}")
-        )
+    rows = _assemble(calc, _SPLIT_MESSAGE, _SPLIT_MESSAGE_LEAKS, _BOTH_RECEIVERS, ("R1", "R2"),
+                     "conj", _split_penalties(params, penalties))
     report = secrecy_check(state, params, side_thresholds, smoothing=smoothing)
     meta = {"theorem": "conjecture", "penalties": penalties.mode, "secrecy": report.as_dict()}
-    return RatePolytope(variables, rows, meta)
-
-
-def _t2_roles(sub: int):
-    """Register roles per sub-channel; sub-channel 2 is the 1<->2 mirror."""
-    if sub == 1:
-        return "Y1", "X10", "X11", ("X20", "X22"), "R1", "R2"
-    return "Y2", "X20", "X22", ("X10", "X11"), "R2", "R1"
-
-
-def _side_information_rows(
-    calc: _MICalculator,
-    y: str,
-    own_c: str,
-    own_p: str,
-    oth: tuple[str, str],
-    r_own: str,
-    r_oth: str,
-    pen,
-    tag_prefix: str,
-) -> list[PolyRow]:
-    """Nine secrecy rows of one side-information sub-channel.
-
-    The receiver decodes its own split message plus the full interfering
-    input; the interfering common part conditions the later randomizers.
-    """
-    variables = ("R1", "R2")
-    oth_c, oth_p = oth
-    m_own_c = calc.imax([own_c], ["Z"])
-    m_own_p = calc.imax([own_p], ["Z", own_c, oth_c, oth_p])
-    m_oth_c = calc.imax([oth_c], ["Z", own_c])
-    m_oth_p = calc.imax([oth_p], ["Z", own_c, own_p, oth_c])
-    all_m = [m_own_c, m_own_p, m_oth_c, m_oth_p]
-    specs = [
-        ("1", {r_own: 1.0}, [((own_c, own_p), (y,) + oth)], [m_own_c, m_own_p], (2, 1, 1)),
-        (
-            "2",
-            {r_own: 1.0},
-            [((own_p,), (y, own_c) + oth), ((own_c,), (y, own_p) + oth)],
-            [m_own_c, m_own_p],
-            (2, 2, 1),
-        ),
-        ("3", {r_oth: 1.0}, [(oth, (y, own_c, own_p))], [m_oth_c, m_oth_p], (2, 1, 1)),
-        ("4", {r_oth: 1.0}, [(oth + (own_c,), (y, own_p))], [m_oth_c, m_oth_p], (2, 1, 1)),
-        ("5", {r_oth: 1.0}, [(oth + (own_p,), (y, own_c))], [m_oth_c, m_oth_p], (2, 1, 1)),
-        (
-            "6",
-            {r_own: 1.0, r_oth: 1.0},
-            [((own_p,), (y, own_c) + oth), ((own_c, oth_c), (y, own_p))],
-            all_m,
-            (4, 2, 2),
-        ),
-        (
-            "7",
-            {r_own: 1.0, r_oth: 1.0},
-            [((own_p,) + oth, (y, own_c)), ((own_c,), (own_p,) + oth + (y,))],
-            all_m,
-            (4, 2, 2),
-        ),
-        (
-            "8",
-            {r_own: 1.0, r_oth: 1.0},
-            [((own_p, own_c) + oth, (y,))],
-            all_m,
-            (4, 1, 2),
-        ),
-        (
-            "9",
-            {r_own: 1.0, r_oth: 2.0},
-            [((own_c,) + oth, (y, own_p)), (oth + (own_p,), (y, own_c))],
-            [m_own_c, m_own_p, _scaled(m_oth_c, -2.0), _scaled(m_oth_p, -2.0)],
-            (6, 2, 3),
-        ),
-    ]
-    rows = []
-    for idx, coeff_map, groupings, max_terms, (n_l, n_eps, half) in specs:
-        ht_terms = [calc.ht(list(a), list(b)) for a, b in groupings]
-        rows.append(
-            _row_from_terms(
-                variables,
-                coeff_map,
-                ht_terms + list(max_terms),
-                pen(n_l, n_eps, half),
-                f"{tag_prefix}:{idx}",
-            )
-        )
-    return rows
+    return RatePolytope(("R1", "R2"), rows, meta)
 
 
 def theorem2_region(
@@ -556,17 +448,17 @@ def theorem2_region(
     penalties: PenaltyMode,
     smoothing: str = "none",
 ) -> RatePolytope:
-    """Intersection of the two side-information sub-channel secrecy systems."""
+    """Intersection of the two side-information sub-channel secrecy systems.
+
+    Sub-channel 2 is the 1<->2 mirror of sub-channel 1.
+    """
     state = control_state_hk(channel, dist)
     calc = _MICalculator(state, params, smoothing)
     pen = _split_penalties(params, penalties)
-    variables = ("R1", "R2")
     rows: list[PolyRow] = []
-    for sub in (1, 2):
-        y, own_c, own_p, oth, r_own, r_oth = _t2_roles(sub)
-        rows.extend(
-            _side_information_rows(calc, y, own_c, own_p, oth, r_own, r_oth, pen, f"t2:s{sub}")
-        )
+    for sub, roles in ((1, dict(_SPLIT_ROLES, y="Y1")), (2, dict(_MIRRORED_ROLES, y="Y2"))):
+        rows += _assemble(calc, _SIDE_INFORMATION, _SIDE_INFORMATION_LEAKS, roles, ("R1", "R2"),
+                          f"t2:s{sub}", pen)
     report = secrecy_check(state, params, (math.inf, math.inf, math.inf), smoothing=smoothing)
     plan = randomizer_plan(state, params, smoothing=smoothing)
     meta = {
@@ -575,7 +467,7 @@ def theorem2_region(
         "secrecy": report.as_dict(),
         "randomizer_plan": plan.as_dict(),
     }
-    return RatePolytope(variables, rows, meta)
+    return RatePolytope(("R1", "R2"), rows, meta)
 
 
 def hk_region_via_projection(
@@ -902,9 +794,9 @@ def sweep_union(
 ) -> SweepResult:
     """Frontier of the union of per-distribution regions over a simplex grid.
 
-    Regions are evaluated per grid distribution (possibly in parallel, capped
-    by ``ONESHOT_THREADS``) and merged by pointwise maximum along fixed ray
-    directions, in grid order, so output is deterministic.
+    Regions are evaluated per grid distribution, one after another, and
+    merged by pointwise maximum along fixed ray directions, in grid order, so
+    output is deterministic.
     """
     if grid < 2:
         raise ValueError("grid resolution must be >= 2")
@@ -925,22 +817,13 @@ def sweep_union(
     thetas = np.linspace(0.0, math.pi / 2.0, rays)
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
 
-    def one(dist: InputDistribution) -> np.ndarray:
-        poly = build(channel, dist, params, penalties, smoothing=smoothing)
-        return _ray_radii(poly, dirs)
-
-    workers = max(1, int(os.environ.get("ONESHOT_THREADS", "1")))
-    dist_list = list(dists)
-    if workers == 1:
-        all_radii = [one(d) for d in dist_list]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            all_radii = list(pool.map(one, dist_list))
     frontier = np.zeros(rays)
-    degenerate = 0
-    for radii in all_radii:  # grid order; max is order-independent anyway
+    evaluations = degenerate = 0
+    for dist in dists:
+        radii = _ray_radii(build(channel, dist, params, penalties, smoothing=smoothing), dirs)
+        evaluations += 1
         if np.all(radii <= FEAS_TOL):
             degenerate += 1
         frontier = np.maximum(frontier, radii)
     points = dirs * frontier[:, None]
-    return SweepResult(thetas, frontier, points, len(dist_list), degenerate)
+    return SweepResult(thetas, frontier, points, evaluations, degenerate)

@@ -146,6 +146,11 @@ def _require_hk_state(state: CQState) -> None:
         raise OperatorError("state carries no eavesdropper register Z")
 
 
+def within_threshold(value: float, threshold: float) -> bool:
+    """A leakage condition passes when its value does not exceed the threshold (1e-9 slack)."""
+    return bool(value <= threshold + 1e-9)
+
+
 def secrecy_check(
     state: CQState,
     params: ToleranceParams,
@@ -156,23 +161,27 @@ def secrecy_check(
 
     The three sub-groupings are checked against ``thresholds`` and the full
     message grouping against ``params.theta``; a condition passes when its
-    smoothed max mutual information does not exceed the threshold (1e-9 slack).
+    smoothed max mutual information is :func:`within_threshold`.
     """
     _require_hk_state(state)
     if len(thresholds) != 3:
         raise ValueError("exactly three sub-grouping thresholds are required")
+    full = ("X10", "X11", "X20", "X22")
     groupings = (
         ("sub1", ("X10", "X11", "X20"), float(thresholds[0])),
         ("sub2", ("X10", "X20", "X22"), float(thresholds[1])),
-        ("full", ("X10", "X11", "X20", "X22"), float(thresholds[2])),
-        ("criterion", ("X10", "X11", "X20", "X22"), float(params.theta)),
+        ("full", full, float(thresholds[2])),
+        ("criterion", full, float(params.theta)),
     )
+    values: dict[tuple[str, ...], float] = {}
     conditions = []
     for label, part_a, threshold in groupings:
-        value = float(
-            smooth_max_mutual_info(state, list(part_a), ["Z"], params.eta, smoothing)
-        )
+        if part_a not in values:
+            values[part_a] = float(
+                smooth_max_mutual_info(state, list(part_a), ["Z"], params.eta, smoothing)
+            )
+        value = values[part_a]
         conditions.append(
-            SecrecyCondition(label, part_a, value, threshold, bool(value <= threshold + 1e-9))
+            SecrecyCondition(label, part_a, value, threshold, within_threshold(value, threshold))
         )
     return SecrecyReport(tuple(conditions), params.eta, smoothing)

@@ -7,15 +7,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import (
-    OperatorError,
-    RegisterLayout,
-    hermiticity_residual,
-    partial_trace_matrix,
-)
+from .operators import OperatorError, RegisterLayout, partial_trace_matrix, validate_density
 
 PROB_TOL = 1e-9
-PSD_TOL = 1e-9
 
 
 @dataclass
@@ -65,14 +59,7 @@ class CQState:
         flat_p = self.probs.reshape(-1)
         flat_c = self.conditionals.reshape(-1, *self.conditionals.shape[-2:])
         for k in np.nonzero(flat_p > PROB_TOL)[0]:
-            m = flat_c[k]
-            if hermiticity_residual(m) > 1e-9:
-                raise OperatorError(f"conditional {k} not Hermitian")
-            w = np.linalg.eigvalsh(m)
-            if w[0] < -PSD_TOL:
-                raise OperatorError(f"conditional {k} has negative eigenvalue {w[0]:.1e}")
-            if abs(float(np.trace(m).real) - 1.0) > 1e-9:
-                raise OperatorError(f"conditional {k} trace deviates from 1")
+            validate_density(flat_c[k], f"conditional {k}")
 
     # -- register bookkeeping -------------------------------------------
 

@@ -20,6 +20,9 @@ DIAG = str(bundled_path("diag_deterministic.json"))
 XOR = str(bundled_path("xor_split.json"))
 T1DIST = str(bundled_path("uniform_t1.json"))
 HKDIST = str(bundled_path("uniform_hk.json"))
+# the lifted split-message system of hk_region_via_projection on xor_split
+# (penalties off), with the rate identities as equalities
+HK_LIFT = str(Path(__file__).parent / "data" / "hk_lift_xor.json")
 SCAN = ["--smoothing", "diagonal-scan"]
 OFF = ["--penalties", "off"]
 
@@ -41,7 +44,8 @@ def _quantities(channel, dist, groupings, *extra):
 
 
 # name -> (argv, kind); kind "region" writes <name>.json and <name>.csv,
-# "sweep" writes <name>.csv and "stdout" keeps the printed table as <name>.txt.
+# "sweep" writes <name>.csv, "fm" writes <name>.json and "stdout" keeps the
+# printed table as <name>.txt.
 # The paper's penalties zero most bundled regions, so every region also runs
 # with them off, and the sweeps run with them off only.
 CASES = {}
@@ -66,6 +70,7 @@ CASES.update({
     "sweep_conjecture_xor": (_sweep(XOR, "conjecture", "--grid", "2", *OFF), "sweep"),
     "sweep_conjecture_xor_scan": (_sweep(XOR, "conjecture", "--grid", "2", *OFF, *SCAN),
                                   "sweep"),
+    "fm_hk_lift_xor": (["fm", "--input", HK_LIFT, "--eliminate", "R10,R11,R20,R22"], "fm"),
 })
 
 
@@ -76,6 +81,8 @@ def run_case(name, outdir: Path) -> dict[str, bytes]:
         argv = argv + ["--out", str(outdir / f"{name}.json"), "--csv", str(outdir / f"{name}.csv")]
     elif kind == "sweep":
         argv = argv + ["--csv", str(outdir / f"{name}.csv")]
+    elif kind == "fm":
+        argv = argv + ["--out", str(outdir / f"{name}.json")]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert cli.main(argv) == 0, name

@@ -15,6 +15,7 @@ from oneshot_secrecy.operators import (
     trace_distance,
     validate_density,
 )
+from oneshot_secrecy.states import CQState
 from conftest import rand_density, rand_unitary
 
 
@@ -179,6 +180,20 @@ def test_validate_density_diagnostics():
         validate_density(np.diag([1.5, -0.5]))
     with pytest.raises(OperatorError):
         DensityOperator(np.diag([0.7, 0.7]))
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[0.5, 0.1], [0.0, 0.5]]),  # not Hermitian
+    np.diag([1.5, -0.5]),                # negative eigenvalue
+    0.98 * np.eye(2) / 2,                # trace deviation
+    np.diag([np.nan, 1.0]),              # non-finite
+])
+def test_cq_state_validate_checks_each_live_conditional(bad):
+    layout = RegisterLayout(("B",), (2,))
+    conds = np.stack([np.eye(2) / 2, bad])
+    CQState(("X",), (2,), [1.0, 0.0], layout, conds).validate()  # zero-probability atom
+    with pytest.raises(OperatorError, match="conditional 1"):
+        CQState(("X",), (2,), [0.5, 0.5], layout, conds).validate()
 
 
 def test_register_layout_invariants():

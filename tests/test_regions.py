@@ -378,6 +378,42 @@ def test_submac_split_form_matches_theorem2_subsystem(xor_channel):
         submac_secrecy_region(state, ("X10", "X22"), PARAMS, OFF)
 
 
+@pytest.mark.parametrize("penalties", [OFF, PAPER], ids=["off", "paper"])
+def test_submac_split_form_y2_matches_theorem2_subchannel_2(xor_channel, penalties):
+    dist = uniform_hk(xor_channel)
+    state = submac_view(control_state_hk(xor_channel, dist), "Y2")
+    sub = submac_secrecy_region(state, ("X20", "X22"), PARAMS, penalties)
+    t2 = theorem2_region(xor_channel, dist, PARAMS, penalties)
+    assert sub.variables == ("R1", "R2")
+    assert [r.tag for r in sub.rows] == [f"submac:{i}" for i in range(1, 10)]
+    for row in sub.rows:
+        twin = t2.row(f"t2:s2:{row.tag.split(':')[-1]}")
+        assert row.coeffs == twin.coeffs
+        assert row.penalty == twin.penalty
+        assert abs(row.bound - twin.bound) <= 1e-9
+        assert [(t.kind, t.part_a, t.part_b, t.cond, t.coefficient) for t in row.terms] == [
+            (t.kind, t.part_a, t.part_b, t.cond, t.coefficient) for t in twin.terms
+        ]
+
+
+def test_submac_time_shared_reversed_order(diag_channel):
+    state = submac_view(control_state_t1(diag_channel, uniform_t1(diag_channel)), "Y1")
+    sub = submac_secrecy_region(state, ("X2", "X1"), PARAMS, PAPER)
+    assert sub.variables == ("R2", "R1")
+    assert [r.tag for r in sub.rows] == ["submac:R2", "submac:R1", "submac:sum"]
+    assert [r.coeffs for r in sub.rows] == [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    assert all(r.alternatives == () for r in sub.rows)
+    ht_2 = ("ht", ("X2",), ("X1", "Y1"), "Q", 1.0)
+    ht_1 = ("ht", ("X1",), ("X2", "Y1"), "Q", 1.0)
+    ht_sum = ("ht", ("X2", "X1"), ("Y1",), "Q", 1.0)
+    max_2 = ("max", ("X2",), ("Z",), "Q", -1.0)
+    max_1 = ("max", ("X1",), ("Z", "X2"), "Q", -1.0)
+    assert [[(t.kind, t.part_a, t.part_b, t.cond, t.coefficient) for t in r.terms]
+            for r in sub.rows] == [[ht_2, max_2], [ht_1, max_1], [ht_sum, max_2, max_1]]
+    t1 = theorem1_region(diag_channel, uniform_t1(diag_channel), PARAMS, PAPER)
+    assert [r.penalty for r in sub.rows] == [r.penalty for r in t1.rows]
+
+
 def test_theorem2_within_conjecture_on_degenerate_split(diag_split_channel):
     dist = uniform_hk(diag_split_channel)
     conj = conjecture_region(diag_split_channel, dist, PARAMS, OFF)
