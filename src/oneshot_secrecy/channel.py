@@ -208,16 +208,20 @@ def save_channel(spec: ChannelSpec, path) -> None:
     Path(path).write_text(dumps_channel(spec), encoding="utf-8")
 
 
-def load_channel(path) -> ChannelSpec:
+def read_json(path, what: str):
+    """The parsed UTF-8 JSON document at ``path``; ``what`` names it in errors."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ChannelFormatError(f"cannot read channel file: {exc}") from None
+        raise ChannelFormatError(f"cannot read {what} file: {exc}") from None
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ChannelFormatError(f"channel file is not valid JSON: {exc}") from None
-    return channel_from_document(doc)
+        raise ChannelFormatError(f"{what} file is not valid JSON: {exc}") from None
+
+
+def load_channel(path) -> ChannelSpec:
+    return channel_from_document(read_json(path, "channel"))
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +320,7 @@ def distribution_to_document(dist: InputDistribution) -> dict:
 
 
 def load_distribution(path) -> InputDistribution:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ChannelFormatError(f"cannot read distribution file: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ChannelFormatError(f"distribution file is not valid JSON: {exc}") from None
-    return distribution_from_document(doc)
+    return distribution_from_document(read_json(path, "distribution"))
 
 
 def save_distribution(dist: InputDistribution, path) -> None:

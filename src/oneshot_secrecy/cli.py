@@ -20,6 +20,7 @@ from .channel import (
     control_state_t1,
     load_channel,
     load_distribution,
+    read_json,
 )
 from .entropic import (
     ConvergenceError,
@@ -122,7 +123,7 @@ def _region_report(poly: RatePolytope, params: ToleranceParams, penalties: Penal
         "theorem": theorem,
         "channel": channel.name,
         "params": _params_dict(params),
-        "penalties": {"mode": penalties.mode, "big_o_constant": penalties.big_o_constant},
+        "penalties": {"mode": penalties.mode, "big_o_constant": params.big_o_constant},
         "smoothing": smoothing,
         "variables": list(poly.variables),
         "rows": [_row_dict(r, poly.variables) for r in poly.rows],
@@ -195,13 +196,10 @@ def cmd_quantities(args) -> int:
                          cond_smooth_max_mi(state, part_a, part_b, cond, params.eta, args.smoothing)))
             continue
         joint, product = joint_and_product(state, part_a, part_b)
-        blocks = state.classical_dim(part_a + part_b)
-        rows.append((text, "ht_mutual_info",
-                     hypothesis_testing_divergence(joint, product, params.eps, blocks=blocks)))
-        rows.append((text, "max_mutual_info", max_relative_entropy(joint, product, blocks=blocks)))
+        rows.append((text, "ht_mutual_info", hypothesis_testing_divergence(joint, product, params.eps)))
+        rows.append((text, "max_mutual_info", max_relative_entropy(joint, product)))
         rows.append((text, "smooth_max_mutual_info",
-                     smooth_max_relative_entropy(joint, product, params.eta, args.smoothing,
-                                                 blocks=blocks)))
+                     smooth_max_relative_entropy(joint, product, params.eta, args.smoothing)))
         rows.append((text, "relative_entropy", relative_entropy(joint, product)))
         rows.append((text, "fact_bound", fact_bound(joint, product, params.eps)))
         rows.append((text, "trace_distance", trace_distance(joint, product)))
@@ -234,7 +232,7 @@ def cmd_region(args) -> int:
     channel = load_channel(args.channel)
     dist = load_distribution(args.dist)
     params = _params_from_args(args)
-    penalties = PenaltyMode(args.penalties, args.big_o)
+    penalties = PenaltyMode(args.penalties)
     poly = _build_region(args, channel, dist, params, penalties)
     report = _region_report(poly, params, penalties, args.smoothing, channel, args.theorem)
     _write_json(report, args.out)
@@ -253,7 +251,7 @@ def cmd_region(args) -> int:
 def cmd_sweep(args) -> int:
     channel = load_channel(args.channel)
     params = _params_from_args(args)
-    penalties = PenaltyMode(args.penalties, args.big_o)
+    penalties = PenaltyMode(args.penalties)
     result = sweep_union(
         channel,
         args.theorem,
@@ -305,13 +303,7 @@ def _poly_from_document(doc: dict) -> RatePolytope:
 
 
 def cmd_fm(args) -> int:
-    try:
-        doc = json.loads(Path(args.input).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ChannelFormatError(f"cannot read polytope file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ChannelFormatError(f"polytope file is not valid JSON: {exc}") from None
-    poly = _poly_from_document(doc)
+    poly = _poly_from_document(read_json(args.input, "polytope"))
     eliminate = [v.strip() for v in args.eliminate.split(",") if v.strip()]
     projected = fourier_motzkin(poly, eliminate)
     payload = {

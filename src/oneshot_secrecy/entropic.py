@@ -18,6 +18,10 @@ from .states import CQState, joint_and_product
 LOG2 = math.log(2.0)
 
 SMOOTHING_STRATEGIES = ("none", "diagonal-scan")
+# threshold-test bisection steps, bracketing included, before ConvergenceError
+_MAX_ITER = 200
+# transfer grid of the diagonal-scan smoothing
+_SCAN_STEP = 1e-4
 
 
 class ConvergenceError(RuntimeError):
@@ -199,27 +203,32 @@ def classical_np_oracle(
 
 
 def _is_diagonal(m: np.ndarray) -> bool:
-    """No nonzero entry off the diagonal(s) of a matrix or stack (exactly; no tolerance)."""
-    return np.count_nonzero(m) == np.count_nonzero(m.diagonal(axis1=-2, axis2=-1))
+    """No nonzero entry off the diagonal of a matrix (exactly; no tolerance)."""
+    return np.count_nonzero(m) == np.count_nonzero(m.diagonal())
 
 
-def _block_stack(m: np.ndarray, blocks: int) -> np.ndarray:
-    """The ``blocks`` equal diagonal blocks of ``m`` as a ``(blocks, d, d)`` stack.
+def _block_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both operators as ``(K, d, d)`` stacks of their finest common blocks.
 
-    Raises unless the dimension splits evenly and no nonzero entry lies off
-    the blocks (exact count, no tolerance).
+    The blocks are the finest equal, contiguous partition of the diagonal
+    that no nonzero entry of either operator crosses (exact, no tolerance),
+    so ``K == 1`` is the dense case and ``d == 1`` an exactly diagonal pair.
     """
-    n = m.shape[0]
-    if blocks < 1 or n % blocks:
-        raise OperatorError(f"dimension {n} does not split into {blocks} equal blocks")
-    if blocks == 1:
-        return m[None]
-    d = n // blocks
-    k = np.arange(blocks)
-    stack = m.reshape(blocks, d, blocks, d)[k, :, k, :]
-    if np.count_nonzero(stack) != np.count_nonzero(m):
-        raise OperatorError(f"nonzero entries outside the {blocks} diagonal blocks")
-    return stack
+    nonzero = np.logical_or(a, b)
+    # exactly diagonal pairs (every classical one) need no scan
+    if np.count_nonzero(nonzero) == np.count_nonzero(nonzero.diagonal()):
+        return a.diagonal()[:, None, None], b.diagonal()[:, None, None]
+    n = a.shape[0]
+    pos = np.arange(n)
+    nonzero |= nonzero.T
+    # a cut after position i is free when no row up to i reaches past i
+    free = np.maximum.accumulate((nonzero * pos).max(axis=1)) <= pos
+    cuts = (np.flatnonzero(free) + 1).tolist()
+    # the block size is itself a cut, and so is each of its multiples
+    d = next(d for d in cuts if n % d == 0 and free[d - 1::d].all())
+    k = n // d
+    idx = np.arange(k)
+    return a.reshape(k, d, k, d)[idx, :, idx, :], b.reshape(k, d, k, d)[idx, :, idx, :]
 
 
 def _support_lam_max(a: np.ndarray, ws: np.ndarray, vs: np.ndarray) -> float:
@@ -238,24 +247,20 @@ def _support_lam_max(a: np.ndarray, ws: np.ndarray, vs: np.ndarray) -> float:
     return float(lam.max()) if lam.size else 0.0
 
 
-def hypothesis_testing_beta(
-    rho, sigma, eps: float, *, max_iter: int = 200, blocks: int = 1
-) -> float:
+def hypothesis_testing_beta(rho, sigma, eps: float) -> float:
     """Minimal type-II error beta*(eps) over tests 0 <= L <= I with Tr(L rho) >= 1-eps.
 
-    When both operators are diagonal the problem is classical and is solved
-    exactly by the Neyman-Pearson construction on the two diagonals.
-    Otherwise the optimum has the threshold form L = P_+(t) + c P_0(t), with
-    P_+/P_0 the projectors onto the strictly positive / zero eigenspaces of
-    rho - t sigma.  Tr(L rho) is nonincreasing in t, so t is located by
-    bisection; on the zero eigenspace Tr(X rho) = t Tr(X sigma), which makes
-    the interpolation in c in [0, 1] exact.  The type-I constraint is met to
-    1e-9 by construction.  Both paths return 0 when rho's weight on the kernel
-    of sigma already meets the constraint.
-
-    ``blocks`` declares both operators block diagonal with that many equal
-    contiguous blocks (see :func:`~oneshot_secrecy.states.joint_and_product`);
-    every eigendecomposition then runs on the blocks.
+    Both operators are solved on their finest common diagonal blocks (see
+    :func:`_block_stack`), so every eigendecomposition runs on the blocks.
+    When the blocks are 1x1 the problem is classical and is solved exactly
+    by the Neyman-Pearson construction on the two diagonals.  Otherwise the
+    optimum has the threshold form L = P_+(t) + c P_0(t), with P_+/P_0 the
+    projectors onto the strictly positive / zero eigenspaces of rho - t sigma.
+    Tr(L rho) is nonincreasing in t, so t is located by bisection; on the
+    zero eigenspace Tr(X rho) = t Tr(X sigma), which makes the interpolation
+    in c in [0, 1] exact.  The type-I constraint is met to 1e-9 by
+    construction.  Both paths return 0 when rho's weight on the kernel of
+    sigma already meets the constraint.
     """
     a, b = _as_matrix(rho), _as_matrix(sigma)
     if a.shape != b.shape:
@@ -264,12 +269,11 @@ def hypothesis_testing_beta(
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise OperatorError("hypothesis testing: non-finite entries in rho or sigma")
-    a, b = _block_stack(a, blocks), _block_stack(b, blocks)
+    a, b = _block_stack(a, b)
     target = 1.0 - eps
 
-    if _is_diagonal(a) and _is_diagonal(b):
-        p = a.diagonal(axis1=-2, axis2=-1).real.ravel()
-        q = b.diagonal(axis1=-2, axis2=-1).real.ravel()
+    if a.shape[-1] == 1:
+        p, q = a.real.ravel(), b.real.ravel()
         if _kernel_mass(q, p) >= target - 1e-12:
             return 0.0
         reachable = float(p[p > 0.0].sum())
@@ -303,7 +307,7 @@ def hypothesis_testing_beta(
 
     iters = 0
     hi = max(lam_max, 0.0) + 1.0
-    while iters < max_iter:
+    while iters < _MAX_ITER:
         iters += 1
         a_pos, a_zer, *_ = probe(hi, 1e-12 * (1.0 + hi))
         if a_pos < target:
@@ -314,7 +318,7 @@ def hypothesis_testing_beta(
 
     lo = 0.0
     width_goal = 1e-11 * max(1.0, hi)
-    while iters < max_iter and hi - lo > width_goal:
+    while iters < _MAX_ITER and hi - lo > width_goal:
         iters += 1
         mid = 0.5 * (lo + hi)
         a_pos, a_zer, b_pos, b_zer = probe(mid, 1e-12 * (1.0 + mid))
@@ -326,7 +330,7 @@ def hypothesis_testing_beta(
             return finish(a_pos, a_zer, b_pos, b_zer)
     if hi - lo > width_goal:
         raise ConvergenceError(
-            f"no convergence after {max_iter} iterations "
+            f"no convergence after {_MAX_ITER} iterations "
             f"(t in [{lo:.6g}, {hi:.6g}], eps={eps}); degenerate spectrum suspected"
         )
     # final interval is tiny: a band wider than the eigenvalue drift across it
@@ -342,10 +346,8 @@ def hypothesis_testing_beta(
     return finish(a_pos, a_zer, b_pos, b_zer)
 
 
-def hypothesis_testing_divergence(
-    rho, sigma, eps: float, *, max_iter: int = 200, blocks: int = 1
-) -> float:
-    beta = hypothesis_testing_beta(rho, sigma, eps, max_iter=max_iter, blocks=blocks)
+def hypothesis_testing_divergence(rho, sigma, eps: float) -> float:
+    beta = hypothesis_testing_beta(rho, sigma, eps)
     if beta <= 0.0:
         return math.inf
     return float(-math.log2(beta))
@@ -356,15 +358,15 @@ def hypothesis_testing_divergence(
 # ---------------------------------------------------------------------------
 
 
-def max_relative_entropy(rho, sigma, *, blocks: int = 1) -> float:
+def max_relative_entropy(rho, sigma) -> float:
     """Smallest gamma with rho <= 2^gamma sigma; ``+inf`` off sigma's support.
 
-    ``blocks`` is as in :func:`hypothesis_testing_beta`.
+    Solved on the operators' common diagonal blocks (see :func:`_block_stack`).
     """
     a, b = _as_matrix(rho), _as_matrix(sigma)
     if a.shape != b.shape:
         raise OperatorError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    a, b = _block_stack(a, blocks), _block_stack(b, blocks)
+    a, b = _block_stack(a, b)
     ws, vs = np.linalg.eigh(b)
     if _kernel_mass(ws, _weights(a, vs)) >= EIG_CLAMP:
         return math.inf
@@ -414,11 +416,11 @@ def _classical_dmax_ratio(p: np.ndarray, q: np.ndarray) -> float:
     return out
 
 
-def _diagonal_scan(p: np.ndarray, q: np.ndarray, eps: float, step: float = 1e-4) -> float:
+def _diagonal_scan(p: np.ndarray, q: np.ndarray, eps: float) -> float:
     """Best single donor-recipient mass shift within the purified-distance ball.
 
-    Scans, for every ordered atom pair, transfers m in a dense grid of the
-    stated resolution, keeping p' a distribution; fidelity against the
+    Scans, for every ordered atom pair, transfers m in a grid of step
+    ``_SCAN_STEP``, keeping p' a distribution; fidelity against the
     unshifted p is monotone in m, so only grid points inside the ball count.
     All recipients of one donor are scanned at once on the donor's grid.
     """
@@ -435,7 +437,7 @@ def _diagonal_scan(p: np.ndarray, q: np.ndarray, eps: float, step: float = 1e-4)
     for i in range(d):
         if p[i] <= 0.0:
             continue
-        ms = np.arange(step, p[i], step)
+        ms = np.arange(_SCAN_STEP, p[i], _SCAN_STEP)
         ms = np.append(ms, p[i])
         js = np.delete(np.arange(d), i)
         pj, qj = p[js][:, None], q[js][:, None]
@@ -463,24 +465,22 @@ def _diagonal_scan(p: np.ndarray, q: np.ndarray, eps: float, step: float = 1e-4)
     return math.log2(best) if best != math.inf else math.inf
 
 
-def smooth_max_relative_entropy(
-    rho, sigma, eps: float, strategy: str = "none", *, blocks: int = 1
-) -> float:
+def smooth_max_relative_entropy(rho, sigma, eps: float, strategy: str = "none") -> float:
     """Upper bound on the eps-smoothed max-relative entropy.
 
     ``none`` returns the unsmoothed value (the state itself lies in the ball).
     ``diagonal-scan`` minimizes over diagonal perturbations of commuting
     inputs via dense single-pair mass shifts, exact up to the scan resolution
-    within that family.  ``blocks`` is as in :func:`hypothesis_testing_beta`.
+    within that family.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if strategy not in SMOOTHING_STRATEGIES:
         raise ValueError(f"unknown smoothing strategy {strategy!r}")
     if strategy == "none":
-        return max_relative_entropy(rho, sigma, blocks=blocks)
+        return max_relative_entropy(rho, sigma)
     p, q = _codiagonalize(_as_matrix(rho), _as_matrix(sigma))
-    return min(_diagonal_scan(p, q, eps), max_relative_entropy(rho, sigma, blocks=blocks))
+    return min(_diagonal_scan(p, q, eps), max_relative_entropy(rho, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +497,7 @@ def ht_mutual_info(state: CQState, part_a, part_b, eps: float) -> float:
     part_a, part_b = _parts(part_a), _parts(part_b)
     joint, product = joint_and_product(state, part_a, part_b)
     try:
-        return hypothesis_testing_divergence(
-            joint, product, eps, blocks=state.classical_dim(part_a + part_b)
-        )
+        return hypothesis_testing_divergence(joint, product, eps)
     except ConvergenceError as exc:
         raise ConvergenceError(f"D_H({','.join(part_a)} : {','.join(part_b)}): {exc}") from None
 
@@ -507,7 +505,7 @@ def ht_mutual_info(state: CQState, part_a, part_b, eps: float) -> float:
 def max_mutual_info(state: CQState, part_a, part_b) -> float:
     part_a, part_b = _parts(part_a), _parts(part_b)
     joint, product = joint_and_product(state, part_a, part_b)
-    return max_relative_entropy(joint, product, blocks=state.classical_dim(part_a + part_b))
+    return max_relative_entropy(joint, product)
 
 
 def smooth_max_mutual_info(
@@ -516,9 +514,7 @@ def smooth_max_mutual_info(
     """Smoothed max mutual information; the marginals of the product side stay fixed."""
     part_a, part_b = _parts(part_a), _parts(part_b)
     joint, product = joint_and_product(state, part_a, part_b)
-    return smooth_max_relative_entropy(
-        joint, product, eps, strategy, blocks=state.classical_dim(part_a + part_b)
-    )
+    return smooth_max_relative_entropy(joint, product, eps, strategy)
 
 
 def _cond_optimize(state: CQState, cond: str, eps: float, per_value: Callable[[CQState], float]) -> float:

@@ -96,13 +96,10 @@ class PenaltyMode:
     """Whether rows carry the printed additive constants or only information terms."""
 
     mode: str = "paper"
-    big_o_constant: float = 0.0
 
     def __post_init__(self):
         if self.mode not in ("paper", "off"):
             raise ValueError(f"penalty mode must be 'paper' or 'off', got {self.mode!r}")
-        if not math.isfinite(self.big_o_constant):
-            raise ValueError("big_o_constant must be finite")
 
 
 def _rate_name(register: str) -> str:
@@ -306,7 +303,7 @@ def _secrecy_penalties(
     log_l = math.log2(3.0 / params.eps_prime**3)
     log_d = math.log2(params.delta if delta_source == "delta" else params.delta_prime)
     single = math.log2(params.eps) - 1.0 - log_l + 0.25 * log_d
-    joint = math.log2(params.eps) - 1.0 - 2.0 * log_l + 0.5 * log_d + penalties.big_o_constant
+    joint = math.log2(params.eps) - 1.0 - 2.0 * log_l + 0.5 * log_d + params.big_o_constant
     return lambda n_l, n_eps: single if n_l == 1 else joint
 
 
@@ -326,7 +323,7 @@ def _split_penalties(params: ToleranceParams, penalties: PenaltyMode) -> Callabl
             + 0.5 * (n_l // 2) * log_dp
             + n_eps * math.log2(params.eps)
             - 2.0 * n_eps
-            + penalties.big_o_constant
+            + params.big_o_constant
         )
 
     return build
@@ -608,6 +605,21 @@ def _rows_with_nonneg(poly: RatePolytope) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _has_recession_ray(row_a: np.ndarray) -> bool:
+    """Whether the recession cone ``{r >= 0 : row_a @ r <= 0}`` holds a ray.
+
+    The cone is cut from the quadrant by lines through the origin, so if it
+    holds a ray it holds an axis or a row's boundary ray inside the quadrant;
+    those unit rays are tested with 1e-12 of slack per row.
+    """
+    norms = np.hypot(row_a[:, 0], row_a[:, 1])
+    live = norms > 0.0
+    perp = np.stack([row_a[live, 1], -row_a[live, 0]], axis=1) / norms[live, None]
+    rays = np.vstack([np.eye(2), perp, -perp])
+    rays = rays[np.all(rays >= 0.0, axis=1)]
+    return bool(np.any(np.all(row_a @ rays.T <= 1e-12, axis=0)))
+
+
 def vertices_2d(poly: RatePolytope) -> VertexEnumeration:
     """Vertices of the nonnegatively clamped region, counterclockwise.
 
@@ -628,15 +640,7 @@ def vertices_2d(poly: RatePolytope) -> VertexEnumeration:
             x = np.linalg.solve(mat, np.array([b[i], b[j]]))
             if np.all(a @ x <= b + FEAS_TOL):
                 points.append(np.maximum(x, 0.0))
-    unbounded = False
-    thetas = np.linspace(0.0, math.pi / 2.0, 181)
-    dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    row_a = poly.coeff_matrix()[0]
-    if row_a.size == 0:
-        unbounded = True
-    else:
-        proj = row_a @ dirs.T
-        unbounded = bool(np.any(np.all(proj <= 1e-12, axis=0)))
+    unbounded = _has_recession_ray(poly.coeff_matrix()[0])
     if not points:
         return VertexEnumeration([(0.0, 0.0)], True, unbounded)
     pts = np.array(points)

@@ -186,7 +186,7 @@ def joint_and_product(
     of ``part_b``, then their quantum registers, each in the caller's order.
     Both are therefore block diagonal with ``state.classical_dim(part_a +
     part_b)`` equal contiguous blocks, one per joint classical value, which
-    is the ``blocks`` argument of the divergences.  The order is a
+    the divergences read off the operators.  The order is a
     permutation of ``(*part_a, *part_b)``, which leaves every divergence
     unchanged.
     """

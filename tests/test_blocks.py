@@ -1,9 +1,12 @@
-"""Block-diagonal operators: the blockwise solvers against the dense ones.
+"""Block-diagonal operators: the blockwise solvers against dense oracles.
 
 ``joint_and_product`` returns operators in classical-major order, block
-diagonal with one block per classical value; the divergences solve them on
-the blocks when told the block count.  The dense oracles here are the same
-divergences with ``blocks=1`` and the dense embedding in ``tests/util.py``.
+diagonal with one block per classical value; the divergences read the
+finest common blocks off the operators and solve them blockwise.  The dense
+oracles are the same divergences on the pair conjugated by a random unitary
+that mixes every block (``D_H`` and ``D_max`` do not change under a unitary,
+and the rotated pair has a single block), and the dense embedding in
+``tests/util.py``.
 """
 import math
 
@@ -16,10 +19,11 @@ from oneshot_secrecy.entropic import (
     ConvergenceError,
     _block_stack,
     hypothesis_testing_beta,
+    hypothesis_testing_divergence,
     max_relative_entropy,
     smooth_max_relative_entropy,
 )
-from oneshot_secrecy.operators import OperatorError, RegisterLayout, permute_registers_matrix
+from oneshot_secrecy.operators import RegisterLayout, permute_registers_matrix
 from oneshot_secrecy.states import CQState, joint_and_product
 from util import dense_joint_and_product
 
@@ -45,11 +49,27 @@ def _block_diag_operator(rng, kinds, d):
     return out
 
 
-def _beta_or_error(rho, sigma, eps, blocks):
+def _beta_or_error(rho, sigma, eps):
     try:
-        return hypothesis_testing_beta(rho, sigma, eps, blocks=blocks)
+        return hypothesis_testing_beta(rho, sigma, eps)
     except ConvergenceError:
         return None
+
+
+def _assert_matches_rotated(rho, sigma, eps, seed):
+    """``D_H`` and ``D_max`` of the pair equal those of its rotation by a seeded unitary."""
+    rng = np.random.default_rng(seed)
+    n = rho.shape[0]
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    rot_rho, rot_sigma = u @ rho @ u.conj().T, u @ sigma @ u.conj().T
+    assert _block_stack(rot_rho, rot_sigma)[0].shape[0] == 1
+    fast, slow = _beta_or_error(rho, sigma, eps), _beta_or_error(rot_rho, rot_sigma, eps)
+    assert (fast is None) == (slow is None), (fast, slow)
+    if fast is not None:
+        assert abs(fast - slow) <= 1e-9, (fast, slow)
+    fast, slow = max_relative_entropy(rho, sigma), max_relative_entropy(rot_rho, rot_sigma)
+    assert fast == slow or abs(fast - slow) <= 1e-9, (fast, slow)
+    return fast
 
 
 @settings(max_examples=150)
@@ -67,30 +87,23 @@ def test_blockwise_divergences_match_dense(k, d, data, eps, seed):
     sigma = _block_diag_operator(rng, data.draw(kinds), d)
     if not rho.any():
         rho[0, 0] = 1.0
-    fast, slow = _beta_or_error(rho, sigma, eps, k), _beta_or_error(rho, sigma, eps, 1)
-    assert (fast is None) == (slow is None), (fast, slow)
-    if fast is not None:
-        assert abs(fast - slow) <= 1e-9
-    fast, slow = max_relative_entropy(rho, sigma, blocks=k), max_relative_entropy(rho, sigma)
-    assert fast == slow or abs(fast - slow) <= 1e-9, (fast, slow)
-    smoothed = smooth_max_relative_entropy(rho, sigma, eps, blocks=k)
-    assert smoothed == fast
+    d_max = _assert_matches_rotated(rho, sigma, eps, seed)
+    assert smooth_max_relative_entropy(rho, sigma, eps) == d_max
 
 
-def test_off_block_entries_rejected():
-    rho = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
-    sigma = rho.copy()
-    sigma[0, 2] = sigma[2, 0] = 1e-300
-    for fn in (lambda r, s, b: hypothesis_testing_beta(r, s, 0.25, blocks=b),
-               lambda r, s, b: max_relative_entropy(r, s, blocks=b),
-               lambda r, s, b: smooth_max_relative_entropy(r, s, 0.25, blocks=b)):
-        with pytest.raises(OperatorError, match="outside the 2 diagonal blocks"):
-            fn(rho, sigma, 2)
-        with pytest.raises(OperatorError, match="outside the 2 diagonal blocks"):
-            fn(sigma, rho, 2)
-        with pytest.raises(OperatorError, match="does not split into 3 equal blocks"):
-            fn(rho, rho, 3)
-        fn(rho, sigma, 1)
+def test_detection_never_splits_a_nonzero_entry():
+    """A 1e-300 entry between two blocks merges them; the value follows the rotated oracle."""
+    rng = np.random.default_rng(11)
+    for kind in ("diagonal", "full-rank"):
+        for which, i, j in ((0, 0, 2), (1, 2, 0), (1, 5, 1), (0, 3, 4)):
+            pair = [_block_diag_operator(rng, [kind] * 3, 2) for _ in range(2)]
+            pair[which][i, j] = 1e-300
+            stacks = _block_stack(*pair)
+            d = stacks[0].shape[-1]
+            assert i // d == j // d
+            for op, stack in zip(pair, stacks):
+                assert np.count_nonzero(stack) == np.count_nonzero(op)
+            _assert_matches_rotated(*pair, 0.25, 3)
 
 
 def _random_state(rng, sizes, qdims):
@@ -155,8 +168,20 @@ def _check_against_dense(state, part_a, part_b):
     for ours, dense in ((joint, dense_joint), (product, dense_product)):
         permuted, _ = permute_registers_matrix(ours, layout, part_a + part_b)
         assert np.max(np.abs(permuted - dense)) <= 1e-12
-    # both are block diagonal with one block per joint classical value
-    k = state.classical_dim(part_a + part_b)
-    for op in (joint, product):
-        stack = _block_stack(op, k)
-        assert stack.shape == (k, op.shape[0] // k, op.shape[0] // k)
+    # both vanish off the detected blocks, which are at least one per joint
+    # classical value
+    stacks = _block_stack(joint, product)
+    assert stacks[0].shape[0] >= state.classical_dim(part_a + part_b)
+    for op, stack in zip((joint, product), stacks):
+        assert np.count_nonzero(stack) == np.count_nonzero(op)
+
+
+def test_joint_and_product_pairs_run_blockwise(monkeypatch):
+    """``D_H`` on ``joint_and_product`` output decomposes one block per classical value."""
+    state = _random_state(np.random.default_rng(5), (2, 3, 2), (2, 3))
+    joint, product = joint_and_product(state, ["C1", "Q0"], ["Q1", "C0"])
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape) or eigh(m))
+    hypothesis_testing_divergence(joint, product, 0.25)
+    assert shapes and set(shapes) == {(6, 6, 6)}

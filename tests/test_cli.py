@@ -131,6 +131,23 @@ def test_sweep_thread_determinism(tmp_path):
     assert header == "direction,R1,R2"
 
 
+def test_unreadable_and_invalid_json_exit_2(tmp_path, capsys):
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{oops", encoding="utf-8")
+    missing, garbled = str(tmp_path / "missing.json"), str(garbled)
+    cases = {
+        "error: cannot read channel file: ": ["validate", missing],
+        "error: channel file is not valid JSON: ": ["validate", garbled],
+        "error: cannot read distribution file: ": ["validate", CHAN, "--dist", missing],
+        "error: distribution file is not valid JSON: ": ["validate", CHAN, "--dist", garbled],
+        "error: cannot read polytope file: ": ["fm", "--input", missing, "--eliminate", "W1"],
+        "error: polytope file is not valid JSON: ": ["fm", "--input", garbled, "--eliminate", "W1"],
+    }
+    for message, argv in cases.items():
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(message), argv
+
+
 def test_unknown_flags_exit_2():
     assert run_cli("region", "--bogus").returncode == 2
 
@@ -173,7 +190,7 @@ def test_non_finite_inputs_exit_1(tmp_path, capsys):
 
 
 def test_convergence_error_exits_1(monkeypatch, capsys):
-    def failing(rho, sigma, eps, **kwargs):
+    def failing(rho, sigma, eps):
         raise ConvergenceError(f"straddle detection failed at t=0.5, eps={eps}")
 
     monkeypatch.setattr(cli, "hypothesis_testing_divergence", failing)

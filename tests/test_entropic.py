@@ -444,7 +444,7 @@ def test_non_finite_inputs_rejected(bad):
 
 
 def test_convergence_error_names_the_term(monkeypatch):
-    def failing(rho, sigma, eps, **kwargs):
+    def failing(rho, sigma, eps):
         raise ConvergenceError(f"straddle detection failed at t=0.5, eps={eps}")
 
     monkeypatch.setattr(entropic, "hypothesis_testing_divergence", failing)

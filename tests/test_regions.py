@@ -501,6 +501,14 @@ def test_vertices_2d_degenerate():
     assert enum.degenerate and enum.vertices == [(0.0, 0.0)]
 
 
+@pytest.mark.parametrize("slope", [0.3, 1.0])
+def test_vertices_2d_unbounded_along_one_ray(slope):
+    """The region is the ray R2 = slope * R1, whatever its angle."""
+    poly = polytope_from_arrays(("R1", "R2"), [((slope, -1.0), 0.0), ((-slope, 1.0), 0.0)])
+    enum = vertices_2d(poly)
+    assert enum.unbounded and not enum.degenerate
+
+
 def test_vertices_2d_random_feasibility(rng):
     for _ in range(10):
         a = rng.uniform(0.1, 1.0, size=(6, 2))
@@ -626,3 +634,20 @@ def test_penalty_mode_difference_is_the_recorded_constant(diag_channel, xor_chan
             assert r_off.tag == r_pap.tag and r_off.coeffs == r_pap.coeffs
             assert abs(r_off.penalty) <= 1e-12
             assert abs((r_off.bound - r_pap.bound) + r_pap.penalty) <= 1e-9
+
+
+def test_row_penalties_follow_params_big_o_constant(diag_channel, xor_channel):
+    """The O(1) constant of ``ToleranceParams`` reaches every row that carries it."""
+    big_o = ToleranceParams(eps=0.25, eps_prime=0.1, delta=0.01, delta_prime=0.2, big_o_constant=2.0)
+    dist = uniform_hk(xor_channel)
+    builders = [
+        lambda params: theorem1_region(diag_channel, uniform_t1(diag_channel), params, PAPER),
+        lambda params: conjecture_region(xor_channel, dist, params, PAPER),
+        lambda params: theorem2_region(xor_channel, dist, params, PAPER),
+    ]
+    for build in builders:
+        plain, shifted = build(PARAMS), build(big_o)
+        for r_plain, r_shifted in zip(plain.rows, shifted.rows):
+            # only the time-shared rows with a single randomizer carry no O(1) constant
+            expected = 0.0 if r_plain.tag in ("t1:r1", "t1:r2") else 2.0
+            assert abs(r_shifted.penalty - r_plain.penalty - expected) <= 1e-12, r_plain.tag
