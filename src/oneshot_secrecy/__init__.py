@@ -27,8 +27,6 @@ from .entropic import (
     max_mutual_info,
     max_relative_entropy,
     relative_entropy,
-    renyi_entropy,
-    renyi_relative_entropy,
     smooth_max_mutual_info,
     smooth_max_relative_entropy,
     von_neumann_entropy,

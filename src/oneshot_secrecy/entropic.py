@@ -12,7 +12,25 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .operators import EIG_CLAMP, OperatorError, _as_matrix, validate_pmf
+from .operators import (
+    BALL_SLACK,
+    BAND_FLOOR,
+    BISECT_WIDTH,
+    COMMUTE_TOL,
+    COND_SUPPORT_TOL,
+    DEGEN_TOL,
+    DIV_FLOOR,
+    EIG_CLAMP,
+    KEPT_MASS_SLACK,
+    KERNEL_MASS_SLACK,
+    NP_MASS_SLACK,
+    PROBE_BAND,
+    TYPE_I_TOL,
+    OperatorError,
+    _as_matrix,
+    _checked_pair,
+    validate_pmf,
+)
 from .states import CQState, joint_and_product
 
 LOG2 = math.log(2.0)
@@ -105,9 +123,7 @@ def von_neumann_entropy(rho) -> float:
 
 def relative_entropy(rho, sigma) -> float:
     """Umegaki relative entropy; ``+inf`` when the support condition fails."""
-    a, b = _as_matrix(rho), _as_matrix(sigma)
-    if a.shape != b.shape:
-        raise OperatorError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    a, b = _checked_pair(rho, sigma)
     ws, vs = np.linalg.eigh(b)
     weights = _weights(a, vs)
     if _kernel_mass(ws, weights) >= EIG_CLAMP:
@@ -120,38 +136,6 @@ def relative_entropy(rho, sigma) -> float:
     return tr_rho_log_rho - tr_rho_log_sigma
 
 
-def _matrix_power_psd(m: np.ndarray, power: float) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    wp = np.zeros_like(w)
-    mask = w > EIG_CLAMP
-    wp[mask] = np.power(w[mask], power)
-    return (v * wp) @ v.conj().T
-
-
-def renyi_relative_entropy(rho, sigma, alpha: float) -> float:
-    if alpha <= 0.0 or alpha == 1.0:
-        raise ValueError(f"alpha must lie in (0,1) or (1,inf), got {alpha}")
-    a, b = _as_matrix(rho), _as_matrix(sigma)
-    if a.shape != b.shape:
-        raise OperatorError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if alpha > 1.0:
-        ws, vs = np.linalg.eigh(b)
-        if _kernel_mass(ws, _weights(a, vs)) >= EIG_CLAMP:
-            return math.inf
-    trace = float(np.real(np.trace(_matrix_power_psd(a, alpha) @ _matrix_power_psd(b, 1.0 - alpha))))
-    if trace <= 0.0:
-        return math.inf
-    return math.log2(trace) / (alpha - 1.0)
-
-
-def renyi_entropy(rho, alpha: float) -> float:
-    if alpha <= 0.0 or alpha == 1.0:
-        raise ValueError(f"alpha must lie in (0,1) or (1,inf), got {alpha}")
-    w = _clamped_spectrum(rho)
-    trace = float(np.sum(np.power(w[w > 0.0], alpha)))
-    return math.log2(trace) / (1.0 - alpha)
-
-
 def _np_beta(p: np.ndarray, q: np.ndarray, target: float) -> float:
     """Neyman-Pearson type-II error of the best test accepting ``target`` of ``p``.
 
@@ -161,11 +145,11 @@ def _np_beta(p: np.ndarray, q: np.ndarray, target: float) -> float:
     traces need not be one and tiny negative entries are tolerated.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(q > 0.0, p / np.maximum(q, 1e-300), math.inf)
+        ratio = np.where(q > 0.0, p / np.maximum(q, DIV_FLOOR), math.inf)
     cum_p = 0.0
     beta = 0.0
     for i in np.argsort(-ratio, kind="stable"):
-        if cum_p >= target - 1e-15:
+        if cum_p >= target - NP_MASS_SLACK:
             break
         if p[i] <= 0.0:
             continue
@@ -258,26 +242,22 @@ def hypothesis_testing_beta(rho, sigma, eps: float) -> float:
     projectors onto the strictly positive / zero eigenspaces of rho - t sigma.
     Tr(L rho) is nonincreasing in t, so t is located by bisection; on the
     zero eigenspace Tr(X rho) = t Tr(X sigma), which makes the interpolation
-    in c in [0, 1] exact.  The type-I constraint is met to 1e-9 by
+    in c in [0, 1] exact.  The type-I constraint is met to ``TYPE_I_TOL`` by
     construction.  Both paths return 0 when rho's weight on the kernel of
     sigma already meets the constraint.
     """
-    a, b = _as_matrix(rho), _as_matrix(sigma)
-    if a.shape != b.shape:
-        raise OperatorError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    a, b = _checked_pair(rho, sigma)
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise OperatorError("hypothesis testing: non-finite entries in rho or sigma")
     a, b = _block_stack(a, b)
     target = 1.0 - eps
 
     if a.shape[-1] == 1:
         p, q = a.real.ravel(), b.real.ravel()
-        if _kernel_mass(q, p) >= target - 1e-12:
+        if _kernel_mass(q, p) >= target - KERNEL_MASS_SLACK:
             return 0.0
         reachable = float(p[p > 0.0].sum())
-        if reachable < target - 1e-9:
+        if reachable < target - TYPE_I_TOL:
             raise ConvergenceError(
                 f"type-I constraint unreachable: rho has mass {reachable:.12g} "
                 f"below target {target:.12g} (eps={eps}, dim={len(p)})"
@@ -286,7 +266,7 @@ def hypothesis_testing_beta(rho, sigma, eps: float) -> float:
 
     ws, vs = np.linalg.eigh(b)
     sig_norm = float(max(ws.max(), 0.0)) if ws.size else 0.0
-    if _kernel_mass(ws, _weights(a, vs)) >= target - 1e-12:
+    if _kernel_mass(ws, _weights(a, vs)) >= target - KERNEL_MASS_SLACK:
         return 0.0
     # with sigma's support empty the constraint is out of reach; the bracket
     # below then starts at t = 1 and the bisection reports the failure
@@ -309,7 +289,7 @@ def hypothesis_testing_beta(rho, sigma, eps: float) -> float:
     hi = max(lam_max, 0.0) + 1.0
     while iters < _MAX_ITER:
         iters += 1
-        a_pos, a_zer, *_ = probe(hi, 1e-12 * (1.0 + hi))
+        a_pos, a_zer, *_ = probe(hi, PROBE_BAND * (1.0 + hi))
         if a_pos < target:
             break
         hi *= 2.0
@@ -317,11 +297,11 @@ def hypothesis_testing_beta(rho, sigma, eps: float) -> float:
         raise ConvergenceError(f"could not bracket the threshold test (t up to {hi:.6g}, eps={eps})")
 
     lo = 0.0
-    width_goal = 1e-11 * max(1.0, hi)
+    width_goal = BISECT_WIDTH * max(1.0, hi)
     while iters < _MAX_ITER and hi - lo > width_goal:
         iters += 1
         mid = 0.5 * (lo + hi)
-        a_pos, a_zer, b_pos, b_zer = probe(mid, 1e-12 * (1.0 + mid))
+        a_pos, a_zer, b_pos, b_zer = probe(mid, PROBE_BAND * (1.0 + mid))
         if a_pos > target:
             lo = mid
         elif a_pos + a_zer < target:
@@ -336,9 +316,9 @@ def hypothesis_testing_beta(rho, sigma, eps: float) -> float:
     # final interval is tiny: a band wider than the eigenvalue drift across it
     # is guaranteed to capture the crossing eigenspace
     mid = 0.5 * (lo + hi)
-    band = 2.0 * (hi - lo) * (sig_norm + 1.0) + 1e-14
+    band = 2.0 * (hi - lo) * (sig_norm + 1.0) + BAND_FLOOR
     a_pos, a_zer, b_pos, b_zer = probe(mid, band)
-    if a_pos > target + 1e-9 or a_pos + a_zer < target - 1e-9:
+    if a_pos > target + TYPE_I_TOL or a_pos + a_zer < target - TYPE_I_TOL:
         raise ConvergenceError(
             f"straddle detection failed at t={mid:.6g}, eps={eps} "
             f"(type-I window [{a_pos:.12g}, {a_pos + a_zer:.12g}], target {target:.12g})"
@@ -363,10 +343,7 @@ def max_relative_entropy(rho, sigma) -> float:
 
     Solved on the operators' common diagonal blocks (see :func:`_block_stack`).
     """
-    a, b = _as_matrix(rho), _as_matrix(sigma)
-    if a.shape != b.shape:
-        raise OperatorError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    a, b = _block_stack(a, b)
+    a, b = _block_stack(*_checked_pair(rho, sigma))
     ws, vs = np.linalg.eigh(b)
     if _kernel_mass(ws, _weights(a, vs)) >= EIG_CLAMP:
         return math.inf
@@ -385,7 +362,7 @@ def _codiagonalize(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.n
         p, q = rho.diagonal().real.copy(), sigma.diagonal().real.copy()
     else:
         comm = rho @ sigma - sigma @ rho
-        if float(np.max(np.abs(comm))) > 1e-9:
+        if float(np.max(np.abs(comm))) > COMMUTE_TOL:
             raise OperatorError("inputs do not commute; diagonal-scan smoothing unavailable")
         ws, vs = np.linalg.eigh(sigma)
         r = vs.conj().T @ rho @ vs
@@ -395,7 +372,7 @@ def _codiagonalize(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.n
         start = 0
         while start < d:
             stop = start + 1
-            while stop < d and ws[stop] - ws[stop - 1] <= 1e-10 * (1.0 + abs(ws[stop])):
+            while stop < d and ws[stop] - ws[stop - 1] <= DEGEN_TOL * (1.0 + abs(ws[stop])):
                 stop += 1
             block = r[start:stop, start:stop]
             p[start:stop] = np.linalg.eigvalsh((block + block.conj().T) / 2.0)
@@ -403,17 +380,6 @@ def _codiagonalize(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.n
     p[np.abs(p) <= EIG_CLAMP] = 0.0
     q[np.abs(q) <= EIG_CLAMP] = 0.0
     return p, q
-
-
-def _classical_dmax_ratio(p: np.ndarray, q: np.ndarray) -> float:
-    """max_i p_i / q_i with the support convention (inf if p sits off supp q)."""
-    out = 0.0
-    for pi, qi in zip(p, q):
-        if qi > 0.0:
-            out = max(out, pi / qi)
-        elif pi > EIG_CLAMP:
-            return math.inf
-    return out
 
 
 def _diagonal_scan(p: np.ndarray, q: np.ndarray, eps: float) -> float:
@@ -425,11 +391,12 @@ def _diagonal_scan(p: np.ndarray, q: np.ndarray, eps: float) -> float:
     All recipients of one donor are scanned at once on the donor's grid.
     """
     p = np.maximum(p, 0.0)
-    best = _classical_dmax_ratio(p, q)
     d = len(p)
     with np.errstate(divide="ignore"):
-        base = np.where(q > 0.0, p / np.maximum(q, 1e-300), math.inf)
+        base = np.where(q > 0.0, p / np.maximum(q, DIV_FLOOR), math.inf)
         base = np.where((q <= 0.0) & (p <= EIG_CLAMP), 0.0, base)
+    # the unshifted ratio max_i p_i / q_i (inf if p sits off supp q)
+    best = float(base.max(initial=0.0))
     # the largest base ratio outside {i, j} is the first of the top three
     # atoms that is neither donor nor recipient
     top = np.argsort(-base, kind="stable")[:3]
@@ -445,7 +412,7 @@ def _diagonal_scan(p: np.ndarray, q: np.ndarray, eps: float) -> float:
         f_root = rest + np.sqrt((p[i] - ms).clip(min=0.0) * p[i]) + np.sqrt((pj + ms) * pj)
         # fidelity is the square of the trace-norm overlap f_root
         dist = np.sqrt(np.maximum(0.0, 1.0 - f_root * f_root))
-        ok = dist <= eps + 1e-12
+        ok = dist <= eps + BALL_SLACK
         if not np.any(ok):
             continue
         if d > 2:
@@ -479,8 +446,8 @@ def smooth_max_relative_entropy(rho, sigma, eps: float, strategy: str = "none") 
         raise ValueError(f"unknown smoothing strategy {strategy!r}")
     if strategy == "none":
         return max_relative_entropy(rho, sigma)
-    p, q = _codiagonalize(_as_matrix(rho), _as_matrix(sigma))
-    return min(_diagonal_scan(p, q, eps), max_relative_entropy(rho, sigma))
+    a, b = _checked_pair(rho, sigma)
+    return min(_diagonal_scan(*_codiagonalize(a, b), eps), max_relative_entropy(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +491,7 @@ def _cond_optimize(state: CQState, cond: str, eps: float, per_value: Callable[[C
     if size > 20:
         raise OperatorError(f"conditioning alphabet of size {size} exceeds the brute-force bound 20")
     pz = state.classical_marginal_probs(cond)
-    support = [z for z in range(size) if pz[z] > 1e-12]
+    support = [z for z in range(size) if pz[z] > COND_SUPPORT_TOL]
     values = np.array([per_value(state.condition(cond, z)) for z in support])
     masses = np.array([pz[z] for z in support])
     # keep the largest-value atoms whose total mass stays feasible: dropping a
@@ -537,7 +504,7 @@ def _cond_optimize(state: CQState, cond: str, eps: float, per_value: Callable[[C
     kept = float(masses.sum())
     best = values_sorted[0]
     for k in range(len(values_sorted)):
-        if kept >= threshold - 1e-9:
+        if kept >= threshold - KEPT_MASS_SLACK:
             best = values_sorted[k]
         else:
             break

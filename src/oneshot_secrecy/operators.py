@@ -13,11 +13,35 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-HERM_TOL = 1e-9
-PSD_TOL = 1e-9
-TRACE_TOL = 1e-9
-# eigenvalues this close to zero are treated as exact zeros before logs/inverses
-EIG_CLAMP = 1e-10
+# Numerical tolerances of the whole package, one line of reason each.  Equal
+# values that decide different things keep separate names.
+# -- operators and probability vectors
+HERM_TOL = 1e-9  # largest entrywise |A - A^dagger| of a density operator
+PSD_TOL = 1e-9  # most negative eigenvalue a density operator may have
+TRACE_TOL = 1e-9  # largest |Tr rho - 1| of a density operator
+EIG_CLAMP = 1e-10  # eigenvalues this close to zero are exact zeros before logs/inverses
+PROB_TOL = 1e-9  # |sum - 1| of probabilities; CQ-state negativity and live-atom threshold
+PMF_NEG_TOL = 1e-12  # most negative entry validate_pmf accepts
+DIV_FLOOR = 1e-300  # denominator floor where np.where has already picked q > 0
+# -- hypothesis-testing divergence
+KERNEL_MASS_SLACK = 1e-12  # rho's mass on sigma's kernel meets the type-I target within this
+TYPE_I_TOL = 1e-9  # the type-I constraint Tr(L rho) >= 1 - eps is met to this
+NP_MASS_SLACK = 1e-15  # Neyman-Pearson admission stops this close to the target mass
+PROBE_BAND = 1e-12  # zero-eigenvalue band of rho - t sigma, relative to 1 + t
+BISECT_WIDTH = 1e-11  # the threshold bisection stops at this width, relative to max(1, t_hi)
+BAND_FLOOR = 1e-14  # least width of the straddle band after the bisection
+# -- smoothing and conditioning
+COMMUTE_TOL = 1e-9  # largest |[rho, sigma]| entry the diagonal scan treats as commuting
+DEGEN_TOL = 1e-10  # sigma eigenvalues closer than this (relative to 1 + |w|) share an eigenspace
+BALL_SLACK = 1e-12  # slack on the purified-distance ball radius of the diagonal scan
+COND_SUPPORT_TOL = 1e-12  # conditioning values with at most this mass are dropped
+KEPT_MASS_SLACK = 1e-9  # the kept conditioning mass may fall this far below 1 - eps^2
+# -- secrecy and polytopes
+THRESHOLD_SLACK = 1e-9  # a leakage value may exceed its threshold by this
+COEF_TOL = 1e-12  # row coefficients at most this in magnitude count as zero
+FEAS_TOL = 1e-9  # constraint slack of a feasible point; vertices closer than this merge
+DET_TOL = 1e-12  # row pairs with |det| below this are parallel in vertices_2d
+RAY_TOL = 1e-12  # per-row slack when testing a unit recession ray
 
 
 class OperatorError(ValueError):
@@ -31,6 +55,16 @@ def _as_matrix(op) -> np.ndarray:
     return m
 
 
+def _checked_pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """The divergences' input gate: two square matrices of one shape, all entries finite."""
+    a, b = _as_matrix(rho), _as_matrix(sigma)
+    if a.shape != b.shape:
+        raise OperatorError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise OperatorError("non-finite entries in rho or sigma")
+    return a, b
+
+
 def hermiticity_residual(m: np.ndarray) -> float:
     """Max entrywise deviation |A - A^dagger|."""
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
@@ -39,8 +73,9 @@ def hermiticity_residual(m: np.ndarray) -> float:
 def validate_density(m, label: str | None = None) -> np.ndarray:
     """Check the density-operator invariants, raising on the first violation.
 
-    Accepts finite entries, Hermiticity residual <= 1e-9, eigenvalues >= -1e-9
-    and trace within 1e-9 of one.  Returns the matrix as a complex ndarray.
+    Accepts finite entries, Hermiticity residual <= ``HERM_TOL``, eigenvalues
+    >= -``PSD_TOL`` and trace within ``TRACE_TOL`` of one.  Returns the matrix
+    as a complex ndarray.
     """
     m = _as_matrix(m)
     who = f"state {label!r}: " if label else ""
@@ -59,13 +94,13 @@ def validate_density(m, label: str | None = None) -> np.ndarray:
 
 
 def validate_pmf(vec, label: str) -> None:
-    """Check a probability vector: finite, entries >= -1e-12, sum within 1e-9 of one."""
+    """Check a probability vector: finite, entries >= -PMF_NEG_TOL, sum within PROB_TOL of 1."""
     vec = np.asarray(vec, dtype=float)
     if not np.all(np.isfinite(vec)):
         raise OperatorError(f"{label}: non-finite probability")
-    if np.any(vec < -1e-12):
+    if np.any(vec < -PMF_NEG_TOL):
         raise OperatorError(f"{label}: negative probability")
-    if abs(float(vec.sum()) - 1.0) > 1e-9:
+    if abs(float(vec.sum()) - 1.0) > PROB_TOL:
         raise OperatorError(f"{label}: probabilities sum to {float(vec.sum())!r}, not 1")
 
 
@@ -200,17 +235,13 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
 
 def trace_distance(rho, sigma) -> float:
     """Trace norm of the difference, ranging from 0 (equal) to 2 (orthogonal)."""
-    a, b = _as_matrix(rho), _as_matrix(sigma)
-    if a.shape != b.shape:
-        raise OperatorError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    a, b = _checked_pair(rho, sigma)
     return float(np.sum(np.abs(np.linalg.eigvalsh(b - a))))
 
 
 def fidelity(rho, sigma) -> float:
     """Squared trace norm of sqrt(rho)sqrt(sigma); 1 iff the states coincide."""
-    a, b = _as_matrix(rho), _as_matrix(sigma)
-    if a.shape != b.shape:
-        raise OperatorError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    a, b = _checked_pair(rho, sigma)
     sa = _psd_sqrt(a)
     sb = _psd_sqrt(b)
     sv = np.linalg.svd(sa @ sb, compute_uv=False)
@@ -224,16 +255,6 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def purified_distance(rho, sigma, convention: str = "standard") -> float:
-    """Distance derived from fidelity, used for smoothing balls.
-
-    ``standard`` is sqrt(1 - F); ``literal`` is sqrt(1 - F^2), which composes
-    a square with the already-squared fidelity and is kept only for
-    faithfulness to the less common convention.
-    """
-    f = fidelity(rho, sigma)
-    if convention == "standard":
-        return float(np.sqrt(max(0.0, 1.0 - f)))
-    if convention == "literal":
-        return float(np.sqrt(max(0.0, 1.0 - f * f)))
-    raise ValueError(f"unknown purified-distance convention {convention!r}")
+def purified_distance(rho, sigma) -> float:
+    """Distance sqrt(1 - F) derived from the fidelity, used for smoothing balls."""
+    return float(np.sqrt(max(0.0, 1.0 - fidelity(rho, sigma))))

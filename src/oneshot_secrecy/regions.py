@@ -29,12 +29,9 @@ from .entropic import (
     ht_mutual_info,
     smooth_max_mutual_info,
 )
-from .operators import OperatorError
+from .operators import COEF_TOL, DET_TOL, FEAS_TOL, RAY_TOL, OperatorError
 from .secrecy import randomizer_plan, secrecy_check, within_threshold
 from .states import CQState
-
-COEF_TOL = 1e-12
-FEAS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -610,21 +607,21 @@ def _has_recession_ray(row_a: np.ndarray) -> bool:
 
     The cone is cut from the quadrant by lines through the origin, so if it
     holds a ray it holds an axis or a row's boundary ray inside the quadrant;
-    those unit rays are tested with 1e-12 of slack per row.
+    those unit rays are tested with ``RAY_TOL`` of slack per row.
     """
     norms = np.hypot(row_a[:, 0], row_a[:, 1])
     live = norms > 0.0
     perp = np.stack([row_a[live, 1], -row_a[live, 0]], axis=1) / norms[live, None]
     rays = np.vstack([np.eye(2), perp, -perp])
     rays = rays[np.all(rays >= 0.0, axis=1)]
-    return bool(np.any(np.all(row_a @ rays.T <= 1e-12, axis=0)))
+    return bool(np.any(np.all(row_a @ rays.T <= RAY_TOL, axis=0)))
 
 
 def vertices_2d(poly: RatePolytope) -> VertexEnumeration:
     """Vertices of the nonnegatively clamped region, counterclockwise.
 
-    An infeasible system reports the origin with the ``degenerate`` flag, per
-    the clamping convention.
+    An infeasible system reports the origin with the ``degenerate`` flag, as
+    the nonnegative clamp prescribes.
     """
     if len(poly.variables) != 2:
         raise OperatorError("vertices_2d needs exactly two variables")
@@ -635,7 +632,7 @@ def vertices_2d(poly: RatePolytope) -> VertexEnumeration:
         for j in range(i + 1, m):
             mat = np.array([a[i], a[j]])
             det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-            if abs(det) < 1e-12:
+            if abs(det) < DET_TOL:
                 continue
             x = np.linalg.solve(mat, np.array([b[i], b[j]]))
             if np.all(a @ x <= b + FEAS_TOL):

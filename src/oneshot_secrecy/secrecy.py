@@ -7,7 +7,7 @@ from typing import Sequence
 
 
 from .entropic import ToleranceParams, smooth_max_mutual_info
-from .operators import OperatorError
+from .operators import THRESHOLD_SLACK, OperatorError
 from .states import CQState
 
 # decoding order fixed by the block-size lemma
@@ -147,8 +147,8 @@ def _require_hk_state(state: CQState) -> None:
 
 
 def within_threshold(value: float, threshold: float) -> bool:
-    """A leakage condition passes when its value does not exceed the threshold (1e-9 slack)."""
-    return bool(value <= threshold + 1e-9)
+    """A leakage condition passes when its value is at most threshold + ``THRESHOLD_SLACK``."""
+    return bool(value <= threshold + THRESHOLD_SLACK)
 
 
 def secrecy_check(

@@ -7,9 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import OperatorError, RegisterLayout, partial_trace_matrix, validate_density
-
-PROB_TOL = 1e-9
+from .operators import PROB_TOL, OperatorError, RegisterLayout, partial_trace_matrix, validate_density
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -23,8 +24,6 @@ from oneshot_secrecy.entropic import (
     max_mutual_info,
     max_relative_entropy,
     relative_entropy,
-    renyi_entropy,
-    renyi_relative_entropy,
     smooth_max_mutual_info,
     smooth_max_relative_entropy,
     von_neumann_entropy,
@@ -33,7 +32,10 @@ from oneshot_secrecy.operators import (
     EIG_CLAMP,
     OperatorError,
     RegisterLayout,
+    fidelity,
     partial_trace_matrix,
+    purified_distance,
+    trace_distance,
     validate_density,
 )
 from oneshot_secrecy.states import CQState
@@ -90,24 +92,6 @@ def test_relative_entropy():
     assert relative_entropy(np.diag([1.0, 0]), np.diag([0, 1.0])) == math.inf
     assert abs(relative_entropy(R, R)) <= 1e-12
     assert abs(relative_entropy(R, S) - 0.736966) <= 1e-6
-
-
-def test_renyi_relative_entropy():
-    assert abs(renyi_relative_entropy(S, S, 0.7)) <= 1e-12
-    near_kl = renyi_relative_entropy(R, S, 1.0001)
-    assert abs(near_kl - 0.736966) <= 1e-3
-    assert abs(renyi_relative_entropy(R, S, 2.0) - 1.473931) <= 1e-6
-    with pytest.raises(ValueError):
-        renyi_relative_entropy(R, S, 1.0)
-
-
-def test_renyi_entropy():
-    assert abs(renyi_entropy(np.eye(4) / 4, 2.0) - 2.0) <= 1e-12
-    assert abs(renyi_entropy(np.eye(4) / 4, 0.5) - 2.0) <= 1e-12
-    assert abs(renyi_entropy(np.diag([1.0, 0.0]), 2.0)) <= 1e-9
-    assert abs(renyi_entropy(np.diag([0.75, 0.25]), 2.0) - 0.678072) <= 1e-6
-    with pytest.raises(ValueError):
-        renyi_entropy(R, 1.0)
 
 
 def test_classical_np_oracle_examples():
@@ -328,9 +312,6 @@ def test_data_processing_and_unitary_invariance(rng):
         ) <= 1e-9
         assert abs(max_relative_entropy(ru, su) - max_relative_entropy(rho, sig)) <= 1e-9
         assert abs(relative_entropy(ru, su) - relative_entropy(rho, sig)) <= 1e-9
-        assert abs(
-            renyi_relative_entropy(ru, su, 2.0) - renyi_relative_entropy(rho, sig, 2.0)
-        ) <= 1e-9
         # max-relative entropy dominates the relative entropy
         assert max_relative_entropy(rho, sig) >= relative_entropy(rho, sig) - 1e-9
 
@@ -438,9 +419,23 @@ def test_non_finite_inputs_rejected(bad):
         classical_np_oracle([0.5, bad], [0.5, 0.5], 0.25)
     with pytest.raises(ValueError, match="non-finite"):
         classical_np_oracle([0.5, 0.5], [bad, 0.5], 0.25)
-    for rho, sigma in ((d_bad, m), (m, d_bad), (m_bad, m), (m, m_bad)):
-        with pytest.raises(OperatorError, match="non-finite"):
-            hypothesis_testing_beta(rho, sigma, 0.25)
+    gated = (
+        partial(hypothesis_testing_beta, eps=0.25),
+        max_relative_entropy,
+        partial(smooth_max_relative_entropy, eps=0.25, strategy="none"),
+        partial(smooth_max_relative_entropy, eps=0.25, strategy="diagonal-scan"),
+        relative_entropy,
+        partial(fact_bound, eps=0.25),
+        trace_distance,
+        fidelity,
+        purified_distance,
+    )
+    for divergence in gated:
+        for rho, sigma in ((d_bad, m), (m, d_bad), (m_bad, m), (m, m_bad)):
+            with pytest.raises(OperatorError, match="non-finite"):
+                divergence(rho, sigma)
+    with pytest.raises(OperatorError, match="dimension mismatch"):
+        smooth_max_relative_entropy(m, np.eye(3) / 3, 0.25, "diagonal-scan")
 
 
 def test_convergence_error_names_the_term(monkeypatch):
