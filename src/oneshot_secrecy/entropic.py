@@ -6,6 +6,7 @@ error.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -28,6 +29,7 @@ from .operators import (
     TYPE_I_TOL,
     OperatorError,
     _as_matrix,
+    _checked_matrix,
     _checked_pair,
     validate_pmf,
 )
@@ -36,14 +38,14 @@ from .states import CQState, joint_and_product
 LOG2 = math.log(2.0)
 
 SMOOTHING_STRATEGIES = ("none", "diagonal-scan")
-# threshold-test bisection steps, bracketing included, before ConvergenceError
+# threshold-test probes, bracketing included, before ConvergenceError
 _MAX_ITER = 200
 # transfer grid of the diagonal-scan smoothing
 _SCAN_STEP = 1e-4
 
 
 class ConvergenceError(RuntimeError):
-    """The threshold-test bisection failed to pin down the optimal test."""
+    """The threshold-test search failed to pin down the optimal test."""
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ def _clamped_spectrum(m) -> np.ndarray:
 
 
 def von_neumann_entropy(rho) -> float:
-    w = _clamped_spectrum(rho)
+    w = _clamped_spectrum(_checked_matrix(rho))
     w = w[w > 0.0]
     return float(-np.sum(w * np.log2(w)))
 
@@ -215,20 +217,24 @@ def _block_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a.reshape(k, d, k, d)[idx, :, idx, :], b.reshape(k, d, k, d)[idx, :, idx, :]
 
 
-def _support_lam_max(a: np.ndarray, ws: np.ndarray, vs: np.ndarray) -> float:
-    """Largest eigenvalue of sigma^{-1/2} rho sigma^{-1/2} on sigma's support.
-
-    ``a`` is rho's block stack and ``ws``, ``vs`` sigma's blockwise
-    eigendecomposition.  Eigenvectors off the support are zeroed rather than
-    dropped, so every block keeps its size: the maximum is then at least 0
-    when some block has a kernel, and 0 when the support is empty.
-    """
+def _support_inv_sqrt(ws: np.ndarray) -> np.ndarray:
+    """``ws ** -0.5`` on sigma's support (``ws > EIG_CLAMP``) and 0 on its kernel."""
     scale = np.zeros_like(ws)
     supp = ws > EIG_CLAMP
     scale[supp] = np.power(ws[supp], -0.5)
-    inv_half = vs * scale[..., None, :]
-    lam = np.linalg.eigvalsh(inv_half.conj().swapaxes(-1, -2) @ a @ inv_half)
-    return float(lam.max()) if lam.size else 0.0
+    return scale
+
+
+def _support_spectrum(a: np.ndarray, ws: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Blockwise eigenvalues of sigma^{-1/2} rho sigma^{-1/2} on sigma's support.
+
+    ``a`` is rho's block stack and ``ws``, ``vs`` sigma's blockwise
+    eigendecomposition.  Eigenvectors off the support are zeroed rather than
+    dropped, so every block keeps its size: a block with a kernel adds zeros
+    to its spectrum, and an empty support gives all zeros.
+    """
+    inv_half = vs * _support_inv_sqrt(ws)[..., None, :]
+    return np.linalg.eigvalsh(inv_half.conj().swapaxes(-1, -2) @ a @ inv_half)
 
 
 def hypothesis_testing_beta(rho, sigma, eps: float) -> float:
@@ -239,12 +245,20 @@ def hypothesis_testing_beta(rho, sigma, eps: float) -> float:
     When the blocks are 1x1 the problem is classical and is solved exactly
     by the Neyman-Pearson construction on the two diagonals.  Otherwise the
     optimum has the threshold form L = P_+(t) + c P_0(t), with P_+/P_0 the
-    projectors onto the strictly positive / zero eigenspaces of rho - t sigma.
-    Tr(L rho) is nonincreasing in t, so t is located by bisection; on the
-    zero eigenspace Tr(X rho) = t Tr(X sigma), which makes the interpolation
-    in c in [0, 1] exact.  The type-I constraint is met to ``TYPE_I_TOL`` by
-    construction.  Both paths return 0 when rho's weight on the kernel of
-    sigma already meets the constraint.
+    projectors onto the strictly positive / zero eigenspaces of rho - t sigma;
+    on the zero eigenspace Tr(X rho) = t Tr(X sigma), which makes the
+    interpolation in c in [0, 1] exact.  Tr(P_+(t) rho) is nonincreasing in
+    t.  When rho lives on sigma's support it jumps only at the eigenvalues
+    of sigma^{-1/2} rho sigma^{-1/2} (Sylvester's law of inertia) and is
+    continuous between them.  So t is found by a binary search of these
+    breakpoints, which ends exactly when a jump straddles the target, and
+    then by Illinois regula falsi steps on the one smooth piece left.  A
+    bracket, grown by doubling from the largest breakpoint plus one, is
+    narrowed by every probe as by a bisection step: the breakpoints and the
+    secant only choose where to probe, so the answer also holds when rho
+    weighs on sigma's kernel.  The type-I constraint is met to
+    ``TYPE_I_TOL`` by construction.  Both paths return 0 when rho's weight
+    on the kernel of sigma already meets the constraint.
     """
     a, b = _checked_pair(rho, sigma)
     if not 0.0 < eps < 1.0:
@@ -268,9 +282,10 @@ def hypothesis_testing_beta(rho, sigma, eps: float) -> float:
     sig_norm = float(max(ws.max(), 0.0)) if ws.size else 0.0
     if _kernel_mass(ws, _weights(a, vs)) >= target - KERNEL_MASS_SLACK:
         return 0.0
-    # with sigma's support empty the constraint is out of reach; the bracket
-    # below then starts at t = 1 and the bisection reports the failure
-    lam_max = _support_lam_max(a, ws, vs)
+    # where the inertia of rho - t sigma changes when rho lives on sigma's
+    # support; with weight on the kernel they only steer the probes
+    lam = _support_spectrum(a, ws, vs)
+    breaks = np.unique(lam[lam > 0.0]).tolist()
 
     ab = np.stack([a, b])
 
@@ -285,27 +300,55 @@ def hypothesis_testing_beta(rho, sigma, eps: float) -> float:
         c = 0.0 if a_zer <= 0.0 else min(1.0, max(0.0, (target - a_pos) / a_zer))
         return b_pos + c * b_zer
 
+    # f(t) = Tr(P_+(t) rho) - target falls in t; f_lo is its limit from the
+    # right at lo and f_hi its limit from the left at hi.  They only choose
+    # secant points: the bracket alone decides the answer.  With sigma's
+    # support empty the constraint is out of reach; the bracket then starts
+    # at t = 1 and the search reports the failure.
+    lo, hi = 0.0, (breaks[-1] if breaks else 0.0) + 1.0
+    f_lo = float(np.trace(a, axis1=-2, axis2=-1).real.sum()) - target
     iters = 0
-    hi = max(lam_max, 0.0) + 1.0
     while iters < _MAX_ITER:
         iters += 1
-        a_pos, a_zer, *_ = probe(hi, PROBE_BAND * (1.0 + hi))
-        if a_pos < target:
+        a_pos, a_zer, b_pos, b_zer = probe(hi, PROBE_BAND * (1.0 + hi))
+        if a_pos + a_zer < target:
+            f_hi = a_pos + a_zer - target
             break
+        if a_pos <= target:
+            return finish(a_pos, a_zer, b_pos, b_zer)
+        lo, f_lo = hi, a_pos - target
         hi *= 2.0
     else:
         raise ConvergenceError(f"could not bracket the threshold test (t up to {hi:.6g}, eps={eps})")
 
-    lo = 0.0
     width_goal = BISECT_WIDTH * max(1.0, hi)
+    side = 0  # the end the previous secant step moved: -1 lo, +1 hi
     while iters < _MAX_ITER and hi - lo > width_goal:
         iters += 1
-        mid = 0.5 * (lo + hi)
-        a_pos, a_zer, b_pos, b_zer = probe(mid, PROBE_BAND * (1.0 + mid))
+        first, stop = bisect.bisect_right(breaks, lo), bisect.bisect_left(breaks, hi)
+        secant = first == stop
+        if not secant:
+            # binary search of the breakpoints: a jump that straddles the
+            # target ends the search exactly
+            t = breaks[(first + stop) // 2]
+        else:
+            # one smooth piece is left: an Illinois step, or a bisection
+            # step when the secant falls outside the bracket
+            t = 0.5 * (lo + hi)
+            if f_lo > 0.0:
+                step = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+                t = step if lo < step < hi else t
+        a_pos, a_zer, b_pos, b_zer = probe(t, PROBE_BAND * (1.0 + t))
         if a_pos > target:
-            lo = mid
+            lo, f_lo = t, a_pos - target
+            if side < 0:
+                f_hi *= 0.5
+            side = -1 if secant else 0
         elif a_pos + a_zer < target:
-            hi = mid
+            hi, f_hi = t, a_pos + a_zer - target
+            if side > 0:
+                f_lo *= 0.5
+            side = 1 if secant else 0
         else:
             return finish(a_pos, a_zer, b_pos, b_zer)
     if hi - lo > width_goal:
@@ -341,13 +384,23 @@ def hypothesis_testing_divergence(rho, sigma, eps: float) -> float:
 def max_relative_entropy(rho, sigma) -> float:
     """Smallest gamma with rho <= 2^gamma sigma; ``+inf`` off sigma's support.
 
-    Solved on the operators' common diagonal blocks (see :func:`_block_stack`).
+    Solved on the operators' common diagonal blocks (see :func:`_block_stack`);
+    when the blocks are 1x1 the ratios are read off the two diagonals.
     """
     a, b = _block_stack(*_checked_pair(rho, sigma))
-    ws, vs = np.linalg.eigh(b)
-    if _kernel_mass(ws, _weights(a, vs)) >= EIG_CLAMP:
-        return math.inf
-    lam = _support_lam_max(a, ws, vs)
+    if a.shape[-1] == 1:
+        p, q = a.real.ravel(), b.real.ravel()
+        if _kernel_mass(q, p) >= EIG_CLAMP:
+            return math.inf
+        scale = _support_inv_sqrt(q)
+        # the order of the block path's 1x1 product, so the value is bit-identical
+        spectrum = (scale * p) * scale
+    else:
+        ws, vs = np.linalg.eigh(b)
+        if _kernel_mass(ws, _weights(a, vs)) >= EIG_CLAMP:
+            return math.inf
+        spectrum = _support_spectrum(a, ws, vs)
+    lam = float(spectrum.max()) if spectrum.size else 0.0
     if lam <= 0.0:
         return -math.inf
     return math.log2(lam)

@@ -28,8 +28,8 @@ KERNEL_MASS_SLACK = 1e-12  # rho's mass on sigma's kernel meets the type-I targe
 TYPE_I_TOL = 1e-9  # the type-I constraint Tr(L rho) >= 1 - eps is met to this
 NP_MASS_SLACK = 1e-15  # Neyman-Pearson admission stops this close to the target mass
 PROBE_BAND = 1e-12  # zero-eigenvalue band of rho - t sigma, relative to 1 + t
-BISECT_WIDTH = 1e-11  # the threshold bisection stops at this width, relative to max(1, t_hi)
-BAND_FLOOR = 1e-14  # least width of the straddle band after the bisection
+BISECT_WIDTH = 1e-11  # the threshold search stops at this bracket width, relative to max(1, t_hi)
+BAND_FLOOR = 1e-14  # least width of the straddle band after the threshold search
 # -- smoothing and conditioning
 COMMUTE_TOL = 1e-9  # largest |[rho, sigma]| entry the diagonal scan treats as commuting
 DEGEN_TOL = 1e-10  # sigma eigenvalues closer than this (relative to 1 + |w|) share an eigenspace
@@ -63,6 +63,14 @@ def _checked_pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise OperatorError("non-finite entries in rho or sigma")
     return a, b
+
+
+def _checked_matrix(op) -> np.ndarray:
+    """The single-operand input gate: a square matrix with all entries finite."""
+    m = _as_matrix(op)
+    if not np.isfinite(m).all():
+        raise OperatorError("non-finite entries in the operator")
+    return m
 
 
 def hermiticity_residual(m: np.ndarray) -> float:
@@ -225,7 +233,7 @@ def permute_registers_matrix(
 
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    m = _as_matrix(h)
+    m = _checked_matrix(h)
     res = hermiticity_residual(m)
     if res > HERM_TOL:
         raise OperatorError(f"matrix is not Hermitian (residual {res:.1e})")

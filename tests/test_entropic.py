@@ -33,6 +33,7 @@ from oneshot_secrecy.operators import (
     OperatorError,
     RegisterLayout,
     fidelity,
+    hermitian_eig,
     partial_trace_matrix,
     purified_distance,
     trace_distance,
@@ -40,7 +41,7 @@ from oneshot_secrecy.operators import (
 )
 from oneshot_secrecy.states import CQState
 from conftest import rand_density, rand_unitary
-from util import diagonal_scan_pairwise
+from util import bisection_beta, diagonal_scan_pairwise
 
 R = np.diag([0.5, 0.5]).astype(complex)
 S = np.diag([0.9, 0.1]).astype(complex)
@@ -146,6 +147,20 @@ def test_max_relative_entropy_examples():
     assert abs(max_relative_entropy(R, S) - math.log2(5)) <= 1e-12
     assert max_relative_entropy(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == math.inf
     assert max_relative_entropy(R, S) >= relative_entropy(R, S) - 1e-9
+
+
+def test_diagonal_max_relative_entropy_reads_the_diagonals(monkeypatch):
+    """An exactly diagonal pair makes no eigendecomposition, with or without a kernel."""
+    def forbidden(m):
+        raise AssertionError("eigendecomposition of a diagonal pair")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    assert abs(max_relative_entropy(R, S) - math.log2(5)) <= 1e-12
+    assert max_relative_entropy(np.diag([0.5, 0.5, 0.0]), np.diag([0.25, 0.25, 0.5])) == 1.0
+    assert max_relative_entropy(np.diag([0.0, 1.0]), np.diag([1.0, 0.0])) == math.inf
+    assert max_relative_entropy(np.diag([0.0, 1.0]), np.diag([1.0, 1.0])) == 0.0
+    assert max_relative_entropy(np.zeros((2, 2)), S) == -math.inf
 
 
 def test_smooth_max_relative_entropy():
@@ -376,6 +391,97 @@ def test_diagonal_dh_support_convention():
         assert abs(hypothesis_testing_beta(r, s, 0.2) - 0.2) <= 2 * EIG_CLAMP
 
 
+def _ranked_block(rng, d, rank):
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    return g @ g.conj().T
+
+
+@settings(max_examples=200)
+@given(
+    k=st.integers(1, 4),
+    d=st.integers(2, 5),
+    data=st.data(),
+    kernel_weight=st.booleans(),
+    eps=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_threshold_search_matches_bisection(k, d, data, kernel_weight, eps, seed):
+    """The breakpoint search agrees with a plain bisection on non-commuting pairs.
+
+    Blocks of both operators have random ranks.  Without kernel weight, rho's
+    blocks are compressed into sigma's support, where the breakpoints are
+    exact; with it, rho keeps weight on sigma's kernel.  Only the bisection
+    may fail to converge where the other returns.
+    """
+    rng = np.random.default_rng(seed)
+    ranks = st.lists(st.integers(1, d), min_size=k, max_size=k)
+    rho = np.zeros((k * d, k * d), dtype=complex)
+    sigma = np.zeros_like(rho)
+    for i, (r_rho, r_sigma) in enumerate(zip(data.draw(ranks), data.draw(ranks))):
+        block = slice(i * d, (i + 1) * d)
+        sigma[block, block] = _ranked_block(rng, d, r_sigma)
+        rho[block, block] = _ranked_block(rng, d, r_rho)
+        if not kernel_weight:
+            w, v = np.linalg.eigh(sigma[block, block])
+            proj = v[:, w > 1e-9] @ v[:, w > 1e-9].conj().T
+            rho[block, block] = proj @ rho[block, block] @ proj
+    rho /= np.trace(rho).real
+    sigma /= np.trace(sigma).real
+    fast = _beta_or_error(rho, sigma, eps)
+    try:
+        slow = bisection_beta(rho, sigma, eps)
+    except ConvergenceError:
+        return
+    assert fast is not None, slow
+    assert abs(fast - slow) <= 1e-8 * abs(slow), (fast, slow)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_commuting_blocks_end_at_a_breakpoint(monkeypatch, seed):
+    """Rotated diagonal blocks need one bracket probe plus a binary search of the breakpoints."""
+    rng = np.random.default_rng(seed)
+    k, d = 3, 4
+    n = k * d
+    p, q = rng.random(n), rng.random(n)
+    p, q = p / p.sum(), q / q.sum()
+    rho = np.zeros((n, n), dtype=complex)
+    sigma = np.zeros_like(rho)
+    for i in range(k):
+        block = slice(i * d, (i + 1) * d)
+        u = rand_unitary(rng, d)
+        rho[block, block] = u @ np.diag(p[block]) @ u.conj().T
+        sigma[block, block] = u @ np.diag(q[block]) @ u.conj().T
+    eigh = np.linalg.eigh
+    for eps in (0.05, 0.25, 0.5, 0.9):
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        beta = hypothesis_testing_beta(rho, sigma, eps)
+        monkeypatch.undo()
+        # the first call decomposes sigma; every later one is a probe of rho - t sigma
+        assert len(calls) - 1 <= math.ceil(math.log2(n)) + 2, len(calls)
+        assert abs(beta - classical_np_oracle(p, q, eps)[0]) <= 1e-9
+
+
+def test_bracket_grows_past_the_breakpoints():
+    """With rho weighing on sigma's kernel the crossing can lie beyond lam_max + 1."""
+    rng = np.random.default_rng(4)
+    u = rand_unitary(rng, 3)
+    # sigma's kernel is the third axis; rho couples it to the support
+    sigma = u @ np.diag([0.6, 0.4, 0.0]).astype(complex) @ u.conj().T
+    rho = np.array([[0.3, 0.05, 0.2], [0.05, 0.2, 0.15], [0.2, 0.15, 0.5]], dtype=complex)
+    rho = u @ rho @ u.conj().T
+    eps = 0.45
+    inv_half = u @ np.diag([0.6 ** -0.5, 0.4 ** -0.5, 0.0]) @ u.conj().T
+    lam_max = float(np.linalg.eigvalsh(inv_half @ rho @ inv_half).max())
+    w, v = np.linalg.eigh(rho - (lam_max + 1.0) * sigma)
+    above = v[:, w > 0.0]
+    # P_+ at the first bracket end still accepts more of rho than the target
+    assert np.trace(above.conj().T @ rho @ above).real > 1.0 - eps
+    expected = bisection_beta(rho, sigma, eps)
+    assert expected > 0.0
+    assert abs(hypothesis_testing_beta(rho, sigma, eps) - expected) <= 1e-8 * expected
+
+
 @given(
     d=st.integers(2, 5),
     data=st.data(),
@@ -434,6 +540,10 @@ def test_non_finite_inputs_rejected(bad):
         for rho, sigma in ((d_bad, m), (m, d_bad), (m_bad, m), (m, m_bad)):
             with pytest.raises(OperatorError, match="non-finite"):
                 divergence(rho, sigma)
+    for single in (von_neumann_entropy, hermitian_eig):
+        for op in (d_bad, m_bad):
+            with pytest.raises(OperatorError, match="non-finite"):
+                single(op)
     with pytest.raises(OperatorError, match="dimension mismatch"):
         smooth_max_relative_entropy(m, np.eye(3) / 3, 0.25, "diagonal-scan")
 

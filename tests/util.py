@@ -3,16 +3,23 @@
 Everything here deliberately avoids the production code paths it is used to
 check: vertex enumeration goes through exhaustive basis solves, hulls through
 a monotone chain, the qubit test search through a refined dense grid, the
-diagonal-scan smoothing through one donor-recipient pair at a time, and the
-joint/product pair through a dense embedding with Kronecker products.
+diagonal-scan smoothing through one donor-recipient pair at a time, the
+joint/product pair through a dense embedding with Kronecker products, and the
+quantum threshold test through a plain bisection on the whole matrix.
 """
 import itertools
 import math
 
 import numpy as np
 
+from oneshot_secrecy.entropic import _MAX_ITER, ConvergenceError
 from oneshot_secrecy.operators import (
+    BAND_FLOOR,
+    BISECT_WIDTH,
     EIG_CLAMP,
+    KERNEL_MASS_SLACK,
+    PROBE_BAND,
+    TYPE_I_TOL,
     RegisterLayout,
     partial_trace_matrix,
     permute_registers_matrix,
@@ -138,6 +145,79 @@ def qubit_grid_beta(rho, sigma, eps, n_theta=1000, n_phi=1000):
         consider(np.clip(target / np.where(a1 > tiny, a1, np.nan), 0.0, 1.0), 0.0 * ones)
         consider(0.0 * ones, np.clip(target / np.where(a2 > tiny, a2, np.nan), 0.0, 1.0))
     return float(np.min(best))
+
+
+def bisection_beta(rho, sigma, eps):
+    """Type-II error of the optimal threshold test by fixed-width bisection.
+
+    The threshold test L = P_+(t) + c P_0(t) of ``rho - t sigma`` on the whole
+    matrix, with t found by bisecting [0, t_hi] down to ``BISECT_WIDTH``: no
+    block stacks and no breakpoints.  Returns 0 when rho's weight on sigma's
+    kernel meets the constraint; raises ``ConvergenceError`` as the solver does.
+    """
+    a, b = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
+    target = 1.0 - eps
+
+    def weights(m, v):
+        return np.real((v.conj() * (m @ v)).sum(axis=-2))
+
+    ws, vs = np.linalg.eigh(b)
+    sig_norm = float(max(ws.max(), 0.0))
+    if float(weights(a, vs)[ws <= EIG_CLAMP].sum()) >= target - KERNEL_MASS_SLACK:
+        return 0.0
+    scale = np.where(ws > EIG_CLAMP, np.maximum(ws, EIG_CLAMP) ** -0.5, 0.0)
+    inv_half = vs * scale
+    lam_max = float(np.linalg.eigvalsh(inv_half.conj().T @ a @ inv_half).max())
+
+    ab = np.stack([a, b])
+
+    def probe(t, band):
+        w, v = np.linalg.eigh(a - t * b)
+        masks = np.stack([w > band, np.abs(w) <= band], axis=-1)
+        (a_pos, a_zer), (b_pos, b_zer) = weights(ab, v) @ masks
+        return float(a_pos), float(a_zer), float(b_pos), float(b_zer)
+
+    def finish(a_pos, a_zer, b_pos, b_zer):
+        c = 0.0 if a_zer <= 0.0 else min(1.0, max(0.0, (target - a_pos) / a_zer))
+        return b_pos + c * b_zer
+
+    iters = 0
+    hi = max(lam_max, 0.0) + 1.0
+    while iters < _MAX_ITER:
+        iters += 1
+        a_pos, a_zer, *_ = probe(hi, PROBE_BAND * (1.0 + hi))
+        if a_pos < target:
+            break
+        hi *= 2.0
+    else:
+        raise ConvergenceError(f"could not bracket the threshold test (t up to {hi:.6g}, eps={eps})")
+
+    lo = 0.0
+    width_goal = BISECT_WIDTH * max(1.0, hi)
+    while iters < _MAX_ITER and hi - lo > width_goal:
+        iters += 1
+        mid = 0.5 * (lo + hi)
+        a_pos, a_zer, b_pos, b_zer = probe(mid, PROBE_BAND * (1.0 + mid))
+        if a_pos > target:
+            lo = mid
+        elif a_pos + a_zer < target:
+            hi = mid
+        else:
+            return finish(a_pos, a_zer, b_pos, b_zer)
+    if hi - lo > width_goal:
+        raise ConvergenceError(
+            f"no convergence after {_MAX_ITER} iterations "
+            f"(t in [{lo:.6g}, {hi:.6g}], eps={eps}); degenerate spectrum suspected"
+        )
+    mid = 0.5 * (lo + hi)
+    band = 2.0 * (hi - lo) * (sig_norm + 1.0) + BAND_FLOOR
+    a_pos, a_zer, b_pos, b_zer = probe(mid, band)
+    if a_pos > target + TYPE_I_TOL or a_pos + a_zer < target - TYPE_I_TOL:
+        raise ConvergenceError(
+            f"straddle detection failed at t={mid:.6g}, eps={eps} "
+            f"(type-I window [{a_pos:.12g}, {a_pos + a_zer:.12g}], target {target:.12g})"
+        )
+    return finish(a_pos, a_zer, b_pos, b_zer)
 
 
 def diagonal_scan_pairwise(p, q, eps, step=1e-4):
