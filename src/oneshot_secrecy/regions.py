@@ -30,7 +30,8 @@ from .entropic import (
     smooth_max_mutual_info,
 )
 from .operators import COEF_TOL, DET_TOL, FEAS_TOL, RAY_TOL, OperatorError
-from .secrecy import randomizer_plan, secrecy_check, within_threshold
+from .secrecy import _randomizer_plan, secrecy_check, within_threshold
+from .secrecy import randomizer_plan  # noqa: F401  bench/tracing.py wraps regions.randomizer_plan
 from .states import CQState
 
 
@@ -454,7 +455,7 @@ def theorem2_region(
         rows += _assemble(calc, _SIDE_INFORMATION, _SIDE_INFORMATION_LEAKS, roles, ("R1", "R2"),
                           f"t2:s{sub}", pen)
     report = secrecy_check(state, params, (math.inf, math.inf, math.inf), smoothing=smoothing)
-    plan = randomizer_plan(state, params, smoothing=smoothing)
+    plan = _randomizer_plan(params, smoothing, lambda a, b: calc.imax(a, b).value)
     meta = {
         "theorem": "t2",
         "penalties": penalties.mode,
@@ -594,14 +595,6 @@ class VertexEnumeration:
     unbounded: bool
 
 
-def _rows_with_nonneg(poly: RatePolytope) -> tuple[np.ndarray, np.ndarray]:
-    a, b = poly.coeff_matrix()
-    eye = -np.eye(len(poly.variables))
-    a = np.vstack([a, eye]) if a.size else eye
-    b = np.concatenate([b, np.zeros(len(poly.variables))]) if b.size else np.zeros(2)
-    return a, b
-
-
 def _has_recession_ray(row_a: np.ndarray) -> bool:
     """Whether the recession cone ``{r >= 0 : row_a @ r <= 0}`` holds a ray.
 
@@ -617,32 +610,27 @@ def _has_recession_ray(row_a: np.ndarray) -> bool:
     return bool(np.any(np.all(row_a @ rays.T <= RAY_TOL, axis=0)))
 
 
-def vertices_2d(poly: RatePolytope) -> VertexEnumeration:
-    """Vertices of the nonnegatively clamped region, counterclockwise.
+def _intersection_table(poly: RatePolytope):
+    """Rows ``a`` (nonnegativity last), ``triu`` pairs ``i < j`` with ``|det| >= DET_TOL``, their crossings
+    ``x`` and ``sat[k, p] = a[k] @ x[p] <= b[k] + FEAS_TOL``, stacked (not ``a @ x.T``) to keep each dot's bits."""
+    a, b = poly.coeff_matrix()
+    a, b = np.vstack([a, -np.eye(2)]), np.concatenate([b, np.zeros(2)])
+    i, j = np.triu_indices(len(b), 1)
+    det = a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0]
+    i, j = i[np.abs(det) >= DET_TOL], j[np.abs(det) >= DET_TOL]
+    x = np.linalg.solve(np.stack([a[i], a[j]], axis=1), np.stack([b[i], b[j]], axis=1)[..., None])[..., 0]
+    return a, i, j, x, np.matmul(a[None], x[:, :, None])[..., 0].T <= b[:, None] + FEAS_TOL
 
-    An infeasible system reports the origin with the ``degenerate`` flag, as
-    the nonnegative clamp prescribes.
-    """
-    if len(poly.variables) != 2:
-        raise OperatorError("vertices_2d needs exactly two variables")
-    a, b = _rows_with_nonneg(poly)
-    m = len(b)
-    points = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            mat = np.array([a[i], a[j]])
-            det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-            if abs(det) < DET_TOL:
-                continue
-            x = np.linalg.solve(mat, np.array([b[i], b[j]]))
-            if np.all(a @ x <= b + FEAS_TOL):
-                points.append(np.maximum(x, 0.0))
-    unbounded = _has_recession_ray(poly.coeff_matrix()[0])
-    if not points:
+
+def _enumerate(table, active: np.ndarray) -> VertexEnumeration:
+    """Vertices of the table's rows marked ``active`` (the last two always are)."""
+    a, i, j, x, sat = table
+    feasible = active[i] & active[j] & np.all(sat[active], axis=0)
+    unbounded = _has_recession_ray(a[:-2][active[:-2]])
+    if not feasible.any():
         return VertexEnumeration([(0.0, 0.0)], True, unbounded)
-    pts = np.array(points)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
+    pts = np.maximum(x[feasible], 0.0)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     uniq: list = []
     for p in pts:
         if all(np.max(np.abs(p - q)) > FEAS_TOL for q in uniq):
@@ -659,27 +647,36 @@ def vertices_2d(poly: RatePolytope) -> VertexEnumeration:
     return VertexEnumeration([(float(x), float(y)) for x, y in pts], False, unbounded)
 
 
+def vertices_2d(poly: RatePolytope) -> VertexEnumeration:
+    """Vertices of the nonnegatively clamped region, counterclockwise.
+
+    An infeasible system reports the origin with the ``degenerate`` flag, as
+    the nonnegative clamp prescribes.
+    """
+    if len(poly.variables) != 2:
+        raise OperatorError("vertices_2d needs exactly two variables")
+    return _enumerate(_intersection_table(poly), np.ones(len(poly.rows) + 2, dtype=bool))
+
+
 def minimal_2d(poly: RatePolytope) -> RatePolytope:
-    """Strictly irredundant row set: a row is dropped iff removal changes nothing."""
+    """Strictly irredundant row set: a row is dropped iff removal changes nothing.
+
+    Candidates, in an order that decides between duplicates, are masked out of
+    one intersection table.  An empty system keeps only its ``0 <= -1`` row."""
     if len(poly.variables) != 2:
         raise OperatorError("minimal_2d needs exactly two variables")
-    rows = _prune_rows(list(poly.rows), poly.variables)
-    rows = [r for r in rows if np.max(np.abs(r.coeffs)) > COEF_TOL]
-    keep = list(rows)
+    keep = _prune_rows(list(poly.rows), poly.variables)
+    if keep and np.max(np.abs(keep[0].coeffs)) <= COEF_TOL:
+        return RatePolytope(poly.variables, keep[:1], dict(poly.meta))
+    table = _intersection_table(RatePolytope(poly.variables, keep))
+    active = np.ones(len(keep) + 2, dtype=bool)
     order = sorted(range(len(keep)), key=lambda i: (_normalize_key(np.asarray(keep[i].coeffs)), keep[i].bound))
-    removed = set()
     for i in order:
-        trial = [keep[j] for j in range(len(keep)) if j != i and j not in removed]
-        sub = RatePolytope(poly.variables, trial)
-        enum = vertices_2d(sub)
-        if enum.unbounded:
-            continue
-        row = keep[i]
-        a = np.asarray(row.coeffs)
-        if all(float(a @ np.asarray(v)) <= row.bound + FEAS_TOL for v in enum.vertices):
-            removed.add(i)
-    out = [keep[i] for i in range(len(keep)) if i not in removed]
-    return RatePolytope(poly.variables, out, dict(poly.meta))
+        active[i] = False
+        enum = _enumerate(table, active)
+        a, bound = np.asarray(keep[i].coeffs), keep[i].bound
+        active[i] = enum.unbounded or not all(float(a @ np.asarray(v)) <= bound + FEAS_TOL for v in enum.vertices)
+    return RatePolytope(poly.variables, [r for r, on in zip(keep, active) if on], dict(poly.meta))
 
 
 # ---------------------------------------------------------------------------

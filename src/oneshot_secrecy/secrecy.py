@@ -3,8 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
+from typing import Callable, Sequence
 
 from .entropic import ToleranceParams, smooth_max_mutual_info
 from .operators import THRESHOLD_SLACK, OperatorError
@@ -81,11 +80,15 @@ def randomizer_plan(
     Results are clamped at zero.
     """
     _require_hk_state(state)
+    return _randomizer_plan(params, smoothing, lambda a, b: smooth_max_mutual_info(state, a, b, params.eta, smoothing))
+
+
+def _randomizer_plan(params: ToleranceParams, smoothing: str, imax: Callable) -> RandomizerPlan:
+    """:func:`randomizer_plan` over ``imax(part_a, part_b)``, such as a region's memoized terms."""
     base = math.log2(3.0 / params.eps_prime**3) - 0.25 * math.log2(params.delta_prime)
-    values = {}
-    sizes = {}
+    values, sizes = {}, {}
     for label, part_a, part_b, extra in _PLAN_GROUPINGS:
-        term = smooth_max_mutual_info(state, list(part_a), list(part_b), params.eta, smoothing)
+        term = imax(list(part_a), list(part_b))
         values[label] = float(term)
         size = term + base + (params.big_o_constant if extra else 0.0)
         sizes[part_a[0]] = max(0.0, float(size))

@@ -7,6 +7,7 @@ result.
 """
 import contextlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 
 from oneshot_secrecy import cli
 from oneshot_secrecy.channel import bundled_path
+from oneshot_secrecy.regions import minimal_2d, vertices_2d
 
 GOLDEN = Path(__file__).parent / "golden"
 DIAG = str(bundled_path("diag_deterministic.json"))
@@ -44,8 +46,9 @@ def _quantities(channel, dist, groupings, *extra):
 
 
 # name -> (argv, kind); kind "region" writes <name>.json and <name>.csv,
-# "sweep" writes <name>.csv, "fm" writes <name>.json and "stdout" keeps the
-# printed table as <name>.txt.
+# "sweep" writes <name>.csv, "fm" writes <name>.json, "minimal" writes
+# <name>.json with the irredundant rows and vertices of the fm output, and
+# "stdout" keeps the printed table as <name>.txt.
 # The paper's penalties zero most bundled regions, so every region also runs
 # with them off, and the sweeps run with them off only.
 CASES = {}
@@ -71,7 +74,22 @@ CASES.update({
     "sweep_conjecture_xor_scan": (_sweep(XOR, "conjecture", "--grid", "2", *OFF, *SCAN),
                                   "sweep"),
     "fm_hk_lift_xor": (["fm", "--input", HK_LIFT, "--eliminate", "R10,R11,R20,R22"], "fm"),
+    "minimal_2d_hk_lift_xor": (["fm", "--input", HK_LIFT, "--eliminate", "R10,R11,R20,R22"],
+                               "minimal"),
 })
+
+
+def _minimal_report(fm_json: Path) -> bytes:
+    """``minimal_2d`` rows, in order, and ``vertices_2d`` of a projected polytope file."""
+    poly = cli._poly_from_document(json.loads(fm_json.read_text(encoding="utf-8")))
+    enum = vertices_2d(poly)
+    payload = {
+        "minimal_rows": [{"coeffs": list(r.coeffs), "bound": r.bound, "tag": r.tag}
+                         for r in minimal_2d(poly).rows],
+        "vertices": [[x, y] for x, y in enum.vertices],
+        "flags": {"degenerate": enum.degenerate, "unbounded": enum.unbounded},
+    }
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def run_case(name, outdir: Path) -> dict[str, bytes]:
@@ -81,13 +99,15 @@ def run_case(name, outdir: Path) -> dict[str, bytes]:
         argv = argv + ["--out", str(outdir / f"{name}.json"), "--csv", str(outdir / f"{name}.csv")]
     elif kind == "sweep":
         argv = argv + ["--csv", str(outdir / f"{name}.csv")]
-    elif kind == "fm":
+    elif kind in ("fm", "minimal"):
         argv = argv + ["--out", str(outdir / f"{name}.json")]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert cli.main(argv) == 0, name
     if kind == "stdout":
         return {f"{name}.txt": buf.getvalue().encode("utf-8")}
+    if kind == "minimal":
+        return {f"{name}.json": _minimal_report(outdir / f"{name}.json")}
     return {p.name: p.read_bytes() for p in sorted(outdir.glob(f"{name}.*"))}
 
 

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oneshot_secrecy import regions, secrecy
 from oneshot_secrecy.channel import (
     ChannelSpec,
     InputDistribution,
@@ -14,9 +17,11 @@ from oneshot_secrecy.channel import (
     uniform_t1,
 )
 from oneshot_secrecy.entropic import ToleranceParams
-from oneshot_secrecy.operators import OperatorError
+from oneshot_secrecy.operators import DET_TOL, OperatorError
 from oneshot_secrecy.regions import (
     PenaltyMode,
+    RatePolytope,
+    _prune_rows,
     _ray_radii,
     _simplex_grid,
     conjecture_region,
@@ -31,7 +36,14 @@ from oneshot_secrecy.regions import (
     theorem2_region,
     vertices_2d,
 )
-from util import convex_hull_2d, enumerate_vertices_nd, point_in_hull_2d, polytope_from_arrays
+from util import (
+    convex_hull_2d,
+    enumerate_vertices_nd,
+    minimal_2d_rebuild,
+    point_in_hull_2d,
+    polytope_from_arrays,
+    vertices_2d_pairwise,
+)
 
 OFF = PenaltyMode("off")
 PAPER = PenaltyMode("paper")
@@ -343,6 +355,21 @@ def test_theorem2_trivial_z_rows(xor_channel):
     assert pts == set((b, a) for a, b in pts)
 
 
+def test_theorem2_evaluates_each_max_information_once(xor_channel, monkeypatch):
+    """The randomizer plan reads the side-information leak terms from the region's memo."""
+    calls = []
+    real = secrecy.smooth_max_mutual_info
+
+    def counting(state, part_a, part_b, *args):
+        calls.append((tuple(part_a), tuple(part_b)))
+        return real(state, part_a, part_b, *args)
+
+    monkeypatch.setattr(regions, "smooth_max_mutual_info", counting)
+    monkeypatch.setattr(secrecy, "smooth_max_mutual_info", counting)
+    theorem2_region(xor_channel, uniform_hk(xor_channel), PARAMS, OFF)
+    assert len(calls) == len(set(calls)) == 12
+
+
 def test_theorem2_full_copy_z_degenerate():
     states = {}
     for i1, x1 in enumerate("01"):
@@ -523,6 +550,86 @@ def test_vertices_2d_random_feasibility(rng):
                 np.abs(np.asarray(v)) <= 1e-9
             )
             assert active >= 2
+
+
+def test_minimal_2d_keeps_an_empty_system_empty():
+    """The ``0 <= -1`` marker survives: dropping it would turn the empty set into a square."""
+    poly = polytope_from_arrays(("R1", "R2"), [((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0), ((0.0, 0.0), -1.0)])
+    assert vertices_2d(poly).degenerate
+    minimal = minimal_2d(poly)
+    assert [(r.coeffs, r.bound) for r in minimal.rows] == [((0.0, 0.0), -1.0)]
+    enum = vertices_2d(minimal)
+    assert enum.degenerate and enum.vertices == [(0.0, 0.0)]
+
+
+_GRID = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0])
+
+
+@st.composite
+def _polytope_rows(draw):
+    """Rows in (R1, R2) from families that stress the vertex and pruning paths.
+
+    Grid rows repeat, run parallel, are all zero and have negative bounds
+    (empty systems, the origin alone); ray pairs leave only the ray
+    ``R2 = s R1``; near pairs have ``|det|`` around ``DET_TOL``.
+    """
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["grid", "uniform", "ray", "near", "repeat", "origin"]))
+        if kind == "grid":
+            rows.append(((draw(_GRID), draw(_GRID)), draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]))))
+        elif kind == "uniform":
+            coeffs = (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+            rows.append((coeffs, draw(st.floats(-1.0, 3.0))))
+        elif kind == "ray":
+            s = draw(st.floats(0.1, 3.0))
+            rows += [((s, -1.0), 0.0), ((-s, 1.0), 0.0)]
+        elif kind == "near":
+            c2, bound = draw(st.floats(0.2, 2.0)), draw(st.floats(0.5, 2.0))
+            t = draw(st.floats(0.5, 2.0)) * DET_TOL
+            shift = draw(st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3)))
+            rows += [((1.0, c2), bound), ((1.0, c2 + t), bound + shift)]
+        elif kind == "repeat" and rows:
+            (c1, c2), bound = rows[draw(st.integers(0, len(rows) - 1))]
+            scale = draw(st.sampled_from([1.0, 2.0, 0.5]))
+            rows.append(((scale * c1, scale * c2), scale * bound + draw(st.sampled_from([0.0, 0.25]))))
+        elif kind == "origin":
+            rows.append(((1.0, draw(st.sampled_from([0.0, 1.0]))), 0.0))
+    return polytope_from_arrays(("R1", "R2"), rows)
+
+
+@settings(max_examples=400)
+@given(poly=_polytope_rows(), data=st.data())
+def test_intersection_table_matches_pairwise_oracle(poly, data):
+    """Vertices, flags and minimal rows (order and ties included) equal the pairwise routines
+    exactly, and a table with rows masked out enumerates as the polytope rebuilt without them."""
+    assert vertices_2d(poly) == vertices_2d_pairwise(poly)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(poly.rows), max_size=len(poly.rows)))
+    rebuilt = RatePolytope(poly.variables, [r for r, on in zip(poly.rows, keep) if on])
+    masked = regions._enumerate(regions._intersection_table(poly), np.array(keep + [True, True]))
+    assert masked == vertices_2d_pairwise(rebuilt)
+    rows = [(r.coeffs, r.bound, r.tag) for r in minimal_2d(poly).rows]
+    pruned = _prune_rows(list(poly.rows), poly.variables)
+    if pruned and pruned[0].tag == "infeasible":
+        # the oracle drops the empty-system marker; the fix keeps it alone
+        assert rows == [((0.0, 0.0), -1.0, "infeasible")]
+    else:
+        assert rows == [(r.coeffs, r.bound, r.tag) for r in minimal_2d_rebuild(poly).rows]
+
+
+@pytest.mark.parametrize("n_rows", [0, 3, 12])
+def test_one_solve_per_polytope(monkeypatch, n_rows):
+    """``vertices_2d`` and ``minimal_2d`` each solve every row pair in one batched call."""
+    rng = np.random.default_rng(n_rows)
+    poly = polytope_from_arrays(("R1", "R2"), list(zip(
+        rng.uniform(0.1, 1.0, size=(n_rows, 2)).tolist(), rng.uniform(0.5, 2.0, size=n_rows).tolist())))
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(regions.np.linalg, "solve", lambda *args: calls.append(1) or solve(*args))
+    vertices_2d(poly)
+    assert len(calls) == 1
+    minimal_2d(poly)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

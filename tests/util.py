@@ -1,8 +1,9 @@
 """Shared independent oracles for the test suite.
 
 Everything here deliberately avoids the production code paths it is used to
-check: vertex enumeration goes through exhaustive basis solves, hulls through
-a monotone chain, the qubit test search through a refined dense grid, the
+check: vertex enumeration goes through exhaustive basis solves or one solve
+per row pair, minimal row sets through one re-enumeration per candidate row,
+hulls through a monotone chain, the qubit test search through a refined dense grid, the
 diagonal-scan smoothing through one donor-recipient pair at a time, the
 joint/product pair through a dense embedding with Kronecker products, and the
 quantum threshold test through a plain bisection on the whole matrix.
@@ -16,15 +17,26 @@ from oneshot_secrecy.entropic import _MAX_ITER, ConvergenceError
 from oneshot_secrecy.operators import (
     BAND_FLOOR,
     BISECT_WIDTH,
+    COEF_TOL,
+    DET_TOL,
     EIG_CLAMP,
+    FEAS_TOL,
     KERNEL_MASS_SLACK,
     PROBE_BAND,
     TYPE_I_TOL,
+    OperatorError,
     RegisterLayout,
     partial_trace_matrix,
     permute_registers_matrix,
 )
-from oneshot_secrecy.regions import PolyRow, RatePolytope
+from oneshot_secrecy.regions import (
+    PolyRow,
+    RatePolytope,
+    VertexEnumeration,
+    _has_recession_ray,
+    _normalize_key,
+    _prune_rows,
+)
 
 
 def polytope_from_arrays(variables, rows):
@@ -58,6 +70,79 @@ def enumerate_vertices_nd(a, b, tol=1e-9):
         if np.max(np.abs(v - keep[-1])) > tol:
             keep.append(v)
     return np.array(keep)
+
+
+def _rows_with_nonneg(poly: RatePolytope) -> tuple[np.ndarray, np.ndarray]:
+    a, b = poly.coeff_matrix()
+    eye = -np.eye(len(poly.variables))
+    a = np.vstack([a, eye]) if a.size else eye
+    b = np.concatenate([b, np.zeros(len(poly.variables))]) if b.size else np.zeros(2)
+    return a, b
+
+
+def vertices_2d_pairwise(poly: RatePolytope) -> VertexEnumeration:
+    """``regions.vertices_2d`` with one solve and one feasibility test per row pair."""
+    if len(poly.variables) != 2:
+        raise OperatorError("vertices_2d needs exactly two variables")
+    a, b = _rows_with_nonneg(poly)
+    m = len(b)
+    points = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            mat = np.array([a[i], a[j]])
+            det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+            if abs(det) < DET_TOL:
+                continue
+            x = np.linalg.solve(mat, np.array([b[i], b[j]]))
+            if np.all(a @ x <= b + FEAS_TOL):
+                points.append(np.maximum(x, 0.0))
+    unbounded = _has_recession_ray(poly.coeff_matrix()[0])
+    if not points:
+        return VertexEnumeration([(0.0, 0.0)], True, unbounded)
+    pts = np.array(points)
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    pts = pts[order]
+    uniq: list = []
+    for p in pts:
+        if all(np.max(np.abs(p - q)) > FEAS_TOL for q in uniq):
+            uniq.append(p)
+    pts = np.array(uniq)
+    if len(pts) == 1 and np.max(np.abs(pts[0])) <= FEAS_TOL:
+        return VertexEnumeration([(0.0, 0.0)], not unbounded, unbounded)
+    center = pts.mean(axis=0)
+    angles = np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0])
+    order = np.argsort(angles, kind="stable")
+    pts = pts[order]
+    start = int(np.lexsort((pts[:, 1], pts[:, 0]))[0])
+    pts = np.roll(pts, -start, axis=0)
+    return VertexEnumeration([(float(x), float(y)) for x, y in pts], False, unbounded)
+
+
+def minimal_2d_rebuild(poly: RatePolytope) -> RatePolytope:
+    """``regions.minimal_2d`` that rebuilds the polytope without each candidate row.
+
+    Like the routine it checks, it drops the ``0 <= -1`` marker of an empty
+    system, so it answers only for systems without one.
+    """
+    if len(poly.variables) != 2:
+        raise OperatorError("minimal_2d needs exactly two variables")
+    rows = _prune_rows(list(poly.rows), poly.variables)
+    rows = [r for r in rows if np.max(np.abs(r.coeffs)) > COEF_TOL]
+    keep = list(rows)
+    order = sorted(range(len(keep)), key=lambda i: (_normalize_key(np.asarray(keep[i].coeffs)), keep[i].bound))
+    removed = set()
+    for i in order:
+        trial = [keep[j] for j in range(len(keep)) if j != i and j not in removed]
+        sub = RatePolytope(poly.variables, trial)
+        enum = vertices_2d_pairwise(sub)
+        if enum.unbounded:
+            continue
+        row = keep[i]
+        a = np.asarray(row.coeffs)
+        if all(float(a @ np.asarray(v)) <= row.bound + FEAS_TOL for v in enum.vertices):
+            removed.add(i)
+    out = [keep[i] for i in range(len(keep)) if i not in removed]
+    return RatePolytope(poly.variables, out, dict(poly.meta))
 
 
 def convex_hull_2d(points):
