@@ -399,18 +399,6 @@ def submac_view(state: CQState, receiver: str) -> CQState:
 # bundled data
 # ---------------------------------------------------------------------------
 
-BUNDLED_CHANNELS = (
-    "diag_deterministic.json",
-    "diag_deterministic_split.json",
-    "xor_split.json",
-)
-BUNDLED_DISTRIBUTIONS = (
-    "uniform_t1.json",
-    "uniform_hk.json",
-    "uniform_hk_degenerate.json",
-)
-
-
 def bundled_path(name: str) -> Path:
     """Filesystem path of a bundled channel or distribution document."""
     root = resources.files("oneshot_secrecy").joinpath("data")

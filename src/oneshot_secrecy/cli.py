@@ -7,6 +7,7 @@ failures, 2 on parse/file errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -23,6 +24,7 @@ from .channel import (
     read_json,
 )
 from .entropic import (
+    SMOOTHING_STRATEGIES,
     ConvergenceError,
     ToleranceParams,
     binary_entropy,
@@ -38,9 +40,13 @@ from .entropic import (
 )
 from .operators import OperatorError, fidelity, purified_distance, trace_distance
 from .regions import (
+    DELTA_SOURCES,
+    PENALTY_MODES,
+    REGION_THEOREMS,
     PenaltyMode,
     PolyRow,
     RatePolytope,
+    VertexEnumeration,
     fourier_motzkin,
     qmac_inner_bound,
     region_builder,
@@ -48,8 +54,6 @@ from .regions import (
     vertices_2d,
 )
 from .states import joint_and_product
-
-THEOREMS = ("t1", "conjecture", "t2", "hk-nosecrecy", "qmac")
 
 
 def _fmt(x: float) -> str:
@@ -68,15 +72,7 @@ def _params_from_args(args) -> ToleranceParams:
 
 
 def _params_dict(params: ToleranceParams) -> dict:
-    return {
-        "eps": params.eps,
-        "eps_prime": params.eps_prime,
-        "delta": params.delta,
-        "delta_prime": params.delta_prime,
-        "eta": params.eta,
-        "theta": params.theta,
-        "big_o_constant": params.big_o_constant,
-    }
+    return {**vars(params), "eta": params.eta}
 
 
 def _add_param_flags(parser: argparse.ArgumentParser, need_eps: bool = True) -> None:
@@ -93,31 +89,15 @@ def _add_param_flags(parser: argparse.ArgumentParser, need_eps: bool = True) -> 
 
 def _row_dict(row: PolyRow, variables) -> dict:
     return {
+        **vars(row),
         "coeffs": {v: c for v, c in zip(variables, row.coeffs) if c != 0.0},
-        "bound": row.bound,
-        "tag": row.tag,
-        "penalty": row.penalty,
-        "alternatives": list(row.alternatives),
-        "warnings": list(row.warnings),
-        "terms": [
-            {
-                "kind": t.kind,
-                "part_a": list(t.part_a),
-                "part_b": list(t.part_b),
-                "cond": t.cond,
-                "coefficient": t.coefficient,
-                "value": t.value,
-                "eps": t.eps,
-                "smoothing": t.smoothing,
-            }
-            for t in row.terms
-        ],
+        "terms": [vars(t) for t in row.terms],
     }
 
 
-def _region_report(poly: RatePolytope, params: ToleranceParams, penalties: PenaltyMode,
-                   smoothing: str, channel: ChannelSpec, theorem: str) -> dict:
-    enum = vertices_2d(poly) if len(poly.variables) == 2 else None
+def _region_report(poly: RatePolytope, enum: VertexEnumeration | None, params: ToleranceParams,
+                   penalties: PenaltyMode, smoothing: str, channel: ChannelSpec,
+                   theorem: str) -> dict:
     report = {
         "tool": {"name": "oneshot-secrecy", "version": __version__},
         "theorem": theorem,
@@ -234,10 +214,10 @@ def cmd_region(args) -> int:
     params = _params_from_args(args)
     penalties = PenaltyMode(args.penalties)
     poly = _build_region(args, channel, dist, params, penalties)
-    report = _region_report(poly, params, penalties, args.smoothing, channel, args.theorem)
-    _write_json(report, args.out)
-    if len(poly.variables) == 2:
-        enum = vertices_2d(poly)
+    enum = vertices_2d(poly) if len(poly.variables) == 2 else None
+    _write_json(_region_report(poly, enum, params, penalties, args.smoothing, channel, args.theorem),
+                args.out)
+    if enum is not None:
         _write_vertex_csv(enum, args.csv)
         flag = " (degenerate)" if enum.degenerate else ""
         print(f"{args.theorem}: {len(poly.rows)} rows, {len(enum.vertices)} vertices{flag}")
@@ -322,6 +302,7 @@ def cmd_fm(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oneshot-secrecy",
@@ -340,19 +321,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True)
     p.add_argument("--grouping", action="append",
                    help="register grouping like 'X1:X2,Y1' or 'X1:X2,Y1|Q' (repeatable)")
-    p.add_argument("--smoothing", choices=("none", "diagonal-scan"), default="none")
+    p.add_argument("--smoothing", choices=SMOOTHING_STRATEGIES, default="none")
     _add_param_flags(p)
     p.set_defaults(func=cmd_quantities)
 
     p = sub.add_parser("region", help="compute a rate region and export JSON/CSV")
     p.add_argument("--channel", required=True)
     p.add_argument("--dist", required=True)
-    p.add_argument("--theorem", choices=THEOREMS, required=True)
+    p.add_argument("--theorem", choices=(*REGION_THEOREMS, "qmac"), required=True)
     p.add_argument("--receiver", choices=("Y1", "Y2"), default="Y1",
                    help="receiver for the qmac selector")
-    p.add_argument("--penalties", choices=("paper", "off"), default="paper")
-    p.add_argument("--smoothing", choices=("none", "diagonal-scan"), default="none")
-    p.add_argument("--delta-source", choices=("delta", "delta-prime"), default="delta",
+    p.add_argument("--penalties", choices=PENALTY_MODES, default="paper")
+    p.add_argument("--smoothing", choices=SMOOTHING_STRATEGIES, default="none")
+    p.add_argument("--delta-source", choices=DELTA_SOURCES, default="delta",
                    dest="delta_source",
                    help="which slack parameter feeds the quarter-log penalty term")
     p.add_argument("--out", default="region.json")
@@ -362,13 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep input distributions and export the union frontier")
     p.add_argument("--channel", required=True)
-    p.add_argument("--theorem", choices=("t1", "conjecture", "t2", "hk-nosecrecy"), required=True)
+    p.add_argument("--theorem", choices=REGION_THEOREMS, required=True)
     p.add_argument("--grid", type=int, default=3, help="points per simplex edge (>= 2)")
     p.add_argument("--q-size", type=int, default=1, dest="q_size")
     p.add_argument("--rays", type=int, default=91)
     p.add_argument("--max-evals", type=int, default=20000, dest="max_evals")
-    p.add_argument("--penalties", choices=("paper", "off"), default="paper")
-    p.add_argument("--smoothing", choices=("none", "diagonal-scan"), default="none")
+    p.add_argument("--penalties", choices=PENALTY_MODES, default="paper")
+    p.add_argument("--smoothing", choices=SMOOTHING_STRATEGIES, default="none")
     p.add_argument("--csv", default="frontier.csv")
     _add_param_flags(p)
     p.set_defaults(func=cmd_sweep)
@@ -390,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ChannelFormatError as exc:

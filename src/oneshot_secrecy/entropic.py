@@ -35,8 +35,6 @@ from .operators import (
 )
 from .states import CQState, joint_and_product
 
-LOG2 = math.log(2.0)
-
 SMOOTHING_STRATEGIES = ("none", "diagonal-scan")
 # threshold-test probes, bracketing included, before ConvergenceError
 _MAX_ITER = 200
@@ -64,6 +62,9 @@ class ToleranceParams:
     big_o_constant: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if math.isnan(value) or (math.isinf(value) and name != "theta"):
+                raise ValueError(f"non-finite {name}: {value}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
         if not 0.0 < self.eps_prime < self.delta_prime:
@@ -74,8 +75,6 @@ class ToleranceParams:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if self.theta < 0.0:
             raise ValueError(f"theta must be nonnegative, got {self.theta}")
-        if not math.isfinite(self.big_o_constant):
-            raise ValueError("big_o_constant must be finite")
 
     @property
     def eta(self) -> float:

@@ -34,6 +34,11 @@ from .secrecy import _randomizer_plan, secrecy_check, within_threshold
 from .secrecy import randomizer_plan  # noqa: F401  bench/tracing.py wraps regions.randomizer_plan
 from .states import CQState
 
+PENALTY_MODES = ("paper", "off")
+DELTA_SOURCES = ("delta", "delta-prime")
+# selectors of region_builder and sweep_union; the CLI's region command adds qmac
+REGION_THEOREMS = ("t1", "conjecture", "t2", "hk-nosecrecy")
+
 
 @dataclass(frozen=True)
 class MITerm:
@@ -96,8 +101,8 @@ class PenaltyMode:
     mode: str = "paper"
 
     def __post_init__(self):
-        if self.mode not in ("paper", "off"):
-            raise ValueError(f"penalty mode must be 'paper' or 'off', got {self.mode!r}")
+        if self.mode not in PENALTY_MODES:
+            raise ValueError(f"penalty mode must be one of {PENALTY_MODES}, got {self.mode!r}")
 
 
 def _rate_name(register: str) -> str:
@@ -296,8 +301,8 @@ def _secrecy_penalties(
     """Constant of a time-shared secrecy row: one randomizer (single) or two (joint)."""
     if penalties.mode == "off":
         return lambda n_l, n_eps: 0.0
-    if delta_source not in ("delta", "delta-prime"):
-        raise ValueError(f"delta_source must be 'delta' or 'delta-prime', got {delta_source!r}")
+    if delta_source not in DELTA_SOURCES:
+        raise ValueError(f"delta_source must be one of {DELTA_SOURCES}, got {delta_source!r}")
     log_l = math.log2(3.0 / params.eps_prime**3)
     log_d = math.log2(params.delta if delta_source == "delta" else params.delta_prime)
     single = math.log2(params.eps) - 1.0 - log_l + 0.25 * log_d
@@ -749,14 +754,13 @@ def _count_t1(channel, resolution, q_size):
 
 
 def region_builder(theorem: str) -> Callable:
-    builders = {
-        "t1": theorem1_region,
-        "conjecture": conjecture_region,
-        "t2": theorem2_region,
-        "hk-nosecrecy": lambda ch, d, params, pen, smoothing="none": hk_nosecrecy_region(
-            ch, d, params.eps, pen
-        ),
-    }
+    # looked up at call time, so a module-level replacement of a builder is honoured
+    builders = dict(zip(REGION_THEOREMS, (
+        theorem1_region,
+        conjecture_region,
+        theorem2_region,
+        lambda ch, d, params, pen, smoothing="none": hk_nosecrecy_region(ch, d, params.eps, pen),
+    ), strict=True))
     if theorem not in builders:
         raise ValueError(f"unknown theorem selector {theorem!r}")
     return builders[theorem]

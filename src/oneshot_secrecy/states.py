@@ -158,13 +158,6 @@ class CQState:
         return math.prod(self.size_of(r) for r in registers if self.is_classical(r))
 
 
-def _trace_to(stack: np.ndarray, layout: RegisterLayout, keep: Sequence[str]) -> np.ndarray:
-    """Partial trace of a stack of operators; keeping nothing leaves 1x1 traces."""
-    if keep:
-        return partial_trace_matrix(stack, layout, keep)
-    return np.trace(stack, axis1=-2, axis2=-1)[..., None, None]
-
-
 def _block_diag(stack: np.ndarray) -> np.ndarray:
     """Dense block-diagonal matrix of a ``(K, d, d)`` stack."""
     k, d = stack.shape[0], stack.shape[-1]
@@ -197,8 +190,8 @@ def joint_and_product(
     b_cl = [r for r in part_b if state.is_classical(r)]
     b_qu = [r for r in part_b if r not in b_cl]
     qlayout = state.quantum_layout
-    for r in a_qu + b_qu:
-        qlayout.index(r)
+    da = math.prod(qlayout.dim_of(r) for r in a_qu)
+    db = math.prod(qlayout.dim_of(r) for r in b_qu)
     # joint blocks: the quantum part traced down, the classical axes put in
     # (a_cl, b_cl, dropped) order and the dropped ones summed out
     n = len(state.classical_names)
@@ -210,11 +203,10 @@ def joint_and_product(
         conds = np.ones(state.probs.shape + (1, 1), dtype=complex)
     weighted = np.transpose(state.probs[..., None, None] * conds, kept + dropped + [n, n + 1])
     ka, kb = state.classical_dim(a_cl), state.classical_dim(b_cl)
-    sub = qlayout.subset(a_qu + b_qu)
-    da, db = sub.subset(a_qu).total_dim, sub.subset(b_qu).total_dim
     blocks = weighted.reshape(ka, kb, -1, da * db, da * db).sum(axis=2)
-    # marginal blocks: rho_A per a_cl value, rho_B per b_cl value
-    marg_a = _trace_to(blocks.sum(axis=1), sub, a_qu)
-    marg_b = _trace_to(blocks.sum(axis=0), sub, b_qu)
+    # marginal blocks: rho_A per a_cl value, rho_B per b_cl value, each the
+    # partial trace of the summed blocks over the other side's quantum factor
+    marg_a = np.einsum("aikjk->aij", blocks.sum(axis=1).reshape(ka, da, db, da, db))
+    marg_b = np.einsum("bkikj->bij", blocks.sum(axis=0).reshape(kb, da, db, da, db))
     product = np.einsum("aij,bkl->abikjl", marg_a, marg_b).reshape(ka * kb, da * db, da * db)
     return _block_diag(blocks.reshape(ka * kb, da * db, da * db)), _block_diag(product)

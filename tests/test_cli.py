@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -177,6 +178,14 @@ def _non_finite_inputs(tmp_path):
                            "--theorem", "t1", "--eps", "0.25", *out],
         "region-dist": ["region", "--channel", CHAN, "--dist", str(tmp_path / "dist.json"),
                         "--theorem", "t1", "--eps", "0.25", *out],
+        "region-delta-nan": ["region", "--channel", CHAN, "--dist", DIST, "--theorem", "t1",
+                             "--eps", "0.25", "--delta", "nan", *out],
+        "region-theta-nan": ["region", "--channel", CHAN, "--dist", DIST, "--theorem", "t1",
+                             "--eps", "0.25", "--theta", "nan", *out],
+        "region-delta-inf": ["region", "--channel", CHAN, "--dist", DIST, "--theorem", "t1",
+                             "--eps", "0.25", "--delta", "inf", *out],
+        "region-delta-prime-inf": ["region", "--channel", CHAN, "--dist", DIST, "--theorem", "t1",
+                                   "--eps", "0.25", "--delta-prime", "inf", *out],
         "oracle-np": ["oracle-np", "--p", "0.5,nan", "--q", "0.5,0.5", "--eps", "0.25"],
         "fm-nan": ["fm", "--input", str(tmp_path / "poly_nan.json"), "--eliminate", "W1"],
         "fm-inf": ["fm", "--input", str(tmp_path / "poly_inf.json"), "--eliminate", "W1"],
@@ -187,6 +196,35 @@ def test_non_finite_inputs_exit_1(tmp_path, capsys):
     for name, argv in _non_finite_inputs(tmp_path).items():
         assert cli.main(argv) == 1, name
         assert "non-finite" in capsys.readouterr().err, name
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    argv = ["oracle-np", "--p", "0.5,0.5", "--q", "0.9,0.1", "--eps", "0.5"]
+    assert cli.main(argv) == 0
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    assert cli.main(argv) == 0
+    assert calls == []
+
+
+def test_region_enumerates_vertices_once(monkeypatch, tmp_path):
+    calls = []
+    vertices_2d = cli.vertices_2d
+
+    def counting(poly):
+        calls.append(poly)
+        return vertices_2d(poly)
+
+    monkeypatch.setattr(cli, "vertices_2d", counting)
+    assert cli.main(["region", "--channel", CHAN, "--dist", DIST, "--theorem", "t1", "--eps", "0.25",
+                     "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")]) == 0
+    assert len(calls) == 1
 
 
 def test_convergence_error_exits_1(monkeypatch, capsys):
