@@ -564,22 +564,26 @@ def _cond_optimize(state: CQState, cond: str, eps: float, per_value: Callable[[C
     return float(best)
 
 
+def _cond_parts(part_a, part_b, cond: str) -> tuple[list[str], list[str]]:
+    part_a, part_b = _parts(part_a), _parts(part_b)
+    if cond in part_a + part_b:
+        raise OperatorError(f"conditioning register {cond!r} also appears in a part")
+    return part_a, part_b
+
+
 def cond_smooth_ht_mi(state: CQState, part_a, part_b, cond: str, eps: float) -> float:
     """Conditional smooth hypothesis-testing mutual information (max-min form)."""
-    return _cond_optimize(
-        state, cond, eps, lambda s: ht_mutual_info(s, _parts(part_a), _parts(part_b), eps)
-    )
+    part_a, part_b = _cond_parts(part_a, part_b, cond)
+    return _cond_optimize(state, cond, eps, lambda s: ht_mutual_info(s, part_a, part_b, eps))
 
 
 def cond_smooth_max_mi(
     state: CQState, part_a, part_b, cond: str, eps: float, strategy: str = "none"
 ) -> float:
     """Conditional smooth max mutual information (max-min form)."""
+    part_a, part_b = _cond_parts(part_a, part_b, cond)
     return _cond_optimize(
-        state,
-        cond,
-        eps,
-        lambda s: smooth_max_mutual_info(s, _parts(part_a), _parts(part_b), eps, strategy),
+        state, cond, eps, lambda s: smooth_max_mutual_info(s, part_a, part_b, eps, strategy)
     )
 
 

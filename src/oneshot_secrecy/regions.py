@@ -509,38 +509,25 @@ def hk_region_via_projection(
 # ---------------------------------------------------------------------------
 
 
-def _normalize_key(coeffs: np.ndarray) -> tuple:
-    scale = np.max(np.abs(coeffs))
-    if scale <= COEF_TOL:
-        return ()
-    return tuple(np.round(coeffs / scale, 9))
+def _prune(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Rows of ``a @ x <= b`` left after pruning, and whether the system is empty.
 
-
-def _prune_rows(rows: list[PolyRow], variables: tuple[str, ...]) -> list[PolyRow]:
-    """Drop duplicate directions (keep the tightest) and trivial rows.
-
-    An all-zero row with a negative bound marks an empty system and is kept.
+    Rows with no coefficient above ``COEF_TOL`` in magnitude are dropped; one
+    of them with a bound below ``-FEAS_TOL`` makes the system empty.  Rows the
+    implicit nonnegativity implies are dropped too.  Of the rows sharing a
+    direction (the row over its max-norm, to 9 decimals) the one with the
+    smallest normalized bound is kept, the first on a tie.  Kept rows come in
+    lexicographic direction order.
     """
-    best: dict[tuple, PolyRow] = {}
-    infeasible: PolyRow | None = None
-    for row in rows:
-        coeffs = np.asarray(row.coeffs, dtype=float)
-        scale = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
-        if scale <= COEF_TOL:
-            if row.bound < -FEAS_TOL and infeasible is None:
-                infeasible = PolyRow(tuple(0.0 for _ in variables), -1.0, "infeasible")
-            continue
-        if np.all(coeffs <= COEF_TOL) and row.bound >= -FEAS_TOL:
-            continue  # implied by the implicit nonnegativity rows
-        key = _normalize_key(coeffs)
-        norm_bound = row.bound / scale
-        prev = best.get(key)
-        if prev is None or norm_bound < prev.bound / float(np.max(np.abs(prev.coeffs))):
-            best[key] = row
-    pruned = [best[k] for k in sorted(best.keys())]
-    if infeasible is not None:
-        pruned.insert(0, infeasible)
-    return pruned
+    scale = np.abs(a).max(axis=1, initial=0.0)
+    live = scale > COEF_TOL
+    empty = bool(np.any(~live & (b < -FEAS_TOL)))
+    rows = np.flatnonzero(live & ~(np.all(a <= COEF_TOL, axis=1) & (b >= -FEAS_TOL)))
+    direction = np.round(a[rows] / scale[rows, None], 9)
+    order = np.lexsort((b[rows] / scale[rows], *direction.T[::-1]))  # stable: ties keep row order
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(direction[order[1:]] != direction[order[:-1]], axis=1)
+    return rows[order[first]], empty
 
 
 def fourier_motzkin(poly: RatePolytope, eliminate: Sequence[str]) -> RatePolytope:
@@ -556,41 +543,36 @@ def fourier_motzkin(poly: RatePolytope, eliminate: Sequence[str]) -> RatePolytop
         if v not in poly.variables:
             raise OperatorError(f"cannot eliminate unknown variable {v!r}")
     variables = poly.variables
-    rows = [PolyRow(tuple(r.coeffs), r.bound, r.tag) for r in poly.rows]
+    a, b = poly.coeff_matrix()
+    tags = [r.tag for r in poly.rows]
+
+    def pruned(a, b, tags):
+        kept, empty = _prune(a, b)
+        a, b, tags = a[kept], b[kept], [tags[k] for k in kept]
+        if empty:
+            a, b, tags = np.vstack([np.zeros(a.shape[1]), a]), np.append(-1.0, b), ["infeasible", *tags]
+        return a, b, tags
+
     for v in eliminate:
         idx = variables.index(v)
-        nonneg = [0.0] * len(variables)
+        nonneg = np.zeros(len(variables))
         nonneg[idx] = -1.0
-        work = rows + [PolyRow(tuple(nonneg), 0.0, f"nonneg:{v}")]
-        pos, neg, zero = [], [], []
-        for row in work:
-            c = row.coeffs[idx]
-            if c > COEF_TOL:
-                pos.append(row)
-            elif c < -COEF_TOL:
-                neg.append(row)
-            else:
-                zero.append(row)
-        combined = list(zero)
-        for rp in pos:
-            cp = rp.coeffs[idx]
-            ap = np.asarray(rp.coeffs) / cp
-            bp = rp.bound / cp
-            for rn in neg:
-                cn = -rn.coeffs[idx]
-                an = np.asarray(rn.coeffs) / cn
-                bn = rn.bound / cn
-                coeffs = ap + an
-                coeffs[idx] = 0.0
-                combined.append(PolyRow(tuple(coeffs), bp + bn, "fm"))
-        rows = _prune_rows(combined, variables)
-    kept = [v for v in variables if v not in eliminate]
-    kept_idx = [variables.index(v) for v in kept]
-    out_rows = [
-        PolyRow(tuple(np.asarray(r.coeffs)[kept_idx]), r.bound, r.tag) for r in rows
-    ]
-    out_rows = _prune_rows(out_rows, tuple(kept)) if out_rows else out_rows
-    return RatePolytope(tuple(kept), out_rows, {"eliminated": tuple(eliminate)})
+        a, b, tags = np.vstack([a, nonneg]), np.append(b, 0.0), [*tags, f"nonneg:{v}"]
+        c = a[:, idx]
+        pos, neg = c > COEF_TOL, c < -COEF_TOL
+        zero = ~(pos | neg)
+        # each row scaled to coefficient +-1 on v; every pos x neg pair, pos-major
+        ap, bp = a[pos] / c[pos, None], b[pos] / c[pos]
+        an, bn = a[neg] / -c[neg, None], b[neg] / -c[neg]
+        combo = (ap[:, None] + an).reshape(-1, len(variables))
+        combo[:, idx] = 0.0
+        a, b = np.vstack([a[zero], combo]), np.concatenate([b[zero], (bp[:, None] + bn).ravel()])
+        tags = [t for t, z in zip(tags, zero) if z] + ["fm"] * len(combo)
+        a, b, tags = pruned(a, b, tags)
+    kept = tuple(v for v in variables if v not in eliminate)
+    a, b, tags = pruned(a[:, [variables.index(v) for v in kept]], b, tags)
+    rows = [PolyRow(tuple(coeffs), bound, tag) for coeffs, bound, tag in zip(a, b, tags)]
+    return RatePolytope(kept, rows, {"eliminated": tuple(eliminate)})
 
 
 @dataclass
@@ -666,21 +648,23 @@ def vertices_2d(poly: RatePolytope) -> VertexEnumeration:
 def minimal_2d(poly: RatePolytope) -> RatePolytope:
     """Strictly irredundant row set: a row is dropped iff removal changes nothing.
 
-    Candidates, in an order that decides between duplicates, are masked out of
-    one intersection table.  An empty system keeps only its ``0 <= -1`` row."""
+    The pruned rows are masked out of one intersection table in their
+    direction order, which decides between duplicates.  An empty system
+    keeps only its ``0 <= -1`` row."""
     if len(poly.variables) != 2:
         raise OperatorError("minimal_2d needs exactly two variables")
-    keep = _prune_rows(list(poly.rows), poly.variables)
-    if keep and np.max(np.abs(keep[0].coeffs)) <= COEF_TOL:
-        return RatePolytope(poly.variables, keep[:1], dict(poly.meta))
+    a, b = poly.coeff_matrix()
+    kept, empty = _prune(a, b)
+    if empty:
+        return RatePolytope(poly.variables, [PolyRow((0.0, 0.0), -1.0, "infeasible")], dict(poly.meta))
+    keep = [poly.rows[k] for k in kept]
     table = _intersection_table(RatePolytope(poly.variables, keep))
+    a, b = a[kept], b[kept]
     active = np.ones(len(keep) + 2, dtype=bool)
-    order = sorted(range(len(keep)), key=lambda i: (_normalize_key(np.asarray(keep[i].coeffs)), keep[i].bound))
-    for i in order:
+    for i in range(len(keep)):
         active[i] = False
         enum = _enumerate(table, active)
-        a, bound = np.asarray(keep[i].coeffs), keep[i].bound
-        active[i] = enum.unbounded or not all(float(a @ np.asarray(v)) <= bound + FEAS_TOL for v in enum.vertices)
+        active[i] = enum.unbounded or not all(float(a[i] @ np.asarray(v)) <= b[i] + FEAS_TOL for v in enum.vertices)
     return RatePolytope(poly.variables, [r for r, on in zip(keep, active) if on], dict(poly.meta))
 
 
@@ -804,6 +788,8 @@ def sweep_union(
         raise ValueError("grid resolution must be >= 2")
     if q_size < 1 or q_size > 4:
         raise ValueError("q_size must lie in 1..4")
+    if rays < 1:
+        raise ValueError("rays must be >= 1")
     if theorem != "t1" and not channel.has_splits():
         raise OperatorError(f"theorem {theorem!r} sweeps require a channel with splits")
     if theorem == "t1":

@@ -182,9 +182,10 @@ def joint_and_product(
     unchanged.
     """
     part_a, part_b = list(part_a), list(part_b)
-    overlap = set(part_a) & set(part_b)
-    if overlap:
-        raise OperatorError(f"register groups overlap: {sorted(overlap)}")
+    registers = part_a + part_b
+    repeated = sorted({r for r in registers if registers.count(r) > 1})
+    if repeated:
+        raise OperatorError(f"register groups overlap: {repeated} named twice")
     a_cl = [r for r in part_a if state.is_classical(r)]
     a_qu = [r for r in part_a if r not in a_cl]
     b_cl = [r for r in part_b if state.is_classical(r)]

@@ -236,3 +236,24 @@ def test_convergence_error_exits_1(monkeypatch, capsys):
                      "--eps", "0.25"])
     assert code == 1
     assert "straddle detection failed at t=0.5, eps=0.25" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rays", ["0", "-3"])
+def test_sweep_with_fewer_than_one_ray_exits_1(tmp_path, capsys, rays):
+    csv = tmp_path / "frontier.csv"
+    code = cli.main(["sweep", "--channel", CHAN, "--theorem", "t1", "--eps", "0.25", "--grid", "2",
+                     "--rays", rays, "--csv", str(csv)])
+    assert code == 1
+    assert "rays must be >= 1" in capsys.readouterr().err
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("grouping, message", [
+    ("X10,X10:Y1", "register groups overlap: ['X10']"),
+    ("X10:Y1|X10", "conditioning register 'X10' also appears in a part"),
+])
+def test_grouping_naming_a_register_twice_exits_1(capsys, grouping, message):
+    code = cli.main(["quantities", "--channel", XOR, "--dist", HKDIST, "--grouping", grouping,
+                     "--eps", "0.25"])
+    assert code == 1
+    assert message in capsys.readouterr().err

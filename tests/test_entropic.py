@@ -274,6 +274,13 @@ def test_overlapping_parts_rejected():
         ht_mutual_info(state, ["A"], ["A", "B"], 0.25)
 
 
+def test_conditioning_register_in_a_part_rejected():
+    state = classical_cq(("Z", "A"), np.full((2, 2), 0.25))
+    for cond_mi in (cond_smooth_ht_mi, cond_smooth_max_mi):
+        with pytest.raises(OperatorError, match="conditioning register 'Z' also appears in a part"):
+            cond_mi(state, ["A", "Z"], "Y", "Z", 0.25)
+
+
 def test_fact_bound_examples():
     assert abs(fact_bound(R, R, 0.5) - 2.0) <= 1e-12
     assert fact_bound(R, R, 0.5) >= hypothesis_testing_divergence(R, R, 0.5) - 1e-9

@@ -21,7 +21,6 @@ from oneshot_secrecy.operators import DET_TOL, OperatorError
 from oneshot_secrecy.regions import (
     PenaltyMode,
     RatePolytope,
-    _prune_rows,
     _ray_radii,
     _simplex_grid,
     conjecture_region,
@@ -37,8 +36,10 @@ from oneshot_secrecy.regions import (
     vertices_2d,
 )
 from util import (
+    _prune_rows,
     convex_hull_2d,
     enumerate_vertices_nd,
+    fourier_motzkin_rowwise,
     minimal_2d_rebuild,
     point_in_hull_2d,
     polytope_from_arrays,
@@ -630,6 +631,63 @@ def test_one_solve_per_polytope(monkeypatch, n_rows):
     assert len(calls) == 1
     minimal_2d(poly)
     assert len(calls) == 2
+
+
+_FM_GRID = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def _fm_systems(draw):
+    """A small system in 2-4 variables and a drawn elimination list, from none to all.
+
+    Rows repeat scaled with tied or looser bounds, are all zero with negative
+    bounds (empty systems) and sit on a grid, with signed zeros, that makes
+    directions collide.
+    """
+    n = draw(st.integers(2, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["grid", "uniform", "repeat", "zero"]))
+        if kind == "repeat" and rows:
+            coeffs, bound = rows[draw(st.integers(0, len(rows) - 1))]
+            scale = draw(st.sampled_from([1.0, 2.0, 0.5]))
+            rows.append((tuple(scale * c for c in coeffs), scale * bound + draw(st.sampled_from([0.0, 0.25]))))
+        elif kind == "zero":
+            rows.append(((0.0,) * n, draw(st.sampled_from([-1.0, -1e-12, 0.0, 1.0]))))
+        elif kind == "uniform":
+            rows.append((tuple(draw(st.floats(-2.0, 2.0)) for _ in range(n)), draw(st.floats(-1.0, 3.0))))
+        else:
+            rows.append((tuple(draw(_FM_GRID) for _ in range(n)), draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]))))
+    poly = polytope_from_arrays(tuple(f"V{i}" for i in range(n)), rows)
+    eliminate = draw(st.permutations(poly.variables))[:draw(st.integers(0, n))]
+    return poly, eliminate
+
+
+def _exact_rows(poly):
+    return [(np.asarray(r.coeffs, dtype=float).tobytes(), np.float64(r.bound).tobytes(), r.tag)
+            for r in poly.rows]
+
+
+@settings(max_examples=300)
+@given(system=_fm_systems())
+def test_fourier_motzkin_matches_rowwise_oracle(system):
+    """Projected rows equal the row-wise routine's bit for bit: coefficients, bounds, tags, order;
+    on two-variable projections ``minimal_2d`` keeps a subsequence of the pruned rows and
+    matches the rebuilding oracle."""
+    poly, eliminate = system
+    projected, oracle = fourier_motzkin(poly, eliminate), fourier_motzkin_rowwise(poly, eliminate)
+    assert projected.variables == oracle.variables and projected.meta == oracle.meta
+    assert _exact_rows(projected) == _exact_rows(oracle)
+    if len(projected.variables) != 2:
+        return
+    minimal = _exact_rows(minimal_2d(projected))
+    pruned = _exact_rows(RatePolytope(projected.variables, _prune_rows(list(projected.rows), projected.variables)))
+    if pruned and pruned[0][2] == "infeasible":
+        assert minimal == pruned[:1]
+        return
+    rest = iter(pruned)
+    assert all(row in rest for row in minimal)
+    assert minimal == _exact_rows(minimal_2d_rebuild(projected))
 
 
 # ---------------------------------------------------------------------------

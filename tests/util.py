@@ -3,13 +3,16 @@
 Everything here deliberately avoids the production code paths it is used to
 check: vertex enumeration goes through exhaustive basis solves or one solve
 per row pair, minimal row sets through one re-enumeration per candidate row,
-hulls through a monotone chain, the qubit test search through a refined dense grid, the
-diagonal-scan smoothing through one donor-recipient pair at a time, the
-joint/product pair through a dense embedding with Kronecker products, and the
-quantum threshold test through a plain bisection on the whole matrix.
+Fourier-Motzkin through one row object per combination and a dict keyed on
+rounded directions, hulls through a monotone chain, the qubit test search
+through a refined dense grid, the diagonal-scan smoothing through one
+donor-recipient pair at a time, the joint/product pair through a dense
+embedding with Kronecker products, and the quantum threshold test through a
+plain bisection on the whole matrix.
 """
 import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -34,8 +37,6 @@ from oneshot_secrecy.regions import (
     RatePolytope,
     VertexEnumeration,
     _has_recession_ray,
-    _normalize_key,
-    _prune_rows,
 )
 
 
@@ -143,6 +144,91 @@ def minimal_2d_rebuild(poly: RatePolytope) -> RatePolytope:
             removed.add(i)
     out = [keep[i] for i in range(len(keep)) if i not in removed]
     return RatePolytope(poly.variables, out, dict(poly.meta))
+
+
+def _normalize_key(coeffs: np.ndarray) -> tuple:
+    scale = np.max(np.abs(coeffs))
+    if scale <= COEF_TOL:
+        return ()
+    return tuple(np.round(coeffs / scale, 9))
+
+
+def _prune_rows(rows: list[PolyRow], variables: tuple[str, ...]) -> list[PolyRow]:
+    """Drop duplicate directions (keep the tightest) and trivial rows.
+
+    An all-zero row with a negative bound marks an empty system and is kept.
+    """
+    best: dict[tuple, PolyRow] = {}
+    infeasible: PolyRow | None = None
+    for row in rows:
+        coeffs = np.asarray(row.coeffs, dtype=float)
+        scale = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
+        if scale <= COEF_TOL:
+            if row.bound < -FEAS_TOL and infeasible is None:
+                infeasible = PolyRow(tuple(0.0 for _ in variables), -1.0, "infeasible")
+            continue
+        if np.all(coeffs <= COEF_TOL) and row.bound >= -FEAS_TOL:
+            continue  # implied by the implicit nonnegativity rows
+        key = _normalize_key(coeffs)
+        norm_bound = row.bound / scale
+        prev = best.get(key)
+        if prev is None or norm_bound < prev.bound / float(np.max(np.abs(prev.coeffs))):
+            best[key] = row
+    pruned = [best[k] for k in sorted(best.keys())]
+    if infeasible is not None:
+        pruned.insert(0, infeasible)
+    return pruned
+
+
+def fourier_motzkin_rowwise(poly: RatePolytope, eliminate: Sequence[str]) -> RatePolytope:
+    """``regions.fourier_motzkin`` with one ``PolyRow`` per combination, pruned row by row.
+
+    Exact projection of the feasible set onto the non-eliminated variables.
+    Nonnegativity rows of eliminated variables join the combination step;
+    nonnegativity of kept variables stays implicit.  Redundant duplicates are
+    pruned after each elimination; empty systems propagate as an explicit
+    ``0 <= -1`` row.
+    """
+    eliminate = list(eliminate)
+    for v in eliminate:
+        if v not in poly.variables:
+            raise OperatorError(f"cannot eliminate unknown variable {v!r}")
+    variables = poly.variables
+    rows = [PolyRow(tuple(r.coeffs), r.bound, r.tag) for r in poly.rows]
+    for v in eliminate:
+        idx = variables.index(v)
+        nonneg = [0.0] * len(variables)
+        nonneg[idx] = -1.0
+        work = rows + [PolyRow(tuple(nonneg), 0.0, f"nonneg:{v}")]
+        pos, neg, zero = [], [], []
+        for row in work:
+            c = row.coeffs[idx]
+            if c > COEF_TOL:
+                pos.append(row)
+            elif c < -COEF_TOL:
+                neg.append(row)
+            else:
+                zero.append(row)
+        combined = list(zero)
+        for rp in pos:
+            cp = rp.coeffs[idx]
+            ap = np.asarray(rp.coeffs) / cp
+            bp = rp.bound / cp
+            for rn in neg:
+                cn = -rn.coeffs[idx]
+                an = np.asarray(rn.coeffs) / cn
+                bn = rn.bound / cn
+                coeffs = ap + an
+                coeffs[idx] = 0.0
+                combined.append(PolyRow(tuple(coeffs), bp + bn, "fm"))
+        rows = _prune_rows(combined, variables)
+    kept = [v for v in variables if v not in eliminate]
+    kept_idx = [variables.index(v) for v in kept]
+    out_rows = [
+        PolyRow(tuple(np.asarray(r.coeffs)[kept_idx]), r.bound, r.tag) for r in rows
+    ]
+    out_rows = _prune_rows(out_rows, tuple(kept)) if out_rows else out_rows
+    return RatePolytope(tuple(kept), out_rows, {"eliminated": tuple(eliminate)})
 
 
 def convex_hull_2d(points):
