@@ -1,14 +1,10 @@
 """One-shot secrecy rate regions for classical-quantum interference wiretap channels."""
 
 from .operators import (
-    DensityOperator,
     OperatorError,
     RegisterLayout,
     fidelity,
-    hermitian_eig,
-    partial_trace,
     purified_distance,
-    tensor,
     trace_distance,
     validate_density,
 )
@@ -42,7 +38,6 @@ from .channel import (
     load_distribution,
     save_channel,
     save_distribution,
-    submac_view,
     uniform_hk,
     uniform_t1,
 )
@@ -59,7 +54,6 @@ from .regions import (
     hk_region_via_projection,
     minimal_2d,
     qmac_inner_bound,
-    submac_secrecy_region,
     sweep_union,
     theorem1_region,
     theorem2_region,

@@ -128,10 +128,13 @@ def channel_from_document(doc: Mapping) -> ChannelSpec:
     try:
         name = str(doc["name"])
         inputs = {k: tuple(str(s) for s in v) for k, v in doc["inputs"].items()}
-        outputs = {k: int(v) for k, v in doc["outputs"].items()}
+        outputs = dict(doc["outputs"].items())
         raw_states = doc["states"]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ChannelFormatError(f"malformed channel document: {exc!r}") from None
+    for k, v in outputs.items():
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ChannelFormatError(f"output {k!r}: dimension {v!r} is not an integer")
     states = {}
     for key, payload in raw_states.items():
         parts = key.split(",")
@@ -386,13 +389,6 @@ def control_state_hk(channel: ChannelSpec, dist: InputDistribution) -> CQState:
     state = CQState(HK_REGISTERS, sizes, probs, layout, conds)
     state.validate()
     return state
-
-
-def submac_view(state: CQState, receiver: str) -> CQState:
-    """Sub-channel view keeping one legitimate receiver plus the eavesdropper."""
-    if receiver not in ("Y1", "Y2"):
-        raise OperatorError(f"receiver must be Y1 or Y2, got {receiver!r}")
-    return state.trace_quantum([receiver, "Z"])
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,8 @@ def cmd_oracle_np(args) -> int:
 def _poly_from_document(doc: dict) -> RatePolytope:
     try:
         variables = tuple(str(v) for v in doc["variables"])
+        entries = [*doc.get("rows", []), *doc.get("equalities", [])]
+        undeclared = sorted({k for entry in entries for k in entry["coeffs"]} - set(variables))
         rows = []
         for i, row in enumerate(doc.get("rows", [])):
             coeffs = tuple(float(row["coeffs"].get(v, 0.0)) for v in variables)
@@ -274,8 +276,10 @@ def _poly_from_document(doc: dict) -> RatePolytope:
             value = float(eq.get("value", 0.0))
             rows.append(PolyRow(coeffs, value, f"eq{i}+"))
             rows.append(PolyRow(tuple(-c for c in coeffs), -value, f"eq{i}-"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ChannelFormatError(f"malformed polytope document: {exc!r}") from None
+    if undeclared:
+        raise OperatorError(f"coefficients on undeclared variables {undeclared}")
     for row in rows:
         if not all(math.isfinite(x) for x in (*row.coeffs, row.bound)):
             raise OperatorError(f"polytope row {row.tag!r} has a non-finite coefficient or bound")

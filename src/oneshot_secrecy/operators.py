@@ -1,9 +1,8 @@
 """Dense complex operator algebra on small multi-register Hilbert spaces.
 
-Everything here operates on plain ``numpy`` arrays (or the thin
-:class:`DensityOperator` wrapper) and is restricted to joint dimensions of a
-few dozen, which keeps full eigendecompositions cheap and exact enough for
-the tolerances used throughout the package.
+Everything here operates on plain ``numpy`` arrays and is restricted to
+joint dimensions of a few dozen, which keeps full eigendecompositions cheap
+and exact enough for the tolerances used throughout the package.
 """
 from __future__ import annotations
 
@@ -49,7 +48,7 @@ class OperatorError(ValueError):
 
 
 def _as_matrix(op) -> np.ndarray:
-    m = op.matrix if isinstance(op, DensityOperator) else np.asarray(op, dtype=complex)
+    m = np.asarray(op, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise OperatorError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -113,24 +112,6 @@ def validate_pmf(vec, label: str) -> None:
 
 
 @dataclass(frozen=True)
-class DensityOperator:
-    """A validated density operator, optionally tagged with a register name."""
-
-    matrix: np.ndarray
-    label: str | None = None
-
-    def __post_init__(self):
-        m = validate_density(self.matrix, self.label)
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class RegisterLayout:
     """Ordered named registers; joint basis indices are row-major over them."""
 
@@ -163,14 +144,6 @@ class RegisterLayout:
     def subset(self, names: Iterable[str]) -> "RegisterLayout":
         names = tuple(names)
         return RegisterLayout(names, tuple(self.dim_of(n) for n in names))
-
-    def concat(self, other: "RegisterLayout") -> "RegisterLayout":
-        return RegisterLayout(self.names + other.names, self.dims + other.dims)
-
-
-def tensor(a, b) -> DensityOperator:
-    """Kronecker product in row-major register order."""
-    return DensityOperator(np.kron(_as_matrix(a), _as_matrix(b)))
 
 
 def partial_trace_matrix(m: np.ndarray, layout: RegisterLayout, keep: Sequence[str]) -> np.ndarray:
@@ -207,10 +180,6 @@ def partial_trace_matrix(m: np.ndarray, layout: RegisterLayout, keep: Sequence[s
     return reduced
 
 
-def partial_trace(rho, layout: RegisterLayout, keep: Sequence[str]) -> DensityOperator:
-    return DensityOperator(partial_trace_matrix(_as_matrix(rho), layout, keep))
-
-
 def permute_registers_matrix(
     m: np.ndarray, layout: RegisterLayout, new_order: Sequence[str]
 ) -> tuple[np.ndarray, RegisterLayout]:
@@ -229,16 +198,6 @@ def permute_registers_matrix(
     new_layout = layout.subset(new_order)
     d = new_layout.total_dim
     return t.reshape(batch_shape + (d, d)), new_layout
-
-
-def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    m = _checked_matrix(h)
-    res = hermiticity_residual(m)
-    if res > HERM_TOL:
-        raise OperatorError(f"matrix is not Hermitian (residual {res:.1e})")
-    w, v = np.linalg.eigh(m)
-    return w, v
 
 
 def trace_distance(rho, sigma) -> float:

@@ -16,7 +16,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .channel import (
-    HK_REGISTERS,
     ChannelSpec,
     InputDistribution,
     control_state_hk,
@@ -161,7 +160,6 @@ def _assemble(
     prefix: str,
     penalty: Callable[[int, int], float],
     cond: str | None = None,
-    tags: Mapping[str, str] | None = None,
 ) -> list[PolyRow]:
     """Rows of a region table with its roles bound to register and rate names.
 
@@ -170,11 +168,11 @@ def _assemble(
     order (the order fixes the operator basis).  ``rates`` and ``leakage``
     are role letters with optional integer weights, ``"r 2s"``; a leaked
     role's ``D_max`` grouping is looked up in ``leaks`` and enters with
-    coefficient minus its weight (``leaks=None`` drops leakage).  ``tags``
-    renames table tags.  The penalty is ``penalty(n_l, n_eps)``: ``n_l``
-    randomizers, one per unit of leakage weight, and ``n_eps`` decoding
-    errors, one per ``D_H`` term; these are the counts the paper's constants
-    carry, so the tables need no penalty column.
+    coefficient minus its weight (``leaks=None`` drops leakage).  The
+    penalty is ``penalty(n_l, n_eps)``: ``n_l`` randomizers, one per unit of
+    leakage weight, and ``n_eps`` decoding errors, one per ``D_H`` term;
+    these are the counts the paper's constants carry, so the tables need no
+    penalty column.
     """
 
     def split(grouping: str) -> tuple[list[str], list[str]]:
@@ -195,7 +193,7 @@ def _assemble(
         rows.append(PolyRow(
             tuple(float(coeff_map.get(v, 0.0)) for v in variables),
             float(sum(t.coefficient * t.value for t in terms) + pen),
-            f"{prefix}:{(tags or {}).get(tag, tag)}",
+            f"{prefix}:{tag}",
             tuple(terms),
             pen,
         ))
@@ -330,47 +328,6 @@ def _split_penalties(params: ToleranceParams, penalties: PenaltyMode) -> Callabl
         )
 
     return build
-
-
-def submac_secrecy_region(
-    state: CQState,
-    order: Sequence[str],
-    params: ToleranceParams,
-    penalties: PenaltyMode,
-    smoothing: str = "none",
-    delta_source: str = "delta",
-) -> RatePolytope:
-    """Secrecy region of one sub-channel (a single receiver plus Z).
-
-    For a time-shared state, ``order`` lists the two senders in decoding
-    order (the second randomizer conditions on the first) and the system has
-    three rows.  For a split-message state, ``order`` names the receiver's
-    own (common, personal) pair and the nine-row side-information system is
-    built instead.
-    """
-    quantum = [n for n in state.quantum_layout.names if n != "Z"]
-    if len(quantum) != 1 or "Z" not in state.quantum_layout.names:
-        raise OperatorError("submac state must carry exactly one receiver register plus Z")
-    y = quantum[0]
-    calc = _MICalculator(state, params, smoothing)
-    if set(HK_REGISTERS) <= set(state.classical_names):
-        own_c, own_p = order
-        roles = {("X10", "X11"): _SPLIT_ROLES, ("X20", "X22"): _MIRRORED_ROLES}.get((own_c, own_p))
-        if roles is None:
-            raise OperatorError(
-                f"order must name a (common, personal) pair of one sender, got {tuple(order)}"
-            )
-        rows = _assemble(calc, _SIDE_INFORMATION, _SIDE_INFORMATION_LEAKS, dict(roles, y=y),
-                         ("R1", "R2"), "submac", _split_penalties(params, penalties))
-        return RatePolytope(("R1", "R2"), rows, {"receiver": y, "order": tuple(order)})
-    first, second = order
-    cond = "Q" if state.is_classical("Q") else None
-    pen = _secrecy_penalties(params, penalties, delta_source)
-    variables = (_rate_name(first), _rate_name(second))
-    roles = {"a": first, "b": second, "r": variables[0], "s": variables[1], "y": y, "z": "Z"}
-    rows = _assemble(calc, _TIME_SHARED, _TIME_SHARED_LEAKS, roles, variables, "submac", pen,
-                     cond, tags={"r1": variables[0], "r2": variables[1]})
-    return RatePolytope(variables, rows, {"receiver": y, "order": tuple(order)})
 
 
 def theorem1_region(
@@ -730,11 +687,15 @@ def _hk_distributions(channel: ChannelSpec, resolution: int):
         )
 
 
+def _grid_count(size: int, resolution: int) -> int:
+    """``len(_simplex_grid(size, resolution))``, without building the grid."""
+    return math.comb(resolution + size - 2, size - 1)
+
+
 def _count_t1(channel, resolution, q_size):
     n1, n2 = len(channel.inputs["X1"]), len(channel.inputs["X2"])
-    g = lambda k: len(_simplex_grid(k, resolution))
-    nq = g(q_size) if q_size > 1 else 1
-    return nq * (g(n1) * g(n2)) ** q_size
+    per_q = _grid_count(n1, resolution) * _grid_count(n2, resolution)
+    return _grid_count(q_size, resolution) * per_q**q_size
 
 
 def region_builder(theorem: str) -> Callable:
@@ -796,8 +757,9 @@ def sweep_union(
         count = _count_t1(channel, grid, q_size)
         dists = _t1_distributions(channel, grid, q_size)
     else:
-        grids = [len(_simplex_grid(len(channel.part_alphabet(r)), grid)) for r in ("X10", "X11", "X20", "X22")]
-        count = int(np.prod(grids))
+        count = math.prod(
+            _grid_count(len(channel.part_alphabet(r)), grid) for r in ("X10", "X11", "X20", "X22")
+        )
         dists = _hk_distributions(channel, grid)
     if count > max_evals:
         raise ValueError(f"grid of {count} distributions exceeds the cap of {max_evals}")

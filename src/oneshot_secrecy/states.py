@@ -77,65 +77,6 @@ class CQState:
         except ValueError:
             raise OperatorError(f"unknown classical register {name!r}") from None
 
-    # -- reductions ------------------------------------------------------
-
-    def marginal_classical(self, keep: Sequence[str]) -> "CQState":
-        """Sum out every classical register not in ``keep``."""
-        keep = list(keep)
-        drop = [n for n in self.classical_names if n not in keep]
-        unknown = [n for n in keep if n not in self.classical_names]
-        if unknown:
-            raise OperatorError(f"unknown classical registers {unknown}")
-        axes = tuple(self._axis(n) for n in drop)
-        probs = self.probs.sum(axis=axes) if axes else self.probs.copy()
-        weighted = self.probs[..., None, None] * self.conditionals
-        conds = weighted.sum(axis=axes) if axes else weighted
-        kept_names = [n for n in self.classical_names if n in keep]
-        d = self.quantum_layout.total_dim
-        safe = np.where(probs > 0.0, probs, 1.0)
-        conds = conds / safe[..., None, None]
-        eye = np.eye(d, dtype=complex) / d
-        conds = np.where((probs > 0.0)[..., None, None], conds, eye)
-        out = CQState(
-            tuple(kept_names),
-            tuple(self.size_of(n) for n in kept_names),
-            probs,
-            self.quantum_layout,
-            conds,
-        )
-        if kept_names != keep:
-            out = out.reorder_classical(keep)
-        return out
-
-    def reorder_classical(self, order: Sequence[str]) -> "CQState":
-        order = list(order)
-        if sorted(order) != sorted(self.classical_names):
-            raise OperatorError(f"{order} is not a permutation of {self.classical_names}")
-        perm = [self._axis(n) for n in order]
-        probs = np.transpose(self.probs, perm)
-        conds = np.transpose(self.conditionals, perm + [len(perm), len(perm) + 1])
-        return CQState(
-            tuple(order),
-            tuple(self.alphabet_sizes[p] for p in perm),
-            probs,
-            self.quantum_layout,
-            conds,
-        )
-
-    def trace_quantum(self, keep: Sequence[str]) -> "CQState":
-        """Partial-trace every conditional down to the ``keep`` quantum registers."""
-        keep = list(keep)
-        if not keep:
-            raise OperatorError("trace_quantum requires at least one kept register")
-        conds = partial_trace_matrix(self.conditionals, self.quantum_layout, keep)
-        return CQState(
-            self.classical_names,
-            self.alphabet_sizes,
-            self.probs.copy(),
-            self.quantum_layout.subset(keep),
-            conds,
-        )
-
     def condition(self, register: str, value: int) -> "CQState":
         """State of the remaining registers given ``register == value``."""
         ax = self._axis(register)

@@ -15,12 +15,11 @@ from oneshot_secrecy.channel import (
     load_channel,
     load_distribution,
     save_channel,
-    submac_view,
     uniform_hk,
     uniform_t1,
 )
 from oneshot_secrecy.channel import InputDistribution
-from oneshot_secrecy.operators import OperatorError, partial_trace_matrix
+from oneshot_secrecy.operators import OperatorError
 
 
 def test_load_bundled_diag(diag_channel):
@@ -139,30 +138,6 @@ def test_control_state_hk_degenerate_personal_matches_t1():
     # atom-by-atom comparison after dropping the singleton registers
     assert np.max(np.abs(hk_state.probs[:, 0, :, 0] - t1_state.probs[0])) <= 1e-12
     assert np.max(np.abs(hk_state.conditionals[:, 0, :, 0] - t1_state.conditionals[0])) <= 1e-12
-
-
-def test_submac_view(diag_channel):
-    state = control_state_t1(diag_channel, uniform_t1(diag_channel))
-    view = submac_view(state, "Y1")
-    assert view.quantum_layout.names == ("Y1", "Z")
-    # eavesdropper stays maximally mixed on every atom
-    for idx in np.ndindex(view.probs.shape):
-        z = partial_trace_matrix(view.conditionals[idx], view.quantum_layout, ["Z"])
-        assert np.max(np.abs(z - np.eye(2) / 2)) <= 1e-12
-    with pytest.raises(OperatorError):
-        submac_view(state, "Z")
-
-
-def test_submac_views_consistent(diag_channel):
-    state = control_state_t1(diag_channel, uniform_t1(diag_channel))
-    v1 = submac_view(state, "Y1").trace_quantum(["Y1"])
-    direct = state.trace_quantum(["Y1"])
-    assert np.max(np.abs(v1.conditionals - direct.conditionals)) <= 1e-12
-    # marginalize classically then trace, vs trace then marginalize
-    a = submac_view(state, "Y2").marginal_classical(["X2"])
-    b = state.marginal_classical(["X2"]).trace_quantum(["Y2", "Z"])
-    assert np.max(np.abs(a.probs - b.probs)) <= 1e-12
-    assert np.max(np.abs(a.conditionals - b.conditionals)) <= 1e-12
 
 
 def test_distribution_documents(diag_channel, tmp_path):

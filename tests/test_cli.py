@@ -257,3 +257,33 @@ def test_grouping_naming_a_register_twice_exits_1(capsys, grouping, message):
                      "--eps", "0.25"])
     assert code == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", [2.7, "two"])
+def test_non_integer_output_dimension_exits_2(tmp_path, capsys, dim):
+    doc = channel_to_document(load_channel(CHAN))
+    doc["outputs"]["Y1"] = dim
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 2
+    assert f"output 'Y1': dimension {dim!r} is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["rows", "equalities"])
+def test_fm_coefficient_on_undeclared_variable_exits_1(tmp_path, capsys, section):
+    doc = {"variables": ["R1", "R2", "W1"], "rows": [{"coeffs": {"W1": -1.0}, "bound": 0.0}]}
+    doc.setdefault(section, []).append({"coeffs": {"R1": 1, "W3": 5}, "bound": 1.0, "value": 0.0})
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "projected.json"
+    assert cli.main(["fm", "--input", str(path), "--eliminate", "W1", "--out", str(out)]) == 1
+    assert "undeclared variables ['W3']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fm_coefficients_not_a_mapping_exits_2(tmp_path, capsys):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"variables": ["R1", "W1"], "rows": [{"coeffs": ["R1"], "bound": 1.0}]}),
+                    encoding="utf-8")
+    assert cli.main(["fm", "--input", str(path), "--eliminate", "W1"]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed polytope document: ")

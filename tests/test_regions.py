@@ -12,7 +12,6 @@ from oneshot_secrecy.channel import (
     SplitSpec,
     control_state_hk,
     control_state_t1,
-    submac_view,
     uniform_hk,
     uniform_t1,
 )
@@ -21,6 +20,7 @@ from oneshot_secrecy.operators import DET_TOL, OperatorError
 from oneshot_secrecy.regions import (
     PenaltyMode,
     RatePolytope,
+    _grid_count,
     _ray_radii,
     _simplex_grid,
     conjecture_region,
@@ -29,7 +29,6 @@ from oneshot_secrecy.regions import (
     hk_region_via_projection,
     minimal_2d,
     qmac_inner_bound,
-    submac_secrecy_region,
     sweep_union,
     theorem1_region,
     theorem2_region,
@@ -117,36 +116,6 @@ def test_qmac_three_sender_rows(xor_channel):
 
 
 # ---------------------------------------------------------------------------
-# single-receiver secrecy region
-# ---------------------------------------------------------------------------
-
-
-def test_submac_matches_qmac_with_trivial_eavesdropper(diag_channel):
-    state = submac_view(control_state_t1(diag_channel, uniform_t1(diag_channel)), "Y1")
-    sub = submac_secrecy_region(state, ("X1", "X2"), PARAMS, OFF)
-    qm = qmac_inner_bound(
-        control_state_t1(diag_channel, uniform_t1(diag_channel)), ["X1", "X2"], "Y1", 0.25, OFF
-    )
-    for r_sub, r_qm in zip(sub.rows, qm.rows):
-        assert abs(r_sub.bound - r_qm.bound) <= 1e-9
-    assert abs(sub.row("submac:R1").bound - 1.415037) <= 1e-6
-
-
-def test_submac_eavesdropper_copy_costs_one_bit():
-    trivial = diag_channel_with_z({k: np.eye(2, dtype=complex) / 2 for k in
-                                   (("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"))})
-    copying = diag_channel_with_z({(x1, x2): basis_state(2, int(x1))
-                                   for x1 in "01" for x2 in "01"})
-    rows = {}
-    for name, chan in (("trivial", trivial), ("copy", copying)):
-        chan.validate()
-        state = submac_view(control_state_t1(chan, uniform_t1(chan)), "Y1")
-        rows[name] = submac_secrecy_region(state, ("X1", "X2"), PARAMS, OFF)
-    drop = rows["trivial"].row("submac:R1").bound - rows["copy"].row("submac:R1").bound
-    assert abs(drop - 1.0) <= 1e-9
-
-
-# ---------------------------------------------------------------------------
 # theorem-1 region
 # ---------------------------------------------------------------------------
 
@@ -169,6 +138,37 @@ def test_theorem1_paper_penalties_degenerate(diag_channel):
     assert abs(poly.row("t1:r1").penalty - expected) <= 1e-9
     enum = vertices_2d(poly)
     assert enum.degenerate and enum.vertices == [(0.0, 0.0)]
+
+
+def test_submac_matches_qmac_with_trivial_eavesdropper(diag_channel):
+    """With Z independent of the inputs, no sub-channel row pays for leakage.
+
+    A ``t1`` row keeps one alternative per receiver, the decoding term of
+    that receiver's sub-channel, which is its qmac row; the row's bound is
+    then the worse receiver's qmac bound.
+    """
+    state = control_state_t1(diag_channel, uniform_t1(diag_channel))
+    poly = theorem1_region(diag_channel, uniform_t1(diag_channel), PARAMS, OFF)
+    qmacs = [qmac_inner_bound(state, ["X1", "X2"], y, 0.25, OFF) for y in ("Y1", "Y2")]
+    for row, *per_receiver in zip(poly.rows, *(qm.rows for qm in qmacs)):
+        bounds = [r.bound for r in per_receiver]
+        assert np.max(np.abs(np.subtract(row.alternatives, bounds))) <= 1e-9
+        assert abs(row.bound - min(bounds)) <= 1e-9
+    assert abs(poly.row("t1:r1").alternatives[0] - 1.415037) <= 1e-6
+
+
+def test_submac_eavesdropper_copy_costs_one_bit():
+    """The leakage term X1:Z|Q does not depend on the receiver, so the R1 row loses one bit."""
+    trivial = diag_channel_with_z({k: np.eye(2, dtype=complex) / 2 for k in
+                                   (("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"))})
+    copying = diag_channel_with_z({(x1, x2): basis_state(2, int(x1))
+                                   for x1 in "01" for x2 in "01"})
+    rows = {}
+    for name, chan in (("trivial", trivial), ("copy", copying)):
+        chan.validate()
+        rows[name] = theorem1_region(chan, uniform_t1(chan), PARAMS, OFF)
+    drop = rows["trivial"].row("t1:r1").bound - rows["copy"].row("t1:r1").bound
+    assert abs(drop - 1.0) <= 1e-9
 
 
 def test_theorem1_symmetry(diag_channel):
@@ -389,57 +389,6 @@ def test_theorem2_full_copy_z_degenerate():
     poly = theorem2_region(chan, uniform_hk(chan), PARAMS, OFF)
     enum = vertices_2d(poly)
     assert enum.degenerate and enum.vertices == [(0.0, 0.0)]
-
-
-def test_submac_split_form_matches_theorem2_subsystem(xor_channel):
-    dist = uniform_hk(xor_channel)
-    state = submac_view(control_state_hk(xor_channel, dist), "Y1")
-    sub = submac_secrecy_region(state, ("X10", "X11"), PARAMS, OFF)
-    t2 = theorem2_region(xor_channel, dist, PARAMS, OFF)
-    assert len(sub.rows) == 9
-    for row in sub.rows:
-        idx = row.tag.split(":")[-1]
-        twin = t2.row(f"t2:s1:{idx}")
-        assert row.coeffs == twin.coeffs
-        assert abs(row.bound - twin.bound) <= 1e-9
-    with pytest.raises(OperatorError, match="pair"):
-        submac_secrecy_region(state, ("X10", "X22"), PARAMS, OFF)
-
-
-@pytest.mark.parametrize("penalties", [OFF, PAPER], ids=["off", "paper"])
-def test_submac_split_form_y2_matches_theorem2_subchannel_2(xor_channel, penalties):
-    dist = uniform_hk(xor_channel)
-    state = submac_view(control_state_hk(xor_channel, dist), "Y2")
-    sub = submac_secrecy_region(state, ("X20", "X22"), PARAMS, penalties)
-    t2 = theorem2_region(xor_channel, dist, PARAMS, penalties)
-    assert sub.variables == ("R1", "R2")
-    assert [r.tag for r in sub.rows] == [f"submac:{i}" for i in range(1, 10)]
-    for row in sub.rows:
-        twin = t2.row(f"t2:s2:{row.tag.split(':')[-1]}")
-        assert row.coeffs == twin.coeffs
-        assert row.penalty == twin.penalty
-        assert abs(row.bound - twin.bound) <= 1e-9
-        assert [(t.kind, t.part_a, t.part_b, t.cond, t.coefficient) for t in row.terms] == [
-            (t.kind, t.part_a, t.part_b, t.cond, t.coefficient) for t in twin.terms
-        ]
-
-
-def test_submac_time_shared_reversed_order(diag_channel):
-    state = submac_view(control_state_t1(diag_channel, uniform_t1(diag_channel)), "Y1")
-    sub = submac_secrecy_region(state, ("X2", "X1"), PARAMS, PAPER)
-    assert sub.variables == ("R2", "R1")
-    assert [r.tag for r in sub.rows] == ["submac:R2", "submac:R1", "submac:sum"]
-    assert [r.coeffs for r in sub.rows] == [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
-    assert all(r.alternatives == () for r in sub.rows)
-    ht_2 = ("ht", ("X2",), ("X1", "Y1"), "Q", 1.0)
-    ht_1 = ("ht", ("X1",), ("X2", "Y1"), "Q", 1.0)
-    ht_sum = ("ht", ("X2", "X1"), ("Y1",), "Q", 1.0)
-    max_2 = ("max", ("X2",), ("Z",), "Q", -1.0)
-    max_1 = ("max", ("X1",), ("Z", "X2"), "Q", -1.0)
-    assert [[(t.kind, t.part_a, t.part_b, t.cond, t.coefficient) for t in r.terms]
-            for r in sub.rows] == [[ht_2, max_2], [ht_1, max_1], [ht_sum, max_2, max_1]]
-    t1 = theorem1_region(diag_channel, uniform_t1(diag_channel), PARAMS, PAPER)
-    assert [r.penalty for r in sub.rows] == [r.penalty for r in t1.rows]
 
 
 def test_theorem2_within_conjecture_on_degenerate_split(diag_split_channel):
@@ -701,6 +650,9 @@ def test_simplex_grid():
     assert all(abs(p.sum() - 1.0) <= 1e-12 for p in pts)
     with pytest.raises(ValueError):
         _simplex_grid(2, 1)
+    for size in range(1, 5):
+        for resolution in range(2, 10):
+            assert _grid_count(size, resolution) == len(_simplex_grid(size, resolution))
 
 
 def test_sweep_single_point_matches_region(diag_channel):
@@ -739,6 +691,17 @@ def test_sweep_refinement_monotone(diag_channel):
 def test_sweep_eval_cap(diag_channel):
     with pytest.raises(ValueError, match="exceeds"):
         sweep_union(diag_channel, "t1", PARAMS, OFF, grid=9, max_evals=10)
+
+
+def test_sweep_eval_cap_counts_without_building_the_grid(diag_channel, xor_channel, monkeypatch):
+    def no_grid(size, resolution):
+        raise AssertionError("the cap check built a grid")
+
+    monkeypatch.setattr(regions, "_simplex_grid", no_grid)
+    with pytest.raises(ValueError, match="exceeds"):
+        sweep_union(diag_channel, "t1", PARAMS, OFF, grid=10**6, q_size=4)
+    with pytest.raises(ValueError, match="exceeds"):
+        sweep_union(xor_channel, "t2", PARAMS, OFF, grid=10**6)
 
 
 def test_sweep_time_shared_alphabet(diag_channel):

@@ -436,41 +436,37 @@ def diagonal_scan_pairwise(p, q, eps, step=1e-4):
     return math.log2(best) if best != math.inf else math.inf
 
 
-def embed_cq(state, classical_order, quantum_order):
-    """Dense density matrix of a CQState, classical registers as diagonal factors.
+def embed_cq(state):
+    """Dense density matrix of a whole CQState, classical registers as diagonal factors.
 
-    The layout order is ``classical_order`` then ``quantum_order``.
+    The layout lists the classical registers, then the quantum ones, each in
+    the state's own order.
     """
-    cl, qu = list(classical_order), list(quantum_order)
-    state = state.reorder_classical(cl)
-    conds, qlayout = permute_registers_matrix(state.conditionals, state.quantum_layout, qu)
-    dq = qlayout.total_dim
+    dq = state.quantum_layout.total_dim
     flat_p = state.probs.reshape(-1)
-    flat_c = conds.reshape(-1, dq, dq)
+    flat_c = state.conditionals.reshape(-1, dq, dq)
     out = np.zeros((flat_p.size * dq, flat_p.size * dq), dtype=complex)
     for k in range(flat_p.size):
         if flat_p[k] > 0.0:
             out[k * dq:(k + 1) * dq, k * dq:(k + 1) * dq] = flat_p[k] * flat_c[k]
-    return out, RegisterLayout(tuple(cl), tuple(state.alphabet_sizes)).concat(qlayout)
+    layout = RegisterLayout(state.classical_names + state.quantum_layout.names,
+                            state.alphabet_sizes + state.quantum_layout.dims)
+    return out, layout
 
 
 def dense_joint_and_product(state, part_a, part_b):
     """Joint and product operators in the register order ``(*part_a, *part_b)``.
 
-    Reduces the state, embeds it densely, permutes the factors, traces each
-    side out and takes the Kronecker product of the two marginals.
+    Embeds the whole state densely, moves the named registers to the front,
+    traces the rest out and takes the Kronecker product of the two sides'
+    marginals.
     """
     part_a, part_b = list(part_a), list(part_b)
-    classical = [r for r in part_a + part_b if state.is_classical(r)]
-    quantum = [r for r in part_a + part_b if not state.is_classical(r)]
-    sub = state.trace_quantum(quantum or [state.quantum_layout.names[0]])
-    sub = sub.marginal_classical(classical)
-    if quantum:
-        op, layout = embed_cq(sub, classical, quantum)
-    else:
-        op = np.diag(sub.probs.reshape(-1)).astype(complex)
-        layout = RegisterLayout(tuple(classical), tuple(sub.alphabet_sizes))
-    op, layout = permute_registers_matrix(op, layout, part_a + part_b)
+    op, layout = embed_cq(state)
+    dropped = [r for r in layout.names if r not in part_a + part_b]
+    op, layout = permute_registers_matrix(op, layout, part_a + part_b + dropped)
+    op = partial_trace_matrix(op, layout, part_a + part_b)
+    layout = layout.subset(part_a + part_b)
     op_a = partial_trace_matrix(op, layout, part_a)
     op_b = partial_trace_matrix(op, layout, part_b)
     return op, np.kron(op_a, op_b)
