@@ -336,8 +336,7 @@ def save_distribution(dist: InputDistribution, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def control_state_t1(channel: ChannelSpec, dist: InputDistribution) -> CQState:
-    """Time-shared control state on classical (Q, X1, X2) and quantum (Y1, Y2, Z)."""
+def _t1_probs(channel: ChannelSpec, dist: InputDistribution) -> np.ndarray:
     if dist.kind != "t1":
         raise OperatorError("control_state_t1 needs a time-shared distribution")
     if channel.has_splits():
@@ -346,11 +345,36 @@ def control_state_t1(channel: ChannelSpec, dist: InputDistribution) -> CQState:
     q = np.asarray(dist.q, dtype=float)
     c1 = np.asarray(dist.x1_given_q, dtype=float)
     c2 = np.asarray(dist.x2_given_q, dtype=float)
-    probs = q[:, None, None] * c1[:, :, None] * c2[:, None, :]
+    return q[:, None, None] * c1[:, :, None] * c2[:, None, :]
+
+
+def _hk_probs(channel: ChannelSpec, dist: InputDistribution) -> np.ndarray:
+    if dist.kind != "hk":
+        raise OperatorError("control_state_hk needs the four split marginals")
+    if not channel.has_splits():
+        raise OperatorError("control_state_hk requires a channel with splits")
+    dist.validate(channel)
+    m = {reg: np.asarray(dist.marginals[reg], dtype=float) for reg in HK_REGISTERS}
+    return (
+        m["X10"][:, None, None, None]
+        * m["X11"][None, :, None, None]
+        * m["X20"][None, None, :, None]
+        * m["X22"][None, None, None, :]
+    )
+
+
+def control_probs(channel: ChannelSpec, dist: InputDistribution) -> np.ndarray:
+    """The ``probs`` of the control state of ``dist``, without building its conditionals."""
+    return (_t1_probs if dist.kind == "t1" else _hk_probs)(channel, dist)
+
+
+def control_state_t1(channel: ChannelSpec, dist: InputDistribution) -> CQState:
+    """Time-shared control state on classical (Q, X1, X2) and quantum (Y1, Y2, Z)."""
+    probs = _t1_probs(channel, dist)
     layout = channel.quantum_layout
     d = layout.total_dim
     a1, a2 = channel.inputs["X1"], channel.inputs["X2"]
-    conds = np.zeros((len(q), len(a1), len(a2), d, d), dtype=complex)
+    conds = np.zeros(probs.shape + (d, d), dtype=complex)
     for i1, s1 in enumerate(a1):
         for i2, s2 in enumerate(a2):
             conds[:, i1, i2] = channel.state_of(s1, s2)
@@ -361,23 +385,11 @@ def control_state_t1(channel: ChannelSpec, dist: InputDistribution) -> CQState:
 
 def control_state_hk(channel: ChannelSpec, dist: InputDistribution) -> CQState:
     """Split-message control state on classical (X10, X11, X20, X22)."""
-    if dist.kind != "hk":
-        raise OperatorError("control_state_hk needs the four split marginals")
-    if not channel.has_splits():
-        raise OperatorError("control_state_hk requires a channel with splits")
-    dist.validate(channel)
-    m = {reg: np.asarray(dist.marginals[reg], dtype=float) for reg in HK_REGISTERS}
-    probs = (
-        m["X10"][:, None, None, None]
-        * m["X11"][None, :, None, None]
-        * m["X20"][None, None, :, None]
-        * m["X22"][None, None, None, :]
-    )
+    probs = _hk_probs(channel, dist)
     layout = channel.quantum_layout
     d = layout.total_dim
     alphabets = [channel.part_alphabet(reg) for reg in HK_REGISTERS]
-    sizes = tuple(len(a) for a in alphabets)
-    conds = np.zeros(sizes + (d, d), dtype=complex)
+    conds = np.zeros(probs.shape + (d, d), dtype=complex)
     s1 = channel.splits["X1"]
     s2 = channel.splits["X2"]
     for i10, x10 in enumerate(alphabets[0]):
@@ -386,7 +398,7 @@ def control_state_hk(channel: ChannelSpec, dist: InputDistribution) -> CQState:
             for i20, x20 in enumerate(alphabets[2]):
                 for i22, x22 in enumerate(alphabets[3]):
                     conds[i10, i11, i20, i22] = channel.state_of(x1, s2.combine(x20, x22))
-    state = CQState(HK_REGISTERS, sizes, probs, layout, conds)
+    state = CQState(HK_REGISTERS, probs.shape, probs, layout, conds)
     state.validate()
     return state
 

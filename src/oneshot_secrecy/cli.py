@@ -278,6 +278,9 @@ def _poly_from_document(doc: dict) -> RatePolytope:
             rows.append(PolyRow(tuple(-c for c in coeffs), -value, f"eq{i}-"))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ChannelFormatError(f"malformed polytope document: {exc!r}") from None
+    repeated = sorted({v for v in variables if variables.count(v) > 1})
+    if repeated:
+        raise OperatorError(f"variables declared more than once: {repeated}")
     if undeclared:
         raise OperatorError(f"coefficients on undeclared variables {undeclared}")
     for row in rows:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .operators import (
     _checked_pair,
     validate_pmf,
 )
-from .states import CQState, joint_and_product
+from .states import CQConditionals, CQState, _block_diag, block_pairs, joint_and_product
 
 SMOOTHING_STRATEGIES = ("none", "diagonal-scan")
 # threshold-test probes, bracketing included, before ConvergenceError
@@ -144,19 +144,27 @@ def _np_beta(p: np.ndarray, q: np.ndarray, target: float) -> float:
     atoms first, ties by index) until the accepted ``p`` mass reaches
     ``target``; the boundary atom is admitted fractionally.  No validation:
     traces need not be one and tiny negative entries are tolerated.
+
+    The admitted masses are running sums in admission order, so the result
+    is bit-identical to admitting one atom at a time
+    (``tests/util.py::np_beta_loop``): an atom is admitted whole while the
+    mass still missing is at least its own (then ``min(1, missing / p)`` is
+    exactly 1), and for a ``target`` below 2 a fractional admission lands
+    within ``NP_MASS_SLACK`` of the target, which ends the admission.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(q > 0.0, p / np.maximum(q, DIV_FLOOR), math.inf)
-    cum_p = 0.0
-    beta = 0.0
-    for i in np.argsort(-ratio, kind="stable"):
-        if cum_p >= target - NP_MASS_SLACK:
-            break
-        if p[i] <= 0.0:
-            continue
-        frac = min(1.0, (target - cum_p) / p[i])
-        cum_p += frac * p[i]
-        beta += frac * q[i]
+    order = np.argsort(-ratio, kind="stable")
+    order = order[p[order] > 0.0]
+    p, q = p[order], q[order]
+    before = np.concatenate(([0.0], np.cumsum(p[:-1])))
+    missing = target - before
+    stops = np.flatnonzero((before >= target - NP_MASS_SLACK) | (missing < p))
+    k = int(stops[0]) if stops.size else len(p)
+    # + 0.0 turns the -0.0 a running sum from a -0.0 atom may keep into the 0.0 of a sum from 0.0
+    beta = np.cumsum(q[:k])[-1] + 0.0 if k else 0.0
+    if k < len(p) and before[k] < target - NP_MASS_SLACK:
+        beta += missing[k] / p[k] * q[k]
     return float(beta)
 
 
@@ -511,44 +519,25 @@ def _parts(part) -> list[str]:
     return [part] if isinstance(part, str) else list(part)
 
 
-def ht_mutual_info(state: CQState, part_a, part_b, eps: float) -> float:
-    """Hypothesis-testing mutual information between two register groups."""
-    part_a, part_b = _parts(part_a), _parts(part_b)
-    joint, product = joint_and_product(state, part_a, part_b)
-    try:
-        return hypothesis_testing_divergence(joint, product, eps)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"D_H({','.join(part_a)} : {','.join(part_b)}): {exc}") from None
+def _pair_values(kind, conds: CQConditionals, probs, part_a, part_b, eps, strategy) -> np.ndarray:
+    """The divergence of every point's dense pair, one point at a time."""
+    values = []
+    for joint, product in zip(*block_pairs(conds, probs, part_a, part_b)):
+        joint, product = _block_diag(joint), _block_diag(product)
+        if kind == "ht":
+            values.append(hypothesis_testing_divergence(joint, product, eps))
+        else:
+            values.append(smooth_max_relative_entropy(joint, product, eps, strategy))
+    return np.array(values)
 
 
-def max_mutual_info(state: CQState, part_a, part_b) -> float:
-    part_a, part_b = _parts(part_a), _parts(part_b)
-    joint, product = joint_and_product(state, part_a, part_b)
-    return max_relative_entropy(joint, product)
+def _max_min(masses: np.ndarray, values: np.ndarray, eps: float) -> float:
+    """The conditional max-min: the best value left after dropping low-value atoms.
 
-
-def smooth_max_mutual_info(
-    state: CQState, part_a, part_b, eps: float, strategy: str = "none"
-) -> float:
-    """Smoothed max mutual information; the marginals of the product side stay fixed."""
-    part_a, part_b = _parts(part_a), _parts(part_b)
-    joint, product = joint_and_product(state, part_a, part_b)
-    return smooth_max_relative_entropy(joint, product, eps, strategy)
-
-
-def _cond_optimize(state: CQState, cond: str, eps: float, per_value: Callable[[CQState], float]) -> float:
-    if not state.is_classical(cond):
-        raise OperatorError(f"conditioning register {cond!r} must be classical")
-    size = state.size_of(cond)
-    if size > 20:
-        raise OperatorError(f"conditioning alphabet of size {size} exceeds the brute-force bound 20")
-    pz = state.classical_marginal_probs(cond)
-    support = [z for z in range(size) if pz[z] > COND_SUPPORT_TOL]
-    values = np.array([per_value(state.condition(cond, z)) for z in support])
-    masses = np.array([pz[z] for z in support])
-    # keep the largest-value atoms whose total mass stays feasible: dropping a
-    # support set S is allowed iff the kept mass is at least 1 - eps^2, the
-    # exact purified-distance ball condition for diagonal perturbations
+    Keep the largest-value atoms whose total mass stays feasible: dropping a
+    support set S is allowed iff the kept mass is at least 1 - eps^2, the
+    exact purified-distance ball condition for diagonal perturbations.
+    """
     threshold = 1.0 - eps * eps
     order = np.argsort(values, kind="stable")
     masses_sorted = masses[order]
@@ -564,6 +553,80 @@ def _cond_optimize(state: CQState, cond: str, eps: float, per_value: Callable[[C
     return float(best)
 
 
+def _cond_values(kind, conds: CQConditionals, probs, part_a, part_b, cond, eps, strategy) -> np.ndarray:
+    if not conds.is_classical(cond):
+        raise OperatorError(f"conditioning register {cond!r} must be classical")
+    ax = conds.axis(cond)
+    size = conds.alphabet_sizes[ax]
+    if size > 20:
+        raise OperatorError(f"conditioning alphabet of size {size} exceeds the brute-force bound 20")
+    others = tuple(1 + i for i in range(len(conds.classical_names)) if i != ax)
+    pz = probs.sum(axis=others) if others else probs
+    support = pz > COND_SUPPORT_TOL
+    values = np.zeros(pz.shape)
+    # each conditioning value at every point where it has support
+    for z in range(size):
+        live = np.flatnonzero(support[:, z])
+        if live.size:
+            given = np.take(probs[live], z, axis=1 + ax)
+            mass = given.reshape(len(live), -1).sum(axis=1).reshape((-1,) + (1,) * (given.ndim - 1))
+            values[live, z] = _pair_values(kind, conds.given(cond, z), given / mass, part_a, part_b,
+                                           eps, strategy)
+    return np.array([_max_min(pz[g, support[g]], values[g, support[g]], eps) for g in range(len(probs))])
+
+
+def grid_values(
+    kind: str,
+    conds: CQConditionals,
+    probs: np.ndarray,
+    part_a,
+    part_b,
+    cond: str | None,
+    eps: float,
+    strategy: str = "none",
+) -> np.ndarray:
+    """One information term at every point of a grid of CQ states.
+
+    The grid is ``conds`` with the ``(G, *alphabet_sizes)`` stack ``probs``.
+    ``kind`` ``"ht"`` is the hypothesis-testing mutual information and
+    ``"max"`` the smoothed max mutual information; with ``cond`` it is the
+    conditional max-min form.  Every point's pair is built in one
+    contraction (see :func:`block_pairs`) and solved alone by the 2-D
+    divergence.
+    """
+    part_a, part_b = _parts(part_a), _parts(part_b)
+    try:
+        if cond is None:
+            return _pair_values(kind, conds, probs, part_a, part_b, eps, strategy)
+        return _cond_values(kind, conds, probs, part_a, part_b, cond, eps, strategy)
+    except ConvergenceError as exc:
+        given = f" | {cond}" if cond is not None else ""
+        raise ConvergenceError(f"D_H({','.join(part_a)} : {','.join(part_b)}{given}): {exc}") from None
+
+
+def _one_point(kind: str, state: CQState, part_a, part_b, cond, eps: float, strategy: str = "none") -> float:
+    return float(grid_values(kind, CQConditionals.of(state), state.probs[None], part_a, part_b, cond, eps,
+                             strategy)[0])
+
+
+def ht_mutual_info(state: CQState, part_a, part_b, eps: float) -> float:
+    """Hypothesis-testing mutual information between two register groups."""
+    return _one_point("ht", state, part_a, part_b, None, eps)
+
+
+def max_mutual_info(state: CQState, part_a, part_b) -> float:
+    part_a, part_b = _parts(part_a), _parts(part_b)
+    joint, product = joint_and_product(state, part_a, part_b)
+    return max_relative_entropy(joint, product)
+
+
+def smooth_max_mutual_info(
+    state: CQState, part_a, part_b, eps: float, strategy: str = "none"
+) -> float:
+    """Smoothed max mutual information; the marginals of the product side stay fixed."""
+    return _one_point("max", state, part_a, part_b, None, eps, strategy)
+
+
 def _cond_parts(part_a, part_b, cond: str) -> tuple[list[str], list[str]]:
     part_a, part_b = _parts(part_a), _parts(part_b)
     if cond in part_a + part_b:
@@ -574,7 +637,7 @@ def _cond_parts(part_a, part_b, cond: str) -> tuple[list[str], list[str]]:
 def cond_smooth_ht_mi(state: CQState, part_a, part_b, cond: str, eps: float) -> float:
     """Conditional smooth hypothesis-testing mutual information (max-min form)."""
     part_a, part_b = _cond_parts(part_a, part_b, cond)
-    return _cond_optimize(state, cond, eps, lambda s: ht_mutual_info(s, part_a, part_b, eps))
+    return _one_point("ht", state, part_a, part_b, cond, eps)
 
 
 def cond_smooth_max_mi(
@@ -582,9 +645,7 @@ def cond_smooth_max_mi(
 ) -> float:
     """Conditional smooth max mutual information (max-min form)."""
     part_a, part_b = _cond_parts(part_a, part_b, cond)
-    return _cond_optimize(
-        state, cond, eps, lambda s: smooth_max_mutual_info(s, part_a, part_b, eps, strategy)
-    )
+    return _one_point("max", state, part_a, part_b, cond, eps, strategy)
 
 
 def fact_bound(rho, sigma, eps: float) -> float:

@@ -18,20 +18,23 @@ import numpy as np
 from .channel import (
     ChannelSpec,
     InputDistribution,
+    control_probs,
     control_state_hk,
     control_state_t1,
 )
-from .entropic import (
-    ToleranceParams,
-    cond_smooth_ht_mi,
-    cond_smooth_max_mi,
-    ht_mutual_info,
-    smooth_max_mutual_info,
-)
+from .entropic import ToleranceParams, grid_values
 from .operators import COEF_TOL, DET_TOL, FEAS_TOL, RAY_TOL, OperatorError
-from .secrecy import _randomizer_plan, secrecy_check, within_threshold
-from .secrecy import randomizer_plan  # noqa: F401  bench/tracing.py wraps regions.randomizer_plan
-from .states import CQState
+from .secrecy import _randomizer_plan, _secrecy_check, within_threshold
+from .states import CQConditionals, CQState
+
+# bench/tracing.py wraps these names in this module, which no longer calls them
+from .entropic import cond_smooth_ht_mi, cond_smooth_max_mi, ht_mutual_info, smooth_max_mutual_info  # noqa: F401
+from .secrecy import randomizer_plan, secrecy_check  # noqa: F401
+
+# bytes of the (points, *alphabets, d, d) complex stack of conditionals a sweep
+# chunk weighs at once; no array the chunk's block builder holds is larger, so
+# peak memory does not grow with the grid
+_CHUNK_BYTES = 1 << 21
 
 PENALTY_MODES = ("paper", "off")
 DELTA_SOURCES = ("delta", "delta-prime")
@@ -109,40 +112,64 @@ def _rate_name(register: str) -> str:
 
 
 class _MICalculator:
-    """Memoizing evaluator for the information terms of one control state."""
+    """Memoizing evaluator of the information terms of a grid of control states.
 
-    def __init__(self, state: CQState, params: ToleranceParams, smoothing: str):
-        self.state = state
+    The states share ``conds`` and differ in ``probs``, a ``(G, *alphabets)``
+    stack.  The first request for a term evaluates it at every point at once
+    (:func:`entropic.grid_values`) and keeps the ``G`` values.
+    """
+
+    def __init__(self, conds: CQConditionals, probs: np.ndarray, params: ToleranceParams, smoothing: str):
+        self.conds = conds
+        self.probs = probs
         self.params = params
         self.smoothing = smoothing
         self._memo: dict = {}
 
-    def ht(self, part_a: Sequence[str], part_b: Sequence[str], cond: str | None = None) -> MITerm:
-        key = ("ht", tuple(part_a), tuple(part_b), cond)
+    @classmethod
+    def of(cls, state: CQState, params: ToleranceParams, smoothing: str) -> "_MICalculator":
+        """The one-point grid of ``state``."""
+        return cls(CQConditionals.of(state), state.probs[None], params, smoothing)
+
+    def values(self, kind: str, part_a: Sequence[str], part_b: Sequence[str], cond: str | None) -> np.ndarray:
+        key = (kind, tuple(part_a), tuple(part_b), cond)
         if key not in self._memo:
-            if cond is None:
-                value = ht_mutual_info(self.state, part_a, part_b, self.params.eps)
-            else:
-                value = cond_smooth_ht_mi(self.state, part_a, part_b, cond, self.params.eps)
-            self._memo[key] = value
-        return MITerm("ht", tuple(part_a), tuple(part_b), cond, 1.0, self._memo[key], self.params.eps)
+            eps = self.params.eps if kind == "ht" else self.params.eta
+            self._memo[key] = grid_values(kind, self.conds, self.probs, part_a, part_b, cond, eps,
+                                          self.smoothing)
+        return self._memo[key]
+
+    def point(self, index: int) -> "_GridPoint":
+        return _GridPoint(self, index)
+
+
+@dataclass(frozen=True)
+class _GridPoint:
+    """One point of a calculator's grid; a region builder takes it in place of a distribution."""
+
+    calc: _MICalculator
+    index: int
+
+    def ht(self, part_a: Sequence[str], part_b: Sequence[str], cond: str | None = None) -> MITerm:
+        value = float(self.calc.values("ht", part_a, part_b, cond)[self.index])
+        return MITerm("ht", tuple(part_a), tuple(part_b), cond, 1.0, value, self.calc.params.eps)
 
     def imax(self, part_a: Sequence[str], part_b: Sequence[str], cond: str | None = None) -> MITerm:
-        key = ("max", tuple(part_a), tuple(part_b), cond)
-        if key not in self._memo:
-            if cond is None:
-                value = smooth_max_mutual_info(
-                    self.state, part_a, part_b, self.params.eta, self.smoothing
-                )
-            else:
-                value = cond_smooth_max_mi(
-                    self.state, part_a, part_b, cond, self.params.eta, self.smoothing
-                )
-            self._memo[key] = value
-        return MITerm(
-            "max", tuple(part_a), tuple(part_b), cond, -1.0, self._memo[key], self.params.eta,
-            self.smoothing,
-        )
+        value = float(self.calc.values("max", part_a, part_b, cond)[self.index])
+        return MITerm("max", tuple(part_a), tuple(part_b), cond, -1.0, value, self.calc.params.eta,
+                      self.calc.smoothing)
+
+
+def _grid_point(channel: ChannelSpec, dist, control_state: Callable, params: ToleranceParams,
+                smoothing: str) -> _GridPoint:
+    """A sweep's grid point as it is, or the one-point grid of a distribution.
+
+    A sweep builds its grid with the ``params`` and ``smoothing`` it passes
+    to the builder, so both routes evaluate the same terms.
+    """
+    if isinstance(dist, _GridPoint):
+        return dist
+    return _MICalculator.of(control_state(channel, dist), params, smoothing).point(0)
 
 
 @functools.cache
@@ -151,8 +178,14 @@ def _weighted(tokens: str) -> tuple[tuple[int, str], ...]:
     return tuple((int(t[:-1] or 1), t[-1]) for t in tokens.split())
 
 
+def _split(grouping: str, roles: Mapping[str, str]) -> tuple[list[str], list[str]]:
+    """The two register groups of a grouping ``"cp:yCP"`` under ``roles``."""
+    part_a, part_b = grouping.split(":")
+    return [roles[x] for x in part_a], [roles[x] for x in part_b]
+
+
 def _assemble(
-    calc: _MICalculator,
+    point: _GridPoint,
     table: Sequence[tuple[str, str, tuple[str, ...], str]],
     leaks: Mapping[str, str] | None,
     roles: Mapping[str, str],
@@ -160,6 +193,7 @@ def _assemble(
     prefix: str,
     penalty: Callable[[int, int], float],
     cond: str | None = None,
+    receivers: tuple[str, ...] = (),
 ) -> list[PolyRow]:
     """Rows of a region table with its roles bound to register and rate names.
 
@@ -172,17 +206,19 @@ def _assemble(
     penalty is ``penalty(n_l, n_eps)``: ``n_l`` randomizers, one per unit of
     leakage weight, and ``n_eps`` decoding errors, one per ``D_H`` term;
     these are the counts the paper's constants carry, so the tables need no
-    penalty column.
+    penalty column.  With ``receivers``, each row binds the role ``y`` to the
+    receiver whose first term is smallest (the first on a tie) and records
+    every receiver's first term as its ``alternatives``.
     """
-
-    def split(grouping: str) -> tuple[list[str], list[str]]:
-        part_a, part_b = grouping.split(":")
-        return [roles[x] for x in part_a], [roles[x] for x in part_b]
-
-    leak_terms = {x: calc.imax(*split(g), cond) for x, g in (leaks or {}).items()}
+    leak_terms = {x: point.imax(*_split(g, roles), cond) for x, g in (leaks or {}).items()}
     rows = []
     for tag, rates, groupings, leakage in table:
-        terms = [calc.ht(*split(g), cond) for g in groupings]
+        row_roles, alternatives = roles, ()
+        if receivers:
+            alternatives = tuple(point.ht(*_split(groupings[0], dict(roles, y=y)), cond).value
+                                 for y in receivers)
+            row_roles = dict(roles, y=receivers[int(np.argmin(alternatives))])
+        terms = [point.ht(*_split(g, row_roles), cond) for g in groupings]
         n_l = 0
         for weight, x in _weighted(leakage if leaks is not None else ""):
             term = leak_terms[x]
@@ -196,6 +232,7 @@ def _assemble(
             f"{prefix}:{tag}",
             tuple(terms),
             pen,
+            alternatives,
         ))
     return rows
 
@@ -273,7 +310,7 @@ def qmac_inner_bound(
     senders = list(senders)
     if len(senders) not in (2, 3):
         raise OperatorError(f"qmac_inner_bound supports 2 or 3 senders, got {len(senders)}")
-    calc = _MICalculator(state, ToleranceParams(eps=eps), "none")
+    point = _MICalculator.of(state, ToleranceParams(eps=eps), "none").point(0)
     variables = tuple(_rate_name(s) for s in senders)
     # senders a, b, c with rates A, B, C
     letters = "abc"[: len(senders)]
@@ -284,7 +321,7 @@ def qmac_inner_bound(
             rest = "".join(x for x in letters if x not in sub)
             tag = "+".join(roles[x.upper()] for x in sub)
             table.append((tag, " ".join(sub).upper(), ("".join(sub) + ":" + rest + "y",), ""))
-    rows = _assemble(calc, table, None, roles, variables, "qmac", _hk_penalties(penalties, eps))
+    rows = _assemble(point, table, None, roles, variables, "qmac", _hk_penalties(penalties, eps))
     return RatePolytope(variables, rows, {"receiver": receiver, "penalties": penalties.mode})
 
 
@@ -338,21 +375,19 @@ def theorem1_region(
     smoothing: str = "none",
     delta_source: str = "delta",
 ) -> RatePolytope:
-    """Time-shared secrecy region: per row, the worse of the two receivers."""
-    state = control_state_t1(channel, dist)
-    calc = _MICalculator(state, params, smoothing)
+    """Time-shared secrecy region: per row, the worse of the two receivers.
+
+    The receiver of a row is the one with the smaller first term; both first
+    terms are recorded as the row's ``alternatives``, and only the picked
+    receiver's row is assembled.
+    """
+    point = _grid_point(channel, dist, control_state_t1, params, smoothing)
     pen = _secrecy_penalties(params, penalties, delta_source)
     variables = ("R1", "R2")
     roles = {"a": "X1", "b": "X2", "r": "R1", "s": "R2", "z": "Z"}
-    per_receiver = [
-        _assemble(calc, _TIME_SHARED, _TIME_SHARED_LEAKS, dict(roles, y=y), variables, "t1", pen, "Q")
-        for y in ("Y1", "Y2")
-    ]
-    rows = []
-    for alts in zip(*per_receiver):
-        values = tuple(r.terms[0].value for r in alts)
-        rows.append(replace(alts[int(np.argmin(values))], alternatives=values))
-    full = calc.imax(["X1", "X2"], ["Z"], "Q")
+    rows = _assemble(point, _TIME_SHARED, _TIME_SHARED_LEAKS, roles, variables, "t1", pen, "Q",
+                     receivers=("Y1", "Y2"))
+    full = point.imax(["X1", "X2"], ["Z"], "Q")
     meta = {
         "theorem": "t1",
         "penalties": penalties.mode,
@@ -373,9 +408,8 @@ def hk_nosecrecy_region(
     penalties: PenaltyMode = PenaltyMode("paper"),
 ) -> RatePolytope:
     """Split-message no-secrecy region over (R1, R2), rows as printed."""
-    state = control_state_hk(channel, dist)
-    calc = _MICalculator(state, ToleranceParams(eps=eps), "none")
-    rows = _assemble(calc, _SPLIT_MESSAGE, None, _BOTH_RECEIVERS, ("R1", "R2"), "hk",
+    point = _grid_point(channel, dist, control_state_hk, ToleranceParams(eps=eps), "none")
+    rows = _assemble(point, _SPLIT_MESSAGE, None, _BOTH_RECEIVERS, ("R1", "R2"), "hk",
                      _hk_penalties(penalties, eps))
     return RatePolytope(("R1", "R2"), rows, {"theorem": "hk-nosecrecy", "penalties": penalties.mode})
 
@@ -389,11 +423,10 @@ def conjecture_region(
     side_thresholds: tuple[float, float, float] = (math.inf, math.inf, math.inf),
 ) -> RatePolytope:
     """Split-message secrecy region (nine rows), plus the side-condition report."""
-    state = control_state_hk(channel, dist)
-    calc = _MICalculator(state, params, smoothing)
-    rows = _assemble(calc, _SPLIT_MESSAGE, _SPLIT_MESSAGE_LEAKS, _BOTH_RECEIVERS, ("R1", "R2"),
+    point = _grid_point(channel, dist, control_state_hk, params, smoothing)
+    rows = _assemble(point, _SPLIT_MESSAGE, _SPLIT_MESSAGE_LEAKS, _BOTH_RECEIVERS, ("R1", "R2"),
                      "conj", _split_penalties(params, penalties))
-    report = secrecy_check(state, params, side_thresholds, smoothing=smoothing)
+    report = _secrecy_check(params, side_thresholds, smoothing, lambda a, b: point.imax(a, b).value)
     meta = {"theorem": "conjecture", "penalties": penalties.mode, "secrecy": report.as_dict()}
     return RatePolytope(("R1", "R2"), rows, meta)
 
@@ -409,15 +442,15 @@ def theorem2_region(
 
     Sub-channel 2 is the 1<->2 mirror of sub-channel 1.
     """
-    state = control_state_hk(channel, dist)
-    calc = _MICalculator(state, params, smoothing)
+    point = _grid_point(channel, dist, control_state_hk, params, smoothing)
     pen = _split_penalties(params, penalties)
     rows: list[PolyRow] = []
     for sub, roles in ((1, dict(_SPLIT_ROLES, y="Y1")), (2, dict(_MIRRORED_ROLES, y="Y2"))):
-        rows += _assemble(calc, _SIDE_INFORMATION, _SIDE_INFORMATION_LEAKS, roles, ("R1", "R2"),
+        rows += _assemble(point, _SIDE_INFORMATION, _SIDE_INFORMATION_LEAKS, roles, ("R1", "R2"),
                           f"t2:s{sub}", pen)
-    report = secrecy_check(state, params, (math.inf, math.inf, math.inf), smoothing=smoothing)
-    plan = _randomizer_plan(params, smoothing, lambda a, b: calc.imax(a, b).value)
+    imax = lambda a, b: point.imax(a, b).value  # noqa: E731
+    report = _secrecy_check(params, (math.inf, math.inf, math.inf), smoothing, imax)
+    plan = _randomizer_plan(params, smoothing, imax)
     meta = {
         "theorem": "t2",
         "penalties": penalties.mode,
@@ -741,9 +774,11 @@ def sweep_union(
 ) -> SweepResult:
     """Frontier of the union of per-distribution regions over a simplex grid.
 
-    Regions are evaluated per grid distribution, one after another, and
-    merged by pointwise maximum along fixed ray directions, in grid order, so
-    output is deterministic.
+    The grid is cut into consecutive chunks whose conditionals stack stays
+    under ``_CHUNK_BYTES``.  Within a chunk each information term is
+    evaluated term-major, for every point at once, the first time a point's
+    region asks for it.  Regions are merged by pointwise maximum along fixed
+    ray directions, in grid order, so output is deterministic.
     """
     if grid < 2:
         raise ValueError("grid resolution must be >= 2")
@@ -756,24 +791,35 @@ def sweep_union(
     if theorem == "t1":
         count = _count_t1(channel, grid, q_size)
         dists = _t1_distributions(channel, grid, q_size)
+        control_state = control_state_t1
     else:
         count = math.prod(
             _grid_count(len(channel.part_alphabet(r)), grid) for r in ("X10", "X11", "X20", "X22")
         )
         dists = _hk_distributions(channel, grid)
+        control_state = control_state_hk
     if count > max_evals:
         raise ValueError(f"grid of {count} distributions exceeds the cap of {max_evals}")
     build = region_builder(theorem)
     thetas = np.linspace(0.0, math.pi / 2.0, rays)
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
 
+    first = next(dists)
+    conds = CQConditionals.of(control_state(channel, first))
+    size = max(1, _CHUNK_BYTES // conds.conditionals.nbytes)
+    dists = itertools.chain([first], dists)
     frontier = np.zeros(rays)
     evaluations = degenerate = 0
-    for dist in dists:
-        radii = _ray_radii(build(channel, dist, params, penalties, smoothing=smoothing), dirs)
-        evaluations += 1
-        if np.all(radii <= FEAS_TOL):
-            degenerate += 1
-        frontier = np.maximum(frontier, radii)
+    while chunk := list(itertools.islice(dists, size)):
+        probs = np.stack([control_probs(channel, dist) for dist in chunk])
+        conds.check(probs)
+        calc = _MICalculator(conds, probs, params, smoothing)
+        for index in range(len(chunk)):
+            poly = build(channel, calc.point(index), params, penalties, smoothing=smoothing)
+            radii = _ray_radii(poly, dirs)
+            evaluations += 1
+            if np.all(radii <= FEAS_TOL):
+                degenerate += 1
+            frontier = np.maximum(frontier, radii)
     points = dirs * frontier[:, None]
     return SweepResult(thetas, frontier, points, evaluations, degenerate)

@@ -167,6 +167,14 @@ def secrecy_check(
     smoothed max mutual information is :func:`within_threshold`.
     """
     _require_hk_state(state)
+    return _secrecy_check(params, thresholds, smoothing,
+                          lambda a, b: smooth_max_mutual_info(state, a, b, params.eta, smoothing))
+
+
+def _secrecy_check(
+    params: ToleranceParams, thresholds: Sequence[float], smoothing: str, imax: Callable
+) -> SecrecyReport:
+    """:func:`secrecy_check` over ``imax(part_a, part_b)``, such as a region's memoized terms."""
     if len(thresholds) != 3:
         raise ValueError("exactly three sub-grouping thresholds are required")
     full = ("X10", "X11", "X20", "X22")
@@ -180,9 +188,7 @@ def secrecy_check(
     conditions = []
     for label, part_a, threshold in groupings:
         if part_a not in values:
-            values[part_a] = float(
-                smooth_max_mutual_info(state, list(part_a), ["Z"], params.eta, smoothing)
-            )
+            values[part_a] = float(imax(list(part_a), ["Z"]))
         value = values[part_a]
         conditions.append(
             SecrecyCondition(label, part_a, value, threshold, within_threshold(value, threshold))

@@ -49,15 +49,8 @@ class CQState:
     # -- validation -----------------------------------------------------
 
     def validate(self) -> None:
-        if np.any(self.probs < -PROB_TOL):
-            raise OperatorError(f"negative probability {self.probs.min():.1e}")
-        total = float(self.probs.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            raise OperatorError(f"probabilities sum to {total!r}, not 1")
-        flat_p = self.probs.reshape(-1)
-        flat_c = self.conditionals.reshape(-1, *self.conditionals.shape[-2:])
-        for k in np.nonzero(flat_p > PROB_TOL)[0]:
-            validate_density(flat_c[k], f"conditional {k}")
+        _check_probs(self.probs)
+        _check_conditionals(self.conditionals, self.probs > PROB_TOL)
 
     # -- register bookkeeping -------------------------------------------
 
@@ -71,32 +64,87 @@ class CQState:
     def size_of(self, name: str) -> int:
         return self.alphabet_sizes[self.classical_names.index(name)]
 
-    def _axis(self, name: str) -> int:
+    def classical_dim(self, registers: Sequence[str]) -> int:
+        """Product of the alphabet sizes of the classical registers in ``registers``."""
+        return math.prod(self.size_of(r) for r in registers if self.is_classical(r))
+
+
+def _check_probs(probs: np.ndarray) -> None:
+    """Probabilities of one CQ state: none below ``-PROB_TOL``, summing to 1 within ``PROB_TOL``."""
+    if np.any(probs < -PROB_TOL):
+        raise OperatorError(f"negative probability {probs.min():.1e}")
+    total = float(probs.sum())
+    if abs(total - 1.0) > PROB_TOL:
+        raise OperatorError(f"probabilities sum to {total!r}, not 1")
+
+
+def _check_conditionals(conditionals: np.ndarray, live: np.ndarray) -> None:
+    """Validate the conditional operators at the joint values marked ``live``."""
+    flat_c = conditionals.reshape(-1, *conditionals.shape[-2:])
+    for k in np.flatnonzero(live):
+        validate_density(flat_c[k], f"conditional {k}")
+
+
+class CQConditionals:
+    """The conditional operators shared by CQ states that differ only in ``probs``.
+
+    A grid of states is these plus a ``(G, *alphabet_sizes)`` stack of
+    ``probs``.  Traces onto quantum registers and the conditionals given one
+    classical value are computed on first use and kept.
+    """
+
+    def __init__(self, classical_names: tuple[str, ...], alphabet_sizes: tuple[int, ...],
+                 quantum_layout: RegisterLayout, conditionals: np.ndarray):
+        self.classical_names = classical_names
+        self.alphabet_sizes = alphabet_sizes
+        self.quantum_layout = quantum_layout
+        self.conditionals = conditionals
+        self._traced: dict[tuple[str, ...], np.ndarray] = {}
+        self._given: dict[tuple[str, int], CQConditionals] = {}
+        self._checked = np.zeros(self.alphabet_sizes, dtype=bool)
+
+    @classmethod
+    def of(cls, state: CQState) -> "CQConditionals":
+        return cls(state.classical_names, state.alphabet_sizes, state.quantum_layout, state.conditionals)
+
+    def is_classical(self, name: str) -> bool:
+        return name in self.classical_names
+
+    def axis(self, name: str) -> int:
         try:
             return self.classical_names.index(name)
         except ValueError:
             raise OperatorError(f"unknown classical register {name!r}") from None
 
-    def condition(self, register: str, value: int) -> "CQState":
-        """State of the remaining registers given ``register == value``."""
-        ax = self._axis(register)
-        probs = np.take(self.probs, value, axis=ax)
-        conds = np.take(self.conditionals, value, axis=ax)
-        mass = float(probs.sum())
-        if mass <= 0.0:
-            raise OperatorError(f"conditioning on zero-probability value {register}={value}")
-        names = tuple(n for n in self.classical_names if n != register)
-        sizes = tuple(s for n, s in zip(self.classical_names, self.alphabet_sizes) if n != register)
-        return CQState(names, sizes, probs / mass, self.quantum_layout, conds.copy())
+    def check(self, probs: np.ndarray) -> None:
+        """Check every point of ``probs`` as :meth:`CQState.validate` would, each conditional once."""
+        for point in probs:
+            _check_probs(point)
+        live = np.any(probs > PROB_TOL, axis=0) & ~self._checked
+        _check_conditionals(self.conditionals, live)
+        self._checked |= live
 
-    def classical_marginal_probs(self, register: str) -> np.ndarray:
-        ax = self._axis(register)
-        axes = tuple(i for i in range(len(self.classical_names)) if i != ax)
-        return self.probs.sum(axis=axes) if axes else self.probs.copy()
+    def traced(self, quantum: tuple[str, ...]) -> np.ndarray:
+        """The conditionals traced onto the ``quantum`` registers, in that order."""
+        if quantum not in self._traced:
+            if quantum:
+                self._traced[quantum] = partial_trace_matrix(self.conditionals, self.quantum_layout, quantum)
+            else:
+                self._traced[quantum] = np.ones(self.alphabet_sizes + (1, 1), dtype=complex)
+        return self._traced[quantum]
 
-    def classical_dim(self, registers: Sequence[str]) -> int:
-        """Product of the alphabet sizes of the classical registers in ``registers``."""
-        return math.prod(self.size_of(r) for r in registers if self.is_classical(r))
+    def given(self, register: str, value: int) -> "CQConditionals":
+        """The conditionals of the other registers given ``register == value``."""
+        key = (register, value)
+        if key not in self._given:
+            ax = self.axis(register)
+            self._given[key] = CQConditionals(
+                tuple(n for n in self.classical_names if n != register),
+                tuple(s for i, s in enumerate(self.alphabet_sizes) if i != ax),
+                self.quantum_layout,
+                np.take(self.conditionals, value, axis=ax),
+            )
+        return self._given[key]
 
 
 def _block_diag(stack: np.ndarray) -> np.ndarray:
@@ -106,6 +154,49 @@ def _block_diag(stack: np.ndarray) -> np.ndarray:
     idx = np.arange(k)
     out[idx, :, idx, :] = stack
     return out.reshape(k * d, k * d)
+
+
+def block_pairs(
+    conds: CQConditionals, probs: np.ndarray, part_a: Sequence[str], part_b: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Joint and product blocks over two register groups at every point of a grid.
+
+    ``probs`` is the ``(G, *alphabet_sizes)`` stack of the grid's points.
+    Returns two ``(G, K, d, d)`` stacks, one block per joint classical value
+    of the two groups, in the register order of :func:`joint_and_product`.
+    Each point's blocks are summed exactly as for that point alone.
+    """
+    part_a, part_b = list(part_a), list(part_b)
+    registers = part_a + part_b
+    repeated = sorted({r for r in registers if registers.count(r) > 1})
+    if repeated:
+        raise OperatorError(f"register groups overlap: {repeated} named twice")
+    a_cl = [r for r in part_a if conds.is_classical(r)]
+    a_qu = [r for r in part_a if r not in a_cl]
+    b_cl = [r for r in part_b if conds.is_classical(r)]
+    b_qu = [r for r in part_b if r not in b_cl]
+    qlayout = conds.quantum_layout
+    da = math.prod(qlayout.dim_of(r) for r in a_qu)
+    db = math.prod(qlayout.dim_of(r) for r in b_qu)
+    # joint blocks: the quantum part traced down, the classical axes put in
+    # (a_cl, b_cl, dropped) order behind the point axis, the dropped ones summed out
+    n = len(conds.classical_names)
+    kept = [conds.axis(r) for r in a_cl + b_cl]
+    dropped = [i for i in range(n) if i not in kept]
+    traced = conds.traced(tuple(a_qu + b_qu))
+    g = len(probs)
+    axes = [0] + [1 + i for i in kept + dropped] + [n + 1, n + 2]
+    weighted = np.transpose(probs[..., None, None] * traced, axes)
+    sizes = conds.alphabet_sizes
+    ka, kb = math.prod(sizes[i] for i in kept[:len(a_cl)]), math.prod(sizes[i] for i in kept[len(a_cl):])
+    blocks = weighted.reshape(g, ka, kb, -1, da * db, da * db).sum(axis=3)
+    # marginal blocks: rho_A per a_cl value, rho_B per b_cl value, each the
+    # partial trace of the summed blocks over the other side's quantum factor
+    marg_a = np.einsum("gaikjk->gaij", blocks.sum(axis=2).reshape(g, ka, da, db, da, db))
+    marg_b = np.einsum("gbkikj->gbij", blocks.sum(axis=1).reshape(g, kb, da, db, da, db))
+    product = np.einsum("gaij,gbkl->gabikjl", marg_a, marg_b)
+    shape = (g, ka * kb, da * db, da * db)
+    return blocks.reshape(shape), product.reshape(shape)
 
 
 def joint_and_product(
@@ -120,35 +211,7 @@ def joint_and_product(
     part_b)`` equal contiguous blocks, one per joint classical value, which
     the divergences read off the operators.  The order is a
     permutation of ``(*part_a, *part_b)``, which leaves every divergence
-    unchanged.
+    unchanged.  This is the one-point case of :func:`block_pairs`.
     """
-    part_a, part_b = list(part_a), list(part_b)
-    registers = part_a + part_b
-    repeated = sorted({r for r in registers if registers.count(r) > 1})
-    if repeated:
-        raise OperatorError(f"register groups overlap: {repeated} named twice")
-    a_cl = [r for r in part_a if state.is_classical(r)]
-    a_qu = [r for r in part_a if r not in a_cl]
-    b_cl = [r for r in part_b if state.is_classical(r)]
-    b_qu = [r for r in part_b if r not in b_cl]
-    qlayout = state.quantum_layout
-    da = math.prod(qlayout.dim_of(r) for r in a_qu)
-    db = math.prod(qlayout.dim_of(r) for r in b_qu)
-    # joint blocks: the quantum part traced down, the classical axes put in
-    # (a_cl, b_cl, dropped) order and the dropped ones summed out
-    n = len(state.classical_names)
-    kept = [state._axis(r) for r in a_cl + b_cl]
-    dropped = [i for i in range(n) if i not in kept]
-    if a_qu + b_qu:
-        conds = partial_trace_matrix(state.conditionals, qlayout, a_qu + b_qu)
-    else:
-        conds = np.ones(state.probs.shape + (1, 1), dtype=complex)
-    weighted = np.transpose(state.probs[..., None, None] * conds, kept + dropped + [n, n + 1])
-    ka, kb = state.classical_dim(a_cl), state.classical_dim(b_cl)
-    blocks = weighted.reshape(ka, kb, -1, da * db, da * db).sum(axis=2)
-    # marginal blocks: rho_A per a_cl value, rho_B per b_cl value, each the
-    # partial trace of the summed blocks over the other side's quantum factor
-    marg_a = np.einsum("aikjk->aij", blocks.sum(axis=1).reshape(ka, da, db, da, db))
-    marg_b = np.einsum("bkikj->bij", blocks.sum(axis=0).reshape(kb, da, db, da, db))
-    product = np.einsum("aij,bkl->abikjl", marg_a, marg_b).reshape(ka * kb, da * db, da * db)
-    return _block_diag(blocks.reshape(ka * kb, da * db, da * db)), _block_diag(product)
+    joint, product = block_pairs(CQConditionals.of(state), state.probs[None], part_a, part_b)
+    return _block_diag(joint[0]), _block_diag(product[0])

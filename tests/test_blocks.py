@@ -7,6 +7,9 @@ oracles are the same divergences on the pair conjugated by a random unitary
 that mixes every block (``D_H`` and ``D_max`` do not change under a unitary,
 and the rotated pair has a single block), and the dense embedding in
 ``tests/util.py``.
+
+``block_pairs`` builds the blocks of a whole grid of states at once; each
+point's blocks must be those of the point alone, bit for bit.
 """
 import math
 
@@ -18,13 +21,16 @@ from hypothesis import strategies as st
 from oneshot_secrecy.entropic import (
     ConvergenceError,
     _block_stack,
+    cond_smooth_ht_mi,
+    cond_smooth_max_mi,
+    grid_values,
     hypothesis_testing_beta,
     hypothesis_testing_divergence,
     max_relative_entropy,
     smooth_max_relative_entropy,
 )
 from oneshot_secrecy.operators import RegisterLayout, permute_registers_matrix
-from oneshot_secrecy.states import CQState, joint_and_product
+from oneshot_secrecy.states import CQConditionals, CQState, _block_diag, block_pairs, joint_and_product
 from util import dense_joint_and_product
 
 BLOCK_KINDS = ("zero", "diagonal", "full-rank", "rank-deficient")
@@ -185,3 +191,75 @@ def test_joint_and_product_pairs_run_blockwise(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape) or eigh(m))
     hypothesis_testing_divergence(joint, product, 0.25)
     assert shapes and set(shapes) == {(6, 6, 6)}
+
+
+def _random_grid(rng, sizes, qdims, points):
+    """``points`` states over one set of conditionals, as a list of CQStates."""
+    base = _random_state(rng, sizes, qdims)
+    states = [base]
+    for _ in range(points - 1):
+        probs = rng.random(sizes) * (rng.random(sizes) < 0.8)
+        probs.flat[int(rng.integers(probs.size))] += 0.1
+        states.append(CQState(base.classical_names, sizes, probs / probs.sum(), base.quantum_layout,
+                              base.conditionals))
+    return states
+
+
+def _check_grid(states, part_a, part_b):
+    conds = CQConditionals.of(states[0])
+    joint, product = block_pairs(conds, np.stack([s.probs for s in states]), part_a, part_b)
+    for g, state in enumerate(states):
+        alone = joint_and_product(state, part_a, part_b)
+        assert np.array_equal(_block_diag(joint[g]), alone[0])
+        assert np.array_equal(_block_diag(product[g]), alone[1])
+        _check_against_dense(state, part_a, part_b)
+
+
+@settings(max_examples=80)
+@given(
+    sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    qdims=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    points=st.integers(1, 5),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_blocks_match_each_point_alone(sizes, qdims, points, data, seed):
+    """The batched blocks are bitwise the one-point ones and match the dense embedding."""
+    states = _random_grid(np.random.default_rng(seed), tuple(sizes), tuple(qdims), points)
+    registers = list(states[0].registers)
+    sides = data.draw(st.lists(st.sampled_from("abx"), min_size=len(registers), max_size=len(registers)))
+    order = data.draw(st.permutations(registers))
+    part_a = [r for r in order if sides[registers.index(r)] == "a"]
+    part_b = [r for r in order if sides[registers.index(r)] == "b"]
+    if part_a and part_b:
+        _check_grid(states, part_a, part_b)
+
+
+@pytest.mark.parametrize("qdims", [(1,), (2,)])
+def test_grid_blocks_sum_many_dropped_values(qdims):
+    """Nine and eighteen dropped classical values, where numpy's pairwise summation starts."""
+    states = _random_grid(np.random.default_rng(11), (3, 3, 2, 2), qdims, 4)
+    _check_grid(states, ["C2"], ["Q0"])
+    _check_grid(states, ["Q0"], ["C3"])
+    _check_grid(states, ["C3", "C2"], ["C0"])
+
+
+@settings(max_examples=40)
+@given(
+    sizes=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+    points=st.integers(1, 4),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_conditional_terms_match_each_point_alone(sizes, points, data, seed):
+    """Conditional terms of a grid: each point's value is the one-point value, exactly."""
+    states = _random_grid(np.random.default_rng(seed), tuple(sizes), (2,), points)
+    cond, a, b = data.draw(st.permutations(["C0", "C1", "Q0"]))
+    if cond == "Q0":
+        return
+    conds, probs = CQConditionals.of(states[0]), np.stack([s.probs for s in states])
+    ht = grid_values("ht", conds, probs, [a], [b], cond, 0.25)
+    dmax = grid_values("max", conds, probs, [a], [b], cond, 0.1, "none")
+    for g, state in enumerate(states):
+        assert ht[g] == cond_smooth_ht_mi(state, [a], [b], cond, 0.25)
+        assert dmax[g] == cond_smooth_max_mi(state, [a], [b], cond, 0.1)

@@ -1,6 +1,5 @@
 import argparse
 import json
-import os
 import subprocess
 import sys
 
@@ -17,15 +16,11 @@ XOR = str(bundled_path("xor_split.json"))
 HKDIST = str(bundled_path("uniform_hk.json"))
 
 
-def run_cli(*args, env=None):
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "oneshot_secrecy", *args],
         capture_output=True,
         text=True,
-        env=full_env,
     )
 
 
@@ -118,12 +113,11 @@ def test_fm_command(tmp_path):
 
 def test_sweep_thread_determinism(tmp_path):
     outputs = []
-    for threads in ("1", "8"):
-        csv = tmp_path / f"front_{threads}.csv"
+    for run in ("first", "second"):
+        csv = tmp_path / f"front_{run}.csv"
         res = run_cli(
             "sweep", "--channel", CHAN, "--theorem", "t1", "--grid", "3",
             "--eps", "0.25", "--penalties", "off", "--csv", str(csv),
-            env={"ONESHOT_THREADS": threads},
         )
         assert res.returncode == 0
         outputs.append(csv.read_bytes())
@@ -278,6 +272,16 @@ def test_fm_coefficient_on_undeclared_variable_exits_1(tmp_path, capsys, section
     out = tmp_path / "projected.json"
     assert cli.main(["fm", "--input", str(path), "--eliminate", "W1", "--out", str(out)]) == 1
     assert "undeclared variables ['W3']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fm_variable_declared_twice_exits_1(tmp_path, capsys):
+    doc = {"variables": ["R1", "R1", "W1"], "rows": [{"coeffs": {"R1": 1.0, "W1": 1.0}, "bound": 1.0}]}
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "projected.json"
+    assert cli.main(["fm", "--input", str(path), "--eliminate", "W1", "--out", str(out)]) == 1
+    assert "variables declared more than once: ['R1']" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -11,8 +11,9 @@ from oneshot_secrecy import entropic
 from oneshot_secrecy.entropic import (
     ConvergenceError,
     ToleranceParams,
-    _cond_optimize,
+    _max_min,
     _diagonal_scan,
+    _np_beta,
     binary_entropy,
     classical_np_oracle,
     cond_smooth_ht_mi,
@@ -40,7 +41,7 @@ from oneshot_secrecy.operators import (
 )
 from oneshot_secrecy.states import CQState
 from conftest import rand_density, rand_unitary
-from util import bisection_beta, diagonal_scan_pairwise
+from util import bisection_beta, dh_dual, diagonal_scan_pairwise, np_beta_loop
 
 R = np.diag([0.5, 0.5]).astype(complex)
 S = np.diag([0.9, 0.1]).astype(complex)
@@ -220,28 +221,14 @@ def test_max_mutual_info_cases():
     assert abs(sm - 1.0) <= 1e-9
 
 
-def marker_state(pz, markers):
-    """Conditioning register Z plus an X register that identifies z."""
-    n = len(pz)
-    probs = np.zeros((n, n))
-    for z, p in enumerate(pz):
-        probs[z, markers[z]] = p
-    return classical_cq(("Z", "X"), probs)
-
-
 def test_cond_optimize_example():
-    state = marker_state([0.95, 0.05], [0, 1])
-    table = {0: 1.0, 1: 0.2}
-
-    def per_value(sub):
-        marker = int(np.argmax(sub.classical_marginal_probs("X")))
-        return table[marker]
-
-    assert _cond_optimize(state, "Z", 0.3, per_value) == 1.0
+    """The max-min keeps the 0.95 atom of value 1.0 once the 0.05 atom of value 0.2 may go."""
+    masses, values = np.array([0.95, 0.05]), np.array([1.0, 0.2])
+    assert _max_min(masses, values, 0.3) == 1.0
     # vanishing ball: no atom may be dropped
-    assert _cond_optimize(state, "Z", 1e-6, per_value) == 0.2
+    assert _max_min(masses, values, 1e-6) == 0.2
     # monotone nondecreasing in eps
-    vals = [_cond_optimize(state, "Z", e, per_value) for e in (0.01, 0.1, 0.23, 0.5)]
+    vals = [_max_min(masses, values, e) for e in (0.01, 0.1, 0.23, 0.5)]
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -402,22 +389,11 @@ def _ranked_block(rng, d, rank):
     return g @ g.conj().T
 
 
-@settings(max_examples=200)
-@given(
-    k=st.integers(1, 4),
-    d=st.integers(2, 5),
-    data=st.data(),
-    kernel_weight=st.booleans(),
-    eps=st.floats(0.01, 0.99),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_threshold_search_matches_bisection(k, d, data, kernel_weight, eps, seed):
-    """The breakpoint search agrees with a plain bisection on non-commuting pairs.
+def _ranked_pair(k, d, data, kernel_weight, seed):
+    """Block-diagonal ``(rho, sigma)`` of ``k`` blocks of size ``d`` with random ranks.
 
-    Blocks of both operators have random ranks.  Without kernel weight, rho's
-    blocks are compressed into sigma's support, where the breakpoints are
-    exact; with it, rho keeps weight on sigma's kernel.  Only the bisection
-    may fail to converge where the other returns.
+    Without kernel weight, rho's blocks are compressed into sigma's support;
+    with it, rho keeps weight on sigma's kernel.
     """
     rng = np.random.default_rng(seed)
     ranks = st.lists(st.integers(1, d), min_size=k, max_size=k)
@@ -431,8 +407,29 @@ def test_threshold_search_matches_bisection(k, d, data, kernel_weight, eps, seed
             w, v = np.linalg.eigh(sigma[block, block])
             proj = v[:, w > 1e-9] @ v[:, w > 1e-9].conj().T
             rho[block, block] = proj @ rho[block, block] @ proj
-    rho /= np.trace(rho).real
-    sigma /= np.trace(sigma).real
+    return rho / np.trace(rho).real, sigma / np.trace(sigma).real
+
+
+RANKED_PAIRS = dict(
+    k=st.integers(1, 4),
+    d=st.integers(2, 5),
+    data=st.data(),
+    kernel_weight=st.booleans(),
+    eps=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=200)
+@given(**RANKED_PAIRS)
+def test_threshold_search_matches_bisection(k, d, data, kernel_weight, eps, seed):
+    """The breakpoint search agrees with a plain bisection on non-commuting pairs.
+
+    Blocks of both operators have random ranks (see :func:`_ranked_pair`);
+    with kernel weight the breakpoints only steer the search.  Only the
+    bisection may fail to converge where the other returns.
+    """
+    rho, sigma = _ranked_pair(k, d, data, kernel_weight, seed)
     fast = _beta_or_error(rho, sigma, eps)
     try:
         slow = bisection_beta(rho, sigma, eps)
@@ -440,6 +437,65 @@ def test_threshold_search_matches_bisection(k, d, data, kernel_weight, eps, seed
         return
     assert fast is not None, slow
     assert abs(fast - slow) <= 1e-8 * abs(slow), (fast, slow)
+
+
+@settings(max_examples=100)
+@given(**RANKED_PAIRS)
+def test_divergences_meet_their_dual_certificates(k, d, data, kernel_weight, eps, seed):
+    """``D_H`` and ``D_max`` against certificates that share no code with the solver.
+
+    Every dual value ``g(mu)`` bounds beta from below, and the best one
+    reaches it; ``2^D_max sigma - rho`` is positive semidefinite and stops
+    being so just below ``2^D_max``.
+    """
+    rho, sigma = _ranked_pair(k, d, data, kernel_weight, seed)
+    beta = _beta_or_error(rho, sigma, eps)
+    if beta is not None:
+        best, probes = dh_dual(rho, sigma, eps)
+        tol = 1e-9 + 1e-7 * beta
+        assert all(value <= beta + tol for _, value in probes), (beta, max(v for _, v in probes))
+        assert beta <= best + tol, (beta, best)
+    d_max = max_relative_entropy(rho, sigma)
+    if math.isfinite(d_max):
+        lam = 2.0**d_max
+        assert np.linalg.eigvalsh(lam * sigma - rho)[0] >= -1e-9
+        assert np.linalg.eigvalsh(lam * (1.0 - 1e-6) * sigma - rho)[0] < 0.0
+    else:
+        # rho weighs on sigma's kernel
+        w, v = np.linalg.eigh(sigma)
+        kernel = v[:, w <= 1e-9]
+        assert np.trace(kernel.conj().T @ rho @ kernel).real >= EIG_CLAMP
+
+
+@settings(max_examples=300)
+@given(
+    n=st.integers(1, 30),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_np_beta_is_bit_identical_to_one_atom_at_a_time(n, data, seed):
+    """Ties, zero-``q`` atoms, nonpositive and tiny ``p`` and targets on or beside a running sum of ``p``."""
+    rng = np.random.default_rng(seed)
+    if data.draw(st.booleans()):
+        # coarse grids make ties in ratio and in running sums likely
+        p = rng.integers(0, 5, size=n) / data.draw(st.sampled_from([4.0, 7.0, 10.0]))
+        q = rng.integers(0, 4, size=n) / data.draw(st.sampled_from([3.0, 8.0]))
+    else:
+        p = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.8)
+        q = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.8)
+    p[rng.random(n) < 0.2] *= data.draw(st.sampled_from([-1e-13, 1e-16]))
+    if data.draw(st.booleans()):
+        p[rng.integers(n)] = -0.0
+        q[rng.integers(n)] = -0.0
+    positive = p[p > 0.0]
+    sums = [0.5, *np.cumsum(positive).tolist()]
+    target = data.draw(st.one_of(
+        st.floats(0.0, 1.5),
+        st.sampled_from(sums),
+        st.tuples(st.sampled_from(sums), st.sampled_from([-1e-15, -5e-16, 5e-16])).map(sum),
+    ))
+    expected, got = np_beta_loop(p, q, target), _np_beta(p, q, target)
+    assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected), (got, expected)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oneshot_secrecy import regions, secrecy
+from oneshot_secrecy import cli, entropic, regions
 from oneshot_secrecy.channel import (
     ChannelSpec,
+    bundled_path,
     InputDistribution,
     SplitSpec,
     control_state_hk,
@@ -15,7 +16,7 @@ from oneshot_secrecy.channel import (
     uniform_hk,
     uniform_t1,
 )
-from oneshot_secrecy.entropic import ToleranceParams
+from oneshot_secrecy.entropic import ConvergenceError, ToleranceParams
 from oneshot_secrecy.operators import DET_TOL, OperatorError
 from oneshot_secrecy.regions import (
     PenaltyMode,
@@ -34,6 +35,7 @@ from oneshot_secrecy.regions import (
     theorem2_region,
     vertices_2d,
 )
+from conftest import rand_density
 from util import (
     _prune_rows,
     convex_hull_2d,
@@ -357,16 +359,16 @@ def test_theorem2_trivial_z_rows(xor_channel):
 
 
 def test_theorem2_evaluates_each_max_information_once(xor_channel, monkeypatch):
-    """The randomizer plan reads the side-information leak terms from the region's memo."""
+    """The randomizer plan and the secrecy report read the leak terms from the region's memo."""
     calls = []
-    real = secrecy.smooth_max_mutual_info
+    real = regions.grid_values
 
-    def counting(state, part_a, part_b, *args):
-        calls.append((tuple(part_a), tuple(part_b)))
-        return real(state, part_a, part_b, *args)
+    def counting(kind, conds, probs, part_a, part_b, *args):
+        if kind == "max":
+            calls.append((tuple(part_a), tuple(part_b)))
+        return real(kind, conds, probs, part_a, part_b, *args)
 
-    monkeypatch.setattr(regions, "smooth_max_mutual_info", counting)
-    monkeypatch.setattr(secrecy, "smooth_max_mutual_info", counting)
+    monkeypatch.setattr(regions, "grid_values", counting)
     theorem2_region(xor_channel, uniform_hk(xor_channel), PARAMS, OFF)
     assert len(calls) == len(set(calls)) == 12
 
@@ -723,6 +725,51 @@ def test_sweep_split_theorem(diag_split_channel, diag_channel):
     assert np.all(np.isfinite(result.radii))
     with pytest.raises(OperatorError, match="splits"):
         sweep_union(diag_channel, "conjecture", PARAMS, OFF, grid=2)
+
+
+def _noncommuting_split_channel(seed):
+    """Binary split inputs onto random full-rank qubit triples: nothing commutes."""
+    rng = np.random.default_rng(seed)
+    symbols = ("00", "01", "10", "11")
+    states = {(x1, x2): rand_density(rng, 8) for x1 in symbols for x2 in symbols}
+    table = {(c, p): c + p for c in "01" for p in "01"}
+    split = SplitSpec((("0", "1"), ("0", "1")), table)
+    return ChannelSpec("random-split", {"X1": symbols, "X2": symbols}, {"Y1": 2, "Y2": 2, "Z": 2},
+                       states, {"X1": split, "X2": split})
+
+
+@pytest.mark.parametrize("theorem, q_size, grid", [("t1", 1, 3), ("t1", 2, 3), ("conjecture", 1, 2),
+                                                   ("t2", 1, 2)])
+def test_sweep_chunks_leave_the_frontier_unchanged(diag_channel, monkeypatch, theorem, q_size, grid):
+    """Chunks of one point, of three and the whole grid give the same frontier bytes."""
+    channel = diag_channel if theorem == "t1" else _noncommuting_split_channel(7)
+    dist = uniform_t1(channel, q_size) if theorem == "t1" else uniform_hk(channel)
+    state = (control_state_t1 if theorem == "t1" else control_state_hk)(channel, dist)
+    outputs = []
+    for points in (10**6, 1, 3):
+        monkeypatch.setattr(regions, "_CHUNK_BYTES", points * state.conditionals.nbytes)
+        result = sweep_union(channel, theorem, PARAMS, OFF, grid=grid, q_size=q_size, rays=31)
+        outputs.append((result.points.tobytes(), result.evaluations, result.degenerate_count))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_sweep_convergence_error_at_a_later_point_names_the_term(monkeypatch, capsys, tmp_path):
+    """The fifth ``D_H`` of the first term is the fifth grid point's."""
+    calls = []
+    real = entropic.hypothesis_testing_divergence
+
+    def failing(rho, sigma, eps):
+        calls.append(1)
+        if len(calls) == 5:
+            raise ConvergenceError(f"straddle detection failed at t=0.5, eps={eps}")
+        return real(rho, sigma, eps)
+
+    monkeypatch.setattr(entropic, "hypothesis_testing_divergence", failing)
+    code = cli.main(["sweep", "--channel", str(bundled_path("diag_deterministic.json")), "--theorem", "t1",
+                     "--grid", "3", "--eps", "0.25", "--csv", str(tmp_path / "frontier.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "D_H(X1 : X2,Y1 | Q): straddle detection failed at t=0.5, eps=0.25" in err
 
 
 # ---------------------------------------------------------------------------

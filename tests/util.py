@@ -7,8 +7,9 @@ Fourier-Motzkin through one row object per combination and a dict keyed on
 rounded directions, hulls through a monotone chain, the qubit test search
 through a refined dense grid, the diagonal-scan smoothing through one
 donor-recipient pair at a time, the joint/product pair through a dense
-embedding with Kronecker products, and the quantum threshold test through a
-plain bisection on the whole matrix.
+embedding with Kronecker products, the quantum threshold test through a
+plain bisection on the whole matrix and through its dual, and the classical
+Neyman-Pearson test through one admitted atom at a time.
 """
 import itertools
 import math
@@ -22,9 +23,11 @@ from oneshot_secrecy.operators import (
     BISECT_WIDTH,
     COEF_TOL,
     DET_TOL,
+    DIV_FLOOR,
     EIG_CLAMP,
     FEAS_TOL,
     KERNEL_MASS_SLACK,
+    NP_MASS_SLACK,
     PROBE_BAND,
     TYPE_I_TOL,
     OperatorError,
@@ -38,6 +41,7 @@ from oneshot_secrecy.regions import (
     VertexEnumeration,
     _has_recession_ray,
 )
+from oneshot_secrecy.states import CQState
 
 
 def polytope_from_arrays(variables, rows):
@@ -318,6 +322,69 @@ def qubit_grid_beta(rho, sigma, eps, n_theta=1000, n_phi=1000):
     return float(np.min(best))
 
 
+def np_beta_loop(p, q, target):
+    """Neyman-Pearson type-II error, admitting one atom at a time.
+
+    Atoms go in decreasing likelihood-ratio order (zero-denominator atoms
+    first, ties by index), nonpositive ``p`` atoms are skipped, and the
+    boundary atom is admitted fractionally until ``target`` of ``p`` is in.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(q > 0.0, p / np.maximum(q, DIV_FLOOR), math.inf)
+    cum_p = 0.0
+    beta = 0.0
+    for i in np.argsort(-ratio, kind="stable"):
+        if cum_p >= target - NP_MASS_SLACK:
+            break
+        if p[i] <= 0.0:
+            continue
+        frac = min(1.0, (target - cum_p) / p[i])
+        cum_p += frac * p[i]
+        beta += frac * q[i]
+    return float(beta)
+
+
+def dh_dual(rho, sigma, eps, steps=120):
+    """Maximum of the dual ``g(mu) = mu (1 - eps) - Tr(mu rho - sigma)_+`` over ``mu >= 0``.
+
+    Returns ``(max g, probes)`` with every ``(mu, g(mu))`` evaluated.  Each
+    ``g(mu)`` is a lower bound on the type-II error beta (weak duality), and
+    the maximum equals beta.  ``g`` is concave: ``mu`` doubles from 1 while
+    ``g`` grows, then a golden-section search narrows the last bracket.
+    Only dense ``eigvalsh`` of ``mu rho - sigma`` is used.
+    """
+    rho, sigma = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
+    probes = []
+
+    def g(mu):
+        w = np.linalg.eigvalsh(mu * rho - sigma)
+        value = mu * (1.0 - eps) - float(w[w > 0.0].sum())
+        probes.append((mu, value))
+        return value
+
+    lo, mid, g_mid = 0.0, 1.0, g(1.0)
+    if g_mid <= g(0.0):
+        lo, hi = 0.0, 1.0
+    else:
+        hi, g_hi = 2.0, g(2.0)
+        while g_hi > g_mid and hi < 2.0**200:
+            lo, mid, g_mid = mid, hi, g_hi
+            hi, g_hi = 2.0 * hi, g(2.0 * hi)
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    g1, g2 = g(x1), g(x2)
+    for _ in range(steps):
+        if g1 < g2:
+            lo, x1, g1 = x1, x2, g2
+            x2 = lo + ratio * (hi - lo)
+            g2 = g(x2)
+        else:
+            hi, x2, g2 = x2, x1, g1
+            x1 = hi - ratio * (hi - lo)
+            g1 = g(x1)
+    return max(value for _, value in probes), probes
+
+
 def bisection_beta(rho, sigma, eps):
     """Type-II error of the optimal threshold test by fixed-width bisection.
 
@@ -452,6 +519,16 @@ def embed_cq(state):
     layout = RegisterLayout(state.classical_names + state.quantum_layout.names,
                             state.alphabet_sizes + state.quantum_layout.dims)
     return out, layout
+
+
+def condition_state(state, register, value):
+    """The state of the other registers given ``register == value``, renormalized."""
+    ax = state.classical_names.index(register)
+    probs = np.take(state.probs, value, axis=ax)
+    names = tuple(n for n in state.classical_names if n != register)
+    sizes = tuple(s for n, s in zip(state.classical_names, state.alphabet_sizes) if n != register)
+    return CQState(names, sizes, probs / probs.sum(), state.quantum_layout,
+                   np.take(state.conditionals, value, axis=ax))
 
 
 def dense_joint_and_product(state, part_a, part_b):
