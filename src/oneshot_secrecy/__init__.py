@@ -8,7 +8,7 @@ from .operators import (
     trace_distance,
     validate_density,
 )
-from .states import CQState, joint_and_product
+from .states import CQConditionals, CQState, joint_and_product
 from .entropic import (
     ConvergenceError,
     ToleranceParams,

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .operators import OperatorError, RegisterLayout, validate_density, validate_pmf
-from .states import CQState
+from .states import CQConditionals, CQState
 
 INPUT_NAMES = ("X1", "X2")
 OUTPUT_NAMES = ("Y1", "Y2", "Z")
@@ -378,7 +378,7 @@ def control_state_t1(channel: ChannelSpec, dist: InputDistribution) -> CQState:
     for i1, s1 in enumerate(a1):
         for i2, s2 in enumerate(a2):
             conds[:, i1, i2] = channel.state_of(s1, s2)
-    state = CQState(("Q", "X1", "X2"), probs.shape, probs, layout, conds)
+    state = CQState(CQConditionals(("Q", "X1", "X2"), probs.shape, layout, conds), probs)
     state.validate()
     return state
 
@@ -398,7 +398,7 @@ def control_state_hk(channel: ChannelSpec, dist: InputDistribution) -> CQState:
             for i20, x20 in enumerate(alphabets[2]):
                 for i22, x22 in enumerate(alphabets[3]):
                     conds[i10, i11, i20, i22] = channel.state_of(x1, s2.combine(x20, x22))
-    state = CQState(HK_REGISTERS, probs.shape, probs, layout, conds)
+    state = CQState(CQConditionals(HK_REGISTERS, probs.shape, layout, conds), probs)
     state.validate()
     return state
 

@@ -144,27 +144,19 @@ def _np_beta(p: np.ndarray, q: np.ndarray, target: float) -> float:
     atoms first, ties by index) until the accepted ``p`` mass reaches
     ``target``; the boundary atom is admitted fractionally.  No validation:
     traces need not be one and tiny negative entries are tolerated.
-
-    The admitted masses are running sums in admission order, so the result
-    is bit-identical to admitting one atom at a time
-    (``tests/util.py::np_beta_loop``): an atom is admitted whole while the
-    mass still missing is at least its own (then ``min(1, missing / p)`` is
-    exactly 1), and for a ``target`` below 2 a fractional admission lands
-    within ``NP_MASS_SLACK`` of the target, which ends the admission.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(q > 0.0, p / np.maximum(q, DIV_FLOOR), math.inf)
-    order = np.argsort(-ratio, kind="stable")
-    order = order[p[order] > 0.0]
-    p, q = p[order], q[order]
-    before = np.concatenate(([0.0], np.cumsum(p[:-1])))
-    missing = target - before
-    stops = np.flatnonzero((before >= target - NP_MASS_SLACK) | (missing < p))
-    k = int(stops[0]) if stops.size else len(p)
-    # + 0.0 turns the -0.0 a running sum from a -0.0 atom may keep into the 0.0 of a sum from 0.0
-    beta = np.cumsum(q[:k])[-1] + 0.0 if k else 0.0
-    if k < len(p) and before[k] < target - NP_MASS_SLACK:
-        beta += missing[k] / p[k] * q[k]
+    cum_p = 0.0
+    beta = 0.0
+    for i in np.argsort(-ratio, kind="stable"):
+        if cum_p >= target - NP_MASS_SLACK:
+            break
+        if p[i] <= 0.0:
+            continue
+        frac = min(1.0, (target - cum_p) / p[i])
+        cum_p += frac * p[i]
+        beta += frac * q[i]
     return float(beta)
 
 
@@ -605,8 +597,7 @@ def grid_values(
 
 
 def _one_point(kind: str, state: CQState, part_a, part_b, cond, eps: float, strategy: str = "none") -> float:
-    return float(grid_values(kind, CQConditionals.of(state), state.probs[None], part_a, part_b, cond, eps,
-                             strategy)[0])
+    return float(grid_values(kind, state.conds, state.probs[None], part_a, part_b, cond, eps, strategy)[0])
 
 
 def ht_mutual_info(state: CQState, part_a, part_b, eps: float) -> float:

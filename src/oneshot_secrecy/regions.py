@@ -126,11 +126,6 @@ class _MICalculator:
         self.smoothing = smoothing
         self._memo: dict = {}
 
-    @classmethod
-    def of(cls, state: CQState, params: ToleranceParams, smoothing: str) -> "_MICalculator":
-        """The one-point grid of ``state``."""
-        return cls(CQConditionals.of(state), state.probs[None], params, smoothing)
-
     def values(self, kind: str, part_a: Sequence[str], part_b: Sequence[str], cond: str | None) -> np.ndarray:
         key = (kind, tuple(part_a), tuple(part_b), cond)
         if key not in self._memo:
@@ -145,10 +140,15 @@ class _MICalculator:
 
 @dataclass(frozen=True)
 class _GridPoint:
-    """One point of a calculator's grid; a region builder takes it in place of a distribution."""
+    """One point of a calculator's grid: the terms a region's rows read."""
 
     calc: _MICalculator
     index: int
+
+    @staticmethod
+    def of(state: CQState, params: ToleranceParams, smoothing: str) -> "_GridPoint":
+        """``state`` as the one point of its own grid."""
+        return _MICalculator(state.conds, state.probs[None], params, smoothing).point(0)
 
     def ht(self, part_a: Sequence[str], part_b: Sequence[str], cond: str | None = None) -> MITerm:
         value = float(self.calc.values("ht", part_a, part_b, cond)[self.index])
@@ -158,18 +158,6 @@ class _GridPoint:
         value = float(self.calc.values("max", part_a, part_b, cond)[self.index])
         return MITerm("max", tuple(part_a), tuple(part_b), cond, -1.0, value, self.calc.params.eta,
                       self.calc.smoothing)
-
-
-def _grid_point(channel: ChannelSpec, dist, control_state: Callable, params: ToleranceParams,
-                smoothing: str) -> _GridPoint:
-    """A sweep's grid point as it is, or the one-point grid of a distribution.
-
-    A sweep builds its grid with the ``params`` and ``smoothing`` it passes
-    to the builder, so both routes evaluate the same terms.
-    """
-    if isinstance(dist, _GridPoint):
-        return dist
-    return _MICalculator.of(control_state(channel, dist), params, smoothing).point(0)
 
 
 @functools.cache
@@ -310,7 +298,7 @@ def qmac_inner_bound(
     senders = list(senders)
     if len(senders) not in (2, 3):
         raise OperatorError(f"qmac_inner_bound supports 2 or 3 senders, got {len(senders)}")
-    point = _MICalculator.of(state, ToleranceParams(eps=eps), "none").point(0)
+    point = _GridPoint.of(state, ToleranceParams(eps=eps), "none")
     variables = tuple(_rate_name(s) for s in senders)
     # senders a, b, c with rates A, B, C
     letters = "abc"[: len(senders)]
@@ -381,7 +369,12 @@ def theorem1_region(
     terms are recorded as the row's ``alternatives``, and only the picked
     receiver's row is assembled.
     """
-    point = _grid_point(channel, dist, control_state_t1, params, smoothing)
+    point = _GridPoint.of(control_state_t1(channel, dist), params, smoothing)
+    return _theorem1(point, penalties, delta_source)
+
+
+def _theorem1(point: _GridPoint, penalties: PenaltyMode, delta_source: str = "delta") -> RatePolytope:
+    params = point.calc.params
     pen = _secrecy_penalties(params, penalties, delta_source)
     variables = ("R1", "R2")
     roles = {"a": "X1", "b": "X2", "r": "R1", "s": "R2", "z": "Z"}
@@ -408,9 +401,13 @@ def hk_nosecrecy_region(
     penalties: PenaltyMode = PenaltyMode("paper"),
 ) -> RatePolytope:
     """Split-message no-secrecy region over (R1, R2), rows as printed."""
-    point = _grid_point(channel, dist, control_state_hk, ToleranceParams(eps=eps), "none")
+    point = _GridPoint.of(control_state_hk(channel, dist), ToleranceParams(eps=eps), "none")
+    return _hk_nosecrecy(point, penalties)
+
+
+def _hk_nosecrecy(point: _GridPoint, penalties: PenaltyMode) -> RatePolytope:
     rows = _assemble(point, _SPLIT_MESSAGE, None, _BOTH_RECEIVERS, ("R1", "R2"), "hk",
-                     _hk_penalties(penalties, eps))
+                     _hk_penalties(penalties, point.calc.params.eps))
     return RatePolytope(("R1", "R2"), rows, {"theorem": "hk-nosecrecy", "penalties": penalties.mode})
 
 
@@ -423,7 +420,16 @@ def conjecture_region(
     side_thresholds: tuple[float, float, float] = (math.inf, math.inf, math.inf),
 ) -> RatePolytope:
     """Split-message secrecy region (nine rows), plus the side-condition report."""
-    point = _grid_point(channel, dist, control_state_hk, params, smoothing)
+    point = _GridPoint.of(control_state_hk(channel, dist), params, smoothing)
+    return _conjecture(point, penalties, side_thresholds)
+
+
+def _conjecture(
+    point: _GridPoint,
+    penalties: PenaltyMode,
+    side_thresholds: tuple[float, float, float] = (math.inf, math.inf, math.inf),
+) -> RatePolytope:
+    params, smoothing = point.calc.params, point.calc.smoothing
     rows = _assemble(point, _SPLIT_MESSAGE, _SPLIT_MESSAGE_LEAKS, _BOTH_RECEIVERS, ("R1", "R2"),
                      "conj", _split_penalties(params, penalties))
     report = _secrecy_check(params, side_thresholds, smoothing, lambda a, b: point.imax(a, b).value)
@@ -442,7 +448,12 @@ def theorem2_region(
 
     Sub-channel 2 is the 1<->2 mirror of sub-channel 1.
     """
-    point = _grid_point(channel, dist, control_state_hk, params, smoothing)
+    point = _GridPoint.of(control_state_hk(channel, dist), params, smoothing)
+    return _theorem2(point, penalties)
+
+
+def _theorem2(point: _GridPoint, penalties: PenaltyMode) -> RatePolytope:
+    params, smoothing = point.calc.params, point.calc.smoothing
     pen = _split_penalties(params, penalties)
     rows: list[PolyRow] = []
     for sub, roles in ((1, dict(_SPLIT_ROLES, y="Y1")), (2, dict(_MIRRORED_ROLES, y="Y2"))):
@@ -744,6 +755,12 @@ def region_builder(theorem: str) -> Callable:
     return builders[theorem]
 
 
+def _point_builder(theorem: str) -> Callable:
+    """The region of one grid point, ``build(point, penalties)``, for :func:`sweep_union`."""
+    # looked up at call time, as region_builder's builders are
+    return dict(zip(REGION_THEOREMS, (_theorem1, _conjecture, _theorem2, _hk_nosecrecy), strict=True))[theorem]
+
+
 def _ray_radii(poly: RatePolytope, dirs: np.ndarray) -> np.ndarray:
     """Largest feasible scaling along each nonnegative ray direction.
 
@@ -800,12 +817,12 @@ def sweep_union(
         control_state = control_state_hk
     if count > max_evals:
         raise ValueError(f"grid of {count} distributions exceeds the cap of {max_evals}")
-    build = region_builder(theorem)
+    build = _point_builder(theorem)
     thetas = np.linspace(0.0, math.pi / 2.0, rays)
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
 
     first = next(dists)
-    conds = CQConditionals.of(control_state(channel, first))
+    conds = control_state(channel, first).conds
     size = max(1, _CHUNK_BYTES // conds.conditionals.nbytes)
     dists = itertools.chain([first], dists)
     frontier = np.zeros(rays)
@@ -815,7 +832,7 @@ def sweep_union(
         conds.check(probs)
         calc = _MICalculator(conds, probs, params, smoothing)
         for index in range(len(chunk)):
-            poly = build(channel, calc.point(index), params, penalties, smoothing=smoothing)
+            poly = build(calc.point(index), penalties)
             radii = _ray_radii(poly, dirs)
             evaluations += 1
             if np.all(radii <= FEAS_TOL):

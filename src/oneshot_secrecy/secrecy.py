@@ -141,11 +141,11 @@ class SecrecyReport:
 
 def _require_hk_state(state: CQState) -> None:
     needed = {"X10", "X11", "X20", "X22"}
-    if not needed.issubset(set(state.classical_names)):
+    if not needed.issubset(set(state.conds.classical_names)):
         raise OperatorError(
-            f"expected the four split-message registers, got {state.classical_names}"
+            f"expected the four split-message registers, got {state.conds.classical_names}"
         )
-    if "Z" not in state.quantum_layout.names:
+    if "Z" not in state.conds.quantum_layout.names:
         raise OperatorError("state carries no eavesdropper register Z")
 
 

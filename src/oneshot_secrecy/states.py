@@ -10,102 +10,40 @@ import numpy as np
 from .operators import PROB_TOL, OperatorError, RegisterLayout, partial_trace_matrix, validate_density
 
 
-@dataclass
-class CQState:
-    """Joint state of named classical registers and a shared quantum part.
+class CQConditionals:
+    """Named classical registers over conditional operators on a shared quantum part.
 
-    ``probs`` has one axis per classical register (in ``classical_names``
-    order); ``conditionals[idx]`` is the quantum state prepared when the
-    classical registers take the joint value ``idx``.  Zero-probability
-    atoms may carry any placeholder operator.
+    ``conditionals[idx]`` is the quantum state prepared when the classical
+    registers (in ``classical_names`` order) take the joint value ``idx``.
+    CQ states that differ only in their probabilities share these: a grid of
+    states is these plus a ``(G, *alphabet_sizes)`` stack of ``probs``.
+    Traces onto quantum registers and the conditionals given one classical
+    value are computed on first use and kept.
     """
 
-    classical_names: tuple[str, ...]
-    alphabet_sizes: tuple[int, ...]
-    probs: np.ndarray
-    quantum_layout: RegisterLayout
-    conditionals: np.ndarray
-
-    def __post_init__(self):
-        self.classical_names = tuple(self.classical_names)
-        self.alphabet_sizes = tuple(int(s) for s in self.alphabet_sizes)
-        self.probs = np.asarray(self.probs, dtype=float)
-        self.conditionals = np.asarray(self.conditionals, dtype=complex)
-        d = self.quantum_layout.total_dim
-        if self.probs.shape != self.alphabet_sizes:
-            raise OperatorError(
-                f"probs shape {self.probs.shape} != alphabet sizes {self.alphabet_sizes}"
-            )
+    def __init__(self, classical_names: Sequence[str], alphabet_sizes: Sequence[int],
+                 quantum_layout: RegisterLayout, conditionals):
+        self.classical_names = tuple(classical_names)
+        self.alphabet_sizes = tuple(int(s) for s in alphabet_sizes)
+        self.quantum_layout = quantum_layout
+        self.conditionals = np.asarray(conditionals, dtype=complex)
+        d = quantum_layout.total_dim
         if self.conditionals.shape != self.alphabet_sizes + (d, d):
             raise OperatorError(
                 f"conditionals shape {self.conditionals.shape} incompatible with "
                 f"alphabets {self.alphabet_sizes} and quantum dim {d}"
             )
-        if len(set(self.classical_names) | set(self.quantum_layout.names)) != len(
+        if len(set(self.classical_names) | set(quantum_layout.names)) != len(
             self.classical_names
-        ) + len(self.quantum_layout.names):
+        ) + len(quantum_layout.names):
             raise OperatorError("classical and quantum register names must be distinct")
-
-    # -- validation -----------------------------------------------------
-
-    def validate(self) -> None:
-        _check_probs(self.probs)
-        _check_conditionals(self.conditionals, self.probs > PROB_TOL)
-
-    # -- register bookkeeping -------------------------------------------
-
-    @property
-    def registers(self) -> tuple[str, ...]:
-        return self.classical_names + self.quantum_layout.names
-
-    def is_classical(self, name: str) -> bool:
-        return name in self.classical_names
-
-    def size_of(self, name: str) -> int:
-        return self.alphabet_sizes[self.classical_names.index(name)]
-
-    def classical_dim(self, registers: Sequence[str]) -> int:
-        """Product of the alphabet sizes of the classical registers in ``registers``."""
-        return math.prod(self.size_of(r) for r in registers if self.is_classical(r))
-
-
-def _check_probs(probs: np.ndarray) -> None:
-    """Probabilities of one CQ state: none below ``-PROB_TOL``, summing to 1 within ``PROB_TOL``."""
-    if np.any(probs < -PROB_TOL):
-        raise OperatorError(f"negative probability {probs.min():.1e}")
-    total = float(probs.sum())
-    if abs(total - 1.0) > PROB_TOL:
-        raise OperatorError(f"probabilities sum to {total!r}, not 1")
-
-
-def _check_conditionals(conditionals: np.ndarray, live: np.ndarray) -> None:
-    """Validate the conditional operators at the joint values marked ``live``."""
-    flat_c = conditionals.reshape(-1, *conditionals.shape[-2:])
-    for k in np.flatnonzero(live):
-        validate_density(flat_c[k], f"conditional {k}")
-
-
-class CQConditionals:
-    """The conditional operators shared by CQ states that differ only in ``probs``.
-
-    A grid of states is these plus a ``(G, *alphabet_sizes)`` stack of
-    ``probs``.  Traces onto quantum registers and the conditionals given one
-    classical value are computed on first use and kept.
-    """
-
-    def __init__(self, classical_names: tuple[str, ...], alphabet_sizes: tuple[int, ...],
-                 quantum_layout: RegisterLayout, conditionals: np.ndarray):
-        self.classical_names = classical_names
-        self.alphabet_sizes = alphabet_sizes
-        self.quantum_layout = quantum_layout
-        self.conditionals = conditionals
         self._traced: dict[tuple[str, ...], np.ndarray] = {}
         self._given: dict[tuple[str, int], CQConditionals] = {}
         self._checked = np.zeros(self.alphabet_sizes, dtype=bool)
 
-    @classmethod
-    def of(cls, state: CQState) -> "CQConditionals":
-        return cls(state.classical_names, state.alphabet_sizes, state.quantum_layout, state.conditionals)
+    @property
+    def registers(self) -> tuple[str, ...]:
+        return self.classical_names + self.quantum_layout.names
 
     def is_classical(self, name: str) -> bool:
         return name in self.classical_names
@@ -117,11 +55,22 @@ class CQConditionals:
             raise OperatorError(f"unknown classical register {name!r}") from None
 
     def check(self, probs: np.ndarray) -> None:
-        """Check every point of ``probs`` as :meth:`CQState.validate` would, each conditional once."""
+        """Check every point of a ``(G, *alphabet_sizes)`` stack and each live conditional once.
+
+        A point's probabilities may not fall below ``-PROB_TOL`` and must sum
+        to 1 within ``PROB_TOL``; a conditional is live, and must be a
+        density operator, where some point gives it more than ``PROB_TOL``.
+        """
         for point in probs:
-            _check_probs(point)
+            if np.any(point < -PROB_TOL):
+                raise OperatorError(f"negative probability {point.min():.1e}")
+            total = float(point.sum())
+            if abs(total - 1.0) > PROB_TOL:
+                raise OperatorError(f"probabilities sum to {total!r}, not 1")
         live = np.any(probs > PROB_TOL, axis=0) & ~self._checked
-        _check_conditionals(self.conditionals, live)
+        flat_c = self.conditionals.reshape(-1, *self.conditionals.shape[-2:])
+        for k in np.flatnonzero(live):
+            validate_density(flat_c[k], f"conditional {k}")
         self._checked |= live
 
     def traced(self, quantum: tuple[str, ...]) -> np.ndarray:
@@ -145,6 +94,29 @@ class CQConditionals:
                 np.take(self.conditionals, value, axis=ax),
             )
         return self._given[key]
+
+
+@dataclass
+class CQState:
+    """Joint state of named classical registers and a shared quantum part.
+
+    ``probs`` has one axis per classical register of ``conds``; the state is
+    the one-point grid of its conditionals.  Zero-probability atoms may
+    carry any placeholder operator.
+    """
+
+    conds: CQConditionals
+    probs: np.ndarray
+
+    def __post_init__(self):
+        self.probs = np.asarray(self.probs, dtype=float)
+        if self.probs.shape != self.conds.alphabet_sizes:
+            raise OperatorError(
+                f"probs shape {self.probs.shape} != alphabet sizes {self.conds.alphabet_sizes}"
+            )
+
+    def validate(self) -> None:
+        self.conds.check(self.probs[None])
 
 
 def _block_diag(stack: np.ndarray) -> np.ndarray:
@@ -207,11 +179,11 @@ def joint_and_product(
     Both operators share the classical-major register order
     ``(a_cl, b_cl, a_qu, b_qu)``: the classical registers of ``part_a`` then
     of ``part_b``, then their quantum registers, each in the caller's order.
-    Both are therefore block diagonal with ``state.classical_dim(part_a +
-    part_b)`` equal contiguous blocks, one per joint classical value, which
-    the divergences read off the operators.  The order is a
+    Both are therefore block diagonal with equal contiguous blocks, one per
+    joint classical value of the two groups, which the divergences read off
+    the operators.  The order is a
     permutation of ``(*part_a, *part_b)``, which leaves every divergence
     unchanged.  This is the one-point case of :func:`block_pairs`.
     """
-    joint, product = block_pairs(CQConditionals.of(state), state.probs[None], part_a, part_b)
+    joint, product = block_pairs(state.conds, state.probs[None], part_a, part_b)
     return _block_diag(joint[0]), _block_diag(product[0])

@@ -42,7 +42,7 @@ from oneshot_secrecy.regions import (
     vertices_2d,
 )
 from oneshot_secrecy.secrecy import VACUITY_THRESHOLD, leakage_bound, randomizer_plan
-from oneshot_secrecy.states import CQState
+from oneshot_secrecy.states import CQConditionals, CQState
 from conftest import rand_density, rand_unitary
 from util import (
     condition_state,
@@ -296,7 +296,7 @@ def test_criterion_09_smoothing():
                 inner = rng.dirichlet(np.ones(4)).reshape(2, 2)
                 probs[z] = pz[z] * inner
             conds = np.ones(probs.shape + (1, 1), dtype=complex)
-            state = CQState(("Z", "A", "B"), probs.shape, probs, layout, conds)
+            state = CQState(CQConditionals(("Z", "A", "B"), probs.shape, layout, conds), probs)
             eps = float(rng.uniform(0.1, 0.6))
             for fn, per in (
                 (cond_smooth_ht_mi, lambda s: ht_mutual_info(s, ["A"], ["B"], eps)),

@@ -122,15 +122,16 @@ def _random_state(rng, sizes, qdims):
     conds /= np.trace(conds, axis1=-2, axis2=-1).real[..., None, None]
     cl = tuple(f"C{i}" for i in range(len(sizes)))
     qu = RegisterLayout(tuple(f"Q{i}" for i in range(len(qdims))), qdims)
-    return CQState(cl, sizes, probs, qu, conds)
+    return CQState(CQConditionals(cl, sizes, qu, conds), probs)
 
 
 def _classical_major(state, part_a, part_b):
     """Layout of the classical-major order (a_cl, b_cl, a_qu, b_qu)."""
-    order = ([r for r in part_a if state.is_classical(r)] + [r for r in part_b if state.is_classical(r)]
-             + [r for r in part_a if not state.is_classical(r)]
-             + [r for r in part_b if not state.is_classical(r)])
-    dims = [state.size_of(r) if state.is_classical(r) else state.quantum_layout.dim_of(r)
+    conds = state.conds
+    order = ([r for r in part_a if conds.is_classical(r)] + [r for r in part_b if conds.is_classical(r)]
+             + [r for r in part_a if not conds.is_classical(r)]
+             + [r for r in part_b if not conds.is_classical(r)])
+    dims = [conds.alphabet_sizes[conds.axis(r)] if conds.is_classical(r) else conds.quantum_layout.dim_of(r)
             for r in order]
     return RegisterLayout(tuple(order), tuple(dims))
 
@@ -144,7 +145,7 @@ def _classical_major(state, part_a, part_b):
 )
 def test_joint_and_product_matches_dense_embedding(sizes, qdims, data, seed):
     state = _random_state(np.random.default_rng(seed), tuple(sizes), tuple(qdims))
-    registers = list(state.registers)
+    registers = list(state.conds.registers)
     # each register goes to side a, side b or is dropped; both sides non-empty
     sides = data.draw(st.lists(st.sampled_from("abx"), min_size=len(registers),
                                max_size=len(registers)))
@@ -177,7 +178,9 @@ def _check_against_dense(state, part_a, part_b):
     # both vanish off the detected blocks, which are at least one per joint
     # classical value
     stacks = _block_stack(joint, product)
-    assert stacks[0].shape[0] >= state.classical_dim(part_a + part_b)
+    conds = state.conds
+    assert stacks[0].shape[0] >= math.prod(conds.alphabet_sizes[conds.axis(r)]
+                                           for r in part_a + part_b if conds.is_classical(r))
     for op, stack in zip((joint, product), stacks):
         assert np.count_nonzero(stack) == np.count_nonzero(op)
 
@@ -200,13 +203,12 @@ def _random_grid(rng, sizes, qdims, points):
     for _ in range(points - 1):
         probs = rng.random(sizes) * (rng.random(sizes) < 0.8)
         probs.flat[int(rng.integers(probs.size))] += 0.1
-        states.append(CQState(base.classical_names, sizes, probs / probs.sum(), base.quantum_layout,
-                              base.conditionals))
+        states.append(CQState(base.conds, probs / probs.sum()))
     return states
 
 
 def _check_grid(states, part_a, part_b):
-    conds = CQConditionals.of(states[0])
+    conds = states[0].conds
     joint, product = block_pairs(conds, np.stack([s.probs for s in states]), part_a, part_b)
     for g, state in enumerate(states):
         alone = joint_and_product(state, part_a, part_b)
@@ -226,7 +228,7 @@ def _check_grid(states, part_a, part_b):
 def test_grid_blocks_match_each_point_alone(sizes, qdims, points, data, seed):
     """The batched blocks are bitwise the one-point ones and match the dense embedding."""
     states = _random_grid(np.random.default_rng(seed), tuple(sizes), tuple(qdims), points)
-    registers = list(states[0].registers)
+    registers = list(states[0].conds.registers)
     sides = data.draw(st.lists(st.sampled_from("abx"), min_size=len(registers), max_size=len(registers)))
     order = data.draw(st.permutations(registers))
     part_a = [r for r in order if sides[registers.index(r)] == "a"]
@@ -257,7 +259,7 @@ def test_grid_conditional_terms_match_each_point_alone(sizes, points, data, seed
     cond, a, b = data.draw(st.permutations(["C0", "C1", "Q0"]))
     if cond == "Q0":
         return
-    conds, probs = CQConditionals.of(states[0]), np.stack([s.probs for s in states])
+    conds, probs = states[0].conds, np.stack([s.probs for s in states])
     ht = grid_values("ht", conds, probs, [a], [b], cond, 0.25)
     dmax = grid_values("max", conds, probs, [a], [b], cond, 0.1, "none")
     for g, state in enumerate(states):

@@ -62,11 +62,11 @@ def test_roundtrip_byte_identity(tmp_path, diag_channel, xor_channel):
 
 def test_control_state_t1_uniform(diag_channel):
     state = control_state_t1(diag_channel, uniform_t1(diag_channel))
-    assert state.classical_names == ("Q", "X1", "X2")
+    assert state.conds.classical_names == ("Q", "X1", "X2")
     assert state.probs.shape == (1, 2, 2)
     assert np.allclose(state.probs, 0.25)
-    assert state.quantum_layout.total_dim == 8
-    assert np.allclose(np.diag(state.conditionals[0, 0, 1]).real.sum(), 1.0)
+    assert state.conds.quantum_layout.total_dim == 8
+    assert np.allclose(np.diag(state.conds.conditionals[0, 0, 1]).real.sum(), 1.0)
     assert abs(state.probs.sum() - 1.0) <= 1e-9
 
 
@@ -80,7 +80,7 @@ def test_control_state_t1_point_mass(diag_channel):
     state = control_state_t1(diag_channel, dist)
     nz = np.nonzero(state.probs)
     assert state.probs[nz][0] == 1.0 and nz == (np.array([0]), np.array([1]), np.array([0]))
-    assert np.allclose(state.conditionals[0, 1, 0], diag_channel.state_of("1", "0"))
+    assert np.allclose(state.conds.conditionals[0, 1, 0], diag_channel.state_of("1", "0"))
 
 
 def test_control_state_t1_conditional_product(diag_channel):
@@ -102,7 +102,7 @@ def test_control_state_t1_requires_unsplit(diag_split_channel):
 
 def test_control_state_hk_uniform(xor_channel):
     state = control_state_hk(xor_channel, uniform_hk(xor_channel))
-    assert state.classical_names == ("X10", "X11", "X20", "X22")
+    assert state.conds.classical_names == ("X10", "X11", "X20", "X22")
     assert state.probs.shape == (2, 2, 2, 2)
     assert np.allclose(state.probs, 1.0 / 16.0)
     # classical marginal on (X10, X11) is the product of the marginals
@@ -137,7 +137,7 @@ def test_control_state_hk_degenerate_personal_matches_t1():
     t1_state = control_state_t1(base, t1_dist)
     # atom-by-atom comparison after dropping the singleton registers
     assert np.max(np.abs(hk_state.probs[:, 0, :, 0] - t1_state.probs[0])) <= 1e-12
-    assert np.max(np.abs(hk_state.conditionals[:, 0, :, 0] - t1_state.conditionals[0])) <= 1e-12
+    assert np.max(np.abs(hk_state.conds.conditionals[:, 0, :, 0] - t1_state.conds.conditionals[0])) <= 1e-12
 
 
 def test_distribution_documents(diag_channel, tmp_path):

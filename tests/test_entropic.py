@@ -13,7 +13,6 @@ from oneshot_secrecy.entropic import (
     ToleranceParams,
     _max_min,
     _diagonal_scan,
-    _np_beta,
     binary_entropy,
     classical_np_oracle,
     cond_smooth_ht_mi,
@@ -39,9 +38,9 @@ from oneshot_secrecy.operators import (
     trace_distance,
     validate_density,
 )
-from oneshot_secrecy.states import CQState
+from oneshot_secrecy.states import CQConditionals, CQState
 from conftest import rand_density, rand_unitary
-from util import bisection_beta, dh_dual, diagonal_scan_pairwise, np_beta_loop
+from util import bisection_beta, dh_dual, diagonal_scan_pairwise
 
 R = np.diag([0.5, 0.5]).astype(complex)
 S = np.diag([0.9, 0.1]).astype(complex)
@@ -56,7 +55,7 @@ def classical_cq(names, probs, quantum=None):
         if quantum is None
         else np.broadcast_to(quantum[0], probs.shape + quantum[0].shape).copy()
     )
-    return CQState(tuple(names), probs.shape, probs, layout, conds)
+    return CQState(CQConditionals(names, probs.shape, layout, conds), probs)
 
 
 def test_tolerance_params_invariants():
@@ -465,37 +464,6 @@ def test_divergences_meet_their_dual_certificates(k, d, data, kernel_weight, eps
         w, v = np.linalg.eigh(sigma)
         kernel = v[:, w <= 1e-9]
         assert np.trace(kernel.conj().T @ rho @ kernel).real >= EIG_CLAMP
-
-
-@settings(max_examples=300)
-@given(
-    n=st.integers(1, 30),
-    data=st.data(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_np_beta_is_bit_identical_to_one_atom_at_a_time(n, data, seed):
-    """Ties, zero-``q`` atoms, nonpositive and tiny ``p`` and targets on or beside a running sum of ``p``."""
-    rng = np.random.default_rng(seed)
-    if data.draw(st.booleans()):
-        # coarse grids make ties in ratio and in running sums likely
-        p = rng.integers(0, 5, size=n) / data.draw(st.sampled_from([4.0, 7.0, 10.0]))
-        q = rng.integers(0, 4, size=n) / data.draw(st.sampled_from([3.0, 8.0]))
-    else:
-        p = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.8)
-        q = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.8)
-    p[rng.random(n) < 0.2] *= data.draw(st.sampled_from([-1e-13, 1e-16]))
-    if data.draw(st.booleans()):
-        p[rng.integers(n)] = -0.0
-        q[rng.integers(n)] = -0.0
-    positive = p[p > 0.0]
-    sums = [0.5, *np.cumsum(positive).tolist()]
-    target = data.draw(st.one_of(
-        st.floats(0.0, 1.5),
-        st.sampled_from(sums),
-        st.tuples(st.sampled_from(sums), st.sampled_from([-1e-15, -5e-16, 5e-16])).map(sum),
-    ))
-    expected, got = np_beta_loop(p, q, target), _np_beta(p, q, target)
-    assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected), (got, expected)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -15,7 +15,7 @@ from oneshot_secrecy.operators import (
     trace_distance,
     validate_density,
 )
-from oneshot_secrecy.states import CQState
+from oneshot_secrecy.states import CQConditionals, CQState
 from conftest import rand_density, rand_unitary
 
 
@@ -142,9 +142,9 @@ def test_validate_density_diagnostics():
 def test_cq_state_validate_checks_each_live_conditional(bad):
     layout = RegisterLayout(("B",), (2,))
     conds = np.stack([np.eye(2) / 2, bad])
-    CQState(("X",), (2,), [1.0, 0.0], layout, conds).validate()  # zero-probability atom
+    CQState(CQConditionals(("X",), (2,), layout, conds), [1.0, 0.0]).validate()  # zero-probability atom
     with pytest.raises(OperatorError, match="conditional 1"):
-        CQState(("X",), (2,), [0.5, 0.5], layout, conds).validate()
+        CQState(CQConditionals(("X",), (2,), layout, conds), [0.5, 0.5]).validate()
 
 
 def test_register_layout_invariants():

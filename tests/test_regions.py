@@ -747,7 +747,7 @@ def test_sweep_chunks_leave_the_frontier_unchanged(diag_channel, monkeypatch, th
     state = (control_state_t1 if theorem == "t1" else control_state_hk)(channel, dist)
     outputs = []
     for points in (10**6, 1, 3):
-        monkeypatch.setattr(regions, "_CHUNK_BYTES", points * state.conditionals.nbytes)
+        monkeypatch.setattr(regions, "_CHUNK_BYTES", points * state.conds.conditionals.nbytes)
         result = sweep_union(channel, theorem, PARAMS, OFF, grid=grid, q_size=q_size, rays=31)
         outputs.append((result.points.tobytes(), result.evaluations, result.degenerate_count))
     assert outputs[0] == outputs[1] == outputs[2]

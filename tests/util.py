@@ -7,9 +7,8 @@ Fourier-Motzkin through one row object per combination and a dict keyed on
 rounded directions, hulls through a monotone chain, the qubit test search
 through a refined dense grid, the diagonal-scan smoothing through one
 donor-recipient pair at a time, the joint/product pair through a dense
-embedding with Kronecker products, the quantum threshold test through a
-plain bisection on the whole matrix and through its dual, and the classical
-Neyman-Pearson test through one admitted atom at a time.
+embedding with Kronecker products, and the quantum threshold test through a
+plain bisection on the whole matrix and through its dual.
 """
 import itertools
 import math
@@ -23,11 +22,9 @@ from oneshot_secrecy.operators import (
     BISECT_WIDTH,
     COEF_TOL,
     DET_TOL,
-    DIV_FLOOR,
     EIG_CLAMP,
     FEAS_TOL,
     KERNEL_MASS_SLACK,
-    NP_MASS_SLACK,
     PROBE_BAND,
     TYPE_I_TOL,
     OperatorError,
@@ -41,7 +38,7 @@ from oneshot_secrecy.regions import (
     VertexEnumeration,
     _has_recession_ray,
 )
-from oneshot_secrecy.states import CQState
+from oneshot_secrecy.states import CQConditionals, CQState
 
 
 def polytope_from_arrays(variables, rows):
@@ -322,28 +319,6 @@ def qubit_grid_beta(rho, sigma, eps, n_theta=1000, n_phi=1000):
     return float(np.min(best))
 
 
-def np_beta_loop(p, q, target):
-    """Neyman-Pearson type-II error, admitting one atom at a time.
-
-    Atoms go in decreasing likelihood-ratio order (zero-denominator atoms
-    first, ties by index), nonpositive ``p`` atoms are skipped, and the
-    boundary atom is admitted fractionally until ``target`` of ``p`` is in.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(q > 0.0, p / np.maximum(q, DIV_FLOOR), math.inf)
-    cum_p = 0.0
-    beta = 0.0
-    for i in np.argsort(-ratio, kind="stable"):
-        if cum_p >= target - NP_MASS_SLACK:
-            break
-        if p[i] <= 0.0:
-            continue
-        frac = min(1.0, (target - cum_p) / p[i])
-        cum_p += frac * p[i]
-        beta += frac * q[i]
-    return float(beta)
-
-
 def dh_dual(rho, sigma, eps, steps=120):
     """Maximum of the dual ``g(mu) = mu (1 - eps) - Tr(mu rho - sigma)_+`` over ``mu >= 0``.
 
@@ -509,26 +484,28 @@ def embed_cq(state):
     The layout lists the classical registers, then the quantum ones, each in
     the state's own order.
     """
-    dq = state.quantum_layout.total_dim
+    conds = state.conds
+    dq = conds.quantum_layout.total_dim
     flat_p = state.probs.reshape(-1)
-    flat_c = state.conditionals.reshape(-1, dq, dq)
+    flat_c = conds.conditionals.reshape(-1, dq, dq)
     out = np.zeros((flat_p.size * dq, flat_p.size * dq), dtype=complex)
     for k in range(flat_p.size):
         if flat_p[k] > 0.0:
             out[k * dq:(k + 1) * dq, k * dq:(k + 1) * dq] = flat_p[k] * flat_c[k]
-    layout = RegisterLayout(state.classical_names + state.quantum_layout.names,
-                            state.alphabet_sizes + state.quantum_layout.dims)
+    layout = RegisterLayout(conds.classical_names + conds.quantum_layout.names,
+                            conds.alphabet_sizes + conds.quantum_layout.dims)
     return out, layout
 
 
 def condition_state(state, register, value):
     """The state of the other registers given ``register == value``, renormalized."""
-    ax = state.classical_names.index(register)
+    conds = state.conds
+    ax = conds.classical_names.index(register)
     probs = np.take(state.probs, value, axis=ax)
-    names = tuple(n for n in state.classical_names if n != register)
-    sizes = tuple(s for n, s in zip(state.classical_names, state.alphabet_sizes) if n != register)
-    return CQState(names, sizes, probs / probs.sum(), state.quantum_layout,
-                   np.take(state.conditionals, value, axis=ax))
+    names = tuple(n for n in conds.classical_names if n != register)
+    sizes = tuple(s for n, s in zip(conds.classical_names, conds.alphabet_sizes) if n != register)
+    return CQState(CQConditionals(names, sizes, conds.quantum_layout, np.take(conds.conditionals, value, axis=ax)),
+                   probs / probs.sum())
 
 
 def dense_joint_and_product(state, part_a, part_b):
