@@ -247,6 +247,8 @@ class InputDistribution:
             q = np.asarray(self.q, dtype=float)
             c1 = np.asarray(self.x1_given_q, dtype=float)
             c2 = np.asarray(self.x2_given_q, dtype=float)
+            if q.ndim != 1:
+                raise OperatorError(f"q has shape {q.shape}, expected a 1-d vector")
             validate_pmf(q, "q")
             if c1.shape != (len(q), len(channel.inputs["X1"])):
                 raise OperatorError(
@@ -336,69 +338,69 @@ def save_distribution(dist: InputDistribution, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _t1_probs(channel: ChannelSpec, dist: InputDistribution) -> np.ndarray:
-    if dist.kind != "t1":
-        raise OperatorError("control_state_t1 needs a time-shared distribution")
-    if channel.has_splits():
-        raise OperatorError("control_state_t1 requires a channel without splits")
-    dist.validate(channel)
-    q = np.asarray(dist.q, dtype=float)
-    c1 = np.asarray(dist.x1_given_q, dtype=float)
-    c2 = np.asarray(dist.x2_given_q, dtype=float)
-    return q[:, None, None] * c1[:, :, None] * c2[:, None, :]
+def _t1_probs(q: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """``p(q) p(x1|q) p(x2|q)`` on (Q, X1, X2); leading axes of all three are grid axes."""
+    return q[..., :, None, None] * c1[..., :, :, None] * c2[..., :, None, :]
 
 
-def _hk_probs(channel: ChannelSpec, dist: InputDistribution) -> np.ndarray:
-    if dist.kind != "hk":
-        raise OperatorError("control_state_hk needs the four split marginals")
-    if not channel.has_splits():
-        raise OperatorError("control_state_hk requires a channel with splits")
-    dist.validate(channel)
-    m = {reg: np.asarray(dist.marginals[reg], dtype=float) for reg in HK_REGISTERS}
+def _hk_probs(m10: np.ndarray, m11: np.ndarray, m20: np.ndarray, m22: np.ndarray) -> np.ndarray:
+    """Product of the four split marginals; leading axes of all four are grid axes."""
     return (
-        m["X10"][:, None, None, None]
-        * m["X11"][None, :, None, None]
-        * m["X20"][None, None, :, None]
-        * m["X22"][None, None, None, :]
+        m10[..., :, None, None, None]
+        * m11[..., None, :, None, None]
+        * m20[..., None, None, :, None]
+        * m22[..., None, None, None, :]
     )
 
 
-def control_probs(channel: ChannelSpec, dist: InputDistribution) -> np.ndarray:
-    """The ``probs`` of the control state of ``dist``, without building its conditionals."""
-    return (_t1_probs if dist.kind == "t1" else _hk_probs)(channel, dist)
+def _state_stack(channel: ChannelSpec) -> np.ndarray:
+    """The channel's ``(|X1|, |X2|, d, d)`` output states, in alphabet order."""
+    return np.array([[channel.state_of(s1, s2) for s2 in channel.inputs["X2"]] for s1 in channel.inputs["X1"]])
+
+
+def _split_index(channel: ChannelSpec, inp: str) -> np.ndarray:
+    """Input-alphabet index of each (common, personal) pair under the combining table of ``inp``."""
+    split, symbols = channel.splits[inp], channel.inputs[inp]
+    return np.array([[symbols.index(split.combine(c, p)) for p in split.parts[1]] for c in split.parts[0]])
+
+
+def _t1_conditionals(channel: ChannelSpec, q_size: int) -> CQConditionals:
+    """Conditionals on classical (Q, X1, X2): every value of Q sees the same channel."""
+    if channel.has_splits():
+        raise OperatorError("control_state_t1 requires a channel without splits")
+    stack = _state_stack(channel)
+    return CQConditionals(("Q", "X1", "X2"), (q_size, *stack.shape[:2]), channel.quantum_layout,
+                          np.repeat(stack[None], q_size, axis=0))
+
+
+def _hk_conditionals(channel: ChannelSpec) -> CQConditionals:
+    """Conditionals on classical (X10, X11, X20, X22), gathered through the combining tables."""
+    if not channel.has_splits():
+        raise OperatorError("control_state_hk requires a channel with splits")
+    i1, i2 = _split_index(channel, "X1"), _split_index(channel, "X2")
+    conds = _state_stack(channel)[i1[:, :, None, None], i2[None, None, :, :]]
+    return CQConditionals(HK_REGISTERS, conds.shape[:4], channel.quantum_layout, conds)
 
 
 def control_state_t1(channel: ChannelSpec, dist: InputDistribution) -> CQState:
     """Time-shared control state on classical (Q, X1, X2) and quantum (Y1, Y2, Z)."""
-    probs = _t1_probs(channel, dist)
-    layout = channel.quantum_layout
-    d = layout.total_dim
-    a1, a2 = channel.inputs["X1"], channel.inputs["X2"]
-    conds = np.zeros(probs.shape + (d, d), dtype=complex)
-    for i1, s1 in enumerate(a1):
-        for i2, s2 in enumerate(a2):
-            conds[:, i1, i2] = channel.state_of(s1, s2)
-    state = CQState(CQConditionals(("Q", "X1", "X2"), probs.shape, layout, conds), probs)
+    if dist.kind != "t1":
+        raise OperatorError("control_state_t1 needs a time-shared distribution")
+    dist.validate(channel)
+    q, c1, c2 = (np.asarray(v, dtype=float) for v in (dist.q, dist.x1_given_q, dist.x2_given_q))
+    state = CQState(_t1_conditionals(channel, len(q)), _t1_probs(q, c1, c2))
     state.validate()
     return state
 
 
 def control_state_hk(channel: ChannelSpec, dist: InputDistribution) -> CQState:
     """Split-message control state on classical (X10, X11, X20, X22)."""
-    probs = _hk_probs(channel, dist)
-    layout = channel.quantum_layout
-    d = layout.total_dim
-    alphabets = [channel.part_alphabet(reg) for reg in HK_REGISTERS]
-    conds = np.zeros(probs.shape + (d, d), dtype=complex)
-    s1 = channel.splits["X1"]
-    s2 = channel.splits["X2"]
-    for i10, x10 in enumerate(alphabets[0]):
-        for i11, x11 in enumerate(alphabets[1]):
-            x1 = s1.combine(x10, x11)
-            for i20, x20 in enumerate(alphabets[2]):
-                for i22, x22 in enumerate(alphabets[3]):
-                    conds[i10, i11, i20, i22] = channel.state_of(x1, s2.combine(x20, x22))
-    state = CQState(CQConditionals(HK_REGISTERS, probs.shape, layout, conds), probs)
+    if dist.kind != "hk":
+        raise OperatorError("control_state_hk needs the four split marginals")
+    conds = _hk_conditionals(channel)
+    dist.validate(channel)
+    probs = _hk_probs(*(np.asarray(dist.marginals[reg], dtype=float) for reg in HK_REGISTERS))
+    state = CQState(conds, probs)
     state.validate()
     return state
 

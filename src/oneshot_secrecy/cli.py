@@ -75,9 +75,8 @@ def _params_dict(params: ToleranceParams) -> dict:
     return {**vars(params), "eta": params.eta}
 
 
-def _add_param_flags(parser: argparse.ArgumentParser, need_eps: bool = True) -> None:
-    parser.add_argument("--eps", type=float, required=need_eps, default=None if need_eps else 0.25,
-                        help="decoding/smoothing parameter in (0,1)")
+def _add_param_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--eps", type=float, required=True, help="decoding/smoothing parameter in (0,1)")
     parser.add_argument("--eps-prime", type=float, default=0.1, dest="eps_prime")
     parser.add_argument("--delta", type=float, default=0.01)
     parser.add_argument("--delta-prime", type=float, default=0.2, dest="delta_prime")

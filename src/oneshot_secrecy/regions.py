@@ -16,9 +16,14 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .channel import (
+    HK_REGISTERS,
+    INPUT_NAMES,
     ChannelSpec,
     InputDistribution,
-    control_probs,
+    _hk_conditionals,
+    _hk_probs,
+    _t1_conditionals,
+    _t1_probs,
     control_state_hk,
     control_state_t1,
 )
@@ -417,22 +422,18 @@ def conjecture_region(
     params: ToleranceParams,
     penalties: PenaltyMode,
     smoothing: str = "none",
-    side_thresholds: tuple[float, float, float] = (math.inf, math.inf, math.inf),
 ) -> RatePolytope:
     """Split-message secrecy region (nine rows), plus the side-condition report."""
     point = _GridPoint.of(control_state_hk(channel, dist), params, smoothing)
-    return _conjecture(point, penalties, side_thresholds)
+    return _conjecture(point, penalties)
 
 
-def _conjecture(
-    point: _GridPoint,
-    penalties: PenaltyMode,
-    side_thresholds: tuple[float, float, float] = (math.inf, math.inf, math.inf),
-) -> RatePolytope:
+def _conjecture(point: _GridPoint, penalties: PenaltyMode) -> RatePolytope:
     params, smoothing = point.calc.params, point.calc.smoothing
     rows = _assemble(point, _SPLIT_MESSAGE, _SPLIT_MESSAGE_LEAKS, _BOTH_RECEIVERS, ("R1", "R2"),
                      "conj", _split_penalties(params, penalties))
-    report = _secrecy_check(params, side_thresholds, smoothing, lambda a, b: point.imax(a, b).value)
+    report = _secrecy_check(params, (math.inf, math.inf, math.inf), smoothing,
+                            lambda a, b: point.imax(a, b).value)
     meta = {"theorem": "conjecture", "penalties": penalties.mode, "secrecy": report.as_dict()}
     return RatePolytope(("R1", "R2"), rows, meta)
 
@@ -689,57 +690,18 @@ class SweepResult:
         ]
 
 
-def _simplex_grid(size: int, resolution: int) -> list[np.ndarray]:
-    """Distributions on ``size`` atoms with weights k/(resolution-1), lexicographic."""
+def _simplex_grid(size: int, resolution: int) -> np.ndarray:
+    """``(n, size)`` distributions on ``size`` atoms with weights k/(resolution-1), lexicographic."""
     if resolution < 2:
         raise ValueError("grid resolution must be at least 2 points per simplex edge")
     steps = resolution - 1
-    out = []
-    for comp in itertools.product(range(steps + 1), repeat=size - 1):
-        rest = steps - sum(comp)
-        if rest < 0:
-            continue
-        out.append(np.array(comp + (rest,), dtype=float) / steps)
-    return out
-
-
-def _t1_distributions(channel: ChannelSpec, resolution: int, q_size: int):
-    n1, n2 = len(channel.inputs["X1"]), len(channel.inputs["X2"])
-    q_grid = _simplex_grid(q_size, resolution) if q_size > 1 else [np.array([1.0])]
-    c1_grid = _simplex_grid(n1, resolution)
-    c2_grid = _simplex_grid(n2, resolution)
-    per_q = list(itertools.product(c1_grid, c2_grid))
-    for pq in q_grid:
-        for combo in itertools.product(per_q, repeat=q_size):
-            yield InputDistribution(
-                kind="t1",
-                q=pq,
-                x1_given_q=np.stack([c[0] for c in combo]),
-                x2_given_q=np.stack([c[1] for c in combo]),
-            )
-
-
-def _hk_distributions(channel: ChannelSpec, resolution: int):
-    grids = [
-        _simplex_grid(len(channel.part_alphabet(reg)), resolution)
-        for reg in ("X10", "X11", "X20", "X22")
-    ]
-    for combo in itertools.product(*grids):
-        yield InputDistribution(
-            kind="hk",
-            marginals={reg: vec for reg, vec in zip(("X10", "X11", "X20", "X22"), combo)},
-        )
+    comps = [c + (steps - sum(c),) for c in itertools.product(range(resolution), repeat=size - 1) if sum(c) <= steps]
+    return np.array(comps, dtype=float) / steps
 
 
 def _grid_count(size: int, resolution: int) -> int:
     """``len(_simplex_grid(size, resolution))``, without building the grid."""
     return math.comb(resolution + size - 2, size - 1)
-
-
-def _count_t1(channel, resolution, q_size):
-    n1, n2 = len(channel.inputs["X1"]), len(channel.inputs["X2"])
-    per_q = _grid_count(n1, resolution) * _grid_count(n2, resolution)
-    return _grid_count(q_size, resolution) * per_q**q_size
 
 
 def region_builder(theorem: str) -> Callable:
@@ -791,8 +753,10 @@ def sweep_union(
 ) -> SweepResult:
     """Frontier of the union of per-distribution regions over a simplex grid.
 
-    The grid is cut into consecutive chunks whose conditionals stack stays
-    under ``_CHUNK_BYTES``.  Within a chunk each information term is
+    The grid is the lexicographic product of one simplex grid per axis,
+    counted against ``max_evals`` before it is built.  It is cut into
+    consecutive index ranges whose conditionals stack stays under
+    ``_CHUNK_BYTES``.  Within a chunk each information term is
     evaluated term-major, for every point at once, the first time a point's
     region asks for it.  Regions are merged by pointwise maximum along fixed
     ray directions, in grid order, so output is deterministic.
@@ -803,35 +767,37 @@ def sweep_union(
         raise ValueError("q_size must lie in 1..4")
     if rays < 1:
         raise ValueError("rays must be >= 1")
+    if theorem != "t1" and q_size != 1:
+        raise ValueError(f"q_size applies to t1 sweeps only; theorem {theorem!r} got q_size={q_size}")
     if theorem != "t1" and not channel.has_splits():
         raise OperatorError(f"theorem {theorem!r} sweeps require a channel with splits")
+    # one simplex per axis: Q, then X1|q and X2|q for each q; or the four split parts
     if theorem == "t1":
-        count = _count_t1(channel, grid, q_size)
-        dists = _t1_distributions(channel, grid, q_size)
-        control_state = control_state_t1
+        sizes = (q_size,) + tuple(len(channel.inputs[x]) for x in INPUT_NAMES) * q_size
     else:
-        count = math.prod(
-            _grid_count(len(channel.part_alphabet(r)), grid) for r in ("X10", "X11", "X20", "X22")
-        )
-        dists = _hk_distributions(channel, grid)
-        control_state = control_state_hk
+        sizes = tuple(len(channel.part_alphabet(r)) for r in HK_REGISTERS)
+    count = math.prod(_grid_count(s, grid) for s in sizes)
     if count > max_evals:
         raise ValueError(f"grid of {count} distributions exceeds the cap of {max_evals}")
+    axes = [_simplex_grid(s, grid) for s in sizes]
+    conds = _t1_conditionals(channel, q_size) if theorem == "t1" else _hk_conditionals(channel)
     build = _point_builder(theorem)
     thetas = np.linspace(0.0, math.pi / 2.0, rays)
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
 
-    first = next(dists)
-    conds = control_state(channel, first).conds
     size = max(1, _CHUNK_BYTES // conds.conditionals.nbytes)
-    dists = itertools.chain([first], dists)
     frontier = np.zeros(rays)
     evaluations = degenerate = 0
-    while chunk := list(itertools.islice(dists, size)):
-        probs = np.stack([control_probs(channel, dist) for dist in chunk])
+    for start in range(0, count, size):
+        picks = np.unravel_index(np.arange(start, min(start + size, count)), [len(a) for a in axes])
+        vectors = [a[i] for a, i in zip(axes, picks)]
+        if theorem == "t1":
+            probs = _t1_probs(vectors[0], np.stack(vectors[1::2], axis=1), np.stack(vectors[2::2], axis=1))
+        else:
+            probs = _hk_probs(*vectors)
         conds.check(probs)
         calc = _MICalculator(conds, probs, params, smoothing)
-        for index in range(len(chunk)):
+        for index in range(len(probs)):
             poly = build(calc.point(index), penalties)
             radii = _ray_radii(poly, dirs)
             evaluations += 1

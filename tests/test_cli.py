@@ -291,3 +291,18 @@ def test_fm_coefficients_not_a_mapping_exits_2(tmp_path, capsys):
                     encoding="utf-8")
     assert cli.main(["fm", "--input", str(path), "--eliminate", "W1"]) == 2
     assert capsys.readouterr().err.startswith("error: malformed polytope document: ")
+
+
+@pytest.mark.parametrize("q, shape", [(1.0, "()"), ([[1.0]], "(1, 1)")], ids=["scalar", "matrix"])
+@pytest.mark.parametrize("command", ["validate", "region"])
+def test_time_shared_q_that_is_not_a_vector_exits_1(tmp_path, capsys, q, shape, command):
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"q": q, "x1_given_q": [[0.5, 0.5]], "x2_given_q": [[0.5, 0.5]]}),
+                    encoding="utf-8")
+    if command == "validate":
+        argv = ["validate", CHAN, "--dist", str(dist)]
+    else:
+        argv = ["region", "--channel", CHAN, "--dist", str(dist), "--theorem", "t1", "--eps", "0.25",
+                "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")]
+    assert cli.main(argv) == 1
+    assert f"q has shape {shape}, expected a 1-d vector" in capsys.readouterr().err

@@ -41,9 +41,11 @@ from util import (
     convex_hull_2d,
     enumerate_vertices_nd,
     fourier_motzkin_rowwise,
+    hk_distributions,
     minimal_2d_rebuild,
     point_in_hull_2d,
     polytope_from_arrays,
+    t1_distributions,
     vertices_2d_pairwise,
 )
 
@@ -657,29 +659,29 @@ def test_simplex_grid():
             assert _grid_count(size, resolution) == len(_simplex_grid(size, resolution))
 
 
-def test_sweep_single_point_matches_region(diag_channel):
-    result = sweep_union(diag_channel, "t1", PARAMS, OFF, grid=2, rays=31, max_evals=50)
-    # grid=2 on binary alphabets includes the uniform-free corners only; compare
-    # against the pointwise max of the four point-mass regions
-    assert result.evaluations == 4
+# grid 2 holds only point masses, whose regions barely differ; t1 and conjecture
+# run at grid 3, where a wrong set of points moves the frontier
+@pytest.mark.parametrize("theorem, q_size, grid", [("t1", 1, 3), ("t1", 2, 3), ("conjecture", 1, 3),
+                                                   ("t2", 1, 2)])
+def test_sweep_single_point_matches_region(theorem, q_size, grid):
+    """The sweep's frontier is the pointwise maximum of the public builders' regions."""
+    channel = _noncommuting_channel(7) if theorem == "t1" else _noncommuting_split_channel(7)
+    dists = list(t1_distributions(channel, grid, q_size) if theorem == "t1" else hk_distributions(channel, grid))
+    result = sweep_union(channel, theorem, PARAMS, OFF, grid=grid, q_size=q_size, rays=31)
+    dirs = np.stack([np.cos(result.thetas), np.sin(result.thetas)], axis=1)
     radii = np.zeros(31)
-    thetas = result.thetas
-    dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    from oneshot_secrecy.regions import _t1_distributions
-
-    for dist in _t1_distributions(diag_channel, 2, 1):
-        poly = theorem1_region(diag_channel, dist, PARAMS, OFF)
+    for dist in dists:
+        poly = regions.region_builder(theorem)(channel, dist, PARAMS, OFF)
         radii = np.maximum(radii, _ray_radii(poly, dirs))
-    assert np.max(np.abs(radii - result.radii)) <= 1e-12
+    assert result.evaluations == len(dists)
+    assert result.radii.tobytes() == radii.tobytes()
 
 
 def test_sweep_uniform_dominates_sum_row(diag_channel):
-    from oneshot_secrecy.regions import _t1_distributions
-
     uni = theorem1_region(diag_channel, uniform_t1(diag_channel), PARAMS, OFF)
     best = max(
         theorem1_region(diag_channel, d, PARAMS, OFF).row("t1:sum").bound
-        for d in _t1_distributions(diag_channel, 5, 1)
+        for d in t1_distributions(diag_channel, 5, 1)
     )
     assert uni.row("t1:sum").bound >= best - 1e-9
 
@@ -725,6 +727,18 @@ def test_sweep_split_theorem(diag_split_channel, diag_channel):
     assert np.all(np.isfinite(result.radii))
     with pytest.raises(OperatorError, match="splits"):
         sweep_union(diag_channel, "conjecture", PARAMS, OFF, grid=2)
+
+
+def test_sweep_q_size_applies_to_t1_only(xor_channel):
+    with pytest.raises(ValueError, match="q_size=4"):
+        sweep_union(xor_channel, "hk-nosecrecy", PARAMS, OFF, grid=2, q_size=4)
+
+
+def _noncommuting_channel(seed):
+    """Binary inputs onto random full-rank qubit triples, without splits: nothing commutes."""
+    rng = np.random.default_rng(seed)
+    states = {(x1, x2): rand_density(rng, 8) for x1 in "01" for x2 in "01"}
+    return ChannelSpec("random", {"X1": ("0", "1"), "X2": ("0", "1")}, {"Y1": 2, "Y2": 2, "Z": 2}, states)
 
 
 def _noncommuting_split_channel(seed):

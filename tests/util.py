@@ -7,8 +7,9 @@ Fourier-Motzkin through one row object per combination and a dict keyed on
 rounded directions, hulls through a monotone chain, the qubit test search
 through a refined dense grid, the diagonal-scan smoothing through one
 donor-recipient pair at a time, the joint/product pair through a dense
-embedding with Kronecker products, and the quantum threshold test through a
-plain bisection on the whole matrix and through its dual.
+embedding with Kronecker products, the quantum threshold test through a
+plain bisection on the whole matrix and through its dual, and a sweep's grid
+through one nested product of input distributions per point.
 """
 import itertools
 import math
@@ -16,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from oneshot_secrecy.channel import InputDistribution
 from oneshot_secrecy.entropic import _MAX_ITER, ConvergenceError
 from oneshot_secrecy.operators import (
     BAND_FLOOR,
@@ -37,6 +39,7 @@ from oneshot_secrecy.regions import (
     RatePolytope,
     VertexEnumeration,
     _has_recession_ray,
+    _simplex_grid,
 )
 from oneshot_secrecy.states import CQConditionals, CQState
 
@@ -524,3 +527,33 @@ def dense_joint_and_product(state, part_a, part_b):
     op_a = partial_trace_matrix(op, layout, part_a)
     op_b = partial_trace_matrix(op, layout, part_b)
     return op, np.kron(op_a, op_b)
+
+
+def t1_distributions(channel, resolution, q_size):
+    """The time-shared sweep grid, one distribution per point, in sweep order."""
+    n1, n2 = len(channel.inputs["X1"]), len(channel.inputs["X2"])
+    q_grid = _simplex_grid(q_size, resolution) if q_size > 1 else [np.array([1.0])]
+    c1_grid = _simplex_grid(n1, resolution)
+    c2_grid = _simplex_grid(n2, resolution)
+    per_q = list(itertools.product(c1_grid, c2_grid))
+    for pq in q_grid:
+        for combo in itertools.product(per_q, repeat=q_size):
+            yield InputDistribution(
+                kind="t1",
+                q=pq,
+                x1_given_q=np.stack([c[0] for c in combo]),
+                x2_given_q=np.stack([c[1] for c in combo]),
+            )
+
+
+def hk_distributions(channel, resolution):
+    """The split-message sweep grid, one distribution per point, in sweep order."""
+    grids = [
+        _simplex_grid(len(channel.part_alphabet(reg)), resolution)
+        for reg in ("X10", "X11", "X20", "X22")
+    ]
+    for combo in itertools.product(*grids):
+        yield InputDistribution(
+            kind="hk",
+            marginals={reg: vec for reg, vec in zip(("X10", "X11", "X20", "X22"), combo)},
+        )
