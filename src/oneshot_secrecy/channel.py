@@ -111,6 +111,13 @@ class ChannelSpec:
                     raise OperatorError(f"{inp} combining table is not onto the input alphabet")
 
 
+def json_strings(value) -> tuple[str, ...]:
+    """The entries of a JSON array, as strings; any other value is malformed."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON array, got {value!r}")
+    return tuple(str(s) for s in value)
+
+
 def _identity_table(inp: str, alph_c: Sequence[str], alph_p: Sequence[str], symbols: Sequence[str]):
     """Default combining table: row-major pair index onto the input alphabet."""
     if len(symbols) != len(alph_c) * len(alph_p):
@@ -127,16 +134,16 @@ def _identity_table(inp: str, alph_c: Sequence[str], alph_p: Sequence[str], symb
 def channel_from_document(doc: Mapping) -> ChannelSpec:
     try:
         name = str(doc["name"])
-        inputs = {k: tuple(str(s) for s in v) for k, v in doc["inputs"].items()}
+        inputs = {k: json_strings(v) for k, v in doc["inputs"].items()}
         outputs = dict(doc["outputs"].items())
-        raw_states = doc["states"]
+        raw_states = doc["states"].items()
     except (KeyError, TypeError, AttributeError) as exc:
         raise ChannelFormatError(f"malformed channel document: {exc!r}") from None
     for k, v in outputs.items():
         if isinstance(v, bool) or not isinstance(v, int):
             raise ChannelFormatError(f"output {k!r}: dimension {v!r} is not an integer")
     states = {}
-    for key, payload in raw_states.items():
+    for key, payload in raw_states:
         parts = key.split(",")
         if len(parts) != 2:
             raise ChannelFormatError(f"state key {key!r} is not of the form 'x1,x2'")
@@ -156,13 +163,14 @@ def channel_from_document(doc: Mapping) -> ChannelSpec:
                 raise ChannelFormatError(f"splits must cover both inputs; {inp} missing")
             entry = doc["splits"][inp]
             try:
-                alph_c = tuple(str(s) for s in entry["parts"][names[0]])
-                alph_p = tuple(str(s) for s in entry["parts"][names[1]])
-            except (KeyError, TypeError) as exc:
-                raise ChannelFormatError(f"{inp} split: bad parts ({exc!r})") from None
-            if "map" in entry:
+                alph_c = json_strings(entry["parts"][names[0]])
+                alph_p = json_strings(entry["parts"][names[1]])
+                mapping = entry["map"].items() if "map" in entry else None
+            except (KeyError, TypeError, AttributeError) as exc:
+                raise ChannelFormatError(f"malformed {inp} split: {exc!r}") from None
+            if mapping is not None:
                 table = {}
-                for key, sym in entry["map"].items():
+                for key, sym in mapping:
                     pair = key.split(",")
                     if len(pair) != 2:
                         raise ChannelFormatError(f"{inp} map key {key!r} not 'common,personal'")
@@ -218,9 +226,12 @@ def read_json(path, what: str):
     except OSError as exc:
         raise ChannelFormatError(f"cannot read {what} file: {exc}") from None
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ChannelFormatError(f"{what} file is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ChannelFormatError(f"malformed {what} document: {doc!r} is not a JSON object")
+    return doc
 
 
 def load_channel(path) -> ChannelSpec:

@@ -19,6 +19,7 @@ from .channel import (
     ChannelSpec,
     control_state_hk,
     control_state_t1,
+    json_strings,
     load_channel,
     load_distribution,
     read_json,
@@ -263,7 +264,7 @@ def cmd_oracle_np(args) -> int:
 
 def _poly_from_document(doc: dict) -> RatePolytope:
     try:
-        variables = tuple(str(v) for v in doc["variables"])
+        variables = json_strings(doc["variables"])
         entries = [*doc.get("rows", []), *doc.get("equalities", [])]
         undeclared = sorted({k for entry in entries for k in entry["coeffs"]} - set(variables))
         rows = []

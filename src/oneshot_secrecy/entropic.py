@@ -546,8 +546,15 @@ def _max_min(masses: np.ndarray, values: np.ndarray, eps: float) -> float:
 
 
 def _cond_values(kind, conds: CQConditionals, probs, part_a, part_b, cond, eps, strategy) -> np.ndarray:
+    """The conditional max-min form at every point; conditioning on ``cond`` only reweights.
+
+    Each point and value ``z`` of ``cond`` with support is one row over the grid's own
+    conditionals, zero off ``z`` and divided by its mass; one :func:`_pair_values` call solves them all.
+    """
     if not conds.is_classical(cond):
         raise OperatorError(f"conditioning register {cond!r} must be classical")
+    if cond in part_a + part_b:
+        raise OperatorError(f"conditioning register {cond!r} also appears in a part")
     ax = conds.axis(cond)
     size = conds.alphabet_sizes[ax]
     if size > 20:
@@ -555,15 +562,13 @@ def _cond_values(kind, conds: CQConditionals, probs, part_a, part_b, cond, eps, 
     others = tuple(1 + i for i in range(len(conds.classical_names)) if i != ax)
     pz = probs.sum(axis=others) if others else probs
     support = pz > COND_SUPPORT_TOL
+    points, zs = np.nonzero(support)
+    given = np.moveaxis(probs, 1 + ax, 1)[points, zs]
+    mass = given.reshape(len(zs), -1).sum(axis=1).reshape((-1,) + (1,) * (given.ndim - 1))
+    rows = np.zeros((len(zs),) + probs.shape[1:])
+    np.moveaxis(rows, 1 + ax, 1)[np.arange(len(zs)), zs] = given / mass
     values = np.zeros(pz.shape)
-    # each conditioning value at every point where it has support
-    for z in range(size):
-        live = np.flatnonzero(support[:, z])
-        if live.size:
-            given = np.take(probs[live], z, axis=1 + ax)
-            mass = given.reshape(len(live), -1).sum(axis=1).reshape((-1,) + (1,) * (given.ndim - 1))
-            values[live, z] = _pair_values(kind, conds.given(cond, z), given / mass, part_a, part_b,
-                                           eps, strategy)
+    values[points, zs] = _pair_values(kind, conds, rows, part_a, part_b, eps, strategy)
     return np.array([_max_min(pz[g, support[g]], values[g, support[g]], eps) for g in range(len(probs))])
 
 
@@ -618,16 +623,8 @@ def smooth_max_mutual_info(
     return _one_point("max", state, part_a, part_b, None, eps, strategy)
 
 
-def _cond_parts(part_a, part_b, cond: str) -> tuple[list[str], list[str]]:
-    part_a, part_b = _parts(part_a), _parts(part_b)
-    if cond in part_a + part_b:
-        raise OperatorError(f"conditioning register {cond!r} also appears in a part")
-    return part_a, part_b
-
-
 def cond_smooth_ht_mi(state: CQState, part_a, part_b, cond: str, eps: float) -> float:
     """Conditional smooth hypothesis-testing mutual information (max-min form)."""
-    part_a, part_b = _cond_parts(part_a, part_b, cond)
     return _one_point("ht", state, part_a, part_b, cond, eps)
 
 
@@ -635,7 +632,6 @@ def cond_smooth_max_mi(
     state: CQState, part_a, part_b, cond: str, eps: float, strategy: str = "none"
 ) -> float:
     """Conditional smooth max mutual information (max-min form)."""
-    part_a, part_b = _cond_parts(part_a, part_b, cond)
     return _one_point("max", state, part_a, part_b, cond, eps, strategy)
 
 

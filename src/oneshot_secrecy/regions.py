@@ -37,8 +37,8 @@ from .entropic import cond_smooth_ht_mi, cond_smooth_max_mi, ht_mutual_info, smo
 from .secrecy import randomizer_plan, secrecy_check  # noqa: F401
 
 # bytes of the (points, *alphabets, d, d) complex stack of conditionals a sweep
-# chunk weighs at once; no array the chunk's block builder holds is larger, so
-# peak memory does not grow with the grid
+# chunk weighs at once; its block builder holds no larger array, or |Q| times it for
+# a conditional term (a row per point and value of Q), so memory does not grow with the grid
 _CHUNK_BYTES = 1 << 21
 
 PENALTY_MODES = ("paper", "off")

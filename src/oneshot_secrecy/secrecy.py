@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from .entropic import ToleranceParams, smooth_max_mutual_info
 from .operators import THRESHOLD_SLACK, OperatorError
@@ -43,10 +43,9 @@ class RandomizerPlan:
     log_k11: float
     log_k22: float
     leakage: LeakageBound
-    params: ToleranceParams
     imax_terms: tuple[tuple[str, float], ...]
     smoothing: str
-    decoding_order: tuple[str, ...] = DECODING_ORDER
+    decoding_order: ClassVar[tuple[str, ...]] = DECODING_ORDER
 
     def as_dict(self) -> dict:
         return {
@@ -98,7 +97,6 @@ def _randomizer_plan(params: ToleranceParams, smoothing: str, imax: Callable) ->
         log_k11=sizes["X11"],
         log_k22=sizes["X22"],
         leakage=leakage_bound(params.delta_prime),
-        params=params,
         imax_terms=tuple(sorted(values.items())),
         smoothing=smoothing,
     )

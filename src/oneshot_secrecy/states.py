@@ -17,8 +17,7 @@ class CQConditionals:
     registers (in ``classical_names`` order) take the joint value ``idx``.
     CQ states that differ only in their probabilities share these: a grid of
     states is these plus a ``(G, *alphabet_sizes)`` stack of ``probs``.
-    Traces onto quantum registers and the conditionals given one classical
-    value are computed on first use and kept.
+    Traces onto quantum registers are computed on first use and kept.
     """
 
     def __init__(self, classical_names: Sequence[str], alphabet_sizes: Sequence[int],
@@ -38,7 +37,6 @@ class CQConditionals:
         ) + len(quantum_layout.names):
             raise OperatorError("classical and quantum register names must be distinct")
         self._traced: dict[tuple[str, ...], np.ndarray] = {}
-        self._given: dict[tuple[str, int], CQConditionals] = {}
         self._checked = np.zeros(self.alphabet_sizes, dtype=bool)
 
     @property
@@ -81,19 +79,6 @@ class CQConditionals:
             else:
                 self._traced[quantum] = np.ones(self.alphabet_sizes + (1, 1), dtype=complex)
         return self._traced[quantum]
-
-    def given(self, register: str, value: int) -> "CQConditionals":
-        """The conditionals of the other registers given ``register == value``."""
-        key = (register, value)
-        if key not in self._given:
-            ax = self.axis(register)
-            self._given[key] = CQConditionals(
-                tuple(n for n in self.classical_names if n != register),
-                tuple(s for i, s in enumerate(self.alphabet_sizes) if i != ax),
-                self.quantum_layout,
-                np.take(self.conditionals, value, axis=ax),
-            )
-        return self._given[key]
 
 
 @dataclass

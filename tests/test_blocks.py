@@ -21,17 +21,20 @@ from hypothesis import strategies as st
 from oneshot_secrecy.entropic import (
     ConvergenceError,
     _block_stack,
+    _max_min,
     cond_smooth_ht_mi,
     cond_smooth_max_mi,
     grid_values,
     hypothesis_testing_beta,
     hypothesis_testing_divergence,
+    ht_mutual_info,
     max_relative_entropy,
+    smooth_max_mutual_info,
     smooth_max_relative_entropy,
 )
-from oneshot_secrecy.operators import RegisterLayout, permute_registers_matrix
+from oneshot_secrecy.operators import COND_SUPPORT_TOL, OperatorError, RegisterLayout, permute_registers_matrix
 from oneshot_secrecy.states import CQConditionals, CQState, _block_diag, block_pairs, joint_and_product
-from util import dense_joint_and_product
+from util import condition_state, dense_joint_and_product
 
 BLOCK_KINDS = ("zero", "diagonal", "full-rank", "rank-deficient")
 
@@ -246,22 +249,42 @@ def test_grid_blocks_sum_many_dropped_values(qdims):
     _check_grid(states, ["C3", "C2"], ["C0"])
 
 
-@settings(max_examples=40)
+@settings(max_examples=60)
 @given(
     sizes=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+    qdim=st.sampled_from([2, 3]),
     points=st.integers(1, 4),
     data=st.data(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_grid_conditional_terms_match_each_point_alone(sizes, points, data, seed):
-    """Conditional terms of a grid: each point's value is the one-point value, exactly."""
-    states = _random_grid(np.random.default_rng(seed), tuple(sizes), (2,), points)
+def test_grid_conditional_terms_match_each_point_alone(sizes, qdim, points, data, seed):
+    """Conditional terms of a grid: each point's value is the one-point value and the
+    max-min over the separately conditioned states (``util.condition_state``), exactly."""
+    states = _random_grid(np.random.default_rng(seed), tuple(sizes), (qdim,), points)
     cond, a, b = data.draw(st.permutations(["C0", "C1", "Q0"]))
     if cond == "Q0":
         return
-    conds, probs = states[0].conds, np.stack([s.probs for s in states])
+    conds = states[0].conds
+    ax = conds.axis(cond)
+    # every other point loses one value of cond, so the support differs between points
+    empty = data.draw(st.integers(0, sizes[ax] - 1))
+    for g in range(1, points, 2):
+        probs = states[g].probs.copy()
+        np.moveaxis(probs, ax, 0)[empty] = 0.0
+        if sizes[ax] > 1 and probs.sum() > 0.0:
+            states[g] = CQState(conds, probs / probs.sum())
+    probs = np.stack([s.probs for s in states])
     ht = grid_values("ht", conds, probs, [a], [b], cond, 0.25)
     dmax = grid_values("max", conds, probs, [a], [b], cond, 0.1, "none")
+    others = tuple(i for i in range(len(sizes)) if i != ax)
     for g, state in enumerate(states):
         assert ht[g] == cond_smooth_ht_mi(state, [a], [b], cond, 0.25)
         assert dmax[g] == cond_smooth_max_mi(state, [a], [b], cond, 0.1)
+        pz = state.probs.sum(axis=others)
+        support = np.flatnonzero(pz > COND_SUPPORT_TOL)
+        given = [condition_state(state, cond, int(z)) for z in support]
+        assert ht[g] == _max_min(pz[support], np.array([ht_mutual_info(s, [a], [b], 0.25) for s in given]), 0.25)
+        assert dmax[g] == _max_min(pz[support], np.array([smooth_max_mutual_info(s, [a], [b], 0.1) for s in given]),
+                                   0.1)
+    with pytest.raises(OperatorError, match=f"conditioning register '{cond}' also appears in a part"):
+        grid_values("ht", conds, probs, [a, cond], [b], cond, 0.25)

@@ -293,6 +293,27 @@ def test_fm_coefficients_not_a_mapping_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: malformed polytope document: ")
 
 
+@pytest.mark.parametrize("case", ["distribution-number", "distribution-null", "states-list", "map-list",
+                                  "inputs-string", "variables-string"])
+def test_malformed_documents_exit_2(tmp_path, capsys, case):
+    """Documents are JSON objects, and alphabets and variables are JSON arrays."""
+    chan, split = channel_to_document(load_channel(CHAN)), channel_to_document(load_channel(XOR))
+    split["splits"]["X1"]["map"] = list(split["splits"]["X1"]["map"].values())
+    doc, argv, what = {
+        "distribution-number": (5, ["validate", CHAN, "--dist"], "distribution document"),
+        "distribution-null": (None, ["validate", CHAN, "--dist"], "distribution document"),
+        "states-list": ({**chan, "states": list(chan["states"].values())}, ["validate"], "channel document"),
+        "map-list": (split, ["validate"], "X1 split"),
+        "inputs-string": ({**chan, "inputs": {"X1": "01", "X2": "01"}}, ["validate"], "channel document"),
+        "variables-string": ({"variables": "R1W", "rows": [{"coeffs": {"W": 1.0}, "bound": 1.0}]},
+                             ["fm", "--eliminate", "W", "--input"], "polytope document"),
+    }[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main([*argv, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: malformed {what}: ")
+
+
 @pytest.mark.parametrize("q, shape", [(1.0, "()"), ([[1.0]], "(1, 1)")], ids=["scalar", "matrix"])
 @pytest.mark.parametrize("command", ["validate", "region"])
 def test_time_shared_q_that_is_not_a_vector_exits_1(tmp_path, capsys, q, shape, command):
