@@ -43,7 +43,14 @@ _SCAN_STEP = 1e-4
 
 
 class ConvergenceError(RuntimeError):
-    """The threshold-test search failed to pin down the optimal test."""
+    """The threshold-test search failed to pin down the optimal test.
+
+    ``row`` is the index of the failing row of a stack solve, when known.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -95,18 +102,19 @@ def binary_entropy(eps: float) -> float:
 def _weights(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Real diagonal of v^dagger m v: the weight of ``m`` on each column of ``v``.
 
-    Works blockwise on ``(K, d, d)`` stacks as well.
+    Works blockwise on ``(..., d, d)`` stacks as well.
     """
     return np.real((v.conj() * (m @ v)).sum(axis=-2))
 
 
-def _kernel_mass(ws: np.ndarray, weights: np.ndarray) -> float:
-    """Support condition: the weight a state puts on sigma's kernel.
+def _kernel_mass(ws: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Support condition: the weight each row's state puts on sigma's kernel.
 
     ``ws`` are sigma's eigenvalues and ``weights`` the state's weight on the
-    matching eigenvectors; eigenvalues at most ``EIG_CLAMP`` span the kernel.
+    matching eigenvectors, one row per leading index; eigenvalues at most
+    ``EIG_CLAMP`` span the kernel.
     """
-    return float(weights[ws <= EIG_CLAMP].sum())
+    return np.where(ws <= EIG_CLAMP, weights, 0.0).reshape(len(ws), -1).sum(axis=1)
 
 
 def _clamped_spectrum(m) -> np.ndarray:
@@ -127,7 +135,7 @@ def relative_entropy(rho, sigma) -> float:
     a, b = _checked_pair(rho, sigma)
     ws, vs = np.linalg.eigh(b)
     weights = _weights(a, vs)
-    if _kernel_mass(ws, weights) >= EIG_CLAMP:
+    if float(weights[ws <= EIG_CLAMP].sum()) >= EIG_CLAMP:
         return math.inf
     wa = _clamped_spectrum(a)
     wa_pos = wa[wa > 0.0]
@@ -137,14 +145,26 @@ def relative_entropy(rho, sigma) -> float:
     return tr_rho_log_rho - tr_rho_log_sigma
 
 
-def _np_beta(p: np.ndarray, q: np.ndarray, target: float) -> float:
-    """Neyman-Pearson type-II error of the best test accepting ``target`` of ``p``.
+def classical_np_oracle(
+    p: Sequence[float], q: Sequence[float], eps: float
+) -> tuple[float, float]:
+    """Exact classical Neyman-Pearson optimum for two finite distributions.
 
     Atoms are admitted in decreasing likelihood-ratio order (zero-denominator
-    atoms first, ties by index) until the accepted ``p`` mass reaches
-    ``target``; the boundary atom is admitted fractionally.  No validation:
-    traces need not be one and tiny negative entries are tolerated.
+    atoms first, ties by index), skipping atoms with ``p <= 0``, until the
+    accepted ``p`` mass reaches ``1 - eps``; the boundary atom is admitted
+    fractionally.  Returns ``(beta, -log2 beta)``.  The admission loop is the
+    reference that :func:`_np_betas` reproduces bit for bit.
     """
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape or p.ndim != 1:
+        raise ValueError("p and q must be 1-d arrays of equal length")
+    for name, vec in (("p", p), ("q", q)):
+        validate_pmf(vec, name)
+    target = 1.0 - eps
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(q > 0.0, p / np.maximum(q, DIV_FLOOR), math.inf)
     cum_p = 0.0
@@ -157,29 +177,9 @@ def _np_beta(p: np.ndarray, q: np.ndarray, target: float) -> float:
         frac = min(1.0, (target - cum_p) / p[i])
         cum_p += frac * p[i]
         beta += frac * q[i]
-    return float(beta)
-
-
-def classical_np_oracle(
-    p: Sequence[float], q: Sequence[float], eps: float
-) -> tuple[float, float]:
-    """Exact classical Neyman-Pearson optimum for two finite distributions.
-
-    Admits ``1 - eps`` of the ``p`` mass in decreasing likelihood-ratio order
-    (see :func:`_np_beta`).  Returns ``(beta, -log2 beta)``.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ValueError("p and q must be 1-d arrays of equal length")
-    for name, vec in (("p", p), ("q", q)):
-        validate_pmf(vec, name)
-    beta = _np_beta(p, q, 1.0 - eps)
     if beta <= 0.0:
         return 0.0, math.inf
-    return beta, float(-math.log2(beta))
+    return float(beta), float(-math.log2(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +216,29 @@ def _block_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a.reshape(k, d, k, d)[idx, :, idx, :], b.reshape(k, d, k, d)[idx, :, idx, :]
 
 
+def _classical_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows of two ``(R, K, d, d)`` stacks with no nonzero entry off any block's diagonal.
+
+    This is :func:`_block_stack`'s first test: such a row, made dense, is an
+    exactly diagonal pair.
+    """
+    nonzero = np.logical_or(a, b)
+    diagonal = np.arange(a.shape[-1])
+    nonzero[..., diagonal, diagonal] = False
+    return ~nonzero.reshape(len(a), -1).any(axis=1)
+
+
+def _diagonals(m: np.ndarray) -> np.ndarray:
+    """The ``(R, K·d)`` real diagonals of an ``(R, K, d, d)`` stack, block after block."""
+    return m.diagonal(axis1=-2, axis2=-1).real.reshape(len(m), -1)
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of every block of a ``(..., d, d)`` stack in one ``(N, d, d)`` call."""
+    w, v = np.linalg.eigh(m.reshape(-1, *m.shape[-2:]))
+    return w.reshape(m.shape[:-1]), v.reshape(m.shape)
+
+
 def _support_inv_sqrt(ws: np.ndarray) -> np.ndarray:
     """``ws ** -0.5`` on sigma's support (``ws > EIG_CLAMP``) and 0 on its kernel."""
     scale = np.zeros_like(ws)
@@ -236,64 +259,49 @@ def _support_spectrum(a: np.ndarray, ws: np.ndarray, vs: np.ndarray) -> np.ndarr
     return np.linalg.eigvalsh(inv_half.conj().swapaxes(-1, -2) @ a @ inv_half)
 
 
-def hypothesis_testing_beta(rho, sigma, eps: float) -> float:
-    """Minimal type-II error beta*(eps) over tests 0 <= L <= I with Tr(L rho) >= 1-eps.
+def _np_betas(p: np.ndarray, q: np.ndarray, target: float) -> np.ndarray:
+    """Neyman-Pearson type-II error of every row of two ``(R, n)`` arrays.
 
-    Both operators are solved on their finest common diagonal blocks (see
-    :func:`_block_stack`), so every eigendecomposition runs on the blocks.
-    When the blocks are 1x1 the problem is classical and is solved exactly
-    by the Neyman-Pearson construction on the two diagonals.  Otherwise the
-    optimum has the threshold form L = P_+(t) + c P_0(t), with P_+/P_0 the
-    projectors onto the strictly positive / zero eigenspaces of rho - t sigma;
-    on the zero eigenspace Tr(X rho) = t Tr(X sigma), which makes the
-    interpolation in c in [0, 1] exact.  Tr(P_+(t) rho) is nonincreasing in
-    t.  When rho lives on sigma's support it jumps only at the eigenvalues
-    of sigma^{-1/2} rho sigma^{-1/2} (Sylvester's law of inertia) and is
-    continuous between them.  So t is found by a binary search of these
-    breakpoints, which ends exactly when a jump straddles the target, and
-    then by Illinois regula falsi steps on the one smooth piece left.  A
-    bracket, grown by doubling from the largest breakpoint plus one, is
-    narrowed by every probe as by a bisection step: the breakpoints and the
-    secant only choose where to probe, so the answer also holds when rho
-    weighs on sigma's kernel.  The type-I constraint is met to
-    ``TYPE_I_TOL`` by construction.  Both paths return 0 when rho's weight
-    on the kernel of sigma already meets the constraint.
+    Each row is :func:`classical_np_oracle`'s admission towards ``target``,
+    bit for bit: atoms admitted whole add ``p`` and ``q`` exactly, and
+    ``np.cumsum`` adds in sequence, so the running sums before each atom are
+    the loop's.  The loop stops before the first atom whose running ``p``
+    reaches the target within ``NP_MASS_SLACK``, or after the first atom it
+    admits fractionally: that lands within a few ulps of the target, far
+    inside the slack.  No validation: traces need not be one and tiny
+    negative entries are tolerated.
     """
-    a, b = _checked_pair(rho, sigma)
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    a, b = _block_stack(a, b)
-    target = 1.0 - eps
+    n_rows, n = p.shape
+    rows = np.arange(n_rows)
+    ratio = np.full(p.shape, math.inf)
+    np.divide(p, np.maximum(q, DIV_FLOOR), out=ratio, where=q > 0.0)
+    order = np.argsort(-ratio, axis=1, kind="stable")
+    p, q = p[rows[:, None], order], q[rows[:, None], order]
+    # the sorted atoms, skipped ones zeroed, then an atom of infinite p that no row passes
+    pq = np.zeros((2, n_rows, n + 1))
+    pq[:, :, :n] = np.where(p > 0.0, [p, q], 0.0)
+    pq[0, :, n] = math.inf
+    # the running sums before each atom
+    cum = np.zeros((2, n_rows, n + 1))
+    np.cumsum(pq[:, :, :n], axis=2, out=cum[:, :, 1:])
+    reached = cum[0] >= target - NP_MASS_SLACK
+    gap = target - cum[0]
+    # for floats, fl(gap / p) >= 1 exactly when gap >= p: the loop's whole admissions
+    stop = (reached | (gap < pq[0])).argmax(axis=1)
+    reached, gap, (p, q), before = reached[rows, stop], gap[rows, stop], pq[:, rows, stop], cum[1, rows, stop]
+    frac = np.divide(gap, p, out=np.zeros(n_rows), where=~reached)
+    return np.where(reached, before, before + frac * q)
 
-    if a.shape[-1] == 1:
-        p, q = a.real.ravel(), b.real.ravel()
-        if _kernel_mass(q, p) >= target - KERNEL_MASS_SLACK:
-            return 0.0
-        reachable = float(p[p > 0.0].sum())
-        if reachable < target - TYPE_I_TOL:
-            raise ConvergenceError(
-                f"type-I constraint unreachable: rho has mass {reachable:.12g} "
-                f"below target {target:.12g} (eps={eps}, dim={len(p)})"
-            )
-        return _np_beta(p, q, target)
 
-    ws, vs = np.linalg.eigh(b)
-    sig_norm = float(max(ws.max(), 0.0)) if ws.size else 0.0
-    if _kernel_mass(ws, _weights(a, vs)) >= target - KERNEL_MASS_SLACK:
-        return 0.0
-    # where the inertia of rho - t sigma changes when rho lives on sigma's
-    # support; with weight on the kernel they only steer the probes
-    lam = _support_spectrum(a, ws, vs)
-    breaks = np.unique(lam[lam > 0.0]).tolist()
+def _threshold_search(target: float, eps: float, breaks: list[float], f_lo: float, sig_norm: float):
+    """One row's threshold search, as a generator.
 
-    ab = np.stack([a, b])
-
-    def probe(t: float, band: float):
-        w, v = np.linalg.eigh(a - t * b)
-        # rho's and sigma's weights on the positive and on the zero eigenspaces
-        masks = np.stack([w > band, np.abs(w) <= band], axis=-1).reshape(-1, 2)
-        (a_pos, a_zer), (b_pos, b_zer) = _weights(ab, v).reshape(2, -1) @ masks
-        return float(a_pos), float(a_zer), float(b_pos), float(b_zer)
+    It yields each probe ``(t, band)`` and is sent back that probe's weights
+    ``(a_pos, a_zer, b_pos, b_zer)``: rho's and sigma's weights on the
+    positive and on the zero eigenspace of rho - t sigma.  It returns beta.
+    ``breaks`` are the row's sorted distinct positive breakpoints and
+    ``f_lo`` is Tr rho - target.
+    """
 
     def finish(a_pos, a_zer, b_pos, b_zer):
         c = 0.0 if a_zer <= 0.0 else min(1.0, max(0.0, (target - a_pos) / a_zer))
@@ -305,11 +313,10 @@ def hypothesis_testing_beta(rho, sigma, eps: float) -> float:
     # support empty the constraint is out of reach; the bracket then starts
     # at t = 1 and the search reports the failure.
     lo, hi = 0.0, (breaks[-1] if breaks else 0.0) + 1.0
-    f_lo = float(np.trace(a, axis1=-2, axis2=-1).real.sum()) - target
     iters = 0
     while iters < _MAX_ITER:
         iters += 1
-        a_pos, a_zer, b_pos, b_zer = probe(hi, PROBE_BAND * (1.0 + hi))
+        a_pos, a_zer, b_pos, b_zer = yield hi, PROBE_BAND * (1.0 + hi)
         if a_pos + a_zer < target:
             f_hi = a_pos + a_zer - target
             break
@@ -337,7 +344,7 @@ def hypothesis_testing_beta(rho, sigma, eps: float) -> float:
             if f_lo > 0.0:
                 step = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
                 t = step if lo < step < hi else t
-        a_pos, a_zer, b_pos, b_zer = probe(t, PROBE_BAND * (1.0 + t))
+        a_pos, a_zer, b_pos, b_zer = yield t, PROBE_BAND * (1.0 + t)
         if a_pos > target:
             lo, f_lo = t, a_pos - target
             if side < 0:
@@ -358,14 +365,127 @@ def hypothesis_testing_beta(rho, sigma, eps: float) -> float:
     # final interval is tiny: a band wider than the eigenvalue drift across it
     # is guaranteed to capture the crossing eigenspace
     mid = 0.5 * (lo + hi)
-    band = 2.0 * (hi - lo) * (sig_norm + 1.0) + BAND_FLOOR
-    a_pos, a_zer, b_pos, b_zer = probe(mid, band)
+    a_pos, a_zer, b_pos, b_zer = yield mid, 2.0 * (hi - lo) * (sig_norm + 1.0) + BAND_FLOOR
     if a_pos > target + TYPE_I_TOL or a_pos + a_zer < target - TYPE_I_TOL:
         raise ConvergenceError(
             f"straddle detection failed at t={mid:.6g}, eps={eps} "
             f"(type-I window [{a_pos:.12g}, {a_pos + a_zer:.12g}], target {target:.12g})"
         )
     return finish(a_pos, a_zer, b_pos, b_zer)
+
+
+def _threshold_betas(a: np.ndarray, b: np.ndarray, target: float, eps: float, rows: np.ndarray) -> np.ndarray:
+    """beta*(eps) of every row of two ``(R, K, d, d)`` stacks by threshold tests, in lockstep.
+
+    The optimum has the threshold form L = P_+(t) + c P_0(t), with P_+/P_0
+    the projectors onto the strictly positive / zero eigenspaces of
+    rho - t sigma; on the zero eigenspace Tr(X rho) = t Tr(X sigma), which
+    makes the interpolation in c in [0, 1] exact.  Tr(P_+(t) rho) is
+    nonincreasing in t.  When rho lives on sigma's support it jumps only at
+    the eigenvalues of sigma^{-1/2} rho sigma^{-1/2} (Sylvester's law of
+    inertia) and is continuous between them.  So t is found by a binary
+    search of these breakpoints, which ends exactly when a jump straddles the
+    target, and then by Illinois regula falsi steps on the one smooth piece
+    left.  A bracket, grown by doubling from the largest breakpoint plus one,
+    is narrowed by every probe as by a bisection step: the breakpoints and
+    the secant only choose where to probe, so the answer also holds when rho
+    weighs on sigma's kernel.  The type-I constraint is met to
+    ``TYPE_I_TOL`` by construction.
+
+    Sigma's eigendecomposition, the kernel mass and the breakpoints are
+    computed for all rows at once.  Each row then runs its own search
+    (:func:`_threshold_search`), and every step makes one ``eigh`` of
+    rho - t sigma over the rows still searching; a row leaves the batch when
+    it finishes.  ``rows`` labels the rows in a ``ConvergenceError``.
+    """
+    ws, vs = _eigh(b)
+    betas = np.zeros(len(a))
+    # rows whose weight on sigma's kernel already meets the constraint keep 0
+    live = np.flatnonzero(_kernel_mass(ws, _weights(a, vs)) < target - KERNEL_MASS_SLACK)
+    if not live.size:
+        return betas
+    ab = np.stack([a[live], b[live]], axis=1)
+    a, ws, vs = ab[:, 0], ws[live], vs[live]
+    # where the inertia of rho - t sigma changes when rho lives on sigma's
+    # support; with weight on the kernel they only steer the probes
+    lam = _support_spectrum(a, ws, vs).reshape(len(live), -1)
+    lam = np.sort(np.where(lam > 0.0, lam, math.inf), axis=1)
+    lam[:, 1:][lam[:, 1:] == lam[:, :-1]] = math.inf
+    lam = np.sort(lam, axis=1)
+    f_lo = np.trace(a, axis1=-2, axis2=-1).real.sum(axis=1) - target
+    sig_norm = np.maximum(ws.reshape(len(live), -1).max(axis=1), 0.0)
+    searches = [
+        _threshold_search(target, eps, breaks[:count], f, norm)
+        for breaks, count, f, norm in zip(lam.tolist(), np.isfinite(lam).sum(axis=1).tolist(),
+                                          f_lo.tolist(), sig_norm.tolist())
+    ]
+    probes = [next(search) for search in searches]
+    open_rows = list(range(len(live)))
+    while open_rows:
+        pairs = ab[open_rows]
+        t, band = np.array([probes[i] for i in open_rows]).T
+        w, v = _eigh(pairs[:, 0] - t[:, None, None, None] * pairs[:, 1])
+        band = band[:, None, None]
+        masks = np.stack([w > band, np.abs(w) <= band], axis=-1).reshape(len(open_rows), -1, 2)
+        # per row [[a_pos, a_zer], [b_pos, b_zer]]
+        sums = _weights(pairs, v[:, None]).reshape(len(open_rows), 2, -1) @ masks
+        still = []
+        for i, weights in zip(open_rows, sums.reshape(len(open_rows), 4).tolist()):
+            try:
+                probes[i] = searches[i].send(weights)
+            except StopIteration as done:
+                betas[live[i]] = done.value
+            except ConvergenceError as exc:
+                raise ConvergenceError(str(exc), int(rows[live[i]])) from None
+            else:
+                still.append(i)
+        open_rows = still
+    return betas
+
+
+def _dh_betas(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
+    """beta*(eps) of every row of two ``(R, K, d, d)`` block stacks of (rho, sigma).
+
+    Classical rows (:func:`_classical_rows`) are solved together and exactly
+    by the Neyman-Pearson construction on their diagonals (:func:`_np_betas`),
+    the others by threshold tests (:func:`_threshold_betas`).  A row is 0
+    when rho's weight on the kernel of sigma already meets the constraint.
+    A row that fails raises ``ConvergenceError`` with its index as ``row``.
+    """
+    target = 1.0 - eps
+    betas = np.zeros(len(a))
+    classical = _classical_rows(a, b)
+    if classical.any():
+        p, q = _diagonals(a[classical]), _diagonals(b[classical])
+        zero = _kernel_mass(q, p) >= target - KERNEL_MASS_SLACK
+        reachable = np.maximum(p, 0.0).sum(axis=1)
+        short = ~zero & (reachable < target - TYPE_I_TOL)
+        if short.any():
+            i = int(np.argmax(short))
+            raise ConvergenceError(
+                f"type-I constraint unreachable: rho has mass {reachable[i]:.12g} "
+                f"below target {target:.12g} (eps={eps}, dim={p.shape[1]})", int(np.flatnonzero(classical)[i])
+            )
+        betas[classical] = np.where(zero, 0.0, _np_betas(p, q, target))
+    if not classical.all():
+        rows = np.flatnonzero(~classical)
+        betas[rows] = _threshold_betas(a[rows], b[rows], target, eps, rows)
+    return betas
+
+
+def hypothesis_testing_beta(rho, sigma, eps: float) -> float:
+    """Minimal type-II error beta*(eps) over tests 0 <= L <= I with Tr(L rho) >= 1-eps.
+
+    Both operators are solved on their finest common diagonal blocks (see
+    :func:`_block_stack`) as the one row of :func:`_dh_betas`: exactly by the
+    Neyman-Pearson construction when the blocks are 1x1, by a threshold-test
+    search (:func:`_threshold_betas`) otherwise.
+    """
+    a, b = _checked_pair(rho, sigma)
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    a, b = _block_stack(a, b)
+    return float(_dh_betas(a[None], b[None], eps)[0])
 
 
 def hypothesis_testing_divergence(rho, sigma, eps: float) -> float:
@@ -380,29 +500,39 @@ def hypothesis_testing_divergence(rho, sigma, eps: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _dmax_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """D_max of every row of two ``(R, K, d, d)`` block stacks of (rho, sigma).
+
+    Classical rows read the ratios off their diagonals; the others take the
+    largest eigenvalue of sigma^{-1/2} rho sigma^{-1/2}, blockwise.
+    """
+    lam = np.zeros(len(a))
+    off_support = np.zeros(len(a), dtype=bool)
+    classical = _classical_rows(a, b)
+    rows = np.flatnonzero(classical)
+    if rows.size:
+        p, q = _diagonals(a[rows]), _diagonals(b[rows])
+        off_support[rows] = _kernel_mass(q, p) >= EIG_CLAMP
+        scale = _support_inv_sqrt(q)
+        # the order of the block path's 1x1 product, so the value is bit-identical
+        lam[rows] = ((scale * p) * scale).max(axis=1)
+    rows = np.flatnonzero(~classical)
+    if rows.size:
+        ws, vs = _eigh(b[rows])
+        off_support[rows] = _kernel_mass(ws, _weights(a[rows], vs)) >= EIG_CLAMP
+        lam[rows] = _support_spectrum(a[rows], ws, vs).reshape(len(rows), -1).max(axis=1)
+    return np.array([math.inf if off else (math.log2(x) if x > 0.0 else -math.inf)
+                     for off, x in zip(off_support.tolist(), lam.tolist())])
+
+
 def max_relative_entropy(rho, sigma) -> float:
     """Smallest gamma with rho <= 2^gamma sigma; ``+inf`` off sigma's support.
 
-    Solved on the operators' common diagonal blocks (see :func:`_block_stack`);
-    when the blocks are 1x1 the ratios are read off the two diagonals.
+    Solved on the operators' common diagonal blocks (see :func:`_block_stack`)
+    as the one row of :func:`_dmax_values`.
     """
     a, b = _block_stack(*_checked_pair(rho, sigma))
-    if a.shape[-1] == 1:
-        p, q = a.real.ravel(), b.real.ravel()
-        if _kernel_mass(q, p) >= EIG_CLAMP:
-            return math.inf
-        scale = _support_inv_sqrt(q)
-        # the order of the block path's 1x1 product, so the value is bit-identical
-        spectrum = (scale * p) * scale
-    else:
-        ws, vs = np.linalg.eigh(b)
-        if _kernel_mass(ws, _weights(a, vs)) >= EIG_CLAMP:
-            return math.inf
-        spectrum = _support_spectrum(a, ws, vs)
-    lam = float(spectrum.max()) if spectrum.size else 0.0
-    if lam <= 0.0:
-        return -math.inf
-    return math.log2(lam)
+    return float(_dmax_values(a[None], b[None])[0])
 
 
 def _codiagonalize(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -512,15 +642,29 @@ def _parts(part) -> list[str]:
 
 
 def _pair_values(kind, conds: CQConditionals, probs, part_a, part_b, eps, strategy) -> np.ndarray:
-    """The divergence of every point's dense pair, one point at a time."""
-    values = []
-    for joint, product in zip(*block_pairs(conds, probs, part_a, part_b)):
-        joint, product = _block_diag(joint), _block_diag(product)
-        if kind == "ht":
-            values.append(hypothesis_testing_divergence(joint, product, eps))
-        else:
-            values.append(smooth_max_relative_entropy(joint, product, eps, strategy))
-    return np.array(values)
+    """The divergence of every point's pair, all points in one stack solve.
+
+    ``block_pairs``' stacks go to :func:`_dh_betas` or :func:`_dmax_values`
+    as they are; only the diagonal-scan smoothing makes each pair dense and
+    scans it alone.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if kind != "ht" and strategy not in SMOOTHING_STRATEGIES:
+        raise ValueError(f"unknown smoothing strategy {strategy!r}")
+    joint, product = block_pairs(conds, probs, part_a, part_b)
+    if not (np.isfinite(joint).all() and np.isfinite(product).all()):
+        raise OperatorError("non-finite entries in rho or sigma")
+    if kind == "ht":
+        betas = _dh_betas(joint, product, eps).tolist()
+        return np.array([math.inf if beta <= 0.0 else -math.log2(beta) for beta in betas])
+    values = _dmax_values(joint, product)
+    if strategy == "none":
+        return values
+    return np.array([
+        min(_diagonal_scan(*_codiagonalize(_block_diag(j), _block_diag(p)), eps), value)
+        for j, p, value in zip(joint, product, values.tolist())
+    ])
 
 
 def _max_min(masses: np.ndarray, values: np.ndarray, eps: float) -> float:
@@ -545,11 +689,12 @@ def _max_min(masses: np.ndarray, values: np.ndarray, eps: float) -> float:
     return float(best)
 
 
-def _cond_values(kind, conds: CQConditionals, probs, part_a, part_b, cond, eps, strategy) -> np.ndarray:
-    """The conditional max-min form at every point; conditioning on ``cond`` only reweights.
+def _cond_rows(conds: CQConditionals, probs, part_a, part_b, cond):
+    """The rows of the conditional max-min form; conditioning on ``cond`` only reweights.
 
     Each point and value ``z`` of ``cond`` with support is one row over the grid's own
-    conditionals, zero off ``z`` and divided by its mass; one :func:`_pair_values` call solves them all.
+    conditionals, zero off ``z`` and divided by its mass.  Returns the rows, each
+    row's point and ``z``, and the ``(G, |cond|)`` masses ``pz``.
     """
     if not conds.is_classical(cond):
         raise OperatorError(f"conditioning register {cond!r} must be classical")
@@ -561,15 +706,12 @@ def _cond_values(kind, conds: CQConditionals, probs, part_a, part_b, cond, eps, 
         raise OperatorError(f"conditioning alphabet of size {size} exceeds the brute-force bound 20")
     others = tuple(1 + i for i in range(len(conds.classical_names)) if i != ax)
     pz = probs.sum(axis=others) if others else probs
-    support = pz > COND_SUPPORT_TOL
-    points, zs = np.nonzero(support)
+    points, zs = np.nonzero(pz > COND_SUPPORT_TOL)
     given = np.moveaxis(probs, 1 + ax, 1)[points, zs]
     mass = given.reshape(len(zs), -1).sum(axis=1).reshape((-1,) + (1,) * (given.ndim - 1))
     rows = np.zeros((len(zs),) + probs.shape[1:])
     np.moveaxis(rows, 1 + ax, 1)[np.arange(len(zs)), zs] = given / mass
-    values = np.zeros(pz.shape)
-    values[points, zs] = _pair_values(kind, conds, rows, part_a, part_b, eps, strategy)
-    return np.array([_max_min(pz[g, support[g]], values[g, support[g]], eps) for g in range(len(probs))])
+    return rows, points, zs, pz
 
 
 def grid_values(
@@ -581,24 +723,43 @@ def grid_values(
     cond: str | None,
     eps: float,
     strategy: str = "none",
+    first: int | None = None,
 ) -> np.ndarray:
     """One information term at every point of a grid of CQ states.
 
     The grid is ``conds`` with the ``(G, *alphabet_sizes)`` stack ``probs``.
     ``kind`` ``"ht"`` is the hypothesis-testing mutual information and
     ``"max"`` the smoothed max mutual information; with ``cond`` it is the
-    conditional max-min form.  Every point's pair is built in one
-    contraction (see :func:`block_pairs`) and solved alone by the 2-D
-    divergence.
+    conditional max-min form, one row per point and supported value of
+    ``cond``.  Every row's pair is built in one contraction (see
+    :func:`block_pairs`), and all rows are solved together by one stack
+    solver (:func:`_dh_betas` or :func:`_dmax_values`).  A
+    ``ConvergenceError`` names the term and the failing row's value of
+    ``cond``; given ``first``, the index of the grid's first point in a
+    larger grid, it names the failing point as well.
     """
     part_a, part_b = _parts(part_a), _parts(part_b)
+    if cond is None:
+        rows, points, zs = probs, np.arange(len(probs)), None
+    else:
+        rows, points, zs, pz = _cond_rows(conds, probs, part_a, part_b, cond)
     try:
-        if cond is None:
-            return _pair_values(kind, conds, probs, part_a, part_b, eps, strategy)
-        return _cond_values(kind, conds, probs, part_a, part_b, cond, eps, strategy)
+        values = _pair_values(kind, conds, rows, part_a, part_b, eps, strategy)
     except ConvergenceError as exc:
+        where = []
+        if exc.row is not None and first is not None:
+            where.append(f"grid point {first + int(points[exc.row])}")
+        if exc.row is not None and zs is not None:
+            where.append(f"{cond}={int(zs[exc.row])}")
         given = f" | {cond}" if cond is not None else ""
-        raise ConvergenceError(f"D_H({','.join(part_a)} : {','.join(part_b)}{given}): {exc}") from None
+        at = f" ({', '.join(where)})" if where else ""
+        raise ConvergenceError(f"D_H({','.join(part_a)} : {','.join(part_b)}{given}): {exc}{at}") from None
+    if cond is None:
+        return values
+    support = pz > COND_SUPPORT_TOL
+    by_point = np.zeros(pz.shape)
+    by_point[points, zs] = values
+    return np.array([_max_min(pz[g, support[g]], by_point[g, support[g]], eps) for g in range(len(probs))])
 
 
 def _one_point(kind: str, state: CQState, part_a, part_b, cond, eps: float, strategy: str = "none") -> float:

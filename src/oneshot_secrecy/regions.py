@@ -38,7 +38,10 @@ from .secrecy import randomizer_plan, secrecy_check  # noqa: F401
 
 # bytes of the (points, *alphabets, d, d) complex stack of conditionals a sweep
 # chunk weighs at once; its block builder holds no larger array, or |Q| times it for
-# a conditional term (a row per point and value of Q), so memory does not grow with the grid
+# a conditional term (a row per point and value of Q), so memory does not grow with the grid.
+# A term's joint stack is never larger than the conditionals stack, and the stack
+# solvers work in about 20 times the joint stack for D_H and 5 times for D_max
+# (tracemalloc peaks on 128-point chunks with blocks of size 2 and 4)
 _CHUNK_BYTES = 1 << 21
 
 PENALTY_MODES = ("paper", "off")
@@ -121,14 +124,18 @@ class _MICalculator:
 
     The states share ``conds`` and differ in ``probs``, a ``(G, *alphabets)``
     stack.  The first request for a term evaluates it at every point at once
-    (:func:`entropic.grid_values`) and keeps the ``G`` values.
+    (:func:`entropic.grid_values`) and keeps the ``G`` values.  A sweep's chunk
+    passes ``first``, the index of its first point in the sweep's grid, so a
+    ``ConvergenceError`` names the failing point.
     """
 
-    def __init__(self, conds: CQConditionals, probs: np.ndarray, params: ToleranceParams, smoothing: str):
+    def __init__(self, conds: CQConditionals, probs: np.ndarray, params: ToleranceParams, smoothing: str,
+                 first: int | None = None):
         self.conds = conds
         self.probs = probs
         self.params = params
         self.smoothing = smoothing
+        self.first = first
         self._memo: dict = {}
 
     def values(self, kind: str, part_a: Sequence[str], part_b: Sequence[str], cond: str | None) -> np.ndarray:
@@ -136,7 +143,7 @@ class _MICalculator:
         if key not in self._memo:
             eps = self.params.eps if kind == "ht" else self.params.eta
             self._memo[key] = grid_values(kind, self.conds, self.probs, part_a, part_b, cond, eps,
-                                          self.smoothing)
+                                          self.smoothing, self.first)
         return self._memo[key]
 
     def point(self, index: int) -> "_GridPoint":
@@ -796,7 +803,7 @@ def sweep_union(
         else:
             probs = _hk_probs(*vectors)
         conds.check(probs)
-        calc = _MICalculator(conds, probs, params, smoothing)
+        calc = _MICalculator(conds, probs, params, smoothing, start)
         for index in range(len(probs)):
             poly = build(calc.point(index), penalties)
             radii = _ray_radii(poly, dirs)

@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 from oneshot_secrecy.entropic import (
     ConvergenceError,
     _block_stack,
+    _dh_betas,
+    _dmax_values,
     _max_min,
     cond_smooth_ht_mi,
     cond_smooth_max_mi,
@@ -34,7 +36,7 @@ from oneshot_secrecy.entropic import (
 )
 from oneshot_secrecy.operators import COND_SUPPORT_TOL, OperatorError, RegisterLayout, permute_registers_matrix
 from oneshot_secrecy.states import CQConditionals, CQState, _block_diag, block_pairs, joint_and_product
-from util import condition_state, dense_joint_and_product
+from util import bisection_beta, condition_state, dense_joint_and_product, dh_dual
 
 BLOCK_KINDS = ("zero", "diagonal", "full-rank", "rank-deficient")
 
@@ -98,6 +100,87 @@ def test_blockwise_divergences_match_dense(k, d, data, eps, seed):
         rho[0, 0] = 1.0
     d_max = _assert_matches_rotated(rho, sigma, eps, seed)
     assert smooth_max_relative_entropy(rho, sigma, eps) == d_max
+
+
+def _stack_row(rng, flavour, k, d, eps):
+    """One ``(rho, sigma)`` row of ``k`` blocks of size ``d``, traces one."""
+    if flavour == "classical":
+        kinds = ["diagonal"] * k, ["diagonal"] * k
+    elif flavour == "dense":
+        kinds = ["full-rank"] * k, ["full-rank"] * k
+    elif flavour == "kernel":
+        # rho full rank, sigma rank deficient: rho weighs on sigma's kernel
+        kinds = ["full-rank"] * k, ["rank-deficient"] * k
+    else:
+        # beta is 0: sigma lives on the first block, which carries eps / 2 of rho
+        rho = np.stack([_block(rng, "full-rank", d) for _ in range(k)])
+        traces = np.trace(rho, axis1=-2, axis2=-1).real
+        rho[0] *= eps / 2 / traces[0]
+        rho[1:] *= (1 - eps / 2) / traces[1:].sum()
+        sigma = np.zeros_like(rho)
+        sigma[0] = _block(rng, "full-rank", d)
+        return rho, sigma / np.trace(sigma[0]).real
+    pair = []
+    for side in kinds:
+        blocks = np.stack([_block(rng, kind, d) for kind in side])
+        blocks[0] += np.diag(rng.random(d) + 0.1)
+        pair.append(blocks / np.trace(blocks, axis1=-2, axis2=-1).real.sum())
+    return tuple(pair)
+
+
+def _solve(solver, a, b, *args):
+    try:
+        return solver(a, b, *args)
+    except ConvergenceError as exc:
+        return exc
+
+
+@settings(max_examples=60)
+@given(
+    k=st.integers(2, 4),
+    d=st.integers(2, 3),
+    flavours=st.permutations(["classical", "dense", "kernel", "beta-zero", "dense", "classical"]),
+    empty=st.integers(0, 4),
+    eps=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stack_rows_match_each_row_alone(k, d, flavours, empty, eps, seed):
+    """Every row of a stack solve is the row solved alone, bit for bit.
+
+    The stack mixes classical rows, dense rows, rows with weight on sigma's
+    kernel and rows whose beta is 0, and every row has an all-zero block at
+    the same place, as a zero-probability value gives.  Non-classical rows
+    also meet the plain bisection and the dual certificate.
+    """
+    rng = np.random.default_rng(seed)
+    rows = [_stack_row(rng, flavour, k, d, eps) for flavour in flavours]
+    zero = np.zeros((1, d, d), dtype=complex)
+    a, b = (np.stack([np.concatenate([row[side][:empty], zero, row[side][empty:]]) for row in rows])
+            for side in (0, 1))
+    betas = _solve(_dh_betas, a, b, eps)
+    alone = [_solve(_dh_betas, a[r:r + 1], b[r:r + 1], eps) for r in range(len(rows))]
+    failed = [r for r, beta in enumerate(alone) if isinstance(beta, ConvergenceError)]
+    if failed:
+        assert isinstance(betas, ConvergenceError) and betas.row in failed, (betas, failed)
+    else:
+        assert betas.tolist() == [float(beta[0]) for beta in alone]
+        assert any(beta == 0.0 for beta in betas.tolist())
+    d_max = _dmax_values(a, b)
+    assert d_max.tolist() == [float(_dmax_values(a[r:r + 1], b[r:r + 1])[0]) for r in range(len(rows))]
+    for r, flavour in enumerate(flavours):
+        if flavour == "classical" or r in failed:
+            continue
+        rho, sigma = _block_diag(a[r]), _block_diag(b[r])
+        beta = float(betas[r])
+        try:
+            slow = bisection_beta(rho, sigma, eps)
+        except ConvergenceError:
+            slow = None
+        assert slow is None or abs(beta - slow) <= 1e-8 * abs(slow), (flavour, beta, slow)
+        best, probes = dh_dual(rho, sigma, eps)
+        tol = 1e-9 + 1e-7 * beta
+        assert all(value <= beta + tol for _, value in probes), (flavour, beta)
+        assert beta <= best + tol, (flavour, beta, best)
 
 
 def test_detection_never_splits_a_nonzero_entry():

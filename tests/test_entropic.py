@@ -13,11 +13,13 @@ from oneshot_secrecy.entropic import (
     ToleranceParams,
     _max_min,
     _diagonal_scan,
+    _np_betas,
     binary_entropy,
     classical_np_oracle,
     cond_smooth_ht_mi,
     cond_smooth_max_mi,
     fact_bound,
+    grid_values,
     ht_mutual_info,
     hypothesis_testing_beta,
     hypothesis_testing_divergence,
@@ -105,6 +107,35 @@ def test_classical_np_oracle_examples():
     assert abs(beta - 0.375) <= 1e-12 and abs(div - math.log2(8 / 3)) <= 1e-12
     with pytest.raises(ValueError):
         classical_np_oracle([0.5, 0.6], q[:2], 0.1)
+
+
+# atoms from a small set, so likelihood ratios tie; zero, tiny negative and absent atoms
+NP_ATOMS = st.sampled_from([0.0, -1e-13, 1e-14, 0.05, 0.1, 0.1, 0.2, 0.25, 0.4])
+
+
+@settings(max_examples=200)
+@given(
+    n=st.integers(1, 12),
+    count=st.integers(1, 5),
+    data=st.data(),
+    eps=st.one_of(st.sampled_from([0.25, 0.5, 0.75]), st.floats(0.01, 0.99)),
+)
+def test_np_rows_match_the_admission_loop(n, count, data, eps):
+    """Every row of the cumulative-sum solver is ``classical_np_oracle``'s loop, bit for bit.
+
+    Every golden file runs this route, so it must not move by an ulp.
+    """
+    rows = []
+    for _ in range(count):
+        p = np.array(data.draw(st.lists(NP_ATOMS, min_size=n, max_size=n)))
+        q = np.array(data.draw(st.lists(NP_ATOMS, min_size=n, max_size=n)))
+        p[data.draw(st.integers(0, n - 1))] += 0.3
+        q[data.draw(st.integers(0, n - 1))] += 0.3
+        rows.append((p / p.sum(), q / q.sum()))
+    betas = _np_betas(np.array([p for p, _ in rows]), np.array([q for _, q in rows]), 1.0 - eps)
+    for (p, q), beta in zip(rows, betas.tolist()):
+        expected, _ = classical_np_oracle(p, q, eps)
+        assert (beta == expected) if expected > 0.0 else (beta <= 0.0), (beta, expected)
 
 
 def test_ht_divergence_trivial_and_classical():
@@ -579,8 +610,24 @@ def test_non_finite_inputs_rejected(bad):
 
 def test_convergence_error_names_the_term(monkeypatch):
     def failing(rho, sigma, eps):
-        raise ConvergenceError(f"straddle detection failed at t=0.5, eps={eps}")
+        raise ConvergenceError(f"straddle detection failed at t=0.5, eps={eps}", 0)
 
-    monkeypatch.setattr(entropic, "hypothesis_testing_divergence", failing)
+    monkeypatch.setattr(entropic, "_dh_betas", failing)
     with pytest.raises(ConvergenceError, match=r"^D_H\(A : B\): straddle .* eps=0\.25$"):
         ht_mutual_info(correlated_bits(), "A", "B", 0.25)
+
+
+def test_convergence_error_names_the_grid_point_and_conditioning_value(monkeypatch):
+    """A conditional term's rows are (point, value) pairs; ``first`` offsets the point."""
+    def failing(rho, sigma, eps):
+        # rows (0, C=0), (0, C=1), (1, C=0), (1, C=1): the last one fails
+        assert len(rho) == 4
+        raise ConvergenceError(f"straddle detection failed at t=0.5, eps={eps}", 3)
+
+    monkeypatch.setattr(entropic, "_dh_betas", failing)
+    conds = classical_cq(("A", "B", "C"), np.full((2, 2, 2), 0.125)).conds
+    probs = np.stack([np.full((2, 2, 2), 0.125), np.full((2, 2, 2), 0.125)])
+    with pytest.raises(ConvergenceError, match=r"^D_H\(A : B \| C\): straddle .* eps=0\.25 \(grid point 11, C=1\)$"):
+        grid_values("ht", conds, probs, ["A"], ["B"], "C", 0.25, first=10)
+    with pytest.raises(ConvergenceError, match=r"^D_H\(A : B \| C\): straddle .* eps=0\.25 \(C=1\)$"):
+        grid_values("ht", conds, probs, ["A"], ["B"], "C", 0.25)

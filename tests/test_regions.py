@@ -768,22 +768,21 @@ def test_sweep_chunks_leave_the_frontier_unchanged(diag_channel, monkeypatch, th
 
 
 def test_sweep_convergence_error_at_a_later_point_names_the_term(monkeypatch, capsys, tmp_path):
-    """The fifth ``D_H`` of the first term is the fifth grid point's."""
-    calls = []
-    real = entropic.hypothesis_testing_divergence
+    """The fifth row of the first term's stack is the fifth grid point's, with its value of Q."""
+    real = entropic._dh_betas
 
     def failing(rho, sigma, eps):
-        calls.append(1)
-        if len(calls) == 5:
-            raise ConvergenceError(f"straddle detection failed at t=0.5, eps={eps}")
-        return real(rho, sigma, eps)
+        betas = real(rho, sigma, eps)
+        if len(betas) > 4:
+            raise ConvergenceError(f"straddle detection failed at t=0.5, eps={eps}", 4)
+        return betas
 
-    monkeypatch.setattr(entropic, "hypothesis_testing_divergence", failing)
+    monkeypatch.setattr(entropic, "_dh_betas", failing)
     code = cli.main(["sweep", "--channel", str(bundled_path("diag_deterministic.json")), "--theorem", "t1",
                      "--grid", "3", "--eps", "0.25", "--csv", str(tmp_path / "frontier.csv")])
     assert code == 1
     err = capsys.readouterr().err
-    assert "D_H(X1 : X2,Y1 | Q): straddle detection failed at t=0.5, eps=0.25" in err
+    assert "D_H(X1 : X2,Y1 | Q): straddle detection failed at t=0.5, eps=0.25 (grid point 4, Q=0)" in err
 
 
 # ---------------------------------------------------------------------------
