@@ -366,11 +366,17 @@ def _threshold_search(target: float, eps: float, breaks: list[float], f_lo: floa
     # is guaranteed to capture the crossing eigenspace
     mid = 0.5 * (lo + hi)
     a_pos, a_zer, b_pos, b_zer = yield mid, 2.0 * (hi - lo) * (sig_norm + 1.0) + BAND_FLOOR
-    if a_pos > target + TYPE_I_TOL or a_pos + a_zer < target - TYPE_I_TOL:
-        raise ConvergenceError(
-            f"straddle detection failed at t={mid:.6g}, eps={eps} "
-            f"(type-I window [{a_pos:.12g}, {a_pos + a_zer:.12g}], target {target:.12g})"
-        )
+    while a_pos > target + TYPE_I_TOL or a_pos + a_zer < target - TYPE_I_TOL:
+        # a smooth piece (rho on sigma's kernel) can outrun TYPE_I_TOL: bisect on, to adjacent floats
+        lo, hi = (mid, hi) if a_pos > target else (lo, mid)
+        if iters >= _MAX_ITER or not lo < 0.5 * (lo + hi) < hi:
+            raise ConvergenceError(
+                f"straddle detection failed at t={mid:.6g}, eps={eps} "
+                f"(type-I window [{a_pos:.12g}, {a_pos + a_zer:.12g}], target {target:.12g})"
+            )
+        iters += 1
+        mid = 0.5 * (lo + hi)
+        a_pos, a_zer, b_pos, b_zer = yield mid, 2.0 * (hi - lo) * (sig_norm + 1.0) + BAND_FLOOR
     return finish(a_pos, a_zer, b_pos, b_zer)
 
 
@@ -667,26 +673,30 @@ def _pair_values(kind, conds: CQConditionals, probs, part_a, part_b, eps, strate
     ])
 
 
-def _max_min(masses: np.ndarray, values: np.ndarray, eps: float) -> float:
-    """The conditional max-min: the best value left after dropping low-value atoms.
+def _max_min(masses: np.ndarray, values: np.ndarray, support: np.ndarray, eps: float) -> np.ndarray:
+    """The conditional max-min of each row's atoms ``support[g]``: the best value left after dropping some.
 
     Keep the largest-value atoms whose total mass stays feasible: dropping a
     support set S is allowed iff the kept mass is at least 1 - eps^2, the
-    exact purified-distance ball condition for diagonal perturbations.
+    exact purified-distance ball condition for diagonal perturbations.  Rows
+    with the same number of atoms are solved together, so each starting mass
+    is numpy's sum of exactly its row's atoms.
     """
     threshold = 1.0 - eps * eps
-    order = np.argsort(values, kind="stable")
-    masses_sorted = masses[order]
-    values_sorted = values[order]
-    kept = float(masses.sum())
-    best = values_sorted[0]
-    for k in range(len(values_sorted)):
-        if kept >= threshold - KEPT_MASS_SLACK:
-            best = values_sorted[k]
-        else:
-            break
-        kept -= masses_sorted[k]
-    return float(best)
+    best = np.empty(len(masses))
+    counts = support.sum(axis=1)
+    for n in sorted(set(counts.tolist())):
+        rows = np.flatnonzero(counts == n)
+        m = masses[rows][support[rows]].reshape(len(rows), n)
+        v = values[rows][support[rows]].reshape(len(rows), n)
+        order = np.argsort(v, axis=1, kind="stable")
+        # the kept mass before each drop: the total, then less each atom in value order
+        kept = np.subtract.accumulate(
+            np.concatenate([m.sum(axis=1)[:, None], np.take_along_axis(m, order[:, :-1], axis=1)], axis=1), axis=1)
+        feasible = np.logical_and.accumulate(kept >= threshold - KEPT_MASS_SLACK, axis=1)
+        last = np.maximum(feasible.sum(axis=1) - 1, 0)
+        best[rows] = v[np.arange(len(rows)), order[np.arange(len(rows)), last]]
+    return best
 
 
 def _cond_rows(conds: CQConditionals, probs, part_a, part_b, cond):
@@ -756,10 +766,9 @@ def grid_values(
         raise ConvergenceError(f"D_H({','.join(part_a)} : {','.join(part_b)}{given}): {exc}{at}") from None
     if cond is None:
         return values
-    support = pz > COND_SUPPORT_TOL
     by_point = np.zeros(pz.shape)
     by_point[points, zs] = values
-    return np.array([_max_min(pz[g, support[g]], by_point[g, support[g]], eps) for g in range(len(probs))])
+    return _max_min(pz, by_point, pz > COND_SUPPORT_TOL, eps)
 
 
 def _one_point(kind: str, state: CQState, part_a, part_b, cond, eps: float, strategy: str = "none") -> float:

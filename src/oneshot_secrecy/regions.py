@@ -7,10 +7,9 @@ penalty modes of the same system differ exactly by the recorded constants.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -146,95 +145,113 @@ class _MICalculator:
                                           self.smoothing, self.first)
         return self._memo[key]
 
-    def point(self, index: int) -> "_GridPoint":
-        return _GridPoint(self, index)
 
-
-@dataclass(frozen=True)
-class _GridPoint:
-    """One point of a calculator's grid: the terms a region's rows read."""
-
-    calc: _MICalculator
-    index: int
-
-    @staticmethod
-    def of(state: CQState, params: ToleranceParams, smoothing: str) -> "_GridPoint":
-        """``state`` as the one point of its own grid."""
-        return _MICalculator(state.conds, state.probs[None], params, smoothing).point(0)
-
-    def ht(self, part_a: Sequence[str], part_b: Sequence[str], cond: str | None = None) -> MITerm:
-        value = float(self.calc.values("ht", part_a, part_b, cond)[self.index])
-        return MITerm("ht", tuple(part_a), tuple(part_b), cond, 1.0, value, self.calc.params.eps)
-
-    def imax(self, part_a: Sequence[str], part_b: Sequence[str], cond: str | None = None) -> MITerm:
-        value = float(self.calc.values("max", part_a, part_b, cond)[self.index])
-        return MITerm("max", tuple(part_a), tuple(part_b), cond, -1.0, value, self.calc.params.eta,
-                      self.calc.smoothing)
-
-
-@functools.cache
 def _weighted(tokens: str) -> tuple[tuple[int, str], ...]:
     """Split ``"c p 2C"`` into ``((1, "c"), (1, "p"), (2, "C"))``."""
     return tuple((int(t[:-1] or 1), t[-1]) for t in tokens.split())
 
 
-def _split(grouping: str, roles: Mapping[str, str]) -> tuple[list[str], list[str]]:
-    """The two register groups of a grouping ``"cp:yCP"`` under ``roles``."""
-    part_a, part_b = grouping.split(":")
-    return [roles[x] for x in part_a], [roles[x] for x in part_b]
+@dataclass(frozen=True)
+class _Table:
+    """Region tables compiled (:func:`_compile`) to the distinct ``(kind, part_a, part_b, cond)`` terms they read.
+
+    ``rows[r]`` is row ``r``'s ``(term index, coefficient)`` list once per
+    receiver it may bind, ``counts[r]`` the ``(n_l, n_eps)`` its penalty
+    reads, and ``coeffs`` the ``(rows, variables)`` rate coefficients.
+    """
+
+    variables: tuple[str, ...]
+    tags: tuple[str, ...]
+    terms: tuple[tuple, ...]
+    rows: tuple[tuple[tuple[tuple[int, float], ...], ...], ...]
+    counts: tuple[tuple[int, int], ...]
+    coeffs: np.ndarray
 
 
-def _assemble(
-    point: _GridPoint,
-    table: Sequence[tuple[str, str, tuple[str, ...], str]],
-    leaks: Mapping[str, str] | None,
-    roles: Mapping[str, str],
-    variables: Sequence[str],
-    prefix: str,
-    penalty: Callable[[int, int], float],
-    cond: str | None = None,
-    receivers: tuple[str, ...] = (),
-) -> list[PolyRow]:
-    """Rows of a region table with its roles bound to register and rate names.
+def _compile(parts: Sequence[tuple], variables: Sequence[str], cond: str | None = None,
+             receivers: Sequence[str] = ()) -> _Table:
+    """One :class:`_Table` of region tables ``(table, leaks, roles, tag prefix)``.
 
     A table row is ``(tag, rates, groupings, leakage)``.  A grouping
     ``"cp:yCP"`` is the ``D_H`` term ``I(c p : y C P)``, registers in that
-    order (the order fixes the operator basis).  ``rates`` and ``leakage``
-    are role letters with optional integer weights, ``"r 2s"``; a leaked
-    role's ``D_max`` grouping is looked up in ``leaks`` and enters with
-    coefficient minus its weight (``leaks=None`` drops leakage).  The
-    penalty is ``penalty(n_l, n_eps)``: ``n_l`` randomizers, one per unit of
+    order (the order fixes the operator basis), conditioned on ``cond``.
+    ``rates`` and ``leakage`` are role letters with optional integer weights,
+    ``"r 2s"``; a leaked role's ``D_max`` grouping is looked up in ``leaks``
+    and enters with coefficient minus its weight (``leaks=None`` drops
+    leakage).  The penalty counts are ``n_l`` randomizers, one per unit of
     leakage weight, and ``n_eps`` decoding errors, one per ``D_H`` term;
     these are the counts the paper's constants carry, so the tables need no
     penalty column.  With ``receivers``, each row binds the role ``y`` to the
-    receiver whose first term is smallest (the first on a tie) and records
-    every receiver's first term as its ``alternatives``.
+    receiver whose first term is smallest (the first on a tie).  Terms come
+    in the order a row-by-row evaluation first asks for them: each table's
+    leaks, then each row's terms under each receiver in turn.
     """
-    leak_terms = {x: point.imax(*_split(g, roles), cond) for x, g in (leaks or {}).items()}
+    terms: dict[tuple, int] = {}
+
+    def term(kind: str, grouping: str, roles: Mapping[str, str]) -> int:
+        part_a, part_b = grouping.split(":")
+        return terms.setdefault((kind, tuple(roles[x] for x in part_a), tuple(roles[x] for x in part_b), cond),
+                                len(terms))
+
+    tags, rows, counts, coeffs = [], [], [], []
+    for table, leaks, roles, prefix in parts:
+        leaked = {x: term("max", g, roles) for x, g in (leaks or {}).items()}
+        for tag, rates, groupings, leakage in table:
+            bindings = [dict(roles, y=y) for y in receivers] or [roles]
+            weights = _weighted(leakage if leaks is not None else "")
+            rows.append(tuple(tuple((term("ht", g, row_roles), 1.0) for g in groupings)
+                              + tuple((leaked[x], -float(weight)) for weight, x in weights) for row_roles in bindings))
+            counts.append((sum(weight for weight, _ in weights), len(groupings)))
+            coeff_map = {roles[x]: weight for weight, x in _weighted(rates)}
+            coeffs.append([float(coeff_map.get(v, 0.0)) for v in variables])
+            tags.append(f"{prefix}:{tag}")
+    return _Table(tuple(variables), tuple(tags), tuple(terms), tuple(rows), tuple(counts), np.array(coeffs))
+
+
+def _bounds(table: _Table, calc: _MICalculator, penalty: Callable[[int, int], float]):
+    """Row bounds ``(G, rows)`` of ``calc``'s grid, each row's picked receiver and first terms.
+
+    Only the table's terms are asked for, in order.  A bound is summed
+    ``0 + c1·v1 + c2·v2 + … + penalty``, the order of one row alone, so it
+    keeps its bits; a row's receiver is the ``argmin`` of its first terms.
+    """
+    values = [calc.values(*t) for t in table.terms]
+    firsts = np.array([[values[terms[0][0]] for terms in bound] for bound in table.rows]).transpose(2, 0, 1)
+    picks = firsts.argmin(axis=2)
+    bounds = np.zeros(picks.shape)
+    # an infinite D_H less an infinite D_max is nan, as it is for Python floats
+    with np.errstate(invalid="ignore"):
+        for r, (bound, counts) in enumerate(zip(table.rows, table.counts)):
+            pen = penalty(*counts)
+            for k, terms in enumerate(bound):
+                total = np.zeros(len(picks))
+                for t, coefficient in terms:
+                    total = total + coefficient * values[t]
+                bounds[:, r] = np.where(picks[:, r] == k, total + pen, bounds[:, r])
+    return bounds, picks, firsts
+
+
+def _region(table: _Table, penalty: Callable[[int, int], float], state: CQState, params: ToleranceParams,
+            smoothing: str = "none") -> tuple[RatePolytope, _MICalculator]:
+    """``state``'s region, as the one point of its own grid, and the calculator whose memo the metadata reads.
+
+    Each row carries its picked receiver's terms and, with a choice of
+    receivers, every receiver's first term as its ``alternatives``.
+    """
+    calc = _MICalculator(state.conds, state.probs[None], params, smoothing)
+    bounds, picks, firsts = _bounds(table, calc, penalty)
     rows = []
-    for tag, rates, groupings, leakage in table:
-        row_roles, alternatives = roles, ()
-        if receivers:
-            alternatives = tuple(point.ht(*_split(groupings[0], dict(roles, y=y)), cond).value
-                                 for y in receivers)
-            row_roles = dict(roles, y=receivers[int(np.argmin(alternatives))])
-        terms = [point.ht(*_split(g, row_roles), cond) for g in groupings]
-        n_l = 0
-        for weight, x in _weighted(leakage if leaks is not None else ""):
-            term = leak_terms[x]
-            terms.append(term if weight == 1 else replace(term, coefficient=-float(weight)))
-            n_l += weight
-        coeff_map = {roles[x]: weight for weight, x in _weighted(rates)}
-        pen = penalty(n_l, len(groupings))
-        rows.append(PolyRow(
-            tuple(float(coeff_map.get(v, 0.0)) for v in variables),
-            float(sum(t.coefficient * t.value for t in terms) + pen),
-            f"{prefix}:{tag}",
-            tuple(terms),
-            pen,
-            alternatives,
-        ))
-    return rows
+    for r, (tag, bound, coeffs) in enumerate(zip(table.tags, table.rows, table.coeffs.tolist())):
+        terms = []
+        for t, coefficient in bound[picks[0, r]]:
+            kind, part_a, part_b, cond = table.terms[t]
+            eps, term_smoothing = (params.eps, None) if kind == "ht" else (params.eta, smoothing)
+            terms.append(MITerm(kind, part_a, part_b, cond, coefficient, float(calc.values(*table.terms[t])[0]), eps,
+                                term_smoothing))
+        alternatives = tuple(firsts[0, r].tolist()) if len(bound) > 1 else ()
+        rows.append(PolyRow(tuple(coeffs), float(bounds[0, r]), tag, tuple(terms), penalty(*table.counts[r]),
+                            alternatives))
+    return RatePolytope(table.variables, rows), calc
 
 
 # Time-shared rows: senders a then b (b's randomizer conditions on a) with
@@ -245,6 +262,7 @@ _TIME_SHARED = (
     ("sum", "r s", ("ab:y",), "a b"),
 )
 _TIME_SHARED_LEAKS = {"a": "a:z", "b": "b:za"}
+_TIME_SHARED_ROLES = {"a": "X1", "b": "X2", "r": "R1", "s": "R2", "z": "Z"}
 
 # Roles of the split-message tables: (common, personal) messages c, p of one
 # sender and C, P of the other, with rates r and s; the mirror swaps senders.
@@ -284,11 +302,11 @@ _SPLIT_MESSAGE_LEAKS = {"c": "c:z", "p": "p:zcC", "C": "C:zc", "P": "P:zcpC"}
 _BOTH_RECEIVERS = dict(_SPLIT_ROLES, y="Y1", Y="Y2")
 
 
-def _hk_penalties(penalties: PenaltyMode, eps: float) -> Callable[[int, int], float]:
+def _hk_penalties(params: ToleranceParams, penalties: PenaltyMode) -> Callable[[int, int], float]:
     """Constant of a row without secrecy: ``n_eps * (log2(eps) - 2)``."""
     if penalties.mode == "off":
         return lambda n_l, n_eps: 0.0
-    return lambda n_l, n_eps: n_eps * (math.log2(eps) - 2.0)
+    return lambda n_l, n_eps: n_eps * (math.log2(params.eps) - 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +328,7 @@ def qmac_inner_bound(
     senders = list(senders)
     if len(senders) not in (2, 3):
         raise OperatorError(f"qmac_inner_bound supports 2 or 3 senders, got {len(senders)}")
-    point = _GridPoint.of(state, ToleranceParams(eps=eps), "none")
+    params = ToleranceParams(eps=eps)
     variables = tuple(_rate_name(s) for s in senders)
     # senders a, b, c with rates A, B, C
     letters = "abc"[: len(senders)]
@@ -321,8 +339,10 @@ def qmac_inner_bound(
             rest = "".join(x for x in letters if x not in sub)
             tag = "+".join(roles[x.upper()] for x in sub)
             table.append((tag, " ".join(sub).upper(), ("".join(sub) + ":" + rest + "y",), ""))
-    rows = _assemble(point, table, None, roles, variables, "qmac", _hk_penalties(penalties, eps))
-    return RatePolytope(variables, rows, {"receiver": receiver, "penalties": penalties.mode})
+    poly, _ = _region(_compile([(table, None, roles, "qmac")], variables), _hk_penalties(params, penalties),
+                      state, params)
+    poly.meta.update(receiver=receiver, penalties=penalties.mode)
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +351,7 @@ def qmac_inner_bound(
 
 
 def _secrecy_penalties(
-    params: ToleranceParams, penalties: PenaltyMode, delta_source: str
+    params: ToleranceParams, penalties: PenaltyMode, delta_source: str = "delta"
 ) -> Callable[[int, int], float]:
     """Constant of a time-shared secrecy row: one randomizer (single) or two (joint)."""
     if penalties.mode == "off":
@@ -354,17 +374,22 @@ def _split_penalties(params: ToleranceParams, penalties: PenaltyMode) -> Callabl
         return lambda n_l, n_eps: 0.0
     log_l = math.log2(3.0 / params.eps_prime**3)
     log_dp = math.log2(params.delta_prime)
+    return lambda n_l, n_eps: (-n_l * log_l + 0.5 * (n_l // 2) * log_dp + n_eps * math.log2(params.eps)
+                               - 2.0 * n_eps + params.big_o_constant)
 
-    def build(n_l: int, n_eps: int) -> float:
-        return (
-            -n_l * log_l
-            + 0.5 * (n_l // 2) * log_dp
-            + n_eps * math.log2(params.eps)
-            - 2.0 * n_eps
-            + params.big_o_constant
-        )
 
-    return build
+# each theorem's compiled table and the constant of its rows, ``penalty(params, penalties)``;
+# sub-channel 2 of t2 is the 1<->2 mirror of sub-channel 1
+_THEOREMS = {
+    "t1": (_compile([(_TIME_SHARED, _TIME_SHARED_LEAKS, _TIME_SHARED_ROLES, "t1")], ("R1", "R2"), "Q",
+                    ("Y1", "Y2")), _secrecy_penalties),
+    "conjecture": (_compile([(_SPLIT_MESSAGE, _SPLIT_MESSAGE_LEAKS, _BOTH_RECEIVERS, "conj")], ("R1", "R2")),
+                   _split_penalties),
+    "t2": (_compile([(_SIDE_INFORMATION, _SIDE_INFORMATION_LEAKS, dict(_SPLIT_ROLES, y="Y1"), "t2:s1"),
+                     (_SIDE_INFORMATION, _SIDE_INFORMATION_LEAKS, dict(_MIRRORED_ROLES, y="Y2"), "t2:s2")],
+                    ("R1", "R2")), _split_penalties),
+    "hk-nosecrecy": (_compile([(_SPLIT_MESSAGE, None, _BOTH_RECEIVERS, "hk")], ("R1", "R2")), _hk_penalties),
+}
 
 
 def theorem1_region(
@@ -379,31 +404,16 @@ def theorem1_region(
 
     The receiver of a row is the one with the smaller first term; both first
     terms are recorded as the row's ``alternatives``, and only the picked
-    receiver's row is assembled.
+    receiver's row is reported.
     """
-    point = _GridPoint.of(control_state_t1(channel, dist), params, smoothing)
-    return _theorem1(point, penalties, delta_source)
-
-
-def _theorem1(point: _GridPoint, penalties: PenaltyMode, delta_source: str = "delta") -> RatePolytope:
-    params = point.calc.params
-    pen = _secrecy_penalties(params, penalties, delta_source)
-    variables = ("R1", "R2")
-    roles = {"a": "X1", "b": "X2", "r": "R1", "s": "R2", "z": "Z"}
-    rows = _assemble(point, _TIME_SHARED, _TIME_SHARED_LEAKS, roles, variables, "t1", pen, "Q",
-                     receivers=("Y1", "Y2"))
-    full = point.imax(["X1", "X2"], ["Z"], "Q")
-    meta = {
-        "theorem": "t1",
-        "penalties": penalties.mode,
-        "secrecy": {
-            "criterion": "Imax_eta(X1X2:Z|Q)",
-            "value": full.value,
-            "threshold": params.theta,
-            "pass": within_threshold(full.value, params.theta),
-        },
-    }
-    return RatePolytope(variables, rows, meta)
+    table, penalty = _THEOREMS["t1"]
+    poly, calc = _region(table, penalty(params, penalties, delta_source), control_state_t1(channel, dist),
+                         params, smoothing)
+    full = float(calc.values("max", ("X1", "X2"), ("Z",), "Q")[0])
+    poly.meta.update(theorem="t1", penalties=penalties.mode, secrecy={
+        "criterion": "Imax_eta(X1X2:Z|Q)", "value": full, "threshold": params.theta,
+        "pass": within_threshold(full, params.theta)})
+    return poly
 
 
 def hk_nosecrecy_region(
@@ -413,14 +423,11 @@ def hk_nosecrecy_region(
     penalties: PenaltyMode = PenaltyMode("paper"),
 ) -> RatePolytope:
     """Split-message no-secrecy region over (R1, R2), rows as printed."""
-    point = _GridPoint.of(control_state_hk(channel, dist), ToleranceParams(eps=eps), "none")
-    return _hk_nosecrecy(point, penalties)
-
-
-def _hk_nosecrecy(point: _GridPoint, penalties: PenaltyMode) -> RatePolytope:
-    rows = _assemble(point, _SPLIT_MESSAGE, None, _BOTH_RECEIVERS, ("R1", "R2"), "hk",
-                     _hk_penalties(penalties, point.calc.params.eps))
-    return RatePolytope(("R1", "R2"), rows, {"theorem": "hk-nosecrecy", "penalties": penalties.mode})
+    params = ToleranceParams(eps=eps)
+    table, penalty = _THEOREMS["hk-nosecrecy"]
+    poly, _ = _region(table, penalty(params, penalties), control_state_hk(channel, dist), params)
+    poly.meta.update(theorem="hk-nosecrecy", penalties=penalties.mode)
+    return poly
 
 
 def conjecture_region(
@@ -431,18 +438,12 @@ def conjecture_region(
     smoothing: str = "none",
 ) -> RatePolytope:
     """Split-message secrecy region (nine rows), plus the side-condition report."""
-    point = _GridPoint.of(control_state_hk(channel, dist), params, smoothing)
-    return _conjecture(point, penalties)
-
-
-def _conjecture(point: _GridPoint, penalties: PenaltyMode) -> RatePolytope:
-    params, smoothing = point.calc.params, point.calc.smoothing
-    rows = _assemble(point, _SPLIT_MESSAGE, _SPLIT_MESSAGE_LEAKS, _BOTH_RECEIVERS, ("R1", "R2"),
-                     "conj", _split_penalties(params, penalties))
+    table, penalty = _THEOREMS["conjecture"]
+    poly, calc = _region(table, penalty(params, penalties), control_state_hk(channel, dist), params, smoothing)
     report = _secrecy_check(params, (math.inf, math.inf, math.inf), smoothing,
-                            lambda a, b: point.imax(a, b).value)
-    meta = {"theorem": "conjecture", "penalties": penalties.mode, "secrecy": report.as_dict()}
-    return RatePolytope(("R1", "R2"), rows, meta)
+                            lambda a, b: float(calc.values("max", a, b, None)[0]))
+    poly.meta.update(theorem="conjecture", penalties=penalties.mode, secrecy=report.as_dict())
+    return poly
 
 
 def theorem2_region(
@@ -456,27 +457,14 @@ def theorem2_region(
 
     Sub-channel 2 is the 1<->2 mirror of sub-channel 1.
     """
-    point = _GridPoint.of(control_state_hk(channel, dist), params, smoothing)
-    return _theorem2(point, penalties)
-
-
-def _theorem2(point: _GridPoint, penalties: PenaltyMode) -> RatePolytope:
-    params, smoothing = point.calc.params, point.calc.smoothing
-    pen = _split_penalties(params, penalties)
-    rows: list[PolyRow] = []
-    for sub, roles in ((1, dict(_SPLIT_ROLES, y="Y1")), (2, dict(_MIRRORED_ROLES, y="Y2"))):
-        rows += _assemble(point, _SIDE_INFORMATION, _SIDE_INFORMATION_LEAKS, roles, ("R1", "R2"),
-                          f"t2:s{sub}", pen)
-    imax = lambda a, b: point.imax(a, b).value  # noqa: E731
+    table, penalty = _THEOREMS["t2"]
+    poly, calc = _region(table, penalty(params, penalties), control_state_hk(channel, dist), params, smoothing)
+    imax = lambda a, b: float(calc.values("max", a, b, None)[0])  # noqa: E731
     report = _secrecy_check(params, (math.inf, math.inf, math.inf), smoothing, imax)
     plan = _randomizer_plan(params, smoothing, imax)
-    meta = {
-        "theorem": "t2",
-        "penalties": penalties.mode,
-        "secrecy": report.as_dict(),
-        "randomizer_plan": plan.as_dict(),
-    }
-    return RatePolytope(("R1", "R2"), rows, meta)
+    poly.meta.update(theorem="t2", penalties=penalties.mode, secrecy=report.as_dict(),
+                     randomizer_plan=plan.as_dict())
+    return poly
 
 
 def hk_region_via_projection(
@@ -724,27 +712,26 @@ def region_builder(theorem: str) -> Callable:
     return builders[theorem]
 
 
-def _point_builder(theorem: str) -> Callable:
-    """The region of one grid point, ``build(point, penalties)``, for :func:`sweep_union`."""
-    # looked up at call time, as region_builder's builders are
-    return dict(zip(REGION_THEOREMS, (_theorem1, _conjecture, _theorem2, _hk_nosecrecy), strict=True))[theorem]
-
-
 def _ray_radii(poly: RatePolytope, dirs: np.ndarray) -> np.ndarray:
-    """Largest feasible scaling along each nonnegative ray direction.
+    """Largest feasible scaling of one region along each ray direction (see :func:`_grid_radii`)."""
+    return _grid_radii(*poly.coeff_matrix(), dirs)
 
-    Region rows have nonnegative coefficients, so a negative bound means the
-    clamped region is empty and every ray collapses to the origin.
+
+def _grid_radii(a: np.ndarray, b: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Largest feasible scaling along each nonnegative ray direction, ``(..., rays)``.
+
+    ``a`` are the rows' coefficients and ``b`` a ``(..., rows)`` stack of
+    their bounds, one region per leading index.  Region rows have
+    nonnegative coefficients, so a negative bound means the clamped region is
+    empty and every ray collapses to the origin.
     """
-    a, b = poly.coeff_matrix()
-    if a.size == 0:
-        return np.full(len(dirs), math.inf)
-    if np.any(b < -FEAS_TOL):
-        return np.zeros(len(dirs))
-    proj = a @ dirs.T  # (rows, rays)
+    radii = np.full(b.shape[:-1] + (len(dirs),), math.inf)
+    # one row at a time, so no (..., rows, rays) array is made
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(proj > COEF_TOL, b[:, None] / np.maximum(proj, COEF_TOL), math.inf)
-    return np.maximum(np.min(ratios, axis=0), 0.0)
+        for row, proj in enumerate(a @ dirs.T):
+            ratios = np.where(proj > COEF_TOL, b[..., row, None] / np.maximum(proj, COEF_TOL), math.inf)
+            radii = np.minimum(radii, ratios)
+    return np.where(np.any(b < -FEAS_TOL, axis=-1)[..., None], 0.0, np.maximum(radii, 0.0))
 
 
 def sweep_union(
@@ -763,10 +750,12 @@ def sweep_union(
     The grid is the lexicographic product of one simplex grid per axis,
     counted against ``max_evals`` before it is built.  It is cut into
     consecutive index ranges whose conditionals stack stays under
-    ``_CHUNK_BYTES``.  Within a chunk each information term is
-    evaluated term-major, for every point at once, the first time a point's
-    region asks for it.  Regions are merged by pointwise maximum along fixed
-    ray directions, in grid order, so output is deterministic.
+    ``_CHUNK_BYTES``.  Within a chunk each term of the theorem's compiled
+    table is evaluated term-major, for every point at once, and the chunk's
+    row bounds form one ``(points, rows)`` array (:func:`_bounds`); the
+    secrecy report and randomizer plan of a region are never computed.
+    Regions are merged by pointwise maximum along fixed ray directions, so
+    output is deterministic and does not depend on the chunking.
     """
     if grid < 2:
         raise ValueError("grid resolution must be >= 2")
@@ -788,13 +777,14 @@ def sweep_union(
         raise ValueError(f"grid of {count} distributions exceeds the cap of {max_evals}")
     axes = [_simplex_grid(s, grid) for s in sizes]
     conds = _t1_conditionals(channel, q_size) if theorem == "t1" else _hk_conditionals(channel)
-    build = _point_builder(theorem)
+    table, constants = _THEOREMS[theorem]
+    penalty = constants(params, penalties)
     thetas = np.linspace(0.0, math.pi / 2.0, rays)
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
 
     size = max(1, _CHUNK_BYTES // conds.conditionals.nbytes)
     frontier = np.zeros(rays)
-    evaluations = degenerate = 0
+    degenerate = 0
     for start in range(0, count, size):
         picks = np.unravel_index(np.arange(start, min(start + size, count)), [len(a) for a in axes])
         vectors = [a[i] for a, i in zip(axes, picks)]
@@ -803,13 +793,13 @@ def sweep_union(
         else:
             probs = _hk_probs(*vectors)
         conds.check(probs)
-        calc = _MICalculator(conds, probs, params, smoothing, start)
-        for index in range(len(probs)):
-            poly = build(calc.point(index), penalties)
-            radii = _ray_radii(poly, dirs)
-            evaluations += 1
-            if np.all(radii <= FEAS_TOL):
-                degenerate += 1
-            frontier = np.maximum(frontier, radii)
-    points = dirs * frontier[:, None]
-    return SweepResult(thetas, frontier, points, evaluations, degenerate)
+        bounds = _bounds(table, _MICalculator(conds, probs, params, smoothing, start), penalty)[0]
+        # 32 points at a time, so the (points, rays) arrays stay small and peak memory does not grow with the chunk
+        for block in np.split(bounds, range(32, len(bounds), 32)):
+            radii = _grid_radii(table.coeffs, block, dirs)
+            degenerate += int(np.all(radii <= FEAS_TOL, axis=1).sum())
+            frontier = np.maximum(frontier, radii.max(axis=0))
+    # an unbounded ray's zero coordinate is inf * 0, which is nan
+    with np.errstate(invalid="ignore"):
+        points = dirs * frontier[:, None]
+    return SweepResult(thetas, frontier, points, count, degenerate)

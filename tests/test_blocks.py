@@ -23,7 +23,6 @@ from oneshot_secrecy.entropic import (
     _block_stack,
     _dh_betas,
     _dmax_values,
-    _max_min,
     cond_smooth_ht_mi,
     cond_smooth_max_mi,
     grid_values,
@@ -36,7 +35,7 @@ from oneshot_secrecy.entropic import (
 )
 from oneshot_secrecy.operators import COND_SUPPORT_TOL, OperatorError, RegisterLayout, permute_registers_matrix
 from oneshot_secrecy.states import CQConditionals, CQState, _block_diag, block_pairs, joint_and_product
-from util import bisection_beta, condition_state, dense_joint_and_product, dh_dual
+from util import bisection_beta, condition_state, dense_joint_and_product, dh_dual, max_min
 
 BLOCK_KINDS = ("zero", "diagonal", "full-rank", "rank-deficient")
 
@@ -366,8 +365,8 @@ def test_grid_conditional_terms_match_each_point_alone(sizes, qdim, points, data
         pz = state.probs.sum(axis=others)
         support = np.flatnonzero(pz > COND_SUPPORT_TOL)
         given = [condition_state(state, cond, int(z)) for z in support]
-        assert ht[g] == _max_min(pz[support], np.array([ht_mutual_info(s, [a], [b], 0.25) for s in given]), 0.25)
-        assert dmax[g] == _max_min(pz[support], np.array([smooth_max_mutual_info(s, [a], [b], 0.1) for s in given]),
-                                   0.1)
+        assert ht[g] == max_min(pz[support], np.array([ht_mutual_info(s, [a], [b], 0.25) for s in given]), 0.25)
+        assert dmax[g] == max_min(pz[support], np.array([smooth_max_mutual_info(s, [a], [b], 0.1) for s in given]),
+                                  0.1)
     with pytest.raises(OperatorError, match=f"conditioning register '{cond}' also appears in a part"):
         grid_values("ht", conds, probs, [a, cond], [b], cond, 0.25)

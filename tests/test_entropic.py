@@ -1,18 +1,22 @@
+import json
 import math
+import runpy
 from functools import partial
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oneshot_secrecy import entropic
+from oneshot_secrecy import cli, entropic
+from oneshot_secrecy.channel import control_state_hk, load_channel, load_distribution
 from oneshot_secrecy.entropic import (
     ConvergenceError,
     ToleranceParams,
-    _max_min,
     _diagonal_scan,
+    _max_min,
     _np_betas,
     binary_entropy,
     classical_np_oracle,
@@ -32,6 +36,7 @@ from oneshot_secrecy.entropic import (
 )
 from oneshot_secrecy.operators import (
     EIG_CLAMP,
+    KEPT_MASS_SLACK,
     OperatorError,
     RegisterLayout,
     fidelity,
@@ -40,9 +45,11 @@ from oneshot_secrecy.operators import (
     trace_distance,
     validate_density,
 )
-from oneshot_secrecy.states import CQConditionals, CQState
+from oneshot_secrecy.states import CQConditionals, CQState, joint_and_product
 from conftest import rand_density, rand_unitary
-from util import bisection_beta, dh_dual, diagonal_scan_pairwise
+from util import bisection_beta, dh_dual, diagonal_scan_pairwise, max_min
+
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
 
 R = np.diag([0.5, 0.5]).astype(complex)
 S = np.diag([0.9, 0.1]).astype(complex)
@@ -253,13 +260,67 @@ def test_max_mutual_info_cases():
 
 def test_cond_optimize_example():
     """The max-min keeps the 0.95 atom of value 1.0 once the 0.05 atom of value 0.2 may go."""
-    masses, values = np.array([0.95, 0.05]), np.array([1.0, 0.2])
-    assert _max_min(masses, values, 0.3) == 1.0
+    masses, values = np.array([[0.95, 0.05]]), np.array([[1.0, 0.2]])
+
+    def max_min(eps):
+        return float(_max_min(masses, values, np.ones((1, 2), dtype=bool), eps)[0])
+
+    assert max_min(0.3) == 1.0
     # vanishing ball: no atom may be dropped
-    assert _max_min(masses, values, 1e-6) == 0.2
+    assert max_min(1e-6) == 0.2
     # monotone nondecreasing in eps
-    vals = [_max_min(masses, values, e) for e in (0.01, 0.1, 0.23, 0.5)]
+    vals = [max_min(e) for e in (0.01, 0.1, 0.23, 0.5)]
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def _eps_at(kept: float) -> float | None:
+    """An eps in (0, 1) whose ``1 - eps^2 - KEPT_MASS_SLACK`` is exactly ``kept``, if a float near the root has it."""
+    eps = math.sqrt(max(1.0 - KEPT_MASS_SLACK - kept, 0.0))
+    for _ in range(200):
+        if not 0.0 < eps < 1.0:
+            return None
+        threshold = 1.0 - eps * eps - KEPT_MASS_SLACK
+        if threshold == kept:
+            return eps
+        eps = math.nextafter(eps, math.inf if threshold > kept else -math.inf)
+    return None
+
+
+@settings(max_examples=300)
+@given(
+    data=st.data(),
+    eps=st.one_of(st.floats(1e-9, 1e-3), st.floats(0.01, 0.99), st.floats(0.999, 1.0 - 1e-9)),
+    at_boundary=st.booleans(),
+)
+def test_max_min_rows_match_the_per_point_loop(data, eps, at_boundary):
+    """The array max-min of every row is, byte for byte, the loop over that row's supported atoms.
+
+    Values tie and reach +-inf; unsupported atoms keep a mass the rows must
+    ignore; up to 20 atoms, so a row's total is often a pairwise sum of 8 or
+    more.  ``at_boundary`` puts the threshold exactly on a kept mass of the
+    first row after one or more drops, where one ulp of that mass decides
+    the answer.
+    """
+    n = data.draw(st.integers(1, 20))
+    rows = data.draw(st.integers(1, 5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # a drawn share of the values come from a few, so they tie
+    values = np.where(rng.random((rows, n)) < data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+                      rng.choice([-math.inf, -1.5, 0.0, 0.25, 2.0, math.inf], (rows, n)), rng.normal(size=(rows, n)))
+    raw = rng.uniform(1e-3, 1.0, (rows, n))
+    support = rng.random((rows, n)) < data.draw(st.sampled_from([0.3, 0.7, 1.0]))
+    support[:, 0] |= ~support.any(axis=1)
+    masses = raw / np.where(support, raw, 0.0).sum(axis=1, keepdims=True)
+    if at_boundary:
+        m, v = masses[0, support[0]], values[0, support[0]]
+        assume(len(m) > 1)
+        kept = float(m.sum())
+        for atom in m[np.argsort(v, kind="stable")][:data.draw(st.integers(1, len(m) - 1))]:
+            kept -= atom
+        eps = _eps_at(kept)
+        assume(eps is not None)
+    expected = np.array([max_min(masses[g, support[g]], values[g, support[g]], eps) for g in range(rows)])
+    assert _max_min(masses, values, support, eps).tobytes() == expected.tobytes()
 
 
 def test_cond_quantities_reduce_when_deterministic():
@@ -521,6 +582,29 @@ def test_commuting_blocks_end_at_a_breakpoint(monkeypatch, seed):
         # the first call decomposes sigma; every later one is a probe of rho - t sigma
         assert len(calls) - 1 <= math.ceil(math.log2(n)) + 2, len(calls)
         assert abs(beta - classical_np_oracle(p, q, eps)[0]) <= 1e-9
+
+
+def test_final_probe_bisects_a_smooth_piece_steeper_than_the_bracket(tmp_path):
+    """The benchmark's seed-0 sweep channel at a corner point, where rho weighs on sigma's kernel.
+
+    The search closes on a bracket across which the type-I weight falls by
+    about 4e-9, so its midpoint misses the target by 2e-9 > TYPE_I_TOL; the
+    search bisects on from there, the command exits 0 and beta meets both oracles.
+    """
+    channel = runpy.run_path(str(BENCH_INPUTS))["write_inputs"]("sweep", 0, tmp_path)["small_split"]
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"x10": [0, 1], "x11": [0, 1], "x20": [1 / 39, 38 / 39], "x22": [31 / 39, 8 / 39]}))
+    assert cli.main(["quantities", "--channel", str(channel), "--dist", str(dist),
+                     "--grouping", "X10,X11,X20:Y1,Y2,Z", "--eps", "0.25"]) == 0
+    state = control_state_hk(load_channel(channel), load_distribution(dist))
+    rho, sigma = joint_and_product(state, ["X10", "X11", "X20"], ["Y1", "Y2", "Z"])
+    beta = hypothesis_testing_beta(rho, sigma, 0.25)
+    slow = bisection_beta(rho, sigma, 0.25)
+    assert abs(beta - slow) <= 1e-8 * slow, (beta, slow)
+    best, probes = dh_dual(rho, sigma, 0.25)
+    tol = 1e-9 + 1e-7 * beta
+    assert all(value <= beta + tol for _, value in probes)
+    assert beta <= best + tol, (beta, best)
 
 
 def test_bracket_grows_past_the_breakpoints():

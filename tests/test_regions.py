@@ -43,8 +43,10 @@ from util import (
     fourier_motzkin_rowwise,
     hk_distributions,
     minimal_2d_rebuild,
+    one_point_terms,
     point_in_hull_2d,
     polytope_from_arrays,
+    region_bounds,
     t1_distributions,
     vertices_2d_pairwise,
 )
@@ -783,6 +785,96 @@ def test_sweep_convergence_error_at_a_later_point_names_the_term(monkeypatch, ca
     assert code == 1
     err = capsys.readouterr().err
     assert "D_H(X1 : X2,Y1 | Q): straddle detection failed at t=0.5, eps=0.25 (grid point 4, Q=0)" in err
+
+
+def _sweep_bounds(monkeypatch, *args, **kwargs) -> np.ndarray:
+    """A sweep's ``(points, rows)`` bounds, as its chunks hand them to ``regions._grid_radii``."""
+    chunks = []
+    real = regions._grid_radii
+
+    def recording(a, b, dirs):
+        chunks.append(b)
+        return real(a, b, dirs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(regions, "_grid_radii", recording)
+        sweep_union(*args, **kwargs)
+    return np.concatenate(chunks)
+
+
+@pytest.mark.parametrize("theorem, q_size, grid, commuting, smoothing", [
+    ("t1", 1, 3, True, "none"), ("t1", 2, 3, True, "none"), ("t1", 1, 3, False, "none"),
+    ("t1", 2, 3, False, "none"), ("t1", 1, 4, True, "diagonal-scan"),
+    ("conjecture", 1, 2, True, "none"), ("conjecture", 1, 2, False, "none"),
+    ("conjecture", 1, 2, True, "diagonal-scan"),
+    ("t2", 1, 2, True, "none"), ("t2", 1, 2, False, "none"),
+    ("hk-nosecrecy", 1, 2, True, "none"), ("hk-nosecrecy", 1, 2, False, "none"),
+])
+def test_sweep_bounds_match_the_row_by_row_assembly(diag_channel, xor_channel, monkeypatch, theorem, q_size, grid,
+                                                    commuting, smoothing):
+    """Every grid point's row bounds are, byte for byte, its region's rows summed one term at a time
+    from the public one-point helpers (``util.region_bounds``)."""
+    if theorem == "t1":
+        channel = diag_channel if commuting else _noncommuting_channel(7)
+        states = [control_state_t1(channel, d) for d in t1_distributions(channel, grid, q_size)]
+    else:
+        channel = xor_channel if commuting else _noncommuting_split_channel(7)
+        states = [control_state_hk(channel, d) for d in hk_distributions(channel, grid)]
+    terms = [one_point_terms(state, PARAMS, smoothing) for state in states]
+    for penalties in (OFF, PAPER):
+        bounds = _sweep_bounds(monkeypatch, channel, theorem, PARAMS, penalties, grid=grid, q_size=q_size, rays=5,
+                               smoothing=smoothing)
+        expected = np.array([region_bounds(term, theorem, PARAMS, penalties) for term in terms])
+        assert bounds.tobytes() == expected.tobytes()
+
+
+def test_sweeps_ask_only_for_their_rows_terms(diag_channel, monkeypatch):
+    """No secrecy report, randomizer plan or t1 criterion: a sweep asks for the terms its rows read, once each."""
+    calls = []
+    real = regions.grid_values
+
+    def counting(kind, conds, probs, part_a, part_b, cond, *args):
+        calls.append((kind, tuple(part_a), tuple(part_b), cond))
+        return real(kind, conds, probs, part_a, part_b, cond, *args)
+
+    monkeypatch.setattr(regions, "grid_values", counting)
+    sweep_union(_noncommuting_split_channel(7), "conjecture", PARAMS, OFF, grid=2, rays=5)
+    assert len(set(calls)) == len(calls)
+    assert sorted(kind for kind, *_ in calls) == ["ht"] * 15 + ["max"] * 4
+    assert {c[:3] for c in calls if c[0] == "max"} == {
+        ("max", ("X10",), ("Z",)), ("max", ("X11",), ("Z", "X10", "X20")),
+        ("max", ("X20",), ("Z", "X10")), ("max", ("X22",), ("Z", "X10", "X11", "X20")),
+    }
+    calls.clear()
+    sweep_union(diag_channel, "t1", PARAMS, OFF, grid=3, q_size=2, rays=5)
+    assert len(set(calls)) == len(calls) == 8
+    assert ("max", ("X1", "X2"), ("Z",), "Q") not in calls
+
+
+@pytest.mark.parametrize("z_dim", [1, 3])
+def test_sweep_with_infinite_terms(monkeypatch, z_dim):
+    """D_H is +inf where beta = 0, and D_max +inf where rho weighs on sigma's numerical kernel.
+
+    Every output carries two eigenvalues below ``EIG_CLAMP`` whose joint weight
+    reaches it, so with eps = 1 - 1e-10 every D_H term is +inf; with a 3-level
+    eavesdropper so is every leak, and the bounds are inf - inf = nan.  The
+    sweep sums them without a RuntimeWarning (an error in this suite), as
+    Python floats do.
+    """
+    delta = 6e-11
+    tiny = np.diag([1.0 - 2.0 * delta, delta, delta]).astype(complex)
+    z = tiny if z_dim == 3 else np.ones((1, 1), dtype=complex)
+    state = np.kron(np.kron(tiny, tiny), z)
+    channel = ChannelSpec("tiny-eigenvalues", {"X1": ("0", "1"), "X2": ("0", "1")}, {"Y1": 3, "Y2": 3, "Z": z_dim},
+                          {(x1, x2): state for x1 in "01" for x2 in "01"})
+    params = ToleranceParams(eps=1.0 - 1e-10)
+    states = [control_state_t1(channel, d) for d in t1_distributions(channel, 2, 1)]
+    bounds = _sweep_bounds(monkeypatch, channel, "t1", params, OFF, grid=2, rays=5)
+    expected = np.array([region_bounds(one_point_terms(s, params), "t1", params, OFF) for s in states])
+    np.testing.assert_array_equal(bounds, expected)
+    assert np.all(np.isnan(bounds) if z_dim == 3 else bounds == math.inf)
+    radii = sweep_union(channel, "t1", params, OFF, grid=2, rays=5).radii
+    assert np.all(np.isnan(radii) if z_dim == 3 else radii == math.inf)
 
 
 # ---------------------------------------------------------------------------

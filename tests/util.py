@@ -8,8 +8,11 @@ rounded directions, hulls through a monotone chain, the qubit test search
 through a refined dense grid, the diagonal-scan smoothing through one
 donor-recipient pair at a time, the joint/product pair through a dense
 embedding with Kronecker products, the quantum threshold test through a
-plain bisection on the whole matrix and through its dual, and a sweep's grid
-through one nested product of input distributions per point.
+plain bisection on the whole matrix and through its dual, a sweep's grid
+through one nested product of input distributions per point, the
+conditional max-min through one loop per point, and a region's row bounds
+through one term at a time of the public one-point helpers, summed row by
+row in Python floats.
 """
 import itertools
 import math
@@ -17,8 +20,16 @@ from typing import Sequence
 
 import numpy as np
 
+from oneshot_secrecy import regions
 from oneshot_secrecy.channel import InputDistribution
-from oneshot_secrecy.entropic import _MAX_ITER, ConvergenceError
+from oneshot_secrecy.entropic import (
+    _MAX_ITER,
+    ConvergenceError,
+    cond_smooth_ht_mi,
+    cond_smooth_max_mi,
+    ht_mutual_info,
+    smooth_max_mutual_info,
+)
 from oneshot_secrecy.operators import (
     BAND_FLOOR,
     BISECT_WIDTH,
@@ -26,6 +37,7 @@ from oneshot_secrecy.operators import (
     DET_TOL,
     EIG_CLAMP,
     FEAS_TOL,
+    KEPT_MASS_SLACK,
     KERNEL_MASS_SLACK,
     PROBE_BAND,
     TYPE_I_TOL,
@@ -557,3 +569,93 @@ def hk_distributions(channel, resolution):
             kind="hk",
             marginals={reg: vec for reg, vec in zip(("X10", "X11", "X20", "X22"), combo)},
         )
+
+
+def max_min(masses, values, eps):
+    """The conditional max-min of one point, dropping one atom at a time.
+
+    Atoms go in stable value order while the kept mass, starting from
+    ``masses.sum()``, stays at least ``1 - eps^2`` within ``KEPT_MASS_SLACK``;
+    the value of the last atom reached is the answer.
+    """
+    threshold = 1.0 - eps * eps
+    order = np.argsort(values, kind="stable")
+    masses_sorted = masses[order]
+    values_sorted = values[order]
+    kept = float(masses.sum())
+    best = values_sorted[0]
+    for k in range(len(values_sorted)):
+        if kept >= threshold - KEPT_MASS_SLACK:
+            best = values_sorted[k]
+        else:
+            break
+        kept -= masses_sorted[k]
+    return float(best)
+
+
+def one_point_terms(state, params, smoothing="none"):
+    """``term(kind, part_a, part_b, cond)`` of one control state, read through the public helpers."""
+    cache = {}
+
+    def term(kind, part_a, part_b, cond):
+        key = (kind, tuple(part_a), tuple(part_b), cond)
+        if key not in cache:
+            a, b = list(part_a), list(part_b)
+            if kind == "ht":
+                cache[key] = (cond_smooth_ht_mi(state, a, b, cond, params.eps) if cond
+                              else ht_mutual_info(state, a, b, params.eps))
+            else:
+                cache[key] = (cond_smooth_max_mi(state, a, b, cond, params.eta, smoothing) if cond
+                              else smooth_max_mutual_info(state, a, b, params.eta, smoothing))
+        return cache[key]
+
+    return term
+
+
+def _assembled_bounds(term, table, leaks, roles, penalty, cond=None, receivers=()):
+    """Bounds of one region table's rows, one row and one term at a time.
+
+    A leaked role's ``D_max`` term enters with minus its weight; with
+    ``receivers`` a row binds ``y`` to the receiver of the smaller first term.
+    """
+
+    def value(kind, grouping, row_roles):
+        part_a, part_b = grouping.split(":")
+        return term(kind, [row_roles[x] for x in part_a], [row_roles[x] for x in part_b], cond)
+
+    leaked = {x: value("max", g, roles) for x, g in (leaks or {}).items()}
+    bounds = []
+    for _, _, groupings, leakage in table:
+        row_roles = roles
+        if receivers:
+            firsts = [value("ht", groupings[0], dict(roles, y=y)) for y in receivers]
+            row_roles = dict(roles, y=receivers[int(np.argmin(firsts))])
+        terms = [(1.0, value("ht", g, row_roles)) for g in groupings]
+        n_l = 0
+        for token in (leakage.split() if leaks is not None else ()):
+            weight = int(token[:-1] or 1)
+            terms.append((-float(weight), leaked[token[-1]]))
+            n_l += weight
+        bounds.append(float(sum(c * v for c, v in terms) + penalty(n_l, len(groupings))))
+    return bounds
+
+
+def region_bounds(term, theorem, params, penalties):
+    """Row bounds of ``theorem``'s region at one point, whose terms ``term`` reads (:func:`one_point_terms`).
+
+    The tables and their row constants are ``regions``'; the assembly is row
+    by row, in the order each row lists its terms, with Python floats.
+    """
+    if theorem == "t1":
+        return _assembled_bounds(term, regions._TIME_SHARED, regions._TIME_SHARED_LEAKS, regions._TIME_SHARED_ROLES,
+                                 regions._secrecy_penalties(params, penalties), "Q", ("Y1", "Y2"))
+    if theorem == "t2":
+        penalty = regions._split_penalties(params, penalties)
+        return [bound for roles in (dict(regions._SPLIT_ROLES, y="Y1"), dict(regions._MIRRORED_ROLES, y="Y2"))
+                for bound in _assembled_bounds(term, regions._SIDE_INFORMATION, regions._SIDE_INFORMATION_LEAKS,
+                                               roles, penalty)]
+    if theorem == "conjecture":
+        return _assembled_bounds(term, regions._SPLIT_MESSAGE, regions._SPLIT_MESSAGE_LEAKS, regions._BOTH_RECEIVERS,
+                                 regions._split_penalties(params, penalties))
+    return _assembled_bounds(term, regions._SPLIT_MESSAGE, None, regions._BOTH_RECEIVERS,
+                             regions._hk_penalties(params, penalties))
