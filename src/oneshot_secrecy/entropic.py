@@ -33,7 +33,7 @@ from .operators import (
     _checked_pair,
     validate_pmf,
 )
-from .states import CQConditionals, CQState, _block_diag, block_pairs, joint_and_product
+from .states import CQConditionals, CQState, _block_diag, block_pairs, joint_and_product, pair_shape
 
 SMOOTHING_STRATEGIES = ("none", "diagonal-scan")
 # threshold-test probes, bracketing included, before ConvergenceError
@@ -380,6 +380,40 @@ def _threshold_search(target: float, eps: float, breaks: list[float], f_lo: floa
     return finish(a_pos, a_zer, b_pos, b_zer)
 
 
+def _live_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """The ``(R, K)`` blocks of two ``(R, K, d, d)`` stacks where rho or sigma has a nonzero entry.
+
+    ``None`` when every block is live.  A dead block (both operators zero, as
+    a zero-probability value gives) has eigenvalues 0 and weights 0, so the
+    solvers skip it and read zeros in its place.
+    """
+    live = np.logical_or(a, b).any(axis=(-2, -1))
+    return None if live.all() else live
+
+
+def _gather(stack: np.ndarray, live: np.ndarray | None) -> np.ndarray:
+    """The live blocks of an ``(R, K, ...)`` stack, as ``(N, ...)``: a view when every block is live."""
+    return stack.reshape(-1, *stack.shape[2:]) if live is None else stack[live]
+
+
+def _scatter(values: np.ndarray, live: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
+    """:func:`_gather`'s inverse: ``(N, ...)`` block values in the ``(R, K, ...)`` layout, zeros on dead blocks."""
+    if live is None:
+        return values.reshape(shape + values.shape[1:])
+    out = np.zeros(shape + values.shape[1:], values.dtype)
+    out[live] = values
+    return out
+
+
+def _keep_rows(keep: np.ndarray, at: np.ndarray, live: np.ndarray | None, *blocks: np.ndarray):
+    """The live blocks of the rows ``keep`` marks, each one's row among them, and their live mask.
+
+    ``at`` is each block's row and ``blocks`` are per-block arrays.
+    """
+    kept = keep[at]
+    return [x[kept] for x in blocks], (np.cumsum(keep) - 1)[at[kept]], None if live is None else live[keep]
+
+
 def _threshold_betas(a: np.ndarray, b: np.ndarray, target: float, eps: float, rows: np.ndarray) -> np.ndarray:
     """beta*(eps) of every row of two ``(R, K, d, d)`` stacks by threshold tests, in lockstep.
 
@@ -402,50 +436,65 @@ def _threshold_betas(a: np.ndarray, b: np.ndarray, target: float, eps: float, ro
     computed for all rows at once.  Each row then runs its own search
     (:func:`_threshold_search`), and every step makes one ``eigh`` of
     rho - t sigma over the rows still searching; a row leaves the batch when
-    it finishes.  ``rows`` labels the rows in a ``ConvergenceError``.
+    it finishes.  Every ``eigh`` sees live blocks only (:func:`_live_blocks`);
+    the per-row sums read the dead ones as zeros in place, so they add in the
+    same order and keep their bits.  ``rows`` labels the rows in a
+    ``ConvergenceError``.
     """
-    ws, vs = _eigh(b)
-    betas = np.zeros(len(a))
+    n_rows, k = a.shape[:2]
+    live = _live_blocks(a, b)
+    ab = np.stack([_gather(a, live), _gather(b, live)], axis=1)
+    # each live block's row
+    at = np.repeat(np.arange(n_rows), k) if live is None else np.nonzero(live)[0]
+    ws, vs = _eigh(ab[:, 1])
+    betas = np.zeros(n_rows)
     # rows whose weight on sigma's kernel already meets the constraint keep 0
-    live = np.flatnonzero(_kernel_mass(ws, _weights(a, vs)) < target - KERNEL_MASS_SLACK)
-    if not live.size:
+    mass = _kernel_mass(_scatter(ws, live, (n_rows, k)), _scatter(_weights(ab[:, 0], vs), live, (n_rows, k)))
+    searching = mass < target - KERNEL_MASS_SLACK
+    if not searching.any():
         return betas
-    ab = np.stack([a[live], b[live]], axis=1)
-    a, ws, vs = ab[:, 0], ws[live], vs[live]
+    if not searching.all():
+        (ab, ws, vs), at, live = _keep_rows(searching, at, live, ab, ws, vs)
+    searching = np.flatnonzero(searching)
+    n_rows = len(searching)
     # where the inertia of rho - t sigma changes when rho lives on sigma's
     # support; with weight on the kernel they only steer the probes
-    lam = _support_spectrum(a, ws, vs).reshape(len(live), -1)
+    lam = _scatter(_support_spectrum(ab[:, 0], ws, vs), live, (n_rows, k)).reshape(n_rows, -1)
     lam = np.sort(np.where(lam > 0.0, lam, math.inf), axis=1)
     lam[:, 1:][lam[:, 1:] == lam[:, :-1]] = math.inf
     lam = np.sort(lam, axis=1)
-    f_lo = np.trace(a, axis1=-2, axis2=-1).real.sum(axis=1) - target
-    sig_norm = np.maximum(ws.reshape(len(live), -1).max(axis=1), 0.0)
+    f_lo = np.trace(a, axis1=-2, axis2=-1)[searching].real.sum(axis=1) - target
+    sig_norm = np.maximum(_scatter(ws, live, (n_rows, k)).reshape(n_rows, -1).max(axis=1), 0.0)
     searches = [
         _threshold_search(target, eps, breaks[:count], f, norm)
         for breaks, count, f, norm in zip(lam.tolist(), np.isfinite(lam).sum(axis=1).tolist(),
                                           f_lo.tolist(), sig_norm.tolist())
     ]
     probes = [next(search) for search in searches]
-    open_rows = list(range(len(live)))
-    while open_rows:
-        pairs = ab[open_rows]
-        t, band = np.array([probes[i] for i in open_rows]).T
-        w, v = _eigh(pairs[:, 0] - t[:, None, None, None] * pairs[:, 1])
+    # the searching rows still open; blocks, their rows and the live mask follow them
+    open_rows = np.arange(n_rows)
+    while open_rows.size:
+        shape = (len(open_rows), k)
+        t, band = np.array([probes[i] for i in open_rows.tolist()]).T
+        w, v = _eigh(ab[:, 0] - t[at, None, None] * ab[:, 1])
+        w = _scatter(w, live, shape)
         band = band[:, None, None]
         masks = np.stack([w > band, np.abs(w) <= band], axis=-1).reshape(len(open_rows), -1, 2)
         # per row [[a_pos, a_zer], [b_pos, b_zer]]
-        sums = _weights(pairs, v[:, None]).reshape(len(open_rows), 2, -1) @ masks
-        still = []
-        for i, weights in zip(open_rows, sums.reshape(len(open_rows), 4).tolist()):
+        weights = _scatter(_weights(ab, v[:, None]), live, shape)
+        sums = weights.transpose(0, 2, 1, 3).reshape(len(open_rows), 2, -1) @ masks
+        still = np.ones(len(open_rows), dtype=bool)
+        for place, (i, row_sums) in enumerate(zip(open_rows.tolist(), sums.reshape(len(open_rows), 4).tolist())):
             try:
-                probes[i] = searches[i].send(weights)
+                probes[i] = searches[i].send(row_sums)
             except StopIteration as done:
-                betas[live[i]] = done.value
+                betas[searching[i]] = done.value
+                still[place] = False
             except ConvergenceError as exc:
-                raise ConvergenceError(str(exc), int(rows[live[i]])) from None
-            else:
-                still.append(i)
-        open_rows = still
+                raise ConvergenceError(str(exc), int(rows[searching[i]])) from None
+        if not still.all():
+            (ab,), at, live = _keep_rows(still, at, live, ab)
+            open_rows = open_rows[still]
     return betas
 
 
@@ -510,7 +559,9 @@ def _dmax_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """D_max of every row of two ``(R, K, d, d)`` block stacks of (rho, sigma).
 
     Classical rows read the ratios off their diagonals; the others take the
-    largest eigenvalue of sigma^{-1/2} rho sigma^{-1/2}, blockwise.
+    largest eigenvalue of sigma^{-1/2} rho sigma^{-1/2}, blockwise, on their
+    live blocks (:func:`_live_blocks`), with a dead block's eigenvalues read
+    as zeros.
     """
     lam = np.zeros(len(a))
     off_support = np.zeros(len(a), dtype=bool)
@@ -524,9 +575,13 @@ def _dmax_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         lam[rows] = ((scale * p) * scale).max(axis=1)
     rows = np.flatnonzero(~classical)
     if rows.size:
-        ws, vs = _eigh(b[rows])
-        off_support[rows] = _kernel_mass(ws, _weights(a[rows], vs)) >= EIG_CLAMP
-        lam[rows] = _support_spectrum(a[rows], ws, vs).reshape(len(rows), -1).max(axis=1)
+        a, b = a[rows], b[rows]
+        shape = a.shape[:2]
+        live = _live_blocks(a, b)
+        a = _gather(a, live)
+        ws, vs = _eigh(_gather(b, live))
+        off_support[rows] = _kernel_mass(_scatter(ws, live, shape), _scatter(_weights(a, vs), live, shape)) >= EIG_CLAMP
+        lam[rows] = _scatter(_support_spectrum(a, ws, vs), live, shape).reshape(len(rows), -1).max(axis=1)
     return np.array([math.inf if off else (math.log2(x) if x > 0.0 else -math.inf)
                      for off, x in zip(off_support.tolist(), lam.tolist())])
 
@@ -647,32 +702,6 @@ def _parts(part) -> list[str]:
     return [part] if isinstance(part, str) else list(part)
 
 
-def _pair_values(kind, conds: CQConditionals, probs, part_a, part_b, eps, strategy) -> np.ndarray:
-    """The divergence of every point's pair, all points in one stack solve.
-
-    ``block_pairs``' stacks go to :func:`_dh_betas` or :func:`_dmax_values`
-    as they are; only the diagonal-scan smoothing makes each pair dense and
-    scans it alone.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if kind != "ht" and strategy not in SMOOTHING_STRATEGIES:
-        raise ValueError(f"unknown smoothing strategy {strategy!r}")
-    joint, product = block_pairs(conds, probs, part_a, part_b)
-    if not (np.isfinite(joint).all() and np.isfinite(product).all()):
-        raise OperatorError("non-finite entries in rho or sigma")
-    if kind == "ht":
-        betas = _dh_betas(joint, product, eps).tolist()
-        return np.array([math.inf if beta <= 0.0 else -math.log2(beta) for beta in betas])
-    values = _dmax_values(joint, product)
-    if strategy == "none":
-        return values
-    return np.array([
-        min(_diagonal_scan(*_codiagonalize(_block_diag(j), _block_diag(p)), eps), value)
-        for j, p, value in zip(joint, product, values.tolist())
-    ])
-
-
 def _max_min(masses: np.ndarray, values: np.ndarray, support: np.ndarray, eps: float) -> np.ndarray:
     """The conditional max-min of each row's atoms ``support[g]``: the best value left after dropping some.
 
@@ -699,12 +728,10 @@ def _max_min(masses: np.ndarray, values: np.ndarray, support: np.ndarray, eps: f
     return best
 
 
-def _cond_rows(conds: CQConditionals, probs, part_a, part_b, cond):
-    """The rows of the conditional max-min form; conditioning on ``cond`` only reweights.
+def _cond_support(conds: CQConditionals, probs, part_a, part_b, cond):
+    """The rows of the conditional max-min form: each point and value ``z`` of ``cond`` with support.
 
-    Each point and value ``z`` of ``cond`` with support is one row over the grid's own
-    conditionals, zero off ``z`` and divided by its mass.  Returns the rows, each
-    row's point and ``z``, and the ``(G, |cond|)`` masses ``pz``.
+    Returns each row's point and ``z``, and the ``(G, |cond|)`` masses ``pz``.
     """
     if not conds.is_classical(cond):
         raise OperatorError(f"conditioning register {cond!r} must be classical")
@@ -717,11 +744,101 @@ def _cond_rows(conds: CQConditionals, probs, part_a, part_b, cond):
     others = tuple(1 + i for i in range(len(conds.classical_names)) if i != ax)
     pz = probs.sum(axis=others) if others else probs
     points, zs = np.nonzero(pz > COND_SUPPORT_TOL)
+    return points, zs, pz
+
+
+def _cond_rows(conds: CQConditionals, probs, part_a, part_b, cond):
+    """The rows of the conditional max-min form (:func:`_cond_support`); conditioning on ``cond`` only reweights.
+
+    Each row is over the grid's own conditionals, zero off its ``z`` and
+    divided by its mass.  Returns the rows, each row's point and ``z``, and
+    the ``(G, |cond|)`` masses ``pz``.
+    """
+    points, zs, pz = _cond_support(conds, probs, part_a, part_b, cond)
+    ax = conds.axis(cond)
     given = np.moveaxis(probs, 1 + ax, 1)[points, zs]
     mass = given.reshape(len(zs), -1).sum(axis=1).reshape((-1,) + (1,) * (given.ndim - 1))
     rows = np.zeros((len(zs),) + probs.shape[1:])
     np.moveaxis(rows, 1 + ax, 1)[np.arange(len(zs)), zs] = given / mass
     return rows, points, zs, pz
+
+
+@dataclass(frozen=True)
+class _GridTerm:
+    """One checked information term of a grid, before its pairs are built.
+
+    Its pairs have ``rows`` rows, the grid's points or with ``cond`` one per
+    point and supported value of ``cond`` (:func:`_cond_support`), of
+    ``shape`` ``(K, d)``.
+    """
+
+    kind: str
+    part_a: list
+    part_b: list
+    cond: str | None
+    eps: float
+    rows: int
+    shape: tuple[int, int]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the term's joint stack."""
+        k, d = self.shape
+        return self.rows * k * d * d * np.dtype(complex).itemsize
+
+
+def _grid_term(conds: CQConditionals, probs, kind, part_a, part_b, cond, eps, strategy) -> _GridTerm:
+    part_a, part_b = _parts(part_a), _parts(part_b)
+    rows = len(probs) if cond is None else len(_cond_support(conds, probs, part_a, part_b, cond)[0])
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if kind != "ht" and strategy not in SMOOTHING_STRATEGIES:
+        raise ValueError(f"unknown smoothing strategy {strategy!r}")
+    return _GridTerm(kind, part_a, part_b, cond, eps, rows, pair_shape(conds, part_a, part_b))
+
+
+def _solve_terms(conds: CQConditionals, probs, terms: Sequence[_GridTerm], strategy: str) -> list[np.ndarray]:
+    """Terms of one kind, eps and block shape: their pairs' rows in one stack solve, split back per term.
+
+    The stacks go to :func:`_dh_betas` or :func:`_dmax_values` as they are;
+    only the diagonal-scan smoothing makes each pair dense and scans it
+    alone.  A conditional term then takes the max-min over its rows.
+    """
+    pairs, supports = [], []
+    for term in terms:
+        if term.cond is None:
+            rows = probs
+        else:
+            rows, *support = _cond_rows(conds, probs, term.part_a, term.part_b, term.cond)
+            supports.append(support)
+        joint, product = block_pairs(conds, rows, term.part_a, term.part_b)
+        if not (np.isfinite(joint).all() and np.isfinite(product).all()):
+            raise OperatorError("non-finite entries in rho or sigma")
+        pairs.append((joint, product))
+    joint, product = pairs[0] if len(pairs) == 1 else (np.concatenate(side) for side in zip(*pairs))
+    del pairs, rows
+    kind, eps = terms[0].kind, terms[0].eps
+    if kind == "ht":
+        betas = _dh_betas(joint, product, eps).tolist()
+        values = np.array([math.inf if beta <= 0.0 else -math.log2(beta) for beta in betas])
+    else:
+        values = _dmax_values(joint, product)
+        if strategy != "none":
+            values = np.array([
+                min(_diagonal_scan(*_codiagonalize(_block_diag(j), _block_diag(p)), eps), value)
+                for j, p, value in zip(joint, product, values.tolist())
+            ])
+    out = []
+    supports = iter(supports)
+    for term, part in zip(terms, np.split(values, np.cumsum([term.rows for term in terms])[:-1])):
+        if term.cond is None:
+            out.append(part)
+            continue
+        points, zs, pz = next(supports)
+        by_point = np.zeros(pz.shape)
+        by_point[points, zs] = part
+        out.append(_max_min(pz, by_point, pz > COND_SUPPORT_TOL, eps))
+    return out
 
 
 def grid_values(
@@ -748,14 +865,13 @@ def grid_values(
     ``cond``; given ``first``, the index of the grid's first point in a
     larger grid, it names the failing point as well.
     """
-    part_a, part_b = _parts(part_a), _parts(part_b)
-    if cond is None:
-        rows, points, zs = probs, np.arange(len(probs)), None
-    else:
-        rows, points, zs, pz = _cond_rows(conds, probs, part_a, part_b, cond)
+    term = _grid_term(conds, probs, kind, part_a, part_b, cond, eps, strategy)
     try:
-        values = _pair_values(kind, conds, rows, part_a, part_b, eps, strategy)
+        return _solve_terms(conds, probs, [term], strategy)[0]
     except ConvergenceError as exc:
+        # each row's point and value of cond
+        points, zs = ((np.arange(len(probs)), None) if cond is None
+                      else _cond_support(conds, probs, term.part_a, term.part_b, cond)[:2])
         where = []
         if exc.row is not None and first is not None:
             where.append(f"grid point {first + int(points[exc.row])}")
@@ -763,12 +879,52 @@ def grid_values(
             where.append(f"{cond}={int(zs[exc.row])}")
         given = f" | {cond}" if cond is not None else ""
         at = f" ({', '.join(where)})" if where else ""
-        raise ConvergenceError(f"D_H({','.join(part_a)} : {','.join(part_b)}{given}): {exc}{at}") from None
-    if cond is None:
-        return values
-    by_point = np.zeros(pz.shape)
-    by_point[points, zs] = values
-    return _max_min(pz, by_point, pz > COND_SUPPORT_TOL, eps)
+        raise ConvergenceError(
+            f"D_H({','.join(term.part_a)} : {','.join(term.part_b)}{given}): {exc}{at}") from None
+
+
+def grid_terms(
+    conds: CQConditionals,
+    probs: np.ndarray,
+    terms: Sequence[tuple],
+    strategy: str = "none",
+    first: int | None = None,
+    batch_bytes: float = math.inf,
+) -> list[np.ndarray]:
+    """Several information terms of one grid, each as :func:`grid_values` gives it, bit for bit.
+
+    ``terms`` are ``(kind, part_a, part_b, cond, eps)``.  Terms of one kind,
+    eps and block shape ``(K, d)`` are solved together: their rows go into
+    one stack solve, in batches whose joint stack stays within
+    ``batch_bytes`` (a larger term is a batch of its own).  A row's value
+    does not depend on its batch.  When a batch raises
+    ``ConvergenceError`` the unsolved terms are solved one at a time in
+    order, so the error names the term, point and value of ``cond`` that a
+    term-by-term evaluation would.
+    """
+    planned = [_grid_term(conds, probs, kind, part_a, part_b, cond, eps, strategy)
+               for kind, part_a, part_b, cond, eps in terms]
+    # each key's batch still filling, and its joint stack bytes so far
+    batches: list[list[int]] = []
+    filling: dict[tuple, tuple[list[int], int]] = {}
+    for i, term in enumerate(planned):
+        key = (term.kind, term.eps, term.shape)
+        batch, size = filling.get(key, (None, 0))
+        if batch is None or size + term.nbytes > batch_bytes:
+            batch, size = [], 0
+            batches.append(batch)
+        batch.append(i)
+        filling[key] = (batch, size + term.nbytes)
+    values: list = [None] * len(planned)
+    try:
+        for batch in batches:
+            for i, value in zip(batch, _solve_terms(conds, probs, [planned[i] for i in batch], strategy)):
+                values[i] = value
+    except ConvergenceError:
+        for i, term in enumerate(terms):
+            if values[i] is None:
+                values[i] = grid_values(term[0], conds, probs, *term[1:], strategy, first)
+    return values
 
 
 def _one_point(kind: str, state: CQState, part_a, part_b, cond, eps: float, strategy: str = "none") -> float:

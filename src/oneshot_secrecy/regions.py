@@ -26,7 +26,7 @@ from .channel import (
     control_state_hk,
     control_state_t1,
 )
-from .entropic import ToleranceParams, grid_values
+from .entropic import ToleranceParams, grid_terms
 from .operators import COEF_TOL, DET_TOL, FEAS_TOL, RAY_TOL, OperatorError
 from .secrecy import _randomizer_plan, _secrecy_check, within_threshold
 from .states import CQConditionals, CQState
@@ -39,8 +39,10 @@ from .secrecy import randomizer_plan, secrecy_check  # noqa: F401
 # chunk weighs at once; its block builder holds no larger array, or |Q| times it for
 # a conditional term (a row per point and value of Q), so memory does not grow with the grid.
 # A term's joint stack is never larger than the conditionals stack, and the stack
-# solvers work in about 20 times the joint stack for D_H and 5 times for D_max
-# (tracemalloc peaks on 128-point chunks with blocks of size 2 and 4)
+# solvers work in up to 18 times the joint stack for D_H and 7 times for D_max when
+# every block is live, less when zero-mass values leave blocks dead (tracemalloc peaks
+# on 128-point chunks with blocks of size 2 and 4).  Terms of one block shape share a
+# stack solve up to _CHUNK_BYTES // 32 (64 KiB) of joint stack (_MICalculator.solve).
 _CHUNK_BYTES = 1 << 21
 
 PENALTY_MODES = ("paper", "off")
@@ -123,9 +125,11 @@ class _MICalculator:
 
     The states share ``conds`` and differ in ``probs``, a ``(G, *alphabets)``
     stack.  The first request for a term evaluates it at every point at once
-    (:func:`entropic.grid_values`) and keeps the ``G`` values.  A sweep's chunk
-    passes ``first``, the index of its first point in the sweep's grid, so a
-    ``ConvergenceError`` names the failing point.
+    and keeps the ``G`` values; :meth:`solve` asks for many terms in one
+    :func:`entropic.grid_terms` call, which solves the rows of terms of one
+    block shape together, ``_CHUNK_BYTES // 32`` of joint stack at a time.
+    A sweep's chunk passes ``first``, the index of its first point in the
+    sweep's grid, so a ``ConvergenceError`` names the failing point.
     """
 
     def __init__(self, conds: CQConditionals, probs: np.ndarray, params: ToleranceParams, smoothing: str,
@@ -137,12 +141,18 @@ class _MICalculator:
         self.first = first
         self._memo: dict = {}
 
+    def solve(self, terms: Sequence[tuple]) -> None:
+        """Evaluate every ``(kind, part_a, part_b, cond)`` term not yet kept, all in one call."""
+        todo = [term for term in terms if term not in self._memo]
+        if todo:
+            eps = {"ht": self.params.eps, "max": self.params.eta}
+            values = grid_terms(self.conds, self.probs, [(*term, eps[term[0]]) for term in todo], self.smoothing,
+                                self.first, _CHUNK_BYTES // 32)
+            self._memo.update(zip(todo, values))
+
     def values(self, kind: str, part_a: Sequence[str], part_b: Sequence[str], cond: str | None) -> np.ndarray:
         key = (kind, tuple(part_a), tuple(part_b), cond)
-        if key not in self._memo:
-            eps = self.params.eps if kind == "ht" else self.params.eta
-            self._memo[key] = grid_values(kind, self.conds, self.probs, part_a, part_b, cond, eps,
-                                          self.smoothing, self.first)
+        self.solve([key])
         return self._memo[key]
 
 
@@ -211,10 +221,11 @@ def _compile(parts: Sequence[tuple], variables: Sequence[str], cond: str | None 
 def _bounds(table: _Table, calc: _MICalculator, penalty: Callable[[int, int], float]):
     """Row bounds ``(G, rows)`` of ``calc``'s grid, each row's picked receiver and first terms.
 
-    Only the table's terms are asked for, in order.  A bound is summed
+    Only the table's terms are asked for, all at once.  A bound is summed
     ``0 + c1·v1 + c2·v2 + … + penalty``, the order of one row alone, so it
     keeps its bits; a row's receiver is the ``argmin`` of its first terms.
     """
+    calc.solve(table.terms)
     values = [calc.values(*t) for t in table.terms]
     firsts = np.array([[values[terms[0][0]] for terms in bound] for bound in table.rows]).transpose(2, 0, 1)
     picks = firsts.argmin(axis=2)
@@ -755,7 +766,8 @@ def sweep_union(
     row bounds form one ``(points, rows)`` array (:func:`_bounds`); the
     secrecy report and randomizer plan of a region are never computed.
     Regions are merged by pointwise maximum along fixed ray directions, so
-    output is deterministic and does not depend on the chunking.
+    output is deterministic and does not depend on the chunking.  A row
+    bound that is nan raises ``OperatorError`` naming its grid point and row.
     """
     if grid < 2:
         raise ValueError("grid resolution must be >= 2")
@@ -794,12 +806,16 @@ def sweep_union(
             probs = _hk_probs(*vectors)
         conds.check(probs)
         bounds = _bounds(table, _MICalculator(conds, probs, params, smoothing, start), penalty)[0]
+        undefined = np.argwhere(np.isnan(bounds))
+        if undefined.size:
+            # an undefined bound (a D_H of +inf less a D_max of +inf) has no radius to merge
+            point, row = undefined[0].tolist()
+            raise OperatorError(f"row {table.tags[row]} is undefined (nan) at grid point {start + point}")
         # 32 points at a time, so the (points, rays) arrays stay small and peak memory does not grow with the chunk
         for block in np.split(bounds, range(32, len(bounds), 32)):
             radii = _grid_radii(table.coeffs, block, dirs)
             degenerate += int(np.all(radii <= FEAS_TOL, axis=1).sum())
             frontier = np.maximum(frontier, radii.max(axis=0))
-    # an unbounded ray's zero coordinate is inf * 0, which is nan
-    with np.errstate(invalid="ignore"):
-        points = dirs * frontier[:, None]
+    # a zero direction component is a zero coordinate, also on an unbounded ray (not inf * 0)
+    points = np.multiply(dirs, frontier[:, None], out=np.zeros_like(dirs), where=dirs != 0.0)
     return SweepResult(thetas, frontier, points, count, degenerate)

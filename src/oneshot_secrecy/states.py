@@ -113,6 +113,25 @@ def _block_diag(stack: np.ndarray) -> np.ndarray:
     return out.reshape(k * d, k * d)
 
 
+def _groups(conds: CQConditionals, part_a: Sequence[str], part_b: Sequence[str]):
+    """Each part's classical and quantum registers ``(a_cl, a_qu, b_cl, b_qu)``; no register may be named twice."""
+    part_a, part_b = list(part_a), list(part_b)
+    registers = part_a + part_b
+    repeated = sorted({r for r in registers if registers.count(r) > 1})
+    if repeated:
+        raise OperatorError(f"register groups overlap: {repeated} named twice")
+    a_cl = [r for r in part_a if conds.is_classical(r)]
+    b_cl = [r for r in part_b if conds.is_classical(r)]
+    return a_cl, [r for r in part_a if r not in a_cl], b_cl, [r for r in part_b if r not in b_cl]
+
+
+def pair_shape(conds: CQConditionals, part_a: Sequence[str], part_b: Sequence[str]) -> tuple[int, int]:
+    """``(K, d)`` of :func:`block_pairs`' stacks, without building them."""
+    a_cl, a_qu, b_cl, b_qu = _groups(conds, part_a, part_b)
+    return (math.prod(conds.alphabet_sizes[conds.axis(r)] for r in a_cl + b_cl),
+            math.prod(conds.quantum_layout.dim_of(r) for r in a_qu + b_qu))
+
+
 def block_pairs(
     conds: CQConditionals, probs: np.ndarray, part_a: Sequence[str], part_b: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -123,15 +142,7 @@ def block_pairs(
     of the two groups, in the register order of :func:`joint_and_product`.
     Each point's blocks are summed exactly as for that point alone.
     """
-    part_a, part_b = list(part_a), list(part_b)
-    registers = part_a + part_b
-    repeated = sorted({r for r in registers if registers.count(r) > 1})
-    if repeated:
-        raise OperatorError(f"register groups overlap: {repeated} named twice")
-    a_cl = [r for r in part_a if conds.is_classical(r)]
-    a_qu = [r for r in part_a if r not in a_cl]
-    b_cl = [r for r in part_b if conds.is_classical(r)]
-    b_qu = [r for r in part_b if r not in b_cl]
+    a_cl, a_qu, b_cl, b_qu = _groups(conds, part_a, part_b)
     qlayout = conds.quantum_layout
     da = math.prod(qlayout.dim_of(r) for r in a_qu)
     db = math.prod(qlayout.dim_of(r) for r in b_qu)

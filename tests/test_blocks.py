@@ -12,19 +12,25 @@ and the rotated pair has a single block), and the dense embedding in
 point's blocks must be those of the point alone, bit for bit.
 """
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oneshot_secrecy import entropic, regions
+from oneshot_secrecy.channel import ChannelSpec, control_state_hk, control_state_t1, load_channel
 from oneshot_secrecy.entropic import (
     ConvergenceError,
     _block_stack,
+    _cond_rows,
     _dh_betas,
     _dmax_values,
     cond_smooth_ht_mi,
     cond_smooth_max_mi,
+    grid_terms,
     grid_values,
     hypothesis_testing_beta,
     hypothesis_testing_divergence,
@@ -35,7 +41,16 @@ from oneshot_secrecy.entropic import (
 )
 from oneshot_secrecy.operators import COND_SUPPORT_TOL, OperatorError, RegisterLayout, permute_registers_matrix
 from oneshot_secrecy.states import CQConditionals, CQState, _block_diag, block_pairs, joint_and_product
-from util import bisection_beta, condition_state, dense_joint_and_product, dh_dual, max_min
+from conftest import rand_density
+from util import (
+    bisection_beta,
+    condition_state,
+    dense_joint_and_product,
+    dh_dual,
+    hk_distributions,
+    max_min,
+    t1_distributions,
+)
 
 BLOCK_KINDS = ("zero", "diagonal", "full-rank", "rank-deficient")
 
@@ -180,6 +195,48 @@ def test_stack_rows_match_each_row_alone(k, d, flavours, empty, eps, seed):
         tol = 1e-9 + 1e-7 * beta
         assert all(value <= beta + tol for _, value in probes), (flavour, beta)
         assert beta <= best + tol, (flavour, beta, best)
+
+
+@settings(max_examples=60)
+@given(
+    k=st.integers(1, 3),
+    d=st.integers(2, 3),
+    dead=st.integers(1, 3),
+    flavours=st.permutations(["classical", "dense", "kernel", "beta-zero", "dense", "kernel"]),
+    eps=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dead_blocks_anywhere_match_each_row_alone(k, d, dead, flavours, eps, seed):
+    """All-zero blocks at different places in different rows, as a sweep's zero-mass values give them.
+
+    Every row of the stack solve is the row solved alone, and the stack solve
+    is the one that also decomposes every dead block (``_live_blocks``
+    reporting all blocks live), bit for bit.
+    """
+    if k == 1:
+        # a beta-0 row keeps rho's mass off sigma in a second block
+        flavours = [f for f in flavours if f != "beta-zero"]
+    rng = np.random.default_rng(seed)
+    a, b = (np.zeros((len(flavours), k + dead, d, d), dtype=complex) for _ in range(2))
+    for r, flavour in enumerate(flavours):
+        row = _stack_row(rng, flavour, k, d, eps)
+        slots = np.sort(rng.permutation(k + dead)[:k])
+        a[r, slots], b[r, slots] = row
+    betas = _solve(_dh_betas, a, b, eps)
+    alone = [_solve(_dh_betas, a[r:r + 1], b[r:r + 1], eps) for r in range(len(flavours))]
+    d_max = _dmax_values(a, b)
+    with mock.patch.object(entropic, "_live_blocks", lambda a, b: None):
+        every = _solve(_dh_betas, a, b, eps)
+        every_max = _dmax_values(a, b)
+    failed = [r for r, beta in enumerate(alone) if isinstance(beta, ConvergenceError)]
+    if failed:
+        assert isinstance(betas, ConvergenceError) and betas.row in failed, (betas, failed)
+        assert isinstance(every, ConvergenceError) and (str(every), every.row) == (str(betas), betas.row)
+    else:
+        assert betas.tobytes() == every.tobytes()
+        assert betas.tobytes() == np.concatenate(alone).tobytes()
+    assert d_max.tobytes() == every_max.tobytes()
+    assert d_max.tobytes() == np.concatenate([_dmax_values(a[r:r + 1], b[r:r + 1]) for r in range(len(a))]).tobytes()
 
 
 def test_detection_never_splits_a_nonzero_entry():
@@ -370,3 +427,82 @@ def test_grid_conditional_terms_match_each_point_alone(sizes, qdim, points, data
                                   0.1)
     with pytest.raises(OperatorError, match=f"conditioning register '{cond}' also appears in a part"):
         grid_values("ht", conds, probs, [a, cond], [b], cond, 0.25)
+
+
+SMALL_SPLIT = Path(__file__).parent / "data" / "nc_small_split.json"
+
+
+def _table_terms(theorems, eps=0.25, eta=0.1):
+    """The distinct ``(kind, part_a, part_b, cond, eps)`` terms of compiled region tables, in table order."""
+    terms = dict.fromkeys(t for theorem in theorems for t in regions._THEOREMS[theorem][0].terms)
+    return [(kind, a, b, cond, eps if kind == "ht" else eta) for kind, a, b, cond in terms]
+
+
+def _grid(states):
+    return states[0].conds, np.stack([state.probs for state in states])
+
+
+def test_grid_terms_match_term_by_term_values():
+    """Terms solved per block shape, in batches of any size, are each term's ``grid_values``, bit for bit.
+
+    The grids are sweep grids with zero-mass values: the split-message tables
+    on a rank-deficient split channel and ``t1``'s conditional terms on a
+    rank-deficient unsplit one.
+    """
+    split = load_channel(SMALL_SPLIT)
+    rng = np.random.default_rng(5)
+    unsplit = ChannelSpec("random", {"X1": ("0", "1"), "X2": ("0", "1")}, {"Y1": 2, "Y2": 2, "Z": 2},
+                          {(x1, x2): rand_density(rng, 8, full_rank=False) for x1 in "01" for x2 in "01"})
+    grids = [
+        (_grid([control_state_hk(split, dist) for dist in hk_distributions(split, 3)]),
+         _table_terms(("conjecture", "t2"))),
+        (_grid([control_state_t1(unsplit, dist) for dist in t1_distributions(unsplit, 2, 2)]), _table_terms(("t1",))),
+    ]
+    for (conds, probs), terms in grids:
+        # one more term of a shape already there, at another eps
+        terms = terms + [next(("ht", a, b, cond, 0.3) for kind, a, b, cond, _ in terms if kind == "ht")]
+        expected = [grid_values(kind, conds, probs, a, b, cond, eps) for kind, a, b, cond, eps in terms]
+        shapes = {(kind, eps, entropic.pair_shape(conds, a, b)) for kind, a, b, _, eps in terms}
+        for batch_bytes, solves in ((math.inf, len(shapes)), (1 << 16, None), (1, len(terms))):
+            with mock.patch.object(entropic, "_solve_terms", wraps=entropic._solve_terms) as solve:
+                got = grid_terms(conds, probs, terms, batch_bytes=batch_bytes)
+            assert [g.tobytes() for g in got] == [e.tobytes() for e in expected], batch_bytes
+            assert solves is None or solve.call_count == solves
+            assert solve.call_count < len(terms) or batch_bytes == 1
+
+
+def test_batch_convergence_error_names_the_first_failing_term(monkeypatch):
+    """A batch that fails is re-solved term by term in order: the error names the first failing term.
+
+    Rows of the second and third terms fail.  The first and third share a
+    block shape, so their batch fails first; the error must still name the
+    second term, its grid point and nothing of the third.
+    """
+    split = load_channel(SMALL_SPLIT)
+    conds, probs = _grid([control_state_hk(split, dist) for dist in hk_distributions(split, 3)])
+    terms = [("ht", ["X10"], ["Y1"], None, 0.25), ("ht", ["X10", "X11"], ["Y1"], None, 0.25),
+             ("ht", ["X20"], ["Y2"], "X11", 0.25)]
+    cond_rows = _cond_rows(conds, probs, ["X20"], ["Y2"], "X11")[0]
+    failing = {block_pairs(conds, probs, ["X10", "X11"], ["Y1"])[0][40].tobytes(),
+               block_pairs(conds, cond_rows, ["X20"], ["Y2"])[0][-1].tobytes()}
+    assert not failing & {row.tobytes() for row in block_pairs(conds, probs, ["X10"], ["Y1"])[0]}
+    real, lengths = entropic._dh_betas, []
+
+    def poisoned(rho, sigma, eps):
+        lengths.append(len(rho))
+        bad = [r for r, row in enumerate(rho) if row.tobytes() in failing]
+        if bad:
+            raise ConvergenceError(f"straddle detection failed at t=0.5, eps={eps}", bad[0])
+        return real(rho, sigma, eps)
+
+    monkeypatch.setattr(entropic, "_dh_betas", poisoned)
+    with pytest.raises(ConvergenceError) as sequential:
+        for kind, a, b, cond, eps in terms:
+            grid_values(kind, conds, probs, a, b, cond, eps, first=7)
+    assert str(sequential.value) == "D_H(X10,X11 : Y1): straddle detection failed at t=0.5, eps=0.25 (grid point 47)"
+    lengths.clear()
+    with pytest.raises(ConvergenceError) as batched:
+        grid_terms(conds, probs, terms, first=7)
+    assert str(batched.value) == str(sequential.value)
+    # the first and third terms' rows went into one stack first
+    assert lengths[0] == len(probs) + len(cond_rows)

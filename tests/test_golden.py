@@ -3,7 +3,14 @@
 The files under ``tests/golden/`` were written once from a reference tree by
 running this module as a script (``PYTHONPATH=src python tests/test_golden.py``)
 and are never rewritten to make a change pass: a changed byte is a changed
-result.
+result.  The script writes only missing files and lists every existing file
+whose bytes now differ.
+
+``tests/data/nc_small_split.json`` is a rank-deficient non-commuting split
+channel: pure three-qubit output states drawn by ``bench/inputs.py``'s
+``noncommuting_channel`` from ``np.random.default_rng(17)``.  Its cases are
+the ones that reach the ``D_H`` threshold-test search; every bundled channel
+is classical.  ``nc_small_split_dist.json`` puts zero mass on one value.
 """
 import contextlib
 import io
@@ -25,6 +32,8 @@ HKDIST = str(bundled_path("uniform_hk.json"))
 # the lifted split-message system of hk_region_via_projection on xor_split
 # (penalties off), with the rate identities as equalities
 HK_LIFT = str(Path(__file__).parent / "data" / "hk_lift_xor.json")
+NC = str(Path(__file__).parent / "data" / "nc_small_split.json")
+NCDIST = str(Path(__file__).parent / "data" / "nc_small_split_dist.json")
 SCAN = ["--smoothing", "diagonal-scan"]
 OFF = ["--penalties", "off"]
 
@@ -73,6 +82,8 @@ CASES.update({
     "sweep_conjecture_xor": (_sweep(XOR, "conjecture", "--grid", "2", *OFF), "sweep"),
     "sweep_conjecture_xor_scan": (_sweep(XOR, "conjecture", "--grid", "2", *OFF, *SCAN),
                                   "sweep"),
+    "sweep_conjecture_nc": (_sweep(NC, "conjecture", "--grid", "3", *OFF), "sweep"),
+    "t2_nc_off": (_region(NC, NCDIST, "t2", *OFF), "region"),
     "fm_hk_lift_xor": (["fm", "--input", HK_LIFT, "--eliminate", "R10,R11,R20,R22"], "fm"),
     "minimal_2d_hk_lift_xor": (["fm", "--input", HK_LIFT, "--eliminate", "R10,R11,R20,R22"],
                                "minimal"),
@@ -120,12 +131,20 @@ def test_golden_outputs_byte_identical(name, tmp_path):
 
 
 def _write_all() -> None:
+    """Write every missing golden file; list, never rewrite, an existing one whose bytes differ."""
     GOLDEN.mkdir(exist_ok=True)
+    changed = []
     for name in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             for fname, data in run_case(name, Path(tmp)).items():
-                (GOLDEN / fname).write_bytes(data)
-                print(f"wrote {fname} ({len(data)} bytes)")
+                path = GOLDEN / fname
+                if not path.exists():
+                    path.write_bytes(data)
+                    print(f"wrote {fname} ({len(data)} bytes)")
+                elif path.read_bytes() != data:
+                    changed.append(fname)
+    for fname in changed:
+        print(f"differs, not rewritten: {fname}")
 
 
 if __name__ == "__main__":

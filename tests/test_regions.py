@@ -365,14 +365,13 @@ def test_theorem2_trivial_z_rows(xor_channel):
 def test_theorem2_evaluates_each_max_information_once(xor_channel, monkeypatch):
     """The randomizer plan and the secrecy report read the leak terms from the region's memo."""
     calls = []
-    real = regions.grid_values
+    real = regions.grid_terms
 
-    def counting(kind, conds, probs, part_a, part_b, *args):
-        if kind == "max":
-            calls.append((tuple(part_a), tuple(part_b)))
-        return real(kind, conds, probs, part_a, part_b, *args)
+    def counting(conds, probs, terms, *args):
+        calls.extend((tuple(part_a), tuple(part_b)) for kind, part_a, part_b, *_ in terms if kind == "max")
+        return real(conds, probs, terms, *args)
 
-    monkeypatch.setattr(regions, "grid_values", counting)
+    monkeypatch.setattr(regions, "grid_terms", counting)
     theorem2_region(xor_channel, uniform_hk(xor_channel), PARAMS, OFF)
     assert len(calls) == len(set(calls)) == 12
 
@@ -831,13 +830,13 @@ def test_sweep_bounds_match_the_row_by_row_assembly(diag_channel, xor_channel, m
 def test_sweeps_ask_only_for_their_rows_terms(diag_channel, monkeypatch):
     """No secrecy report, randomizer plan or t1 criterion: a sweep asks for the terms its rows read, once each."""
     calls = []
-    real = regions.grid_values
+    real = regions.grid_terms
 
-    def counting(kind, conds, probs, part_a, part_b, cond, *args):
-        calls.append((kind, tuple(part_a), tuple(part_b), cond))
-        return real(kind, conds, probs, part_a, part_b, cond, *args)
+    def counting(conds, probs, terms, *args):
+        calls.extend((kind, tuple(part_a), tuple(part_b), cond) for kind, part_a, part_b, cond, _ in terms)
+        return real(conds, probs, terms, *args)
 
-    monkeypatch.setattr(regions, "grid_values", counting)
+    monkeypatch.setattr(regions, "grid_terms", counting)
     sweep_union(_noncommuting_split_channel(7), "conjecture", PARAMS, OFF, grid=2, rays=5)
     assert len(set(calls)) == len(calls)
     assert sorted(kind for kind, *_ in calls) == ["ht"] * 15 + ["max"] * 4
@@ -859,7 +858,8 @@ def test_sweep_with_infinite_terms(monkeypatch, z_dim):
     reaches it, so with eps = 1 - 1e-10 every D_H term is +inf; with a 3-level
     eavesdropper so is every leak, and the bounds are inf - inf = nan.  The
     sweep sums them without a RuntimeWarning (an error in this suite), as
-    Python floats do.
+    Python floats do.  An unbounded frontier keeps 0 where its direction is 0;
+    a nan bound stops the sweep with an error naming its point and row.
     """
     delta = 6e-11
     tiny = np.diag([1.0 - 2.0 * delta, delta, delta]).astype(complex)
@@ -869,12 +869,19 @@ def test_sweep_with_infinite_terms(monkeypatch, z_dim):
                           {(x1, x2): state for x1 in "01" for x2 in "01"})
     params = ToleranceParams(eps=1.0 - 1e-10)
     states = [control_state_t1(channel, d) for d in t1_distributions(channel, 2, 1)]
-    bounds = _sweep_bounds(monkeypatch, channel, "t1", params, OFF, grid=2, rays=5)
     expected = np.array([region_bounds(one_point_terms(s, params), "t1", params, OFF) for s in states])
+    if z_dim == 3:
+        assert np.all(np.isnan(expected))
+        with pytest.raises(OperatorError, match=r"row t1:r1 is undefined \(nan\) at grid point 0$"):
+            sweep_union(channel, "t1", params, OFF, grid=2, rays=5)
+        return
+    bounds = _sweep_bounds(monkeypatch, channel, "t1", params, OFF, grid=2, rays=5)
     np.testing.assert_array_equal(bounds, expected)
-    assert np.all(np.isnan(bounds) if z_dim == 3 else bounds == math.inf)
-    radii = sweep_union(channel, "t1", params, OFF, grid=2, rays=5).radii
-    assert np.all(np.isnan(radii) if z_dim == 3 else radii == math.inf)
+    assert np.all(bounds == math.inf)
+    result = sweep_union(channel, "t1", params, OFF, grid=2, rays=5)
+    assert np.all(result.radii == math.inf)
+    assert result.points[0].tolist() == [math.inf, 0.0]
+    assert not np.isnan(result.points).any()
 
 
 # ---------------------------------------------------------------------------
