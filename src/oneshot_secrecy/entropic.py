@@ -40,6 +40,12 @@ SMOOTHING_STRATEGIES = ("none", "diagonal-scan")
 _MAX_ITER = 200
 # transfer grid of the diagonal-scan smoothing
 _SCAN_STEP = 1e-4
+# joint stack bytes of one batched stack solve in grid_terms (a larger term is
+# a batch of its own): a region's one-point terms share a solve while a sweep
+# chunk's terms, each up to regions._CHUNK_BYTES = 2 MiB of stack, go about one
+# at a time.  Unbounded batches raised the bench sweep's peak RSS by 21%; this
+# budget keeps it within 1%.
+_BATCH_BYTES = 1 << 16
 
 
 class ConvergenceError(RuntimeError):
@@ -889,14 +895,13 @@ def grid_terms(
     terms: Sequence[tuple],
     strategy: str = "none",
     first: int | None = None,
-    batch_bytes: float = math.inf,
 ) -> list[np.ndarray]:
     """Several information terms of one grid, each as :func:`grid_values` gives it, bit for bit.
 
     ``terms`` are ``(kind, part_a, part_b, cond, eps)``.  Terms of one kind,
     eps and block shape ``(K, d)`` are solved together: their rows go into
     one stack solve, in batches whose joint stack stays within
-    ``batch_bytes`` (a larger term is a batch of its own).  A row's value
+    ``_BATCH_BYTES`` (a larger term is a batch of its own).  A row's value
     does not depend on its batch.  When a batch raises
     ``ConvergenceError`` the unsolved terms are solved one at a time in
     order, so the error names the term, point and value of ``cond`` that a
@@ -910,7 +915,7 @@ def grid_terms(
     for i, term in enumerate(planned):
         key = (term.kind, term.eps, term.shape)
         batch, size = filling.get(key, (None, 0))
-        if batch is None or size + term.nbytes > batch_bytes:
+        if batch is None or size + term.nbytes > _BATCH_BYTES:
             batch, size = [], 0
             batches.append(batch)
         batch.append(i)

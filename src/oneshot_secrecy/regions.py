@@ -42,7 +42,7 @@ from .secrecy import randomizer_plan, secrecy_check  # noqa: F401
 # solvers work in up to 18 times the joint stack for D_H and 7 times for D_max when
 # every block is live, less when zero-mass values leave blocks dead (tracemalloc peaks
 # on 128-point chunks with blocks of size 2 and 4).  Terms of one block shape share a
-# stack solve up to _CHUNK_BYTES // 32 (64 KiB) of joint stack (_MICalculator.solve).
+# stack solve up to entropic._BATCH_BYTES (64 KiB) of joint stack.
 _CHUNK_BYTES = 1 << 21
 
 PENALTY_MODES = ("paper", "off")
@@ -127,7 +127,7 @@ class _MICalculator:
     stack.  The first request for a term evaluates it at every point at once
     and keeps the ``G`` values; :meth:`solve` asks for many terms in one
     :func:`entropic.grid_terms` call, which solves the rows of terms of one
-    block shape together, ``_CHUNK_BYTES // 32`` of joint stack at a time.
+    block shape together, ``entropic._BATCH_BYTES`` of joint stack at a time.
     A sweep's chunk passes ``first``, the index of its first point in the
     sweep's grid, so a ``ConvergenceError`` names the failing point.
     """
@@ -147,7 +147,7 @@ class _MICalculator:
         if todo:
             eps = {"ht": self.params.eps, "max": self.params.eta}
             values = grid_terms(self.conds, self.probs, [(*term, eps[term[0]]) for term in todo], self.smoothing,
-                                self.first, _CHUNK_BYTES // 32)
+                                self.first)
             self._memo.update(zip(todo, values))
 
     def values(self, kind: str, part_a: Sequence[str], part_b: Sequence[str], cond: str | None) -> np.ndarray:

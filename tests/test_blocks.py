@@ -154,33 +154,41 @@ def _solve(solver, a, b, *args):
     k=st.integers(2, 4),
     d=st.integers(2, 3),
     flavours=st.permutations(["classical", "dense", "kernel", "beta-zero", "dense", "classical"]),
-    empty=st.integers(0, 4),
+    dead=st.integers(1, 3),
     eps=st.floats(0.05, 0.95),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_stack_rows_match_each_row_alone(k, d, flavours, empty, eps, seed):
+def test_stack_rows_match_each_row_alone(k, d, flavours, dead, eps, seed):
     """Every row of a stack solve is the row solved alone, bit for bit.
 
     The stack mixes classical rows, dense rows, rows with weight on sigma's
-    kernel and rows whose beta is 0, and every row has an all-zero block at
-    the same place, as a zero-probability value gives.  Non-classical rows
-    also meet the plain bisection and the dual certificate.
+    kernel and rows whose beta is 0, and every row has all-zero blocks at
+    its own places, as a sweep's zero-probability values give.  The stack
+    solve is also the one that decomposes every dead block (``_live_blocks``
+    reporting all blocks live), bit for bit.  Non-classical rows also meet
+    the plain bisection and the dual certificate.
     """
     rng = np.random.default_rng(seed)
-    rows = [_stack_row(rng, flavour, k, d, eps) for flavour in flavours]
-    zero = np.zeros((1, d, d), dtype=complex)
-    a, b = (np.stack([np.concatenate([row[side][:empty], zero, row[side][empty:]]) for row in rows])
-            for side in (0, 1))
+    a, b = (np.zeros((len(flavours), k + dead, d, d), dtype=complex) for _ in range(2))
+    for r, flavour in enumerate(flavours):
+        slots = np.sort(rng.permutation(k + dead)[:k])
+        a[r, slots], b[r, slots] = _stack_row(rng, flavour, k, d, eps)
     betas = _solve(_dh_betas, a, b, eps)
-    alone = [_solve(_dh_betas, a[r:r + 1], b[r:r + 1], eps) for r in range(len(rows))]
+    alone = [_solve(_dh_betas, a[r:r + 1], b[r:r + 1], eps) for r in range(len(flavours))]
+    d_max = _dmax_values(a, b)
+    with mock.patch.object(entropic, "_live_blocks", lambda a, b: None):
+        every = _solve(_dh_betas, a, b, eps)
+        every_max = _dmax_values(a, b)
     failed = [r for r, beta in enumerate(alone) if isinstance(beta, ConvergenceError)]
     if failed:
         assert isinstance(betas, ConvergenceError) and betas.row in failed, (betas, failed)
+        assert isinstance(every, ConvergenceError) and (str(every), every.row) == (str(betas), betas.row)
     else:
-        assert betas.tolist() == [float(beta[0]) for beta in alone]
+        assert betas.tobytes() == every.tobytes()
+        assert betas.tobytes() == np.concatenate(alone).tobytes()
         assert any(beta == 0.0 for beta in betas.tolist())
-    d_max = _dmax_values(a, b)
-    assert d_max.tolist() == [float(_dmax_values(a[r:r + 1], b[r:r + 1])[0]) for r in range(len(rows))]
+    assert d_max.tobytes() == every_max.tobytes()
+    assert d_max.tobytes() == np.concatenate([_dmax_values(a[r:r + 1], b[r:r + 1]) for r in range(len(a))]).tobytes()
     for r, flavour in enumerate(flavours):
         if flavour == "classical" or r in failed:
             continue
@@ -195,48 +203,6 @@ def test_stack_rows_match_each_row_alone(k, d, flavours, empty, eps, seed):
         tol = 1e-9 + 1e-7 * beta
         assert all(value <= beta + tol for _, value in probes), (flavour, beta)
         assert beta <= best + tol, (flavour, beta, best)
-
-
-@settings(max_examples=60)
-@given(
-    k=st.integers(1, 3),
-    d=st.integers(2, 3),
-    dead=st.integers(1, 3),
-    flavours=st.permutations(["classical", "dense", "kernel", "beta-zero", "dense", "kernel"]),
-    eps=st.floats(0.05, 0.95),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_dead_blocks_anywhere_match_each_row_alone(k, d, dead, flavours, eps, seed):
-    """All-zero blocks at different places in different rows, as a sweep's zero-mass values give them.
-
-    Every row of the stack solve is the row solved alone, and the stack solve
-    is the one that also decomposes every dead block (``_live_blocks``
-    reporting all blocks live), bit for bit.
-    """
-    if k == 1:
-        # a beta-0 row keeps rho's mass off sigma in a second block
-        flavours = [f for f in flavours if f != "beta-zero"]
-    rng = np.random.default_rng(seed)
-    a, b = (np.zeros((len(flavours), k + dead, d, d), dtype=complex) for _ in range(2))
-    for r, flavour in enumerate(flavours):
-        row = _stack_row(rng, flavour, k, d, eps)
-        slots = np.sort(rng.permutation(k + dead)[:k])
-        a[r, slots], b[r, slots] = row
-    betas = _solve(_dh_betas, a, b, eps)
-    alone = [_solve(_dh_betas, a[r:r + 1], b[r:r + 1], eps) for r in range(len(flavours))]
-    d_max = _dmax_values(a, b)
-    with mock.patch.object(entropic, "_live_blocks", lambda a, b: None):
-        every = _solve(_dh_betas, a, b, eps)
-        every_max = _dmax_values(a, b)
-    failed = [r for r, beta in enumerate(alone) if isinstance(beta, ConvergenceError)]
-    if failed:
-        assert isinstance(betas, ConvergenceError) and betas.row in failed, (betas, failed)
-        assert isinstance(every, ConvergenceError) and (str(every), every.row) == (str(betas), betas.row)
-    else:
-        assert betas.tobytes() == every.tobytes()
-        assert betas.tobytes() == np.concatenate(alone).tobytes()
-    assert d_max.tobytes() == every_max.tobytes()
-    assert d_max.tobytes() == np.concatenate([_dmax_values(a[r:r + 1], b[r:r + 1]) for r in range(len(a))]).tobytes()
 
 
 def test_detection_never_splits_a_nonzero_entry():
@@ -442,7 +408,7 @@ def _grid(states):
     return states[0].conds, np.stack([state.probs for state in states])
 
 
-def test_grid_terms_match_term_by_term_values():
+def test_grid_terms_match_term_by_term_values(monkeypatch):
     """Terms solved per block shape, in batches of any size, are each term's ``grid_values``, bit for bit.
 
     The grids are sweep grids with zero-mass values: the split-message tables
@@ -464,8 +430,9 @@ def test_grid_terms_match_term_by_term_values():
         expected = [grid_values(kind, conds, probs, a, b, cond, eps) for kind, a, b, cond, eps in terms]
         shapes = {(kind, eps, entropic.pair_shape(conds, a, b)) for kind, a, b, _, eps in terms}
         for batch_bytes, solves in ((math.inf, len(shapes)), (1 << 16, None), (1, len(terms))):
+            monkeypatch.setattr(entropic, "_BATCH_BYTES", batch_bytes)
             with mock.patch.object(entropic, "_solve_terms", wraps=entropic._solve_terms) as solve:
-                got = grid_terms(conds, probs, terms, batch_bytes=batch_bytes)
+                got = grid_terms(conds, probs, terms)
             assert [g.tobytes() for g in got] == [e.tobytes() for e in expected], batch_bytes
             assert solves is None or solve.call_count == solves
             assert solve.call_count < len(terms) or batch_bytes == 1
