@@ -11,6 +11,15 @@ channel: pure three-qubit output states drawn by ``bench/inputs.py``'s
 ``noncommuting_channel`` from ``np.random.default_rng(17)``.  Its cases are
 the ones that reach the ``D_H`` threshold-test search; every bundled channel
 is classical.  ``nc_small_split_dist.json`` puts zero mass on one value.
+
+``tests/data/classical_split.json`` is a classical split channel on which
+the diagonal-scan smoothing moves the values (on the bundled channels it
+only turns a rounding error into zero).  It was drawn from
+``np.random.default_rng(0)``: each of its 16 states, in document order, is
+``np.diag(rng.dirichlet(np.ones(8)))``, and then ``x10``, ``x11``, ``x20``
+and ``x22`` of ``classical_split_dist.json`` are ``rng.dirichlet(np.ones(2))``
+in turn; both documents are in the canonical form of ``save_channel`` and
+``save_distribution``.
 """
 import contextlib
 import io
@@ -34,6 +43,8 @@ HKDIST = str(bundled_path("uniform_hk.json"))
 HK_LIFT = str(Path(__file__).parent / "data" / "hk_lift_xor.json")
 NC = str(Path(__file__).parent / "data" / "nc_small_split.json")
 NCDIST = str(Path(__file__).parent / "data" / "nc_small_split_dist.json")
+CL = str(Path(__file__).parent / "data" / "classical_split.json")
+CLDIST = str(Path(__file__).parent / "data" / "classical_split_dist.json")
 SCAN = ["--smoothing", "diagonal-scan"]
 OFF = ["--penalties", "off"]
 
@@ -84,6 +95,10 @@ CASES.update({
                                   "sweep"),
     "sweep_conjecture_nc": (_sweep(NC, "conjecture", "--grid", "3", *OFF), "sweep"),
     "t2_nc_off": (_region(NC, NCDIST, "t2", *OFF), "region"),
+    "quantities_classical_scan": (_quantities(CL, CLDIST, ["X10:Y1", "X10,X11:Y1", "X20:Z,X10", "X22:Y2|X20"],
+                                              *SCAN), "stdout"),
+    "t2_classical_scan_off": (_region(CL, CLDIST, "t2", *OFF, *SCAN), "region"),
+    "sweep_conjecture_classical_scan": (_sweep(CL, "conjecture", "--grid", "3", *OFF, *SCAN), "sweep"),
     "fm_hk_lift_xor": (["fm", "--input", HK_LIFT, "--eliminate", "R10,R11,R20,R22"], "fm"),
     "minimal_2d_hk_lift_xor": (["fm", "--input", HK_LIFT, "--eliminate", "R10,R11,R20,R22"],
                                "minimal"),
@@ -128,6 +143,16 @@ def test_golden_outputs_byte_identical(name, tmp_path):
     assert outputs
     for fname, data in outputs.items():
         assert data == (GOLDEN / fname).read_bytes(), fname
+
+
+def test_classical_scan_golden_is_smoothed():
+    """The diagonal-scan goldens of the classical split channel pin values the scan moves."""
+    values = {}
+    for line in (GOLDEN / "quantities_classical_scan.txt").read_text(encoding="utf-8").splitlines():
+        grouping, name, value = line.split()
+        values[grouping, name] = float(value)
+    assert any(values[g, "smooth_max_mutual_info"] < value for (g, name), value in values.items()
+               if name == "max_mutual_info")
 
 
 def _write_all() -> None:
