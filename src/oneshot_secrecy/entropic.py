@@ -38,7 +38,8 @@ from .states import CQConditionals, CQState, _block_diag, block_pairs, joint_and
 SMOOTHING_STRATEGIES = ("none", "diagonal-scan")
 # threshold-test probes, bracketing included, before ConvergenceError
 _MAX_ITER = 200
-# transfer grid of the diagonal-scan smoothing
+# transfer grid of the diagonal-scan smoothing: a donor's transfers are
+# np.arange(_SCAN_STEP, p_i, _SCAN_STEP) and then p_i, searched by index
 _SCAN_STEP = 1e-4
 # joint stack bytes of one batched stack solve in grid_terms (a larger term is
 # a batch of its own): a region's one-point terms share a solve while a sweep
@@ -52,6 +53,17 @@ class ConvergenceError(RuntimeError):
     """The threshold-test search failed to pin down the optimal test.
 
     ``row`` is the index of the failing row of a stack solve, when known.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
+
+
+class CommutationError(OperatorError):
+    """Diagonal-scan smoothing met a pair of operators that do not commute.
+
+    ``row`` is the index of the failing row of a stack, when known.
     """
 
     def __init__(self, message: str, row: int | None = None):
@@ -612,7 +624,7 @@ def _codiagonalize(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.n
     else:
         comm = rho @ sigma - sigma @ rho
         if float(np.max(np.abs(comm))) > COMMUTE_TOL:
-            raise OperatorError("inputs do not commute; diagonal-scan smoothing unavailable")
+            raise CommutationError("inputs do not commute; diagonal-scan smoothing unavailable")
         ws, vs = np.linalg.eigh(sigma)
         r = vs.conj().T @ rho @ vs
         d = len(ws)
@@ -631,54 +643,112 @@ def _codiagonalize(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.n
     return p, q
 
 
-def _diagonal_scan(p: np.ndarray, q: np.ndarray, eps: float) -> float:
-    """Best single donor-recipient mass shift within the purified-distance ball.
+def _first_true(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per entry, the first index in ``[lo, hi)`` where ``pred`` holds, else ``hi``: a binary search.
 
-    Scans, for every ordered atom pair, transfers m in a grid of step
-    ``_SCAN_STEP``, keeping p' a distribution; fidelity against the
-    unshifted p is monotone in m, so only grid points inside the ball count.
-    All recipients of one donor are scanned at once on the donor's grid.
+    ``pred`` maps an index array to a mask and must not fall back to False
+    along an entry's range.  Every step probes every entry; one whose range
+    is already closed (``lo == hi``) is probed at ``lo`` and the result
+    ignored.
+    """
+    while (open_ := lo < hi).any():
+        mid = (lo + hi) // 2
+        found = pred(mid)
+        lo, hi = np.where(open_ & ~found, mid + 1, lo), np.where(open_ & found, mid, hi)
+    return lo
+
+
+def _diagonal_scan(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
+    """Best single donor-recipient mass shift within the purified-distance ball, for each row of two ``(R, n)`` arrays.
+
+    For every ordered atom pair (i, j) a transfer m moves from donor i to
+    recipient j, m on the grid ``np.arange(_SCAN_STEP, p_i, _SCAN_STEP)``
+    followed by p_i itself, keeping p' a distribution.  A row's value is the
+    least max(p'_i / q_i, p'_j / q_j, largest other ratio) over the grid
+    points inside the ball, or the unshifted max ratio if smaller, in bits.
+
+    Two binary searches on the grid's indices stand in for trying every
+    transfer.  Numpy fills the arange as ``step + k·((step + step) - step)``,
+    which is ``step + k·step``, so any point is formed without the array.  The
+    overlap f_root with the unshifted p falls strictly in m, so the ball is a
+    prefix of the grid, and the first search finds its end.  Rounding is
+    monotone, so p'_i / q_i cannot rise and p'_j / q_j cannot fall as m
+    grows: over the prefix, the least of their maximum lies at the first
+    point where the recipient's ratio reaches the donor's, or just before it,
+    and the second search finds that point.  The expressions of the full scan
+    (``tests/util.diagonal_scan_pairwise``) are evaluated at those points, so
+    every value keeps its bits.  All pairs of all rows search together.
     """
     p = np.maximum(p, 0.0)
-    d = len(p)
+    d = p.shape[1]
     with np.errstate(divide="ignore"):
         base = np.where(q > 0.0, p / np.maximum(q, DIV_FLOOR), math.inf)
         base = np.where((q <= 0.0) & (p <= EIG_CLAMP), 0.0, base)
     # the unshifted ratio max_i p_i / q_i (inf if p sits off supp q)
-    best = float(base.max(initial=0.0))
-    # the largest base ratio outside {i, j} is the first of the top three
-    # atoms that is neither donor nor recipient
-    top = np.argsort(-base, kind="stable")[:3]
-    q_safe = np.where(q > 0.0, q, 1.0)
-    for i in range(d):
-        if p[i] <= 0.0:
-            continue
-        ms = np.arange(_SCAN_STEP, p[i], _SCAN_STEP)
-        ms = np.append(ms, p[i])
-        js = np.delete(np.arange(d), i)
-        pj, qj = p[js][:, None], q[js][:, None]
-        rest = 1.0 - p[i] - pj
-        f_root = rest + np.sqrt((p[i] - ms).clip(min=0.0) * p[i]) + np.sqrt((pj + ms) * pj)
+    best = base.max(axis=1, initial=0.0)
+    # every ordered (row, donor, recipient) pair whose donor has mass
+    r, i, j = np.nonzero((p > 0.0)[:, :, None] & ~np.eye(d, dtype=bool))
+    if d > 2:
+        # the largest base ratio outside {i, j} is the first of the row's top
+        # three atoms that is neither donor nor recipient
+        top = np.argsort(-base, axis=1, kind="stable")[r, :3]
+        rest_max = base[r, top[np.arange(len(r)), ((top != i[:, None]) & (top != j[:, None])).argmax(axis=1)]]
+    else:
+        rest_max = 0.0
+    pi, pj, qi, qj = p[r, i], p[r, j], q[r, i], q[r, j]
+    rest = 1.0 - pi - pj
+    # numpy's length of the arange; index `last` is p_i itself
+    last = np.maximum(np.ceil((pi - _SCAN_STEP) / _SCAN_STEP), 0.0).astype(np.int64)
+
+    def shifted(k):
+        m = np.where(k < last, _SCAN_STEP + k * _SCAN_STEP, pi)
+        return (pi - m).clip(min=0.0), pj + m
+
+    def outside(k):
+        pi_new, pj_new = shifted(k)
         # fidelity is the square of the trace-norm overlap f_root
-        dist = np.sqrt(np.maximum(0.0, 1.0 - f_root * f_root))
-        ok = dist <= eps + BALL_SLACK
-        if not np.any(ok):
-            continue
-        if d > 2:
-            others = top[top != i]
-            rest_max = np.where(js == others[0], base[others[1]], base[others[0]])[:, None]
-        else:
-            rest_max = 0.0
-        pi_new = (p[i] - ms).clip(min=0.0)
-        pj_new = pj + ms
-        ri = pi_new / q[i] if q[i] > 0.0 else np.where(pi_new > EIG_CLAMP, math.inf, 0.0)
-        rj = np.where(qj > 0.0, pj_new / q_safe[js][:, None],
-                      np.where(pj_new > EIG_CLAMP, math.inf, 0.0))
-        cand = np.maximum(np.maximum(ri, rj), rest_max)
-        best = min(best, float(np.min(cand[ok])))
-    if best <= 0.0:
-        return -math.inf
-    return math.log2(best) if best != math.inf else math.inf
+        f_root = rest + np.sqrt(pi_new * pi) + np.sqrt(pj_new * pj)
+        return ~(np.sqrt(np.maximum(0.0, 1.0 - f_root * f_root)) <= eps + BALL_SLACK)
+
+    def ratios(k):
+        """The donor's and the recipient's shifted ratio; off q's support, inf unless the mass is clamped."""
+        return [np.where(qx > 0.0, x / np.where(qx > 0.0, qx, 1.0), np.where(x > EIG_CLAMP, math.inf, 0.0))
+                for x, qx in zip(shifted(k), (qi, qj))]
+
+    def crossed(k):
+        ri, rj = ratios(k)
+        return rj >= ri
+
+    def cand(k):
+        return np.maximum(np.maximum(*ratios(k)), rest_max)
+
+    # the ball is the grid points [0, end); the recipient's ratio reaches the donor's from cross on
+    end = _first_true(outside, np.zeros_like(last), last + 1)
+    cross = _first_true(crossed, np.zeros_like(last), end)
+    np.minimum.at(best, r, np.minimum(np.where(cross < end, cand(cross), math.inf),
+                                      np.where(cross > 0, cand(cross - 1), math.inf)))
+    return np.array([-math.inf if b <= 0.0 else (math.log2(b) if b != math.inf else math.inf)
+                     for b in best.tolist()])
+
+
+def _scanned(joint: np.ndarray, product: np.ndarray, eps: float) -> np.ndarray:
+    """:func:`_diagonal_scan` of every row of two ``(R, K, d, d)`` block stacks, in one call.
+
+    Classical rows (:func:`_classical_rows`) read their diagonals off the
+    stack; only the others are made dense and take their common eigenbasis
+    (:func:`_codiagonalize`), whose ``CommutationError`` then carries the
+    row.  Atoms within ``EIG_CLAMP`` of zero are zeroed, as
+    :func:`_codiagonalize` zeroes them.
+    """
+    p, q = _diagonals(joint).copy(), _diagonals(product).copy()
+    for row in np.flatnonzero(~_classical_rows(joint, product)).tolist():
+        try:
+            p[row], q[row] = _codiagonalize(_block_diag(joint[row]), _block_diag(product[row]))
+        except CommutationError as exc:
+            raise CommutationError(str(exc), row) from None
+    p[np.abs(p) <= EIG_CLAMP] = 0.0
+    q[np.abs(q) <= EIG_CLAMP] = 0.0
+    return _diagonal_scan(p, q, eps)
 
 
 def smooth_max_relative_entropy(rho, sigma, eps: float, strategy: str = "none") -> float:
@@ -686,8 +756,11 @@ def smooth_max_relative_entropy(rho, sigma, eps: float, strategy: str = "none") 
 
     ``none`` returns the unsmoothed value (the state itself lies in the ball).
     ``diagonal-scan`` minimizes over diagonal perturbations of commuting
-    inputs via dense single-pair mass shifts, exact up to the scan resolution
-    within that family.
+    inputs: single donor-recipient mass shifts on a transfer grid of step
+    ``_SCAN_STEP``, exact up to that resolution within the family.  Two
+    binary searches per pair on the grid's indices, one for the end of the
+    purified-distance ball and one for where the two shifted ratios cross,
+    give the value a try of every grid point would (:func:`_diagonal_scan`).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -696,7 +769,8 @@ def smooth_max_relative_entropy(rho, sigma, eps: float, strategy: str = "none") 
     if strategy == "none":
         return max_relative_entropy(rho, sigma)
     a, b = _checked_pair(rho, sigma)
-    return min(_diagonal_scan(*_codiagonalize(a, b), eps), max_relative_entropy(a, b))
+    p, q = _codiagonalize(a, b)
+    return min(float(_diagonal_scan(p[None], q[None], eps)[0]), max_relative_entropy(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -806,9 +880,10 @@ def _grid_term(conds: CQConditionals, probs, kind, part_a, part_b, cond, eps, st
 def _solve_terms(conds: CQConditionals, probs, terms: Sequence[_GridTerm], strategy: str) -> list[np.ndarray]:
     """Terms of one kind, eps and block shape: their pairs' rows in one stack solve, split back per term.
 
-    The stacks go to :func:`_dh_betas` or :func:`_dmax_values` as they are;
-    only the diagonal-scan smoothing makes each pair dense and scans it
-    alone.  A conditional term then takes the max-min over its rows.
+    The stacks go to :func:`_dh_betas` or :func:`_dmax_values` as they are,
+    and the diagonal-scan smoothing scans every row in one call
+    (:func:`_scanned`).  A conditional term then takes the max-min over its
+    rows.
     """
     pairs, supports = [], []
     for term in terms:
@@ -830,10 +905,9 @@ def _solve_terms(conds: CQConditionals, probs, terms: Sequence[_GridTerm], strat
     else:
         values = _dmax_values(joint, product)
         if strategy != "none":
-            values = np.array([
-                min(_diagonal_scan(*_codiagonalize(_block_diag(j), _block_diag(p)), eps), value)
-                for j, p, value in zip(joint, product, values.tolist())
-            ])
+            scanned = _scanned(joint, product, eps)
+            # the smaller of the two, the scan's on a tie
+            values = np.where(values < scanned, values, scanned)
     out = []
     supports = iter(supports)
     for term, part in zip(terms, np.split(values, np.cumsum([term.rows for term in terms])[:-1])):
@@ -867,14 +941,14 @@ def grid_values(
     ``cond``.  Every row's pair is built in one contraction (see
     :func:`block_pairs`), and all rows are solved together by one stack
     solver (:func:`_dh_betas` or :func:`_dmax_values`).  A
-    ``ConvergenceError`` names the term and the failing row's value of
-    ``cond``; given ``first``, the index of the grid's first point in a
-    larger grid, it names the failing point as well.
+    ``ConvergenceError`` or ``CommutationError`` names the term and the
+    failing row's value of ``cond``; given ``first``, the index of the grid's
+    first point in a larger grid, it names the failing point as well.
     """
     term = _grid_term(conds, probs, kind, part_a, part_b, cond, eps, strategy)
     try:
         return _solve_terms(conds, probs, [term], strategy)[0]
-    except ConvergenceError as exc:
+    except (ConvergenceError, CommutationError) as exc:
         # each row's point and value of cond
         points, zs = ((np.arange(len(probs)), None) if cond is None
                       else _cond_support(conds, probs, term.part_a, term.part_b, cond)[:2])
@@ -885,8 +959,8 @@ def grid_values(
             where.append(f"{cond}={int(zs[exc.row])}")
         given = f" | {cond}" if cond is not None else ""
         at = f" ({', '.join(where)})" if where else ""
-        raise ConvergenceError(
-            f"D_H({','.join(term.part_a)} : {','.join(term.part_b)}{given}): {exc}{at}") from None
+        label = "D_H" if kind == "ht" else "D_max"
+        raise type(exc)(f"{label}({','.join(term.part_a)} : {','.join(term.part_b)}{given}): {exc}{at}") from None
 
 
 def grid_terms(
@@ -903,9 +977,9 @@ def grid_terms(
     one stack solve, in batches whose joint stack stays within
     ``_BATCH_BYTES`` (a larger term is a batch of its own).  A row's value
     does not depend on its batch.  When a batch raises
-    ``ConvergenceError`` the unsolved terms are solved one at a time in
-    order, so the error names the term, point and value of ``cond`` that a
-    term-by-term evaluation would.
+    ``ConvergenceError`` or ``CommutationError`` the unsolved terms are
+    solved one at a time in order, so the error names the term, point and
+    value of ``cond`` that a term-by-term evaluation would.
     """
     planned = [_grid_term(conds, probs, kind, part_a, part_b, cond, eps, strategy)
                for kind, part_a, part_b, cond, eps in terms]
@@ -925,7 +999,7 @@ def grid_terms(
         for batch in batches:
             for i, value in zip(batch, _solve_terms(conds, probs, [planned[i] for i in batch], strategy)):
                 values[i] = value
-    except ConvergenceError:
+    except (ConvergenceError, CommutationError):
         for i, term in enumerate(terms):
             if values[i] is None:
                 values[i] = grid_values(term[0], conds, probs, *term[1:], strategy, first)

@@ -28,7 +28,7 @@ from .channel import (
 )
 from .entropic import ToleranceParams, grid_terms
 from .operators import COEF_TOL, DET_TOL, FEAS_TOL, RAY_TOL, OperatorError
-from .secrecy import _randomizer_plan, _secrecy_check, within_threshold
+from .secrecy import _PLAN_GROUPINGS, _SECRECY_PARTS, _randomizer_plan, _secrecy_check, within_threshold
 from .states import CQConditionals, CQState
 
 # bench/tracing.py wraps these names in this module, which no longer calls them
@@ -143,7 +143,7 @@ class _MICalculator:
 
     def solve(self, terms: Sequence[tuple]) -> None:
         """Evaluate every ``(kind, part_a, part_b, cond)`` term not yet kept, all in one call."""
-        todo = [term for term in terms if term not in self._memo]
+        todo = [term for term in dict.fromkeys(terms) if term not in self._memo]
         if todo:
             eps = {"ht": self.params.eps, "max": self.params.eta}
             values = grid_terms(self.conds, self.probs, [(*term, eps[term[0]]) for term in todo], self.smoothing,
@@ -243,13 +243,16 @@ def _bounds(table: _Table, calc: _MICalculator, penalty: Callable[[int, int], fl
 
 
 def _region(table: _Table, penalty: Callable[[int, int], float], state: CQState, params: ToleranceParams,
-            smoothing: str = "none") -> tuple[RatePolytope, _MICalculator]:
+            smoothing: str = "none", metadata: Sequence[tuple] = ()) -> tuple[RatePolytope, _MICalculator]:
     """``state``'s region, as the one point of its own grid, and the calculator whose memo the metadata reads.
 
-    Each row carries its picked receiver's terms and, with a choice of
-    receivers, every receiver's first term as its ``alternatives``.
+    The table's terms and then the ``metadata`` terms, which only the
+    report reads, are solved in one call.  Each row carries its picked
+    receiver's terms and, with a choice of receivers, every receiver's first
+    term as its ``alternatives``.
     """
     calc = _MICalculator(state.conds, state.probs[None], params, smoothing)
+    calc.solve(table.terms + tuple(metadata))
     bounds, picks, firsts = _bounds(table, calc, penalty)
     rows = []
     for r, (tag, bound, coeffs) in enumerate(zip(table.tags, table.rows, table.coeffs.tolist())):
@@ -311,6 +314,12 @@ _SPLIT_MESSAGE = (
 )
 _SPLIT_MESSAGE_LEAKS = {"c": "c:z", "p": "p:zcC", "C": "C:zc", "P": "P:zcpC"}
 _BOTH_RECEIVERS = dict(_SPLIT_ROLES, y="Y1", Y="Y2")
+
+
+# the D_max terms that only a split region's report reads: the secrecy
+# report's leakage to Z and the randomizer plan's terms
+_SECRECY_TERMS = tuple(("max", part_a, ("Z",), None) for part_a in _SECRECY_PARTS)
+_PLAN_TERMS = tuple(("max", part_a, part_b, None) for _, part_a, part_b, _ in _PLAN_GROUPINGS)
 
 
 def _hk_penalties(params: ToleranceParams, penalties: PenaltyMode) -> Callable[[int, int], float]:
@@ -418,9 +427,10 @@ def theorem1_region(
     receiver's row is reported.
     """
     table, penalty = _THEOREMS["t1"]
+    criterion = ("max", ("X1", "X2"), ("Z",), "Q")
     poly, calc = _region(table, penalty(params, penalties, delta_source), control_state_t1(channel, dist),
-                         params, smoothing)
-    full = float(calc.values("max", ("X1", "X2"), ("Z",), "Q")[0])
+                         params, smoothing, (criterion,))
+    full = float(calc.values(*criterion)[0])
     poly.meta.update(theorem="t1", penalties=penalties.mode, secrecy={
         "criterion": "Imax_eta(X1X2:Z|Q)", "value": full, "threshold": params.theta,
         "pass": within_threshold(full, params.theta)})
@@ -450,7 +460,8 @@ def conjecture_region(
 ) -> RatePolytope:
     """Split-message secrecy region (nine rows), plus the side-condition report."""
     table, penalty = _THEOREMS["conjecture"]
-    poly, calc = _region(table, penalty(params, penalties), control_state_hk(channel, dist), params, smoothing)
+    poly, calc = _region(table, penalty(params, penalties), control_state_hk(channel, dist), params, smoothing,
+                         _SECRECY_TERMS)
     report = _secrecy_check(params, (math.inf, math.inf, math.inf), smoothing,
                             lambda a, b: float(calc.values("max", a, b, None)[0]))
     poly.meta.update(theorem="conjecture", penalties=penalties.mode, secrecy=report.as_dict())
@@ -469,7 +480,8 @@ def theorem2_region(
     Sub-channel 2 is the 1<->2 mirror of sub-channel 1.
     """
     table, penalty = _THEOREMS["t2"]
-    poly, calc = _region(table, penalty(params, penalties), control_state_hk(channel, dist), params, smoothing)
+    poly, calc = _region(table, penalty(params, penalties), control_state_hk(channel, dist), params, smoothing,
+                         _SECRECY_TERMS + _PLAN_TERMS)
     imax = lambda a, b: float(calc.values("max", a, b, None)[0])  # noqa: E731
     report = _secrecy_check(params, (math.inf, math.inf, math.inf), smoothing, imax)
     plan = _randomizer_plan(params, smoothing, imax)

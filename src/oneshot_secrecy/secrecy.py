@@ -60,6 +60,9 @@ class RandomizerPlan:
         }
 
 
+# the message groupings whose leakage to Z the secrecy report reads: two sub-groupings, then all four
+_SECRECY_PARTS = (("X10", "X11", "X20"), ("X10", "X20", "X22"), ("X10", "X11", "X20", "X22"))
+
 _PLAN_GROUPINGS = (
     ("X10:Z", ("X10",), ("Z",), False),
     ("X20:Z,X10", ("X20",), ("Z", "X10"), True),
@@ -175,10 +178,10 @@ def _secrecy_check(
     """:func:`secrecy_check` over ``imax(part_a, part_b)``, such as a region's memoized terms."""
     if len(thresholds) != 3:
         raise ValueError("exactly three sub-grouping thresholds are required")
-    full = ("X10", "X11", "X20", "X22")
+    sub1, sub2, full = _SECRECY_PARTS
     groupings = (
-        ("sub1", ("X10", "X11", "X20"), float(thresholds[0])),
-        ("sub2", ("X10", "X20", "X22"), float(thresholds[1])),
+        ("sub1", sub1, float(thresholds[0])),
+        ("sub2", sub2, float(thresholds[1])),
         ("full", full, float(thresholds[2])),
         ("criterion", full, float(params.theta)),
     )

@@ -2,6 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ CHAN = str(bundled_path("diag_deterministic.json"))
 DIST = str(bundled_path("uniform_t1.json"))
 XOR = str(bundled_path("xor_split.json"))
 HKDIST = str(bundled_path("uniform_hk.json"))
+NC = str(Path(__file__).parent / "data" / "nc_small_split.json")
+NCDIST = str(Path(__file__).parent / "data" / "nc_small_split_dist.json")
 
 
 def run_cli(*args):
@@ -230,6 +233,20 @@ def test_convergence_error_exits_1(monkeypatch, capsys):
                      "--eps", "0.25"])
     assert code == 1
     assert "straddle detection failed at t=0.5, eps=0.25" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, where", [
+    (["region", "--dist", NCDIST, "--theorem", "t2"], ""),
+    (["sweep", "--theorem", "conjecture", "--grid", "3"], " (grid point 27)"),
+])
+def test_non_commuting_scan_error_names_the_term(tmp_path, capsys, command, where):
+    """On the non-commuting channel the first leak term fails; a sweep names the point as well."""
+    out = ["--out", str(tmp_path / "r.json")] if command[0] == "region" else []
+    code = cli.main([*command, *out, "--csv", str(tmp_path / "r.csv"), "--channel", NC, "--eps", "0.25",
+                     "--penalties", "off", "--smoothing", "diagonal-scan"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: D_max(X10 : Z): inputs do not commute; diagonal-scan smoothing unavailable{where}\n")
 
 
 @pytest.mark.parametrize("rays", ["0", "-3"])

@@ -45,7 +45,7 @@ from oneshot_secrecy.operators import (
     trace_distance,
     validate_density,
 )
-from oneshot_secrecy.states import CQConditionals, CQState, joint_and_product
+from oneshot_secrecy.states import CQConditionals, CQState, _block_diag, joint_and_product
 from conftest import rand_density, rand_unitary
 from util import bisection_beta, dh_dual, diagonal_scan_pairwise, max_min
 
@@ -627,19 +627,85 @@ def test_bracket_grows_past_the_breakpoints():
     assert abs(hypothesis_testing_beta(rho, sigma, eps) - expected) <= 1e-8 * expected
 
 
-@given(
-    d=st.integers(2, 5),
-    data=st.data(),
-    eps=st.floats(0.01, 0.5),
+# atoms of a scan draw beside the one that holds the rest of the mass: zeros,
+# atoms just above the clamp, below the transfer step and exact multiples of
+# it, and repeated masses for ties
+SCAN_ATOMS = st.one_of(
+    st.just(0.0),
+    st.floats(EIG_CLAMP, 2.0 * EIG_CLAMP, exclude_min=True),
+    st.floats(0.0, entropic._SCAN_STEP, exclude_min=True, exclude_max=True),
+    st.integers(1, 1000).map(lambda k: k * entropic._SCAN_STEP),
+    st.sampled_from([0.05, 0.1]),
+    st.floats(0.01, 0.1),
 )
-def test_diagonal_scan_matches_pairwise_loop(d, data, eps):
-    masses = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
-    p = np.array(data.draw(st.lists(masses, min_size=d, max_size=d)))
-    q = np.array(data.draw(st.lists(masses, min_size=d, max_size=d)))
-    p[0] += 0.05
-    q[-1] += 0.05
-    p, q = p / p.sum(), q / q.sum()
-    assert _diagonal_scan(p, q, eps) == diagonal_scan_pairwise(p, q, eps)
+
+
+def scan_vector(data, d):
+    """A distribution on ``d`` atoms: normalized masses with zeros, or exact ``SCAN_ATOMS`` beside one atom.
+
+    Atoms within ``EIG_CLAMP`` of zero are zeroed, as the scan's callers do.
+    """
+    if data.draw(st.booleans()):
+        v = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=d, max_size=d)))
+        v[data.draw(st.integers(0, d - 1))] += 0.05
+        v = v / v.sum()
+    else:
+        atoms = data.draw(st.lists(SCAN_ATOMS, min_size=d - 1, max_size=d - 1))
+        v = np.array([1.0 - sum(atoms)] + atoms)[data.draw(st.permutations(range(d)))]
+    return np.where(v <= EIG_CLAMP, 0.0, v)
+
+
+@settings(max_examples=300)
+@given(d=st.integers(1, 8), data=st.data(), eps=EPS_WIDE, same=st.booleans())
+def test_diagonal_scan_matches_pairwise_loop(d, data, eps, same):
+    p = scan_vector(data, d)
+    q = p.copy() if same else scan_vector(data, d)
+    assert _diagonal_scan(p[None], q[None], eps)[0] == diagonal_scan_pairwise(p, q, eps)
+
+
+@pytest.mark.parametrize("donor", [1.5e-4, 3e-4])
+def test_diagonal_scan_short_grids_match_pairwise_loop(donor):
+    """A donor of a few grid steps with a ratio of 100: the ball keeps only the grid's first points."""
+    p = np.array([donor, 0.6, 0.4 - donor])
+    q = np.array([donor / 100, 0.8, 0.2 - donor / 100])
+    assert _diagonal_scan(p[None], q[None], 0.01)[0] == diagonal_scan_pairwise(p, q, 0.01)
+
+
+@settings(max_examples=100)
+@given(d=st.integers(1, 8), rows=st.integers(1, 5), data=st.data(), eps=EPS_WIDE)
+def test_diagonal_scan_stack_rows_match_each_row_alone(d, rows, data, eps):
+    p = np.array([scan_vector(data, d) for _ in range(rows)])
+    q = np.array([scan_vector(data, d) for _ in range(rows)])
+    alone = np.concatenate([_diagonal_scan(p[r:r + 1], q[r:r + 1], eps) for r in range(rows)])
+    assert _diagonal_scan(p, q, eps).tobytes() == alone.tobytes()
+
+
+@settings(max_examples=60)
+@given(rows=st.integers(1, 4), data=st.data(), eps=EPS_WIDE)
+def test_scanned_stack_matches_each_dense_pair(rows, data, eps):
+    """A block stack's rows scan as their dense pairs do: classical rows off the stack, clamp included.
+
+    Each row is two blocks of size 2, diagonal or turned by one rotation per
+    block shared by rho and sigma (commuting, not diagonal).  Sigma may put
+    an atom inside ``EIG_CLAMP`` under rho's largest one, and rho one
+    elsewhere.
+    """
+    joint, product = np.zeros((2, rows, 2, 2, 2), dtype=complex)
+    for r in range(rows):
+        turn = [np.eye(2) if not data.draw(st.booleans()) else
+                np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+                for a in data.draw(st.lists(st.floats(0.1, 1.5), min_size=2, max_size=2))]
+        p, q = scan_vector(data, 4), scan_vector(data, 4)
+        if data.draw(st.booleans()):
+            q[np.argmax(p)] = data.draw(ATOM_KINDS["clamped"])
+        if data.draw(st.booleans()):
+            p[data.draw(st.integers(0, 3))] = data.draw(ATOM_KINDS["clamped"])
+        for stack, v in ((joint, p), (product, q)):
+            for b in range(2):
+                stack[r, b] = turn[b] @ np.diag(v[2 * b:2 * b + 2]) @ turn[b].T
+    alone = [_diagonal_scan(*(x[None] for x in entropic._codiagonalize(_block_diag(j), _block_diag(s))), eps)[0]
+             for j, s in zip(joint, product)]
+    assert entropic._scanned(joint, product, eps).tobytes() == np.array(alone).tobytes()
 
 
 @given(d=st.integers(1, 6), data=st.data(), eps=st.floats(0.01, 0.5))

@@ -363,17 +363,19 @@ def test_theorem2_trivial_z_rows(xor_channel):
 
 
 def test_theorem2_evaluates_each_max_information_once(xor_channel, monkeypatch):
-    """The randomizer plan and the secrecy report read the leak terms from the region's memo."""
-    calls = []
+    """The table, the randomizer plan and the secrecy report ask for their terms in one call."""
+    calls, batches = [], []
     real = regions.grid_terms
 
     def counting(conds, probs, terms, *args):
+        batches.append(len(terms))
         calls.extend((tuple(part_a), tuple(part_b)) for kind, part_a, part_b, *_ in terms if kind == "max")
         return real(conds, probs, terms, *args)
 
     monkeypatch.setattr(regions, "grid_terms", counting)
     theorem2_region(xor_channel, uniform_hk(xor_channel), PARAMS, OFF)
     assert len(calls) == len(set(calls)) == 12
+    assert len(batches) == 1
 
 
 def test_theorem2_full_copy_z_degenerate():
