@@ -26,6 +26,7 @@ from .channel import (
 )
 from .entropic import (
     SMOOTHING_STRATEGIES,
+    CommutationError,
     ConvergenceError,
     ToleranceParams,
     binary_entropy,
@@ -37,6 +38,7 @@ from .entropic import (
     max_relative_entropy,
     relative_entropy,
     smooth_max_relative_entropy,
+    term_name,
     von_neumann_entropy,
 )
 from .operators import OperatorError, fidelity, purified_distance, trace_distance
@@ -161,6 +163,14 @@ def _parse_grouping(text: str):
     return part_a, part_b, cond
 
 
+def _named(kind: str, part_a, part_b, solve, *args) -> float:
+    """``solve(*args)``, whose failure names the term as a region's or a conditional row's does."""
+    try:
+        return solve(*args)
+    except (ConvergenceError, CommutationError) as exc:
+        raise type(exc)(f"{term_name(kind, part_a, part_b)}: {exc}") from None
+
+
 def cmd_quantities(args) -> int:
     channel = load_channel(args.channel)
     dist = load_distribution(args.dist)
@@ -176,10 +186,11 @@ def cmd_quantities(args) -> int:
                          cond_smooth_max_mi(state, part_a, part_b, cond, params.eta, args.smoothing)))
             continue
         joint, product = joint_and_product(state, part_a, part_b)
-        rows.append((text, "ht_mutual_info", hypothesis_testing_divergence(joint, product, params.eps)))
+        rows.append((text, "ht_mutual_info",
+                     _named("ht", part_a, part_b, hypothesis_testing_divergence, joint, product, params.eps)))
         rows.append((text, "max_mutual_info", max_relative_entropy(joint, product)))
-        rows.append((text, "smooth_max_mutual_info",
-                     smooth_max_relative_entropy(joint, product, params.eta, args.smoothing)))
+        rows.append((text, "smooth_max_mutual_info", _named("max", part_a, part_b, smooth_max_relative_entropy,
+                                                            joint, product, params.eta, args.smoothing)))
         rows.append((text, "relative_entropy", relative_entropy(joint, product)))
         rows.append((text, "fact_bound", fact_bound(joint, product, params.eps)))
         rows.append((text, "trace_distance", trace_distance(joint, product)))

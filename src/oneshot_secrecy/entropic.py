@@ -7,6 +7,7 @@ error.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -17,6 +18,7 @@ from .operators import (
     BALL_SLACK,
     BAND_FLOOR,
     BISECT_WIDTH,
+    BRACKET_MARGIN,
     COMMUTE_TOL,
     COND_SUPPORT_TOL,
     DEGEN_TOL,
@@ -36,17 +38,21 @@ from .operators import (
 from .states import CQConditionals, CQState, _block_diag, block_pairs, joint_and_product, pair_shape
 
 SMOOTHING_STRATEGIES = ("none", "diagonal-scan")
-# threshold-test probes, bracketing included, before ConvergenceError
+# threshold-test probes, bracketing included, before ConvergenceError; a
+# certified first probe (see _threshold_search) counts though it is never run
 _MAX_ITER = 200
 # transfer grid of the diagonal-scan smoothing: a donor's transfers are
 # np.arange(_SCAN_STEP, p_i, _SCAN_STEP) and then p_i, searched by index
 _SCAN_STEP = 1e-4
 # joint stack bytes of one batched stack solve in grid_terms (a larger term is
-# a batch of its own): a region's one-point terms share a solve while a sweep
-# chunk's terms, each up to regions._CHUNK_BYTES = 2 MiB of stack, go about one
-# at a time.  Unbounded batches raised the bench sweep's peak RSS by 21%; this
-# budget keeps it within 1%.
-_BATCH_BYTES = 1 << 16
+# a batch of its own).  At its peak the D_H solver holds about 8 times its
+# joint stack in temporaries (tracemalloc on the bench sweep's batches; up to
+# 22 times on stacks of a few KiB), beside the joint and product stacks.  This
+# budget lets a region's one-point terms share a solve, and a bench sweep
+# chunk's 41 KiB (81, 8, 2, 2) terms of one kind and eps go up to six a solve.
+# Against 64 KiB, the bench sweep's peak RSS rose 3.9% with it, 4.9% at seven
+# terms a solve and 13.5% at 1 MiB.
+_BATCH_BYTES = 1 << 18
 
 
 class ConvergenceError(RuntimeError):
@@ -311,14 +317,20 @@ def _np_betas(p: np.ndarray, q: np.ndarray, target: float) -> np.ndarray:
     return np.where(reached, before, before + frac * q)
 
 
-def _threshold_search(target: float, eps: float, breaks: list[float], f_lo: float, sig_norm: float):
+def _threshold_search(target: float, eps: float, breaks: list[float], f_lo: float, sig_norm: float,
+                      certified: bool):
     """One row's threshold search, as a generator.
 
     It yields each probe ``(t, band)`` and is sent back that probe's weights
     ``(a_pos, a_zer, b_pos, b_zer)``: rho's and sigma's weights on the
     positive and on the zero eigenspace of rho - t sigma.  It returns beta.
-    ``breaks`` are the row's sorted distinct positive breakpoints and
-    ``f_lo`` is Tr rho - target.
+    ``breaks`` are the row's sorted distinct positive breakpoints, ``f_lo``
+    is Tr rho - target and ``sig_norm`` is sigma's largest eigenvalue.  A
+    ``certified`` row's first probe, at hi = max(breaks) + 1 (1 with none),
+    is known to leave all four weights exact zeros (:func:`_threshold_betas`
+    proves it): the search starts from that outcome, f_hi = (0 + 0) - target,
+    without yielding the probe but counting it against ``_MAX_ITER``, so its
+    values and error texts are those of the probed search.
     """
 
     def finish(a_pos, a_zer, b_pos, b_zer):
@@ -334,7 +346,8 @@ def _threshold_search(target: float, eps: float, breaks: list[float], f_lo: floa
     iters = 0
     while iters < _MAX_ITER:
         iters += 1
-        a_pos, a_zer, b_pos, b_zer = yield hi, PROBE_BAND * (1.0 + hi)
+        # a certified probe fails the constraint, so this loop ends on it
+        a_pos, a_zer, b_pos, b_zer = (0.0, 0.0, 0.0, 0.0) if certified else (yield hi, PROBE_BAND * (1.0 + hi))
         if a_pos + a_zer < target:
             f_hi = a_pos + a_zer - target
             break
@@ -458,6 +471,26 @@ def _threshold_betas(a: np.ndarray, b: np.ndarray, target: float, eps: float, ro
     the per-row sums read the dead ones as zeros in place, so they add in the
     same order and keep their bits.  ``rows`` labels the rows in a
     ``ConvergenceError``.
+
+    A row whose first probe's outcome is certified skips that probe.  The
+    probe is at hi = lam + 1, lam the row's largest breakpoint (0 with none),
+    with band PROBE_BAND·(1 + hi); it is certified when sigma's least
+    eigenvalue s over the row's live blocks exceeds ``BRACKET_MARGIN`` bands.
+    The proof: s is then far above ``EIG_CLAMP``, so sigma is full rank on
+    every live block, the breakpoints are all the positive eigenvalues of
+    sigma^{-1/2} rho sigma^{-1/2}, and rho <= lam·sigma blockwise; hence
+    rho - hi·sigma <= -sigma <= -s, below -BRACKET_MARGIN·band.  For
+    operators of norm about one, as states are, rounding moves lam by about
+    d·u·lam / s < d·1.2e-7 (u the unit roundoff; lam < 1 + hi <
+    s / (BRACKET_MARGIN·PROBE_BAND)), which keeps nearly all of that gap,
+    and ``eigh`` of rho - hi·sigma errs by about d·u·(1 + hi), under a
+    hundredth of the band for d < 90.  So every live eigenvalue the probe
+    would compute lies below -band: no mask is set, the dead blocks' zeros
+    carry zero weight, and all four sums are exact zeros (a row with no live
+    block, s = inf, reads only such zeros).  The row starts from that outcome
+    (:func:`_threshold_search`) one probe ahead of the others, so a failure
+    is raised only once no row can fail after fewer probes: the error names
+    the same row, with the same text, as when every row probes.
     """
     n_rows, k = a.shape[:2]
     live = _live_blocks(a, b)
@@ -483,15 +516,41 @@ def _threshold_betas(a: np.ndarray, b: np.ndarray, target: float, eps: float, ro
     lam = np.sort(lam, axis=1)
     f_lo = np.trace(a, axis1=-2, axis2=-1)[searching].real.sum(axis=1) - target
     sig_norm = np.maximum(_scatter(ws, live, (n_rows, k)).reshape(n_rows, -1).max(axis=1), 0.0)
+    sig_least = np.full(n_rows, math.inf)
+    np.minimum.at(sig_least, at, ws.min(axis=1))
+    hi = np.where(np.isfinite(lam), lam, 0.0).max(axis=1) + 1.0
+    certified = (sig_least > BRACKET_MARGIN * PROBE_BAND * (1.0 + hi)).tolist()
     searches = [
-        _threshold_search(target, eps, breaks[:count], f, norm)
-        for breaks, count, f, norm in zip(lam.tolist(), np.isfinite(lam).sum(axis=1).tolist(),
-                                          f_lo.tolist(), sig_norm.tolist())
+        _threshold_search(target, eps, breaks[:count], f, norm, skip)
+        for breaks, count, f, norm, skip in zip(lam.tolist(), np.isfinite(lam).sum(axis=1).tolist(),
+                                                f_lo.tolist(), sig_norm.tolist(), certified)
     ]
-    probes = [next(search) for search in searches]
-    # the searching rows still open; blocks, their rows and the live mask follow them
+    probes = [None] * n_rows
+    # the searching rows still open and what each is sent next (None starts
+    # it); blocks, their rows and the live mask follow them
     open_rows = np.arange(n_rows)
-    while open_rows.size:
+    sent = [None] * n_rows
+    # the first failure by (probes made, row), with its message
+    failed = None
+    for step in itertools.count():
+        still = np.ones(len(open_rows), dtype=bool)
+        for place, (i, row_sums) in enumerate(zip(open_rows.tolist(), sent)):
+            try:
+                probes[i] = searches[i].send(row_sums)
+            except StopIteration as done:
+                betas[searching[i]] = done.value
+                still[place] = False
+            except ConvergenceError as exc:
+                key = (step + certified[i], i, str(exc))
+                failed = key if failed is None else min(failed, key)
+                still[place] = False
+        if not still.all():
+            (ab,), at, live = _keep_rows(still, at, live, ab)
+            open_rows = open_rows[still]
+        if failed is not None and (failed[0] <= step or not open_rows.size):
+            raise ConvergenceError(failed[2], int(rows[searching[failed[1]]]))
+        if not open_rows.size:
+            return betas
         shape = (len(open_rows), k)
         t, band = np.array([probes[i] for i in open_rows.tolist()]).T
         w, v = _eigh(ab[:, 0] - t[at, None, None] * ab[:, 1])
@@ -500,20 +559,7 @@ def _threshold_betas(a: np.ndarray, b: np.ndarray, target: float, eps: float, ro
         masks = np.stack([w > band, np.abs(w) <= band], axis=-1).reshape(len(open_rows), -1, 2)
         # per row [[a_pos, a_zer], [b_pos, b_zer]]
         weights = _scatter(_weights(ab, v[:, None]), live, shape)
-        sums = weights.transpose(0, 2, 1, 3).reshape(len(open_rows), 2, -1) @ masks
-        still = np.ones(len(open_rows), dtype=bool)
-        for place, (i, row_sums) in enumerate(zip(open_rows.tolist(), sums.reshape(len(open_rows), 4).tolist())):
-            try:
-                probes[i] = searches[i].send(row_sums)
-            except StopIteration as done:
-                betas[searching[i]] = done.value
-                still[place] = False
-            except ConvergenceError as exc:
-                raise ConvergenceError(str(exc), int(rows[searching[i]])) from None
-        if not still.all():
-            (ab,), at, live = _keep_rows(still, at, live, ab)
-            open_rows = open_rows[still]
-    return betas
+        sent = (weights.transpose(0, 2, 1, 3).reshape(len(open_rows), 2, -1) @ masks).reshape(-1, 4).tolist()
 
 
 def _dh_betas(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
@@ -782,6 +828,12 @@ def _parts(part) -> list[str]:
     return [part] if isinstance(part, str) else list(part)
 
 
+def term_name(kind: str, part_a, part_b, cond: str | None = None) -> str:
+    """How an error names an information term: ``D_H(A,B : C | Q)`` for kind ``"ht"``, ``D_max(...)`` for ``"max"``."""
+    given = f" | {cond}" if cond is not None else ""
+    return f"{'D_H' if kind == 'ht' else 'D_max'}({','.join(_parts(part_a))} : {','.join(_parts(part_b))}{given})"
+
+
 def _max_min(masses: np.ndarray, values: np.ndarray, support: np.ndarray, eps: float) -> np.ndarray:
     """The conditional max-min of each row's atoms ``support[g]``: the best value left after dropping some.
 
@@ -957,10 +1009,8 @@ def grid_values(
             where.append(f"grid point {first + int(points[exc.row])}")
         if exc.row is not None and zs is not None:
             where.append(f"{cond}={int(zs[exc.row])}")
-        given = f" | {cond}" if cond is not None else ""
         at = f" ({', '.join(where)})" if where else ""
-        label = "D_H" if kind == "ht" else "D_max"
-        raise type(exc)(f"{label}({','.join(term.part_a)} : {','.join(term.part_b)}{given}): {exc}{at}") from None
+        raise type(exc)(f"{term_name(kind, term.part_a, term.part_b, cond)}: {exc}{at}") from None
 
 
 def grid_terms(

@@ -27,6 +27,7 @@ KERNEL_MASS_SLACK = 1e-12  # rho's mass on sigma's kernel meets the type-I targe
 TYPE_I_TOL = 1e-9  # the type-I constraint Tr(L rho) >= 1 - eps is met to this
 NP_MASS_SLACK = 1e-15  # Neyman-Pearson admission stops this close to the target mass
 PROBE_BAND = 1e-12  # zero-eigenvalue band of rho - t sigma, relative to 1 + t
+BRACKET_MARGIN = 1e3  # a D_H row skips its first probe when sigma's least eigenvalue exceeds this many of its bands
 BISECT_WIDTH = 1e-11  # the threshold search stops at this bracket width, relative to max(1, t_hi)
 BAND_FLOOR = 1e-14  # least width of the straddle band after the threshold search
 # -- smoothing and conditioning

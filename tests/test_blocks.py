@@ -39,9 +39,16 @@ from oneshot_secrecy.entropic import (
     smooth_max_mutual_info,
     smooth_max_relative_entropy,
 )
-from oneshot_secrecy.operators import COND_SUPPORT_TOL, OperatorError, RegisterLayout, permute_registers_matrix
+from oneshot_secrecy.operators import (
+    BRACKET_MARGIN,
+    COND_SUPPORT_TOL,
+    PROBE_BAND,
+    OperatorError,
+    RegisterLayout,
+    permute_registers_matrix,
+)
 from oneshot_secrecy.states import CQConditionals, CQState, _block_diag, block_pairs, joint_and_product
-from conftest import rand_density
+from conftest import rand_density, rand_unitary
 from util import (
     bisection_beta,
     condition_state,
@@ -203,6 +210,120 @@ def test_stack_rows_match_each_row_alone(k, d, flavours, dead, eps, seed):
         tol = 1e-9 + 1e-7 * beta
         assert all(value <= beta + tol for _, value in probes), (flavour, beta)
         assert beta <= best + tol, (flavour, beta, best)
+
+
+# the rows of _certificate_rows and whether each skips its first probe
+CERTIFIED = {"above": True, "below": False, "dense": True, "rank-deficient": False, "kernel": False,
+             "no-breakpoint": False}
+
+
+def _rotated(u, diagonal):
+    return u @ np.diag(diagonal).astype(complex) @ u.conj().T
+
+
+def _certificate_rows(rng, k, d, eps):
+    """One ``(rho, sigma)`` row of ``k`` blocks of size ``d`` per ``CERTIFIED`` kind, keyed by kind.
+
+    Every row has dead blocks.  ``above`` and ``below`` put sigma's least
+    eigenvalue at 2 and 0.5 times ``BRACKET_MARGIN`` first-probe bands, with
+    rho off its eigenvector so that the breakpoints do not move with it;
+    ``rank-deficient`` is that row with the eigenvalue 0.  ``kernel`` has rho
+    weigh on sigma's kernel so that the bracket must grow past its first
+    probe.  ``no-breakpoint`` has rho only on sigma's kernel, with mass just
+    inside ``TYPE_I_TOL`` of the target, and sigma alone on the other live
+    blocks: no positive breakpoint, and beta 0.
+    """
+    target = 1.0 - eps
+    live = np.sort(rng.permutation(k)[:k - 1])
+    rows = {}
+    # sigma's least eigenvalue, in first-probe bands (None: the rank-deficient row)
+    for kind, bands in (("above", 2.0), ("below", 0.5), ("rank-deficient", None)):
+        us = [rand_unitary(rng, d) for _ in live]
+        ws = [rng.random(d - 1) + 0.1 for _ in live]
+        rs = [rand_density(rng, d - 1) for _ in live]
+        ws = [w / sum(x.sum() for x in ws) for w in ws]
+        rs = [r / len(live) for r in rs]
+        lam = max(np.linalg.eigvalsh(r / np.sqrt(np.outer(w, w))).max() for r, w in zip(rs, ws))
+        least = 0.0 if bands is None else bands * BRACKET_MARGIN * PROBE_BAND * (2.0 + lam)
+        rho, sigma = (np.zeros((k, d, d), dtype=complex) for _ in range(2))
+        for slot, u, w, r in zip(live, us, ws, rs):
+            sigma[slot] = _rotated(u, np.concatenate([[least], w]))
+            rho[slot] = u[:, 1:] @ r @ u[:, 1:].conj().T
+        rows[kind] = rho, sigma
+    rho, sigma = (np.zeros((k, d, d), dtype=complex) for _ in range(2))
+    for slot in live:
+        rho[slot], sigma[slot] = rand_density(rng, d), rand_density(rng, d)
+    rows["dense"] = rho / len(live), sigma / len(live)
+    # rho is a pure state with 0.9 of the target on sigma's kernel
+    u, rest = rand_unitary(rng, d), rng.normal(size=d - 1) + 1j * rng.normal(size=d - 1)
+    psi = np.concatenate([[math.sqrt(0.9 * target)], math.sqrt(1.0 - 0.9 * target) * rest / np.linalg.norm(rest)])
+    rho, sigma = (np.zeros((k, d, d), dtype=complex) for _ in range(2))
+    rho[live[0]] = u @ np.outer(psi, psi.conj()) @ u.conj().T
+    sigma[live[0]] = _rotated(u, np.concatenate([[0.0], rng.random(d - 1) + 0.1]))
+    rows["kernel"] = rho, sigma / np.trace(sigma[live[0]]).real
+    # exactly diagonal where rho lives, so the breakpoints are exact zeros
+    rho, sigma = (np.zeros((k, d, d), dtype=complex) for _ in range(2))
+    rho[live[0], 0, 0] = target - 1e-10
+    sigma[live[0]] = np.diag(np.concatenate([[0.0], rng.random(d - 1) + 0.1]))
+    for slot in live[1:]:
+        sigma[slot] = rand_density(rng, d)
+    rows["no-breakpoint"] = rho, sigma / np.trace(sigma, axis1=-2, axis2=-1).real.sum()
+    return rows
+
+
+@settings(max_examples=40)
+@given(
+    k=st.integers(3, 4),
+    d=st.integers(2, 3),
+    kinds=st.permutations(list(CERTIFIED)),
+    eps=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certified_bracket_start_keeps_every_bit(k, d, kinds, eps, seed):
+    """``_dh_betas`` gives the same bytes when certified rows skip their first probe as when every row probes.
+
+    One stack mixes rows on both sides of the certificate (see
+    :func:`_certificate_rows`); each lands on the side its kind names.  The
+    probed solve overrides the decision row by row, so it does not depend
+    on how the certificate decides.
+    """
+    rows = _certificate_rows(np.random.default_rng(seed), k, d, eps)
+    a, b = (np.stack(side) for side in zip(*(rows[kind] for kind in kinds)))
+    real, starts = entropic._threshold_search, []
+
+    def spy(target, eps, breaks, f_lo, sig_norm, certified):
+        starts.append((len(breaks), certified))
+        return real(target, eps, breaks, f_lo, sig_norm, certified and not probe_all)
+
+    with mock.patch.object(entropic, "_threshold_search", spy):
+        probe_all = False
+        betas = _dh_betas(a, b, eps)
+        assert [certified for _, certified in starts] == [CERTIFIED[kind] for kind in kinds]
+        assert starts[kinds.index("no-breakpoint")][0] == 0
+        probe_all = True
+        probed = _dh_betas(a, b, eps)
+    assert betas.tobytes() == probed.tobytes()
+    assert betas[kinds.index("no-breakpoint")] == 0.0
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
+def test_certified_rows_fail_with_the_probed_search_text(monkeypatch, max_iter):
+    """With ``_MAX_ITER`` low, a certified row's error is the probed search's: same text, same row.
+
+    A certified row is one probe ahead of a row that probes; beside one that
+    fails after as many probes, the lower row is still the one named.
+    """
+    rows = _certificate_rows(np.random.default_rng(3), 4, 3, 0.25)
+    monkeypatch.setattr(entropic, "_MAX_ITER", max_iter)
+    for kinds in (["dense"], ["kernel", "dense"], ["dense", "kernel"]):
+        a, b = (np.stack(side) for side in zip(*(rows[kind] for kind in kinds)))
+        certified = _solve(_dh_betas, a, b, 0.25)
+        with mock.patch.object(entropic, "BRACKET_MARGIN", math.inf):
+            probed = _solve(_dh_betas, a, b, 0.25)
+        assert isinstance(certified, ConvergenceError) and isinstance(probed, ConvergenceError), kinds
+        assert (str(certified), certified.row) == (str(probed), probed.row), kinds
+        if kinds[certified.row] == "dense":
+            assert str(certified).startswith(f"no convergence after {max_iter} iterations"), str(certified)
 
 
 def test_detection_never_splits_a_nonzero_entry():

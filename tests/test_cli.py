@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oneshot_secrecy import cli
+from oneshot_secrecy import cli, entropic
 from oneshot_secrecy.channel import bundled_path, channel_to_document, load_channel
 from oneshot_secrecy.entropic import ConvergenceError
 
@@ -247,6 +247,21 @@ def test_non_commuting_scan_error_names_the_term(tmp_path, capsys, command, wher
     assert code == 1
     assert capsys.readouterr().err == (
         f"error: D_max(X10 : Z): inputs do not commute; diagonal-scan smoothing unavailable{where}\n")
+
+
+@pytest.mark.parametrize("grouping, given, where", [("X10:Z", "", ""), ("X10:Z|X11", " | X11", " (X11=0)")])
+@pytest.mark.parametrize("smoothing, max_iter, term, failure", [
+    ("diagonal-scan", 200, "D_max", "inputs do not commute; diagonal-scan smoothing unavailable"),
+    ("none", 1, "D_H", "no convergence after 1 iterations (t in [0, 2.47095], eps=0.25); degenerate spectrum suspected"),
+])
+def test_quantities_errors_name_the_term(monkeypatch, capsys, grouping, given, where, smoothing, max_iter, term,
+                                         failure):
+    """A plain grouping's failing term is named as a conditional grouping's is; the exit code stays 1."""
+    monkeypatch.setattr(entropic, "_MAX_ITER", max_iter)
+    code = cli.main(["quantities", "--channel", NC, "--dist", NCDIST, "--grouping", grouping, "--eps", "0.25",
+                     "--smoothing", smoothing])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {term}(X10 : Z{given}): {failure}{where}\n"
 
 
 @pytest.mark.parametrize("rays", ["0", "-3"])

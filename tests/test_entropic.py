@@ -560,7 +560,7 @@ def test_divergences_meet_their_dual_certificates(k, d, data, kernel_weight, eps
 
 @pytest.mark.parametrize("seed", range(6))
 def test_commuting_blocks_end_at_a_breakpoint(monkeypatch, seed):
-    """Rotated diagonal blocks need one bracket probe plus a binary search of the breakpoints."""
+    """Rotated diagonal blocks need at most one bracket probe plus a binary search of the breakpoints."""
     rng = np.random.default_rng(seed)
     k, d = 3, 4
     n = k * d
