@@ -211,17 +211,13 @@ def classical_np_oracle(
 # ---------------------------------------------------------------------------
 
 
-def _is_diagonal(m: np.ndarray) -> bool:
-    """No nonzero entry off the diagonal of a matrix (exactly; no tolerance)."""
-    return np.count_nonzero(m) == np.count_nonzero(m.diagonal())
-
-
 def _block_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both operators as ``(K, d, d)`` stacks of their finest common blocks.
 
     The blocks are the finest equal, contiguous partition of the diagonal
     that no nonzero entry of either operator crosses (exact, no tolerance),
     so ``K == 1`` is the dense case and ``d == 1`` an exactly diagonal pair.
+    The public 2-D divergences solve a pair as the one row of this stack.
     """
     nonzero = np.logical_or(a, b)
     # exactly diagonal pairs (every classical one) need no scan
@@ -592,6 +588,22 @@ def _dh_betas(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
     return betas
 
 
+def _check_term(kind: str, eps: float, strategy: str) -> None:
+    """The settings gate of a divergence value: eps in (0, 1), and a known smoothing for ``"max"``."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if kind != "ht" and strategy not in SMOOTHING_STRATEGIES:
+        raise ValueError(f"unknown smoothing strategy {strategy!r}")
+
+
+def _dense_row(kind: str, rho, sigma, eps: float, strategy: str = "none") -> tuple[np.ndarray, np.ndarray]:
+    """A checked dense pair as the ``(1, K, d, d)`` stacks of its finest common blocks (:func:`_block_stack`)."""
+    a, b = _checked_pair(rho, sigma)
+    _check_term(kind, eps, strategy)
+    a, b = _block_stack(a, b)
+    return a[None], b[None]
+
+
 def hypothesis_testing_beta(rho, sigma, eps: float) -> float:
     """Minimal type-II error beta*(eps) over tests 0 <= L <= I with Tr(L rho) >= 1-eps.
 
@@ -600,18 +612,12 @@ def hypothesis_testing_beta(rho, sigma, eps: float) -> float:
     Neyman-Pearson construction when the blocks are 1x1, by a threshold-test
     search (:func:`_threshold_betas`) otherwise.
     """
-    a, b = _checked_pair(rho, sigma)
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    a, b = _block_stack(a, b)
-    return float(_dh_betas(a[None], b[None], eps)[0])
+    return float(_dh_betas(*_dense_row("ht", rho, sigma, eps), eps)[0])
 
 
 def hypothesis_testing_divergence(rho, sigma, eps: float) -> float:
-    beta = hypothesis_testing_beta(rho, sigma, eps)
-    if beta <= 0.0:
-        return math.inf
-    return float(-math.log2(beta))
+    """-log2 of :func:`hypothesis_testing_beta`, as the one row of :func:`_pair_values`; ``+inf`` when beta is 0."""
+    return float(_pair_values("ht", *_dense_row("ht", rho, sigma, eps), eps, "none")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -663,27 +669,25 @@ def max_relative_entropy(rho, sigma) -> float:
 def _codiagonalize(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Common eigenbasis values (p, q) for commuting Hermitian rho, sigma.
 
-    Exactly diagonal pairs are read off their diagonals.
+    The stack route reads exactly diagonal pairs off their diagonals
+    instead (:func:`_scanned`).
     """
-    if _is_diagonal(rho) and _is_diagonal(sigma):
-        p, q = rho.diagonal().real.copy(), sigma.diagonal().real.copy()
-    else:
-        comm = rho @ sigma - sigma @ rho
-        if float(np.max(np.abs(comm))) > COMMUTE_TOL:
-            raise CommutationError("inputs do not commute; diagonal-scan smoothing unavailable")
-        ws, vs = np.linalg.eigh(sigma)
-        r = vs.conj().T @ rho @ vs
-        d = len(ws)
-        p = np.zeros(d)
-        q = ws.copy()
-        start = 0
-        while start < d:
-            stop = start + 1
-            while stop < d and ws[stop] - ws[stop - 1] <= DEGEN_TOL * (1.0 + abs(ws[stop])):
-                stop += 1
-            block = r[start:stop, start:stop]
-            p[start:stop] = np.linalg.eigvalsh((block + block.conj().T) / 2.0)
-            start = stop
+    comm = rho @ sigma - sigma @ rho
+    if float(np.max(np.abs(comm))) > COMMUTE_TOL:
+        raise CommutationError("inputs do not commute; diagonal-scan smoothing unavailable")
+    ws, vs = np.linalg.eigh(sigma)
+    r = vs.conj().T @ rho @ vs
+    d = len(ws)
+    p = np.zeros(d)
+    q = ws.copy()
+    start = 0
+    while start < d:
+        stop = start + 1
+        while stop < d and ws[stop] - ws[stop - 1] <= DEGEN_TOL * (1.0 + abs(ws[stop])):
+            stop += 1
+        block = r[start:stop, start:stop]
+        p[start:stop] = np.linalg.eigvalsh((block + block.conj().T) / 2.0)
+        start = stop
     p[np.abs(p) <= EIG_CLAMP] = 0.0
     q[np.abs(q) <= EIG_CLAMP] = 0.0
     return p, q
@@ -797,6 +801,23 @@ def _scanned(joint: np.ndarray, product: np.ndarray, eps: float) -> np.ndarray:
     return _diagonal_scan(p, q, eps)
 
 
+def _pair_values(kind: str, joint: np.ndarray, product: np.ndarray, eps: float, strategy: str) -> np.ndarray:
+    """The divergence value of every row of two ``(R, K, d, d)`` block stacks, in bits.
+
+    ``"ht"`` is ``-log2`` of :func:`_dh_betas` (``+inf`` where beta is 0);
+    ``"max"`` is :func:`_dmax_values`, and with ``diagonal-scan`` smoothing
+    the smaller of it and :func:`_scanned`, the scan's on a tie.
+    """
+    if kind == "ht":
+        betas = _dh_betas(joint, product, eps).tolist()
+        return np.array([math.inf if beta <= 0.0 else -math.log2(beta) for beta in betas])
+    values = _dmax_values(joint, product)
+    if strategy == "none":
+        return values
+    scanned = _scanned(joint, product, eps)
+    return np.where(values < scanned, values, scanned)
+
+
 def smooth_max_relative_entropy(rho, sigma, eps: float, strategy: str = "none") -> float:
     """Upper bound on the eps-smoothed max-relative entropy.
 
@@ -807,16 +828,9 @@ def smooth_max_relative_entropy(rho, sigma, eps: float, strategy: str = "none") 
     binary searches per pair on the grid's indices, one for the end of the
     purified-distance ball and one for where the two shifted ratios cross,
     give the value a try of every grid point would (:func:`_diagonal_scan`).
+    The pair is the one row of :func:`_pair_values`.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if strategy not in SMOOTHING_STRATEGIES:
-        raise ValueError(f"unknown smoothing strategy {strategy!r}")
-    if strategy == "none":
-        return max_relative_entropy(rho, sigma)
-    a, b = _checked_pair(rho, sigma)
-    p, q = _codiagonalize(a, b)
-    return min(float(_diagonal_scan(p[None], q[None], eps)[0]), max_relative_entropy(a, b))
+    return float(_pair_values("max", *_dense_row("max", rho, sigma, eps, strategy), eps, strategy)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -870,9 +884,6 @@ def _cond_support(conds: CQConditionals, probs, part_a, part_b, cond):
     if cond in part_a + part_b:
         raise OperatorError(f"conditioning register {cond!r} also appears in a part")
     ax = conds.axis(cond)
-    size = conds.alphabet_sizes[ax]
-    if size > 20:
-        raise OperatorError(f"conditioning alphabet of size {size} exceeds the brute-force bound 20")
     others = tuple(1 + i for i in range(len(conds.classical_names)) if i != ax)
     pz = probs.sum(axis=others) if others else probs
     points, zs = np.nonzero(pz > COND_SUPPORT_TOL)
@@ -922,20 +933,15 @@ class _GridTerm:
 def _grid_term(conds: CQConditionals, probs, kind, part_a, part_b, cond, eps, strategy) -> _GridTerm:
     part_a, part_b = _parts(part_a), _parts(part_b)
     rows = len(probs) if cond is None else len(_cond_support(conds, probs, part_a, part_b, cond)[0])
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if kind != "ht" and strategy not in SMOOTHING_STRATEGIES:
-        raise ValueError(f"unknown smoothing strategy {strategy!r}")
+    _check_term(kind, eps, strategy)
     return _GridTerm(kind, part_a, part_b, cond, eps, rows, pair_shape(conds, part_a, part_b))
 
 
 def _solve_terms(conds: CQConditionals, probs, terms: Sequence[_GridTerm], strategy: str) -> list[np.ndarray]:
     """Terms of one kind, eps and block shape: their pairs' rows in one stack solve, split back per term.
 
-    The stacks go to :func:`_dh_betas` or :func:`_dmax_values` as they are,
-    and the diagonal-scan smoothing scans every row in one call
-    (:func:`_scanned`).  A conditional term then takes the max-min over its
-    rows.
+    The stacks go to :func:`_pair_values` as they are.  A conditional term
+    then takes the max-min over its rows.
     """
     pairs, supports = [], []
     for term in terms:
@@ -950,16 +956,8 @@ def _solve_terms(conds: CQConditionals, probs, terms: Sequence[_GridTerm], strat
         pairs.append((joint, product))
     joint, product = pairs[0] if len(pairs) == 1 else (np.concatenate(side) for side in zip(*pairs))
     del pairs, rows
-    kind, eps = terms[0].kind, terms[0].eps
-    if kind == "ht":
-        betas = _dh_betas(joint, product, eps).tolist()
-        values = np.array([math.inf if beta <= 0.0 else -math.log2(beta) for beta in betas])
-    else:
-        values = _dmax_values(joint, product)
-        if strategy != "none":
-            scanned = _scanned(joint, product, eps)
-            # the smaller of the two, the scan's on a tie
-            values = np.where(values < scanned, values, scanned)
+    eps = terms[0].eps
+    values = _pair_values(terms[0].kind, joint, product, eps, strategy)
     out = []
     supports = iter(supports)
     for term, part in zip(terms, np.split(values, np.cumsum([term.rows for term in terms])[:-1])):
@@ -992,10 +990,10 @@ def grid_values(
     conditional max-min form, one row per point and supported value of
     ``cond``.  Every row's pair is built in one contraction (see
     :func:`block_pairs`), and all rows are solved together by one stack
-    solver (:func:`_dh_betas` or :func:`_dmax_values`).  A
-    ``ConvergenceError`` or ``CommutationError`` names the term and the
-    failing row's value of ``cond``; given ``first``, the index of the grid's
-    first point in a larger grid, it names the failing point as well.
+    solve (:func:`_pair_values`).  A ``ConvergenceError`` or
+    ``CommutationError`` names the term and the failing row's value of
+    ``cond``; given ``first``, the index of the grid's first point in a
+    larger grid, it names the failing point as well.
     """
     term = _grid_term(conds, probs, kind, part_a, part_b, cond, eps, strategy)
     try:

@@ -38,11 +38,8 @@ from .secrecy import randomizer_plan, secrecy_check  # noqa: F401
 # bytes of the (points, *alphabets, d, d) complex stack of conditionals a sweep
 # chunk weighs at once; its block builder holds no larger array, or |Q| times it for
 # a conditional term (a row per point and value of Q), so memory does not grow with the grid.
-# A term's joint stack is never larger than the conditionals stack, and the stack
-# solvers work in up to 18 times the joint stack for D_H and 7 times for D_max when
-# every block is live, less when zero-mass values leave blocks dead (tracemalloc peaks
-# on 128-point chunks with blocks of size 2 and 4).  Terms of one block shape share a
-# stack solve up to entropic._BATCH_BYTES (64 KiB) of joint stack.
+# A term's joint stack is never larger than the conditionals stack; what the stack
+# solvers hold beside it is stated at entropic._BATCH_BYTES.
 _CHUNK_BYTES = 1 << 21
 
 PENALTY_MODES = ("paper", "off")
@@ -120,40 +117,24 @@ def _rate_name(register: str) -> str:
     return "R" + register[1:] if register.startswith("X") else "R_" + register
 
 
-class _MICalculator:
-    """Memoizing evaluator of the information terms of a grid of control states.
+def _term_eps(kind: str, params: ToleranceParams) -> float:
+    """The eps a term takes: ``eps`` for a ``D_H`` term, the smoothing width ``eta`` for a ``D_max`` one."""
+    return params.eps if kind == "ht" else params.eta
 
-    The states share ``conds`` and differ in ``probs``, a ``(G, *alphabets)``
-    stack.  The first request for a term evaluates it at every point at once
-    and keeps the ``G`` values; :meth:`solve` asks for many terms in one
-    :func:`entropic.grid_terms` call, which solves the rows of terms of one
-    block shape together, ``entropic._BATCH_BYTES`` of joint stack at a time.
-    A sweep's chunk passes ``first``, the index of its first point in the
-    sweep's grid, so a ``ConvergenceError`` names the failing point.
+
+def _solve(conds: CQConditionals, probs: np.ndarray, params: ToleranceParams, smoothing: str,
+           terms: Sequence[tuple], first: int | None = None) -> dict:
+    """Each distinct ``(kind, part_a, part_b, cond)`` term's values at every point of a grid, in one call.
+
+    The grid is ``conds`` with the ``(G, *alphabets)`` stack ``probs``.  The
+    terms go to one :func:`entropic.grid_terms` call in their order, which
+    solves the rows of terms of one block shape together.  A sweep's chunk
+    passes ``first``, the index of its first point in the sweep's grid, so a
+    ``ConvergenceError`` names the failing point.
     """
-
-    def __init__(self, conds: CQConditionals, probs: np.ndarray, params: ToleranceParams, smoothing: str,
-                 first: int | None = None):
-        self.conds = conds
-        self.probs = probs
-        self.params = params
-        self.smoothing = smoothing
-        self.first = first
-        self._memo: dict = {}
-
-    def solve(self, terms: Sequence[tuple]) -> None:
-        """Evaluate every ``(kind, part_a, part_b, cond)`` term not yet kept, all in one call."""
-        todo = [term for term in dict.fromkeys(terms) if term not in self._memo]
-        if todo:
-            eps = {"ht": self.params.eps, "max": self.params.eta}
-            values = grid_terms(self.conds, self.probs, [(*term, eps[term[0]]) for term in todo], self.smoothing,
-                                self.first)
-            self._memo.update(zip(todo, values))
-
-    def values(self, kind: str, part_a: Sequence[str], part_b: Sequence[str], cond: str | None) -> np.ndarray:
-        key = (kind, tuple(part_a), tuple(part_b), cond)
-        self.solve([key])
-        return self._memo[key]
+    terms = list(dict.fromkeys(terms))
+    values = grid_terms(conds, probs, [(*term, _term_eps(term[0], params)) for term in terms], smoothing, first)
+    return dict(zip(terms, values))
 
 
 def _weighted(tokens: str) -> tuple[tuple[int, str], ...]:
@@ -218,15 +199,15 @@ def _compile(parts: Sequence[tuple], variables: Sequence[str], cond: str | None 
     return _Table(tuple(variables), tuple(tags), tuple(terms), tuple(rows), tuple(counts), np.array(coeffs))
 
 
-def _bounds(table: _Table, calc: _MICalculator, penalty: Callable[[int, int], float]):
-    """Row bounds ``(G, rows)`` of ``calc``'s grid, each row's picked receiver and first terms.
+def _bounds(table: _Table, solved: Mapping[tuple, np.ndarray], penalty: Callable[[int, int], float]):
+    """Row bounds ``(G, rows)`` of a grid, each row's picked receiver and first terms.
 
-    Only the table's terms are asked for, all at once.  A bound is summed
-    ``0 + c1·v1 + c2·v2 + … + penalty``, the order of one row alone, so it
-    keeps its bits; a row's receiver is the ``argmin`` of its first terms.
+    ``solved`` holds the grid's values of (at least) the table's terms
+    (:func:`_solve`).  A bound is summed ``0 + c1·v1 + c2·v2 + … + penalty``,
+    the order of one row alone, so it keeps its bits; a row's receiver is the
+    ``argmin`` of its first terms.
     """
-    calc.solve(table.terms)
-    values = [calc.values(*t) for t in table.terms]
+    values = [solved[t] for t in table.terms]
     firsts = np.array([[values[terms[0][0]] for terms in bound] for bound in table.rows]).transpose(2, 0, 1)
     picks = firsts.argmin(axis=2)
     bounds = np.zeros(picks.shape)
@@ -243,29 +224,28 @@ def _bounds(table: _Table, calc: _MICalculator, penalty: Callable[[int, int], fl
 
 
 def _region(table: _Table, penalty: Callable[[int, int], float], state: CQState, params: ToleranceParams,
-            smoothing: str = "none", metadata: Sequence[tuple] = ()) -> tuple[RatePolytope, _MICalculator]:
-    """``state``'s region, as the one point of its own grid, and the calculator whose memo the metadata reads.
+            smoothing: str = "none", metadata: Sequence[tuple] = ()) -> tuple[RatePolytope, dict]:
+    """``state``'s region, as the one point of its own grid, and each solved term's value there.
 
     The table's terms and then the ``metadata`` terms, which only the
     report reads, are solved in one call.  Each row carries its picked
     receiver's terms and, with a choice of receivers, every receiver's first
     term as its ``alternatives``.
     """
-    calc = _MICalculator(state.conds, state.probs[None], params, smoothing)
-    calc.solve(table.terms + tuple(metadata))
-    bounds, picks, firsts = _bounds(table, calc, penalty)
+    solved = _solve(state.conds, state.probs[None], params, smoothing, table.terms + tuple(metadata))
+    bounds, picks, firsts = _bounds(table, solved, penalty)
+    values = {term: float(at[0]) for term, at in solved.items()}
     rows = []
     for r, (tag, bound, coeffs) in enumerate(zip(table.tags, table.rows, table.coeffs.tolist())):
         terms = []
         for t, coefficient in bound[picks[0, r]]:
             kind, part_a, part_b, cond = table.terms[t]
-            eps, term_smoothing = (params.eps, None) if kind == "ht" else (params.eta, smoothing)
-            terms.append(MITerm(kind, part_a, part_b, cond, coefficient, float(calc.values(*table.terms[t])[0]), eps,
-                                term_smoothing))
+            terms.append(MITerm(kind, part_a, part_b, cond, coefficient, values[table.terms[t]],
+                                _term_eps(kind, params), None if kind == "ht" else smoothing))
         alternatives = tuple(firsts[0, r].tolist()) if len(bound) > 1 else ()
         rows.append(PolyRow(tuple(coeffs), float(bounds[0, r]), tag, tuple(terms), penalty(*table.counts[r]),
                             alternatives))
-    return RatePolytope(table.variables, rows), calc
+    return RatePolytope(table.variables, rows), values
 
 
 # Time-shared rows: senders a then b (b's randomizer conditions on a) with
@@ -320,6 +300,11 @@ _BOTH_RECEIVERS = dict(_SPLIT_ROLES, y="Y1", Y="Y2")
 # report's leakage to Z and the randomizer plan's terms
 _SECRECY_TERMS = tuple(("max", part_a, ("Z",), None) for part_a in _SECRECY_PARTS)
 _PLAN_TERMS = tuple(("max", part_a, part_b, None) for _, part_a, part_b, _ in _PLAN_GROUPINGS)
+
+
+def _imax(solved: Mapping[tuple, float]) -> Callable:
+    """The unconditional ``D_max`` terms of a region's solved terms as ``imax(part_a, part_b)``."""
+    return lambda part_a, part_b: solved["max", tuple(part_a), tuple(part_b), None]
 
 
 def _hk_penalties(params: ToleranceParams, penalties: PenaltyMode) -> Callable[[int, int], float]:
@@ -428,9 +413,9 @@ def theorem1_region(
     """
     table, penalty = _THEOREMS["t1"]
     criterion = ("max", ("X1", "X2"), ("Z",), "Q")
-    poly, calc = _region(table, penalty(params, penalties, delta_source), control_state_t1(channel, dist),
-                         params, smoothing, (criterion,))
-    full = float(calc.values(*criterion)[0])
+    poly, solved = _region(table, penalty(params, penalties, delta_source), control_state_t1(channel, dist),
+                           params, smoothing, (criterion,))
+    full = solved[criterion]
     poly.meta.update(theorem="t1", penalties=penalties.mode, secrecy={
         "criterion": "Imax_eta(X1X2:Z|Q)", "value": full, "threshold": params.theta,
         "pass": within_threshold(full, params.theta)})
@@ -460,10 +445,9 @@ def conjecture_region(
 ) -> RatePolytope:
     """Split-message secrecy region (nine rows), plus the side-condition report."""
     table, penalty = _THEOREMS["conjecture"]
-    poly, calc = _region(table, penalty(params, penalties), control_state_hk(channel, dist), params, smoothing,
-                         _SECRECY_TERMS)
-    report = _secrecy_check(params, (math.inf, math.inf, math.inf), smoothing,
-                            lambda a, b: float(calc.values("max", a, b, None)[0]))
+    poly, solved = _region(table, penalty(params, penalties), control_state_hk(channel, dist), params, smoothing,
+                           _SECRECY_TERMS)
+    report = _secrecy_check(params, (math.inf, math.inf, math.inf), smoothing, _imax(solved))
     poly.meta.update(theorem="conjecture", penalties=penalties.mode, secrecy=report.as_dict())
     return poly
 
@@ -480,11 +464,10 @@ def theorem2_region(
     Sub-channel 2 is the 1<->2 mirror of sub-channel 1.
     """
     table, penalty = _THEOREMS["t2"]
-    poly, calc = _region(table, penalty(params, penalties), control_state_hk(channel, dist), params, smoothing,
-                         _SECRECY_TERMS + _PLAN_TERMS)
-    imax = lambda a, b: float(calc.values("max", a, b, None)[0])  # noqa: E731
-    report = _secrecy_check(params, (math.inf, math.inf, math.inf), smoothing, imax)
-    plan = _randomizer_plan(params, smoothing, imax)
+    poly, solved = _region(table, penalty(params, penalties), control_state_hk(channel, dist), params, smoothing,
+                           _SECRECY_TERMS + _PLAN_TERMS)
+    report = _secrecy_check(params, (math.inf, math.inf, math.inf), smoothing, _imax(solved))
+    plan = _randomizer_plan(params, smoothing, _imax(solved))
     poly.meta.update(theorem="t2", penalties=penalties.mode, secrecy=report.as_dict(),
                      randomizer_plan=plan.as_dict())
     return poly
@@ -817,7 +800,7 @@ def sweep_union(
         else:
             probs = _hk_probs(*vectors)
         conds.check(probs)
-        bounds = _bounds(table, _MICalculator(conds, probs, params, smoothing, start), penalty)[0]
+        bounds = _bounds(table, _solve(conds, probs, params, smoothing, table.terms, start), penalty)[0]
         undefined = np.argwhere(np.isnan(bounds))
         if undefined.size:
             # an undefined bound (a D_H of +inf less a D_max of +inf) has no radius to merge

@@ -86,7 +86,7 @@ def randomizer_plan(
 
 
 def _randomizer_plan(params: ToleranceParams, smoothing: str, imax: Callable) -> RandomizerPlan:
-    """:func:`randomizer_plan` over ``imax(part_a, part_b)``, such as a region's memoized terms."""
+    """:func:`randomizer_plan` over ``imax(part_a, part_b)``, such as a region's solved terms."""
     base = math.log2(3.0 / params.eps_prime**3) - 0.25 * math.log2(params.delta_prime)
     values, sizes = {}, {}
     for label, part_a, part_b, extra in _PLAN_GROUPINGS:
@@ -175,7 +175,7 @@ def secrecy_check(
 def _secrecy_check(
     params: ToleranceParams, thresholds: Sequence[float], smoothing: str, imax: Callable
 ) -> SecrecyReport:
-    """:func:`secrecy_check` over ``imax(part_a, part_b)``, such as a region's memoized terms."""
+    """:func:`secrecy_check` over ``imax(part_a, part_b)``, such as a region's solved terms."""
     if len(thresholds) != 3:
         raise ValueError("exactly three sub-grouping thresholds are required")
     sub1, sub2, full = _SECRECY_PARTS

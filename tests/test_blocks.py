@@ -516,6 +516,29 @@ def test_grid_conditional_terms_match_each_point_alone(sizes, qdim, points, data
         grid_values("ht", conds, probs, [a, cond], [b], cond, 0.25)
 
 
+def test_conditioning_alphabet_above_twenty():
+    """A conditioning alphabet of 21 values, once rejected as past a brute-force bound of 20.
+
+    Each point's conditional ``D_H`` and ``D_max`` equal the per-value
+    max-min oracle (``util.max_min``) over the separately conditioned
+    states, bit for bit.  The second point has zero-mass values of ``C0``,
+    and eps 0.5 lets ``D_max``'s max-min drop several values.
+    """
+    states = _random_grid(np.random.default_rng(21), (21, 2), (2,), 2)
+    conds, probs = _grid(states)
+    assert (probs[1].sum(axis=1) <= COND_SUPPORT_TOL).any()
+    for kind, eps in (("ht", 0.25), ("max", 0.5)):
+        values = grid_values(kind, conds, probs, ["C1"], ["Q0"], "C0", eps)
+        one_point = cond_smooth_ht_mi if kind == "ht" else cond_smooth_max_mi
+        each = ht_mutual_info if kind == "ht" else smooth_max_mutual_info
+        for g, state in enumerate(states):
+            pz = state.probs.sum(axis=1)
+            support = np.flatnonzero(pz > COND_SUPPORT_TOL)
+            given = [condition_state(state, "C0", int(z)) for z in support]
+            expected = max_min(pz[support], np.array([each(s, ["C1"], ["Q0"], eps) for s in given]), eps)
+            assert values[g] == one_point(state, ["C1"], ["Q0"], "C0", eps) == expected
+
+
 SMALL_SPLIT = Path(__file__).parent / "data" / "nc_small_split.json"
 
 

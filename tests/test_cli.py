@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from oneshot_secrecy import cli, entropic
-from oneshot_secrecy.channel import bundled_path, channel_to_document, load_channel
+from oneshot_secrecy.channel import bundled_path, channel_to_document, control_state_hk, load_channel, load_distribution
 from oneshot_secrecy.entropic import ConvergenceError
+from oneshot_secrecy.states import joint_and_product
 
 CHAN = str(bundled_path("diag_deterministic.json"))
 DIST = str(bundled_path("uniform_t1.json"))
@@ -262,6 +263,36 @@ def test_quantities_errors_name_the_term(monkeypatch, capsys, grouping, given, w
                      "--smoothing", smoothing])
     assert code == 1
     assert capsys.readouterr().err == f"error: {term}(X10 : Z{given}): {failure}{where}\n"
+
+
+def test_quantities_hands_each_plain_grouping_to_the_dense_d_h(monkeypatch, capsys):
+    """``quantities`` calls ``cli.hypothesis_testing_divergence``, looked up on the module, with each plain
+    grouping's dense pair and eps as positional arguments.
+
+    The benchmark's traced run wraps that attribute and checks each recorded
+    ``(rho, sigma, eps)`` against the classical Neyman-Pearson oracle; a
+    route that stops calling it leaves that check nothing to check.
+    """
+    calls = []
+    solve = cli.hypothesis_testing_divergence
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "hypothesis_testing_divergence", recording)
+    groupings = [(["X10", "X11"], ["Y1"]), (["X20"], ["Z", "X10"])]
+    argv = ["quantities", "--channel", XOR, "--dist", HKDIST, "--eps", "0.25", "--grouping", "X10:Y1|X11"]
+    for part_a, part_b in groupings:
+        argv += ["--grouping", f"{','.join(part_a)}:{','.join(part_b)}"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    state = control_state_hk(load_channel(XOR), load_distribution(HKDIST))
+    assert len(calls) == len(groupings)
+    for (args, kwargs), (part_a, part_b) in zip(calls, groupings):
+        joint, product = joint_and_product(state, part_a, part_b)
+        assert kwargs == {} and len(args) == 3
+        assert np.array_equal(args[0], joint) and np.array_equal(args[1], product) and args[2] == 0.25
 
 
 @pytest.mark.parametrize("rays", ["0", "-3"])

@@ -3,7 +3,6 @@ import math
 import runpy
 from functools import partial
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +34,7 @@ from oneshot_secrecy.entropic import (
     von_neumann_entropy,
 )
 from oneshot_secrecy.operators import (
+    DEGEN_TOL,
     EIG_CLAMP,
     KEPT_MASS_SLACK,
     OperatorError,
@@ -708,20 +708,74 @@ def test_scanned_stack_matches_each_dense_pair(rows, data, eps):
     assert entropic._scanned(joint, product, eps).tobytes() == np.array(alone).tobytes()
 
 
+def _turned_blocks(angles, v):
+    """Dense block-diagonal matrix whose block k is ``diag(v[2k], v[2k + 1])`` turned by ``angles[k]``."""
+    out = np.zeros((len(v), len(v)), dtype=complex)
+    for k, a in enumerate(angles):
+        turn = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+        out[2 * k:2 * k + 2, 2 * k:2 * k + 2] = turn @ np.diag(v[2 * k:2 * k + 2]) @ turn.T
+    return out
+
+
+@settings(max_examples=60)
+@given(k=st.integers(2, 4), data=st.data(), eps=EPS_WIDE)
+def test_public_route_on_turned_commuting_blocks(k, data, eps):
+    """A dense pair of K > 1 commuting, turned 2x2 blocks is the one row of its block stack.
+
+    The public smoothing equals the dense oracle, the smaller of ``D_max`` and
+    the scan of the pair's common eigenbasis, bit for bit, and ``D_H`` is
+    ``-log2`` of beta.  Every pair has ties built in: sigma's first block is
+    a multiple of the identity (one eigenvalue twice) and rho's second block
+    a multiple of sigma's (equal ratios).  Rho's first block is never a
+    multiple of the identity, so that block is not diagonal; turning sigma's
+    first block apart from rho's makes the pair non-commuting, and the public
+    smoothing then raises the dense oracle's ``CommutationError`` text.
+    """
+    angles = data.draw(st.lists(st.floats(0.1, 1.5), min_size=k, max_size=k))
+    p, q = scan_vector(data, 2 * k), scan_vector(data, 2 * k)
+    p[0] = p[1] + 0.1
+    q[0] = q[1] = max(q[0], q[1], 0.05)
+    if q[2] + q[3] > 0.0:
+        p[2:4] = q[2:4] * ((p[2] + p[3]) / (q[2] + q[3]))
+    p, q = p / p.sum(), q / q.sum()
+    rho, sigma = _turned_blocks(angles, p), _turned_blocks(angles, q)
+    assert entropic._block_stack(rho, sigma)[0].shape == (k, 2, 2)
+    dense = min(_diagonal_scan(*(x[None] for x in entropic._codiagonalize(rho, sigma)), eps)[0],
+                max_relative_entropy(rho, sigma))
+    assert smooth_max_relative_entropy(rho, sigma, eps, "diagonal-scan") == dense
+    assert smooth_max_relative_entropy(rho, sigma, eps) == max_relative_entropy(rho, sigma)
+    beta = hypothesis_testing_beta(rho, sigma, eps)
+    assert hypothesis_testing_divergence(rho, sigma, eps) == (math.inf if beta <= 0.0 else -math.log2(beta))
+    apart = sigma.copy()
+    apart[:2, :2] = _turned_blocks([angles[0] + 0.5], np.array([0.3, 0.7]) * (q[0] + q[1]))
+    with pytest.raises(entropic.CommutationError) as oracle:
+        entropic._codiagonalize(rho, apart)
+    with pytest.raises(entropic.CommutationError) as public:
+        smooth_max_relative_entropy(rho, apart, eps, "diagonal-scan")
+    assert str(public.value) == str(oracle.value)
+
+
 @given(d=st.integers(1, 6), data=st.data(), eps=st.floats(0.01, 0.5))
 def test_diagonal_smoothing_matches_eigenbasis_path(d, data, eps):
-    """Reading a diagonal pair off its diagonals gives the eigenbasis path's value.
+    """Reading a diagonal pair off the stack gives the eigenbasis path's value.
 
-    ``eigh`` is exact on diagonal input, so the two must agree exactly.
+    The public smoothing reads a diagonal pair's atoms off its one-row block
+    stack; the eigenbasis path scans :func:`_codiagonalize`'s values and
+    takes the smaller of that and ``D_max``.  ``eigh`` is exact on diagonal
+    input, so the two must agree exactly.  Two unequal sigma atoms within
+    ``DEGEN_TOL`` of each other are one eigenspace to the eigenbasis path,
+    which pairs rho's atoms with them in sorted order: such draws (say 0.01
+    and its next float) can differ in the last bit and are skipped.
     """
     p = np.array(data.draw(st.lists(P_ATOMS, min_size=d, max_size=d)))
     q = np.array(data.draw(st.lists(Q_ATOMS, min_size=d, max_size=d)))
+    atoms = q[q > EIG_CLAMP].tolist()
+    assume(not any(0.0 < abs(x - y) <= DEGEN_TOL * (1.0 + max(x, y)) for x in atoms for y in atoms))
     p[0] += 0.05
     rho, sigma = np.diag(p / p.sum()).astype(complex), np.diag(q).astype(complex)
     fast = smooth_max_relative_entropy(rho, sigma, eps, "diagonal-scan")
-    with mock.patch.object(entropic, "_is_diagonal", lambda m: False):
-        slow = smooth_max_relative_entropy(rho, sigma, eps, "diagonal-scan")
-    assert fast == slow
+    scanned = _diagonal_scan(*(x[None] for x in entropic._codiagonalize(rho, sigma)), eps)[0]
+    assert fast == min(scanned, max_relative_entropy(rho, sigma))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
