@@ -596,11 +596,9 @@ def _check_term(kind: str, eps: float, strategy: str) -> None:
         raise ValueError(f"unknown smoothing strategy {strategy!r}")
 
 
-def _dense_row(kind: str, rho, sigma, eps: float, strategy: str = "none") -> tuple[np.ndarray, np.ndarray]:
+def _dense_row(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     """A checked dense pair as the ``(1, K, d, d)`` stacks of its finest common blocks (:func:`_block_stack`)."""
-    a, b = _checked_pair(rho, sigma)
-    _check_term(kind, eps, strategy)
-    a, b = _block_stack(a, b)
+    a, b = _block_stack(*_checked_pair(rho, sigma))
     return a[None], b[None]
 
 
@@ -612,12 +610,16 @@ def hypothesis_testing_beta(rho, sigma, eps: float) -> float:
     Neyman-Pearson construction when the blocks are 1x1, by a threshold-test
     search (:func:`_threshold_betas`) otherwise.
     """
-    return float(_dh_betas(*_dense_row("ht", rho, sigma, eps), eps)[0])
+    a, b = _dense_row(rho, sigma)
+    _check_term("ht", eps, "none")
+    return float(_dh_betas(a, b, eps)[0])
 
 
 def hypothesis_testing_divergence(rho, sigma, eps: float) -> float:
     """-log2 of :func:`hypothesis_testing_beta`, as the one row of :func:`_pair_values`; ``+inf`` when beta is 0."""
-    return float(_pair_values("ht", *_dense_row("ht", rho, sigma, eps), eps, "none")[0])
+    a, b = _dense_row(rho, sigma)
+    _check_term("ht", eps, "none")
+    return float(_pair_values("ht", a, b, eps, "none")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +664,7 @@ def max_relative_entropy(rho, sigma) -> float:
     Solved on the operators' common diagonal blocks (see :func:`_block_stack`)
     as the one row of :func:`_dmax_values`.
     """
-    a, b = _block_stack(*_checked_pair(rho, sigma))
-    return float(_dmax_values(a[None], b[None])[0])
+    return float(_dmax_values(*_dense_row(rho, sigma))[0])
 
 
 def _codiagonalize(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -686,7 +687,13 @@ def _codiagonalize(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.n
         while stop < d and ws[stop] - ws[stop - 1] <= DEGEN_TOL * (1.0 + abs(ws[stop])):
             stop += 1
         block = r[start:stop, start:stop]
-        p[start:stop] = np.linalg.eigvalsh((block + block.conj().T) / 2.0)
+        block = (block + block.conj().T) / 2.0
+        if (ws[start:stop] == ws[start]).all():
+            p[start:stop] = np.linalg.eigvalsh(block)
+        else:
+            # unequal sigma values: each rho eigenvalue takes sigma's value along its eigenvector
+            p[start:stop], u = np.linalg.eigh(block)
+            q[start:stop] = (np.abs(u) ** 2 * ws[start:stop, None]).sum(axis=0)
         start = stop
     p[np.abs(p) <= EIG_CLAMP] = 0.0
     q[np.abs(q) <= EIG_CLAMP] = 0.0
@@ -830,7 +837,9 @@ def smooth_max_relative_entropy(rho, sigma, eps: float, strategy: str = "none") 
     give the value a try of every grid point would (:func:`_diagonal_scan`).
     The pair is the one row of :func:`_pair_values`.
     """
-    return float(_pair_values("max", *_dense_row("max", rho, sigma, eps, strategy), eps, strategy)[0])
+    a, b = _dense_row(rho, sigma)
+    _check_term("max", eps, strategy)
+    return float(_pair_values("max", a, b, eps, strategy)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -890,20 +899,21 @@ def _cond_support(conds: CQConditionals, probs, part_a, part_b, cond):
     return points, zs, pz
 
 
-def _cond_rows(conds: CQConditionals, probs, part_a, part_b, cond):
-    """The rows of the conditional max-min form (:func:`_cond_support`); conditioning on ``cond`` only reweights.
+def _cond_pairs(conds: CQConditionals, probs, part_a, part_b, cond):
+    """The pairs of the conditional max-min form's rows (:func:`_cond_support`); conditioning on ``cond`` only reweights.
 
-    Each row is over the grid's own conditionals, zero off its ``z`` and
-    divided by its mass.  Returns the rows, each row's point and ``z``, and
-    the ``(G, |cond|)`` masses ``pz``.
+    Each row is a point's probabilities at its value ``z`` of ``cond``,
+    divided by their mass, over the conditionals at ``z`` (``block_pairs``'
+    ``given``), so no row holds the rest of ``cond``'s alphabet.  Returns the
+    joint and product stacks, each row's point and ``z``, and the
+    ``(G, |cond|)`` masses ``pz``.
     """
     points, zs, pz = _cond_support(conds, probs, part_a, part_b, cond)
     ax = conds.axis(cond)
     given = np.moveaxis(probs, 1 + ax, 1)[points, zs]
     mass = given.reshape(len(zs), -1).sum(axis=1).reshape((-1,) + (1,) * (given.ndim - 1))
-    rows = np.zeros((len(zs),) + probs.shape[1:])
-    np.moveaxis(rows, 1 + ax, 1)[np.arange(len(zs)), zs] = given / mass
-    return rows, points, zs, pz
+    rows = np.expand_dims(given / mass, 1 + ax)
+    return (*block_pairs(conds, rows, part_a, part_b, (ax, zs)), points, zs, pz)
 
 
 @dataclass(frozen=True)
@@ -946,16 +956,15 @@ def _solve_terms(conds: CQConditionals, probs, terms: Sequence[_GridTerm], strat
     pairs, supports = [], []
     for term in terms:
         if term.cond is None:
-            rows = probs
+            joint, product = block_pairs(conds, probs, term.part_a, term.part_b)
         else:
-            rows, *support = _cond_rows(conds, probs, term.part_a, term.part_b, term.cond)
+            joint, product, *support = _cond_pairs(conds, probs, term.part_a, term.part_b, term.cond)
             supports.append(support)
-        joint, product = block_pairs(conds, rows, term.part_a, term.part_b)
         if not (np.isfinite(joint).all() and np.isfinite(product).all()):
             raise OperatorError("non-finite entries in rho or sigma")
         pairs.append((joint, product))
     joint, product = pairs[0] if len(pairs) == 1 else (np.concatenate(side) for side in zip(*pairs))
-    del pairs, rows
+    del pairs
     eps = terms[0].eps
     values = _pair_values(terms[0].kind, joint, product, eps, strategy)
     out = []

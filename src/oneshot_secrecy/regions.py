@@ -36,8 +36,9 @@ from .entropic import cond_smooth_ht_mi, cond_smooth_max_mi, ht_mutual_info, smo
 from .secrecy import randomizer_plan, secrecy_check  # noqa: F401
 
 # bytes of the (points, *alphabets, d, d) complex stack of conditionals a sweep
-# chunk weighs at once; its block builder holds no larger array, or |Q| times it for
-# a conditional term (a row per point and value of Q), so memory does not grow with the grid.
+# chunk weighs at once; its block builder holds no larger array, a conditional term's
+# included (a row per point and value of Q, each over the conditionals at its value
+# only), so memory does not grow with the grid, nor by a factor |Q| for a conditional term.
 # A term's joint stack is never larger than the conditionals stack; what the stack
 # solvers hold beside it is stated at entropic._BATCH_BYTES.
 _CHUNK_BYTES = 1 << 21

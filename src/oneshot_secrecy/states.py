@@ -133,14 +133,18 @@ def pair_shape(conds: CQConditionals, part_a: Sequence[str], part_b: Sequence[st
 
 
 def block_pairs(
-    conds: CQConditionals, probs: np.ndarray, part_a: Sequence[str], part_b: Sequence[str]
+    conds: CQConditionals, probs: np.ndarray, part_a: Sequence[str], part_b: Sequence[str],
+    given: tuple[int, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Joint and product blocks over two register groups at every point of a grid.
 
     ``probs`` is the ``(G, *alphabet_sizes)`` stack of the grid's points.
     Returns two ``(G, K, d, d)`` stacks, one block per joint classical value
     of the two groups, in the register order of :func:`joint_and_product`.
-    Each point's blocks are summed exactly as for that point alone.
+    Each point's blocks are summed exactly as for that point alone.  With
+    ``given = (axis, values)``, a classical axis in neither group, each
+    point is zero off its own value on that axis: ``probs`` has size 1
+    there, and each point takes the conditionals at its value.
     """
     a_cl, a_qu, b_cl, b_qu = _groups(conds, part_a, part_b)
     qlayout = conds.quantum_layout
@@ -152,6 +156,9 @@ def block_pairs(
     kept = [conds.axis(r) for r in a_cl + b_cl]
     dropped = [i for i in range(n) if i not in kept]
     traced = conds.traced(tuple(a_qu + b_qu))
+    if given is not None:
+        axis, values = given
+        traced = np.expand_dims(np.moveaxis(traced, axis, 0)[values], 1 + axis)
     g = len(probs)
     axes = [0] + [1 + i for i in kept + dropped] + [n + 1, n + 2]
     weighted = np.transpose(probs[..., None, None] * traced, axes)

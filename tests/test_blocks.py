@@ -25,7 +25,7 @@ from oneshot_secrecy.channel import ChannelSpec, control_state_hk, control_state
 from oneshot_secrecy.entropic import (
     ConvergenceError,
     _block_stack,
-    _cond_rows,
+    _cond_pairs,
     _dh_betas,
     _dmax_values,
     cond_smooth_ht_mi,
@@ -593,9 +593,8 @@ def test_batch_convergence_error_names_the_first_failing_term(monkeypatch):
     conds, probs = _grid([control_state_hk(split, dist) for dist in hk_distributions(split, 3)])
     terms = [("ht", ["X10"], ["Y1"], None, 0.25), ("ht", ["X10", "X11"], ["Y1"], None, 0.25),
              ("ht", ["X20"], ["Y2"], "X11", 0.25)]
-    cond_rows = _cond_rows(conds, probs, ["X20"], ["Y2"], "X11")[0]
-    failing = {block_pairs(conds, probs, ["X10", "X11"], ["Y1"])[0][40].tobytes(),
-               block_pairs(conds, cond_rows, ["X20"], ["Y2"])[0][-1].tobytes()}
+    cond_rows = _cond_pairs(conds, probs, ["X20"], ["Y2"], "X11")[0]
+    failing = {block_pairs(conds, probs, ["X10", "X11"], ["Y1"])[0][40].tobytes(), cond_rows[-1].tobytes()}
     assert not failing & {row.tobytes() for row in block_pairs(conds, probs, ["X10"], ["Y1"])[0]}
     real, lengths = entropic._dh_betas, []
 

@@ -34,7 +34,6 @@ from oneshot_secrecy.entropic import (
     von_neumann_entropy,
 )
 from oneshot_secrecy.operators import (
-    DEGEN_TOL,
     EIG_CLAMP,
     KEPT_MASS_SLACK,
     OperatorError,
@@ -755,22 +754,22 @@ def test_public_route_on_turned_commuting_blocks(k, data, eps):
     assert str(public.value) == str(oracle.value)
 
 
-@given(d=st.integers(1, 6), data=st.data(), eps=st.floats(0.01, 0.5))
-def test_diagonal_smoothing_matches_eigenbasis_path(d, data, eps):
+@given(d=st.integers(1, 6), data=st.data(), eps=st.floats(0.01, 0.5), tie=st.booleans())
+def test_diagonal_smoothing_matches_eigenbasis_path(d, data, eps, tie):
     """Reading a diagonal pair off the stack gives the eigenbasis path's value.
 
     The public smoothing reads a diagonal pair's atoms off its one-row block
     stack; the eigenbasis path scans :func:`_codiagonalize`'s values and
     takes the smaller of that and ``D_max``.  ``eigh`` is exact on diagonal
-    input, so the two must agree exactly.  Two unequal sigma atoms within
-    ``DEGEN_TOL`` of each other are one eigenspace to the eigenbasis path,
-    which pairs rho's atoms with them in sorted order: such draws (say 0.01
-    and its next float) can differ in the last bit and are skipped.
+    input, so the two must agree exactly.  ``tie`` puts the last sigma atom
+    one float above the first: two unequal atoms within ``DEGEN_TOL`` are
+    one eigenspace to the eigenbasis path, which must still pair each with
+    its own rho atom.
     """
     p = np.array(data.draw(st.lists(P_ATOMS, min_size=d, max_size=d)))
     q = np.array(data.draw(st.lists(Q_ATOMS, min_size=d, max_size=d)))
-    atoms = q[q > EIG_CLAMP].tolist()
-    assume(not any(0.0 < abs(x - y) <= DEGEN_TOL * (1.0 + max(x, y)) for x in atoms for y in atoms))
+    if tie and d > 1:
+        q[-1] = np.nextafter(q[0], 1.0)
     p[0] += 0.05
     rho, sigma = np.diag(p / p.sum()).astype(complex), np.diag(q).astype(complex)
     fast = smooth_max_relative_entropy(rho, sigma, eps, "diagonal-scan")
