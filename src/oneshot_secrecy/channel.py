@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .operators import OperatorError, RegisterLayout, validate_density, validate_pmf
+from .operators import OperatorError, RegisterLayout, validate_densities, validate_pmf
 from .states import CQConditionals, CQState
 
 INPUT_NAMES = ("X1", "X2")
@@ -52,8 +52,10 @@ class ChannelSpec:
     def quantum_layout(self) -> RegisterLayout:
         return RegisterLayout(OUTPUT_NAMES, tuple(self.outputs[n] for n in OUTPUT_NAMES))
 
-    def state_of(self, x1: str, x2: str) -> np.ndarray:
-        return self.states[(x1, x2)]
+    @property
+    def stack(self) -> np.ndarray:
+        """The ``(|X1|, |X2|, d, d)`` output states in alphabet order, rebuilt on each access."""
+        return np.array([[self.states[(s1, s2)] for s2 in self.inputs["X2"]] for s1 in self.inputs["X1"]])
 
     def has_splits(self) -> bool:
         return self.splits is not None
@@ -76,18 +78,19 @@ class ChannelSpec:
         for name in OUTPUT_NAMES:
             if self.outputs.get(name, 0) < 1:
                 raise OperatorError(f"output dimension {name} must be >= 1")
+        pairs = [(x1, x2) for x1 in self.inputs["X1"] for x2 in self.inputs["X2"]]
+        for what, given, known in (("input", self.inputs, INPUT_NAMES), ("output", self.outputs, OUTPUT_NAMES),
+                                   ("state", self.states, set(pairs))):
+            unknown = [k for k in given if k not in known]
+            if unknown:
+                raise OperatorError(f"unknown {what} key {unknown[0]!r}")
         d = self.quantum_layout.total_dim
-        for x1 in self.inputs["X1"]:
-            for x2 in self.inputs["X2"]:
-                key = (x1, x2)
-                if key not in self.states:
-                    raise OperatorError(f"state for input pair {x1!r},{x2!r} missing")
-                m = self.states[key]
-                if m.shape != (d, d):
-                    raise OperatorError(
-                        f"state {x1!r},{x2!r}: dimension {m.shape[0]} != expected {d}"
-                    )
-                validate_density(m, f"{x1},{x2}")
+        for x1, x2 in pairs:
+            if (x1, x2) not in self.states:
+                raise OperatorError(f"state for input pair {x1!r},{x2!r} missing")
+            m = self.states[(x1, x2)]
+            if m.shape != (d, d):
+                raise OperatorError(f"state {x1!r},{x2!r}: dimension {m.shape[0]} != expected {d}")
         if self.splits is not None:
             for inp, names in SPLIT_PARTS.items():
                 split = self.splits.get(inp)
@@ -103,12 +106,11 @@ class ChannelSpec:
                             raise OperatorError(f"{inp} combining table misses pair ({c},{p})")
                         sym = split.table[(c, p)]
                         if sym not in self.inputs[inp]:
-                            raise OperatorError(
-                                f"{inp} combining table maps to unknown symbol {sym!r}"
-                            )
+                            raise OperatorError(f"{inp} combining table maps to unknown symbol {sym!r}")
                         image.add(sym)
                 if image != set(self.inputs[inp]):
                     raise OperatorError(f"{inp} combining table is not onto the input alphabet")
+        validate_densities(self.stack, [f"{x1},{x2}" for x1, x2 in pairs])
 
 
 def json_strings(value) -> tuple[str, ...]:
@@ -364,11 +366,6 @@ def _hk_probs(m10: np.ndarray, m11: np.ndarray, m20: np.ndarray, m22: np.ndarray
     )
 
 
-def _state_stack(channel: ChannelSpec) -> np.ndarray:
-    """The channel's ``(|X1|, |X2|, d, d)`` output states, in alphabet order."""
-    return np.array([[channel.state_of(s1, s2) for s2 in channel.inputs["X2"]] for s1 in channel.inputs["X1"]])
-
-
 def _split_index(channel: ChannelSpec, inp: str) -> np.ndarray:
     """Input-alphabet index of each (common, personal) pair under the combining table of ``inp``."""
     split, symbols = channel.splits[inp], channel.inputs[inp]
@@ -379,7 +376,7 @@ def _t1_conditionals(channel: ChannelSpec, q_size: int) -> CQConditionals:
     """Conditionals on classical (Q, X1, X2): every value of Q sees the same channel."""
     if channel.has_splits():
         raise OperatorError("control_state_t1 requires a channel without splits")
-    stack = _state_stack(channel)
+    stack = channel.stack
     return CQConditionals(("Q", "X1", "X2"), (q_size, *stack.shape[:2]), channel.quantum_layout,
                           np.repeat(stack[None], q_size, axis=0))
 
@@ -389,7 +386,7 @@ def _hk_conditionals(channel: ChannelSpec) -> CQConditionals:
     if not channel.has_splits():
         raise OperatorError("control_state_hk requires a channel with splits")
     i1, i2 = _split_index(channel, "X1"), _split_index(channel, "X2")
-    conds = _state_stack(channel)[i1[:, :, None, None], i2[None, None, :, :]]
+    conds = channel.stack[i1[:, :, None, None], i2[None, None, :, :]]
     return CQConditionals(HK_REGISTERS, conds.shape[:4], channel.quantum_layout, conds)
 
 

@@ -73,31 +73,34 @@ def _checked_matrix(op) -> np.ndarray:
     return m
 
 
-def hermiticity_residual(m: np.ndarray) -> float:
-    """Max entrywise deviation |A - A^dagger|."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+def validate_densities(stack, labels: Sequence[str | None]) -> None:
+    """Check the density-operator invariants of every operator in a ``(..., d, d)`` stack.
+
+    Accepts finite entries, Hermiticity residual <= ``HERM_TOL``, eigenvalues
+    >= -``PSD_TOL`` and trace within ``TRACE_TOL`` of one.  ``labels`` name
+    the operators in C order.  Raises on the first violation of the first
+    failing operator, as one check per operator in turn would.
+    """
+    m = np.asarray(stack, dtype=complex)
+    flat = m.reshape(-1, *m.shape[-2:])
+    finite = np.isfinite(flat).all(axis=(1, 2))
+    ops = np.where(finite[:, None, None], flat, 0.0)  # zero stand-ins keep the checks below finite
+    herm = np.abs(ops - ops.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+    least = np.linalg.eigvalsh(ops).min(axis=1, initial=np.inf)
+    tr_dev = np.abs(np.trace(ops, axis1=1, axis2=2).real - 1.0)
+    failed = np.stack([~finite, herm > HERM_TOL, least < -PSD_TOL, tr_dev > TRACE_TOL])
+    if failed.any():
+        k = np.flatnonzero(failed.any(axis=0))[0]
+        who = f"state {labels[k]!r}: " if labels[k] else ""
+        reasons = ("non-finite entries", f"hermiticity residual {herm[k]:.1e}",
+                   f"negative eigenvalue {least[k]:.1e}", f"trace deviation {tr_dev[k]:.1e}")
+        raise OperatorError(who + reasons[np.flatnonzero(failed[:, k])[0]])
 
 
 def validate_density(m, label: str | None = None) -> np.ndarray:
-    """Check the density-operator invariants, raising on the first violation.
-
-    Accepts finite entries, Hermiticity residual <= ``HERM_TOL``, eigenvalues
-    >= -``PSD_TOL`` and trace within ``TRACE_TOL`` of one.  Returns the matrix
-    as a complex ndarray.
-    """
+    """Check one density operator (see :func:`validate_densities`); returns it as a complex ndarray."""
     m = _as_matrix(m)
-    who = f"state {label!r}: " if label else ""
-    if not np.all(np.isfinite(m)):
-        raise OperatorError(f"{who}non-finite entries")
-    herm = hermiticity_residual(m)
-    if herm > HERM_TOL:
-        raise OperatorError(f"{who}hermiticity residual {herm:.1e}")
-    w = np.linalg.eigvalsh(m)
-    if w.size and w[0] < -PSD_TOL:
-        raise OperatorError(f"{who}negative eigenvalue {w[0]:.1e}")
-    tr_dev = abs(float(np.trace(m).real) - 1.0)
-    if tr_dev > TRACE_TOL:
-        raise OperatorError(f"{who}trace deviation {tr_dev:.1e}")
+    validate_densities(m[None], [label])
     return m
 
 

@@ -719,11 +719,6 @@ def region_builder(theorem: str) -> Callable:
     return builders[theorem]
 
 
-def _ray_radii(poly: RatePolytope, dirs: np.ndarray) -> np.ndarray:
-    """Largest feasible scaling of one region along each ray direction (see :func:`_grid_radii`)."""
-    return _grid_radii(*poly.coeff_matrix(), dirs)
-
-
 def _grid_radii(a: np.ndarray, b: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Largest feasible scaling along each nonnegative ray direction, ``(..., rays)``.
 

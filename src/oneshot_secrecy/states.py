@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import PROB_TOL, OperatorError, RegisterLayout, partial_trace_matrix, validate_density
+from .operators import PROB_TOL, OperatorError, RegisterLayout, partial_trace_matrix, validate_densities
 
 
 class CQConditionals:
@@ -55,21 +55,24 @@ class CQConditionals:
     def check(self, probs: np.ndarray) -> None:
         """Check every point of a ``(G, *alphabet_sizes)`` stack and each live conditional once.
 
-        A point's probabilities may not fall below ``-PROB_TOL`` and must sum
-        to 1 within ``PROB_TOL``; a conditional is live, and must be a
-        density operator, where some point gives it more than ``PROB_TOL``.
+        A point's probabilities must be finite, may not fall below
+        ``-PROB_TOL`` and must sum to 1 within ``PROB_TOL``; the first failing
+        point's first violation is raised.  A conditional is live, and must be
+        a density operator, where some point gives it more than ``PROB_TOL``.
         """
-        for point in probs:
-            if np.any(point < -PROB_TOL):
-                raise OperatorError(f"negative probability {point.min():.1e}")
-            total = float(point.sum())
-            if abs(total - 1.0) > PROB_TOL:
-                raise OperatorError(f"probabilities sum to {total!r}, not 1")
-        live = np.any(probs > PROB_TOL, axis=0) & ~self._checked
+        points = probs.reshape(len(probs), -1)
+        finite = np.isfinite(points).all(axis=1)
+        totals = np.where(finite[:, None], points, 0.0).sum(axis=1)
+        failed = np.stack([~finite, np.any(points < -PROB_TOL, axis=1), np.abs(totals - 1.0) > PROB_TOL])
+        if failed.any():
+            g = np.flatnonzero(failed.any(axis=0))[0]
+            reasons = ("non-finite probability", f"negative probability {points[g].min():.1e}",
+                       f"probabilities sum to {float(totals[g])!r}, not 1")
+            raise OperatorError(reasons[np.flatnonzero(failed[:, g])[0]])
+        ks = np.flatnonzero(np.any(probs > PROB_TOL, axis=0) & ~self._checked)
         flat_c = self.conditionals.reshape(-1, *self.conditionals.shape[-2:])
-        for k in np.flatnonzero(live):
-            validate_density(flat_c[k], f"conditional {k}")
-        self._checked |= live
+        validate_densities(flat_c[ks], [f"conditional {k}" for k in ks])
+        self._checked.flat[ks] = True
 
     def traced(self, quantum: tuple[str, ...]) -> np.ndarray:
         """The conditionals traced onto the ``quantum`` registers, in that order."""

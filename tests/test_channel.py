@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from oneshot_secrecy.channel import (
 )
 from oneshot_secrecy.channel import InputDistribution
 from oneshot_secrecy.operators import OperatorError
+from util import channel_states_check
 
 
 def test_load_bundled_diag(diag_channel):
@@ -27,7 +31,7 @@ def test_load_bundled_diag(diag_channel):
     assert len(diag_channel.states) == 4
     assert (diag_channel.outputs["Y1"], diag_channel.outputs["Y2"], diag_channel.outputs["Z"]) == (2, 2, 2)
     # every conditional: Y copies, Z maximally mixed
-    m = diag_channel.state_of("1", "0")
+    m = diag_channel.states[("1", "0")]
     expect = np.kron(np.kron(np.diag([0.0, 1.0]), np.diag([1.0, 0.0])), np.eye(2) / 2)
     assert np.allclose(m, expect)
 
@@ -48,6 +52,52 @@ def test_missing_pair_and_parse_errors(diag_channel):
         channel_from_document({"name": "x"})
     with pytest.raises(ChannelFormatError):
         load_channel("/nonexistent/channel.json")
+
+
+NAN_STATE = {"re": [[float("nan")] * 8] * 8, "im": [[0.0] * 8] * 8}
+
+
+@pytest.mark.parametrize("field, key, value", [
+    ("inputs", "X3", ["0"]),
+    ("outputs", "W", 2),
+    ("states", "7,7", NAN_STATE),
+    ("states", "0,7", NAN_STATE),
+])
+def test_unknown_keys_rejected(diag_channel, field, key, value):
+    doc = channel_to_document(diag_channel)
+    doc[field][key] = value
+    with pytest.raises(OperatorError, match=f"unknown {field[:-1]} key"):
+        channel_from_document(doc)
+
+
+# single-state defects on a 16-state non-commuting split channel; each is checked at
+# the first, a middle and the last state in alphabet order
+STATE_DEFECTS = {
+    "nan": lambda m: np.where(np.eye(len(m), dtype=bool), np.nan, m),
+    "non-hermitian": lambda m: m + np.triu(np.full_like(m, 0.2), 1),
+    "negative eigenvalue": lambda m: np.diag([1.25, -0.25] + [0.0] * (len(m) - 2)),
+    "trace": lambda m: 0.98 * m,
+    "dimension": lambda m: np.eye(len(m) + 1) / (len(m) + 1),
+    "missing": None,
+}
+
+
+@pytest.mark.parametrize("where", [0, 7, 15])
+@pytest.mark.parametrize("defect", STATE_DEFECTS)
+def test_channel_validate_matches_one_state_at_a_time(defect, where):
+    channel = load_channel(Path(__file__).parent / "data" / "nc_small_split.json")
+    pairs = [(x1, x2) for x1 in channel.inputs["X1"] for x2 in channel.inputs["X2"]]
+    states = dict(channel.states)
+    if STATE_DEFECTS[defect] is None:
+        del states[pairs[where]]
+    else:
+        states[pairs[where]] = STATE_DEFECTS[defect](states[pairs[where]])
+    broken = dataclasses.replace(channel, states=states)
+    with pytest.raises(OperatorError) as expected:
+        channel_states_check(broken)
+    with pytest.raises(OperatorError) as got:
+        broken.validate()
+    assert type(got.value) is type(expected.value) and str(got.value) == str(expected.value)
 
 
 def test_roundtrip_byte_identity(tmp_path, diag_channel, xor_channel):
@@ -80,7 +130,7 @@ def test_control_state_t1_point_mass(diag_channel):
     state = control_state_t1(diag_channel, dist)
     nz = np.nonzero(state.probs)
     assert state.probs[nz][0] == 1.0 and nz == (np.array([0]), np.array([1]), np.array([0]))
-    assert np.allclose(state.conds.conditionals[0, 1, 0], diag_channel.state_of("1", "0"))
+    assert np.allclose(state.conds.conditionals[0, 1, 0], diag_channel.states[("1", "0")])
 
 
 def test_control_state_t1_conditional_product(diag_channel):

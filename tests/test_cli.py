@@ -316,6 +316,21 @@ def test_grouping_naming_a_register_twice_exits_1(capsys, grouping, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, key, value, message", [
+    ("inputs", "X3", ["0"], "unknown input key 'X3'"),
+    ("outputs", "W", 2, "unknown output key 'W'"),
+    ("states", "7,7", {"re": (np.eye(8) / 8).tolist(), "im": np.zeros((8, 8)).tolist()},
+     "unknown state key ('7', '7')"),
+])
+def test_unknown_channel_keys_exit_1(tmp_path, capsys, field, key, value, message):
+    doc = channel_to_document(load_channel(CHAN))
+    doc[field][key] = value
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("dim", [2.7, "two"])
 def test_non_integer_output_dimension_exits_2(tmp_path, capsys, dim):
     doc = channel_to_document(load_channel(CHAN))

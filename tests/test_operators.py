@@ -13,10 +13,12 @@ from oneshot_secrecy.operators import (
     permute_registers_matrix,
     purified_distance,
     trace_distance,
+    validate_densities,
     validate_density,
 )
 from oneshot_secrecy.states import CQConditionals, CQState
 from conftest import rand_density, rand_unitary
+from util import cq_points_check, density_check_one
 
 
 def test_tensor_then_partial_trace_inverse(rng):
@@ -145,6 +147,120 @@ def test_cq_state_validate_checks_each_live_conditional(bad):
     CQState(CQConditionals(("X",), (2,), layout, conds), [1.0, 0.0]).validate()  # zero-probability atom
     with pytest.raises(OperatorError, match="conditional 1"):
         CQState(CQConditionals(("X",), (2,), layout, conds), [0.5, 0.5]).validate()
+
+
+def test_cq_state_validate_rejects_non_finite_probabilities():
+    layout = RegisterLayout(("B",), (2,))
+    conds = CQConditionals(("X",), (2,), layout, np.stack([np.eye(2) / 2, np.eye(2) / 2]))
+    for probs in ([np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0]):
+        with pytest.raises(OperatorError, match="non-finite probability"):
+            CQState(conds, probs).validate()
+
+
+def _raised(check, *args):
+    """``(class, text)`` of what ``check(*args)`` raises, or None when it passes."""
+    try:
+        check(*args)
+    except Exception as exc:  # noqa: BLE001 - the class itself is compared
+        return type(exc), str(exc)
+    return None
+
+
+def _set_entry(m, i, j, value):
+    m = m.copy()
+    m[i, j] = value
+    return m
+
+
+# each defect fails one check of the density operator it replaces; the last two fail two at once
+DENSITY_DEFECTS = {
+    "nan": lambda m: _set_entry(m, 0, 0, np.nan),
+    "inf": lambda m: _set_entry(m, 1, 0, np.inf),
+    "non-hermitian": lambda m: _set_entry(m, 0, 1, m[0, 1] + 0.3),
+    "negative eigenvalue": lambda m: np.diag([1.25, -0.25] + [0.0] * (len(m) - 2)),
+    "trace": lambda m: 1.01 * m,
+    "non-hermitian and trace": lambda m: _set_entry(1.5 * m, 0, 1, 0.3),
+    "negative eigenvalue and trace": lambda m: np.diag([1.0, -0.5] + [0.0] * (len(m) - 2)),
+}
+WHERE = {"first": 0, "middle": 5, "last": 11}
+
+
+def _densities(rng, n, d):
+    """``n`` random ``d x d`` density operators, the first of them pure."""
+    return np.array([rand_density(rng, d, full_rank=k > 0) for k in range(n)])
+
+
+def _one_at_a_time(stack, labels):
+    for m, label in zip(stack.reshape(-1, *stack.shape[-2:]), labels):
+        density_check_one(m, label)
+
+
+@pytest.mark.parametrize("where", WHERE)
+@pytest.mark.parametrize("defect", DENSITY_DEFECTS)
+def test_validate_densities_matches_one_operator_at_a_time(rng, defect, where):
+    stack = _densities(rng, 12, 3).reshape(3, 4, 3, 3)
+    labels = [f"{i},{j}" for i in range(3) for j in range(4)]
+    assert _raised(validate_densities, stack, labels) is None
+    assert _raised(_one_at_a_time, stack, labels) is None
+    flat = stack.reshape(12, 3, 3)
+    flat[WHERE[where]] = DENSITY_DEFECTS[defect](flat[WHERE[where]])
+    expected = _raised(_one_at_a_time, stack, labels)
+    assert expected is not None and expected[1].startswith(f"state {labels[WHERE[where]]!r}: ")
+    assert _raised(validate_densities, stack, labels) == expected
+    # a later defect does not change which operator is named
+    if where != "last":
+        flat[11] = DENSITY_DEFECTS["nan"](flat[11])
+        assert _raised(validate_densities, stack, labels) == expected == _raised(_one_at_a_time, stack, labels)
+
+
+@pytest.mark.parametrize("defect", DENSITY_DEFECTS)
+def test_validate_density_is_the_one_operator_case(rng, defect):
+    m = DENSITY_DEFECTS[defect](rand_density(rng, 2))
+    for label in (None, "x"):
+        assert _raised(validate_density, m, label) == _raised(density_check_one, m, label)
+
+
+LIVE = [0, 2, 3, 5]
+
+
+def _cq_grid(rng, points=4):
+    """Conditionals on alphabets (2, 3) whose atoms 1 and 4 are dead and hold invalid placeholders."""
+    conds = _densities(rng, 6, 2)
+    conds[1] = np.diag([np.nan, 1.0])
+    conds[4] = np.array([[0.5, 0.4], [0.0, 0.5]])
+    probs = np.zeros((points, 6))
+    probs[:, LIVE] = rng.dirichlet(np.ones(len(LIVE)), size=points)
+    return conds.reshape(2, 3, 2, 2), probs.reshape(points, 2, 3)
+
+
+def _cq_check(conds, probs):
+    CQConditionals(("X", "Y"), (2, 3), RegisterLayout(("B",), (2,)), conds).check(probs)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("defect", ["negative", "sum"] + list(DENSITY_DEFECTS))
+def test_cq_check_matches_one_point_and_conditional_at_a_time(rng, defect, where):
+    conds, probs = _cq_grid(rng)
+    assert _raised(_cq_check, conds, probs) is None
+    assert _raised(cq_points_check, conds, probs) is None
+    i = {"first": 0, "middle": 2, "last": -1}[where]
+    flat_c, points = conds.reshape(6, 2, 2), probs.reshape(-1, 6)
+    if defect in DENSITY_DEFECTS:
+        flat_c[LIVE[i]] = DENSITY_DEFECTS[defect](flat_c[LIVE[i]])
+    elif defect == "negative":
+        points[i, LIVE] = [-0.125, 0.5, 0.25, 0.375]
+    else:
+        points[i] *= 1.1
+    expected = _raised(cq_points_check, conds, probs)
+    assert expected is not None
+    assert _raised(_cq_check, conds, probs) == expected
+    # a later defect does not change which point or conditional is named
+    if where != "last":
+        if defect in DENSITY_DEFECTS:
+            flat_c[LIVE[-1]] = DENSITY_DEFECTS["nan"](flat_c[LIVE[-1]])
+        else:
+            points[-1, LIVE[0]] = np.nan
+        assert _raised(_cq_check, conds, probs) == expected == _raised(cq_points_check, conds, probs)
 
 
 def test_register_layout_invariants():

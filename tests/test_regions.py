@@ -22,7 +22,7 @@ from oneshot_secrecy.regions import (
     PenaltyMode,
     RatePolytope,
     _grid_count,
-    _ray_radii,
+    _grid_radii,
     _simplex_grid,
     conjecture_region,
     fourier_motzkin,
@@ -675,7 +675,7 @@ def test_sweep_single_point_matches_region(theorem, q_size, grid):
     radii = np.zeros(31)
     for dist in dists:
         poly = regions.region_builder(theorem)(channel, dist, PARAMS, OFF)
-        radii = np.maximum(radii, _ray_radii(poly, dirs))
+        radii = np.maximum(radii, _grid_radii(*poly.coeff_matrix(), dirs))
     assert result.evaluations == len(dists)
     assert result.radii.tobytes() == radii.tobytes()
 

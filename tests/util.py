@@ -12,7 +12,7 @@ plain bisection on the whole matrix and through its dual, a sweep's grid
 through one nested product of input distributions per point, the
 conditional max-min through one loop per point, and a region's row bounds
 through one term at a time of the public one-point helpers, summed row by
-row in Python floats.
+row in Python floats, and density checks through one operator at a time.
 """
 import itertools
 import math
@@ -37,9 +37,13 @@ from oneshot_secrecy.operators import (
     DET_TOL,
     EIG_CLAMP,
     FEAS_TOL,
+    HERM_TOL,
     KEPT_MASS_SLACK,
     KERNEL_MASS_SLACK,
+    PROB_TOL,
     PROBE_BAND,
+    PSD_TOL,
+    TRACE_TOL,
     TYPE_I_TOL,
     OperatorError,
     RegisterLayout,
@@ -491,6 +495,50 @@ def diagonal_scan_pairwise(p, q, eps, step=1e-4):
     if best <= 0.0:
         return -math.inf
     return math.log2(best) if best != math.inf else math.inf
+
+
+def density_check_one(m, label=None):
+    """The density-operator checks on one matrix, in order: finite, Hermitian, PSD, unit trace."""
+    m = np.asarray(m, dtype=complex)
+    who = f"state {label!r}: " if label else ""
+    if not np.all(np.isfinite(m)):
+        raise OperatorError(f"{who}non-finite entries")
+    herm = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    if herm > HERM_TOL:
+        raise OperatorError(f"{who}hermiticity residual {herm:.1e}")
+    w = np.linalg.eigvalsh(m)
+    if w.size and w[0] < -PSD_TOL:
+        raise OperatorError(f"{who}negative eigenvalue {w[0]:.1e}")
+    tr_dev = abs(float(np.trace(m).real) - 1.0)
+    if tr_dev > TRACE_TOL:
+        raise OperatorError(f"{who}trace deviation {tr_dev:.1e}")
+
+
+def channel_states_check(channel):
+    """A channel's states one pair at a time: presence, dimension, then the density checks."""
+    d = channel.quantum_layout.total_dim
+    for x1 in channel.inputs["X1"]:
+        for x2 in channel.inputs["X2"]:
+            if (x1, x2) not in channel.states:
+                raise OperatorError(f"state for input pair {x1!r},{x2!r} missing")
+            m = channel.states[(x1, x2)]
+            if m.shape != (d, d):
+                raise OperatorError(f"state {x1!r},{x2!r}: dimension {m.shape[0]} != expected {d}")
+            density_check_one(m, f"{x1},{x2}")
+
+
+def cq_points_check(conditionals, probs):
+    """A grid's ``(G, *alphabet_sizes)`` points one at a time, then each live conditional in turn."""
+    for point in probs:
+        if np.any(point < -PROB_TOL):
+            raise OperatorError(f"negative probability {point.min():.1e}")
+        total = float(point.sum())
+        if abs(total - 1.0) > PROB_TOL:
+            raise OperatorError(f"probabilities sum to {total!r}, not 1")
+    live = np.any(probs > PROB_TOL, axis=0)
+    flat_c = conditionals.reshape(-1, *conditionals.shape[-2:])
+    for k in np.flatnonzero(live):
+        density_check_one(flat_c[k], f"conditional {k}")
 
 
 def embed_cq(state):
