@@ -75,6 +75,7 @@ class ChannelSpec:
             for sym in self.inputs[name]:
                 if "," in sym:
                     raise OperatorError(f"input symbol {sym!r} may not contain a comma")
+            _check_distinct(f"input alphabet {name}", self.inputs[name])
         for name in OUTPUT_NAMES:
             if self.outputs.get(name, 0) < 1:
                 raise OperatorError(f"output dimension {name} must be >= 1")
@@ -99,6 +100,11 @@ class ChannelSpec:
                 alph_c, alph_p = split.parts
                 if not alph_c or not alph_p:
                     raise OperatorError(f"{inp} split alphabets must be nonempty")
+                for part, alph in zip(names, split.parts):
+                    _check_distinct(f"{part} alphabet", alph)
+                for c, p in split.table:
+                    if c not in alph_c or p not in alph_p:
+                        raise OperatorError(f"{inp} combining table pair ({c},{p}) names no part symbol")
                 image = set()
                 for c in alph_c:
                     for p in alph_p:
@@ -111,6 +117,13 @@ class ChannelSpec:
                 if image != set(self.inputs[inp]):
                     raise OperatorError(f"{inp} combining table is not onto the input alphabet")
         validate_densities(self.stack, [f"{x1},{x2}" for x1, x2 in pairs])
+
+
+def _check_distinct(what: str, symbols: Sequence[str]) -> None:
+    """An alphabet names each symbol once; ``what`` names the alphabet in the error."""
+    repeated = [sym for i, sym in enumerate(symbols) if sym in symbols[:i]]
+    if repeated:
+        raise OperatorError(f"{what} repeats symbol {repeated[0]!r}")
 
 
 def json_strings(value) -> tuple[str, ...]:
@@ -157,13 +170,15 @@ def channel_from_document(doc: Mapping) -> ChannelSpec:
         if re_part.shape != im_part.shape or re_part.ndim != 2:
             raise ChannelFormatError(f"state {key!r}: re/im must be equal-shape 2-d arrays")
         states[(parts[0], parts[1])] = re_part + 1j * im_part
-    splits = None
-    if "splits" in doc and doc["splits"]:
+    splits, split_doc = None, doc.get("splits")
+    if split_doc is not None and not isinstance(split_doc, dict):
+        raise ChannelFormatError(f"malformed channel document: splits {split_doc!r} is not a JSON object")
+    if split_doc:
         splits = {}
         for inp, names in SPLIT_PARTS.items():
-            if inp not in doc["splits"]:
+            if inp not in split_doc:
                 raise ChannelFormatError(f"splits must cover both inputs; {inp} missing")
-            entry = doc["splits"][inp]
+            entry = split_doc[inp]
             try:
                 alph_c = json_strings(entry["parts"][names[0]])
                 alph_p = json_strings(entry["parts"][names[1]])
@@ -178,7 +193,8 @@ def channel_from_document(doc: Mapping) -> ChannelSpec:
                         raise ChannelFormatError(f"{inp} map key {key!r} not 'common,personal'")
                     table[(pair[0], pair[1])] = str(sym)
             else:
-                table = _identity_table(inp, alph_c, alph_p, inputs[inp])
+                # a missing or empty input alphabet is left to validate's error
+                table = _identity_table(inp, alph_c, alph_p, inputs[inp]) if inputs.get(inp) else {}
             splits[inp] = SplitSpec((alph_c, alph_p), table)
     spec = ChannelSpec(name=name, inputs=inputs, outputs=outputs, states=states, splits=splits)
     spec.validate()

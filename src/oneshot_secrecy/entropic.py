@@ -6,7 +6,6 @@ error.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,7 +38,8 @@ from .states import CQConditionals, CQState, _block_diag, block_pairs, joint_and
 
 SMOOTHING_STRATEGIES = ("none", "diagonal-scan")
 # threshold-test probes, bracketing included, before ConvergenceError; a
-# certified first probe (see _threshold_search) counts though it is never run
+# certified first probe (see _threshold_betas) counts though it is never run,
+# and the first probe of the final band does not count
 _MAX_ITER = 200
 # transfer grid of the diagonal-scan smoothing: a donor's transfers are
 # np.arange(_SCAN_STEP, p_i, _SCAN_STEP) and then p_i, searched by index
@@ -313,100 +313,6 @@ def _np_betas(p: np.ndarray, q: np.ndarray, target: float) -> np.ndarray:
     return np.where(reached, before, before + frac * q)
 
 
-def _threshold_search(target: float, eps: float, breaks: list[float], f_lo: float, sig_norm: float,
-                      certified: bool):
-    """One row's threshold search, as a generator.
-
-    It yields each probe ``(t, band)`` and is sent back that probe's weights
-    ``(a_pos, a_zer, b_pos, b_zer)``: rho's and sigma's weights on the
-    positive and on the zero eigenspace of rho - t sigma.  It returns beta.
-    ``breaks`` are the row's sorted distinct positive breakpoints, ``f_lo``
-    is Tr rho - target and ``sig_norm`` is sigma's largest eigenvalue.  A
-    ``certified`` row's first probe, at hi = max(breaks) + 1 (1 with none),
-    is known to leave all four weights exact zeros (:func:`_threshold_betas`
-    proves it): the search starts from that outcome, f_hi = (0 + 0) - target,
-    without yielding the probe but counting it against ``_MAX_ITER``, so its
-    values and error texts are those of the probed search.
-    """
-
-    def finish(a_pos, a_zer, b_pos, b_zer):
-        c = 0.0 if a_zer <= 0.0 else min(1.0, max(0.0, (target - a_pos) / a_zer))
-        return b_pos + c * b_zer
-
-    # f(t) = Tr(P_+(t) rho) - target falls in t; f_lo is its limit from the
-    # right at lo and f_hi its limit from the left at hi.  They only choose
-    # secant points: the bracket alone decides the answer.  With sigma's
-    # support empty the constraint is out of reach; the bracket then starts
-    # at t = 1 and the search reports the failure.
-    lo, hi = 0.0, (breaks[-1] if breaks else 0.0) + 1.0
-    iters = 0
-    while iters < _MAX_ITER:
-        iters += 1
-        # a certified probe fails the constraint, so this loop ends on it
-        a_pos, a_zer, b_pos, b_zer = (0.0, 0.0, 0.0, 0.0) if certified else (yield hi, PROBE_BAND * (1.0 + hi))
-        if a_pos + a_zer < target:
-            f_hi = a_pos + a_zer - target
-            break
-        if a_pos <= target:
-            return finish(a_pos, a_zer, b_pos, b_zer)
-        lo, f_lo = hi, a_pos - target
-        hi *= 2.0
-    else:
-        raise ConvergenceError(f"could not bracket the threshold test (t up to {hi:.6g}, eps={eps})")
-
-    width_goal = BISECT_WIDTH * max(1.0, hi)
-    side = 0  # the end the previous secant step moved: -1 lo, +1 hi
-    while iters < _MAX_ITER and hi - lo > width_goal:
-        iters += 1
-        first, stop = bisect.bisect_right(breaks, lo), bisect.bisect_left(breaks, hi)
-        secant = first == stop
-        if not secant:
-            # binary search of the breakpoints: a jump that straddles the
-            # target ends the search exactly
-            t = breaks[(first + stop) // 2]
-        else:
-            # one smooth piece is left: an Illinois step, or a bisection
-            # step when the secant falls outside the bracket
-            t = 0.5 * (lo + hi)
-            if f_lo > 0.0:
-                step = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
-                t = step if lo < step < hi else t
-        a_pos, a_zer, b_pos, b_zer = yield t, PROBE_BAND * (1.0 + t)
-        if a_pos > target:
-            lo, f_lo = t, a_pos - target
-            if side < 0:
-                f_hi *= 0.5
-            side = -1 if secant else 0
-        elif a_pos + a_zer < target:
-            hi, f_hi = t, a_pos + a_zer - target
-            if side > 0:
-                f_lo *= 0.5
-            side = 1 if secant else 0
-        else:
-            return finish(a_pos, a_zer, b_pos, b_zer)
-    if hi - lo > width_goal:
-        raise ConvergenceError(
-            f"no convergence after {_MAX_ITER} iterations "
-            f"(t in [{lo:.6g}, {hi:.6g}], eps={eps}); degenerate spectrum suspected"
-        )
-    # final interval is tiny: a band wider than the eigenvalue drift across it
-    # is guaranteed to capture the crossing eigenspace
-    mid = 0.5 * (lo + hi)
-    a_pos, a_zer, b_pos, b_zer = yield mid, 2.0 * (hi - lo) * (sig_norm + 1.0) + BAND_FLOOR
-    while a_pos > target + TYPE_I_TOL or a_pos + a_zer < target - TYPE_I_TOL:
-        # a smooth piece (rho on sigma's kernel) can outrun TYPE_I_TOL: bisect on, to adjacent floats
-        lo, hi = (mid, hi) if a_pos > target else (lo, mid)
-        if iters >= _MAX_ITER or not lo < 0.5 * (lo + hi) < hi:
-            raise ConvergenceError(
-                f"straddle detection failed at t={mid:.6g}, eps={eps} "
-                f"(type-I window [{a_pos:.12g}, {a_pos + a_zer:.12g}], target {target:.12g})"
-            )
-        iters += 1
-        mid = 0.5 * (lo + hi)
-        a_pos, a_zer, b_pos, b_zer = yield mid, 2.0 * (hi - lo) * (sig_norm + 1.0) + BAND_FLOOR
-    return finish(a_pos, a_zer, b_pos, b_zer)
-
-
 def _live_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """The ``(R, K)`` blocks of two ``(R, K, d, d)`` stacks where rho or sigma has a nonzero entry.
 
@@ -456,15 +362,19 @@ def _threshold_betas(a: np.ndarray, b: np.ndarray, target: float, eps: float, ro
     left.  A bracket, grown by doubling from the largest breakpoint plus one,
     is narrowed by every probe as by a bisection step: the breakpoints and
     the secant only choose where to probe, so the answer also holds when rho
-    weighs on sigma's kernel.  The type-I constraint is met to
-    ``TYPE_I_TOL`` by construction.
+    weighs on sigma's kernel.  A final probe at the midpoint of a bracket
+    narrower than ``BISECT_WIDTH``·max(1, hi) has a band wider than the
+    eigenvalue drift across it; where a smooth piece (rho on sigma's kernel)
+    outruns ``TYPE_I_TOL`` there, the final band bisects on.  With sigma's
+    support empty the bracket starts at t = 1 and the search fails.
 
     Sigma's eigendecomposition, the kernel mass and the breakpoints are
-    computed for all rows at once.  Each row then runs its own search
-    (:func:`_threshold_search`), and every step makes one ``eigh`` of
-    rho - t sigma over the rows still searching; a row leaves the batch when
-    it finishes.  Every ``eigh`` sees live blocks only (:func:`_live_blocks`);
-    the per-row sums read the dead ones as zeros in place, so they add in the
+    computed for all rows at once.  Each row's search state is an entry of
+    one array per field, and each step updates all open rows elementwise,
+    by one row's IEEE operations in its order, and makes one ``eigh`` of
+    rho - t sigma over them; a row leaves the batch when it finishes or
+    fails.  Every ``eigh`` sees live blocks only (:func:`_live_blocks`); the
+    per-row sums read the dead ones as zeros in place, so they add in the
     same order and keep their bits.  ``rows`` labels the rows in a
     ``ConvergenceError``.
 
@@ -483,10 +393,11 @@ def _threshold_betas(a: np.ndarray, b: np.ndarray, target: float, eps: float, ro
     hundredth of the band for d < 90.  So every live eigenvalue the probe
     would compute lies below -band: no mask is set, the dead blocks' zeros
     carry zero weight, and all four sums are exact zeros (a row with no live
-    block, s = inf, reads only such zeros).  The row starts from that outcome
-    (:func:`_threshold_search`) one probe ahead of the others, so a failure
-    is raised only once no row can fail after fewer probes: the error names
-    the same row, with the same text, as when every row probes.
+    block, s = inf, reads only such zeros).  The row starts narrowing from
+    that outcome, f_hi = (0 + 0) - target, with the probe counted, one probe
+    ahead of the others.  So a failure is raised only once no row can fail
+    after fewer probes, the first by (probes made, row): the error names the
+    same row, with the same text, as when every row probes.
     """
     n_rows, k = a.shape[:2]
     live = _live_blocks(a, b)
@@ -515,47 +426,102 @@ def _threshold_betas(a: np.ndarray, b: np.ndarray, target: float, eps: float, ro
     sig_least = np.full(n_rows, math.inf)
     np.minimum.at(sig_least, at, ws.min(axis=1))
     hi = np.where(np.isfinite(lam), lam, 0.0).max(axis=1) + 1.0
-    certified = (sig_least > BRACKET_MARGIN * PROBE_BAND * (1.0 + hi)).tolist()
-    searches = [
-        _threshold_search(target, eps, breaks[:count], f, norm, skip)
-        for breaks, count, f, norm, skip in zip(lam.tolist(), np.isfinite(lam).sum(axis=1).tolist(),
-                                                f_lo.tolist(), sig_norm.tolist(), certified)
-    ]
-    probes = [None] * n_rows
-    # the searching rows still open and what each is sent next (None starts
-    # it); blocks, their rows and the live mask follow them
-    open_rows = np.arange(n_rows)
-    sent = [None] * n_rows
+    certified = sig_least > BRACKET_MARGIN * PROBE_BAND * (1.0 + hi)
+    # an inf column past the last, so a breakpoint index one past a row's last reads inf
+    lam = np.concatenate([lam, np.full((n_rows, 1), math.inf)], axis=1)
+    # each open row's index among the searching rows, 1 if certified, phase
+    # (0 growing the bracket, 1 narrowing it, 2 the final band), probes
+    # counted, bracket [lo, hi], f = Tr(P_+ rho) - target at its ends (they
+    # only choose secant points), width goal, the end the last secant step
+    # moved (-1 lo, +1 hi), whether its probe is a secant step, and probe
+    # (t, band); blocks, their rows and the live mask follow the open rows
+    idx = np.arange(n_rows)
+    ahead = certified.astype(np.int64)
+    # a certified row starts narrowing from its first probe's outcome, counted: f_hi = (0 + 0) - target
+    phase = iters = ahead
+    lo = np.zeros(n_rows)
+    f_hi = np.where(certified, -target, 0.0)
+    goal = BISECT_WIDTH * np.maximum(1.0, hi)
+    side = secant = np.zeros(n_rows, dtype=np.int64)
+    done = np.zeros(n_rows, dtype=bool)
     # the first failure by (probes made, row), with its message
     failed = None
     for step in itertools.count():
-        still = np.ones(len(open_rows), dtype=bool)
-        for place, (i, row_sums) in enumerate(zip(open_rows.tolist(), sent)):
-            try:
-                probes[i] = searches[i].send(row_sums)
-            except StopIteration as done:
-                betas[searching[i]] = done.value
-                still[place] = False
-            except ConvergenceError as exc:
-                key = (step + certified[i], i, str(exc))
-                failed = key if failed is None else min(failed, key)
-                still[place] = False
-        if not still.all():
-            (ab,), at, live = _keep_rows(still, at, live, ab)
-            open_rows = open_rows[still]
-        if failed is not None and (failed[0] <= step or not open_rows.size):
+        if step:
+            # the last probe's outcome
+            a_pos = sums[:, 0]
+            reach = a_pos + sums[:, 1]
+            above, below = a_pos > target, reach < target
+            grow, final = phase == 0, phase == 2
+            # growing tests "below" first, narrowing "above"
+            up = above & ~(grow & below) & ~final
+            down = below & ~up & ~final
+            # the final band bisects on while its probe misses the type-I window
+            miss = final & ((a_pos > target + TYPE_I_TOL) | (reach < target - TYPE_I_TOL))
+            done = ~(up | down | miss)
+            if done.any():
+                # P_+ plus the share c of P_0 that meets the target
+                s = sums[done]
+                c = np.divide(target - s[:, 0], s[:, 1], out=np.zeros(len(s)), where=s[:, 1] > 0.0)
+                c = np.where(c > 0.0, c, 0.0)
+                betas[searching[idx[done]]] = s[:, 2] + np.where(c < 1.0, c, 1.0) * s[:, 3]
+            f_lo = np.where(up, a_pos - target, np.where(down & (side > 0), 0.5 * f_lo, f_lo))
+            f_hi = np.where(down, reach - target, np.where(up & (side < 0), 0.5 * f_hi, f_hi))
+            side = np.where(up, -secant, np.where(down, secant, side))
+            lo = np.where(up | miss & above, t, lo)
+            hi = np.where(down | miss & ~above, t, np.where(grow & up, 2.0 * hi, hi))
+            found = grow & down
+            goal = np.where(found, BISECT_WIDTH * np.maximum(1.0, hi), goal)
+            phase = phase + found
+        # the next probe: hi while growing; while narrowing, the middle
+        # breakpoint in (lo, hi) or, with none left, an Illinois step (a
+        # bisection step when it leaves the bracket); the midpoint in the
+        # final band, whose first probe is not counted
+        grow, narrow, final = phase == 0, phase == 1, phase == 2
+        capped = iters >= _MAX_ITER
+        mid = 0.5 * (lo + hi)
+        probing = narrow & (hi - lo > goal)
+        settle = narrow & ~probing
+        fail = ~done & (capped & (grow | probing) | final & (capped | ~((lo < mid) & (mid < hi))))
+        if fail.any():
+            j = np.flatnonzero(fail)
+            j = int(j[np.lexsort((idx[j], ahead[j]))[0]])
+            if grow[j]:
+                message = f"could not bracket the threshold test (t up to {hi[j]:.6g}, eps={eps})"
+            elif narrow[j]:
+                message = (f"no convergence after {_MAX_ITER} iterations "
+                           f"(t in [{lo[j]:.6g}, {hi[j]:.6g}], eps={eps}); degenerate spectrum suspected")
+            else:
+                message = (f"straddle detection failed at t={t[j]:.6g}, eps={eps} "
+                           f"(type-I window [{a_pos[j]:.12g}, {reach[j]:.12g}], target {target:.12g})")
+            key = (step + int(ahead[j]), int(idx[j]), message)
+            failed = key if failed is None else min(failed, key)
+        first, stop = (lam <= lo[:, None]).sum(axis=1), (lam < hi[:, None]).sum(axis=1)
+        secant = ((first == stop) & probing).astype(np.int64)
+        illinois = lo + (hi - lo) * np.divide(f_lo, f_lo - f_hi, out=np.zeros(len(idx)), where=f_lo > 0.0)
+        smooth = np.where((lo < illinois) & (illinois < hi), illinois, mid)
+        middle = lam[np.arange(len(idx)), (first + stop) // 2]
+        t = np.where(grow, hi, np.where(probing, np.where(first == stop, smooth, middle), mid))
+        band = np.where(grow | probing, PROBE_BAND * (1.0 + t), 2.0 * (hi - lo) * (sig_norm + 1.0) + BAND_FLOOR)
+        iters = iters + ~settle
+        phase = phase + settle
+        keep = ~(done | fail)
+        if not keep.all():
+            (ab,), at, live = _keep_rows(keep, at, live, ab)
+            idx, ahead, phase, iters, lo, hi, f_lo, f_hi, goal, side, secant, t, band, lam, sig_norm = (
+                x[keep] for x in (idx, ahead, phase, iters, lo, hi, f_lo, f_hi, goal, side, secant, t, band, lam,
+                                  sig_norm))
+        if failed is not None and (failed[0] <= step or not idx.size):
             raise ConvergenceError(failed[2], int(rows[searching[failed[1]]]))
-        if not open_rows.size:
+        if not idx.size:
             return betas
-        shape = (len(open_rows), k)
-        t, band = np.array([probes[i] for i in open_rows.tolist()]).T
+        shape = (len(idx), k)
         w, v = _eigh(ab[:, 0] - t[at, None, None] * ab[:, 1])
-        w = _scatter(w, live, shape)
-        band = band[:, None, None]
-        masks = np.stack([w > band, np.abs(w) <= band], axis=-1).reshape(len(open_rows), -1, 2)
+        w, cut = _scatter(w, live, shape), band[:, None, None]
+        masks = np.stack([w > cut, np.abs(w) <= cut], axis=-1).reshape(len(idx), -1, 2)
         # per row [[a_pos, a_zer], [b_pos, b_zer]]
         weights = _scatter(_weights(ab, v[:, None]), live, shape)
-        sent = (weights.transpose(0, 2, 1, 3).reshape(len(open_rows), 2, -1) @ masks).reshape(-1, 4).tolist()
+        sums = (weights.transpose(0, 2, 1, 3).reshape(len(idx), 2, -1) @ masks).reshape(-1, 4)
 
 
 def _dh_betas(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:

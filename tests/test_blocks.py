@@ -57,6 +57,7 @@ from util import (
     hk_distributions,
     max_min,
     t1_distributions,
+    threshold_betas_generators,
 )
 
 BLOCK_KINDS = ("zero", "diagonal", "full-rank", "rank-deficient")
@@ -283,27 +284,26 @@ def test_certified_bracket_start_keeps_every_bit(k, d, kinds, eps, seed):
     """``_dh_betas`` gives the same bytes when certified rows skip their first probe as when every row probes.
 
     One stack mixes rows on both sides of the certificate (see
-    :func:`_certificate_rows`); each lands on the side its kind names.  The
-    probed solve overrides the decision row by row, so it does not depend
-    on how the certificate decides.
+    :func:`_certificate_rows`); each lands on the side its kind names, as the
+    generator search (``threshold_betas_generators``) reports it, and the
+    array search gives that search's bytes.  The probed solve sets
+    ``BRACKET_MARGIN`` to inf, so it does not depend on how the certificate
+    decides.
     """
     rows = _certificate_rows(np.random.default_rng(seed), k, d, eps)
     a, b = (np.stack(side) for side in zip(*(rows[kind] for kind in kinds)))
-    real, starts = entropic._threshold_search, []
-
-    def spy(target, eps, breaks, f_lo, sig_norm, certified):
-        starts.append((len(breaks), certified))
-        return real(target, eps, breaks, f_lo, sig_norm, certified and not probe_all)
-
-    with mock.patch.object(entropic, "_threshold_search", spy):
-        probe_all = False
-        betas = _dh_betas(a, b, eps)
-        assert [certified for _, certified in starts] == [CERTIFIED[kind] for kind in kinds]
-        assert starts[kinds.index("no-breakpoint")][0] == 0
-        probe_all = True
+    betas = _dh_betas(a, b, eps)
+    ends = {}
+    reference = threshold_betas_generators(a, b, 1.0 - eps, eps, np.arange(len(kinds)), ends)
+    assert [ends[i][0] for i in range(len(kinds))] == [CERTIFIED[kind] for kind in kinds]
+    assert entropic._threshold_betas(a, b, 1.0 - eps, eps, np.arange(len(kinds))).tobytes() == reference.tobytes()
+    row = kinds.index("no-breakpoint")
+    ws, vs = np.linalg.eigh(b[row])
+    assert (entropic._support_spectrum(a[row], ws, vs) <= 0.0).all()
+    with mock.patch.object(entropic, "BRACKET_MARGIN", math.inf):
         probed = _dh_betas(a, b, eps)
     assert betas.tobytes() == probed.tobytes()
-    assert betas[kinds.index("no-breakpoint")] == 0.0
+    assert betas[row] == 0.0
 
 
 @pytest.mark.parametrize("max_iter", [1, 2, 3])

@@ -217,6 +217,49 @@ def test_split_table_validation(diag_channel):
         spec.validate()
 
 
+# an alphabet names each symbol once, and a combining table only pairs of part symbols
+SYMBOL_DEFECTS = {
+    "input-repeat": ("input alphabet X1 repeats symbol '0'",
+                     lambda diag, xor: dataclasses.replace(diag, inputs={**diag.inputs, "X1": ("0", "0", "1")})),
+    "part-repeat": ("X10 alphabet repeats symbol '0'",
+                    lambda diag, xor: _with_x1_split(xor, ("0", "1", "0", "1"), {})),
+    "map-key": ("X1 combining table pair (2,2) names no part symbol",
+                lambda diag, xor: _with_x1_split(xor, None, {("2", "2"): "00"})),
+}
+
+
+def _with_x1_split(channel, common, extra):
+    """``channel`` with X1's common alphabet replaced (``None`` keeps it) and ``extra`` table entries."""
+    split = channel.splits["X1"]
+    parts = split.parts if common is None else (common, split.parts[1])
+    return dataclasses.replace(channel, splits={**channel.splits, "X1": SplitSpec(parts, {**split.table, **extra})})
+
+
+@pytest.mark.parametrize("case", SYMBOL_DEFECTS)
+def test_repeated_and_unknown_symbols_rejected(diag_channel, xor_channel, case):
+    message, build = SYMBOL_DEFECTS[case]
+    with pytest.raises(OperatorError) as got:
+        build(diag_channel, xor_channel).validate()
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize("splits", [5, "X1X2", ["X1"]])
+def test_splits_that_are_not_an_object_are_malformed(xor_channel, splits):
+    doc = channel_to_document(xor_channel)
+    doc["splits"] = splits
+    with pytest.raises(ChannelFormatError, match="^malformed channel document: splits .* is not a JSON object$"):
+        channel_from_document(doc)
+
+
+def test_default_table_without_its_input_alphabet_names_the_alphabet(xor_channel):
+    """With ``inputs.X1`` missing, a split without ``map`` fails as the same document without splits does."""
+    doc = channel_to_document(xor_channel)
+    del doc["inputs"]["X1"], doc["splits"]["X1"]["map"]
+    for document in (doc, {k: v for k, v in doc.items() if k != "splits"}):
+        with pytest.raises(OperatorError, match="^input alphabet X1 missing or empty$"):
+            channel_from_document(document)
+
+
 def test_default_combining_table(xor_channel):
     doc = channel_to_document(xor_channel)
     for inp in ("X1", "X2"):

@@ -331,6 +331,37 @@ def test_unknown_channel_keys_exit_1(tmp_path, capsys, field, key, value, messag
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("case, message", [
+    ("input-repeat", "input alphabet X1 repeats symbol '0'"),
+    ("part-repeat", "X10 alphabet repeats symbol '0'"),
+    ("map-key", "X1 combining table pair (2,2) names no part symbol"),
+], ids=["input-repeat", "part-repeat", "map-key"])
+def test_repeated_and_unknown_channel_symbols_exit_1(tmp_path, capsys, case, message):
+    doc = channel_to_document(load_channel(CHAN if case == "input-repeat" else XOR))
+    if case == "input-repeat":
+        doc["inputs"]["X1"] = ["0", "0", "1"]
+    elif case == "part-repeat":
+        doc["splits"]["X1"]["parts"]["X10"] = ["0", "1", "0", "1"]
+    else:
+        doc["splits"]["X1"]["map"]["2,2"] = "00"
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("with_splits", [True, False])
+def test_missing_input_alphabet_exits_1_with_or_without_a_default_table(tmp_path, capsys, with_splits):
+    doc = channel_to_document(load_channel(XOR))
+    del doc["inputs"]["X1"], doc["splits"]["X1"]["map"]
+    if not with_splits:
+        del doc["splits"]
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == "error: input alphabet X1 missing or empty\n"
+
+
 @pytest.mark.parametrize("dim", [2.7, "two"])
 def test_non_integer_output_dimension_exits_2(tmp_path, capsys, dim):
     doc = channel_to_document(load_channel(CHAN))
@@ -372,7 +403,8 @@ def test_fm_coefficients_not_a_mapping_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["distribution-number", "distribution-null", "states-list", "map-list",
-                                  "inputs-string", "variables-string"])
+                                  "inputs-string", "variables-string", "splits-number", "splits-string",
+                                  "splits-list"])
 def test_malformed_documents_exit_2(tmp_path, capsys, case):
     """Documents are JSON objects, and alphabets and variables are JSON arrays."""
     chan, split = channel_to_document(load_channel(CHAN)), channel_to_document(load_channel(XOR))
@@ -383,6 +415,9 @@ def test_malformed_documents_exit_2(tmp_path, capsys, case):
         "states-list": ({**chan, "states": list(chan["states"].values())}, ["validate"], "channel document"),
         "map-list": (split, ["validate"], "X1 split"),
         "inputs-string": ({**chan, "inputs": {"X1": "01", "X2": "01"}}, ["validate"], "channel document"),
+        "splits-number": ({**split, "splits": 5}, ["validate"], "channel document"),
+        "splits-string": ({**split, "splits": "X1X2"}, ["validate"], "channel document"),
+        "splits-list": ({**split, "splits": ["X1"]}, ["validate"], "channel document"),
         "variables-string": ({"variables": "R1W", "rows": [{"coeffs": {"W": 1.0}, "bound": 1.0}]},
                              ["fm", "--eliminate", "W", "--input"], "polytope document"),
     }[case]

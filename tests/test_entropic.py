@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oneshot_secrecy import cli, entropic
-from oneshot_secrecy.channel import control_state_hk, load_channel, load_distribution
+from oneshot_secrecy.channel import control_state_hk, distribution_from_document, load_channel, load_distribution
 from oneshot_secrecy.entropic import (
     ConvergenceError,
     ToleranceParams,
@@ -46,7 +46,7 @@ from oneshot_secrecy.operators import (
 )
 from oneshot_secrecy.states import CQConditionals, CQState, _block_diag, joint_and_product
 from conftest import rand_density, rand_unitary
-from util import bisection_beta, dh_dual, diagonal_scan_pairwise, max_min
+from util import bisection_beta, dh_dual, diagonal_scan_pairwise, max_min, threshold_betas_generators
 
 BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
 
@@ -583,6 +583,14 @@ def test_commuting_blocks_end_at_a_breakpoint(monkeypatch, seed):
         assert abs(beta - classical_np_oracle(p, q, eps)[0]) <= 1e-9
 
 
+def _sweep_corner(tmp_path):
+    """The benchmark's seed-0 sweep channel and a corner-point distribution, written under ``tmp_path``."""
+    channel = runpy.run_path(str(BENCH_INPUTS))["write_inputs"]("sweep", 0, tmp_path)["small_split"]
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"x10": [0, 1], "x11": [0, 1], "x20": [1 / 39, 38 / 39], "x22": [31 / 39, 8 / 39]}))
+    return channel, dist
+
+
 def test_final_probe_bisects_a_smooth_piece_steeper_than_the_bracket(tmp_path):
     """The benchmark's seed-0 sweep channel at a corner point, where rho weighs on sigma's kernel.
 
@@ -590,9 +598,7 @@ def test_final_probe_bisects_a_smooth_piece_steeper_than_the_bracket(tmp_path):
     about 4e-9, so its midpoint misses the target by 2e-9 > TYPE_I_TOL; the
     search bisects on from there, the command exits 0 and beta meets both oracles.
     """
-    channel = runpy.run_path(str(BENCH_INPUTS))["write_inputs"]("sweep", 0, tmp_path)["small_split"]
-    dist = tmp_path / "dist.json"
-    dist.write_text(json.dumps({"x10": [0, 1], "x11": [0, 1], "x20": [1 / 39, 38 / 39], "x22": [31 / 39, 8 / 39]}))
+    channel, dist = _sweep_corner(tmp_path)
     assert cli.main(["quantities", "--channel", str(channel), "--dist", str(dist),
                      "--grouping", "X10,X11,X20:Y1,Y2,Z", "--eps", "0.25"]) == 0
     state = control_state_hk(load_channel(channel), load_distribution(dist))
@@ -604,6 +610,103 @@ def test_final_probe_bisects_a_smooth_piece_steeper_than_the_bracket(tmp_path):
     tol = 1e-9 + 1e-7 * beta
     assert all(value <= beta + tol for _, value in probes)
     assert beta <= best + tol, (beta, best)
+
+
+def _unit(rng, n):
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return v / np.linalg.norm(v)
+
+
+def _search_rows(tmp_path, target):
+    """One ``(8, 8, 8)`` block-stack row per way a threshold search ends, keyed by kind (see ``SEARCH_ENDS``).
+
+    ``jump`` commutes within each block, so its type-I weight is a step
+    function and the search ends on a breakpoint; ``smooth`` has a pure
+    rho, one breakpoint and a smooth piece before it that holds the target;
+    ``kernel`` has rho weigh on sigma's kernel, so the bracket must grow;
+    ``zero`` has rho only on sigma's kernel, just inside ``TYPE_I_TOL`` of
+    the target, and beta 0.  ``bisect-above`` is the pair of
+    :func:`test_final_probe_bisects_a_smooth_piece_steeper_than_the_bracket`,
+    whose final band misses above the type-I window, and ``bisect-below``
+    one of the same channel whose final band misses below it.  Every row
+    but ``jump`` has dead blocks.
+    """
+    rng = np.random.default_rng(0)
+    k, d = 8, 8
+    rows = {}
+    rho, sigma = np.zeros((2, k, d, d), dtype=complex)
+    for i in range(k):
+        u = rand_unitary(rng, d)
+        rho[i] = u @ np.diag(rng.random(d)) @ u.conj().T
+        sigma[i] = u @ np.diag(rng.random(d) + 0.1) @ u.conj().T
+    rows["jump"] = (rho / np.trace(rho, axis1=1, axis2=2).real.sum(),
+                    sigma / np.trace(sigma, axis1=1, axis2=2).real.sum())
+    rho, sigma = np.zeros((2, k, d, d), dtype=complex)
+    psi = _unit(rng, d)
+    rho[0], sigma[0] = np.outer(psi, psi.conj()), rand_density(rng, d)
+    rows["smooth"] = rho, sigma
+    rho, sigma = np.zeros((2, k, d, d), dtype=complex)
+    u = rand_unitary(rng, d)
+    psi = np.concatenate([[math.sqrt(0.9 * target)], math.sqrt(1.0 - 0.9 * target) * _unit(rng, d - 1)])
+    rho[0] = u @ np.outer(psi, psi.conj()) @ u.conj().T
+    sigma[0] = u @ np.diag(np.concatenate([[0.0], rng.random(d - 1) + 0.1])) @ u.conj().T
+    rows["kernel"] = rho, sigma / np.trace(sigma[0]).real
+    rho, sigma = np.zeros((2, k, d, d), dtype=complex)
+    rho[0, 0, 0] = target - 1e-10
+    sigma[0] = np.diag(np.concatenate([[0.0], rng.random(d - 1) + 0.1]))
+    for i in range(1, k):
+        sigma[i] = rand_density(rng, d)
+    rows["zero"] = rho, sigma / np.trace(sigma, axis1=1, axis2=2).real.sum()
+    channel, dist = _sweep_corner(tmp_path)
+    channel = load_channel(channel)
+    for kind, dist in (("bisect-above", load_distribution(dist)),
+                       ("bisect-below", distribution_from_document({"x10": [0, 1], "x11": [0, 1],
+                                                                    "x20": [0.05, 0.95], "x22": [0.9, 0.1]}))):
+        state = control_state_hk(channel, dist)
+        rows[kind] = entropic._block_stack(*joint_and_product(state, ["X10", "X11", "X20"], ["Y1", "Y2", "Z"]))
+    return rows
+
+
+# how each row of _search_rows ends its search uncapped, and whether its first probe is certified
+SEARCH_ENDS = {"jump": (True, "jump"), "smooth": (True, "band"), "kernel": (False, "band"),
+               "zero": (False, "band"), "bisect-above": (False, "bisect"), "bisect-below": (False, "bisect")}
+
+
+def _outcome(solver, *args):
+    """A solve's bytes, or its error's class, text and row."""
+    try:
+        return solver(*args).tobytes()
+    except ConvergenceError as exc:
+        return type(exc), str(exc), exc.row
+
+
+def test_array_search_matches_the_generator_search(tmp_path, monkeypatch):
+    """``_threshold_betas`` gives the generator search's bytes, or its error's class, text and row.
+
+    The rows of :func:`_search_rows` are solved together, in both orders,
+    and each alone, at ``_MAX_ITER`` 1-7, at 15-17, where ``bisect-above``
+    reaches its final band with 14 probes counted (15 and 16 fail there, so
+    the first final-band probe must go uncounted), and at 200.  Uncapped, each row ends as ``SEARCH_ENDS`` names,
+    so certified rows mix with probed ones; capped, every failure text turns up.
+    """
+    eps = 0.25
+    rows = _search_rows(tmp_path, 1.0 - eps)
+    kinds = list(SEARCH_ENDS)
+    failures = set()
+    for max_iter in (*range(1, 8), 15, 16, 17, 200):
+        monkeypatch.setattr(entropic, "_MAX_ITER", max_iter)
+        for order in [kinds, kinds[::-1]] + [[kind] for kind in kinds]:
+            a, b = (np.stack(side) for side in zip(*(rows[kind] for kind in order)))
+            labels = 3 * np.arange(len(order)) + 1
+            ends = {}
+            got = _outcome(entropic._threshold_betas, a, b, 1.0 - eps, eps, labels)
+            assert got == _outcome(threshold_betas_generators, a, b, 1.0 - eps, eps, labels, ends), (max_iter, order)
+            if isinstance(got, tuple):
+                failures.add(" ".join(got[1].split()[:2]))
+            elif max_iter == 200:
+                assert {order[i]: end for i, end in ends.items()} == {kind: SEARCH_ENDS[kind] for kind in order}
+                assert all(beta == 0.0 for kind, beta in zip(order, np.frombuffer(got)) if kind == "zero")
+    assert failures == {"could not", "no convergence", "straddle detection"}
 
 
 def test_bracket_grows_past_the_breakpoints():

@@ -8,19 +8,22 @@ rounded directions, hulls through a monotone chain, the qubit test search
 through a refined dense grid, the diagonal-scan smoothing through one
 donor-recipient pair at a time, the joint/product pair through a dense
 embedding with Kronecker products, the quantum threshold test through a
-plain bisection on the whole matrix and through its dual, a sweep's grid
+plain bisection on the whole matrix and through its dual, the stack
+threshold search through one generator per row on the solver's own set-up
+(the per-row search the array search replaced), a sweep's grid
 through one nested product of input distributions per point, the
 conditional max-min through one loop per point, and a region's row bounds
 through one term at a time of the public one-point helpers, summed row by
 row in Python floats, and density checks through one operator at a time.
 """
+import bisect
 import itertools
 import math
 from typing import Sequence
 
 import numpy as np
 
-from oneshot_secrecy import regions
+from oneshot_secrecy import entropic, regions
 from oneshot_secrecy.channel import InputDistribution
 from oneshot_secrecy.entropic import (
     _MAX_ITER,
@@ -450,6 +453,165 @@ def bisection_beta(rho, sigma, eps):
             f"(type-I window [{a_pos:.12g}, {a_pos + a_zer:.12g}], target {target:.12g})"
         )
     return finish(a_pos, a_zer, b_pos, b_zer)
+
+
+def threshold_search_generator(target, eps, breaks, f_lo, sig_norm, certified):
+    """One row's threshold search as a generator: the per-row reference for ``entropic._threshold_betas``.
+
+    It yields each probe ``(t, band)`` and is sent back that probe's weights
+    ``(a_pos, a_zer, b_pos, b_zer)``; it returns how it ended and beta.
+    ``breaks`` are the row's sorted distinct positive breakpoints, ``f_lo``
+    is Tr rho - target and ``sig_norm`` is sigma's largest eigenvalue.  A
+    ``certified`` row's first probe is taken to leave all four weights exact
+    zeros: it is not yielded but counts against ``_MAX_ITER``.  The ends are
+    ``"bracket"`` (while growing the bracket), ``"jump"`` (on a breakpoint
+    probe), ``"secant"`` (on an Illinois or bisection probe), ``"band"`` (on
+    the first final-band probe) and ``"bisect"`` (after the final band
+    bisected on).  ``_MAX_ITER`` and the tolerances are read at each call.
+    """
+    max_iter = entropic._MAX_ITER
+
+    def finish(a_pos, a_zer, b_pos, b_zer):
+        c = 0.0 if a_zer <= 0.0 else min(1.0, max(0.0, (target - a_pos) / a_zer))
+        return b_pos + c * b_zer
+
+    lo, hi = 0.0, (breaks[-1] if breaks else 0.0) + 1.0
+    iters = 0
+    while iters < max_iter:
+        iters += 1
+        a_pos, a_zer, b_pos, b_zer = (0.0, 0.0, 0.0, 0.0) if certified else (yield hi, PROBE_BAND * (1.0 + hi))
+        if a_pos + a_zer < target:
+            f_hi = a_pos + a_zer - target
+            break
+        if a_pos <= target:
+            return "bracket", finish(a_pos, a_zer, b_pos, b_zer)
+        lo, f_lo = hi, a_pos - target
+        hi *= 2.0
+    else:
+        raise ConvergenceError(f"could not bracket the threshold test (t up to {hi:.6g}, eps={eps})")
+
+    width_goal = BISECT_WIDTH * max(1.0, hi)
+    side = 0  # the end the previous secant step moved: -1 lo, +1 hi
+    while iters < max_iter and hi - lo > width_goal:
+        iters += 1
+        first, stop = bisect.bisect_right(breaks, lo), bisect.bisect_left(breaks, hi)
+        secant = first == stop
+        if not secant:
+            t = breaks[(first + stop) // 2]
+        else:
+            t = 0.5 * (lo + hi)
+            if f_lo > 0.0:
+                step = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+                t = step if lo < step < hi else t
+        a_pos, a_zer, b_pos, b_zer = yield t, PROBE_BAND * (1.0 + t)
+        if a_pos > target:
+            lo, f_lo = t, a_pos - target
+            if side < 0:
+                f_hi *= 0.5
+            side = -1 if secant else 0
+        elif a_pos + a_zer < target:
+            hi, f_hi = t, a_pos + a_zer - target
+            if side > 0:
+                f_lo *= 0.5
+            side = 1 if secant else 0
+        else:
+            return "secant" if secant else "jump", finish(a_pos, a_zer, b_pos, b_zer)
+    if hi - lo > width_goal:
+        raise ConvergenceError(
+            f"no convergence after {max_iter} iterations "
+            f"(t in [{lo:.6g}, {hi:.6g}], eps={eps}); degenerate spectrum suspected"
+        )
+    mid, end = 0.5 * (lo + hi), "band"
+    a_pos, a_zer, b_pos, b_zer = yield mid, 2.0 * (hi - lo) * (sig_norm + 1.0) + BAND_FLOOR
+    while a_pos > target + TYPE_I_TOL or a_pos + a_zer < target - TYPE_I_TOL:
+        lo, hi = (mid, hi) if a_pos > target else (lo, mid)
+        if iters >= max_iter or not lo < 0.5 * (lo + hi) < hi:
+            raise ConvergenceError(
+                f"straddle detection failed at t={mid:.6g}, eps={eps} "
+                f"(type-I window [{a_pos:.12g}, {a_pos + a_zer:.12g}], target {target:.12g})"
+            )
+        iters += 1
+        mid, end = 0.5 * (lo + hi), "bisect"
+        a_pos, a_zer, b_pos, b_zer = yield mid, 2.0 * (hi - lo) * (sig_norm + 1.0) + BAND_FLOOR
+    return end, finish(a_pos, a_zer, b_pos, b_zer)
+
+
+def threshold_betas_generators(a, b, target, eps, rows, ends=None):
+    """``entropic._threshold_betas`` with one generator per row (:func:`threshold_search_generator`).
+
+    The set-up is the solver's, through its own helpers; a loop then
+    ``send``s each open row its probe sums and gathers the next probes one
+    by one, and makes one ``eigh`` per step over the open rows.  The first
+    failure by (probes made, row) is raised, a certified row counting one
+    probe more.  Given ``ends``, each row's ``(certified, end)`` goes into
+    it under its index, ``end`` ``"kernel"`` for a row that sigma's kernel
+    settles before any search.
+    """
+    n_rows, k = a.shape[:2]
+    live = entropic._live_blocks(a, b)
+    ab = np.stack([entropic._gather(a, live), entropic._gather(b, live)], axis=1)
+    at = np.repeat(np.arange(n_rows), k) if live is None else np.nonzero(live)[0]
+    ws, vs = entropic._eigh(ab[:, 1])
+    betas = np.zeros(n_rows)
+    mass = entropic._kernel_mass(entropic._scatter(ws, live, (n_rows, k)),
+                                 entropic._scatter(entropic._weights(ab[:, 0], vs), live, (n_rows, k)))
+    searching = mass < target - KERNEL_MASS_SLACK
+    if ends is not None:
+        ends.update((int(i), (False, "kernel")) for i in np.flatnonzero(~searching))
+    if not searching.any():
+        return betas
+    if not searching.all():
+        (ab, ws, vs), at, live = entropic._keep_rows(searching, at, live, ab, ws, vs)
+    searching = np.flatnonzero(searching)
+    n_rows = len(searching)
+    lam = entropic._scatter(entropic._support_spectrum(ab[:, 0], ws, vs), live, (n_rows, k)).reshape(n_rows, -1)
+    lam = np.sort(np.where(lam > 0.0, lam, math.inf), axis=1)
+    lam[:, 1:][lam[:, 1:] == lam[:, :-1]] = math.inf
+    lam = np.sort(lam, axis=1)
+    f_lo = np.trace(a, axis1=-2, axis2=-1)[searching].real.sum(axis=1) - target
+    sig_norm = np.maximum(entropic._scatter(ws, live, (n_rows, k)).reshape(n_rows, -1).max(axis=1), 0.0)
+    sig_least = np.full(n_rows, math.inf)
+    np.minimum.at(sig_least, at, ws.min(axis=1))
+    hi = np.where(np.isfinite(lam), lam, 0.0).max(axis=1) + 1.0
+    certified = (sig_least > entropic.BRACKET_MARGIN * PROBE_BAND * (1.0 + hi)).tolist()
+    searches = [
+        threshold_search_generator(target, eps, breaks[:count], f, norm, skip)
+        for breaks, count, f, norm, skip in zip(lam.tolist(), np.isfinite(lam).sum(axis=1).tolist(),
+                                                f_lo.tolist(), sig_norm.tolist(), certified)
+    ]
+    probes = [None] * n_rows
+    open_rows = np.arange(n_rows)
+    sent = [None] * n_rows
+    failed = None
+    for step in itertools.count():
+        still = np.ones(len(open_rows), dtype=bool)
+        for place, (i, row_sums) in enumerate(zip(open_rows.tolist(), sent)):
+            try:
+                probes[i] = searches[i].send(row_sums)
+            except StopIteration as done:
+                end, betas[searching[i]] = done.value
+                if ends is not None:
+                    ends[int(searching[i])] = (certified[i], end)
+                still[place] = False
+            except ConvergenceError as exc:
+                key = (step + certified[i], i, str(exc))
+                failed = key if failed is None else min(failed, key)
+                still[place] = False
+        if not still.all():
+            (ab,), at, live = entropic._keep_rows(still, at, live, ab)
+            open_rows = open_rows[still]
+        if failed is not None and (failed[0] <= step or not open_rows.size):
+            raise ConvergenceError(failed[2], int(rows[searching[failed[1]]]))
+        if not open_rows.size:
+            return betas
+        shape = (len(open_rows), k)
+        t, band = np.array([probes[i] for i in open_rows.tolist()]).T
+        w, v = entropic._eigh(ab[:, 0] - t[at, None, None] * ab[:, 1])
+        w = entropic._scatter(w, live, shape)
+        band = band[:, None, None]
+        masks = np.stack([w > band, np.abs(w) <= band], axis=-1).reshape(len(open_rows), -1, 2)
+        weights = entropic._scatter(entropic._weights(ab, v[:, None]), live, shape)
+        sent = (weights.transpose(0, 2, 1, 3).reshape(len(open_rows), 2, -1) @ masks).reshape(-1, 4).tolist()
 
 
 def diagonal_scan_pairwise(p, q, eps, step=1e-4):
