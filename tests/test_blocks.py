@@ -281,28 +281,41 @@ def _certificate_rows(rng, k, d, eps):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_certified_bracket_start_keeps_every_bit(k, d, kinds, eps, seed):
-    """``_dh_betas`` gives the same bytes when certified rows skip their first probe as when every row probes.
+    """``_threshold_betas`` gives the same bytes when certified rows skip their first probe as when every row probes.
 
     One stack mixes rows on both sides of the certificate (see
-    :func:`_certificate_rows`); each lands on the side its kind names, as the
-    generator search (``threshold_betas_generators``) reports it, and the
-    array search gives that search's bytes.  The probed solve sets
-    ``BRACKET_MARGIN`` to inf, so it does not depend on how the certificate
-    decides.
+    :func:`_certificate_rows`).  The solver's own first probe shows each
+    row's side: with ``BRACKET_MARGIN`` inf every row probes t = hi first,
+    so a row's blocks in that first ``rho - t sigma`` match the default
+    solve's exactly when the row is not certified.  The array search gives
+    the generator search's bytes (``threshold_betas_generators``), and the
+    probed solve gives the certified one's.
     """
     rows = _certificate_rows(np.random.default_rng(seed), k, d, eps)
     a, b = (np.stack(side) for side in zip(*(rows[kind] for kind in kinds)))
-    betas = _dh_betas(a, b, eps)
-    ends = {}
-    reference = threshold_betas_generators(a, b, 1.0 - eps, eps, np.arange(len(kinds)), ends)
-    assert [ends[i][0] for i in range(len(kinds))] == [CERTIFIED[kind] for kind in kinds]
-    assert entropic._threshold_betas(a, b, 1.0 - eps, eps, np.arange(len(kinds))).tobytes() == reference.tobytes()
+    live = entropic._live_blocks(a, b)
+    at = np.nonzero(live)[0]
+    eigh = entropic._eigh
+
+    def first_probe():
+        calls = []
+        with mock.patch.object(entropic, "_eigh", side_effect=lambda m: calls.append(m) or eigh(m)):
+            betas = entropic._threshold_betas(a, b, 1.0 - eps, eps, np.arange(len(kinds)))
+        # calls[0] is sigma's; every row searches, so calls[1] holds all live blocks
+        assert calls[1].shape[0] == len(at)
+        return betas, calls[1]
+
+    betas, first = first_probe()
+    with mock.patch.object(entropic, "BRACKET_MARGIN", math.inf):
+        probed, first_probed = first_probe()
+    skipped = [not np.array_equal(first[at == i], first_probed[at == i]) for i in range(len(kinds))]
+    assert skipped == [CERTIFIED[kind] for kind in kinds]
+    assert betas.tobytes() == probed.tobytes()
+    reference = threshold_betas_generators(a, b, 1.0 - eps, eps, np.arange(len(kinds)))
+    assert betas.tobytes() == reference.tobytes()
     row = kinds.index("no-breakpoint")
     ws, vs = np.linalg.eigh(b[row])
     assert (entropic._support_spectrum(a[row], ws, vs) <= 0.0).all()
-    with mock.patch.object(entropic, "BRACKET_MARGIN", math.inf):
-        probed = _dh_betas(a, b, eps)
-    assert betas.tobytes() == probed.tobytes()
     assert betas[row] == 0.0
 
 
