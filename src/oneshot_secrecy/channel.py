@@ -82,9 +82,7 @@ class ChannelSpec:
         pairs = [(x1, x2) for x1 in self.inputs["X1"] for x2 in self.inputs["X2"]]
         for what, given, known in (("input", self.inputs, INPUT_NAMES), ("output", self.outputs, OUTPUT_NAMES),
                                    ("state", self.states, set(pairs))):
-            unknown = [k for k in given if k not in known]
-            if unknown:
-                raise OperatorError(f"unknown {what} key {unknown[0]!r}")
+            _check_known(what, given, known)
         d = self.quantum_layout.total_dim
         for x1, x2 in pairs:
             if (x1, x2) not in self.states:
@@ -117,6 +115,13 @@ class ChannelSpec:
                 if image != set(self.inputs[inp]):
                     raise OperatorError(f"{inp} combining table is not onto the input alphabet")
         validate_densities(self.stack, [f"{x1},{x2}" for x1, x2 in pairs])
+
+
+def _check_known(what: str, given, known) -> None:
+    """Every key of ``given`` is one of ``known``; ``what`` names the keys in the error."""
+    unknown = [k for k in given if k not in known]
+    if unknown:
+        raise OperatorError(f"unknown {what} key {unknown[0]!r}")
 
 
 def _check_distinct(what: str, symbols: Sequence[str]) -> None:
@@ -185,6 +190,8 @@ def channel_from_document(doc: Mapping) -> ChannelSpec:
                 mapping = entry["map"].items() if "map" in entry else None
             except (KeyError, TypeError, AttributeError) as exc:
                 raise ChannelFormatError(f"malformed {inp} split: {exc!r}") from None
+            _check_known(f"{inp} split", entry, ("parts", "map"))
+            _check_known(f"{inp} split part", entry["parts"], names)
             if mapping is not None:
                 table = {}
                 for key, sym in mapping:
@@ -196,6 +203,7 @@ def channel_from_document(doc: Mapping) -> ChannelSpec:
                 # a missing or empty input alphabet is left to validate's error
                 table = _identity_table(inp, alph_c, alph_p, inputs[inp]) if inputs.get(inp) else {}
             splits[inp] = SplitSpec((alph_c, alph_p), table)
+        _check_known("split", split_doc, INPUT_NAMES)
     spec = ChannelSpec(name=name, inputs=inputs, outputs=outputs, states=states, splits=splits)
     spec.validate()
     return spec
@@ -324,23 +332,24 @@ def uniform_hk(channel: ChannelSpec) -> InputDistribution:
 
 
 def distribution_from_document(doc: Mapping) -> InputDistribution:
+    """The time-shared form when ``doc`` has ``q``, else the split form; a key of neither form is rejected."""
     if "q" in doc:
+        keys = ("q", "x1_given_q", "x2_given_q")
         try:
-            return InputDistribution(
-                kind="t1",
-                q=np.asarray(doc["q"], dtype=float),
-                x1_given_q=np.asarray(doc["x1_given_q"], dtype=float),
-                x2_given_q=np.asarray(doc["x2_given_q"], dtype=float),
-            )
+            dist = InputDistribution("t1", **{key: np.asarray(doc[key], dtype=float) for key in keys})
         except (KeyError, TypeError, ValueError) as exc:
             raise ChannelFormatError(f"malformed time-shared distribution: {exc!r}") from None
-    try:
-        marginals = {reg: np.asarray(doc[reg.lower()], dtype=float) for reg in HK_REGISTERS}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ChannelFormatError(
-            f"distribution must carry q/x1_given_q/x2_given_q or the four split marginals: {exc!r}"
-        ) from None
-    return InputDistribution(kind="hk", marginals=marginals)
+    else:
+        keys = tuple(reg.lower() for reg in HK_REGISTERS)
+        try:
+            marginals = {reg: np.asarray(doc[key], dtype=float) for reg, key in zip(HK_REGISTERS, keys)}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ChannelFormatError(
+                f"distribution must carry q/x1_given_q/x2_given_q or the four split marginals: {exc!r}"
+            ) from None
+        dist = InputDistribution(kind="hk", marginals=marginals)
+    _check_known("distribution", doc, keys)
+    return dist
 
 
 def distribution_to_document(dist: InputDistribution) -> dict:

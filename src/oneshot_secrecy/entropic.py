@@ -865,30 +865,14 @@ def _cond_support(conds: CQConditionals, probs, part_a, part_b, cond):
     return points, zs, pz
 
 
-def _cond_pairs(conds: CQConditionals, probs, part_a, part_b, cond):
-    """The pairs of the conditional max-min form's rows (:func:`_cond_support`); conditioning on ``cond`` only reweights.
-
-    Each row is a point's probabilities at its value ``z`` of ``cond``,
-    divided by their mass, over the conditionals at ``z`` (``block_pairs``'
-    ``given``), so no row holds the rest of ``cond``'s alphabet.  Returns the
-    joint and product stacks, each row's point and ``z``, and the
-    ``(G, |cond|)`` masses ``pz``.
-    """
-    points, zs, pz = _cond_support(conds, probs, part_a, part_b, cond)
-    ax = conds.axis(cond)
-    given = np.moveaxis(probs, 1 + ax, 1)[points, zs]
-    mass = given.reshape(len(zs), -1).sum(axis=1).reshape((-1,) + (1,) * (given.ndim - 1))
-    rows = np.expand_dims(given / mass, 1 + ax)
-    return (*block_pairs(conds, rows, part_a, part_b, (ax, zs)), points, zs, pz)
-
-
 @dataclass(frozen=True)
 class _GridTerm:
     """One checked information term of a grid, before its pairs are built.
 
-    Its pairs have ``rows`` rows, the grid's points or with ``cond`` one per
-    point and supported value of ``cond`` (:func:`_cond_support`), of
-    ``shape`` ``(K, d)``.
+    Its rows are the grid's ``points``, or with ``cond`` one per point and
+    supported value of ``cond``: each row's point and value ``zs``, and the
+    ``(G, |cond|)`` masses ``pz`` (:func:`_cond_support`).  Its pairs'
+    blocks have ``shape`` ``(K, d)``.
     """
 
     kind: str
@@ -896,21 +880,40 @@ class _GridTerm:
     part_b: list
     cond: str | None
     eps: float
-    rows: int
     shape: tuple[int, int]
+    points: np.ndarray
+    zs: np.ndarray | None = None
+    pz: np.ndarray | None = None
 
     @property
     def nbytes(self) -> int:
         """Bytes of the term's joint stack."""
         k, d = self.shape
-        return self.rows * k * d * d * np.dtype(complex).itemsize
+        return len(self.points) * k * d * d * np.dtype(complex).itemsize
 
 
 def _grid_term(conds: CQConditionals, probs, kind, part_a, part_b, cond, eps, strategy) -> _GridTerm:
     part_a, part_b = _parts(part_a), _parts(part_b)
-    rows = len(probs) if cond is None else len(_cond_support(conds, probs, part_a, part_b, cond)[0])
+    rows = (np.arange(len(probs)),) if cond is None else _cond_support(conds, probs, part_a, part_b, cond)
     _check_term(kind, eps, strategy)
-    return _GridTerm(kind, part_a, part_b, cond, eps, rows, pair_shape(conds, part_a, part_b))
+    return _GridTerm(kind, part_a, part_b, cond, eps, pair_shape(conds, part_a, part_b), *rows)
+
+
+def _term_pairs(conds: CQConditionals, probs, term: _GridTerm) -> tuple[np.ndarray, np.ndarray]:
+    """The joint and product stacks of a planned term's rows; conditioning on ``cond`` only reweights.
+
+    A conditional row is its point's probabilities at its value ``z`` of
+    ``cond``, divided by their mass, over the conditionals at ``z``
+    (``block_pairs``' ``given``), so no row holds the rest of ``cond``'s
+    alphabet.
+    """
+    if term.cond is None:
+        return block_pairs(conds, probs, term.part_a, term.part_b)
+    ax = conds.axis(term.cond)
+    given = np.moveaxis(probs, 1 + ax, 1)[term.points, term.zs]
+    mass = given.reshape(len(term.zs), -1).sum(axis=1).reshape((-1,) + (1,) * (given.ndim - 1))
+    rows = np.expand_dims(given / mass, 1 + ax)
+    return block_pairs(conds, rows, term.part_a, term.part_b, (ax, term.zs))
 
 
 def _solve_terms(conds: CQConditionals, probs, terms: Sequence[_GridTerm], strategy: str) -> list[np.ndarray]:
@@ -919,13 +922,9 @@ def _solve_terms(conds: CQConditionals, probs, terms: Sequence[_GridTerm], strat
     The stacks go to :func:`_pair_values` as they are.  A conditional term
     then takes the max-min over its rows.
     """
-    pairs, supports = [], []
+    pairs = []
     for term in terms:
-        if term.cond is None:
-            joint, product = block_pairs(conds, probs, term.part_a, term.part_b)
-        else:
-            joint, product, *support = _cond_pairs(conds, probs, term.part_a, term.part_b, term.cond)
-            supports.append(support)
+        joint, product = _term_pairs(conds, probs, term)
         if not (np.isfinite(joint).all() and np.isfinite(product).all()):
             raise OperatorError("non-finite entries in rho or sigma")
         pairs.append((joint, product))
@@ -934,56 +933,27 @@ def _solve_terms(conds: CQConditionals, probs, terms: Sequence[_GridTerm], strat
     eps = terms[0].eps
     values = _pair_values(terms[0].kind, joint, product, eps, strategy)
     out = []
-    supports = iter(supports)
-    for term, part in zip(terms, np.split(values, np.cumsum([term.rows for term in terms])[:-1])):
-        if term.cond is None:
-            out.append(part)
-            continue
-        points, zs, pz = next(supports)
-        by_point = np.zeros(pz.shape)
-        by_point[points, zs] = part
-        out.append(_max_min(pz, by_point, pz > COND_SUPPORT_TOL, eps))
+    for term, part in zip(terms, np.split(values, np.cumsum([len(term.points) for term in terms])[:-1])):
+        if term.cond is not None:
+            by_point = np.zeros(term.pz.shape)
+            by_point[term.points, term.zs] = part
+            part = _max_min(term.pz, by_point, term.pz > COND_SUPPORT_TOL, eps)
+        out.append(part)
     return out
 
 
-def grid_values(
-    kind: str,
-    conds: CQConditionals,
-    probs: np.ndarray,
-    part_a,
-    part_b,
-    cond: str | None,
-    eps: float,
-    strategy: str = "none",
-    first: int | None = None,
-) -> np.ndarray:
-    """One information term at every point of a grid of CQ states.
-
-    The grid is ``conds`` with the ``(G, *alphabet_sizes)`` stack ``probs``.
-    ``kind`` ``"ht"`` is the hypothesis-testing mutual information and
-    ``"max"`` the smoothed max mutual information; with ``cond`` it is the
-    conditional max-min form, one row per point and supported value of
-    ``cond``.  Every row's pair is built in one contraction (see
-    :func:`block_pairs`), and all rows are solved together by one stack
-    solve (:func:`_pair_values`).  A ``ConvergenceError`` or
-    ``CommutationError`` names the term and the failing row's value of
-    ``cond``; given ``first``, the index of the grid's first point in a
-    larger grid, it names the failing point as well.
-    """
-    term = _grid_term(conds, probs, kind, part_a, part_b, cond, eps, strategy)
+def _solve_alone(conds: CQConditionals, probs, term: _GridTerm, strategy: str, first: int | None) -> np.ndarray:
+    """One planned term solved alone, a ``ConvergenceError`` or ``CommutationError`` named as in :func:`grid_terms`."""
     try:
         return _solve_terms(conds, probs, [term], strategy)[0]
     except (ConvergenceError, CommutationError) as exc:
-        # each row's point and value of cond
-        points, zs = ((np.arange(len(probs)), None) if cond is None
-                      else _cond_support(conds, probs, term.part_a, term.part_b, cond)[:2])
         where = []
         if exc.row is not None and first is not None:
-            where.append(f"grid point {first + int(points[exc.row])}")
-        if exc.row is not None and zs is not None:
-            where.append(f"{cond}={int(zs[exc.row])}")
+            where.append(f"grid point {first + int(term.points[exc.row])}")
+        if exc.row is not None and term.zs is not None:
+            where.append(f"{term.cond}={int(term.zs[exc.row])}")
         at = f" ({', '.join(where)})" if where else ""
-        raise type(exc)(f"{term_name(kind, term.part_a, term.part_b, cond)}: {exc}{at}") from None
+        raise type(exc)(f"{term_name(term.kind, term.part_a, term.part_b, term.cond)}: {exc}{at}") from None
 
 
 def grid_terms(
@@ -993,16 +963,21 @@ def grid_terms(
     strategy: str = "none",
     first: int | None = None,
 ) -> list[np.ndarray]:
-    """Several information terms of one grid, each as :func:`grid_values` gives it, bit for bit.
+    """Information terms at every point of a grid of CQ states, one array per term.
 
-    ``terms`` are ``(kind, part_a, part_b, cond, eps)``.  Terms of one kind,
-    eps and block shape ``(K, d)`` are solved together: their rows go into
-    one stack solve, in batches whose joint stack stays within
-    ``_BATCH_BYTES`` (a larger term is a batch of its own).  A row's value
-    does not depend on its batch.  When a batch raises
-    ``ConvergenceError`` or ``CommutationError`` the unsolved terms are
-    solved one at a time in order, so the error names the term, point and
-    value of ``cond`` that a term-by-term evaluation would.
+    The grid is ``conds`` with the ``(G, *alphabet_sizes)`` stack ``probs``.
+    ``terms`` are ``(kind, part_a, part_b, cond, eps)``: kind ``"ht"`` is the
+    hypothesis-testing mutual information and ``"max"`` the smoothed max
+    mutual information; with ``cond`` it is the conditional max-min form,
+    one row per point and supported value of ``cond``.  Every row's pair is
+    built in one contraction (see :func:`block_pairs`).  Terms of one kind,
+    eps and block shape ``(K, d)`` share a stack solve (:func:`_pair_values`)
+    in batches whose joint stack stays within ``_BATCH_BYTES`` (a larger
+    term is a batch of its own); a row's value does not depend on its batch.
+    When a batch raises ``ConvergenceError`` or ``CommutationError`` the
+    unsolved terms are solved one at a time in order, so the error names the
+    first failing term and its row's value of ``cond``; given ``first``, the
+    index of the grid's first point in a larger grid, it names the point too.
     """
     planned = [_grid_term(conds, probs, kind, part_a, part_b, cond, eps, strategy)
                for kind, part_a, part_b, cond, eps in terms]
@@ -1023,14 +998,14 @@ def grid_terms(
             for i, value in zip(batch, _solve_terms(conds, probs, [planned[i] for i in batch], strategy)):
                 values[i] = value
     except (ConvergenceError, CommutationError):
-        for i, term in enumerate(terms):
+        for i, term in enumerate(planned):
             if values[i] is None:
-                values[i] = grid_values(term[0], conds, probs, *term[1:], strategy, first)
+                values[i] = _solve_alone(conds, probs, term, strategy, first)
     return values
 
 
 def _one_point(kind: str, state: CQState, part_a, part_b, cond, eps: float, strategy: str = "none") -> float:
-    return float(grid_values(kind, state.conds, state.probs[None], part_a, part_b, cond, eps, strategy)[0])
+    return float(grid_terms(state.conds, state.probs[None], [(kind, part_a, part_b, cond, eps)], strategy)[0][0])
 
 
 def ht_mutual_info(state: CQState, part_a, part_b, eps: float) -> float:

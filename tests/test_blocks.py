@@ -25,13 +25,11 @@ from oneshot_secrecy.channel import ChannelSpec, control_state_hk, control_state
 from oneshot_secrecy.entropic import (
     ConvergenceError,
     _block_stack,
-    _cond_pairs,
     _dh_betas,
     _dmax_values,
     cond_smooth_ht_mi,
     cond_smooth_max_mi,
     grid_terms,
-    grid_values,
     hypothesis_testing_beta,
     hypothesis_testing_divergence,
     ht_mutual_info,
@@ -513,8 +511,8 @@ def test_grid_conditional_terms_match_each_point_alone(sizes, qdim, points, data
         if sizes[ax] > 1 and probs.sum() > 0.0:
             states[g] = CQState(conds, probs / probs.sum())
     probs = np.stack([s.probs for s in states])
-    ht = grid_values("ht", conds, probs, [a], [b], cond, 0.25)
-    dmax = grid_values("max", conds, probs, [a], [b], cond, 0.1, "none")
+    [ht] = grid_terms(conds, probs, [("ht", [a], [b], cond, 0.25)])
+    [dmax] = grid_terms(conds, probs, [("max", [a], [b], cond, 0.1)], "none")
     others = tuple(i for i in range(len(sizes)) if i != ax)
     for g, state in enumerate(states):
         assert ht[g] == cond_smooth_ht_mi(state, [a], [b], cond, 0.25)
@@ -526,7 +524,7 @@ def test_grid_conditional_terms_match_each_point_alone(sizes, qdim, points, data
         assert dmax[g] == max_min(pz[support], np.array([smooth_max_mutual_info(s, [a], [b], 0.1) for s in given]),
                                   0.1)
     with pytest.raises(OperatorError, match=f"conditioning register '{cond}' also appears in a part"):
-        grid_values("ht", conds, probs, [a, cond], [b], cond, 0.25)
+        grid_terms(conds, probs, [("ht", [a, cond], [b], cond, 0.25)])
 
 
 def test_conditioning_alphabet_above_twenty():
@@ -541,7 +539,7 @@ def test_conditioning_alphabet_above_twenty():
     conds, probs = _grid(states)
     assert (probs[1].sum(axis=1) <= COND_SUPPORT_TOL).any()
     for kind, eps in (("ht", 0.25), ("max", 0.5)):
-        values = grid_values(kind, conds, probs, ["C1"], ["Q0"], "C0", eps)
+        [values] = grid_terms(conds, probs, [(kind, ["C1"], ["Q0"], "C0", eps)])
         one_point = cond_smooth_ht_mi if kind == "ht" else cond_smooth_max_mi
         each = ht_mutual_info if kind == "ht" else smooth_max_mutual_info
         for g, state in enumerate(states):
@@ -566,7 +564,7 @@ def _grid(states):
 
 
 def test_grid_terms_match_term_by_term_values(monkeypatch):
-    """Terms solved per block shape, in batches of any size, are each term's ``grid_values``, bit for bit.
+    """Terms solved per block shape, in batches of any size, are each term solved alone, bit for bit.
 
     The grids are sweep grids with zero-mass values: the split-message tables
     on a rank-deficient split channel and ``t1``'s conditional terms on a
@@ -584,7 +582,7 @@ def test_grid_terms_match_term_by_term_values(monkeypatch):
     for (conds, probs), terms in grids:
         # one more term of a shape already there, at another eps
         terms = terms + [next(("ht", a, b, cond, 0.3) for kind, a, b, cond, _ in terms if kind == "ht")]
-        expected = [grid_values(kind, conds, probs, a, b, cond, eps) for kind, a, b, cond, eps in terms]
+        expected = [grid_terms(conds, probs, [term])[0] for term in terms]
         shapes = {(kind, eps, entropic.pair_shape(conds, a, b)) for kind, a, b, _, eps in terms}
         for batch_bytes, solves in ((math.inf, len(shapes)), (1 << 16, None), (1, len(terms))):
             monkeypatch.setattr(entropic, "_BATCH_BYTES", batch_bytes)
@@ -606,7 +604,7 @@ def test_batch_convergence_error_names_the_first_failing_term(monkeypatch):
     conds, probs = _grid([control_state_hk(split, dist) for dist in hk_distributions(split, 3)])
     terms = [("ht", ["X10"], ["Y1"], None, 0.25), ("ht", ["X10", "X11"], ["Y1"], None, 0.25),
              ("ht", ["X20"], ["Y2"], "X11", 0.25)]
-    cond_rows = _cond_pairs(conds, probs, ["X20"], ["Y2"], "X11")[0]
+    cond_rows = entropic._term_pairs(conds, probs, entropic._grid_term(conds, probs, *terms[2], "none"))[0]
     failing = {block_pairs(conds, probs, ["X10", "X11"], ["Y1"])[0][40].tobytes(), cond_rows[-1].tobytes()}
     assert not failing & {row.tobytes() for row in block_pairs(conds, probs, ["X10"], ["Y1"])[0]}
     real, lengths = entropic._dh_betas, []
@@ -620,8 +618,8 @@ def test_batch_convergence_error_names_the_first_failing_term(monkeypatch):
 
     monkeypatch.setattr(entropic, "_dh_betas", poisoned)
     with pytest.raises(ConvergenceError) as sequential:
-        for kind, a, b, cond, eps in terms:
-            grid_values(kind, conds, probs, a, b, cond, eps, first=7)
+        for term in terms:
+            grid_terms(conds, probs, [term], first=7)
     assert str(sequential.value) == "D_H(X10,X11 : Y1): straddle detection failed at t=0.5, eps=0.25 (grid point 47)"
     lengths.clear()
     with pytest.raises(ConvergenceError) as batched:

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +69,22 @@ def test_unknown_keys_rejected(diag_channel, field, key, value):
     doc = channel_to_document(diag_channel)
     doc[field][key] = value
     with pytest.raises(OperatorError, match=f"unknown {field[:-1]} key"):
+        channel_from_document(doc)
+
+
+# (where in the document, key, value, error) for an unknown key inside xor_split's splits
+UNKNOWN_SPLIT_KEYS = [
+    ((), "X3", {"parts": {"X30": ["0"]}}, "unknown split key 'X3'"),
+    (("X1", "parts"), "X12", ["0"], "unknown X1 split part key 'X12'"),
+    (("X1",), "extra", 1, "unknown X1 split key 'extra'"),
+]
+
+
+@pytest.mark.parametrize("where, key, value, message", UNKNOWN_SPLIT_KEYS, ids=["input", "part", "field"])
+def test_unknown_split_keys_rejected(xor_channel, where, key, value, message):
+    doc = channel_to_document(xor_channel)
+    functools.reduce(dict.__getitem__, where, doc["splits"])[key] = value
+    with pytest.raises(OperatorError, match=f"^{re.escape(message)}$"):
         channel_from_document(doc)
 
 
@@ -203,6 +221,18 @@ def test_distribution_documents(diag_channel, tmp_path):
     p.write_text("{not json", encoding="utf-8")
     with pytest.raises(ChannelFormatError):
         load_distribution(p)
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"q": [1.0], "x1_given_q": [[0.5, 0.5]], "x2_given_q": [[0.5, 0.5]], "x10": [1.0]}, "x10"),
+    ({"x10": [1.0], "x11": [1.0], "x20": [1.0], "x22": [1.0], "extra": 1}, "extra"),
+], ids=["time-shared", "split"])
+def test_unknown_distribution_keys_rejected(doc, key):
+    """A key outside the chosen form is rejected; a missing key is still malformed first."""
+    with pytest.raises(OperatorError, match=f"^unknown distribution key '{key}'$"):
+        distribution_from_document(doc)
+    with pytest.raises(ChannelFormatError, match="^(malformed time-shared|distribution must carry)"):
+        distribution_from_document({k: v for k, v in doc.items() if k not in ("x1_given_q", "x11")})
 
 
 def test_split_table_validation(diag_channel):

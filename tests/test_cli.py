@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import subprocess
 import sys
@@ -329,6 +330,31 @@ def test_unknown_channel_keys_exit_1(tmp_path, capsys, field, key, value, messag
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert cli.main(["validate", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("where, key, value, message", [
+    ((), "X3", {"parts": {"X30": ["0"]}}, "unknown split key 'X3'"),
+    (("X1", "parts"), "X12", ["0"], "unknown X1 split part key 'X12'"),
+    (("X1",), "extra", 1, "unknown X1 split key 'extra'"),
+], ids=["input", "part", "field"])
+def test_unknown_split_keys_exit_1(tmp_path, capsys, where, key, value, message):
+    doc = channel_to_document(load_channel(XOR))
+    functools.reduce(dict.__getitem__, where, doc["splits"])[key] = value
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("chan, dist, key, value", [(CHAN, DIST, "x10", [1.0]), (XOR, HKDIST, "extra", 1)],
+                         ids=["time-shared", "split"])
+def test_unknown_distribution_keys_exit_1(tmp_path, capsys, chan, dist, key, value):
+    doc = json.loads(Path(dist).read_text(encoding="utf-8"))
+    doc[key] = value
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", chan, "--dist", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: unknown distribution key {key!r}\n"
 
 
 @pytest.mark.parametrize("case, message", [

@@ -22,7 +22,7 @@ from oneshot_secrecy.entropic import (
     cond_smooth_ht_mi,
     cond_smooth_max_mi,
     fact_bound,
-    grid_values,
+    grid_terms,
     ht_mutual_info,
     hypothesis_testing_beta,
     hypothesis_testing_divergence,
@@ -934,6 +934,6 @@ def test_convergence_error_names_the_grid_point_and_conditioning_value(monkeypat
     conds = classical_cq(("A", "B", "C"), np.full((2, 2, 2), 0.125)).conds
     probs = np.stack([np.full((2, 2, 2), 0.125), np.full((2, 2, 2), 0.125)])
     with pytest.raises(ConvergenceError, match=r"^D_H\(A : B \| C\): straddle .* eps=0\.25 \(grid point 11, C=1\)$"):
-        grid_values("ht", conds, probs, ["A"], ["B"], "C", 0.25, first=10)
+        grid_terms(conds, probs, [("ht", ["A"], ["B"], "C", 0.25)], first=10)
     with pytest.raises(ConvergenceError, match=r"^D_H\(A : B \| C\): straddle .* eps=0\.25 \(C=1\)$"):
-        grid_values("ht", conds, probs, ["A"], ["B"], "C", 0.25)
+        grid_terms(conds, probs, [("ht", ["A"], ["B"], "C", 0.25)])

@@ -378,6 +378,20 @@ def test_theorem2_evaluates_each_max_information_once(xor_channel, monkeypatch):
     assert len(batches) == 1
 
 
+def test_theorem1_finds_each_conditional_support_once(diag_channel, monkeypatch):
+    """A conditional term's rows are worked out when it is planned and reused by its solve."""
+    calls = []
+    real = entropic._cond_support
+
+    def counting(conds, probs, part_a, part_b, cond):
+        calls.append((tuple(part_a), tuple(part_b), cond))
+        return real(conds, probs, part_a, part_b, cond)
+
+    monkeypatch.setattr(entropic, "_cond_support", counting)
+    theorem1_region(diag_channel, uniform_t1(diag_channel), PARAMS, OFF)
+    assert len(calls) == len(set(calls)) == 9
+
+
 def test_theorem2_full_copy_z_degenerate():
     states = {}
     for i1, x1 in enumerate("01"):
