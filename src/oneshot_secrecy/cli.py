@@ -17,6 +17,7 @@ from . import __version__
 from .channel import (
     ChannelFormatError,
     ChannelSpec,
+    _check_known,
     control_state_hk,
     control_state_t1,
     json_strings,
@@ -294,6 +295,9 @@ def _poly_from_document(doc: dict) -> RatePolytope:
         raise OperatorError(f"variables declared more than once: {repeated}")
     if undeclared:
         raise OperatorError(f"coefficients on undeclared variables {undeclared}")
+    # a misspelt "value" would read as 0; other keys stay open, so a region report is an fm input
+    for eq in doc.get("equalities", []):
+        _check_known("equality", eq, ("coeffs", "value"))
     for row in rows:
         if not all(math.isfinite(x) for x in (*row.coeffs, row.bound)):
             raise OperatorError(f"polytope row {row.tag!r} has a non-finite coefficient or bound")

@@ -40,7 +40,8 @@ from .secrecy import randomizer_plan, secrecy_check  # noqa: F401
 # included (a row per point and value of Q, each over the conditionals at its value
 # only), so memory does not grow with the grid, nor by a factor |Q| for a conditional term.
 # A term's joint stack is never larger than the conditionals stack; what the stack
-# solvers hold beside it is stated at entropic._BATCH_BYTES.
+# solvers hold beside it is stated at entropic._BATCH_BYTES.  The same budget bounds
+# each block of crossings _intersection_table tests at once.
 _CHUNK_BYTES = 1 << 21
 
 PENALTY_MODES = ("paper", "off")
@@ -586,31 +587,83 @@ class VertexEnumeration:
     unbounded: bool
 
 
-def _has_recession_ray(row_a: np.ndarray) -> bool:
-    """Whether the recession cone ``{r >= 0 : row_a @ r <= 0}`` holds a ray.
+def _rays(row_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate unit recession rays of ``row_a``'s rows and the row each is normal to.
 
-    The cone is cut from the quadrant by lines through the origin, so if it
-    holds a ray it holds an axis or a row's boundary ray inside the quadrant;
-    those unit rays are tested with ``RAY_TOL`` of slack per row.
+    The cone ``{r >= 0 : row_a @ r <= 0}`` is cut from the quadrant by lines
+    through the origin, so if it holds a ray it holds an axis or a row's
+    boundary ray inside the quadrant.  The axes come first, with row ``-1``,
+    then each live row's ``perp`` and then each one's ``-perp``.
     """
     norms = np.hypot(row_a[:, 0], row_a[:, 1])
-    live = norms > 0.0
+    live = np.flatnonzero(norms > 0.0)
     perp = np.stack([row_a[live, 1], -row_a[live, 0]], axis=1) / norms[live, None]
-    rays = np.vstack([np.eye(2), perp, -perp])
-    rays = rays[np.all(rays >= 0.0, axis=1)]
+    rays, source = np.vstack([np.eye(2), perp, -perp]), np.concatenate([[-1, -1], live, live])
+    inside = np.all(rays >= 0.0, axis=1)
+    return rays[inside], source[inside]
+
+
+def _has_recession_ray(row_a: np.ndarray) -> bool:
+    """Whether the recession cone ``{r >= 0 : row_a @ r <= 0}`` holds a ray: one of :func:`_rays`
+    meets every row with ``RAY_TOL`` of slack."""
+    rays, _ = _rays(row_a)
     return bool(np.any(np.all(row_a @ rays.T <= RAY_TOL, axis=0)))
 
 
 def _intersection_table(poly: RatePolytope):
     """Rows ``a`` (nonnegativity last), ``triu`` pairs ``i < j`` with ``|det| >= DET_TOL``, their crossings
-    ``x`` and ``sat[k, p] = a[k] @ x[p] <= b[k] + FEAS_TOL``, stacked (not ``a @ x.T``) to keep each dot's bits."""
+    ``x`` and ``sat[k, p] = a[k] @ x[p] <= b[k] + FEAS_TOL``.
+
+    ``sat`` is filled in blocks of crossings whose ``(crossings, rows)``
+    float64 products stay within ``_CHUNK_BYTES``, so the table's only
+    cubic array is ``sat`` itself, one byte an entry.  Each block is a
+    stacked product (not ``a @ x.T``), which keeps each dot's bits.
+    """
     a, b = poly.coeff_matrix()
     a, b = np.vstack([a, -np.eye(2)]), np.concatenate([b, np.zeros(2)])
     i, j = np.triu_indices(len(b), 1)
     det = a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0]
     i, j = i[np.abs(det) >= DET_TOL], j[np.abs(det) >= DET_TOL]
     x = np.linalg.solve(np.stack([a[i], a[j]], axis=1), np.stack([b[i], b[j]], axis=1)[..., None])[..., 0]
-    return a, i, j, x, np.matmul(a[None], x[:, :, None])[..., 0].T <= b[:, None] + FEAS_TOL
+    sat = np.empty((len(b), len(x)), dtype=bool)
+    block = max(1, _CHUNK_BYTES // (8 * len(b)))
+    for start in range(0, len(x), block):
+        sat[:, start:start + block] = (np.matmul(a[None], x[start:start + block, :, None])[..., 0]
+                                       <= b + FEAS_TOL).T
+    return a, i, j, x, sat
+
+
+def _corners(pts: np.ndarray) -> np.ndarray:
+    """Clamped feasible crossings ``pts`` merged: in lexicographic order, less each point within
+    ``FEAS_TOL`` (max norm) of an earlier kept one; one point within ``FEAS_TOL`` of the origin is the origin.
+
+    An exact repeat never stays, nor drops another point, so repeats go
+    first.  The kept set is the one fixed point of ``kept[p] = no kept
+    q < p is near p``, reached by iterating that rule on every near pair
+    from all kept.  Lex order sorts x first, so near pairs are found offset
+    by offset, up to the first offset whose x gaps all exceed ``FEAS_TOL``.
+    """
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    first = np.ones(len(pts), dtype=bool)
+    first[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+    pts = pts[first]
+    earlier, later = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for d in range(1, len(pts)):
+        if np.all(np.abs(pts[d:, 0] - pts[:-d, 0]) > FEAS_TOL):
+            break
+        near = np.flatnonzero(~(np.abs(pts[d:] - pts[:-d]).max(axis=1) > FEAS_TOL))
+        earlier.append(near)
+        later.append(near + d)
+    earlier, later = np.concatenate(earlier), np.concatenate(later)
+    kept = np.ones(len(pts), dtype=bool)
+    while True:
+        step = np.ones(len(pts), dtype=bool)
+        step[later[kept[earlier]]] = False
+        if np.array_equal(step, kept):
+            break
+        kept = step
+    pts = pts[kept]
+    return np.zeros((1, 2)) if len(pts) == 1 and np.max(np.abs(pts[0])) <= FEAS_TOL else pts
 
 
 def _enumerate(table, active: np.ndarray) -> VertexEnumeration:
@@ -620,14 +673,8 @@ def _enumerate(table, active: np.ndarray) -> VertexEnumeration:
     unbounded = _has_recession_ray(a[:-2][active[:-2]])
     if not feasible.any():
         return VertexEnumeration([(0.0, 0.0)], True, unbounded)
-    pts = np.maximum(x[feasible], 0.0)
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    uniq: list = []
-    for p in pts:
-        if all(np.max(np.abs(p - q)) > FEAS_TOL for q in uniq):
-            uniq.append(p)
-    pts = np.array(uniq)
-    if len(pts) == 1 and np.max(np.abs(pts[0])) <= FEAS_TOL:
+    pts = _corners(np.maximum(x[feasible], 0.0))
+    if len(pts) == 1 and not pts.any():  # merged to the origin
         return VertexEnumeration([(0.0, 0.0)], not unbounded, unbounded)
     center = pts.mean(axis=0)
     angles = np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0])
@@ -649,11 +696,22 @@ def vertices_2d(poly: RatePolytope) -> VertexEnumeration:
     return _enumerate(_intersection_table(poly), np.ones(len(poly.rows) + 2, dtype=bool))
 
 
+def _violated(row: np.ndarray, bound: float, pts: np.ndarray) -> bool:
+    """Whether a point of ``pts`` breaks ``row @ p <= bound + FEAS_TOL``; each ``row @ p`` is a dot of its own."""
+    return not (np.matmul(row, pts[..., None]) <= bound + FEAS_TOL).all()
+
+
 def minimal_2d(poly: RatePolytope) -> RatePolytope:
     """Strictly irredundant row set: a row is dropped iff removal changes nothing.
 
-    The pruned rows are masked out of one intersection table in their
-    direction order, which decides between duplicates.  An empty system
+    The pruned rows are decided in their direction order, which settles
+    ties between duplicates, on one intersection table.  Running counts of
+    the active rows each crossing and each candidate recession ray
+    (:func:`_rays`) violates give, less a row's own violation, the vertices
+    and boundedness of the region without that row.  A row is kept when that
+    region is unbounded or one of its vertices (:func:`_corners`, the origin
+    when it has none) violates the row; the crossings are merged only when
+    one of them, clamped, or the origin violates it.  An empty system
     keeps only its ``0 <= -1`` row."""
     if len(poly.variables) != 2:
         raise OperatorError("minimal_2d needs exactly two variables")
@@ -662,13 +720,27 @@ def minimal_2d(poly: RatePolytope) -> RatePolytope:
     if empty:
         return RatePolytope(poly.variables, [PolyRow((0.0, 0.0), -1.0, "infeasible")], dict(poly.meta))
     keep = [poly.rows[k] for k in kept]
-    table = _intersection_table(RatePolytope(poly.variables, keep))
-    a, b = a[kept], b[kept]
+    a, i, j, x, sat = _intersection_table(RatePolytope(poly.variables, keep))
+    b = b[kept]
+    rays, source = _rays(a[:-2])
+    source[source < 0] = len(keep)  # the axes stay with the always active nonnegativity rows
+    over = ~(a[:-2] @ rays.T <= RAY_TOL)
+    misses, ray_misses = len(a) - np.count_nonzero(sat, axis=0), over.sum(axis=0)
     active = np.ones(len(keep) + 2, dtype=bool)
-    for i in range(len(keep)):
-        active[i] = False
-        enum = _enumerate(table, active)
-        active[i] = enum.unbounded or not all(float(a[i] @ np.asarray(v)) <= b[i] + FEAS_TOL for v in enum.vertices)
+    # the rows the origin breaks; each value there is a dot of its own, as in _violated
+    origin_breaks = ~(np.matmul(a[:-2, None], np.zeros((2, 1)))[:, 0, 0] <= b + FEAS_TOL)
+    for r in range(len(keep)):
+        active[r] = False
+        if (active[source] & (ray_misses == over[r])).any():
+            active[r] = True  # the rest is unbounded
+            continue
+        out = ~sat[r]
+        pts = np.maximum(x[active[i] & active[j] & (misses == out)], 0.0)
+        if origin_breaks[r] or _violated(a[r], b[r], pts):
+            active[r] = not len(pts) or _violated(a[r], b[r], _corners(pts))
+        if not active[r]:
+            misses -= out
+            ray_misses -= over[r]
     return RatePolytope(poly.variables, [r for r, on in zip(keep, active) if on], dict(poly.meta))
 
 

@@ -410,6 +410,25 @@ def test_fm_coefficient_on_undeclared_variable_exits_1(tmp_path, capsys, section
     assert not out.exists()
 
 
+def test_fm_unknown_equality_key_exits_1(tmp_path, capsys):
+    """A misspelt ``value`` read as 0 turned ``R1 <= 0.5`` into ``R1 <= 2``; keys outside the
+    equalities stay open, so a region report with its extra fields is still an ``fm`` input."""
+    doc = {"variables": ["R1", "W1"], "penalties": "off",
+           "rows": [{"coeffs": {"R1": 1, "W1": 1}, "bound": 2.0, "tag": "sum", "penalty": 0.0, "terms": []}],
+           "equalities": [{"coeffs": {"W1": 1}, "value": 1.5}]}
+    path, out = tmp_path / "poly.json", tmp_path / "projected.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["fm", "--input", str(path), "--eliminate", "W1", "--out", str(out)]) == 0
+    assert [(r["coeffs"], r["bound"]) for r in json.loads(out.read_text())["rows"]] == [({"R1": 1.0}, 0.5)]
+    out.unlink()
+    doc["equalities"] = [{"coeffs": {"W1": 1}, "valeu": 1.5}]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["fm", "--input", str(path), "--eliminate", "W1", "--out", str(out)]) == 1
+    assert "unknown equality key 'valeu'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fm_variable_declared_twice_exits_1(tmp_path, capsys):
     doc = {"variables": ["R1", "R1", "W1"], "rows": [{"coeffs": {"R1": 1.0, "W1": 1.0}, "bound": 1.0}]}
     path = tmp_path / "poly.json"

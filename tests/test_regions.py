@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from oneshot_secrecy.channel import (
     uniform_t1,
 )
 from oneshot_secrecy.entropic import ConvergenceError, ToleranceParams
-from oneshot_secrecy.operators import DET_TOL, OperatorError
+from oneshot_secrecy.operators import DET_TOL, FEAS_TOL, OperatorError
 from oneshot_secrecy.regions import (
     PenaltyMode,
     RatePolytope,
@@ -42,6 +43,7 @@ from util import (
     enumerate_vertices_nd,
     fourier_motzkin_rowwise,
     hk_distributions,
+    minimal_2d_masked,
     minimal_2d_rebuild,
     one_point_terms,
     point_in_hull_2d,
@@ -536,17 +538,37 @@ def test_minimal_2d_keeps_an_empty_system_empty():
 _GRID = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0])
 
 
+def _cluster_rows(cx: float, cy: float, t: float, k: float) -> list:
+    """Rows whose crossings near ``(cx, cy)`` lie within ``t < FEAS_TOL`` of each other.
+
+    The last row is broken only at the crossing ``(cx + t, cy)``, which
+    merges into ``(cx, cy)``, so the merge lets it go."""
+    return [((1.0, 0.0), cx), ((0.0, 1.0), cy), ((1.0, 1.0), cx + cy + t), ((k, 1.0), k * cx + cy + 0.25 * k * t)]
+
+
+def _origin_cluster_rows(t: float) -> list:
+    """Rows whose region is a sliver within ``t < FEAS_TOL`` of the origin, which its crossings merge to.
+
+    The last row holds at every crossing of the others but not at the
+    origin, so it stays."""
+    return [((1.0, 1.0), t), ((-1e6, 0.0), -2 * FEAS_TOL), ((-1e6, -1.0), -2 * FEAS_TOL)]
+
+
 @st.composite
 def _polytope_rows(draw):
     """Rows in (R1, R2) from families that stress the vertex and pruning paths.
 
     Grid rows repeat, run parallel, are all zero and have negative bounds
     (empty systems, the origin alone); ray pairs leave only the ray
-    ``R2 = s R1``; near pairs have ``|det|`` around ``DET_TOL``.
+    ``R2 = s R1``; near pairs have ``|det|`` around ``DET_TOL``; clusters put
+    crossings within ``FEAS_TOL`` of each other (:func:`_cluster_rows`, one
+    of them near the origin, :func:`_origin_cluster_rows`), so the merge
+    decides a row.
     """
     rows = []
     for _ in range(draw(st.integers(0, 7))):
-        kind = draw(st.sampled_from(["grid", "uniform", "ray", "near", "repeat", "origin"]))
+        kind = draw(st.sampled_from(["grid", "uniform", "ray", "near", "repeat", "origin", "cluster",
+                                     "origin cluster"]))
         if kind == "grid":
             rows.append(((draw(_GRID), draw(_GRID)), draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]))))
         elif kind == "uniform":
@@ -566,6 +588,12 @@ def _polytope_rows(draw):
             rows.append(((scale * c1, scale * c2), scale * bound + draw(st.sampled_from([0.0, 0.25]))))
         elif kind == "origin":
             rows.append(((1.0, draw(st.sampled_from([0.0, 1.0]))), 0.0))
+        elif kind == "cluster":
+            corner = st.sampled_from([0.5, 1.0, 2.0])
+            rows += _cluster_rows(draw(corner), draw(corner), draw(st.floats(0.2, 0.8)) * FEAS_TOL,
+                                  draw(st.sampled_from([100.0, 1000.0])))
+        elif kind == "origin cluster":
+            rows += _origin_cluster_rows(draw(st.floats(0.1, 0.5)) * FEAS_TOL)
     return polytope_from_arrays(("R1", "R2"), rows)
 
 
@@ -573,19 +601,92 @@ def _polytope_rows(draw):
 @given(poly=_polytope_rows(), data=st.data())
 def test_intersection_table_matches_pairwise_oracle(poly, data):
     """Vertices, flags and minimal rows (order and ties included) equal the pairwise routines
-    exactly, and a table with rows masked out enumerates as the polytope rebuilt without them."""
+    exactly, a table with rows masked out enumerates as the polytope rebuilt without them, and
+    the minimal rows are the masked loop's byte for byte."""
     assert vertices_2d(poly) == vertices_2d_pairwise(poly)
     keep = data.draw(st.lists(st.booleans(), min_size=len(poly.rows), max_size=len(poly.rows)))
     rebuilt = RatePolytope(poly.variables, [r for r, on in zip(poly.rows, keep) if on])
     masked = regions._enumerate(regions._intersection_table(poly), np.array(keep + [True, True]))
     assert masked == vertices_2d_pairwise(rebuilt)
-    rows = [(r.coeffs, r.bound, r.tag) for r in minimal_2d(poly).rows]
+    minimal = minimal_2d(poly)
+    assert _exact_rows(minimal) == _exact_rows(minimal_2d_masked(poly))
+    rows = [(r.coeffs, r.bound, r.tag) for r in minimal.rows]
     pruned = _prune_rows(list(poly.rows), poly.variables)
     if pruned and pruned[0].tag == "infeasible":
         # the oracle drops the empty-system marker; the fix keeps it alone
         assert rows == [((0.0, 0.0), -1.0, "infeasible")]
     else:
         assert rows == [(r.coeffs, r.bound, r.tag) for r in minimal_2d_rebuild(poly).rows]
+
+
+def _breaks_a_crossing(poly: RatePolytope) -> bool:
+    """Whether the last row is broken at a clamped crossing that satisfies every other row."""
+    _, _, _, x, sat = regions._intersection_table(RatePolytope(poly.variables, poly.rows[:-1]))
+    pts = np.maximum(x[np.all(sat, axis=0)], 0.0)
+    return bool(np.any(pts @ np.asarray(poly.rows[-1].coeffs) > poly.rows[-1].bound + FEAS_TOL))
+
+
+# the square [0, 1]^2 with its corner (1, 1) cut by a steep row, a row dropped first whose crossing with
+# that cut lies 5e-10 above the square, lexicographically before the cut's own corner, and a last row
+# broken only there
+_DROPPED_CROSSING_ROWS = [((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0), ((-1e-9, 1.0), 1 + 5e-10 - 1e-9 * (1 - 1e-7)),
+                          ((1.0, 1e-3), (1 - 1e-7) + 1e-3 * (1 + 5e-10)), ((1.0, 1e4), (1 - 1e-7) + 1e4 + 1e-6)]
+
+
+@pytest.mark.parametrize("rows, kept, broken", [
+    (_cluster_rows(1.0, 1.0, 0.5 * FEAS_TOL, 1000.0), ["r1", "r0"], True),
+    (_origin_cluster_rows(0.3 * FEAS_TOL), ["r2", "r1", "r0"], False),
+    (_DROPPED_CROSSING_ROWS, ["r1", "r0", "r3"], True),
+], ids=["cluster", "origin-cluster", "dropped-row-crossing"])
+def test_minimal_2d_decides_on_merged_vertices(rows, kept, broken):
+    """The merged vertices of the region without the dropped rows decide, not the crossings: the
+    cluster's last row goes although a crossing of the others breaks it, and so does a row broken only
+    at a crossing of a dropped row; the origin sliver's last row stays although no crossing breaks it."""
+    poly = polytope_from_arrays(("R1", "R2"), rows)
+    minimal = minimal_2d(poly)
+    assert [r.tag for r in minimal.rows] == kept
+    assert _exact_rows(minimal) == _exact_rows(minimal_2d_masked(poly)) == _exact_rows(minimal_2d_rebuild(poly))
+    assert _breaks_a_crossing(poly) is broken
+
+
+def _integer_projections(seed: int, count: int) -> list[RatePolytope]:
+    """``count`` projections onto (R1, R2), of 20 to 60 rows, of random 4-variable integer systems:
+    ten rows with coefficients in -3..3 and bounds in 0..5, plus the box [0, 5]^4."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        a = np.vstack([rng.integers(-3, 4, size=(10, 4)), np.eye(4)])
+        b = np.concatenate([rng.integers(0, 6, size=10), np.full(4, 5)])
+        projected = fourier_motzkin(polytope_from_arrays(("R1", "R2", "W1", "W2"), zip(a.tolist(), b.tolist())),
+                                    ["W1", "W2"])
+        if 20 <= len(projected.rows) <= 60:
+            out.append(projected)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_minimal_2d_matches_masked_loop_on_integer_projections(seed):
+    """Projections the size of the benchmark's: minimal rows byte for byte, vertices and flags exactly."""
+    for projected in _integer_projections(seed, 4):
+        assert _exact_rows(minimal_2d(projected)) == _exact_rows(minimal_2d_masked(projected))
+        assert vertices_2d(projected) == vertices_2d_pairwise(projected)
+
+
+def test_intersection_table_memory_stays_near_sat():
+    """150 rows: ``sat`` holds one byte per (row, crossing), and neither the table nor the routines that
+    read it hold more than a few times that.  A stacked product of every crossing at once holds 8."""
+    rng = np.random.default_rng(150)
+    angles, bounds = rng.uniform(0.0, math.pi / 2, 150), rng.uniform(1.0, 1.5, 150)
+    poly = polytope_from_arrays(("R1", "R2"), zip(np.stack([np.cos(angles), np.sin(angles)], axis=1), bounds))
+    sat_bytes = 152 * len(regions._intersection_table(poly)[1])
+    for routine in (regions._intersection_table, vertices_2d, minimal_2d):
+        tracemalloc.start()
+        try:
+            routine(poly)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * sat_bytes, routine.__name__
 
 
 @pytest.mark.parametrize("n_rows", [0, 3, 12])

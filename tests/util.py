@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the production code paths it is used to
 check: vertex enumeration goes through exhaustive basis solves or one solve
-per row pair, minimal row sets through one re-enumeration per candidate row,
+per row pair, minimal row sets through one re-enumeration per candidate row
+(rebuilt, or masked out of one table and merged by a Python loop),
 Fourier-Motzkin through one row object per combination and a dict keyed on
 rounded directions, hulls through a monotone chain, the qubit test search
 through a refined dense grid, the diagonal-scan smoothing through one
@@ -167,6 +168,51 @@ def minimal_2d_rebuild(poly: RatePolytope) -> RatePolytope:
             removed.add(i)
     out = [keep[i] for i in range(len(keep)) if i not in removed]
     return RatePolytope(poly.variables, out, dict(poly.meta))
+
+
+def _enumerate_masked(table, active: np.ndarray) -> VertexEnumeration:
+    """``regions._enumerate`` with its merge as a Python loop over the sorted points."""
+    a, i, j, x, sat = table
+    feasible = active[i] & active[j] & np.all(sat[active], axis=0)
+    unbounded = _has_recession_ray(a[:-2][active[:-2]])
+    if not feasible.any():
+        return VertexEnumeration([(0.0, 0.0)], True, unbounded)
+    pts = np.maximum(x[feasible], 0.0)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    uniq: list = []
+    for p in pts:
+        if all(np.max(np.abs(p - q)) > FEAS_TOL for q in uniq):
+            uniq.append(p)
+    pts = np.array(uniq)
+    if len(pts) == 1 and np.max(np.abs(pts[0])) <= FEAS_TOL:
+        return VertexEnumeration([(0.0, 0.0)], not unbounded, unbounded)
+    center = pts.mean(axis=0)
+    angles = np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0])
+    order = np.argsort(angles, kind="stable")
+    pts = pts[order]
+    start = int(np.lexsort((pts[:, 1], pts[:, 0]))[0])
+    pts = np.roll(pts, -start, axis=0)
+    return VertexEnumeration([(float(x), float(y)) for x, y in pts], False, unbounded)
+
+
+def minimal_2d_masked(poly: RatePolytope) -> RatePolytope:
+    """``regions.minimal_2d`` as one full enumeration per candidate row (``_enumerate_masked``), with the
+    candidate and the rows already dropped masked out of one intersection table."""
+    if len(poly.variables) != 2:
+        raise OperatorError("minimal_2d needs exactly two variables")
+    a, b = poly.coeff_matrix()
+    kept, empty = regions._prune(a, b)
+    if empty:
+        return RatePolytope(poly.variables, [PolyRow((0.0, 0.0), -1.0, "infeasible")], dict(poly.meta))
+    keep = [poly.rows[k] for k in kept]
+    table = regions._intersection_table(RatePolytope(poly.variables, keep))
+    a, b = a[kept], b[kept]
+    active = np.ones(len(keep) + 2, dtype=bool)
+    for i in range(len(keep)):
+        active[i] = False
+        enum = _enumerate_masked(table, active)
+        active[i] = enum.unbounded or not all(float(a[i] @ np.asarray(v)) <= b[i] + FEAS_TOL for v in enum.vertices)
+    return RatePolytope(poly.variables, [r for r, on in zip(keep, active) if on], dict(poly.meta))
 
 
 def _normalize_key(coeffs: np.ndarray) -> tuple:
