@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .operators import OperatorError, RegisterLayout, validate_densities, validate_pmf
-from .states import CQConditionals, CQState
+from .states import CQConditionals, CQState, check_points
 
 INPUT_NAMES = ("X1", "X2")
 OUTPUT_NAMES = ("Y1", "Y2", "Z")
@@ -47,6 +47,10 @@ class ChannelSpec:
     outputs: Mapping[str, int]
     states: Mapping[tuple[str, str], np.ndarray]
     splits: Mapping[str, SplitSpec] | None = None
+
+    def __post_init__(self):
+        # every spec that exists is valid, also one made by dataclasses.replace
+        self.validate()
 
     @property
     def quantum_layout(self) -> RegisterLayout:
@@ -204,9 +208,7 @@ def channel_from_document(doc: Mapping) -> ChannelSpec:
                 table = _identity_table(inp, alph_c, alph_p, inputs[inp]) if inputs.get(inp) else {}
             splits[inp] = SplitSpec((alph_c, alph_p), table)
         _check_known("split", split_doc, INPUT_NAMES)
-    spec = ChannelSpec(name=name, inputs=inputs, outputs=outputs, states=states, splits=splits)
-    spec.validate()
-    return spec
+    return ChannelSpec(name=name, inputs=inputs, outputs=outputs, states=states, splits=splits)
 
 
 def channel_to_document(spec: ChannelSpec) -> dict:
@@ -301,6 +303,12 @@ class InputDistribution:
         elif self.kind == "hk":
             if not channel.has_splits():
                 raise OperatorError("split-form distribution requires a channel with splits")
+            if self.marginals is None:
+                raise OperatorError("split-form distribution carries no marginals")
+            missing = [reg for reg in HK_REGISTERS if reg not in self.marginals]
+            if missing:
+                raise OperatorError(f"marginal {missing[0]} missing")
+            _check_known("marginal", self.marginals, HK_REGISTERS)
             for reg in HK_REGISTERS:
                 vec = np.asarray(self.marginals[reg], dtype=float)
                 expected = len(channel.part_alphabet(reg))
@@ -422,7 +430,7 @@ def control_state_t1(channel: ChannelSpec, dist: InputDistribution) -> CQState:
     dist.validate(channel)
     q, c1, c2 = (np.asarray(v, dtype=float) for v in (dist.q, dist.x1_given_q, dist.x2_given_q))
     state = CQState(_t1_conditionals(channel, len(q)), _t1_probs(q, c1, c2))
-    state.validate()
+    check_points(state.probs[None])  # the conditionals are the ChannelSpec's states, checked at construction
     return state
 
 
@@ -434,7 +442,7 @@ def control_state_hk(channel: ChannelSpec, dist: InputDistribution) -> CQState:
     dist.validate(channel)
     probs = _hk_probs(*(np.asarray(dist.marginals[reg], dtype=float) for reg in HK_REGISTERS))
     state = CQState(conds, probs)
-    state.validate()
+    check_points(state.probs[None])  # the conditionals are the ChannelSpec's states, checked at construction
     return state
 
 

@@ -159,7 +159,7 @@ def relative_entropy(rho, sigma) -> float:
     a, b = _checked_pair(rho, sigma)
     ws, vs = np.linalg.eigh(b)
     weights = _weights(a, vs)
-    if float(weights[ws <= EIG_CLAMP].sum()) >= EIG_CLAMP:
+    if float(_kernel_mass(ws[None], weights[None])[0]) >= EIG_CLAMP:
         return math.inf
     wa = _clamped_spectrum(a)
     wa_pos = wa[wa > 0.0]

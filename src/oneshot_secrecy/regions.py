@@ -29,7 +29,7 @@ from .channel import (
 from .entropic import ToleranceParams, grid_terms
 from .operators import COEF_TOL, DET_TOL, FEAS_TOL, RAY_TOL, OperatorError
 from .secrecy import _PLAN_GROUPINGS, _SECRECY_PARTS, _randomizer_plan, _secrecy_check, within_threshold
-from .states import CQConditionals, CQState
+from .states import CQConditionals, CQState, check_points
 
 # bench/tracing.py wraps these names in this module, which no longer calls them
 from .entropic import cond_smooth_ht_mi, cond_smooth_max_mi, ht_mutual_info, smooth_max_mutual_info  # noqa: F401
@@ -603,11 +603,20 @@ def _rays(row_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rays[inside], source[inside]
 
 
+def _ray_products(row_a: np.ndarray, rays: np.ndarray) -> np.ndarray:
+    """``(rows, rays)`` values ``row . ray``, each summed elementwise as ``a0 r0 + a1 r1``.
+
+    Unlike ``row_a @ rays.T``, whose last bits BLAS may round by the shape
+    of the product, each value is the same on any subset of rows or rays.
+    """
+    return row_a[:, :1] * rays[:, 0] + row_a[:, 1:] * rays[:, 1]
+
+
 def _has_recession_ray(row_a: np.ndarray) -> bool:
     """Whether the recession cone ``{r >= 0 : row_a @ r <= 0}`` holds a ray: one of :func:`_rays`
     meets every row with ``RAY_TOL`` of slack."""
     rays, _ = _rays(row_a)
-    return bool(np.any(np.all(row_a @ rays.T <= RAY_TOL, axis=0)))
+    return bool(np.any(np.all(_ray_products(row_a, rays) <= RAY_TOL, axis=0)))
 
 
 def _intersection_table(poly: RatePolytope):
@@ -724,7 +733,7 @@ def minimal_2d(poly: RatePolytope) -> RatePolytope:
     b = b[kept]
     rays, source = _rays(a[:-2])
     source[source < 0] = len(keep)  # the axes stay with the always active nonnegativity rows
-    over = ~(a[:-2] @ rays.T <= RAY_TOL)
+    over = ~(_ray_products(a[:-2], rays) <= RAY_TOL)
     misses, ray_misses = len(a) - np.count_nonzero(sat, axis=0), over.sum(axis=0)
     active = np.ones(len(keep) + 2, dtype=bool)
     # the rows the origin breaks; each value there is a dot of its own, as in _violated
@@ -867,7 +876,7 @@ def sweep_union(
             probs = _t1_probs(vectors[0], np.stack(vectors[1::2], axis=1), np.stack(vectors[2::2], axis=1))
         else:
             probs = _hk_probs(*vectors)
-        conds.check(probs)
+        check_points(probs)  # the conditionals are the ChannelSpec's states, checked at construction
         bounds = _bounds(table, _solve(conds, probs, params, smoothing, table.terms, start), penalty)[0]
         undefined = np.argwhere(np.isnan(bounds))
         if undefined.size:

@@ -110,12 +110,44 @@ def test_channel_validate_matches_one_state_at_a_time(defect, where):
         del states[pairs[where]]
     else:
         states[pairs[where]] = STATE_DEFECTS[defect](states[pairs[where]])
-    broken = dataclasses.replace(channel, states=states)
     with pytest.raises(OperatorError) as expected:
-        channel_states_check(broken)
+        channel_states_check(channel.inputs, channel.outputs, states)
     with pytest.raises(OperatorError) as got:
-        broken.validate()
+        dataclasses.replace(channel, states=states)
     assert type(got.value) is type(expected.value) and str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("defect", STATE_DEFECTS)
+def test_channel_spec_is_valid_from_construction(defect):
+    """No invalid spec exists: the constructor raises what checking the states one at a time raises."""
+    channel = load_channel(Path(__file__).parent / "data" / "nc_small_split.json")
+    pair = (channel.inputs["X1"][1], channel.inputs["X2"][3])
+    states = dict(channel.states)
+    if STATE_DEFECTS[defect] is None:
+        del states[pair]
+    else:
+        states[pair] = STATE_DEFECTS[defect](states[pair])
+    with pytest.raises(OperatorError) as expected:
+        channel_states_check(channel.inputs, channel.outputs, states)
+    with pytest.raises(OperatorError, match=f"^{re.escape(str(expected.value))}$"):
+        ChannelSpec(channel.name, channel.inputs, channel.outputs, states, channel.splits)
+
+
+# each incomplete split form, and its error, which comes before any length check
+INCOMPLETE_MARGINALS = {
+    "missing": ({"X10": np.array([1.0])}, "marginal X11 missing"),
+    "none": (None, "split-form distribution carries no marginals"),
+    "unknown": ({reg: np.full(2, 0.5) for reg in ("X10", "X11", "X20", "X22", "X12")}, "unknown marginal key 'X12'"),
+}
+
+
+@pytest.mark.parametrize("case", INCOMPLETE_MARGINALS)
+def test_incomplete_split_distribution_rejected(xor_channel, case):
+    marginals, message = INCOMPLETE_MARGINALS[case]
+    dist = InputDistribution("hk", marginals=marginals)
+    for check in (dist.validate, functools.partial(control_state_hk, dist=dist)):
+        with pytest.raises(OperatorError, match=f"^{re.escape(message)}$"):
+            check(xor_channel)
 
 
 def test_roundtrip_byte_identity(tmp_path, diag_channel, xor_channel):
@@ -240,11 +272,10 @@ def test_split_table_validation(diag_channel):
         "X1": SplitSpec((("0",), ("0", "1")), {("0", "0"): "0", ("0", "1"): "0"}),
         "X2": SplitSpec((("0",), ("0", "1")), {("0", "0"): "0", ("0", "1"): "1"}),
     }
-    spec = ChannelSpec(
-        diag_channel.name, diag_channel.inputs, diag_channel.outputs, diag_channel.states, bad_splits
-    )
     with pytest.raises(OperatorError, match="onto"):
-        spec.validate()
+        ChannelSpec(
+            diag_channel.name, diag_channel.inputs, diag_channel.outputs, diag_channel.states, bad_splits
+        )
 
 
 # an alphabet names each symbol once, and a combining table only pairs of part symbols

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oneshot_secrecy import cli, entropic
+from oneshot_secrecy import channel, cli, entropic, operators, states
 from oneshot_secrecy.channel import bundled_path, channel_to_document, control_state_hk, load_channel, load_distribution
 from oneshot_secrecy.entropic import ConvergenceError
 from oneshot_secrecy.states import joint_and_product
@@ -224,6 +224,28 @@ def test_region_enumerates_vertices_once(monkeypatch, tmp_path):
     assert cli.main(["region", "--channel", CHAN, "--dist", DIST, "--theorem", "t1", "--eps", "0.25",
                      "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command, passes", [
+    (["region", "--channel", NC, "--dist", NCDIST, "--theorem", "t2", "--out", "r.json", "--csv", "r.csv"], [16]),
+    (["sweep", "--channel", CHAN, "--theorem", "t1", "--q-size", "2", "--grid", "2", "--csv", "f.csv"], [4]),
+], ids=["region", "sweep"])
+def test_each_channel_state_is_checked_once(monkeypatch, tmp_path, capsys, command, passes):
+    """A command makes one density pass, over the channel's states at load; the control states gathered
+    from them (repeated per ``Q`` value, or through the combining tables) are not checked again."""
+    calls = []
+    validate_densities = operators.validate_densities
+
+    def counting(stack, labels):
+        calls.append(len(labels))
+        return validate_densities(stack, labels)
+
+    for module in (operators, channel, states):
+        monkeypatch.setattr(module, "validate_densities", counting)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*command, "--eps", "0.25"]) == 0
+    capsys.readouterr()
+    assert calls == passes
 
 
 def test_convergence_error_exits_1(monkeypatch, capsys):

@@ -157,6 +157,17 @@ def test_cq_state_validate_rejects_non_finite_probabilities():
             CQState(conds, probs).validate()
 
 
+def test_cq_check_keeps_no_state():
+    """A conditional that passed once is checked again: a later change to it is caught."""
+    layout = RegisterLayout(("B",), (2,))
+    conds = CQConditionals(("X",), (2,), layout, np.stack([np.eye(2) / 2, np.eye(2) / 2]))
+    probs = np.array([[0.5, 0.5]])
+    conds.check(probs)
+    conds.conditionals[1] = np.diag([1.5, -0.5])
+    with pytest.raises(OperatorError, match="^state 'conditional 1': negative eigenvalue"):
+        conds.check(probs)
+
+
 def _raised(check, *args):
     """``(class, text)`` of what ``check(*args)`` raises, or None when it passes."""
     try:

@@ -672,6 +672,21 @@ def test_minimal_2d_matches_masked_loop_on_integer_projections(seed):
         assert vertices_2d(projected) == vertices_2d_pairwise(projected)
 
 
+def test_ray_products_do_not_depend_on_the_rows_multiplied():
+    """Each row . ray value has the same bits in a product over all rows as over any subset, so
+    ``_has_recession_ray`` on the active rows and ``minimal_2d`` on all rows read the same values.
+    At this seed ``a[[0]] @ rays.T`` differs from row 0 of ``a @ rays.T`` in its last bits
+    (OpenBLAS 0.3.31: a one-row product takes another kernel)."""
+    a = np.random.default_rng(0).normal(size=(60, 2))
+    rays, _ = regions._rays(a)
+    full = regions._ray_products(a, rays)
+    for rows in ([0], [17], list(range(0, 60, 2)), list(range(59))):
+        assert np.array_equal(regions._ray_products(a[rows], rays), full[rows])
+        sub_rays, _ = regions._rays(a[rows])
+        cols = [np.flatnonzero(np.all(rays == r, axis=1))[0] for r in sub_rays]
+        assert np.array_equal(regions._ray_products(a[rows], sub_rays), full[np.ix_(rows, cols)])
+
+
 def test_intersection_table_memory_stays_near_sat():
     """150 rows: ``sat`` holds one byte per (row, crossing), and neither the table nor the routines that
     read it hold more than a few times that.  A stacked product of every crossing at once holds 8."""

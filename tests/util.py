@@ -722,14 +722,14 @@ def density_check_one(m, label=None):
         raise OperatorError(f"{who}trace deviation {tr_dev:.1e}")
 
 
-def channel_states_check(channel):
+def channel_states_check(inputs, outputs, states):
     """A channel's states one pair at a time: presence, dimension, then the density checks."""
-    d = channel.quantum_layout.total_dim
-    for x1 in channel.inputs["X1"]:
-        for x2 in channel.inputs["X2"]:
-            if (x1, x2) not in channel.states:
+    d = math.prod(outputs[name] for name in ("Y1", "Y2", "Z"))
+    for x1 in inputs["X1"]:
+        for x2 in inputs["X2"]:
+            if (x1, x2) not in states:
                 raise OperatorError(f"state for input pair {x1!r},{x2!r} missing")
-            m = channel.states[(x1, x2)]
+            m = states[(x1, x2)]
             if m.shape != (d, d):
                 raise OperatorError(f"state {x1!r},{x2!r}: dimension {m.shape[0]} != expected {d}")
             density_check_one(m, f"{x1},{x2}")

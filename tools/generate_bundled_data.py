@@ -105,7 +105,7 @@ def main() -> None:
         (xor_split(), "xor_split.json"),
     ):
         save_channel(spec, DATA / fname)
-        load_channel(DATA / fname).validate()
+        load_channel(DATA / fname)  # loading validates the written document
         print("wrote", fname)
     diag = load_channel(DATA / "diag_deterministic.json")
     save_distribution(uniform_t1(diag), DATA / "uniform_t1.json")
