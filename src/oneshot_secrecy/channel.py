@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -48,18 +49,14 @@ class ChannelSpec:
     states: Mapping[tuple[str, str], np.ndarray]
     splits: Mapping[str, SplitSpec] | None = None
 
-    def __post_init__(self):
-        # every spec that exists is valid, also one made by dataclasses.replace
-        self.validate()
-
     @property
     def quantum_layout(self) -> RegisterLayout:
         return RegisterLayout(OUTPUT_NAMES, tuple(self.outputs[n] for n in OUTPUT_NAMES))
 
     @property
     def stack(self) -> np.ndarray:
-        """The ``(|X1|, |X2|, d, d)`` output states in alphabet order, rebuilt on each access."""
-        return np.array([[self.states[(s1, s2)] for s2 in self.inputs["X2"]] for s1 in self.inputs["X1"]])
+        """The read-only ``(|X1|, |X2|, d, d)`` output states in alphabet order; ``states`` holds views of it."""
+        return self._stack
 
     def has_splits(self) -> bool:
         return self.splits is not None
@@ -72,7 +69,12 @@ class ChannelSpec:
                 return self.splits[inp].parts[names.index(part)]
         raise OperatorError(f"unknown split part {part!r}")
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        """Check the spec, copy its states once into one read-only stack and check that stack's densities.
+
+        Every spec that exists is valid, also one made by ``dataclasses.replace``,
+        and stays valid: ``states`` becomes a read-only mapping of read-only views.
+        """
         for name in INPUT_NAMES:
             if name not in self.inputs or not self.inputs[name]:
                 raise OperatorError(f"input alphabet {name} missing or empty")
@@ -118,7 +120,11 @@ class ChannelSpec:
                         image.add(sym)
                 if image != set(self.inputs[inp]):
                     raise OperatorError(f"{inp} combining table is not onto the input alphabet")
-        validate_densities(self.stack, [f"{x1},{x2}" for x1, x2 in pairs])
+        stack = np.array([[self.states[(x1, x2)] for x2 in self.inputs["X2"]] for x1 in self.inputs["X1"]])
+        stack.flags.writeable = False
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "states", MappingProxyType(dict(zip(pairs, stack.reshape(-1, d, d)))))
+        validate_densities(stack, [f"{x1},{x2}" for x1, x2 in pairs])
 
 
 def _check_known(what: str, given, known) -> None:

@@ -55,6 +55,23 @@ _SCAN_STEP = 1e-4
 _BATCH_BYTES = 1 << 18
 
 
+def point_bytes(conds: CQConditionals, terms: Sequence[tuple]) -> int:
+    """Bytes one grid point of ``(kind, part_a, part_b, cond)`` terms builds at most, over its terms.
+
+    A term of block shape ``(K, d)`` (:func:`pair_shape`) weighs the
+    conditionals traced to ``d`` at every classical value, and builds ``K``
+    joint blocks per row, one row per value of ``cond``; the ``D_H`` solver
+    holds about 8 times its joint stack (see ``_BATCH_BYTES``).
+    """
+    full = math.prod(conds.alphabet_sizes)
+    nbytes = 0
+    for _, part_a, part_b, cond in terms:
+        k, d = pair_shape(conds, part_a, part_b)
+        rows = 1 if cond is None else conds.alphabet_sizes[conds.axis(cond)]
+        nbytes = max(nbytes, 16 * d * d * max(full, 8 * k * rows))
+    return nbytes
+
+
 class ConvergenceError(RuntimeError):
     """The threshold-test search failed to pin down the optimal test.
 

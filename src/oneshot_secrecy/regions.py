@@ -26,21 +26,18 @@ from .channel import (
     control_state_hk,
     control_state_t1,
 )
-from .entropic import ToleranceParams, grid_terms
+from .entropic import ToleranceParams, grid_terms, point_bytes
 from .operators import COEF_TOL, DET_TOL, FEAS_TOL, RAY_TOL, OperatorError
-from .secrecy import _PLAN_GROUPINGS, _SECRECY_PARTS, _randomizer_plan, _secrecy_check, within_threshold
+from .secrecy import PLAN_TERMS, SECRECY_TERMS, plan_from_terms, secrecy_report, within_threshold
 from .states import CQConditionals, CQState, check_points
 
 # bench/tracing.py wraps these names in this module, which no longer calls them
 from .entropic import cond_smooth_ht_mi, cond_smooth_max_mi, ht_mutual_info, smooth_max_mutual_info  # noqa: F401
 from .secrecy import randomizer_plan, secrecy_check  # noqa: F401
 
-# bytes of the (points, *alphabets, d, d) complex stack of conditionals a sweep
-# chunk weighs at once; its block builder holds no larger array, a conditional term's
-# included (a row per point and value of Q, each over the conditionals at its value
-# only), so memory does not grow with the grid, nor by a factor |Q| for a conditional term.
-# A term's joint stack is never larger than the conditionals stack; what the stack
-# solvers hold beside it is stated at entropic._BATCH_BYTES.  The same budget bounds
+# bytes a sweep chunk builds at most: its points times entropic.point_bytes, the
+# largest of one point's weighted conditionals and D_H working set over the
+# theorem's terms, so memory does not grow with the grid.  The same budget bounds
 # each block of crossings _intersection_table tests at once.
 _CHUNK_BYTES = 1 << 21
 
@@ -298,17 +295,6 @@ _SPLIT_MESSAGE_LEAKS = {"c": "c:z", "p": "p:zcC", "C": "C:zc", "P": "P:zcpC"}
 _BOTH_RECEIVERS = dict(_SPLIT_ROLES, y="Y1", Y="Y2")
 
 
-# the D_max terms that only a split region's report reads: the secrecy
-# report's leakage to Z and the randomizer plan's terms
-_SECRECY_TERMS = tuple(("max", part_a, ("Z",), None) for part_a in _SECRECY_PARTS)
-_PLAN_TERMS = tuple(("max", part_a, part_b, None) for _, part_a, part_b, _ in _PLAN_GROUPINGS)
-
-
-def _imax(solved: Mapping[tuple, float]) -> Callable:
-    """The unconditional ``D_max`` terms of a region's solved terms as ``imax(part_a, part_b)``."""
-    return lambda part_a, part_b: solved["max", tuple(part_a), tuple(part_b), None]
-
-
 def _hk_penalties(params: ToleranceParams, penalties: PenaltyMode) -> Callable[[int, int], float]:
     """Constant of a row without secrecy: ``n_eps * (log2(eps) - 2)``."""
     if penalties.mode == "off":
@@ -448,8 +434,8 @@ def conjecture_region(
     """Split-message secrecy region (nine rows), plus the side-condition report."""
     table, penalty = _THEOREMS["conjecture"]
     poly, solved = _region(table, penalty(params, penalties), control_state_hk(channel, dist), params, smoothing,
-                           _SECRECY_TERMS)
-    report = _secrecy_check(params, (math.inf, math.inf, math.inf), smoothing, _imax(solved))
+                           SECRECY_TERMS)
+    report = secrecy_report(params, (math.inf, math.inf, math.inf), smoothing, solved)
     poly.meta.update(theorem="conjecture", penalties=penalties.mode, secrecy=report.as_dict())
     return poly
 
@@ -467,9 +453,9 @@ def theorem2_region(
     """
     table, penalty = _THEOREMS["t2"]
     poly, solved = _region(table, penalty(params, penalties), control_state_hk(channel, dist), params, smoothing,
-                           _SECRECY_TERMS + _PLAN_TERMS)
-    report = _secrecy_check(params, (math.inf, math.inf, math.inf), smoothing, _imax(solved))
-    plan = _randomizer_plan(params, smoothing, _imax(solved))
+                           SECRECY_TERMS + tuple(PLAN_TERMS))
+    report = secrecy_report(params, (math.inf, math.inf, math.inf), smoothing, solved)
+    plan = plan_from_terms(params, smoothing, solved)
     poly.meta.update(theorem="t2", penalties=penalties.mode, secrecy=report.as_dict(),
                      randomizer_plan=plan.as_dict())
     return poly
@@ -832,11 +818,12 @@ def sweep_union(
 
     The grid is the lexicographic product of one simplex grid per axis,
     counted against ``max_evals`` before it is built.  It is cut into
-    consecutive index ranges whose conditionals stack stays under
-    ``_CHUNK_BYTES``.  Within a chunk each term of the theorem's compiled
-    table is evaluated term-major, for every point at once, and the chunk's
-    row bounds form one ``(points, rows)`` array (:func:`_bounds`); the
-    secrecy report and randomizer plan of a region are never computed.
+    consecutive index ranges of at most ``_CHUNK_BYTES`` of what their
+    points build (:func:`entropic.point_bytes`).  Within a chunk each term
+    of the theorem's compiled table is evaluated term-major, for every point
+    at once, and the chunk's row bounds form one ``(points, rows)`` array
+    (:func:`_bounds`); the secrecy report and randomizer plan of a region
+    are never computed.
     Regions are merged by pointwise maximum along fixed ray directions, so
     output is deterministic and does not depend on the chunking.  A row
     bound that is nan raises ``OperatorError`` naming its grid point and row.
@@ -866,7 +853,7 @@ def sweep_union(
     thetas = np.linspace(0.0, math.pi / 2.0, rays)
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
 
-    size = max(1, _CHUNK_BYTES // conds.conditionals.nbytes)
+    size = max(1, _CHUNK_BYTES // point_bytes(conds, table.terms))
     frontier = np.zeros(rays)
     degenerate = 0
     for start in range(0, count, size):

@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
+from .channel import HK_REGISTERS
 from .entropic import ToleranceParams, smooth_max_mutual_info
 from .operators import THRESHOLD_SLACK, OperatorError
 from .states import CQState
@@ -60,15 +61,25 @@ class RandomizerPlan:
         }
 
 
-# the message groupings whose leakage to Z the secrecy report reads: two sub-groupings, then all four
-_SECRECY_PARTS = (("X10", "X11", "X20"), ("X10", "X20", "X22"), ("X10", "X11", "X20", "X22"))
+# the D_max terms (kind, part_a, part_b, cond) the secrecy report reads: the
+# leakage to Z of two sub-groupings, then of all four messages
+SECRECY_TERMS = tuple(("max", part_a, ("Z",), None) for part_a in
+                      (("X10", "X11", "X20"), ("X10", "X20", "X22"), HK_REGISTERS))
 
-_PLAN_GROUPINGS = (
-    ("X10:Z", ("X10",), ("Z",), False),
-    ("X20:Z,X10", ("X20",), ("Z", "X10"), True),
-    ("X11:Z,X10,X20", ("X11",), ("Z", "X10", "X20"), True),
-    ("X22:Z,X10,X11,X20", ("X22",), ("Z", "X10", "X11", "X20"), True),
-)
+# the randomizer plan's D_max term of each block, in decoding order, with the
+# block's label and whether it carries the O(1) constant
+PLAN_TERMS = {
+    ("max", ("X10",), ("Z",), None): ("X10:Z", False),
+    ("max", ("X20",), ("Z", "X10"), None): ("X20:Z,X10", True),
+    ("max", ("X11",), ("Z", "X10", "X20"), None): ("X11:Z,X10,X20", True),
+    ("max", ("X22",), ("Z", "X10", "X11", "X20"), None): ("X22:Z,X10,X11,X20", True),
+}
+
+
+def _imax_terms(state: CQState, params: ToleranceParams, smoothing: str, terms: Iterable[tuple]) -> dict:
+    """Each unconditional ``D_max`` term of ``terms`` solved on ``state``, keyed by the term."""
+    return {term: smooth_max_mutual_info(state, term[1], term[2], params.eta, smoothing)
+            for term in terms}
 
 
 def randomizer_plan(
@@ -82,18 +93,18 @@ def randomizer_plan(
     Results are clamped at zero.
     """
     _require_hk_state(state)
-    return _randomizer_plan(params, smoothing, lambda a, b: smooth_max_mutual_info(state, a, b, params.eta, smoothing))
+    return plan_from_terms(params, smoothing, _imax_terms(state, params, smoothing, PLAN_TERMS))
 
 
-def _randomizer_plan(params: ToleranceParams, smoothing: str, imax: Callable) -> RandomizerPlan:
-    """:func:`randomizer_plan` over ``imax(part_a, part_b)``, such as a region's solved terms."""
+def plan_from_terms(params: ToleranceParams, smoothing: str, solved: Mapping[tuple, float]) -> RandomizerPlan:
+    """:func:`randomizer_plan` from the values ``solved[term]`` of the :data:`PLAN_TERMS`."""
     base = math.log2(3.0 / params.eps_prime**3) - 0.25 * math.log2(params.delta_prime)
     values, sizes = {}, {}
-    for label, part_a, part_b, extra in _PLAN_GROUPINGS:
-        term = imax(list(part_a), list(part_b))
-        values[label] = float(term)
-        size = term + base + (params.big_o_constant if extra else 0.0)
-        sizes[part_a[0]] = max(0.0, float(size))
+    for term, (label, extra) in PLAN_TERMS.items():
+        value = float(solved[term])
+        values[label] = value
+        size = value + base + (params.big_o_constant if extra else 0.0)
+        sizes[term[1][0]] = max(0.0, size)
     return RandomizerPlan(
         log_k10=sizes["X10"],
         log_k20=sizes["X20"],
@@ -141,8 +152,7 @@ class SecrecyReport:
 
 
 def _require_hk_state(state: CQState) -> None:
-    needed = {"X10", "X11", "X20", "X22"}
-    if not needed.issubset(set(state.conds.classical_names)):
+    if not set(HK_REGISTERS).issubset(state.conds.classical_names):
         raise OperatorError(
             f"expected the four split-message registers, got {state.conds.classical_names}"
         )
@@ -168,30 +178,26 @@ def secrecy_check(
     smoothed max mutual information is :func:`within_threshold`.
     """
     _require_hk_state(state)
-    return _secrecy_check(params, thresholds, smoothing,
-                          lambda a, b: smooth_max_mutual_info(state, a, b, params.eta, smoothing))
+    _require_three(thresholds)
+    return secrecy_report(params, thresholds, smoothing, _imax_terms(state, params, smoothing, SECRECY_TERMS))
 
 
-def _secrecy_check(
-    params: ToleranceParams, thresholds: Sequence[float], smoothing: str, imax: Callable
-) -> SecrecyReport:
-    """:func:`secrecy_check` over ``imax(part_a, part_b)``, such as a region's solved terms."""
+def _require_three(thresholds: Sequence[float]) -> None:
     if len(thresholds) != 3:
         raise ValueError("exactly three sub-grouping thresholds are required")
-    sub1, sub2, full = _SECRECY_PARTS
-    groupings = (
-        ("sub1", sub1, float(thresholds[0])),
-        ("sub2", sub2, float(thresholds[1])),
-        ("full", full, float(thresholds[2])),
-        ("criterion", full, float(params.theta)),
-    )
-    values: dict[tuple[str, ...], float] = {}
+
+
+def secrecy_report(
+    params: ToleranceParams, thresholds: Sequence[float], smoothing: str, solved: Mapping[tuple, float]
+) -> SecrecyReport:
+    """:func:`secrecy_check` from the values ``solved[term]`` of the :data:`SECRECY_TERMS`."""
+    _require_three(thresholds)
+    sub1, sub2, full = SECRECY_TERMS
     conditions = []
-    for label, part_a, threshold in groupings:
-        if part_a not in values:
-            values[part_a] = float(imax(list(part_a), ["Z"]))
-        value = values[part_a]
+    for label, term, threshold in (("sub1", sub1, thresholds[0]), ("sub2", sub2, thresholds[1]),
+                                   ("full", full, thresholds[2]), ("criterion", full, params.theta)):
+        value, threshold = float(solved[term]), float(threshold)
         conditions.append(
-            SecrecyCondition(label, part_a, value, threshold, within_threshold(value, threshold))
+            SecrecyCondition(label, term[1], value, threshold, within_threshold(value, threshold))
         )
     return SecrecyReport(tuple(conditions), params.eta, smoothing)

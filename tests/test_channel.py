@@ -218,7 +218,6 @@ def test_control_state_hk_degenerate_personal_matches_t1():
         "X2": SplitSpec((("0", "1"), ("0",)), {("0", "0"): "0", ("1", "0"): "1"}),
     }
     split_chan = ChannelSpec(base.name, base.inputs, base.outputs, base.states, splits)
-    split_chan.validate()
     rng = np.random.default_rng(3)
     p10, p20 = rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(2))
     hk_dist = InputDistribution(
@@ -267,6 +266,34 @@ def test_unknown_distribution_keys_rejected(doc, key):
         distribution_from_document({k: v for k, v in doc.items() if k not in ("x1_given_q", "x11")})
 
 
+
+def test_channel_states_are_read_only():
+    """A valid spec cannot be written invalid: its states are read-only views of one stored stack."""
+    channel = load_channel(bundled_path("diag_deterministic.json"))
+    with pytest.raises(ValueError):
+        channel.states[("0", "0")] *= 0.98
+    with pytest.raises(ValueError):
+        channel.stack[0, 0, 0, 0] = 0.5
+    with pytest.raises(TypeError):
+        channel.states[("0", "0")] = np.eye(8) / 8
+    assert channel.stack is channel.stack
+    assert np.shares_memory(channel.states[("1", "0")], channel.stack)
+    state = control_state_t1(channel, uniform_t1(channel))
+    assert np.allclose(np.trace(state.conds.conditionals, axis1=-2, axis2=-1), 1.0)
+
+
+def test_replaced_states_are_checked_and_read_only():
+    """``dataclasses.replace`` with a new dict of states validates it and keeps it read-only."""
+    channel = load_channel(bundled_path("diag_deterministic.json"))
+    states = {pair: np.array(m) for pair, m in channel.states.items()}
+    copy = dataclasses.replace(channel, states=states)
+    states[("0", "0")] *= 0.98
+    assert np.allclose(np.trace(copy.states[("0", "0")]), 1.0)
+    with pytest.raises(ValueError):
+        copy.states[("0", "0")] *= 0.98
+    with pytest.raises(OperatorError, match="trace"):
+        dataclasses.replace(channel, states=states)
+
 def test_split_table_validation(diag_channel):
     bad_splits = {
         "X1": SplitSpec((("0",), ("0", "1")), {("0", "0"): "0", ("0", "1"): "0"}),
@@ -300,7 +327,7 @@ def _with_x1_split(channel, common, extra):
 def test_repeated_and_unknown_symbols_rejected(diag_channel, xor_channel, case):
     message, build = SYMBOL_DEFECTS[case]
     with pytest.raises(OperatorError) as got:
-        build(diag_channel, xor_channel).validate()
+        build(diag_channel, xor_channel)
     assert str(got.value) == message
 
 

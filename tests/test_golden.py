@@ -94,6 +94,8 @@ CASES.update({
     "sweep_conjecture_xor_scan": (_sweep(XOR, "conjecture", "--grid", "2", *OFF, *SCAN),
                                   "sweep"),
     "sweep_conjecture_nc": (_sweep(NC, "conjecture", "--grid", "3", *OFF), "sweep"),
+    "sweep_t2_xor": (_sweep(XOR, "t2", "--grid", "3", *OFF), "sweep"),
+    "sweep_hk_nosecrecy_nc": (_sweep(NC, "hk-nosecrecy", "--grid", "3", *OFF), "sweep"),
     "t2_nc_off": (_region(NC, NCDIST, "t2", *OFF), "region"),
     "quantities_classical_scan": (_quantities(CL, CLDIST, ["X10:Y1", "X10,X11:Y1", "X20:Z,X10", "X22:Y2|X20"],
                                               *SCAN), "stdout"),

@@ -173,7 +173,6 @@ def test_submac_eavesdropper_copy_costs_one_bit():
                                    for x1 in "01" for x2 in "01"})
     rows = {}
     for name, chan in (("trivial", trivial), ("copy", copying)):
-        chan.validate()
         rows[name] = theorem1_region(chan, uniform_t1(chan), PARAMS, OFF)
     drop = rows["trivial"].row("t1:r1").bound - rows["copy"].row("t1:r1").bound
     assert abs(drop - 1.0) <= 1e-9
@@ -239,7 +238,6 @@ def test_region_monotone_in_eavesdropper_strength(diag_channel):
             for x1 in "01" for x2 in "01"
         }
         chan = diag_channel_with_z(z_states)
-        chan.validate()
         poly = theorem1_region(chan, uniform_t1(chan), PARAMS, OFF)
         bounds = [r.bound for r in poly.rows]
         if prev is not None:
@@ -408,7 +406,6 @@ def test_theorem2_full_copy_z_degenerate():
         "full-copy", {"X1": ("0", "1"), "X2": ("0", "1")}, {"Y1": 2, "Y2": 2, "Z": 4},
         states, splits,
     )
-    chan.validate()
     poly = theorem2_region(chan, uniform_hk(chan), PARAMS, OFF)
     enum = vertices_2d(poly)
     assert enum.degenerate and enum.vertices == [(0.0, 0.0)]
@@ -892,10 +889,15 @@ def test_sweep_chunks_leave_the_frontier_unchanged(diag_channel, monkeypatch, th
     channel = diag_channel if theorem == "t1" else _noncommuting_split_channel(7)
     dist = uniform_t1(channel, q_size) if theorem == "t1" else uniform_hk(channel)
     state = (control_state_t1 if theorem == "t1" else control_state_hk)(channel, dist)
+    per_point = entropic.point_bytes(state.conds, regions._THEOREMS[theorem][0].terms)
+    real = regions._bounds
     outputs = []
     for points in (10**6, 1, 3):
-        monkeypatch.setattr(regions, "_CHUNK_BYTES", points * state.conds.conditionals.nbytes)
+        chunks = []
+        monkeypatch.setattr(regions, "_CHUNK_BYTES", points * per_point)
+        monkeypatch.setattr(regions, "_bounds", lambda *args: chunks.append(1) or real(*args))
         result = sweep_union(channel, theorem, PARAMS, OFF, grid=grid, q_size=q_size, rays=31)
+        assert len(chunks) == -(-result.evaluations // points)
         outputs.append((result.points.tobytes(), result.evaluations, result.degenerate_count))
     assert outputs[0] == outputs[1] == outputs[2]
 

@@ -1,11 +1,22 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oneshot_secrecy.channel import ChannelSpec, SplitSpec, control_state_hk, uniform_hk
+from oneshot_secrecy.channel import (
+    ChannelSpec,
+    SplitSpec,
+    bundled_path,
+    control_state_hk,
+    load_channel,
+    load_distribution,
+    uniform_hk,
+)
 from oneshot_secrecy.entropic import ToleranceParams
 from oneshot_secrecy.operators import OperatorError
+from oneshot_secrecy.regions import PenaltyMode, theorem2_region
 from oneshot_secrecy.secrecy import (
     VACUITY_THRESHOLD,
     leakage_bound,
@@ -26,15 +37,13 @@ def split_channel_with_z(z_of_parts, dz):
             z = z_of_parts(int(x1[0]), int(x1[1]), int(x2[0]), int(x2[1]))
             states[(x1, x2)] = np.kron(np.kron(np.eye(1), np.eye(1)), z).astype(complex)
     table = {(c, p): c + p for c in parts for p in parts}
-    spec = ChannelSpec(
+    return ChannelSpec(
         "custom-split",
         {"X1": symbols, "X2": symbols},
         {"Y1": 1, "Y2": 1, "Z": dz},
         states,
         {"X1": SplitSpec((parts, parts), table), "X2": SplitSpec((parts, parts), dict(table))},
     )
-    spec.validate()
-    return spec
 
 
 def basis(dim, idx):
@@ -153,3 +162,24 @@ def test_secrecy_check_requires_hk_state(diag_channel):
             PARAMS,
             thresholds=(1.0,),
         )
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("channel_path, dist_path, smoothing", [
+    (bundled_path("xor_split.json"), bundled_path("uniform_hk.json"), "none"),
+    (bundled_path("xor_split.json"), bundled_path("uniform_hk.json"), "diagonal-scan"),
+    # non-commuting, so its terms take the eigendecomposition path (the scan needs commuting inputs)
+    (DATA / "nc_small_split.json", DATA / "nc_small_split_dist.json", "none"),
+    # classical, with values the scan moves
+    (DATA / "classical_split.json", DATA / "classical_split_dist.json", "diagonal-scan"),
+])
+def test_state_entries_match_the_region_reports(channel_path, dist_path, smoothing):
+    """``secrecy_check`` and ``randomizer_plan`` on a state give a t2 region's report and plan, byte for byte."""
+    channel, dist = load_channel(channel_path), load_distribution(dist_path)
+    state = control_state_hk(channel, dist)
+    meta = theorem2_region(channel, dist, PARAMS, PenaltyMode("off"), smoothing).meta
+    for entry, key in ((secrecy_check(state, PARAMS, smoothing=smoothing), "secrecy"),
+                       (randomizer_plan(state, PARAMS, smoothing), "randomizer_plan")):
+        assert json.dumps(entry.as_dict(), sort_keys=True) == json.dumps(meta[key], sort_keys=True)
