@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .operators import OperatorError, RegisterLayout, validate_densities, validate_pmf
-from .states import CQConditionals, CQState, check_points
+from .states import CQConditionals, CQState
 
 INPUT_NAMES = ("X1", "X2")
 OUTPUT_NAMES = ("Y1", "Y2", "Z")
@@ -73,7 +73,9 @@ class ChannelSpec:
         """Check the spec, copy its states once into one read-only stack and check that stack's densities.
 
         Every spec that exists is valid, also one made by ``dataclasses.replace``,
-        and stays valid: ``states`` becomes a read-only mapping of read-only views.
+        and stays valid: ``states`` becomes a read-only mapping of read-only
+        views, and ``inputs``, ``outputs``, ``splits`` and each split's table
+        become read-only copies, with tuple alphabets.
         """
         for name in INPUT_NAMES:
             if name not in self.inputs or not self.inputs[name]:
@@ -125,6 +127,13 @@ class ChannelSpec:
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "states", MappingProxyType(dict(zip(pairs, stack.reshape(-1, d, d)))))
         validate_densities(stack, [f"{x1},{x2}" for x1, x2 in pairs])
+        object.__setattr__(self, "inputs", MappingProxyType({k: tuple(v) for k, v in self.inputs.items()}))
+        object.__setattr__(self, "outputs", MappingProxyType(dict(self.outputs)))
+        if self.splits is not None:
+            object.__setattr__(self, "splits", MappingProxyType({
+                inp: SplitSpec(tuple(map(tuple, split.parts)), MappingProxyType(dict(split.table)))
+                for inp, split in self.splits.items()
+            }))
 
 
 def _check_known(what: str, given, known) -> None:
@@ -210,7 +219,7 @@ def channel_from_document(doc: Mapping) -> ChannelSpec:
                         raise ChannelFormatError(f"{inp} map key {key!r} not 'common,personal'")
                     table[(pair[0], pair[1])] = str(sym)
             else:
-                # a missing or empty input alphabet is left to validate's error
+                # a missing or empty input alphabet is left to the ChannelSpec constructor's error
                 table = _identity_table(inp, alph_c, alph_p, inputs[inp]) if inputs.get(inp) else {}
             splits[inp] = SplitSpec((alph_c, alph_p), table)
         _check_known("split", split_doc, INPUT_NAMES)
@@ -288,6 +297,7 @@ class InputDistribution:
     marginals: Mapping[str, np.ndarray] | None = None
 
     def validate(self, channel: ChannelSpec) -> None:
+        """The one check of a distribution's probabilities; a control state multiplies the checked pmfs as they are."""
         if self.kind == "t1":
             q = np.asarray(self.q, dtype=float)
             c1 = np.asarray(self.x1_given_q, dtype=float)
@@ -301,7 +311,10 @@ class InputDistribution:
                     f"|X1|={len(channel.inputs['X1'])}"
                 )
             if c2.shape != (len(q), len(channel.inputs["X2"])):
-                raise OperatorError(f"x2_given_q shape {c2.shape} incompatible with channel")
+                raise OperatorError(
+                    f"x2_given_q shape {c2.shape} incompatible with |Q|={len(q)}, "
+                    f"|X2|={len(channel.inputs['X2'])}"
+                )
             for row in c1:
                 validate_pmf(row, "x1_given_q row")
             for row in c2:
@@ -435,9 +448,7 @@ def control_state_t1(channel: ChannelSpec, dist: InputDistribution) -> CQState:
         raise OperatorError("control_state_t1 needs a time-shared distribution")
     dist.validate(channel)
     q, c1, c2 = (np.asarray(v, dtype=float) for v in (dist.q, dist.x1_given_q, dist.x2_given_q))
-    state = CQState(_t1_conditionals(channel, len(q)), _t1_probs(q, c1, c2))
-    check_points(state.probs[None])  # the conditionals are the ChannelSpec's states, checked at construction
-    return state
+    return CQState(_t1_conditionals(channel, len(q)), _t1_probs(q, c1, c2))
 
 
 def control_state_hk(channel: ChannelSpec, dist: InputDistribution) -> CQState:
@@ -447,9 +458,7 @@ def control_state_hk(channel: ChannelSpec, dist: InputDistribution) -> CQState:
     conds = _hk_conditionals(channel)
     dist.validate(channel)
     probs = _hk_probs(*(np.asarray(dist.marginals[reg], dtype=float) for reg in HK_REGISTERS))
-    state = CQState(conds, probs)
-    check_points(state.probs[None])  # the conditionals are the ChannelSpec's states, checked at construction
-    return state
+    return CQState(conds, probs)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .channel import (
 from .entropic import ToleranceParams, grid_terms, point_bytes
 from .operators import COEF_TOL, DET_TOL, FEAS_TOL, RAY_TOL, OperatorError
 from .secrecy import PLAN_TERMS, SECRECY_TERMS, plan_from_terms, secrecy_report, within_threshold
-from .states import CQConditionals, CQState, check_points
+from .states import CQConditionals, CQState
 
 # bench/tracing.py wraps these names in this module, which no longer calls them
 from .entropic import cond_smooth_ht_mi, cond_smooth_max_mi, ht_mutual_info, smooth_max_mutual_info  # noqa: F401
@@ -40,6 +40,10 @@ from .secrecy import randomizer_plan, secrecy_check  # noqa: F401
 # theorem's terms, so memory does not grow with the grid.  The same budget bounds
 # each block of crossings _intersection_table tests at once.
 _CHUNK_BYTES = 1 << 21
+# bytes of the largest array fourier_motzkin (a step's combination rows) or
+# _intersection_table (sat, a byte per row and crossing) may build, counted
+# before it is built; a run's peak stays within a few times this
+_POLYTOPE_BYTES = 1 << 25
 
 PENALTY_MODES = ("paper", "off")
 DELTA_SOURCES = ("delta", "delta-prime")
@@ -527,7 +531,8 @@ def fourier_motzkin(poly: RatePolytope, eliminate: Sequence[str]) -> RatePolytop
     Nonnegativity rows of eliminated variables join the combination step;
     nonnegativity of kept variables stays implicit.  Redundant duplicates are
     pruned after each elimination; empty systems propagate as an explicit
-    ``0 <= -1`` row.
+    ``0 <= -1`` row.  Each step's combination rows are counted against
+    ``_POLYTOPE_BYTES`` before they are formed; over it raises ``ValueError``.
     """
     eliminate = list(eliminate)
     for v in eliminate:
@@ -551,6 +556,10 @@ def fourier_motzkin(poly: RatePolytope, eliminate: Sequence[str]) -> RatePolytop
         a, b, tags = np.vstack([a, nonneg]), np.append(b, 0.0), [*tags, f"nonneg:{v}"]
         c = a[:, idx]
         pos, neg = c > COEF_TOL, c < -COEF_TOL
+        count = int(pos.sum()) * int(neg.sum())
+        if 8 * len(variables) * count > _POLYTOPE_BYTES:
+            raise ValueError(f"eliminating {v!r} forms {count} combination rows of {8 * len(variables)} bytes, "
+                             f"over the polytope budget of {_POLYTOPE_BYTES} bytes")
         zero = ~(pos | neg)
         # each row scaled to coefficient +-1 on v; every pos x neg pair, pos-major
         ap, bp = a[pos] / c[pos, None], b[pos] / c[pos]
@@ -611,9 +620,16 @@ def _intersection_table(poly: RatePolytope):
 
     ``sat`` is filled in blocks of crossings whose ``(crossings, rows)``
     float64 products stay within ``_CHUNK_BYTES``, so the table's only
-    cubic array is ``sat`` itself, one byte an entry.  Each block is a
-    stacked product (not ``a @ x.T``), which keeps each dot's bits.
+    cubic array is ``sat`` itself, one byte an entry, and its size is
+    counted against ``_POLYTOPE_BYTES`` before anything is built; over it
+    raises ``ValueError``.  Each block is a stacked product (not
+    ``a @ x.T``), which keeps each dot's bits.
     """
+    m = len(poly.rows) + 2
+    crossings = m * (m - 1) // 2
+    if crossings * m > _POLYTOPE_BYTES:
+        raise ValueError(f"{len(poly.rows)} rows and nonnegativity have {crossings} crossings, whose table of "
+                         f"{crossings * m} bytes is over the polytope budget of {_POLYTOPE_BYTES} bytes")
     a, b = poly.coeff_matrix()
     a, b = np.vstack([a, -np.eye(2)]), np.concatenate([b, np.zeros(2)])
     i, j = np.triu_indices(len(b), 1)
@@ -863,7 +879,6 @@ def sweep_union(
             probs = _t1_probs(vectors[0], np.stack(vectors[1::2], axis=1), np.stack(vectors[2::2], axis=1))
         else:
             probs = _hk_probs(*vectors)
-        check_points(probs)  # the conditionals are the ChannelSpec's states, checked at construction
         bounds = _bounds(table, _solve(conds, probs, params, smoothing, table.terms, start), penalty)[0]
         undefined = np.argwhere(np.isnan(bounds))
         if undefined.size:

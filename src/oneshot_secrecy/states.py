@@ -10,24 +10,6 @@ import numpy as np
 from .operators import PROB_TOL, OperatorError, RegisterLayout, partial_trace_matrix, validate_densities
 
 
-def check_points(probs: np.ndarray) -> None:
-    """Check every point of a ``(G, ...)`` stack of probabilities.
-
-    A point's probabilities must be finite, may not fall below
-    ``-PROB_TOL`` and must sum to 1 within ``PROB_TOL``; the first failing
-    point's first violation is raised.
-    """
-    points = probs.reshape(len(probs), -1)
-    finite = np.isfinite(points).all(axis=1)
-    totals = np.where(finite[:, None], points, 0.0).sum(axis=1)
-    failed = np.stack([~finite, np.any(points < -PROB_TOL, axis=1), np.abs(totals - 1.0) > PROB_TOL])
-    if failed.any():
-        g = np.flatnonzero(failed.any(axis=0))[0]
-        reasons = ("non-finite probability", f"negative probability {points[g].min():.1e}",
-                   f"probabilities sum to {float(totals[g])!r}, not 1")
-        raise OperatorError(reasons[np.flatnonzero(failed[:, g])[0]])
-
-
 class CQConditionals:
     """Named classical registers over conditional operators on a shared quantum part.
 
@@ -70,12 +52,22 @@ class CQConditionals:
             raise OperatorError(f"unknown classical register {name!r}") from None
 
     def check(self, probs: np.ndarray) -> None:
-        """Check every point of a ``(G, *alphabet_sizes)`` stack (:func:`check_points`), then each live conditional.
+        """Check every point of a ``(G, *alphabet_sizes)`` stack, then each live conditional.
 
-        A conditional is live, and must be a density operator, where some
-        point gives it more than ``PROB_TOL``.
+        A point's probabilities must be finite, may not fall below
+        ``-PROB_TOL`` and must sum to 1 within ``PROB_TOL``; the first failing
+        point's first violation is raised.  A conditional is live, and must be
+        a density operator, where some point gives it more than ``PROB_TOL``.
         """
-        check_points(probs)
+        points = probs.reshape(len(probs), -1)
+        finite = np.isfinite(points).all(axis=1)
+        totals = np.where(finite[:, None], points, 0.0).sum(axis=1)
+        failed = np.stack([~finite, np.any(points < -PROB_TOL, axis=1), np.abs(totals - 1.0) > PROB_TOL])
+        if failed.any():
+            g = np.flatnonzero(failed.any(axis=0))[0]
+            reasons = ("non-finite probability", f"negative probability {points[g].min():.1e}",
+                       f"probabilities sum to {float(totals[g])!r}, not 1")
+            raise OperatorError(reasons[np.flatnonzero(failed[:, g])[0]])
         ks = np.flatnonzero(np.any(probs > PROB_TOL, axis=0))
         flat_c = self.conditionals.reshape(-1, *self.conditionals.shape[-2:])
         validate_densities(flat_c[ks], [f"conditional {k}" for k in ks])

@@ -254,6 +254,15 @@ def test_distribution_documents(diag_channel, tmp_path):
         load_distribution(p)
 
 
+@pytest.mark.parametrize("field, size", [("x1_given_q", "|X1|=2"), ("x2_given_q", "|X2|=2")])
+def test_wrongly_shaped_conditional_names_both_sizes(diag_channel, field, size):
+    doc = {"q": [0.5, 0.5], "x1_given_q": [[0.5, 0.5]] * 2, "x2_given_q": [[0.5, 0.5]] * 2}
+    doc[field] = [[1 / 3] * 3] * 2
+    with pytest.raises(OperatorError) as got:
+        distribution_from_document(doc).validate(diag_channel)
+    assert str(got.value) == f"{field} shape (2, 3) incompatible with |Q|=2, {size}"
+
+
 @pytest.mark.parametrize("doc, key", [
     ({"q": [1.0], "x1_given_q": [[0.5, 0.5]], "x2_given_q": [[0.5, 0.5]], "x10": [1.0]}, "x10"),
     ({"x10": [1.0], "x11": [1.0], "x20": [1.0], "x22": [1.0], "extra": 1}, "extra"),
@@ -293,6 +302,36 @@ def test_replaced_states_are_checked_and_read_only():
         copy.states[("0", "0")] *= 0.98
     with pytest.raises(OperatorError, match="trace"):
         dataclasses.replace(channel, states=states)
+
+
+def test_channel_spec_is_read_only_throughout():
+    """``inputs``, ``outputs``, ``splits`` and each split's table are read-only copies of what was given."""
+    xor = load_channel(bundled_path("xor_split.json"))
+    with pytest.raises(TypeError):
+        xor.splits["X1"].table[("0", "0")] = "11"
+    with pytest.raises(TypeError):
+        xor.splits["X1"] = xor.splits["X2"]
+    with pytest.raises(TypeError):
+        xor.inputs["X1"] = ("00",)
+    with pytest.raises(TypeError):
+        xor.outputs["Z"] = 4
+    control_state_hk(xor, uniform_hk(xor)).validate()
+    # built in code from lists and dicts, then those changed: the spec keeps its own copies
+    inputs = {name: list(symbols) for name, symbols in xor.inputs.items()}
+    outputs = dict(xor.outputs)
+    table = dict(xor.splits["X1"].table)
+    splits = {"X1": SplitSpec(tuple(list(p) for p in xor.splits["X1"].parts), table), "X2": xor.splits["X2"]}
+    spec = ChannelSpec(xor.name, inputs, outputs, dict(xor.states), splits)
+    inputs["X1"].append("99")
+    outputs["Z"] = 4
+    table[("0", "0")] = "11"
+    splits.pop("X2")
+    assert spec.inputs["X1"] == ("00", "01", "10", "11") and spec.splits["X1"].parts[0] == ("0", "1")
+    assert dumps_channel(spec) == dumps_channel(xor)
+    # a replaced table is checked as a new one is
+    bad = SplitSpec(xor.splits["X1"].parts, {**xor.splits["X1"].table, ("0", "0"): "01"})
+    with pytest.raises(OperatorError, match="^X1 combining table is not onto the input alphabet$"):
+        dataclasses.replace(xor, splits={**xor.splits, "X1": bad})
 
 def test_split_table_validation(diag_channel):
     bad_splits = {

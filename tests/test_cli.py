@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oneshot_secrecy import channel, cli, entropic, operators, states
+from oneshot_secrecy import channel, cli, entropic, operators, regions, states
 from oneshot_secrecy.channel import bundled_path, channel_to_document, control_state_hk, load_channel, load_distribution
 from oneshot_secrecy.entropic import ConvergenceError
 from oneshot_secrecy.states import joint_and_product
@@ -114,6 +114,37 @@ def test_fm_command(tmp_path):
     assert projected["variables"] == ["R1"]
     bounds = [r["bound"] / r["coeffs"]["R1"] for r in projected["rows"] if r["coeffs"].get("R1", 0) > 0]
     assert min(bounds) == pytest.approx(4.0, abs=1e-9)
+
+
+def test_fm_over_the_polytope_budget_exits_1(tmp_path, capsys, monkeypatch):
+    """The ``test_fm_command`` system: eliminating R10 combines 3 rows with R10 > 0 and 2 with R10 < 0."""
+    src = tmp_path / "poly.json"
+    src.write_text(json.dumps({
+        "variables": ["R1", "R10", "R11"],
+        "rows": [{"coeffs": {"R10": 1.0}, "bound": 2.0}, {"coeffs": {"R10": 1.0, "R11": 1.0}, "bound": 4.0}],
+        "equalities": [{"coeffs": {"R1": 1.0, "R10": -1.0, "R11": -1.0}, "value": 0.0}],
+    }), encoding="utf-8")
+    monkeypatch.setattr(regions, "_POLYTOPE_BYTES", 100)
+    assert cli.main(["fm", "--input", str(src), "--eliminate", "R10,R11", "--out", str(tmp_path / "o.json")]) == 1
+    assert capsys.readouterr().err == ("error: eliminating 'R10' forms 6 combination rows of 24 bytes, "
+                                       "over the polytope budget of 100 bytes\n")
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("form", ["hk", "t1"])
+def test_pmfs_within_tolerance_pass_every_command(tmp_path, capsys, form):
+    """Each pmf sums to 1 + 9e-10, within ``PROB_TOL``; the product a control state multiplies out sums to
+    about 1 + 3.6e-9 (four marginals) or 1 + 2.7e-9 (q and two conditionals) and is not checked again."""
+    channel, dist, theorem = {"hk": (XOR, HKDIST, "conjecture"), "t1": (CHAN, DIST, "t1")}[form]
+    scaled = tmp_path / "scaled.json"
+    doc = json.loads(Path(dist).read_text(encoding="utf-8"))
+    scaled.write_text(json.dumps({k: ((1 + 9e-10) * np.array(v)).tolist() for k, v in doc.items()}))
+    for argv in (["validate", channel, "--dist", str(scaled)],
+                 ["quantities", "--channel", channel, "--dist", str(scaled), "--eps", "0.25"],
+                 ["region", "--channel", channel, "--dist", str(scaled), "--theorem", theorem, "--eps", "0.25",
+                  "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "v.csv")]):
+        status = cli.main(argv)
+        assert status == 0, (argv[0], capsys.readouterr().err)
 
 
 def test_sweep_thread_determinism(tmp_path):

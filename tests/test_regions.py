@@ -701,6 +701,47 @@ def test_intersection_table_memory_stays_near_sat():
         assert peak < 4 * sat_bytes, routine.__name__
 
 
+def test_fm_budget_counts_before_combining(monkeypatch):
+    """Eliminating B combines 3 rows with B > 0 and 3 with B < 0 (nonnegativity among them): 9 rows of 3
+    coefficients, 216 bytes.  Over the budget nothing is combined or pruned."""
+    poly = polytope_from_arrays(("A", "B", "C"), [((1, 1, 0), 1), ((0, 1, 1), 2), ((1, -1, 0), 0),
+                                                  ((0, -1, 1), 1), ((1, 0, -1), 1), ((0, 1, -1), 3)])
+    expected = fourier_motzkin(poly, ["B", "C"])
+    monkeypatch.setattr(regions, "_POLYTOPE_BYTES", 216)
+    assert fourier_motzkin(poly, ["B", "C"]) == expected
+    monkeypatch.setattr(regions, "_POLYTOPE_BYTES", 215)
+
+    def no_prune(a, b):
+        raise AssertionError("the budget check combined rows")
+
+    monkeypatch.setattr(regions, "_prune", no_prune)
+    with pytest.raises(ValueError) as got:
+        fourier_motzkin(poly, ["B", "C"])
+    assert str(got.value) == ("eliminating 'B' forms 9 combination rows of 24 bytes, "
+                              "over the polytope budget of 215 bytes")
+
+
+@pytest.mark.parametrize("routine", [vertices_2d, minimal_2d])
+def test_intersection_table_budget_counts_before_building(monkeypatch, routine):
+    """12 rows and the 2 nonnegativity rows: 91 crossings of 14 rows each, a 1274-byte ``sat``."""
+    rng = np.random.default_rng(12)
+    poly = polytope_from_arrays(("R1", "R2"), zip(rng.uniform(0.1, 1.0, size=(12, 2)), rng.uniform(0.5, 2.0, 12)))
+    assert len(regions._prune(*poly.coeff_matrix())[0]) == 12
+    expected = routine(poly)
+    monkeypatch.setattr(regions, "_POLYTOPE_BYTES", 14 * 91)
+    assert routine(poly) == expected
+    monkeypatch.setattr(regions, "_POLYTOPE_BYTES", 14 * 91 - 1)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("the budget check built the table")
+
+    monkeypatch.setattr(regions.np, "triu_indices", no_table)
+    with pytest.raises(ValueError) as got:
+        routine(poly)
+    assert str(got.value) == ("12 rows and nonnegativity have 91 crossings, whose table of 1274 bytes "
+                              "is over the polytope budget of 1273 bytes")
+
+
 @pytest.mark.parametrize("n_rows", [0, 3, 12])
 def test_one_solve_per_polytope(monkeypatch, n_rows):
     """``vertices_2d`` and ``minimal_2d`` each solve every row pair in one batched call."""
