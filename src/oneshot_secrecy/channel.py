@@ -122,6 +122,7 @@ class ChannelSpec:
                         image.add(sym)
                 if image != set(self.inputs[inp]):
                     raise OperatorError(f"{inp} combining table is not onto the input alphabet")
+            _check_known("split", self.splits, INPUT_NAMES)
         stack = np.array([[self.states[(x1, x2)] for x2 in self.inputs["X2"]] for x1 in self.inputs["X1"]])
         stack.flags.writeable = False
         object.__setattr__(self, "_stack", stack)
@@ -297,8 +298,11 @@ class InputDistribution:
     marginals: Mapping[str, np.ndarray] | None = None
 
     def validate(self, channel: ChannelSpec) -> None:
-        """The one check of a distribution's probabilities; a control state multiplies the checked pmfs as they are."""
+        """The one check of a distribution's form and probabilities; a control state multiplies the checked pmfs
+        as they are."""
         if self.kind == "t1":
+            if channel.has_splits():
+                raise OperatorError("time-shared distribution requires a channel without splits")
             q = np.asarray(self.q, dtype=float)
             c1 = np.asarray(self.x1_given_q, dtype=float)
             c2 = np.asarray(self.x2_given_q, dtype=float)
@@ -426,8 +430,6 @@ def _split_index(channel: ChannelSpec, inp: str) -> np.ndarray:
 
 def _t1_conditionals(channel: ChannelSpec, q_size: int) -> CQConditionals:
     """Conditionals on classical (Q, X1, X2): every value of Q sees the same channel."""
-    if channel.has_splits():
-        raise OperatorError("control_state_t1 requires a channel without splits")
     stack = channel.stack
     return CQConditionals(("Q", "X1", "X2"), (q_size, *stack.shape[:2]), channel.quantum_layout,
                           np.repeat(stack[None], q_size, axis=0))
@@ -435,8 +437,6 @@ def _t1_conditionals(channel: ChannelSpec, q_size: int) -> CQConditionals:
 
 def _hk_conditionals(channel: ChannelSpec) -> CQConditionals:
     """Conditionals on classical (X10, X11, X20, X22), gathered through the combining tables."""
-    if not channel.has_splits():
-        raise OperatorError("control_state_hk requires a channel with splits")
     i1, i2 = _split_index(channel, "X1"), _split_index(channel, "X2")
     conds = channel.stack[i1[:, :, None, None], i2[None, None, :, :]]
     return CQConditionals(HK_REGISTERS, conds.shape[:4], channel.quantum_layout, conds)
@@ -455,10 +455,9 @@ def control_state_hk(channel: ChannelSpec, dist: InputDistribution) -> CQState:
     """Split-message control state on classical (X10, X11, X20, X22)."""
     if dist.kind != "hk":
         raise OperatorError("control_state_hk needs the four split marginals")
-    conds = _hk_conditionals(channel)
     dist.validate(channel)
     probs = _hk_probs(*(np.asarray(dist.marginals[reg], dtype=float) for reg in HK_REGISTERS))
-    return CQState(conds, probs)
+    return CQState(_hk_conditionals(channel), probs)
 
 
 # ---------------------------------------------------------------------------

@@ -649,39 +649,30 @@ def _corners(pts: np.ndarray) -> np.ndarray:
     ``FEAS_TOL`` (max norm) of an earlier kept one; one point within ``FEAS_TOL`` of the origin is the origin.
 
     An exact repeat never stays, nor drops another point, so repeats go
-    first.  The kept set is the one fixed point of ``kept[p] = no kept
-    q < p is near p``, reached by iterating that rule on every near pair
-    from all kept.  Lex order sorts x first, so near pairs are found offset
-    by offset, up to the first offset whose x gaps all exceed ``FEAS_TOL``.
+    first.  A nan distance counts as near.
     """
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     first = np.ones(len(pts), dtype=bool)
     first[1:] = np.any(pts[1:] != pts[:-1], axis=1)
     pts = pts[first]
-    earlier, later = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for d in range(1, len(pts)):
-        if np.all(np.abs(pts[d:, 0] - pts[:-d, 0]) > FEAS_TOL):
-            break
-        near = np.flatnonzero(~(np.abs(pts[d:] - pts[:-d]).max(axis=1) > FEAS_TOL))
-        earlier.append(near)
-        later.append(near + d)
-    earlier, later = np.concatenate(earlier), np.concatenate(later)
     kept = np.ones(len(pts), dtype=bool)
-    while True:
-        step = np.ones(len(pts), dtype=bool)
-        step[later[kept[earlier]]] = False
-        if np.array_equal(step, kept):
-            break
-        kept = step
+    for p in range(1, len(pts)):
+        kept[p] = np.all(np.abs(pts[:p][kept[:p]] - pts[p]).max(axis=1) > FEAS_TOL)
     pts = pts[kept]
     return np.zeros((1, 2)) if len(pts) == 1 and np.max(np.abs(pts[0])) <= FEAS_TOL else pts
 
 
-def _enumerate(table, active: np.ndarray) -> VertexEnumeration:
-    """Vertices of the table's rows marked ``active`` (the last two always are)."""
-    a, i, j, x, sat = table
-    feasible = active[i] & active[j] & np.all(sat[active], axis=0)
-    unbounded = _has_recession_ray(a[:-2][active[:-2]])
+def vertices_2d(poly: RatePolytope) -> VertexEnumeration:
+    """Vertices of the nonnegatively clamped region, counterclockwise.
+
+    An infeasible system reports the origin with the ``degenerate`` flag, as
+    the nonnegative clamp prescribes.
+    """
+    if len(poly.variables) != 2:
+        raise OperatorError("vertices_2d needs exactly two variables")
+    a, _, _, x, sat = _intersection_table(poly)
+    feasible = np.all(sat, axis=0)
+    unbounded = _has_recession_ray(a[:-2])
     if not feasible.any():
         return VertexEnumeration([(0.0, 0.0)], True, unbounded)
     pts = _corners(np.maximum(x[feasible], 0.0))
@@ -694,17 +685,6 @@ def _enumerate(table, active: np.ndarray) -> VertexEnumeration:
     start = int(np.lexsort((pts[:, 1], pts[:, 0]))[0])
     pts = np.roll(pts, -start, axis=0)
     return VertexEnumeration([(float(x), float(y)) for x, y in pts], False, unbounded)
-
-
-def vertices_2d(poly: RatePolytope) -> VertexEnumeration:
-    """Vertices of the nonnegatively clamped region, counterclockwise.
-
-    An infeasible system reports the origin with the ``degenerate`` flag, as
-    the nonnegative clamp prescribes.
-    """
-    if len(poly.variables) != 2:
-        raise OperatorError("vertices_2d needs exactly two variables")
-    return _enumerate(_intersection_table(poly), np.ones(len(poly.rows) + 2, dtype=bool))
 
 
 def _violated(row: np.ndarray, bound: float, pts: np.ndarray) -> bool:
@@ -852,8 +832,9 @@ def sweep_union(
         raise ValueError("rays must be >= 1")
     if theorem != "t1" and q_size != 1:
         raise ValueError(f"q_size applies to t1 sweeps only; theorem {theorem!r} got q_size={q_size}")
-    if theorem != "t1" and not channel.has_splits():
-        raise OperatorError(f"theorem {theorem!r} sweeps require a channel with splits")
+    if channel.has_splits() == (theorem == "t1"):
+        need = "without" if theorem == "t1" else "with"
+        raise OperatorError(f"theorem {theorem!r} sweeps require a channel {need} splits")
     # one simplex per axis: Q, then X1|q and X2|q for each q; or the four split parts
     if theorem == "t1":
         sizes = (q_size,) + tuple(len(channel.inputs[x]) for x in INPUT_NAMES) * q_size

@@ -20,6 +20,7 @@ from oneshot_secrecy.channel import (
     load_channel,
     load_distribution,
     save_channel,
+    save_distribution,
     uniform_hk,
     uniform_t1,
 )
@@ -158,6 +159,10 @@ def test_roundtrip_byte_identity(tmp_path, diag_channel, xor_channel):
         out = tmp_path / name
         save_channel(spec, out)
         assert out.read_bytes() == original
+    for name in ("uniform_t1.json", "uniform_hk.json", "uniform_hk_degenerate.json"):
+        out = tmp_path / name
+        save_distribution(load_distribution(bundled_path(name)), out)
+        assert out.read_bytes() == bundled_path(name).read_bytes()
 
 
 def test_control_state_t1_uniform(diag_channel):
@@ -344,14 +349,28 @@ def test_split_table_validation(diag_channel):
         )
 
 
-# an alphabet names each symbol once, and a combining table only pairs of part symbols
-SYMBOL_DEFECTS = {
+# each text the ChannelSpec constructor raises for a spec built in code, and a spec that raises it: among
+# them, an alphabet names each symbol once, a combining table only pairs of part symbols, and a split key
+# other than X1/X2 is rejected before dumps_channel could fail on it
+SPEC_DEFECTS = {
     "input-repeat": ("input alphabet X1 repeats symbol '0'",
                      lambda diag, xor: dataclasses.replace(diag, inputs={**diag.inputs, "X1": ("0", "0", "1")})),
     "part-repeat": ("X10 alphabet repeats symbol '0'",
                     lambda diag, xor: _with_x1_split(xor, ("0", "1", "0", "1"), {})),
     "map-key": ("X1 combining table pair (2,2) names no part symbol",
                 lambda diag, xor: _with_x1_split(xor, None, {("2", "2"): "00"})),
+    "split-key": ("unknown split key 'X3'",
+                  lambda diag, xor: dataclasses.replace(xor, splits={**xor.splits, "X3": xor.splits["X1"]})),
+    "empty-part": ("X1 split alphabets must be nonempty", lambda diag, xor: _with_x1_split(xor, (), {})),
+    "missed-pair": ("X1 combining table misses pair (1,1)",
+                    lambda diag, xor: _with_x1_table(xor, {k: v for k, v in xor.splits["X1"].table.items()
+                                                           if k != ("1", "1")})),
+    "unknown-image": ("X1 combining table maps to unknown symbol '22'",
+                      lambda diag, xor: _with_x1_split(xor, None, {("1", "1"): "22"})),
+    "comma": ("input symbol '0,1' may not contain a comma",
+              lambda diag, xor: dataclasses.replace(diag, inputs={**diag.inputs, "X1": ("0,1", "1")})),
+    "output-dimension": ("output dimension Z must be >= 1",
+                         lambda diag, xor: dataclasses.replace(diag, outputs={**diag.outputs, "Z": 0})),
 }
 
 
@@ -362,9 +381,15 @@ def _with_x1_split(channel, common, extra):
     return dataclasses.replace(channel, splits={**channel.splits, "X1": SplitSpec(parts, {**split.table, **extra})})
 
 
-@pytest.mark.parametrize("case", SYMBOL_DEFECTS)
-def test_repeated_and_unknown_symbols_rejected(diag_channel, xor_channel, case):
-    message, build = SYMBOL_DEFECTS[case]
+def _with_x1_table(channel, table):
+    """``channel`` with X1's combining table replaced by ``table``."""
+    split = channel.splits["X1"]
+    return dataclasses.replace(channel, splits={**channel.splits, "X1": SplitSpec(split.parts, table)})
+
+
+@pytest.mark.parametrize("case", SPEC_DEFECTS)
+def test_channel_spec_defects_rejected(diag_channel, xor_channel, case):
+    message, build = SPEC_DEFECTS[case]
     with pytest.raises(OperatorError) as got:
         build(diag_channel, xor_channel)
     assert str(got.value) == message

@@ -538,3 +538,74 @@ def test_time_shared_q_that_is_not_a_vector_exits_1(tmp_path, capsys, q, shape, 
                 "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")]
     assert cli.main(argv) == 1
     assert f"q has shape {shape}, expected a 1-d vector" in capsys.readouterr().err
+
+
+# each distribution form on a channel of the other kind, the region theorem of that form, and the one text
+# every command reports; the time-shared file has 4-symbol conditionals, the size of xor_split's inputs
+FORM_MISMATCHES = {
+    "time-shared": (XOR, {"q": [1.0], "x1_given_q": [[0.25] * 4], "x2_given_q": [[0.25] * 4]}, "t1",
+                    "time-shared distribution requires a channel without splits"),
+    "split": (CHAN, json.loads(Path(HKDIST).read_text(encoding="utf-8")), "t2",
+              "split-form distribution requires a channel with splits"),
+}
+
+
+@pytest.mark.parametrize("form", FORM_MISMATCHES)
+def test_distribution_form_is_checked_once_against_the_channel(tmp_path, capsys, form):
+    """``validate --dist``, ``region`` (the form's theorem and qmac) and ``quantities`` exit 1 with one text,
+    from ``InputDistribution.validate``; a sweep checks its theorem against the channel the same way."""
+    chan, doc, theorem, message = FORM_MISMATCHES[form]
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps(doc), encoding="utf-8")
+    out = ["--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")]
+    for argv in (["validate", chan, "--dist", str(dist)],
+                 ["region", "--channel", chan, "--dist", str(dist), "--theorem", theorem, "--eps", "0.25", *out],
+                 ["region", "--channel", chan, "--dist", str(dist), "--theorem", "qmac", "--eps", "0.25", *out],
+                 ["quantities", "--channel", chan, "--dist", str(dist), "--eps", "0.25"]):
+        assert cli.main(argv) == 1, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
+    need = "without" if theorem == "t1" else "with"
+    assert cli.main(["sweep", "--channel", chan, "--theorem", theorem, "--eps", "0.25", "--grid", "2",
+                     "--csv", str(tmp_path / "f.csv")]) == 1
+    assert capsys.readouterr().err == f"error: theorem {theorem!r} sweeps require a channel {need} splits\n"
+
+
+def test_qmac_region_with_a_time_shared_distribution(tmp_path, capsys):
+    """Senders X1 and X2: the report's rows are ``qmac_inner_bound``'s on the time-shared control state."""
+    out = tmp_path / "r.json"
+    assert cli.main(["region", "--channel", CHAN, "--dist", DIST, "--theorem", "qmac", "--eps", "0.25",
+                     "--out", str(out), "--csv", str(tmp_path / "r.csv")]) == 0
+    capsys.readouterr()
+    state = channel.control_state_t1(load_channel(CHAN), load_distribution(DIST))
+    poly = regions.qmac_inner_bound(state, ["X1", "X2"], "Y1", 0.25, regions.PenaltyMode("paper"))
+    expected = json.loads(json.dumps([cli._row_dict(r, poly.variables) for r in poly.rows]))
+    assert json.loads(out.read_text(encoding="utf-8"))["rows"] == expected
+
+
+def test_fm_without_out_prints_the_file_bytes(tmp_path, capsys):
+    src, out = tmp_path / "poly.json", tmp_path / "projected.json"
+    src.write_text(json.dumps({
+        "variables": ["R1", "R10", "R11"],
+        "rows": [{"coeffs": {"R10": 1.0}, "bound": 2.0}, {"coeffs": {"R10": 1.0, "R11": 1.0}, "bound": 4.0}],
+        "equalities": [{"coeffs": {"R1": 1.0, "R10": -1.0, "R11": -1.0}, "value": 0.0}],
+    }), encoding="utf-8")
+    assert cli.main(["fm", "--input", str(src), "--eliminate", "R10,R11"]) == 0
+    printed = capsys.readouterr().out
+    assert cli.main(["fm", "--input", str(src), "--eliminate", "R10,R11", "--out", str(out)]) == 0
+    assert printed.encode("utf-8") == out.read_bytes()
+
+
+def test_oracle_np_verbose_prints_beta(capsys):
+    assert cli.main(["oracle-np", "--p", "0.5,0.5", "--q", "0.9,0.1", "--eps", "0.5", "--verbose"]) == 0
+    beta, divergence = entropic.classical_np_oracle([0.5, 0.5], [0.9, 0.1], 0.5)
+    assert capsys.readouterr().out == f"{cli._fmt(divergence)}\nbeta={cli._fmt(beta)}\n"
+
+
+@pytest.mark.parametrize("grouping, message", [
+    ("X10", "grouping 'X10' must look like 'A,B:C,D' or 'A:B|Q'"),
+    (":Y1", "grouping ':Y1' has an empty side"),
+])
+def test_malformed_grouping_exits_2(capsys, grouping, message):
+    assert cli.main(["quantities", "--channel", XOR, "--dist", HKDIST, "--grouping", grouping,
+                     "--eps", "0.25"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -38,8 +38,12 @@ from oneshot_secrecy.regions import (
 )
 from conftest import rand_density
 from util import (
+    _enumerate_masked,
     _prune_rows,
     convex_hull_2d,
+    degraded,
+    drawn_channels,
+    drawn_distributions,
     enumerate_vertices_nd,
     fourier_motzkin_rowwise,
     hk_distributions,
@@ -48,6 +52,7 @@ from util import (
     one_point_terms,
     point_in_hull_2d,
     polytope_from_arrays,
+    qubit_maps,
     region_bounds,
     t1_distributions,
     vertices_2d_pairwise,
@@ -243,6 +248,30 @@ def test_region_monotone_in_eavesdropper_strength(diag_channel):
         if prev is not None:
             assert all(b <= p + 1e-9 for b, p in zip(bounds, prev))
         prev = bounds
+
+
+# D_H on pure conditionals moves by up to about 1e-9 between states that differ by rounding
+DATA_PROCESSING_TOL = 1e-8
+
+
+@pytest.mark.parametrize("theorem, register", [("t1", "Z"), ("t2", "Z"), ("conjecture", "Z"),
+                                               ("t2", "Y1"), ("conjecture", "Y1"), ("hk-nosecrecy", "Y1")])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_region_rows_obey_data_processing(theorem, register, data):
+    """On drawn non-commuting channels, penalties off: a map on Z can only lower each leakage term (a
+    ``D_max`` information on Z), so it may only raise each row bound, and a map on Y1 can only lower each
+    decoding term (a ``D_H`` information on a receiver's output), so it may only lower each row bound.
+    ``t1`` binds a row to the receiver of the smaller first term, which a map on Y1 can switch, so only its
+    Z side holds row by row."""
+    channel = data.draw(drawn_channels(split=theorem != "t1"))
+    dist = data.draw(drawn_distributions(channel))
+    build = regions.region_builder(theorem)
+    before = build(channel, dist, PARAMS, OFF).rows
+    after = build(degraded(channel, register, data.draw(qubit_maps())), dist, PARAMS, OFF).rows
+    sign = 1.0 if register == "Z" else -1.0
+    for row, moved in zip(before, after, strict=True):
+        assert sign * (moved.bound - row.bound) >= -DATA_PROCESSING_TOL, row.tag
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +551,13 @@ def test_vertices_2d_random_feasibility(rng):
             assert active >= 2
 
 
+def test_corners_compares_only_with_kept_points():
+    """A chain 0.6 FEAS_TOL apart: the middle point is near the first and goes; the last is near only
+    the dropped middle one, so it stays."""
+    chain = np.array([[1.0, 1.0], [1.0 + 0.6 * FEAS_TOL, 1.0], [1.0 + 1.2 * FEAS_TOL, 1.0]])
+    assert np.array_equal(regions._corners(chain[::-1]), chain[[0, 2]])
+
+
 def test_minimal_2d_keeps_an_empty_system_empty():
     """The ``0 <= -1`` marker survives: dropping it would turn the empty set into a square."""
     poly = polytope_from_arrays(("R1", "R2"), [((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0), ((0.0, 0.0), -1.0)])
@@ -603,8 +639,8 @@ def test_intersection_table_matches_pairwise_oracle(poly, data):
     assert vertices_2d(poly) == vertices_2d_pairwise(poly)
     keep = data.draw(st.lists(st.booleans(), min_size=len(poly.rows), max_size=len(poly.rows)))
     rebuilt = RatePolytope(poly.variables, [r for r, on in zip(poly.rows, keep) if on])
-    masked = regions._enumerate(regions._intersection_table(poly), np.array(keep + [True, True]))
-    assert masked == vertices_2d_pairwise(rebuilt)
+    masked = _enumerate_masked(regions._intersection_table(poly), np.array(keep + [True, True]))
+    assert vertices_2d(rebuilt) == masked == vertices_2d_pairwise(rebuilt)
     minimal = minimal_2d(poly)
     assert _exact_rows(minimal) == _exact_rows(minimal_2d_masked(poly))
     rows = [(r.coeffs, r.bound, r.tag) for r in minimal.rows]

@@ -16,6 +16,8 @@ through one nested product of input distributions per point, the
 conditional max-min through one loop per point, and a region's row bounds
 through one term at a time of the public one-point helpers, summed row by
 row in Python floats, and density checks through one operator at a time.
+Drawn channels for region-level properties are built here too, with the
+maps on one output register that degrade them.
 """
 import bisect
 import itertools
@@ -23,9 +25,10 @@ import math
 from typing import Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
 from oneshot_secrecy import entropic, regions
-from oneshot_secrecy.channel import InputDistribution
+from oneshot_secrecy.channel import HK_REGISTERS, OUTPUT_NAMES, ChannelSpec, InputDistribution, SplitSpec
 from oneshot_secrecy.entropic import (
     _MAX_ITER,
     ConvergenceError,
@@ -171,7 +174,8 @@ def minimal_2d_rebuild(poly: RatePolytope) -> RatePolytope:
 
 
 def _enumerate_masked(table, active: np.ndarray) -> VertexEnumeration:
-    """``regions._enumerate`` with its merge as a Python loop over the sorted points."""
+    """``regions.vertices_2d`` on the table's rows marked ``active`` (the last two always are), with its
+    merge as a Python loop over the sorted points."""
     a, i, j, x, sat = table
     feasible = active[i] & active[j] & np.all(sat[active], axis=0)
     unbounded = _has_recession_ray(a[:-2][active[:-2]])
@@ -915,3 +919,72 @@ def region_bounds(term, theorem, params, penalties):
                                  regions._split_penalties(params, penalties))
     return _assembled_bounds(term, regions._SPLIT_MESSAGE, None, regions._BOTH_RECEIVERS,
                              regions._hk_penalties(params, penalties))
+
+
+def _random_density(rng, d, rank):
+    """A random density operator of ``rank`` on ``C^d``: ``G G^dagger``, normalized, for a complex Gaussian ``G``."""
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+@st.composite
+def drawn_channels(draw, split: bool):
+    """Channels onto qubit triples (Y1, Y2, Z) whose output states, one of a drawn rank per input pair, do
+    not commute; a split channel has binary common and personal parts per sender, an unsplit one binary
+    inputs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.sampled_from([1, 2, 8]))
+    symbols = ("00", "01", "10", "11") if split else ("0", "1")
+    states = {(x1, x2): _random_density(rng, 8, rank) for x1 in symbols for x2 in symbols}
+    splits = None
+    if split:
+        part = SplitSpec((("0", "1"), ("0", "1")), {(c, p): c + p for c in "01" for p in "01"})
+        splits = {"X1": part, "X2": part}
+    return ChannelSpec(f"drawn-rank-{rank}", {"X1": symbols, "X2": symbols}, {"Y1": 2, "Y2": 2, "Z": 2}, states,
+                       splits)
+
+
+@st.composite
+def drawn_distributions(draw, channel):
+    """An input distribution of ``channel``'s form, every probability at least 0.05: split marginals, or a
+    time-shared one over one or two values of Q."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def pmf(*shape):
+        return 0.05 + (1 - 0.05 * shape[-1]) * rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+
+    if channel.has_splits():
+        return InputDistribution("hk", marginals={reg: pmf(2) for reg in HK_REGISTERS})
+    q_size = draw(st.sampled_from([1, 2]))
+    return InputDistribution("t1", q=pmf(q_size), x1_given_q=pmf(q_size, 2), x2_given_q=pmf(q_size, 2))
+
+
+_PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+@st.composite
+def qubit_maps(draw):
+    """Kraus operators of a CPTP map on one qubit: a depolarizing map of drawn strength, or a random one of
+    one to four Kraus operators cut from a random isometry ``C^2 -> C^2k``."""
+    if draw(st.booleans()):
+        p = draw(st.floats(0.1, 0.9))
+        return np.concatenate([[np.sqrt(1 - 0.75 * p) * np.eye(2)], np.sqrt(p / 4) * _PAULIS])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 4))
+    isometry, _ = np.linalg.qr(rng.normal(size=(2 * k, 2)) + 1j * rng.normal(size=(2 * k, 2)))
+    return isometry.reshape(k, 2, 2)
+
+
+def degraded(channel, register: str, kraus) -> ChannelSpec:
+    """``channel`` followed by the map with Kraus operators ``kraus`` on output ``register``."""
+    dims = [channel.outputs[name] for name in OUTPUT_NAMES]
+    where = OUTPUT_NAMES.index(register)
+    states = {}
+    for pair, rho in channel.states.items():
+        out = np.zeros_like(rho)
+        for k in kraus:
+            full = np.kron(np.kron(np.eye(math.prod(dims[:where])), k), np.eye(math.prod(dims[where + 1:])))
+            out += full @ rho @ full.conj().T
+        states[pair] = (out + out.conj().T) / 2
+    return ChannelSpec(channel.name, channel.inputs, channel.outputs, states, channel.splits)
