@@ -265,6 +265,11 @@ def _classical_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ~nonzero.reshape(len(a), -1).any(axis=1)
 
 
+def _take(mask: np.ndarray, *stacks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rows ``mask`` marks of each stack; the stacks themselves, uncopied, when it marks every row."""
+    return stacks if mask.all() else tuple(x[mask] for x in stacks)
+
+
 def _diagonals(m: np.ndarray) -> np.ndarray:
     """The ``(R, K·d)`` real diagonals of an ``(R, K, d, d)`` stack, block after block."""
     return m.diagonal(axis1=-2, axis2=-1).real.reshape(len(m), -1)
@@ -386,14 +391,23 @@ def _threshold_betas(a: np.ndarray, b: np.ndarray, target: float, eps: float, ro
     support empty the bracket starts at t = 1 and the search fails.
 
     Sigma's eigendecomposition, the kernel mass and the breakpoints are
-    computed for all rows at once.  Each row's search state is an entry of
-    one array per field, and each step updates all open rows elementwise,
-    by one row's IEEE operations in its order, and makes one ``eigh`` of
-    rho - t sigma over them; a row leaves the batch when it finishes or
-    fails.  Every ``eigh`` sees live blocks only (:func:`_live_blocks`); the
-    per-row sums read the dead ones as zeros in place, so they add in the
-    same order and keep their bits.  ``rows`` labels the rows in a
+    computed for all rows at once.  Each row's search state is a column of
+    one float and one int array of fields, and each step updates all open
+    rows elementwise, by one row's IEEE operations in its order, and makes
+    one ``eigh`` of rho - t sigma over them; the updates only growing or
+    final-band rows need run when some row is in that phase.  A row leaves
+    the batch when it finishes or fails, the fields by two fancy-index
+    operations.  Every ``eigh`` sees live blocks only (:func:`_live_blocks`);
+    the per-row sums read the dead ones as zeros in place, so they add in
+    the same order and keep their bits.  ``rows`` labels the rows in a
     ``ConvergenceError``.
+
+    A probe's outcome reads rho's weights on the eigenvectors of
+    rho - t sigma only, so each step forms rho's weights on the open blocks,
+    and a row's sigma weights are formed once, when it finishes, on its live
+    blocks and from its last probe's eigenvectors.  Both go through the same
+    per-row ``(2, K·d) @ (K·d, 2)`` product of weights and masks, the sigma
+    half zero until the row finishes, so the rho sums do not change with it.
 
     A row whose first probe's outcome is certified skips that probe.  The
     probe is at hi = lam + 1, lam the row's largest breakpoint (0 with none),
@@ -416,7 +430,7 @@ def _threshold_betas(a: np.ndarray, b: np.ndarray, target: float, eps: float, ro
     after fewer probes, the first by (probes made, row): the error names the
     same row, with the same text, as when every row probes.
     """
-    n_rows, k = a.shape[:2]
+    n_rows, k, d = a.shape[:3]
     live = _live_blocks(a, b)
     ab = np.stack([_gather(a, live), _gather(b, live)], axis=1)
     # each live block's row
@@ -444,68 +458,88 @@ def _threshold_betas(a: np.ndarray, b: np.ndarray, target: float, eps: float, ro
     np.minimum.at(sig_least, at, ws.min(axis=1))
     hi = np.where(np.isfinite(lam), lam, 0.0).max(axis=1) + 1.0
     certified = sig_least > BRACKET_MARGIN * PROBE_BAND * (1.0 + hi)
-    # an inf column past the last, so a breakpoint index one past a row's last reads inf
-    lam = np.concatenate([lam, np.full((n_rows, 1), math.inf)], axis=1)
-    # each open row's index among the searching rows, 1 if certified, phase
-    # (0 growing the bracket, 1 narrowing it, 2 the final band), probes
-    # counted, bracket [lo, hi], f = Tr(P_+ rho) - target at its ends (they
-    # only choose secant points), width goal, the end the last secant step
-    # moved (-1 lo, +1 hi), whether its probe is a secant step, and probe
-    # (t, band); blocks, their rows and the live mask follow the open rows
-    idx = np.arange(n_rows)
     ahead = certified.astype(np.int64)
-    # a certified row starts narrowing from its first probe's outcome, counted: f_hi = (0 + 0) - target
-    phase = iters = ahead
-    lo = np.zeros(n_rows)
-    f_hi = np.where(certified, -target, 0.0)
-    goal = BISECT_WIDTH * np.maximum(1.0, hi)
-    side = secant = np.zeros(n_rows, dtype=np.int64)
+    zeros = np.zeros(n_rows)
+    # each open row's fields, one row of a float and of an int array each, so
+    # a compaction is two fancy-index operations.  Floats: bracket [lo, hi],
+    # f = Tr(P_+ rho) - target at its ends (they only choose secant points),
+    # width goal, probe (t, band), sigma's largest eigenvalue, then the
+    # breakpoints and an inf one past the last, so an index one past a row's
+    # last reads inf.  Ints: index among the searching rows, 1 if certified,
+    # phase (0 growing the bracket, 1 narrowing it, 2 the final band), probes
+    # counted, the end the last secant step moved (-1 lo, +1 hi), and whether
+    # its probe is a secant step.  A certified row starts narrowing from its
+    # first probe's outcome, counted: f_hi = (0 + 0) - target.
+    floats = np.vstack([zeros, hi, f_lo, np.where(certified, -target, 0.0), BISECT_WIDTH * np.maximum(1.0, hi),
+                        zeros, zeros, sig_norm, lam.T, np.full(n_rows, math.inf)])
+    ints = np.vstack([np.arange(n_rows), ahead, ahead, ahead, np.zeros_like(ahead), np.zeros_like(ahead)])
     done = np.zeros(n_rows, dtype=bool)
     # the first failure by (probes made, row), with its message
     failed = None
     for step in itertools.count():
+        (lo, hi, f_lo, f_hi, goal, t, band, sig_norm), lam = floats[:8], floats[8:]
+        idx, ahead, phase, iters, side, secant = ints
+        grow, final = phase == 0, phase == 2
+        # most steps hold narrowing rows only: the other phases' updates wait behind these
+        growing, closing = grow.any(), final.any()
         if step:
-            # the last probe's outcome
+            # the last probe's outcome; growing tests "below" first, narrowing "above"
             a_pos = sums[:, 0]
             reach = a_pos + sums[:, 1]
             above, below = a_pos > target, reach < target
-            grow, final = phase == 0, phase == 2
-            # growing tests "below" first, narrowing "above"
-            up = above & ~(grow & below) & ~final
-            down = below & ~up & ~final
-            # the final band bisects on while its probe misses the type-I window
-            miss = final & ((a_pos > target + TYPE_I_TOL) | (reach < target - TYPE_I_TOL))
-            done = ~(up | down | miss)
+            up = above & ~(grow & below) if growing else above
+            down = below & ~up
+            # the bracket ends the probe moves up and down
+            if closing:
+                up, down = up & ~final, down & ~final
+                # the final band bisects on while its probe misses the type-I window
+                miss = final & ((a_pos > target + TYPE_I_TOL) | (reach < target - TYPE_I_TOL))
+                done = ~(up | down | miss)
+                lower, upper = up | miss & above, down | miss & ~above
+            else:
+                done = ~(up | down)
+                lower, upper = up, down
             if done.any():
-                # P_+ plus the share c of P_0 that meets the target
-                s = sums[done]
+                # sigma's weights on the finished rows' live blocks, then their
+                # sums [[a_pos, a_zer], [b_pos, b_zer]] and P_+ plus the share
+                # c of P_0 that meets the target
+                mine = done[at]
+                s = weights[done]
+                s[:, 1] = _scatter(_weights(ab[mine, 1], v[mine]), None if live is None else live[done],
+                                   (len(s), k)).reshape(len(s), -1)
+                s = (s @ masks[done]).reshape(-1, 4)
                 c = np.divide(target - s[:, 0], s[:, 1], out=np.zeros(len(s)), where=s[:, 1] > 0.0)
                 c = np.where(c > 0.0, c, 0.0)
                 betas[searching[idx[done]]] = s[:, 2] + np.where(c < 1.0, c, 1.0) * s[:, 3]
-            f_lo = np.where(up, a_pos - target, np.where(down & (side > 0), 0.5 * f_lo, f_lo))
-            f_hi = np.where(down, reach - target, np.where(up & (side < 0), 0.5 * f_hi, f_hi))
-            side = np.where(up, -secant, np.where(down, secant, side))
-            lo = np.where(up | miss & above, t, lo)
-            hi = np.where(down | miss & ~above, t, np.where(grow & up, 2.0 * hi, hi))
-            found = grow & down
-            goal = np.where(found, BISECT_WIDTH * np.maximum(1.0, hi), goal)
-            phase = phase + found
+            f_lo[:] = np.where(up, a_pos - target, np.where(down & (side > 0), 0.5 * f_lo, f_lo))
+            f_hi[:] = np.where(down, reach - target, np.where(up & (side < 0), 0.5 * f_hi, f_hi))
+            side[:] = np.where(up, -secant, np.where(down, secant, side))
+            lo[:] = np.where(lower, t, lo)
+            hi[:] = np.where(upper, t, np.where(grow & up, 2.0 * hi, hi) if growing else hi)
+            if growing:
+                found = grow & down
+                goal[:] = np.where(found, BISECT_WIDTH * np.maximum(1.0, hi), goal)
+                phase += found
+                grow &= ~found
         # the next probe: hi while growing; while narrowing, the middle
         # breakpoint in (lo, hi) or, with none left, an Illinois step (a
         # bisection step when it leaves the bracket); the midpoint in the
         # final band, whose first probe is not counted
-        grow, narrow, final = phase == 0, phase == 1, phase == 2
         capped = iters >= _MAX_ITER
         mid = 0.5 * (lo + hi)
+        narrow = ~(grow | final) if growing or closing else True
         probing = narrow & (hi - lo > goal)
         settle = narrow & ~probing
-        fail = ~done & (capped & (grow | probing) | final & (capped | ~((lo < mid) & (mid < hi))))
+        fail = capped & (grow | probing if growing else probing)
+        if closing:
+            fail |= final & (capped | ~((lo < mid) & (mid < hi)))
+        fail &= ~done
         if fail.any():
             j = np.flatnonzero(fail)
             j = int(j[np.lexsort((idx[j], ahead[j]))[0]])
-            if grow[j]:
+            if phase[j] == 0:
                 message = f"could not bracket the threshold test (t up to {hi[j]:.6g}, eps={eps})"
-            elif narrow[j]:
+            elif phase[j] == 1:
                 message = (f"no convergence after {_MAX_ITER} iterations "
                            f"(t in [{lo[j]:.6g}, {hi[j]:.6g}], eps={eps}); degenerate spectrum suspected")
             else:
@@ -513,32 +547,44 @@ def _threshold_betas(a: np.ndarray, b: np.ndarray, target: float, eps: float, ro
                            f"(type-I window [{a_pos[j]:.12g}, {reach[j]:.12g}], target {target:.12g})")
             key = (step + int(ahead[j]), int(idx[j]), message)
             failed = key if failed is None else min(failed, key)
-        first, stop = (lam <= lo[:, None]).sum(axis=1), (lam < hi[:, None]).sum(axis=1)
-        secant = ((first == stop) & probing).astype(np.int64)
-        illinois = lo + (hi - lo) * np.divide(f_lo, f_lo - f_hi, out=np.zeros(len(idx)), where=f_lo > 0.0)
-        smooth = np.where((lo < illinois) & (illinois < hi), illinois, mid)
-        middle = lam[np.arange(len(idx)), (first + stop) // 2]
-        t = np.where(grow, hi, np.where(probing, np.where(first == stop, smooth, middle), mid))
-        band = np.where(grow | probing, PROBE_BAND * (1.0 + t), 2.0 * (hi - lo) * (sig_norm + 1.0) + BAND_FLOOR)
-        iters = iters + ~settle
-        phase = phase + settle
+        first, stop = (lam <= lo).sum(axis=0), (lam < hi).sum(axis=0)
+        jump = first != stop
+        secant[:] = ~jump & probing
+        illinois = lo + (hi - lo) * np.divide(f_lo, f_lo - f_hi, out=np.zeros(len(lo)), where=f_lo > 0.0)
+        t[:] = np.where(jump, lam[(first + stop) // 2, np.arange(len(lo))],
+                        np.where((lo < illinois) & (illinois < hi), illinois, mid))
+        band[:] = PROBE_BAND * (1.0 + t)
+        # rows in or entering the final band probe its midpoint, that first probe uncounted
+        if closing or settle.any():
+            t[:] = np.where(probing, t, mid)
+            band[:] = np.where(probing, band, 2.0 * (hi - lo) * (sig_norm + 1.0) + BAND_FLOOR)
+            phase += settle
+        if growing:
+            t[:] = np.where(grow, hi, t)
+            band[:] = np.where(grow, PROBE_BAND * (1.0 + hi), band)
+        iters += ~settle
         keep = ~(done | fail)
         if not keep.all():
             (ab,), at, live = _keep_rows(keep, at, live, ab)
-            idx, ahead, phase, iters, lo, hi, f_lo, f_hi, goal, side, secant, t, band, lam, sig_norm = (
-                x[keep] for x in (idx, ahead, phase, iters, lo, hi, f_lo, f_hi, goal, side, secant, t, band, lam,
-                                  sig_norm))
-        if failed is not None and (failed[0] <= step or not idx.size):
+            floats, ints = floats[:, keep], ints[:, keep]
+        n_open = ints.shape[1]
+        if failed is not None and (failed[0] <= step or not n_open):
             raise ConvergenceError(failed[2], int(rows[searching[failed[1]]]))
-        if not idx.size:
+        if not n_open:
             return betas
-        shape = (len(idx), k)
+        t, band = floats[5:7]
+        shape = (n_open, k)
         w, v = _eigh(ab[:, 0] - t[at, None, None] * ab[:, 1])
         w, cut = _scatter(w, live, shape), band[:, None, None]
-        masks = np.stack([w > cut, np.abs(w) <= cut], axis=-1).reshape(len(idx), -1, 2)
-        # per row [[a_pos, a_zer], [b_pos, b_zer]]
-        weights = _scatter(_weights(ab, v[:, None]), live, shape)
-        sums = (weights.transpose(0, 2, 1, 3).reshape(len(idx), 2, -1) @ masks).reshape(-1, 4)
+        masks = np.empty(shape + (d, 2))
+        np.greater(w, cut, out=masks[..., 0])
+        np.less_equal(np.abs(w), cut, out=masks[..., 1])
+        masks = masks.reshape(n_open, -1, 2)
+        # per row [[a_pos, a_zer], [0, 0]]: sigma's weights wait for the row to finish
+        weights = np.zeros((n_open, 2, k, d))
+        weights[:, 0] = _scatter(_weights(ab[:, 0], v), live, shape)
+        weights = weights.reshape(n_open, 2, -1)
+        sums = (weights @ masks).reshape(-1, 4)
 
 
 def _dh_betas(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
@@ -554,7 +600,7 @@ def _dh_betas(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
     betas = np.zeros(len(a))
     classical = _classical_rows(a, b)
     if classical.any():
-        p, q = _diagonals(a[classical]), _diagonals(b[classical])
+        p, q = map(_diagonals, _take(classical, a, b))
         zero = _kernel_mass(q, p) >= target - KERNEL_MASS_SLACK
         reachable = np.maximum(p, 0.0).sum(axis=1)
         short = ~zero & (reachable < target - TYPE_I_TOL)
@@ -567,7 +613,7 @@ def _dh_betas(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
         betas[classical] = np.where(zero, 0.0, _np_betas(p, q, target))
     if not classical.all():
         rows = np.flatnonzero(~classical)
-        betas[rows] = _threshold_betas(a[rows], b[rows], target, eps, rows)
+        betas[rows] = _threshold_betas(*_take(~classical, a, b), target, eps, rows)
     return betas
 
 
@@ -623,14 +669,14 @@ def _dmax_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     classical = _classical_rows(a, b)
     rows = np.flatnonzero(classical)
     if rows.size:
-        p, q = _diagonals(a[rows]), _diagonals(b[rows])
+        p, q = map(_diagonals, _take(classical, a, b))
         off_support[rows] = _kernel_mass(q, p) >= EIG_CLAMP
         scale = _support_inv_sqrt(q)
         # the order of the block path's 1x1 product, so the value is bit-identical
         lam[rows] = ((scale * p) * scale).max(axis=1)
     rows = np.flatnonzero(~classical)
     if rows.size:
-        a, b = a[rows], b[rows]
+        a, b = _take(~classical, a, b)
         shape = a.shape[:2]
         live = _live_blocks(a, b)
         a = _gather(a, live)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import runpy
@@ -49,6 +50,7 @@ from conftest import rand_density, rand_unitary
 from util import bisection_beta, dh_dual, diagonal_scan_pairwise, max_min, threshold_betas_generators
 
 BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+NC_SMALL_SPLIT = Path(__file__).parent / "data" / "nc_small_split.json"
 
 R = np.diag([0.5, 0.5]).astype(complex)
 S = np.diag([0.9, 0.1]).astype(complex)
@@ -707,6 +709,78 @@ def test_array_search_matches_the_generator_search(tmp_path, monkeypatch):
                 assert {order[i]: end for i, end in ends.items()} == {kind: SEARCH_ENDS[kind] for kind in order}
                 assert all(beta == 0.0 for kind, beta in zip(order, np.frombuffer(got)) if kind == "zero")
     assert failures == {"could not", "no convergence", "straddle detection"}
+
+
+def test_sweep_batches_match_the_generator_search(tmp_path, monkeypatch):
+    """Every ``_threshold_betas`` batch of the ``sweep_conjecture_nc`` golden command gives the generator search's bytes.
+
+    The golden CSV prints 12 digits; this pins the batches' betas at full
+    precision, on the stacks a real sweep builds.
+    """
+    solve, calls = entropic._threshold_betas, []
+
+    def recorded(*args):
+        betas = solve(*args)
+        calls.append((args, betas))
+        return betas
+
+    monkeypatch.setattr(entropic, "_threshold_betas", recorded)
+    assert cli.main(["sweep", "--channel", str(NC_SMALL_SPLIT), "--theorem", "conjecture", "--eps", "0.25",
+                     "--grid", "3", "--penalties", "off", "--csv", str(tmp_path / "sweep.csv")]) == 0
+    assert calls
+    for args, betas in calls:
+        assert betas.tobytes() == threshold_betas_generators(*args).tobytes()
+
+
+def test_sigma_weights_are_formed_once_per_searching_row(tmp_path, monkeypatch):
+    """Each step forms rho's weights on the open blocks; a row's sigma weights are formed once, when it finishes.
+
+    One solve mixes the rows of :func:`_search_rows` with a row that sigma's
+    kernel settles before any search.  Every ``_weights`` call is read as
+    the live blocks of some rows of one side, in row order: the set-up call
+    takes rho on every live block, the call after each probe takes rho on
+    the blocks of the rows still open, and any other call takes sigma on the
+    blocks of rows that are open and then leave.  So every searching row
+    leaves exactly once, and the settled row's sigma is never formed.
+    """
+    eps = 0.25
+    target = 1.0 - eps
+    rows = _search_rows(tmp_path, target)
+    rho, sigma = np.zeros((2, 8, 8, 8), dtype=complex)
+    rho[0, 0, 0] = 1.0
+    sigma[0] = np.diag([0.0] + [1.0 / 7.0] * 7)
+    rows["settled"] = rho, sigma
+    kinds = list(SEARCH_ENDS)
+    kinds.insert(1, "settled")
+    a, b = (np.stack(side) for side in zip(*(rows[kind] for kind in kinds)))
+    labels = np.arange(len(kinds))
+    live = entropic._live_blocks(a, b)
+    weights, eigh = entropic._weights, entropic._eigh
+    seen, decomposed = [], []
+    monkeypatch.setattr(entropic, "_weights", lambda m, v: seen.append(m) or weights(m, v))
+    monkeypatch.setattr(entropic, "_eigh", lambda m: decomposed.append(m) or eigh(m))
+    betas = entropic._threshold_betas(a, b, target, eps, labels)
+    monkeypatch.undo()
+    assert betas.tobytes() == threshold_betas_generators(a, b, target, eps, labels).tobytes()
+
+    def blocks(side, which):
+        return np.concatenate([side[r][live[r]] for r in which])
+
+    assert np.array_equal(seen[0], blocks(a, labels))
+    searching = [r for r, kind in enumerate(kinds) if kind != "settled"]
+    steps = 0
+    for m in seen[1:]:
+        if searching and np.array_equal(m, blocks(a, searching)):
+            steps += 1
+            continue
+        leaving = next((which for n in range(1, len(searching) + 1)
+                        for which in itertools.combinations(searching, n) if np.array_equal(m, blocks(b, which))),
+                       None)
+        assert leaving is not None, m.shape
+        searching = [r for r in searching if r not in leaving]
+    assert not searching
+    # the first decomposition is sigma's; each later one is a probe
+    assert steps == len(decomposed) - 1
 
 
 def test_bracket_grows_past_the_breakpoints():
