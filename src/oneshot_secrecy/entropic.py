@@ -458,8 +458,6 @@ def _threshold_betas(a: np.ndarray, b: np.ndarray, target: float, eps: float, ro
     np.minimum.at(sig_least, at, ws.min(axis=1))
     hi = np.where(np.isfinite(lam), lam, 0.0).max(axis=1) + 1.0
     certified = sig_least > BRACKET_MARGIN * PROBE_BAND * (1.0 + hi)
-    ahead = certified.astype(np.int64)
-    zeros = np.zeros(n_rows)
     # each open row's fields, one row of a float and of an int array each, so
     # a compaction is two fancy-index operations.  Floats: bracket [lo, hi],
     # f = Tr(P_+ rho) - target at its ends (they only choose secant points),
@@ -470,9 +468,11 @@ def _threshold_betas(a: np.ndarray, b: np.ndarray, target: float, eps: float, ro
     # counted, the end the last secant step moved (-1 lo, +1 hi), and whether
     # its probe is a secant step.  A certified row starts narrowing from its
     # first probe's outcome, counted: f_hi = (0 + 0) - target.
-    floats = np.vstack([zeros, hi, f_lo, np.where(certified, -target, 0.0), BISECT_WIDTH * np.maximum(1.0, hi),
-                        zeros, zeros, sig_norm, lam.T, np.full(n_rows, math.inf)])
-    ints = np.vstack([np.arange(n_rows), ahead, ahead, ahead, np.zeros_like(ahead), np.zeros_like(ahead)])
+    floats = np.zeros((9 + lam.shape[1], n_rows))
+    floats[[1, 2, 3, 4, 7]] = hi, f_lo, np.where(certified, -target, 0.0), BISECT_WIDTH * np.maximum(1.0, hi), sig_norm
+    floats[8:-1], floats[-1] = lam.T, math.inf
+    ints = np.zeros((6, n_rows), dtype=np.int64)
+    ints[0], ints[1:4] = np.arange(n_rows), certified
     done = np.zeros(n_rows, dtype=bool)
     # the first failure by (probes made, row), with its message
     failed = None
