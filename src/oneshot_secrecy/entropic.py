@@ -489,7 +489,7 @@ def _threshold_betas(a: np.ndarray, b: np.ndarray, target: float, eps: float, ro
             above, below = a_pos > target, reach < target
             up = above & ~(grow & below) if growing else above
             down = below & ~up
-            # the bracket ends the probe moves up and down
+            # lower and upper: the rows whose probe becomes their bracket's lo or hi
             if closing:
                 up, down = up & ~final, down & ~final
                 # the final band bisects on while its probe misses the type-I window
@@ -527,6 +527,7 @@ def _threshold_betas(a: np.ndarray, b: np.ndarray, target: float, eps: float, ro
         # final band, whose first probe is not counted
         capped = iters >= _MAX_ITER
         mid = 0.5 * (lo + hi)
+        # with no growing or final-band row, every row narrows
         narrow = ~(grow | final) if growing or closing else True
         probing = narrow & (hi - lo > goal)
         settle = narrow & ~probing
@@ -553,15 +554,15 @@ def _threshold_betas(a: np.ndarray, b: np.ndarray, target: float, eps: float, ro
         illinois = lo + (hi - lo) * np.divide(f_lo, f_lo - f_hi, out=np.zeros(len(lo)), where=f_lo > 0.0)
         t[:] = np.where(jump, lam[(first + stop) // 2, np.arange(len(lo))],
                         np.where((lo < illinois) & (illinois < hi), illinois, mid))
+        if growing:
+            t[:] = np.where(grow, hi, t)
         band[:] = PROBE_BAND * (1.0 + t)
         # rows in or entering the final band probe its midpoint, that first probe uncounted
         if closing or settle.any():
-            t[:] = np.where(probing, t, mid)
-            band[:] = np.where(probing, band, 2.0 * (hi - lo) * (sig_norm + 1.0) + BAND_FLOOR)
+            banded = ~(grow | probing)
+            t[:] = np.where(banded, mid, t)
+            band[:] = np.where(banded, 2.0 * (hi - lo) * (sig_norm + 1.0) + BAND_FLOOR, band)
             phase += settle
-        if growing:
-            t[:] = np.where(grow, hi, t)
-            band[:] = np.where(grow, PROBE_BAND * (1.0 + hi), band)
         iters += ~settle
         keep = ~(done | fail)
         if not keep.all():
