@@ -12,6 +12,15 @@ channel: pure three-qubit output states drawn by ``bench/inputs.py``'s
 the ones that reach the ``D_H`` threshold-test search; every bundled channel
 is classical.  ``nc_small_split_dist.json`` puts zero mass on one value.
 
+``tests/data/nc_small_unsplit.json`` is a non-commuting unsplit channel onto
+qubit triples, written by ``save_channel`` from ``util.nc_small_unsplit``
+(four ``conftest.rand_density(rng, 8, full_rank=False)`` draws from
+``np.random.default_rng(5)``).  Its ``t1`` sweeps are the cases whose
+conditional terms, such as ``I(X1 : X2 Y1 | Q)``, reach the threshold-test
+search; ``sweep_t1_diag`` is classical.  Their goldens were written by this
+script before a conditional term's rows became its distinct conditional
+states, and both sweeps give 91 nonzero rays of 91.
+
 ``tests/data/classical_split.json`` is a classical split channel on which
 the diagonal-scan smoothing moves the values (on the bundled channels it
 only turns a rounding error into zero).  It was drawn from
@@ -30,8 +39,9 @@ from pathlib import Path
 import pytest
 
 from oneshot_secrecy import cli
-from oneshot_secrecy.channel import bundled_path
+from oneshot_secrecy.channel import bundled_path, dumps_channel
 from oneshot_secrecy.regions import minimal_2d, vertices_2d
+from util import nc_small_unsplit
 
 GOLDEN = Path(__file__).parent / "golden"
 DIAG = str(bundled_path("diag_deterministic.json"))
@@ -43,6 +53,7 @@ HKDIST = str(bundled_path("uniform_hk.json"))
 HK_LIFT = str(Path(__file__).parent / "data" / "hk_lift_xor.json")
 NC = str(Path(__file__).parent / "data" / "nc_small_split.json")
 NCDIST = str(Path(__file__).parent / "data" / "nc_small_split_dist.json")
+NC_UNSPLIT = Path(__file__).parent / "data" / "nc_small_unsplit.json"
 CL = str(Path(__file__).parent / "data" / "classical_split.json")
 CLDIST = str(Path(__file__).parent / "data" / "classical_split_dist.json")
 SCAN = ["--smoothing", "diagonal-scan"]
@@ -96,6 +107,8 @@ CASES.update({
     "sweep_conjecture_nc": (_sweep(NC, "conjecture", "--grid", "3", *OFF), "sweep"),
     "sweep_t2_xor": (_sweep(XOR, "t2", "--grid", "3", *OFF), "sweep"),
     "sweep_hk_nosecrecy_nc": (_sweep(NC, "hk-nosecrecy", "--grid", "3", *OFF), "sweep"),
+    "sweep_t1_nc": (_sweep(str(NC_UNSPLIT), "t1", "--q-size", "2", "--grid", "3", *OFF), "sweep"),
+    "sweep_t1_nc_q3": (_sweep(str(NC_UNSPLIT), "t1", "--q-size", "3", "--grid", "3", *OFF), "sweep"),
     "t2_nc_off": (_region(NC, NCDIST, "t2", *OFF), "region"),
     "quantities_classical_scan": (_quantities(CL, CLDIST, ["X10:Y1", "X10,X11:Y1", "X20:Z,X10", "X22:Y2|X20"],
                                               *SCAN), "stdout"),
@@ -145,6 +158,11 @@ def test_golden_outputs_byte_identical(name, tmp_path):
     assert outputs
     for fname, data in outputs.items():
         assert data == (GOLDEN / fname).read_bytes(), fname
+
+
+def test_nc_small_unsplit_is_the_drawn_channel():
+    """The committed channel is exactly what its seeded helper saves."""
+    assert NC_UNSPLIT.read_text(encoding="utf-8") == dumps_channel(nc_small_unsplit())
 
 
 def test_classical_scan_golden_is_smoothed():

@@ -65,6 +65,7 @@ from oneshot_secrecy.regions import (
     _simplex_grid,
 )
 from oneshot_secrecy.states import CQConditionals, CQState
+from conftest import rand_density
 
 
 def polytope_from_arrays(variables, rows):
@@ -919,6 +920,18 @@ def region_bounds(term, theorem, params, penalties):
                                  regions._split_penalties(params, penalties))
     return _assembled_bounds(term, regions._SPLIT_MESSAGE, None, regions._BOTH_RECEIVERS,
                              regions._hk_penalties(params, penalties))
+
+
+def nc_small_unsplit() -> ChannelSpec:
+    """The channel of ``tests/data/nc_small_unsplit.json``: binary inputs onto qubit triples (Y1, Y2, Z).
+
+    Its four output states, in input order ``00, 01, 10, 11``, are
+    ``rand_density(rng, 8, full_rank=False)`` from ``np.random.default_rng(5)``:
+    ``G G^dagger``, normalized, with no shift towards full rank, so no two commute.
+    """
+    rng = np.random.default_rng(5)
+    states = {(x1, x2): rand_density(rng, 8, full_rank=False) for x1 in "01" for x2 in "01"}
+    return ChannelSpec("nc-small-unsplit", {"X1": ("0", "1"), "X2": ("0", "1")}, {"Y1": 2, "Y2": 2, "Z": 2}, states)
 
 
 def _random_density(rng, d, rank):
