@@ -914,9 +914,15 @@ def _max_min(masses: np.ndarray, values: np.ndarray, support: np.ndarray, eps: f
 
 
 def _cond_support(conds: CQConditionals, probs, part_a, part_b, cond):
-    """The rows of the conditional max-min form: each point and value ``z`` of ``cond`` with support.
+    """The rows of the conditional max-min form: the distinct conditional states of the grid.
 
-    Returns each row's point and ``z``, and the ``(G, |cond|)`` masses ``pz``.
+    A point with mass at value ``z`` of ``cond`` is in the state of its
+    probabilities at ``z``, divided by their mass; two such states are one
+    row when their ``z`` and the bits of those renormalised probabilities
+    agree, so ``-0.0`` and ``0.0`` stay apart.  Returns each row's first
+    point, its ``z`` and its renormalised probabilities, in order of first
+    appearance; the row of every point and supported value in
+    ``np.nonzero`` order; and the ``(G, |cond|)`` masses ``pz``.
     """
     if not conds.is_classical(cond):
         raise OperatorError(f"conditioning register {cond!r} must be classical")
@@ -926,17 +932,32 @@ def _cond_support(conds: CQConditionals, probs, part_a, part_b, cond):
     others = tuple(1 + i for i in range(len(conds.classical_names)) if i != ax)
     pz = probs.sum(axis=others) if others else probs
     points, zs = np.nonzero(pz > COND_SUPPORT_TOL)
-    return points, zs, pz
+    given = np.moveaxis(probs, 1 + ax, 1)[points, zs]
+    mass = given.reshape(len(zs), -1).sum(axis=1).reshape((-1,) + (1,) * (given.ndim - 1))
+    given = given / mass
+    row_of = np.arange(len(zs))
+    # one point's rows differ in z already
+    if len(probs) > 1:
+        # each row's key: the bytes of its z and of its renormalised probabilities
+        keys = np.concatenate([zs[:, None].astype(np.uint64), given.reshape(len(zs), -1).view(np.uint64)], axis=1)
+        keys = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel().tolist()
+        index: dict[bytes, int] = {}
+        row_of = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
+        first = np.unique(row_of, return_index=True)[1]
+        points, zs, given = points[first], zs[first], given[first]
+    return points, zs, given, row_of, pz
 
 
 @dataclass(frozen=True)
 class _GridTerm:
     """One checked information term of a grid, before its pairs are built.
 
-    Its rows are the grid's ``points``, or with ``cond`` one per point and
-    supported value of ``cond``: each row's point and value ``zs``, and the
-    ``(G, |cond|)`` masses ``pz`` (:func:`_cond_support`).  Its pairs'
-    blocks have ``shape`` ``(K, d)``.
+    Its rows are the grid's ``points``, or with ``cond`` its distinct
+    conditional states (:func:`_cond_support`): each row's first point,
+    value ``zs`` and renormalised probabilities ``given``, the row
+    ``row_of`` each point and supported value is in, and the
+    ``(G, |cond|)`` masses ``pz``.  Its pairs' blocks have ``shape``
+    ``(K, d)``; ``nbytes`` counts the distinct rows only.
     """
 
     kind: str
@@ -947,6 +968,8 @@ class _GridTerm:
     shape: tuple[int, int]
     points: np.ndarray
     zs: np.ndarray | None = None
+    given: np.ndarray | None = None
+    row_of: np.ndarray | None = None
     pz: np.ndarray | None = None
 
     @property
@@ -966,25 +989,22 @@ def _grid_term(conds: CQConditionals, probs, kind, part_a, part_b, cond, eps, st
 def _term_pairs(conds: CQConditionals, probs, term: _GridTerm) -> tuple[np.ndarray, np.ndarray]:
     """The joint and product stacks of a planned term's rows; conditioning on ``cond`` only reweights.
 
-    A conditional row is its point's probabilities at its value ``z`` of
-    ``cond``, divided by their mass, over the conditionals at ``z``
-    (``block_pairs``' ``given``), so no row holds the rest of ``cond``'s
-    alphabet.
+    A conditional row is its renormalised probabilities over the
+    conditionals at its value ``z`` of ``cond`` (``block_pairs``' ``given``),
+    so no row holds the rest of ``cond``'s alphabet.
     """
     if term.cond is None:
         return block_pairs(conds, probs, term.part_a, term.part_b)
     ax = conds.axis(term.cond)
-    given = np.moveaxis(probs, 1 + ax, 1)[term.points, term.zs]
-    mass = given.reshape(len(term.zs), -1).sum(axis=1).reshape((-1,) + (1,) * (given.ndim - 1))
-    rows = np.expand_dims(given / mass, 1 + ax)
-    return block_pairs(conds, rows, term.part_a, term.part_b, (ax, term.zs))
+    return block_pairs(conds, np.expand_dims(term.given, 1 + ax), term.part_a, term.part_b, (ax, term.zs))
 
 
 def _solve_terms(conds: CQConditionals, probs, terms: Sequence[_GridTerm], strategy: str) -> list[np.ndarray]:
     """Terms of one kind, eps and block shape: their pairs' rows in one stack solve, split back per term.
 
     The stacks go to :func:`_pair_values` as they are.  A conditional term
-    then takes the max-min over its rows.
+    then gives each point and supported value its row's value and takes the
+    max-min over them.
     """
     pairs = []
     for term in terms:
@@ -999,9 +1019,10 @@ def _solve_terms(conds: CQConditionals, probs, terms: Sequence[_GridTerm], strat
     out = []
     for term, part in zip(terms, np.split(values, np.cumsum([len(term.points) for term in terms])[:-1])):
         if term.cond is not None:
+            support = term.pz > COND_SUPPORT_TOL
             by_point = np.zeros(term.pz.shape)
-            by_point[term.points, term.zs] = part
-            part = _max_min(term.pz, by_point, term.pz > COND_SUPPORT_TOL, eps)
+            by_point[support] = part[term.row_of]
+            part = _max_min(term.pz, by_point, support, eps)
         out.append(part)
     return out
 
@@ -1033,15 +1054,18 @@ def grid_terms(
     ``terms`` are ``(kind, part_a, part_b, cond, eps)``: kind ``"ht"`` is the
     hypothesis-testing mutual information and ``"max"`` the smoothed max
     mutual information; with ``cond`` it is the conditional max-min form,
-    one row per point and supported value of ``cond``.  Every row's pair is
-    built in one contraction (see :func:`block_pairs`).  Terms of one kind,
-    eps and block shape ``(K, d)`` share a stack solve (:func:`_pair_values`)
-    in batches whose joint stack stays within ``_BATCH_BYTES`` (a larger
-    term is a batch of its own); a row's value does not depend on its batch.
+    one row per distinct conditional state of the grid (:func:`_cond_support`),
+    whose value every point and supported value of ``cond`` in it reads.
+    Every row's pair is built in one contraction (see :func:`block_pairs`).
+    Terms of one kind, eps and block shape ``(K, d)`` share a stack solve
+    (:func:`_pair_values`) in batches whose joint stack stays within
+    ``_BATCH_BYTES`` (a larger term is a batch of its own); a row's value
+    does not depend on its batch.
     When a batch raises ``ConvergenceError`` or ``CommutationError`` the
     unsolved terms are solved one at a time in order, so the error names the
     first failing term and its row's value of ``cond``; given ``first``, the
-    index of the grid's first point in a larger grid, it names the point too.
+    index of the grid's first point in a larger grid, it names the row's
+    first point too.
     """
     planned = [_grid_term(conds, probs, kind, part_a, part_b, cond, eps, strategy)
                for kind, part_a, part_b, cond, eps in terms]

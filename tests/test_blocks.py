@@ -52,8 +52,10 @@ from util import (
     condition_state,
     dense_joint_and_product,
     dh_dual,
+    drawn_channels,
     hk_distributions,
     max_min,
+    nc_small_unsplit,
     t1_distributions,
     threshold_betas_generators,
 )
@@ -627,3 +629,83 @@ def test_batch_convergence_error_names_the_first_failing_term(monkeypatch):
     assert str(batched.value) == str(sequential.value)
     # the first and third terms' rows went into one stack first
     assert lengths[0] == len(probs) + len(cond_rows)
+
+
+def _t1_sweep_grid(channel):
+    """``t1``'s sweep grid at resolution 3 over two values of Q: many points share a value's slice."""
+    return _grid([control_state_t1(channel, dist) for dist in t1_distributions(channel, 3, 2)])
+
+
+@settings(max_examples=3)
+@given(channel=drawn_channels(split=False))
+def test_conditional_terms_of_repeated_slices_match_each_point_alone(channel):
+    """A conditional term solves each distinct conditional state once; every point gets its own value.
+
+    On ``t1``'s sweep grid every conditional term of its table has fewer
+    rows than supported (point, value) pairs, and its values equal, bit for
+    bit, that term's from one ``grid_terms`` call per point.
+    """
+    conds, probs = _t1_sweep_grid(channel)
+    terms = [term for term in _table_terms(("t1",)) if term[3] is not None]
+    for kind, a, b, cond, eps in terms:
+        planned = entropic._grid_term(conds, probs, kind, a, b, cond, eps, "none")
+        assert len(planned.points) < np.count_nonzero(planned.pz > COND_SUPPORT_TOL)
+    got = grid_terms(conds, probs, terms)
+    for g in range(len(probs)):
+        alone = grid_terms(conds, probs[g:g + 1], terms)
+        assert [v[g:g + 1].tobytes() for v in got] == [v.tobytes() for v in alone], g
+
+
+def _spied_rows(monkeypatch):
+    """The rows of every ``(rho, sigma)`` stack that reaches ``_dh_betas`` or ``_dmax_values``, as bytes."""
+    seen = []
+
+    def spy(real):
+        def solver(rho, sigma, *args):
+            seen.extend(zip(map(bytes, rho), map(bytes, sigma)))
+            return real(rho, sigma, *args)
+        return solver
+
+    monkeypatch.setattr(entropic, "_dh_betas", spy(entropic._dh_betas))
+    monkeypatch.setattr(entropic, "_dmax_values", spy(entropic._dmax_values))
+    return seen
+
+
+def test_conditional_term_solves_the_distinct_states_in_first_appearance_order(monkeypatch):
+    """The solvers see one row per distinct (value, renormalised slice), in order of first appearance.
+
+    The expected rows are built from each point conditioned on each
+    supported value alone (``util.condition_state``).
+    """
+    conds, probs = _t1_sweep_grid(nc_small_unsplit())
+    seen = _spied_rows(monkeypatch)
+    for kind, a, b, eps in (("ht", ["X1"], ["X2", "Y1"], 0.25), ("max", ["X2"], ["Z", "X1"], 0.1)):
+        distinct = {}
+        for g, state in enumerate(CQState(conds, p) for p in probs):
+            for z in np.flatnonzero(state.probs.sum(axis=(1, 2)) > COND_SUPPORT_TOL).tolist():
+                given = condition_state(state, "Q", z)
+                distinct.setdefault((z, given.probs.tobytes()), given)
+        expected = [tuple(map(bytes, (x[0] for x in block_pairs(s.conds, s.probs[None], a, b))))
+                    for s in distinct.values()]
+        seen.clear()
+        grid_terms(conds, probs, [(kind, a, b, "Q", eps)])
+        assert len(distinct) < len(probs)
+        assert seen == expected, kind
+
+
+def test_conditional_states_differing_in_a_zero_sign_are_not_merged(monkeypatch):
+    """Slices equal but for ``-0.0`` against ``0.0`` are two rows, each point still its value alone."""
+    rng = np.random.default_rng(3)
+    layout = RegisterLayout(("Q0",), (2,))
+    conds = CQConditionals(("C0", "C1"), (2, 2), layout,
+                           np.array([[rand_density(rng, 2, full_rank=False) for _ in range(2)] for _ in range(2)]))
+    probs = np.array([[[0.5, 0.0], [0.25, 0.25]], [[0.5, -0.0], [0.25, 0.25]]])
+    seen = _spied_rows(monkeypatch)
+    for kind, eps in (("ht", 0.25), ("max", 0.1)):
+        seen.clear()
+        [values] = grid_terms(conds, probs, [(kind, ["C1"], ["Q0"], "C0", eps)])
+        # (0, C0=1) and (1, C0=1) are one row; (0, C0=0) and (1, C0=0) differ in a zero's sign
+        assert len(seen) == 3, kind
+        for g in range(len(probs)):
+            [alone] = grid_terms(conds, probs[g:g + 1], [(kind, ["C1"], ["Q0"], "C0", eps)])
+            assert values[g:g + 1].tobytes() == alone.tobytes()

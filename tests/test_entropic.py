@@ -998,16 +998,30 @@ def test_convergence_error_names_the_term(monkeypatch):
 
 
 def test_convergence_error_names_the_grid_point_and_conditioning_value(monkeypatch):
-    """A conditional term's rows are (point, value) pairs; ``first`` offsets the point."""
-    def failing(rho, sigma, eps):
-        # rows (0, C=0), (0, C=1), (1, C=0), (1, C=1): the last one fails
-        assert len(rho) == 4
-        raise ConvergenceError(f"straddle detection failed at t=0.5, eps={eps}", 3)
+    """A conditional term's rows are its distinct (value, slice) states; ``first`` offsets the point.
 
-    monkeypatch.setattr(entropic, "_dh_betas", failing)
+    An error names the first point and value in the failing state: with two
+    points of different probabilities each (point, value) is its own row,
+    and when both points are alike the second point's states are the
+    first's rows.
+    """
+    def failing_row(rows, row):
+        def failing(rho, sigma, eps):
+            assert len(rho) == rows
+            raise ConvergenceError(f"straddle detection failed at t=0.5, eps={eps}", row)
+        return failing
+
     conds = classical_cq(("A", "B", "C"), np.full((2, 2, 2), 0.125)).conds
-    probs = np.stack([np.full((2, 2, 2), 0.125), np.full((2, 2, 2), 0.125)])
+    term = [("ht", ["A"], ["B"], "C", 0.25)]
+    # rows (0, C=0), (0, C=1), (1, C=0), (1, C=1): the last one fails
+    monkeypatch.setattr(entropic, "_dh_betas", failing_row(4, 3))
+    probs = np.stack([np.full((2, 2, 2), 0.125), np.arange(1.0, 9.0).reshape(2, 2, 2) / 36.0])
     with pytest.raises(ConvergenceError, match=r"^D_H\(A : B \| C\): straddle .* eps=0\.25 \(grid point 11, C=1\)$"):
-        grid_terms(conds, probs, [("ht", ["A"], ["B"], "C", 0.25)], first=10)
+        grid_terms(conds, probs, term, first=10)
     with pytest.raises(ConvergenceError, match=r"^D_H\(A : B \| C\): straddle .* eps=0\.25 \(C=1\)$"):
-        grid_terms(conds, probs, [("ht", ["A"], ["B"], "C", 0.25)])
+        grid_terms(conds, probs, term)
+    # two alike points: rows (0, C=0) and (0, C=1), the second point's states among them
+    monkeypatch.setattr(entropic, "_dh_betas", failing_row(2, 1))
+    probs = np.stack([np.full((2, 2, 2), 0.125), np.full((2, 2, 2), 0.125)])
+    with pytest.raises(ConvergenceError, match=r"^D_H\(A : B \| C\): straddle .* eps=0\.25 \(grid point 10, C=1\)$"):
+        grid_terms(conds, probs, term, first=10)
