@@ -681,7 +681,7 @@ def test_conditional_term_solves_the_distinct_states_in_first_appearance_order(m
     seen = _spied_rows(monkeypatch)
     for kind, a, b, eps in (("ht", ["X1"], ["X2", "Y1"], 0.25), ("max", ["X2"], ["Z", "X1"], 0.1)):
         distinct = {}
-        for g, state in enumerate(CQState(conds, p) for p in probs):
+        for state in (CQState(conds, p) for p in probs):
             for z in np.flatnonzero(state.probs.sum(axis=(1, 2)) > COND_SUPPORT_TOL).tolist():
                 given = condition_state(state, "Q", z)
                 distinct.setdefault((z, given.probs.tobytes()), given)

@@ -927,7 +927,7 @@ def nc_small_unsplit() -> ChannelSpec:
 
     Its four output states, in input order ``00, 01, 10, 11``, are
     ``rand_density(rng, 8, full_rank=False)`` from ``np.random.default_rng(5)``:
-    ``G G^dagger``, normalized, with no shift towards full rank, so no two commute.
+    ``G G^dagger``, normalized, with no shift towards full rank; no two of them commute.
     """
     rng = np.random.default_rng(5)
     states = {(x1, x2): rand_density(rng, 8, full_rank=False) for x1 in "01" for x2 in "01"}
