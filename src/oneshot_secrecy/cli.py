@@ -396,7 +396,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ChannelFormatError as exc:
+    except (ChannelFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OperatorError, ValueError, ConvergenceError) as exc:

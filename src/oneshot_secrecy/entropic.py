@@ -913,21 +913,34 @@ def _max_min(masses: np.ndarray, values: np.ndarray, support: np.ndarray, eps: f
     return best
 
 
-def _cond_support(conds: CQConditionals, probs, part_a, part_b, cond):
-    """The rows of the conditional max-min form: the distinct conditional states of the grid.
+@dataclass(frozen=True)
+class _Rows:
+    """The rows a grid's terms are solved on: the grid's points, or its distinct conditional states.
+
+    :func:`block_pairs` builds them from ``probs`` and ``given``; ``points``
+    is each row's first point.  Given a register (:func:`_cond_rows`),
+    ``row_of`` is the row of every point and supported value in
+    ``np.nonzero`` order, and ``pz`` the ``(G, |cond|)`` masses.
+    """
+
+    probs: np.ndarray
+    points: np.ndarray
+    given: tuple[int, np.ndarray] | None = None
+    row_of: np.ndarray | None = None
+    pz: np.ndarray | None = None
+
+
+def _cond_rows(conds: CQConditionals, probs, cond) -> _Rows:
+    """The rows of the conditional max-min form given ``cond``: the distinct conditional states of the grid.
 
     A point with mass at value ``z`` of ``cond`` is in the state of its
     probabilities at ``z``, divided by their mass; two such states are one
     row when their ``z`` and the bits of those renormalised probabilities
-    agree, so ``-0.0`` and ``0.0`` stay apart.  Returns each row's first
-    point, its ``z`` and its renormalised probabilities, in order of first
-    appearance; the row of every point and supported value in
-    ``np.nonzero`` order; and the ``(G, |cond|)`` masses ``pz``.
+    agree, so ``-0.0`` and ``0.0`` stay apart.  Rows are in order of first
+    appearance, each its renormalised probabilities over the conditionals at
+    its ``z`` (``block_pairs``' ``given``), so no row holds the rest of
+    ``cond``'s alphabet.
     """
-    if not conds.is_classical(cond):
-        raise OperatorError(f"conditioning register {cond!r} must be classical")
-    if cond in part_a + part_b:
-        raise OperatorError(f"conditioning register {cond!r} also appears in a part")
     ax = conds.axis(cond)
     others = tuple(1 + i for i in range(len(conds.classical_names)) if i != ax)
     pz = probs.sum(axis=others) if others else probs
@@ -935,29 +948,21 @@ def _cond_support(conds: CQConditionals, probs, part_a, part_b, cond):
     given = np.moveaxis(probs, 1 + ax, 1)[points, zs]
     mass = given.reshape(len(zs), -1).sum(axis=1).reshape((-1,) + (1,) * (given.ndim - 1))
     given = given / mass
-    row_of = np.arange(len(zs))
-    # one point's rows differ in z already
-    if len(probs) > 1:
-        # each row's key: the bytes of its z and of its renormalised probabilities
-        keys = np.concatenate([zs[:, None].astype(np.uint64), given.reshape(len(zs), -1).view(np.uint64)], axis=1)
-        keys = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel().tolist()
-        index: dict[bytes, int] = {}
-        row_of = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
-        first = np.unique(row_of, return_index=True)[1]
-        points, zs, given = points[first], zs[first], given[first]
-    return points, zs, given, row_of, pz
+    # each row's key: the bytes of its z and of its renormalised probabilities
+    keys = np.concatenate([zs[:, None].astype(np.uint64), given.reshape(len(zs), -1).view(np.uint64)], axis=1)
+    keys = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel().tolist()
+    index: dict[bytes, int] = {}
+    row_of = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
+    first = np.unique(row_of, return_index=True)[1]
+    return _Rows(np.expand_dims(given[first], 1 + ax), points[first], (ax, zs[first]), row_of, pz)
 
 
 @dataclass(frozen=True)
 class _GridTerm:
     """One checked information term of a grid, before its pairs are built.
 
-    Its rows are the grid's ``points``, or with ``cond`` its distinct
-    conditional states (:func:`_cond_support`): each row's first point,
-    value ``zs`` and renormalised probabilities ``given``, the row
-    ``row_of`` each point and supported value is in, and the
-    ``(G, |cond|)`` masses ``pz``.  Its pairs' blocks have ``shape``
-    ``(K, d)``; ``nbytes`` counts the distinct rows only.
+    Its ``rows`` are shared by every term of the grid with its ``cond``.
+    Its pairs' blocks have ``shape`` ``(K, d)``.
     """
 
     kind: str
@@ -966,40 +971,16 @@ class _GridTerm:
     cond: str | None
     eps: float
     shape: tuple[int, int]
-    points: np.ndarray
-    zs: np.ndarray | None = None
-    given: np.ndarray | None = None
-    row_of: np.ndarray | None = None
-    pz: np.ndarray | None = None
+    rows: _Rows
 
     @property
     def nbytes(self) -> int:
         """Bytes of the term's joint stack."""
         k, d = self.shape
-        return len(self.points) * k * d * d * np.dtype(complex).itemsize
+        return len(self.rows.points) * k * d * d * np.dtype(complex).itemsize
 
 
-def _grid_term(conds: CQConditionals, probs, kind, part_a, part_b, cond, eps, strategy) -> _GridTerm:
-    part_a, part_b = _parts(part_a), _parts(part_b)
-    rows = (np.arange(len(probs)),) if cond is None else _cond_support(conds, probs, part_a, part_b, cond)
-    _check_term(kind, eps, strategy)
-    return _GridTerm(kind, part_a, part_b, cond, eps, pair_shape(conds, part_a, part_b), *rows)
-
-
-def _term_pairs(conds: CQConditionals, probs, term: _GridTerm) -> tuple[np.ndarray, np.ndarray]:
-    """The joint and product stacks of a planned term's rows; conditioning on ``cond`` only reweights.
-
-    A conditional row is its renormalised probabilities over the
-    conditionals at its value ``z`` of ``cond`` (``block_pairs``' ``given``),
-    so no row holds the rest of ``cond``'s alphabet.
-    """
-    if term.cond is None:
-        return block_pairs(conds, probs, term.part_a, term.part_b)
-    ax = conds.axis(term.cond)
-    return block_pairs(conds, np.expand_dims(term.given, 1 + ax), term.part_a, term.part_b, (ax, term.zs))
-
-
-def _solve_terms(conds: CQConditionals, probs, terms: Sequence[_GridTerm], strategy: str) -> list[np.ndarray]:
+def _solve_terms(conds: CQConditionals, terms: Sequence[_GridTerm], strategy: str) -> list[np.ndarray]:
     """Terms of one kind, eps and block shape: their pairs' rows in one stack solve, split back per term.
 
     The stacks go to :func:`_pair_values` as they are.  A conditional term
@@ -1008,7 +989,7 @@ def _solve_terms(conds: CQConditionals, probs, terms: Sequence[_GridTerm], strat
     """
     pairs = []
     for term in terms:
-        joint, product = _term_pairs(conds, probs, term)
+        joint, product = block_pairs(conds, term.rows.probs, term.part_a, term.part_b, term.rows.given)
         if not (np.isfinite(joint).all() and np.isfinite(product).all()):
             raise OperatorError("non-finite entries in rho or sigma")
         pairs.append((joint, product))
@@ -1017,26 +998,27 @@ def _solve_terms(conds: CQConditionals, probs, terms: Sequence[_GridTerm], strat
     eps = terms[0].eps
     values = _pair_values(terms[0].kind, joint, product, eps, strategy)
     out = []
-    for term, part in zip(terms, np.split(values, np.cumsum([len(term.points) for term in terms])[:-1])):
-        if term.cond is not None:
-            support = term.pz > COND_SUPPORT_TOL
-            by_point = np.zeros(term.pz.shape)
-            by_point[support] = part[term.row_of]
-            part = _max_min(term.pz, by_point, support, eps)
+    for term, part in zip(terms, np.split(values, np.cumsum([len(term.rows.points) for term in terms])[:-1])):
+        rows = term.rows
+        if rows.pz is not None:
+            support = rows.pz > COND_SUPPORT_TOL
+            by_point = np.zeros(rows.pz.shape)
+            by_point[support] = part[rows.row_of]
+            part = _max_min(rows.pz, by_point, support, eps)
         out.append(part)
     return out
 
 
-def _solve_alone(conds: CQConditionals, probs, term: _GridTerm, strategy: str, first: int | None) -> np.ndarray:
+def _solve_alone(conds: CQConditionals, term: _GridTerm, strategy: str, first: int | None) -> np.ndarray:
     """One planned term solved alone, a ``ConvergenceError`` or ``CommutationError`` named as in :func:`grid_terms`."""
     try:
-        return _solve_terms(conds, probs, [term], strategy)[0]
+        return _solve_terms(conds, [term], strategy)[0]
     except (ConvergenceError, CommutationError) as exc:
         where = []
         if exc.row is not None and first is not None:
-            where.append(f"grid point {first + int(term.points[exc.row])}")
-        if exc.row is not None and term.zs is not None:
-            where.append(f"{term.cond}={int(term.zs[exc.row])}")
+            where.append(f"grid point {first + int(term.rows.points[exc.row])}")
+        if exc.row is not None and term.rows.given is not None:
+            where.append(f"{term.cond}={int(term.rows.given[1][exc.row])}")
         at = f" ({', '.join(where)})" if where else ""
         raise type(exc)(f"{term_name(term.kind, term.part_a, term.part_b, term.cond)}: {exc}{at}") from None
 
@@ -1054,8 +1036,9 @@ def grid_terms(
     ``terms`` are ``(kind, part_a, part_b, cond, eps)``: kind ``"ht"`` is the
     hypothesis-testing mutual information and ``"max"`` the smoothed max
     mutual information; with ``cond`` it is the conditional max-min form,
-    one row per distinct conditional state of the grid (:func:`_cond_support`),
+    one row per distinct conditional state of the grid (:func:`_cond_rows`),
     whose value every point and supported value of ``cond`` in it reads.
+    Each register's rows are planned once and shared by its terms.
     Every row's pair is built in one contraction (see :func:`block_pairs`).
     Terms of one kind, eps and block shape ``(K, d)`` share a stack solve
     (:func:`_pair_values`) in batches whose joint stack stays within
@@ -1067,8 +1050,19 @@ def grid_terms(
     index of the grid's first point in a larger grid, it names the row's
     first point too.
     """
-    planned = [_grid_term(conds, probs, kind, part_a, part_b, cond, eps, strategy)
-               for kind, part_a, part_b, cond, eps in terms]
+    # the rows of each conditioning register, planned where a term first names it
+    plans = {None: _Rows(probs, np.arange(len(probs)))}
+    planned = []
+    for kind, part_a, part_b, cond, eps in terms:
+        part_a, part_b = _parts(part_a), _parts(part_b)
+        if cond is not None and not conds.is_classical(cond):
+            raise OperatorError(f"conditioning register {cond!r} must be classical")
+        if cond is not None and cond in part_a + part_b:
+            raise OperatorError(f"conditioning register {cond!r} also appears in a part")
+        if cond not in plans:
+            plans[cond] = _cond_rows(conds, probs, cond)
+        _check_term(kind, eps, strategy)
+        planned.append(_GridTerm(kind, part_a, part_b, cond, eps, pair_shape(conds, part_a, part_b), plans[cond]))
     # each key's batch still filling, and its joint stack bytes so far
     batches: list[list[int]] = []
     filling: dict[tuple, tuple[list[int], int]] = {}
@@ -1083,12 +1077,12 @@ def grid_terms(
     values: list = [None] * len(planned)
     try:
         for batch in batches:
-            for i, value in zip(batch, _solve_terms(conds, probs, [planned[i] for i in batch], strategy)):
+            for i, value in zip(batch, _solve_terms(conds, [planned[i] for i in batch], strategy)):
                 values[i] = value
     except (ConvergenceError, CommutationError):
         for i, term in enumerate(planned):
             if values[i] is None:
-                values[i] = _solve_alone(conds, probs, term, strategy, first)
+                values[i] = _solve_alone(conds, term, strategy, first)
     return values
 
 

@@ -48,6 +48,7 @@ from oneshot_secrecy.operators import (
 from oneshot_secrecy.states import CQConditionals, CQState, _block_diag, block_pairs, joint_and_product
 from conftest import rand_density, rand_unitary
 from util import (
+    _random_density,
     bisection_beta,
     condition_state,
     dense_joint_and_product,
@@ -575,7 +576,7 @@ def test_grid_terms_match_term_by_term_values(monkeypatch):
     split = load_channel(SMALL_SPLIT)
     rng = np.random.default_rng(5)
     unsplit = ChannelSpec("random", {"X1": ("0", "1"), "X2": ("0", "1")}, {"Y1": 2, "Y2": 2, "Z": 2},
-                          {(x1, x2): rand_density(rng, 8, full_rank=False) for x1 in "01" for x2 in "01"})
+                          {(x1, x2): _random_density(rng, 8, 2) for x1 in "01" for x2 in "01"})
     grids = [
         (_grid([control_state_hk(split, dist) for dist in hk_distributions(split, 3)]),
          _table_terms(("conjecture", "t2"))),
@@ -606,7 +607,8 @@ def test_batch_convergence_error_names_the_first_failing_term(monkeypatch):
     conds, probs = _grid([control_state_hk(split, dist) for dist in hk_distributions(split, 3)])
     terms = [("ht", ["X10"], ["Y1"], None, 0.25), ("ht", ["X10", "X11"], ["Y1"], None, 0.25),
              ("ht", ["X20"], ["Y2"], "X11", 0.25)]
-    cond_rows = entropic._term_pairs(conds, probs, entropic._grid_term(conds, probs, *terms[2], "none"))[0]
+    rows = entropic._cond_rows(conds, probs, "X11")
+    cond_rows = block_pairs(conds, rows.probs, ["X20"], ["Y2"], rows.given)[0]
     failing = {block_pairs(conds, probs, ["X10", "X11"], ["Y1"])[0][40].tobytes(), cond_rows[-1].tobytes()}
     assert not failing & {row.tobytes() for row in block_pairs(conds, probs, ["X10"], ["Y1"])[0]}
     real, lengths = entropic._dh_betas, []
@@ -647,13 +649,20 @@ def test_conditional_terms_of_repeated_slices_match_each_point_alone(channel):
     """
     conds, probs = _t1_sweep_grid(channel)
     terms = [term for term in _table_terms(("t1",)) if term[3] is not None]
-    for kind, a, b, cond, eps in terms:
-        planned = entropic._grid_term(conds, probs, kind, a, b, cond, eps, "none")
-        assert len(planned.points) < np.count_nonzero(planned.pz > COND_SUPPORT_TOL)
+    for *_, cond, _ in terms:
+        rows = entropic._cond_rows(conds, probs, cond)
+        assert len(rows.points) < np.count_nonzero(rows.pz > COND_SUPPORT_TOL)
     got = grid_terms(conds, probs, terms)
     for g in range(len(probs)):
         alone = grid_terms(conds, probs[g:g + 1], terms)
         assert [v[g:g + 1].tobytes() for v in got] == [v.tobytes() for v in alone], g
+
+
+def test_a_planned_register_named_in_a_later_part_still_raises():
+    """Each term's register checks run, also for a register whose rows an earlier term planned."""
+    conds, probs = _t1_sweep_grid(nc_small_unsplit())
+    with pytest.raises(OperatorError, match="conditioning register 'Q' also appears in a part"):
+        grid_terms(conds, probs, [("ht", ["X1"], ["Y1"], "Q", 0.25), ("ht", ["X1", "Q"], ["Y1"], "Q", 0.25)])
 
 
 def _spied_rows(monkeypatch):

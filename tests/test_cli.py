@@ -179,6 +179,23 @@ def test_unreadable_and_invalid_json_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(message), argv
 
 
+def test_unwritable_output_path_exits_2(tmp_path):
+    missing = tmp_path / "missing"
+    region = ["region", "--channel", CHAN, "--dist", DIST, "--theorem", "t1", "--eps", "0.25", "--penalties", "off"]
+    cases = [
+        region + ["--out", str(missing / "r.json")],
+        region + ["--out", str(tmp_path / "r.json"), "--csv", str(missing / "v.csv")],
+        ["sweep", "--channel", CHAN, "--theorem", "t1", "--eps", "0.25", "--grid", "2", "--csv", str(missing / "s.csv")],
+        ["fm", "--input", str(tmp_path / "poly.json"), "--eliminate", "W1", "--out", str(missing / "p.json")],
+    ]
+    (tmp_path / "poly.json").write_text(json.dumps(
+        {"variables": ["R1", "W1"], "rows": [{"coeffs": {"R1": 1.0, "W1": 1.0}, "bound": 1.0}]}), encoding="utf-8")
+    for argv in cases:
+        res = run_cli(*argv)
+        assert res.returncode == 2, argv
+        assert res.stderr.startswith("error: ") and str(missing) in res.stderr and "Traceback" not in res.stderr, argv
+
+
 def test_unknown_flags_exit_2():
     assert run_cli("region", "--bogus").returncode == 2
 

@@ -454,18 +454,33 @@ def test_theorem2_evaluates_each_max_information_once(xor_channel, monkeypatch):
     assert len(batches) == 1
 
 
-def test_theorem1_finds_each_conditional_support_once(diag_channel, monkeypatch):
-    """A conditional term's rows are worked out when it is planned and reused by its solve."""
+def test_theorem1_plans_the_rows_of_each_conditioning_register_once(diag_channel, monkeypatch):
+    """A grid's conditional terms share one row plan per register: one plan per region, one per sweep chunk."""
     calls = []
-    real = entropic._cond_support
+    real = entropic._cond_rows
 
-    def counting(conds, probs, part_a, part_b, cond):
-        calls.append((tuple(part_a), tuple(part_b), cond))
-        return real(conds, probs, part_a, part_b, cond)
+    def counting(conds, probs, cond):
+        calls.append((len(probs), cond))
+        return real(conds, probs, cond)
 
-    monkeypatch.setattr(entropic, "_cond_support", counting)
+    conditional = []
+    real_terms = regions.grid_terms
+
+    def terms_given(conds, probs, terms, *args):
+        conditional.extend(cond for _, _, _, cond, _ in terms if cond is not None)
+        return real_terms(conds, probs, terms, *args)
+
+    monkeypatch.setattr(entropic, "_cond_rows", counting)
+    monkeypatch.setattr(regions, "grid_terms", terms_given)
     theorem1_region(diag_channel, uniform_t1(diag_channel), PARAMS, OFF)
-    assert len(calls) == len(set(calls)) == 9
+    assert conditional == ["Q"] * 9
+    assert calls == [(1, "Q")]
+    calls.clear()
+    point = entropic.point_bytes(regions._t1_conditionals(diag_channel, 2), regions._THEOREMS["t1"][0].terms)
+    monkeypatch.setattr(regions, "_CHUNK_BYTES", 8 * point)
+    result = sweep_union(diag_channel, "t1", PARAMS, OFF, grid=2, q_size=2, rays=5, max_evals=100)
+    assert len(calls) == -(-result.evaluations // 8) >= 3
+    assert [cond for _, cond in calls] == ["Q"] * len(calls) and sum(g for g, _ in calls) == result.evaluations
 
 
 def test_theorem2_full_copy_z_degenerate():
