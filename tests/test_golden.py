@@ -106,6 +106,7 @@ CASES.update({
                                   "sweep"),
     "sweep_conjecture_nc": (_sweep(NC, "conjecture", "--grid", "3", *OFF), "sweep"),
     "sweep_t2_xor": (_sweep(XOR, "t2", "--grid", "3", *OFF), "sweep"),
+    "sweep_t2_xor_g5": (_sweep(XOR, "t2", "--grid", "5", *OFF), "sweep"),
     "sweep_hk_nosecrecy_nc": (_sweep(NC, "hk-nosecrecy", "--grid", "3", *OFF), "sweep"),
     "sweep_t1_nc": (_sweep(str(NC_UNSPLIT), "t1", "--q-size", "2", "--grid", "3", *OFF), "sweep"),
     "sweep_t1_nc_q3": (_sweep(str(NC_UNSPLIT), "t1", "--q-size", "3", "--grid", "3", *OFF), "sweep"),
