@@ -44,32 +44,17 @@ _MAX_ITER = 200
 # transfer grid of the diagonal-scan smoothing: a donor's transfers are
 # np.arange(_SCAN_STEP, p_i, _SCAN_STEP) and then p_i, searched by index
 _SCAN_STEP = 1e-4
-# joint stack bytes of one batched stack solve in grid_terms (a larger term is
-# a batch of its own).  At its peak the D_H solver holds about 8 times its
-# joint stack in temporaries (tracemalloc on the bench sweep's batches; up to
-# 22 times on stacks of a few KiB), beside the joint and product stacks.  This
-# budget lets a region's one-point terms share a solve, and a bench sweep
-# chunk's 41 KiB (81, 8, 2, 2) terms of one kind and eps go up to six a solve.
-# Against 64 KiB, the bench sweep's peak RSS rose 3.9% with it, 4.9% at seven
-# terms a solve and 13.5% at 1 MiB.
-_BATCH_BYTES = 1 << 18
-
-
-def point_bytes(conds: CQConditionals, terms: Sequence[tuple]) -> int:
-    """Bytes one grid point of ``(kind, part_a, part_b, cond)`` terms builds at most, over its terms.
-
-    A term of block shape ``(K, d)`` (:func:`pair_shape`) weighs the
-    conditionals traced to ``d`` at every classical value, and builds ``K``
-    joint blocks per row, one row per value of ``cond``; the ``D_H`` solver
-    holds about 8 times its joint stack (see ``_BATCH_BYTES``).
-    """
-    full = math.prod(conds.alphabet_sizes)
-    nbytes = 0
-    for _, part_a, part_b, cond in terms:
-        k, d = pair_shape(conds, part_a, part_b)
-        rows = 1 if cond is None else conds.alphabet_sizes[conds.axis(cond)]
-        nbytes = max(nbytes, 16 * d * d * max(full, 8 * k * rows))
-    return nbytes
+# bytes one batched stack solve in grid_terms builds at most.  A row costs the
+# larger of its weighted conditionals and 8 times its joint blocks: at its peak
+# the D_H solver holds about 8 times its joint stack in temporaries
+# (tracemalloc on the bench sweep's batches; up to 22 times on stacks of a few
+# KiB), beside the joint and product stacks.  A term over the budget is cut into
+# row ranges, each a batch of its own.  This budget lets a region's one-point
+# terms share a solve, and the bench sweep's 41 KiB (81, 8, 2, 2) joint stacks
+# of one kind and eps go up to six a solve.  Against a quarter of it, the bench
+# sweep's peak RSS rose 3.9% with it, 4.9% at seven terms a solve and 13.5% at
+# four times it.
+_BATCH_BYTES = 1 << 21
 
 
 class ConvergenceError(RuntimeError):
@@ -946,10 +931,11 @@ def _cond_rows(conds: CQConditionals, probs, cond) -> _Rows:
     pz = probs.sum(axis=others) if others else probs
     points, zs = np.nonzero(pz > COND_SUPPORT_TOL)
     given = np.moveaxis(probs, 1 + ax, 1)[points, zs]
-    mass = given.reshape(len(zs), -1).sum(axis=1).reshape((-1,) + (1,) * (given.ndim - 1))
+    flat = (len(zs), math.prod(given.shape[1:]))
+    mass = given.reshape(flat).sum(axis=1).reshape((-1,) + (1,) * (given.ndim - 1))
     given = given / mass
     # each row's key: the bytes of its z and of its renormalised probabilities
-    keys = np.concatenate([zs[:, None].astype(np.uint64), given.reshape(len(zs), -1).view(np.uint64)], axis=1)
+    keys = np.concatenate([zs[:, None].astype(np.uint64), given.reshape(flat).view(np.uint64)], axis=1)
     keys = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel().tolist()
     index: dict[bytes, int] = {}
     row_of = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
@@ -974,53 +960,49 @@ class _GridTerm:
     rows: _Rows
 
     @property
-    def nbytes(self) -> int:
-        """Bytes of the term's joint stack."""
+    def row_bytes(self) -> int:
+        """Bytes one row builds at most: its weighted conditionals, or 8 times its joint blocks."""
         k, d = self.shape
-        return len(self.rows.points) * k * d * d * np.dtype(complex).itemsize
+        return np.dtype(complex).itemsize * d * d * max(math.prod(self.rows.probs.shape[1:]), 8 * k)
+
+    def ranges(self) -> list[slice]:
+        """The term's rows: one range when they fit in ``_BATCH_BYTES``, else ranges that do (a row at least)."""
+        rows = len(self.rows.points)
+        step = max(1, rows if rows * self.row_bytes <= _BATCH_BYTES else _BATCH_BYTES // self.row_bytes)
+        return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
-def _solve_terms(conds: CQConditionals, terms: Sequence[_GridTerm], strategy: str) -> list[np.ndarray]:
-    """Terms of one kind, eps and block shape: their pairs' rows in one stack solve, split back per term.
-
-    The stacks go to :func:`_pair_values` as they are.  A conditional term
-    then gives each point and supported value its row's value and takes the
-    max-min over them.
-    """
+def _solve_terms(conds: CQConditionals, pieces: Sequence[tuple[_GridTerm, slice]], strategy: str) -> list[np.ndarray]:
+    """Row ranges of terms of one kind, eps and block shape: their rows in one stack solve, split back per range."""
     pairs = []
-    for term in terms:
-        joint, product = block_pairs(conds, term.rows.probs, term.part_a, term.part_b, term.rows.given)
+    for term, rows in pieces:
+        given = None if term.rows.given is None else (term.rows.given[0], term.rows.given[1][rows])
+        joint, product = block_pairs(conds, term.rows.probs[rows], term.part_a, term.part_b, given)
         if not (np.isfinite(joint).all() and np.isfinite(product).all()):
             raise OperatorError("non-finite entries in rho or sigma")
         pairs.append((joint, product))
+    ends = np.cumsum([len(joint) for joint, _ in pairs])[:-1]
     joint, product = pairs[0] if len(pairs) == 1 else (np.concatenate(side) for side in zip(*pairs))
     del pairs
-    eps = terms[0].eps
-    values = _pair_values(terms[0].kind, joint, product, eps, strategy)
-    out = []
-    for term, part in zip(terms, np.split(values, np.cumsum([len(term.rows.points) for term in terms])[:-1])):
-        rows = term.rows
-        if rows.pz is not None:
-            support = rows.pz > COND_SUPPORT_TOL
-            by_point = np.zeros(rows.pz.shape)
-            by_point[support] = part[rows.row_of]
-            part = _max_min(rows.pz, by_point, support, eps)
-        out.append(part)
-    return out
+    term = pieces[0][0]
+    return np.split(_pair_values(term.kind, joint, product, term.eps, strategy), ends)
 
 
-def _solve_alone(conds: CQConditionals, term: _GridTerm, strategy: str, first: int | None) -> np.ndarray:
-    """One planned term solved alone, a ``ConvergenceError`` or ``CommutationError`` named as in :func:`grid_terms`."""
-    try:
-        return _solve_terms(conds, [term], strategy)[0]
-    except (ConvergenceError, CommutationError) as exc:
-        where = []
-        if exc.row is not None and first is not None:
-            where.append(f"grid point {first + int(term.rows.points[exc.row])}")
-        if exc.row is not None and term.rows.given is not None:
-            where.append(f"{term.cond}={int(term.rows.given[1][exc.row])}")
-        at = f" ({', '.join(where)})" if where else ""
-        raise type(exc)(f"{term_name(term.kind, term.part_a, term.part_b, term.cond)}: {exc}{at}") from None
+def _solve_alone(conds: CQConditionals, term: _GridTerm, strategy: str, name_point: bool) -> np.ndarray:
+    """One planned term's rows solved alone, range by range; an error named as in :func:`grid_terms`."""
+    values = np.empty(len(term.rows.points))
+    for rows in term.ranges():
+        try:
+            values[rows] = _solve_terms(conds, [(term, rows)], strategy)[0]
+        except (ConvergenceError, CommutationError) as exc:
+            where = []
+            if exc.row is not None and name_point:
+                where.append(f"grid point {int(term.rows.points[rows.start + exc.row])}")
+            if exc.row is not None and term.rows.given is not None:
+                where.append(f"{term.cond}={int(term.rows.given[1][rows.start + exc.row])}")
+            at = f" ({', '.join(where)})" if where else ""
+            raise type(exc)(f"{term_name(term.kind, term.part_a, term.part_b, term.cond)}: {exc}{at}") from None
+    return values
 
 
 def grid_terms(
@@ -1028,7 +1010,6 @@ def grid_terms(
     probs: np.ndarray,
     terms: Sequence[tuple],
     strategy: str = "none",
-    first: int | None = None,
 ) -> list[np.ndarray]:
     """Information terms at every point of a grid of CQ states, one array per term.
 
@@ -1041,14 +1022,14 @@ def grid_terms(
     Each register's rows are planned once and shared by its terms.
     Every row's pair is built in one contraction (see :func:`block_pairs`).
     Terms of one kind, eps and block shape ``(K, d)`` share a stack solve
-    (:func:`_pair_values`) in batches whose joint stack stays within
-    ``_BATCH_BYTES`` (a larger term is a batch of its own); a row's value
-    does not depend on its batch.
+    (:func:`_pair_values`) in batches of at most ``_BATCH_BYTES``, counted
+    per row (``_GridTerm.row_bytes``); a term over it is cut into row ranges,
+    each a batch of its own, and a conditional term's max-min runs once its
+    rows are all solved.  A row's value does not depend on its batch.
     When a batch raises ``ConvergenceError`` or ``CommutationError`` the
     unsolved terms are solved one at a time in order, so the error names the
-    first failing term and its row's value of ``cond``; given ``first``, the
-    index of the grid's first point in a larger grid, it names the row's
-    first point too.
+    first failing term and its row's value of ``cond``; on a grid of more
+    than one point it names the row's first point too.
     """
     # the rows of each conditioning register, planned where a term first names it
     plans = {None: _Rows(probs, np.arange(len(probs)))}
@@ -1063,26 +1044,40 @@ def grid_terms(
             plans[cond] = _cond_rows(conds, probs, cond)
         _check_term(kind, eps, strategy)
         planned.append(_GridTerm(kind, part_a, part_b, cond, eps, pair_shape(conds, part_a, part_b), plans[cond]))
-    # each key's batch still filling, and its joint stack bytes so far
-    batches: list[list[int]] = []
-    filling: dict[tuple, tuple[list[int], int]] = {}
+    # (term, row range) batches; each key's batch still filling, and its bytes so far
+    batches: list[list[tuple[int, slice]]] = []
+    filling: dict[tuple, tuple[list, int]] = {}
     for i, term in enumerate(planned):
-        key = (term.kind, term.eps, term.shape)
+        ranges = term.ranges()
+        if len(ranges) != 1:
+            # a term over the budget (or of no rows): each range a batch of its own
+            batches.extend([(i, rows)] for rows in ranges)
+            continue
+        key, nbytes = (term.kind, term.eps, term.shape), len(term.rows.points) * term.row_bytes
         batch, size = filling.get(key, (None, 0))
-        if batch is None or size + term.nbytes > _BATCH_BYTES:
+        if batch is None or size + nbytes > _BATCH_BYTES:
             batch, size = [], 0
             batches.append(batch)
-        batch.append(i)
-        filling[key] = (batch, size + term.nbytes)
-    values: list = [None] * len(planned)
-    try:
-        for batch in batches:
-            for i, value in zip(batch, _solve_terms(conds, [planned[i] for i in batch], strategy)):
-                values[i] = value
-    except (ConvergenceError, CommutationError):
-        for i, term in enumerate(planned):
-            if values[i] is None:
-                values[i] = _solve_alone(conds, term, strategy, first)
+        batch.append((i, ranges[0]))
+        filling[key] = (batch, size + nbytes)
+    values = [np.empty(len(term.rows.points)) for term in planned]
+    for b, batch in enumerate(batches):
+        try:
+            solved = _solve_terms(conds, [(planned[i], rows) for i, rows in batch], strategy)
+        except (ConvergenceError, CommutationError):
+            # every term of this batch or a later one, whole and in order
+            for i in sorted({i for later in batches[b:] for i, _ in later}):
+                values[i] = _solve_alone(conds, planned[i], strategy, len(probs) > 1)
+            break
+        for (i, rows), part in zip(batch, solved):
+            values[i][rows] = part
+    for i, term in enumerate(planned):
+        rows = term.rows
+        if rows.pz is not None:
+            support = rows.pz > COND_SUPPORT_TOL
+            by_point = np.zeros(rows.pz.shape)
+            by_point[support] = values[i][rows.row_of]
+            values[i] = _max_min(rows.pz, by_point, support, term.eps)
     return values
 
 

@@ -26,7 +26,7 @@ from .channel import (
     control_state_hk,
     control_state_t1,
 )
-from .entropic import ToleranceParams, grid_terms, point_bytes
+from .entropic import ToleranceParams, grid_terms
 from .operators import COEF_TOL, DET_TOL, FEAS_TOL, RAY_TOL, OperatorError
 from .secrecy import PLAN_TERMS, SECRECY_TERMS, plan_from_terms, secrecy_report, within_threshold
 from .states import CQConditionals, CQState
@@ -35,10 +35,7 @@ from .states import CQConditionals, CQState
 from .entropic import cond_smooth_ht_mi, cond_smooth_max_mi, ht_mutual_info, smooth_max_mutual_info  # noqa: F401
 from .secrecy import randomizer_plan, secrecy_check  # noqa: F401
 
-# bytes a sweep chunk builds at most: its points times entropic.point_bytes, the
-# largest of one point's weighted conditionals and D_H working set over the
-# theorem's terms, so memory does not grow with the grid.  The same budget bounds
-# each block of crossings _intersection_table tests at once.
+# float64 bytes of each block of crossings _intersection_table tests at once
 _CHUNK_BYTES = 1 << 21
 # bytes of the largest array fourier_motzkin (a step's combination rows) or
 # _intersection_table (sat, a byte per row and crossing) may build, counted
@@ -126,17 +123,15 @@ def _term_eps(kind: str, params: ToleranceParams) -> float:
 
 
 def _solve(conds: CQConditionals, probs: np.ndarray, params: ToleranceParams, smoothing: str,
-           terms: Sequence[tuple], first: int | None = None) -> dict:
+           terms: Sequence[tuple]) -> dict:
     """Each distinct ``(kind, part_a, part_b, cond)`` term's values at every point of a grid, in one call.
 
     The grid is ``conds`` with the ``(G, *alphabets)`` stack ``probs``.  The
     terms go to one :func:`entropic.grid_terms` call in their order, which
-    solves the rows of terms of one block shape together.  A sweep's chunk
-    passes ``first``, the index of its first point in the sweep's grid, so a
-    ``ConvergenceError`` names the failing point.
+    solves the rows of terms of one block shape together.
     """
     terms = list(dict.fromkeys(terms))
-    values = grid_terms(conds, probs, [(*term, _term_eps(term[0], params)) for term in terms], smoothing, first)
+    values = grid_terms(conds, probs, [(*term, _term_eps(term[0], params)) for term in terms], smoothing)
     return dict(zip(terms, values))
 
 
@@ -813,16 +808,15 @@ def sweep_union(
     """Frontier of the union of per-distribution regions over a simplex grid.
 
     The grid is the lexicographic product of one simplex grid per axis,
-    counted against ``max_evals`` before it is built.  It is cut into
-    consecutive index ranges of at most ``_CHUNK_BYTES`` of what their
-    points build (:func:`entropic.point_bytes`).  Within a chunk each term
-    of the theorem's compiled table is evaluated term-major, for every point
-    at once, and the chunk's row bounds form one ``(points, rows)`` array
+    counted against ``max_evals`` before it is built.  Each term of the
+    theorem's compiled table is evaluated term-major, for every point at
+    once, in one :func:`entropic.grid_terms` call whose batches bound its
+    memory, and the row bounds form one ``(points, rows)`` array
     (:func:`_bounds`); the secrecy report and randomizer plan of a region
     are never computed.
     Regions are merged by pointwise maximum along fixed ray directions, so
-    output is deterministic and does not depend on the chunking.  A row
-    bound that is nan raises ``OperatorError`` naming its grid point and row.
+    output is deterministic.  A row bound that is nan raises
+    ``OperatorError`` naming its grid point and row.
     """
     if grid < 2:
         raise ValueError("grid resolution must be >= 2")
@@ -850,27 +844,25 @@ def sweep_union(
     thetas = np.linspace(0.0, math.pi / 2.0, rays)
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
 
-    size = max(1, _CHUNK_BYTES // point_bytes(conds, table.terms))
+    picks = np.unravel_index(np.arange(count), [len(a) for a in axes])
+    vectors = [a[i] for a, i in zip(axes, picks)]
+    if theorem == "t1":
+        probs = _t1_probs(vectors[0], np.stack(vectors[1::2], axis=1), np.stack(vectors[2::2], axis=1))
+    else:
+        probs = _hk_probs(*vectors)
+    bounds = _bounds(table, _solve(conds, probs, params, smoothing, table.terms), penalty)[0]
+    undefined = np.argwhere(np.isnan(bounds))
+    if undefined.size:
+        # an undefined bound (a D_H of +inf less a D_max of +inf) has no radius to merge
+        point, row = undefined[0].tolist()
+        raise OperatorError(f"row {table.tags[row]} is undefined (nan) at grid point {point}")
     frontier = np.zeros(rays)
     degenerate = 0
-    for start in range(0, count, size):
-        picks = np.unravel_index(np.arange(start, min(start + size, count)), [len(a) for a in axes])
-        vectors = [a[i] for a, i in zip(axes, picks)]
-        if theorem == "t1":
-            probs = _t1_probs(vectors[0], np.stack(vectors[1::2], axis=1), np.stack(vectors[2::2], axis=1))
-        else:
-            probs = _hk_probs(*vectors)
-        bounds = _bounds(table, _solve(conds, probs, params, smoothing, table.terms, start), penalty)[0]
-        undefined = np.argwhere(np.isnan(bounds))
-        if undefined.size:
-            # an undefined bound (a D_H of +inf less a D_max of +inf) has no radius to merge
-            point, row = undefined[0].tolist()
-            raise OperatorError(f"row {table.tags[row]} is undefined (nan) at grid point {start + point}")
-        # 32 points at a time, so the (points, rays) arrays stay small and peak memory does not grow with the chunk
-        for block in np.split(bounds, range(32, len(bounds), 32)):
-            radii = _grid_radii(table.coeffs, block, dirs)
-            degenerate += int(np.all(radii <= FEAS_TOL, axis=1).sum())
-            frontier = np.maximum(frontier, radii.max(axis=0))
+    # 32 points at a time, so the (points, rays) arrays stay small
+    for block in np.split(bounds, range(32, len(bounds), 32)):
+        radii = _grid_radii(table.coeffs, block, dirs)
+        degenerate += int(np.all(radii <= FEAS_TOL, axis=1).sum())
+        frontier = np.maximum(frontier, radii.max(axis=0))
     # a zero direction component is a zero coordinate, also on an unbounded ray (not inf * 0)
     points = np.multiply(dirs, frontier[:, None], out=np.zeros_like(dirs), where=dirs != 0.0)
     return SweepResult(thetas, frontier, points, count, degenerate)

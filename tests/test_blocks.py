@@ -571,7 +571,8 @@ def test_grid_terms_match_term_by_term_values(monkeypatch):
 
     The grids are sweep grids with zero-mass values: the split-message tables
     on a rank-deficient split channel and ``t1``'s conditional terms on a
-    rank-deficient unsplit one.
+    rank-deficient unsplit one.  At a budget of one byte every term is over
+    it, so each of its rows is a batch of its own.
     """
     split = load_channel(SMALL_SPLIT)
     rng = np.random.default_rng(5)
@@ -587,13 +588,17 @@ def test_grid_terms_match_term_by_term_values(monkeypatch):
         terms = terms + [next(("ht", a, b, cond, 0.3) for kind, a, b, cond, _ in terms if kind == "ht")]
         expected = [grid_terms(conds, probs, [term])[0] for term in terms]
         shapes = {(kind, eps, entropic.pair_shape(conds, a, b)) for kind, a, b, _, eps in terms}
-        for batch_bytes, solves in ((math.inf, len(shapes)), (1 << 16, None), (1, len(terms))):
+        for batch_bytes, solves in ((math.inf, len(shapes)), (1 << 19, None), (1, None)):
             monkeypatch.setattr(entropic, "_BATCH_BYTES", batch_bytes)
             with mock.patch.object(entropic, "_solve_terms", wraps=entropic._solve_terms) as solve:
                 got = grid_terms(conds, probs, terms)
             assert [g.tobytes() for g in got] == [e.tobytes() for e in expected], batch_bytes
             assert solves is None or solve.call_count == solves
-            assert solve.call_count < len(terms) or batch_bytes == 1
+            pieces = [call.args[1] for call in solve.call_args_list]
+            if batch_bytes == 1:
+                assert all(len(p) == 1 and p[0][1].stop - p[0][1].start == 1 for p in pieces)
+            else:
+                assert any(len(p) > 1 for p in pieces)
 
 
 def test_batch_convergence_error_names_the_first_failing_term(monkeypatch):
@@ -623,14 +628,23 @@ def test_batch_convergence_error_names_the_first_failing_term(monkeypatch):
     monkeypatch.setattr(entropic, "_dh_betas", poisoned)
     with pytest.raises(ConvergenceError) as sequential:
         for term in terms:
-            grid_terms(conds, probs, [term], first=7)
-    assert str(sequential.value) == "D_H(X10,X11 : Y1): straddle detection failed at t=0.5, eps=0.25 (grid point 47)"
+            grid_terms(conds, probs, [term])
+    assert str(sequential.value) == "D_H(X10,X11 : Y1): straddle detection failed at t=0.5, eps=0.25 (grid point 40)"
     lengths.clear()
     with pytest.raises(ConvergenceError) as batched:
-        grid_terms(conds, probs, terms, first=7)
+        grid_terms(conds, probs, terms)
     assert str(batched.value) == str(sequential.value)
     # the first and third terms' rows went into one stack first
     assert lengths[0] == len(probs) + len(cond_rows)
+
+
+@pytest.mark.parametrize("cond", [None, "X11"])
+def test_grid_terms_on_an_empty_grid_are_empty(cond):
+    """A grid of no points gives one empty array per term, plain or conditional."""
+    split = load_channel(SMALL_SPLIT)
+    conds, probs = _grid([control_state_hk(split, dist) for dist in hk_distributions(split, 2)])
+    got = grid_terms(conds, probs[:0], [("ht", ["X10"], ["Y1"], cond, 0.25), ("max", ["X20"], ["Z"], cond, 0.2)])
+    assert [(g.shape, g.dtype) for g in got] == [((0,), np.float64)] * 2
 
 
 def _t1_sweep_grid(channel):

@@ -998,7 +998,7 @@ def test_convergence_error_names_the_term(monkeypatch):
 
 
 def test_convergence_error_names_the_grid_point_and_conditioning_value(monkeypatch):
-    """A conditional term's rows are its distinct (value, slice) states; ``first`` offsets the point.
+    """A conditional term's rows are its distinct (value, slice) states; a grid of one point names no point.
 
     An error names the first point and value in the failing state: with two
     points of different probabilities each (point, value) is its own row,
@@ -1016,12 +1016,13 @@ def test_convergence_error_names_the_grid_point_and_conditioning_value(monkeypat
     # rows (0, C=0), (0, C=1), (1, C=0), (1, C=1): the last one fails
     monkeypatch.setattr(entropic, "_dh_betas", failing_row(4, 3))
     probs = np.stack([np.full((2, 2, 2), 0.125), np.arange(1.0, 9.0).reshape(2, 2, 2) / 36.0])
-    with pytest.raises(ConvergenceError, match=r"^D_H\(A : B \| C\): straddle .* eps=0\.25 \(grid point 11, C=1\)$"):
-        grid_terms(conds, probs, term, first=10)
-    with pytest.raises(ConvergenceError, match=r"^D_H\(A : B \| C\): straddle .* eps=0\.25 \(C=1\)$"):
+    with pytest.raises(ConvergenceError, match=r"^D_H\(A : B \| C\): straddle .* eps=0\.25 \(grid point 1, C=1\)$"):
         grid_terms(conds, probs, term)
-    # two alike points: rows (0, C=0) and (0, C=1), the second point's states among them
+    # the second point alone: rows (0, C=0) and (0, C=1)
     monkeypatch.setattr(entropic, "_dh_betas", failing_row(2, 1))
+    with pytest.raises(ConvergenceError, match=r"^D_H\(A : B \| C\): straddle .* eps=0\.25 \(C=1\)$"):
+        grid_terms(conds, probs[1:], term)
+    # two alike points: rows (0, C=0) and (0, C=1), the second point's states among them
     probs = np.stack([np.full((2, 2, 2), 0.125), np.full((2, 2, 2), 0.125)])
-    with pytest.raises(ConvergenceError, match=r"^D_H\(A : B \| C\): straddle .* eps=0\.25 \(grid point 10, C=1\)$"):
-        grid_terms(conds, probs, term, first=10)
+    with pytest.raises(ConvergenceError, match=r"^D_H\(A : B \| C\): straddle .* eps=0\.25 \(grid point 0, C=1\)$"):
+        grid_terms(conds, probs, term)

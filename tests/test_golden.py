@@ -21,6 +21,11 @@ search; ``sweep_t1_diag`` is classical.  Their goldens were written by this
 script before a conditional term's rows became its distinct conditional
 states, and both sweeps give 91 nonzero rays of 91.
 
+``sweep_t2_xor_g5`` (``t2`` on ``xor_split`` at ``--grid 5``, 91 nonzero
+rays) was written by this script while a sweep was still cut into chunks of
+points (10 of them); solved as one grid, 26 of its terms are over the batch
+budget of ``entropic.grid_terms`` and cut into row ranges.
+
 ``tests/data/classical_split.json`` is a classical split channel on which
 the diagonal-scan smoothing moves the values (on the bundled channels it
 only turns a rounding error into zero).  It was drawn from

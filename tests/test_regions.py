@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -49,6 +50,7 @@ from util import (
     hk_distributions,
     minimal_2d_masked,
     minimal_2d_rebuild,
+    nc_small_unsplit,
     one_point_terms,
     point_in_hull_2d,
     polytope_from_arrays,
@@ -455,7 +457,7 @@ def test_theorem2_evaluates_each_max_information_once(xor_channel, monkeypatch):
 
 
 def test_theorem1_plans_the_rows_of_each_conditioning_register_once(diag_channel, monkeypatch):
-    """A grid's conditional terms share one row plan per register: one plan per region, one per sweep chunk."""
+    """A grid's conditional terms share one row plan per register: one plan per region, one per sweep."""
     calls = []
     real = entropic._cond_rows
 
@@ -476,11 +478,8 @@ def test_theorem1_plans_the_rows_of_each_conditioning_register_once(diag_channel
     assert conditional == ["Q"] * 9
     assert calls == [(1, "Q")]
     calls.clear()
-    point = entropic.point_bytes(regions._t1_conditionals(diag_channel, 2), regions._THEOREMS["t1"][0].terms)
-    monkeypatch.setattr(regions, "_CHUNK_BYTES", 8 * point)
     result = sweep_union(diag_channel, "t1", PARAMS, OFF, grid=2, q_size=2, rays=5, max_evals=100)
-    assert len(calls) == -(-result.evaluations // 8) >= 3
-    assert [cond for _, cond in calls] == ["Q"] * len(calls) and sum(g for g, _ in calls) == result.evaluations
+    assert calls == [(result.evaluations, "Q")]
 
 
 def test_theorem2_full_copy_z_degenerate():
@@ -1024,21 +1023,38 @@ def _noncommuting_split_channel(seed):
 @pytest.mark.parametrize("theorem, q_size, grid", [("t1", 1, 3), ("t1", 2, 3), ("conjecture", 1, 2),
                                                    ("t2", 1, 2)])
 def test_sweep_chunks_leave_the_frontier_unchanged(diag_channel, monkeypatch, theorem, q_size, grid):
-    """Chunks of one point, of three and the whole grid give the same frontier bytes."""
+    """Batches of one row, of three rows and unbounded give the same frontier bytes.
+
+    The whole grid goes to one ``grid_terms`` call, whose batches are the
+    only bound: unbounded, every term is solved whole; at three of the
+    widest rows, a term of such rows is cut into ranges of three, each a
+    batch of its own; at one byte, every row is.
+    """
     channel = diag_channel if theorem == "t1" else _noncommuting_split_channel(7)
-    dist = uniform_t1(channel, q_size) if theorem == "t1" else uniform_hk(channel)
-    state = (control_state_t1 if theorem == "t1" else control_state_hk)(channel, dist)
-    per_point = entropic.point_bytes(state.conds, regions._THEOREMS[theorem][0].terms)
-    real = regions._bounds
-    outputs = []
-    for points in (10**6, 1, 3):
-        chunks = []
-        monkeypatch.setattr(regions, "_CHUNK_BYTES", points * per_point)
-        monkeypatch.setattr(regions, "_bounds", lambda *args: chunks.append(1) or real(*args))
+    real = entropic._solve_terms
+    batches = []
+
+    def spy(conds, pieces, strategy):
+        batches.append([(len(term.rows.points), term.row_bytes, len(range(len(term.rows.points))[rows]))
+                        for term, rows in pieces])
+        return real(conds, pieces, strategy)
+
+    def run(budget):
+        batches.clear()
+        monkeypatch.setattr(entropic, "_BATCH_BYTES", budget)
         result = sweep_union(channel, theorem, PARAMS, OFF, grid=grid, q_size=q_size, rays=31)
-        assert len(chunks) == -(-result.evaluations // points)
-        outputs.append((result.points.tobytes(), result.evaluations, result.degenerate_count))
-    assert outputs[0] == outputs[1] == outputs[2]
+        return result.points.tobytes(), result.evaluations, result.degenerate_count
+
+    monkeypatch.setattr(entropic, "_solve_terms", spy)
+    whole = run(math.inf)
+    assert all(solved == rows for batch in batches for rows, _, solved in batch)
+    widest = max(size for batch in batches for _, size, _ in batch)
+    assert run(1) == whole
+    assert all(len(batch) == 1 and batch[0][2] == 1 for batch in batches)
+    assert run(3 * widest) == whole
+    cut = [batch for batch in batches if any(solved < rows for rows, _, solved in batch)]
+    assert all(len(batch) == 1 for batch in cut)
+    assert any(size == widest and solved == 3 for [(rows, size, solved)] in cut)
 
 
 def test_sweep_convergence_error_at_a_later_point_names_the_term(monkeypatch, capsys, tmp_path):
@@ -1059,19 +1075,92 @@ def test_sweep_convergence_error_at_a_later_point_names_the_term(monkeypatch, ca
     assert "D_H(X1 : X2,Y1 | Q): straddle detection failed at t=0.5, eps=0.25 (grid point 4, Q=0)" in err
 
 
+def test_sweep_error_names_the_earlier_term_failing_at_a_later_point(monkeypatch):
+    """An earlier table term failing only at the last grid point is named, not a later term failing at the first.
+
+    The grid is one ``grid_terms`` call, whose unsolved terms are solved
+    again one at a time in table order, so the answer does not depend on
+    how the grid's rows are batched.  The plain ``t2`` terms' rows are the
+    grid's points.
+    """
+    terms = [term for term in regions._THEOREMS["t2"][0].terms if term[0] == "ht"]
+    fail_at = {terms[0]: 15, terms[-1]: 0}
+    real = entropic._solve_terms
+
+    def poisoned(conds, pieces, strategy):
+        offset = 0
+        for term, rows in pieces:
+            span = range(len(term.rows.points))[rows]
+            at = fail_at.get((term.kind, tuple(term.part_a), tuple(term.part_b), term.cond))
+            if at in span:
+                raise ConvergenceError(f"straddle detection failed at t=0.5, eps={term.eps}", offset + span.index(at))
+            offset += len(span)
+        return real(conds, pieces, strategy)
+
+    monkeypatch.setattr(entropic, "_solve_terms", poisoned)
+    name = re.escape(entropic.term_name(*terms[0]))
+    with pytest.raises(ConvergenceError, match=rf"^{name}: straddle .* \(grid point 15\)$"):
+        sweep_union(_noncommuting_split_channel(7), "t2", PARAMS, OFF, grid=2, rays=5)
+
+
+def test_sweep_stack_solves_stay_within_the_batch_budget(monkeypatch, xor_channel):
+    """No stack solve of ``sweep_t2_xor_g5`` holds more rows than ``_BATCH_BYTES`` allows, unless one row is over it.
+
+    A row costs at least 8 times its joint blocks (``_GridTerm.row_bytes``),
+    so a stack of more than one row holds at most an eighth of the budget in
+    joint blocks.  The whole grid is one ``grid_terms`` call, and 26 of its
+    terms are over the budget and cut into row ranges.
+    """
+    real_values, real_solve = entropic._pair_values, entropic._solve_terms
+    stacks, cut = [], set()
+
+    def values(kind, joint, product, eps, strategy):
+        stacks.append((len(joint), joint.nbytes))
+        return real_values(kind, joint, product, eps, strategy)
+
+    def solve(conds, pieces, strategy):
+        cut.update((term.kind, tuple(term.part_a), tuple(term.part_b), term.eps)
+                   for term, rows in pieces if rows.stop - rows.start < len(term.rows.points))
+        return real_solve(conds, pieces, strategy)
+
+    monkeypatch.setattr(entropic, "_pair_values", values)
+    monkeypatch.setattr(entropic, "_solve_terms", solve)
+    result = sweep_union(xor_channel, "t2", PARAMS, OFF, grid=5)
+    assert result.evaluations == 625
+    assert all(8 * nbytes <= entropic._BATCH_BYTES or rows == 1 for rows, nbytes in stacks)
+    assert len(cut) == 26
+
+
+def test_sweep_traced_peak_of_a_large_grid():
+    """The 16807-point ``t1`` sweep of the unsplit test channel stays under 10 MiB traced.
+
+    Every array of the whole grid is a few floats a point; the batches of
+    ``grid_terms`` bound what its stack solves build.
+    """
+    channel = nc_small_unsplit()
+    tracemalloc.start()
+    try:
+        result = sweep_union(channel, "t1", PARAMS, OFF, grid=7, q_size=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.evaluations == 16807
+    assert peak < 10 * 2**20
+
+
 def _sweep_bounds(monkeypatch, *args, **kwargs) -> np.ndarray:
-    """A sweep's ``(points, rows)`` bounds, as its chunks hand them to ``regions._grid_radii``."""
-    chunks = []
+    """A sweep's ``(points, rows)`` bounds, as its blocks hand them to ``regions._grid_radii``."""
+    blocks = []
     real = regions._grid_radii
 
     def recording(a, b, dirs):
-        chunks.append(b)
+        blocks.append(b)
         return real(a, b, dirs)
 
     with monkeypatch.context() as patch:
         patch.setattr(regions, "_grid_radii", recording)
         sweep_union(*args, **kwargs)
-    return np.concatenate(chunks)
+    return np.concatenate(blocks)
 
 
 @pytest.mark.parametrize("theorem, q_size, grid, commuting, smoothing", [
