@@ -269,6 +269,8 @@ def read_json(path, what: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ChannelFormatError(f"cannot read {what} file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ChannelFormatError(f"{what} file is not valid UTF-8: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

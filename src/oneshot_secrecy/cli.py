@@ -264,10 +264,16 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _float_list(text: str) -> list[float]:
+    """A comma-separated list of numbers; one that does not parse is a parse error naming its flag."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of numbers") from None
+
+
 def cmd_oracle_np(args) -> int:
-    p = [float(x) for x in args.p.split(",")]
-    q = [float(x) for x in args.q.split(",")]
-    beta, divergence = classical_np_oracle(p, q, args.eps)
+    beta, divergence = classical_np_oracle(args.p, args.q, args.eps)
     print(_fmt(divergence))
     if args.verbose:
         print(f"beta={_fmt(beta)}")
@@ -377,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("oracle-np", help="classical Neyman-Pearson oracle on inline vectors")
-    p.add_argument("--p", required=True, help="comma-separated distribution")
-    p.add_argument("--q", required=True, help="comma-separated distribution")
+    p.add_argument("--p", type=_float_list, required=True, help="comma-separated distribution")
+    p.add_argument("--q", type=_float_list, required=True, help="comma-separated distribution")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_oracle_np)

@@ -53,7 +53,7 @@ _SCAN_STEP = 1e-4
 # terms share a solve, and the bench sweep's 41 KiB (81, 8, 2, 2) joint stacks
 # of one kind and eps go up to six a solve.  Against a quarter of it, the bench
 # sweep's peak RSS rose 3.9% with it, 4.9% at seven terms a solve and 13.5% at
-# four times it.
+# four times it.  It bounds each batch of a register's terms in one max-min too.
 _BATCH_BYTES = 1 << 21
 
 
@@ -872,29 +872,34 @@ def term_name(kind: str, part_a, part_b, cond: str | None = None) -> str:
     return f"{'D_H' if kind == 'ht' else 'D_max'}({','.join(_parts(part_a))} : {','.join(_parts(part_b))}{given})"
 
 
-def _max_min(masses: np.ndarray, values: np.ndarray, support: np.ndarray, eps: float) -> np.ndarray:
-    """The conditional max-min of each row's atoms ``support[g]``: the best value left after dropping some.
+def _max_min(masses: np.ndarray, values: np.ndarray, support: np.ndarray, eps: Sequence[float]) -> np.ndarray:
+    """The conditional max-min of each term's row ``values[t, g]`` over atoms ``support[g]``, ``(T, G)``.
 
     Keep the largest-value atoms whose total mass stays feasible: dropping a
-    support set S is allowed iff the kept mass is at least 1 - eps^2, the
-    exact purified-distance ball condition for diagonal perturbations.  Rows
-    with the same number of atoms are solved together, so each starting mass
-    is numpy's sum of exactly its row's atoms.
+    support set S is allowed iff the kept mass is at least 1 - eps[t]^2, the
+    exact purified-distance ball condition for diagonal perturbations.  The
+    ``(G, Z)`` masses and support are shared by the ``T`` terms of the
+    ``(T, G, Z)`` values.  Rows with the same number of atoms are solved
+    together, so each starting mass is numpy's sum of exactly its row's
+    atoms, and a term's values do not depend on the others'.
     """
-    threshold = 1.0 - eps * eps
-    best = np.empty(len(masses))
+    eps = np.asarray(eps, dtype=float)[:, None, None]
+    threshold = 1.0 - eps * eps - KEPT_MASS_SLACK
+    best = np.empty(values.shape[:2])
     counts = support.sum(axis=1)
     for n in sorted(set(counts.tolist())):
         rows = np.flatnonzero(counts == n)
-        m = masses[rows][support[rows]].reshape(len(rows), n)
-        v = values[rows][support[rows]].reshape(len(rows), n)
-        order = np.argsort(v, axis=1, kind="stable")
+        at = support[rows]
+        m = masses[rows][at].reshape(len(rows), n)
+        v = values[:, rows][:, at].reshape(len(values), len(rows), n)
+        order = np.argsort(v, axis=2, kind="stable")
         # the kept mass before each drop: the total, then less each atom in value order
-        kept = np.subtract.accumulate(
-            np.concatenate([m.sum(axis=1)[:, None], np.take_along_axis(m, order[:, :-1], axis=1)], axis=1), axis=1)
-        feasible = np.logical_and.accumulate(kept >= threshold - KEPT_MASS_SLACK, axis=1)
-        last = np.maximum(feasible.sum(axis=1) - 1, 0)
-        best[rows] = v[np.arange(len(rows)), order[np.arange(len(rows)), last]]
+        kept = np.subtract.accumulate(np.concatenate([
+            np.broadcast_to(m.sum(axis=1)[:, None], (len(v), len(rows), 1)),
+            np.take_along_axis(m[None], order[..., :-1], axis=2)], axis=2), axis=2)
+        feasible = np.logical_and.accumulate(kept >= threshold, axis=2)
+        last = np.maximum(feasible.sum(axis=2) - 1, 0)
+        best[:, rows] = np.take_along_axis(v, np.take_along_axis(order, last[..., None], axis=2), axis=2)[..., 0]
     return best
 
 
@@ -1024,8 +1029,10 @@ def grid_terms(
     Terms of one kind, eps and block shape ``(K, d)`` share a stack solve
     (:func:`_pair_values`) in batches of at most ``_BATCH_BYTES``, counted
     per row (``_GridTerm.row_bytes``); a term over it is cut into row ranges,
-    each a batch of its own, and a conditional term's max-min runs once its
-    rows are all solved.  A row's value does not depend on its batch.
+    each a batch of its own.  Once every row is solved, each register's
+    terms share one max-min (:func:`_max_min`) in batches of as many terms
+    as fit in ``_BATCH_BYTES``, a term counted at 8 floats per point and
+    value of ``cond``.  A row's value does not depend on its batch.
     When a batch raises ``ConvergenceError`` or ``CommutationError`` the
     unsolved terms are solved one at a time in order, so the error names the
     first failing term and its row's value of ``cond``; on a grid of more
@@ -1071,13 +1078,23 @@ def grid_terms(
             break
         for (i, rows), part in zip(batch, solved):
             values[i][rows] = part
-    for i, term in enumerate(planned):
-        rows = term.rows
-        if rows.pz is not None:
-            support = rows.pz > COND_SUPPORT_TOL
-            by_point = np.zeros(rows.pz.shape)
-            by_point[support] = values[i][rows.row_of]
-            values[i] = _max_min(rows.pz, by_point, support, term.eps)
+    # each register's terms in max-min batches; a term's 8 floats per point and
+    # value of cond are its (G, |cond|) values and _max_min's working arrays
+    # (tracemalloc: 6 to 8 of them on 16807 points of a two-valued cond)
+    for cond, rows in plans.items():
+        if rows.pz is None:
+            continue
+        terms_of = [i for i, term in enumerate(planned) if term.cond == cond]
+        support = rows.pz > COND_SUPPORT_TOL
+        nbytes = 8 * rows.pz.nbytes
+        step = len(terms_of) if len(terms_of) * nbytes <= _BATCH_BYTES else max(1, _BATCH_BYTES // nbytes)
+        for lo in range(0, len(terms_of), step):
+            batch = terms_of[lo:lo + step]
+            by_point = np.zeros((len(batch),) + rows.pz.shape)
+            for t, i in enumerate(batch):
+                by_point[t][support] = values[i][rows.row_of]
+            for i, best in zip(batch, _max_min(rows.pz, by_point, support, [planned[i].eps for i in batch])):
+                values[i] = best
     return values
 
 

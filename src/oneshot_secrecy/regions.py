@@ -35,7 +35,8 @@ from .states import CQConditionals, CQState
 from .entropic import cond_smooth_ht_mi, cond_smooth_max_mi, ht_mutual_info, smooth_max_mutual_info  # noqa: F401
 from .secrecy import randomizer_plan, secrecy_check  # noqa: F401
 
-# float64 bytes of each block of crossings _intersection_table tests at once
+# float64 bytes of each block of crossings _intersection_table tests at once,
+# and of the ray radii sweep_union computes for a block of grid points
 _CHUNK_BYTES = 1 << 21
 # bytes of the largest array fourier_motzkin (a step's combination rows) or
 # _intersection_table (sat, a byte per row and crossing) may build, counted
@@ -858,8 +859,9 @@ def sweep_union(
         raise OperatorError(f"row {table.tags[row]} is undefined (nan) at grid point {point}")
     frontier = np.zeros(rays)
     degenerate = 0
-    # 32 points at a time, so the (points, rays) arrays stay small
-    for block in np.split(bounds, range(32, len(bounds), 32)):
+    # blocks of points whose (points, rays) float arrays, three live at once, fit in _CHUNK_BYTES
+    step = max(1, _CHUNK_BYTES // (3 * 8 * rays))
+    for block in np.split(bounds, range(step, len(bounds), step)):
         radii = _grid_radii(table.coeffs, block, dirs)
         degenerate += int(np.all(radii <= FEAS_TOL, axis=1).sum())
         frontier = np.maximum(frontier, radii.max(axis=0))

@@ -179,6 +179,31 @@ def test_unreadable_and_invalid_json_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(message), argv
 
 
+def test_non_utf8_files_exit_2(tmp_path, capsys):
+    """A channel, distribution or polytope file that is not UTF-8 is a file error naming its kind, not a traceback."""
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff" + Path(CHAN).read_bytes())
+    latin = str(latin)
+    cases = {
+        "channel": ["validate", latin],
+        "distribution": ["validate", CHAN, "--dist", latin],
+        "polytope": ["fm", "--input", latin, "--eliminate", "W1"],
+    }
+    for what, argv in cases.items():
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {what} file is not valid UTF-8: "), argv
+        assert err.count("\n") == 1, argv
+
+
+def test_unparsable_oracle_vectors_exit_2():
+    """An entry of ``--p`` or ``--q`` that is not a number is a parse error naming the flag; nan still exits 1."""
+    for flag, p, q in (("--p", "0.5,x", "0.5,0.5"), ("--q", "0.5,0.5", "0.5,,0.5")):
+        res = run_cli("oracle-np", "--p", p, "--q", q, "--eps", "0.25")
+        assert res.returncode == 2, flag
+        assert f"error: argument {flag}: " in res.stderr and "Traceback" not in res.stderr, flag
+
+
 def test_unwritable_output_path_exits_2(tmp_path):
     missing = tmp_path / "missing"
     region = ["region", "--channel", CHAN, "--dist", DIST, "--theorem", "t1", "--eps", "0.25", "--penalties", "off"]

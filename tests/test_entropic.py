@@ -264,7 +264,7 @@ def test_cond_optimize_example():
     masses, values = np.array([[0.95, 0.05]]), np.array([[1.0, 0.2]])
 
     def max_min(eps):
-        return float(_max_min(masses, values, np.ones((1, 2), dtype=bool), eps)[0])
+        return float(_max_min(masses, values[None], np.ones((1, 2), dtype=bool), [eps])[0, 0])
 
     assert max_min(0.3) == 1.0
     # vanishing ball: no atom may be dropped
@@ -290,37 +290,43 @@ def _eps_at(kept: float) -> float | None:
 @settings(max_examples=300)
 @given(
     data=st.data(),
-    eps=st.one_of(st.floats(1e-9, 1e-3), st.floats(0.01, 0.99), st.floats(0.999, 1.0 - 1e-9)),
+    eps=st.lists(st.one_of(st.floats(1e-9, 1e-3), st.floats(0.01, 0.99), st.floats(0.999, 1.0 - 1e-9)),
+                 min_size=1, max_size=4),
     at_boundary=st.booleans(),
 )
 def test_max_min_rows_match_the_per_point_loop(data, eps, at_boundary):
-    """The array max-min of every row is, byte for byte, the loop over that row's supported atoms.
+    """Each term's array max-min of every row is, byte for byte, the loop over that row's supported atoms.
 
+    One to four terms, each with its own eps and values, share one set of
+    masses and supports, as a register's terms do in ``grid_terms``.
     Values tie and reach +-inf; unsupported atoms keep a mass the rows must
     ignore; up to 20 atoms, so a row's total is often a pairwise sum of 8 or
-    more.  ``at_boundary`` puts the threshold exactly on a kept mass of the
-    first row after one or more drops, where one ulp of that mass decides
-    the answer.
+    more.  ``at_boundary`` puts the first term's threshold exactly on a kept
+    mass of its first row after one or more drops, where one ulp of that
+    mass decides the answer.
     """
+    terms = len(eps)
     n = data.draw(st.integers(1, 20))
     rows = data.draw(st.integers(1, 5))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     # a drawn share of the values come from a few, so they tie
-    values = np.where(rng.random((rows, n)) < data.draw(st.sampled_from([0.0, 0.5, 1.0])),
-                      rng.choice([-math.inf, -1.5, 0.0, 0.25, 2.0, math.inf], (rows, n)), rng.normal(size=(rows, n)))
+    shape = (terms, rows, n)
+    values = np.where(rng.random(shape) < data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+                      rng.choice([-math.inf, -1.5, 0.0, 0.25, 2.0, math.inf], shape), rng.normal(size=shape))
     raw = rng.uniform(1e-3, 1.0, (rows, n))
     support = rng.random((rows, n)) < data.draw(st.sampled_from([0.3, 0.7, 1.0]))
     support[:, 0] |= ~support.any(axis=1)
     masses = raw / np.where(support, raw, 0.0).sum(axis=1, keepdims=True)
     if at_boundary:
-        m, v = masses[0, support[0]], values[0, support[0]]
+        m, v = masses[0, support[0]], values[0, 0, support[0]]
         assume(len(m) > 1)
         kept = float(m.sum())
         for atom in m[np.argsort(v, kind="stable")][:data.draw(st.integers(1, len(m) - 1))]:
             kept -= atom
-        eps = _eps_at(kept)
-        assume(eps is not None)
-    expected = np.array([max_min(masses[g, support[g]], values[g, support[g]], eps) for g in range(rows)])
+        eps[0] = _eps_at(kept)
+        assume(eps[0] is not None)
+    expected = np.array([[max_min(masses[g, support[g]], values[t, g, support[g]], e) for g in range(rows)]
+                         for t, e in enumerate(eps)])
     assert _max_min(masses, values, support, eps).tobytes() == expected.tobytes()
 
 

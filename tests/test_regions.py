@@ -1026,35 +1026,69 @@ def test_sweep_chunks_leave_the_frontier_unchanged(diag_channel, monkeypatch, th
     """Batches of one row, of three rows and unbounded give the same frontier bytes.
 
     The whole grid goes to one ``grid_terms`` call, whose batches are the
-    only bound: unbounded, every term is solved whole; at three of the
-    widest rows, a term of such rows is cut into ranges of three, each a
-    batch of its own; at one byte, every row is.
+    only bound: unbounded, every term is solved whole and each register's
+    terms share one max-min; at three of the widest rows, a term of such
+    rows is cut into ranges of three, each a batch of its own; at one byte,
+    every row is, and every conditional term runs its own max-min.
     """
     channel = diag_channel if theorem == "t1" else _noncommuting_split_channel(7)
-    real = entropic._solve_terms
-    batches = []
+    real, real_max_min = entropic._solve_terms, entropic._max_min
+    batches, max_mins = [], []
+    registers = [term[3] for term in regions._THEOREMS[theorem][0].terms if term[3] is not None]
 
     def spy(conds, pieces, strategy):
         batches.append([(len(term.rows.points), term.row_bytes, len(range(len(term.rows.points))[rows]))
                         for term, rows in pieces])
         return real(conds, pieces, strategy)
 
+    def max_min_spy(masses, values, support, eps):
+        max_mins.append(len(values))
+        return real_max_min(masses, values, support, eps)
+
     def run(budget):
         batches.clear()
+        max_mins.clear()
         monkeypatch.setattr(entropic, "_BATCH_BYTES", budget)
         result = sweep_union(channel, theorem, PARAMS, OFF, grid=grid, q_size=q_size, rays=31)
         return result.points.tobytes(), result.evaluations, result.degenerate_count
 
     monkeypatch.setattr(entropic, "_solve_terms", spy)
+    monkeypatch.setattr(entropic, "_max_min", max_min_spy)
     whole = run(math.inf)
     assert all(solved == rows for batch in batches for rows, _, solved in batch)
+    assert max_mins == [registers.count(cond) for cond in dict.fromkeys(registers)]
     widest = max(size for batch in batches for _, size, _ in batch)
     assert run(1) == whole
     assert all(len(batch) == 1 and batch[0][2] == 1 for batch in batches)
+    assert max_mins == [1] * len(registers)
     assert run(3 * widest) == whole
     cut = [batch for batch in batches if any(solved < rows for rows, _, solved in batch)]
     assert all(len(batch) == 1 for batch in cut)
     assert any(size == widest and solved == 3 for [(rows, size, solved)] in cut)
+
+
+def test_max_min_runs_once_per_register(diag_channel, monkeypatch):
+    """A ``t1`` sweep and a ``t1`` region run one max-min for all their terms given ``Q``.
+
+    Both fit ``_BATCH_BYTES``: on the sweep's 243 points a term counts
+    31 KiB (8 floats a point and value of ``Q``).  The region solves the secrecy criterion given ``Q`` beside its
+    table's terms, so its max-min holds one term more.
+    """
+    real = entropic._max_min
+    calls = []
+
+    def spy(masses, values, support, eps):
+        calls.append((len(masses), len(values)))
+        return real(masses, values, support, eps)
+
+    monkeypatch.setattr(entropic, "_max_min", spy)
+    given_q = sum(term[3] == "Q" for term in regions._THEOREMS["t1"][0].terms)
+    assert given_q > 1
+    sweep_union(diag_channel, "t1", PARAMS, OFF, grid=3, q_size=2, rays=5)
+    assert calls == [(243, given_q)]
+    calls.clear()
+    theorem1_region(diag_channel, uniform_t1(diag_channel), PARAMS, OFF)
+    assert calls == [(1, given_q + 1)]
 
 
 def test_sweep_convergence_error_at_a_later_point_names_the_term(monkeypatch, capsys, tmp_path):
