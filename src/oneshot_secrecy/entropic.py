@@ -49,7 +49,7 @@ _SCAN_STEP = 1e-4
 # the D_H solver holds about 8 times its joint stack in temporaries
 # (tracemalloc on the bench sweep's batches; up to 22 times on stacks of a few
 # KiB), beside the joint and product stacks.  A term over the budget is cut into
-# row ranges, each a batch of its own.  This budget lets a region's one-point
+# row ranges that fit it (see _pack).  This budget lets a region's one-point
 # terms share a solve, and the bench sweep's 41 KiB (81, 8, 2, 2) joint stacks
 # of one kind and eps go up to six a solve.  Against a quarter of it, the bench
 # sweep's peak RSS rose 3.9% with it, 4.9% at seven terms a solve and 13.5% at
@@ -57,26 +57,20 @@ _SCAN_STEP = 1e-4
 _BATCH_BYTES = 1 << 21
 
 
-class ConvergenceError(RuntimeError):
-    """The threshold-test search failed to pin down the optimal test.
-
-    ``row`` is the index of the failing row of a stack solve, when known.
-    """
+class _RowError(Exception):
+    """An error whose ``row`` is the index of the failing row of a stack solve, when known."""
 
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message)
         self.row = row
 
 
-class CommutationError(OperatorError):
-    """Diagonal-scan smoothing met a pair of operators that do not commute.
+class ConvergenceError(_RowError, RuntimeError):
+    """The threshold-test search failed to pin down the optimal test."""
 
-    ``row`` is the index of the failing row of a stack, when known.
-    """
 
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message)
-        self.row = row
+class CommutationError(_RowError, OperatorError):
+    """Diagonal-scan smoothing met a pair of operators that do not commute."""
 
 
 @dataclass(frozen=True)
@@ -974,7 +968,22 @@ class _GridTerm:
         """The term's rows: one range when they fit in ``_BATCH_BYTES``, else ranges that do (a row at least)."""
         rows = len(self.rows.points)
         step = max(1, rows if rows * self.row_bytes <= _BATCH_BYTES else _BATCH_BYTES // self.row_bytes)
-        return [slice(lo, lo + step) for lo in range(0, rows, step)]
+        return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def _pack(items) -> list[list]:
+    """Greedy batches of ``(item, key, nbytes)``: each key's open batch takes items while it stays within
+    ``_BATCH_BYTES``, else a new one opens; an item over it is a batch of its own."""
+    batches: list[list] = []
+    filling: dict[object, tuple[list, int]] = {}
+    for item, key, nbytes in items:
+        batch, size = filling.get(key, (None, 0))
+        if batch is None or size + nbytes > _BATCH_BYTES:
+            batch, size = [], 0
+            batches.append(batch)
+        batch.append(item)
+        filling[key] = (batch, size + nbytes)
+    return batches
 
 
 def _solve_terms(conds: CQConditionals, pieces: Sequence[tuple[_GridTerm, slice]], strategy: str) -> list[np.ndarray]:
@@ -1026,13 +1035,13 @@ def grid_terms(
     whose value every point and supported value of ``cond`` in it reads.
     Each register's rows are planned once and shared by its terms.
     Every row's pair is built in one contraction (see :func:`block_pairs`).
-    Terms of one kind, eps and block shape ``(K, d)`` share a stack solve
-    (:func:`_pair_values`) in batches of at most ``_BATCH_BYTES``, counted
-    per row (``_GridTerm.row_bytes``); a term over it is cut into row ranges,
-    each a batch of its own.  Once every row is solved, each register's
-    terms share one max-min (:func:`_max_min`) in batches of as many terms
-    as fit in ``_BATCH_BYTES``, a term counted at 8 floats per point and
-    value of ``cond``.  A row's value does not depend on its batch.
+    Every batch is packed by :func:`_pack` within ``_BATCH_BYTES``.  Row
+    ranges of terms of one kind, eps and block shape ``(K, d)`` share a stack
+    solve (:func:`_pair_values`), counted per row (``_GridTerm.row_bytes``);
+    a term over the budget is cut into ranges that fit it
+    (``_GridTerm.ranges``).  Once every row is solved, each register's terms
+    share one max-min (:func:`_max_min`), a term counted at 8 floats per
+    point and value of ``cond``.  A row's value does not depend on its batch.
     When a batch raises ``ConvergenceError`` or ``CommutationError`` the
     unsolved terms are solved one at a time in order, so the error names the
     first failing term and its row's value of ``cond``; on a grid of more
@@ -1051,22 +1060,9 @@ def grid_terms(
             plans[cond] = _cond_rows(conds, probs, cond)
         _check_term(kind, eps, strategy)
         planned.append(_GridTerm(kind, part_a, part_b, cond, eps, pair_shape(conds, part_a, part_b), plans[cond]))
-    # (term, row range) batches; each key's batch still filling, and its bytes so far
-    batches: list[list[tuple[int, slice]]] = []
-    filling: dict[tuple, tuple[list, int]] = {}
-    for i, term in enumerate(planned):
-        ranges = term.ranges()
-        if len(ranges) != 1:
-            # a term over the budget (or of no rows): each range a batch of its own
-            batches.extend([(i, rows)] for rows in ranges)
-            continue
-        key, nbytes = (term.kind, term.eps, term.shape), len(term.rows.points) * term.row_bytes
-        batch, size = filling.get(key, (None, 0))
-        if batch is None or size + nbytes > _BATCH_BYTES:
-            batch, size = [], 0
-            batches.append(batch)
-        batch.append((i, ranges[0]))
-        filling[key] = (batch, size + nbytes)
+    # (term, row range) batches of one kind, eps and block shape
+    batches = _pack(((i, rows), (term.kind, term.eps, term.shape), (rows.stop - rows.start) * term.row_bytes)
+                    for i, term in enumerate(planned) for rows in term.ranges())
     values = [np.empty(len(term.rows.points)) for term in planned]
     for b, batch in enumerate(batches):
         try:
@@ -1078,23 +1074,18 @@ def grid_terms(
             break
         for (i, rows), part in zip(batch, solved):
             values[i][rows] = part
-    # each register's terms in max-min batches; a term's 8 floats per point and
+    # max-min batches of one register's terms; a term's 8 floats per point and
     # value of cond are its (G, |cond|) values and _max_min's working arrays
     # (tracemalloc: 6 to 8 of them on 16807 points of a two-valued cond)
-    for cond, rows in plans.items():
-        if rows.pz is None:
-            continue
-        terms_of = [i for i, term in enumerate(planned) if term.cond == cond]
+    for batch in _pack((i, term.cond, 8 * term.rows.pz.nbytes) for i, term in enumerate(planned)
+                       if term.cond is not None):
+        rows = planned[batch[0]].rows
         support = rows.pz > COND_SUPPORT_TOL
-        nbytes = 8 * rows.pz.nbytes
-        step = len(terms_of) if len(terms_of) * nbytes <= _BATCH_BYTES else max(1, _BATCH_BYTES // nbytes)
-        for lo in range(0, len(terms_of), step):
-            batch = terms_of[lo:lo + step]
-            by_point = np.zeros((len(batch),) + rows.pz.shape)
-            for t, i in enumerate(batch):
-                by_point[t][support] = values[i][rows.row_of]
-            for i, best in zip(batch, _max_min(rows.pz, by_point, support, [planned[i].eps for i in batch])):
-                values[i] = best
+        by_point = np.zeros((len(batch),) + rows.pz.shape)
+        for t, i in enumerate(batch):
+            by_point[t][support] = values[i][rows.row_of]
+        for i, best in zip(batch, _max_min(rows.pz, by_point, support, [planned[i].eps for i in batch])):
+            values[i] = best
     return values
 
 

@@ -155,8 +155,7 @@ def partial_trace_matrix(m: np.ndarray, layout: RegisterLayout, keep: Sequence[s
     keep = list(keep)
     if not keep:
         raise OperatorError("keep must name at least one register")
-    for name in keep:
-        layout.index(name)
+    keep_pos = [layout.index(name) for name in keep]
     if len(set(keep)) != len(keep):
         raise OperatorError(f"duplicate names in keep: {keep}")
     m = np.asarray(m, dtype=complex)
@@ -165,23 +164,16 @@ def partial_trace_matrix(m: np.ndarray, layout: RegisterLayout, keep: Sequence[s
         raise OperatorError(
             f"dimension mismatch: operator dim {m.shape[-1]} vs layout total {layout.total_dim}"
         )
-    keep_pos = sorted(layout.index(name) for name in keep)
     batch_shape = m.shape[:-2]
     nb = len(batch_shape)
     t = m.reshape(batch_shape + layout.dims + layout.dims)
-    # einsum integer subscripts: batch axes, then row/col register axes
+    # einsum integer subscripts: batch axes, then row/col register axes; the
+    # output lists the kept registers in the caller's order
     row = [nb + i for i in range(n)]
     col = [nb + n + i if i in keep_pos else nb + i for i in range(n)]
     out = list(range(nb)) + [nb + i for i in keep_pos] + [nb + n + i for i in keep_pos]
-    reduced = np.einsum(t, list(range(nb)) + row + col, out)
     kept_dim = math.prod(layout.dims[i] for i in keep_pos)
-    reduced = reduced.reshape(batch_shape + (kept_dim, kept_dim))
-    # reorder kept registers to the caller's order
-    kept_names = [layout.names[i] for i in keep_pos]
-    if kept_names != keep:
-        sub = RegisterLayout(tuple(kept_names), tuple(layout.dims[i] for i in keep_pos))
-        reduced = permute_registers_matrix(reduced, sub, keep)[0]
-    return reduced
+    return np.einsum(t, list(range(nb)) + row + col, out).reshape(batch_shape + (kept_dim, kept_dim))
 
 
 def permute_registers_matrix(

@@ -45,8 +45,6 @@ _POLYTOPE_BYTES = 1 << 25
 
 PENALTY_MODES = ("paper", "off")
 DELTA_SOURCES = ("delta", "delta-prime")
-# selectors of region_builder and sweep_union; the CLI's region command adds qmac
-REGION_THEOREMS = ("t1", "conjecture", "t2", "hk-nosecrecy")
 
 
 @dataclass(frozen=True)
@@ -347,10 +345,10 @@ def _secrecy_penalties(
     params: ToleranceParams, penalties: PenaltyMode, delta_source: str = "delta"
 ) -> Callable[[int, int], float]:
     """Constant of a time-shared secrecy row: one randomizer (single) or two (joint)."""
-    if penalties.mode == "off":
-        return lambda n_l, n_eps: 0.0
     if delta_source not in DELTA_SOURCES:
         raise ValueError(f"delta_source must be one of {DELTA_SOURCES}, got {delta_source!r}")
+    if penalties.mode == "off":
+        return lambda n_l, n_eps: 0.0
     log_l = math.log2(3.0 / params.eps_prime**3)
     log_d = math.log2(params.delta if delta_source == "delta" else params.delta_prime)
     single = math.log2(params.eps) - 1.0 - log_l + 0.25 * log_d
@@ -383,6 +381,17 @@ _THEOREMS = {
                     ("R1", "R2")), _split_penalties),
     "hk-nosecrecy": (_compile([(_SPLIT_MESSAGE, None, _BOTH_RECEIVERS, "hk")], ("R1", "R2")), _hk_penalties),
 }
+# selectors of region_builder and sweep_union; the CLI's region command adds qmac
+REGION_THEOREMS = tuple(_THEOREMS)
+
+
+def _theorem(theorem: str, state: CQState, params: ToleranceParams, penalties: PenaltyMode, smoothing: str = "none",
+             metadata: Sequence[tuple] = (), **options) -> tuple[RatePolytope, dict]:
+    """``theorem``'s region of ``state`` and its solved terms (:func:`_region`); ``options`` go to its penalty."""
+    table, penalty = _THEOREMS[theorem]
+    poly, solved = _region(table, penalty(params, penalties, **options), state, params, smoothing, metadata)
+    poly.meta.update(theorem=theorem, penalties=penalties.mode)
+    return poly, solved
 
 
 def theorem1_region(
@@ -399,12 +408,11 @@ def theorem1_region(
     terms are recorded as the row's ``alternatives``, and only the picked
     receiver's row is reported.
     """
-    table, penalty = _THEOREMS["t1"]
     criterion = ("max", ("X1", "X2"), ("Z",), "Q")
-    poly, solved = _region(table, penalty(params, penalties, delta_source), control_state_t1(channel, dist),
-                           params, smoothing, (criterion,))
+    poly, solved = _theorem("t1", control_state_t1(channel, dist), params, penalties, smoothing, (criterion,),
+                            delta_source=delta_source)
     full = solved[criterion]
-    poly.meta.update(theorem="t1", penalties=penalties.mode, secrecy={
+    poly.meta.update(secrecy={
         "criterion": "Imax_eta(X1X2:Z|Q)", "value": full, "threshold": params.theta,
         "pass": within_threshold(full, params.theta)})
     return poly
@@ -417,11 +425,7 @@ def hk_nosecrecy_region(
     penalties: PenaltyMode = PenaltyMode("paper"),
 ) -> RatePolytope:
     """Split-message no-secrecy region over (R1, R2), rows as printed."""
-    params = ToleranceParams(eps=eps)
-    table, penalty = _THEOREMS["hk-nosecrecy"]
-    poly, _ = _region(table, penalty(params, penalties), control_state_hk(channel, dist), params)
-    poly.meta.update(theorem="hk-nosecrecy", penalties=penalties.mode)
-    return poly
+    return _theorem("hk-nosecrecy", control_state_hk(channel, dist), ToleranceParams(eps=eps), penalties)[0]
 
 
 def conjecture_region(
@@ -432,11 +436,9 @@ def conjecture_region(
     smoothing: str = "none",
 ) -> RatePolytope:
     """Split-message secrecy region (nine rows), plus the side-condition report."""
-    table, penalty = _THEOREMS["conjecture"]
-    poly, solved = _region(table, penalty(params, penalties), control_state_hk(channel, dist), params, smoothing,
-                           SECRECY_TERMS)
+    poly, solved = _theorem("conjecture", control_state_hk(channel, dist), params, penalties, smoothing, SECRECY_TERMS)
     report = secrecy_report(params, (math.inf, math.inf, math.inf), smoothing, solved)
-    poly.meta.update(theorem="conjecture", penalties=penalties.mode, secrecy=report.as_dict())
+    poly.meta.update(secrecy=report.as_dict())
     return poly
 
 
@@ -451,13 +453,11 @@ def theorem2_region(
 
     Sub-channel 2 is the 1<->2 mirror of sub-channel 1.
     """
-    table, penalty = _THEOREMS["t2"]
-    poly, solved = _region(table, penalty(params, penalties), control_state_hk(channel, dist), params, smoothing,
-                           SECRECY_TERMS + tuple(PLAN_TERMS))
+    poly, solved = _theorem("t2", control_state_hk(channel, dist), params, penalties, smoothing,
+                            SECRECY_TERMS + tuple(PLAN_TERMS))
     report = secrecy_report(params, (math.inf, math.inf, math.inf), smoothing, solved)
     plan = plan_from_terms(params, smoothing, solved)
-    poly.meta.update(theorem="t2", penalties=penalties.mode, secrecy=report.as_dict(),
-                     randomizer_plan=plan.as_dict())
+    poly.meta.update(secrecy=report.as_dict(), randomizer_plan=plan.as_dict())
     return poly
 
 
@@ -819,6 +819,7 @@ def sweep_union(
     output is deterministic.  A row bound that is nan raises
     ``OperatorError`` naming its grid point and row.
     """
+    region_builder(theorem)  # an unknown selector raises its ValueError here
     if grid < 2:
         raise ValueError("grid resolution must be >= 2")
     if q_size < 1 or q_size > 4:

@@ -1,4 +1,5 @@
 import ast
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,21 @@ def test_partial_trace_trace_preserving_and_commutes(rng):
         partial_trace_matrix(rho, layout, ["B", "C"]), RegisterLayout(("B", "C"), (2, 2)), ["C"]
     )
     assert np.max(np.abs(via_two - kept)) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 4), (2, 2, 2, 2)])
+def test_partial_trace_in_keep_order_is_the_layout_order_trace_permuted(rng, dims):
+    """Kept registers come out in the caller's order, bit for bit as tracing in layout order and permuting."""
+    names = tuple("ABCD"[:len(dims)])
+    layout = RegisterLayout(names, dims)
+    d = layout.total_dim
+    m = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+    for size in range(1, len(names) + 1):
+        for keep in itertools.permutations(names, size):
+            in_layout_order = [name for name in names if name in keep]
+            reference = permute_registers_matrix(partial_trace_matrix(m, layout, in_layout_order),
+                                                 layout.subset(in_layout_order), keep)[0]
+            assert partial_trace_matrix(m, layout, keep).tobytes() == reference.tobytes(), keep
 
 
 def test_partial_trace_errors(rng):

@@ -199,6 +199,20 @@ def test_theorem1_delta_source_switch(diag_channel):
     assert abs((b.row("t1:r1").bound - a.row("t1:r1").bound) - shift) <= 1e-9
 
 
+@pytest.mark.parametrize("penalties", [OFF, PAPER])
+def test_theorem1_rejects_an_unknown_delta_source(diag_channel, penalties):
+    """A bad ``delta_source`` is refused in either penalty mode, though the off mode reads no delta."""
+    with pytest.raises(ValueError, match=r"^delta_source must be one of \('delta', 'delta-prime'\), got 'bogus'$"):
+        theorem1_region(diag_channel, uniform_t1(diag_channel), PARAMS, penalties, delta_source="bogus")
+
+
+@pytest.mark.parametrize("channel", ["diag_channel", "xor_channel"])
+def test_sweep_rejects_an_unknown_selector_first(request, channel):
+    """A selector outside ``REGION_THEOREMS`` gets ``region_builder``'s error, on a split channel or not."""
+    with pytest.raises(ValueError, match=r"^unknown theorem selector 'qmac'$"):
+        sweep_union(request.getfixturevalue(channel), "qmac", PARAMS, OFF, grid=2, rays=5)
+
+
 def test_theorem1_penalty_mode_difference(diag_channel):
     off = theorem1_region(diag_channel, uniform_t1(diag_channel), PARAMS, OFF)
     pap = theorem1_region(diag_channel, uniform_t1(diag_channel), PARAMS, PAPER)
