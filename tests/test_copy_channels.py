@@ -68,12 +68,15 @@ def _copy_channel(sizes, inputs, outputs, splits=None):
 
 
 def _split_copy_channel():
-    splits = {x: SplitSpec(tuple(tuple(map(str, range(SPLIT_SIZES[q]))) for q in parts),
-                           {(a, b): a + b for a in map(str, range(SPLIT_SIZES[parts[0]]))
-                            for b in map(str, range(SPLIT_SIZES[parts[1]]))})
-              for x, parts in (("X1", "cp"), ("X2", "CP"))}
-    return _copy_channel(SPLIT_SIZES, {"X1": "cp", "X2": "CP"}, {y: SPLIT_COPIES[y] for y in ("Y1", "Y2", "Z")},
-                         splits)
+    """X1 = (c, p) and X2 = (C, P), each symbol its two parts' values side by side."""
+
+    def split(common, personal):
+        alphabets = tuple(tuple(map(str, range(SPLIT_SIZES[q]))) for q in (common, personal))
+        return SplitSpec(alphabets, {(a, b): a + b for a in alphabets[0] for b in alphabets[1]})
+
+    outputs = {y: SPLIT_COPIES[y] for y in ("Y1", "Y2", "Z")}
+    return _copy_channel(SPLIT_SIZES, {"X1": "cp", "X2": "CP"}, outputs,
+                         {"X1": split("c", "p"), "X2": split("C", "P")})
 
 
 def _closed_forms(sizes, copies):
