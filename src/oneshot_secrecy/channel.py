@@ -306,25 +306,18 @@ class InputDistribution:
             if channel.has_splits():
                 raise OperatorError("time-shared distribution requires a channel without splits")
             q = np.asarray(self.q, dtype=float)
-            c1 = np.asarray(self.x1_given_q, dtype=float)
-            c2 = np.asarray(self.x2_given_q, dtype=float)
+            conds = {x: np.asarray(c, dtype=float) for x, c in zip(INPUT_NAMES, (self.x1_given_q, self.x2_given_q))}
             if q.ndim != 1:
                 raise OperatorError(f"q has shape {q.shape}, expected a 1-d vector")
             validate_pmf(q, "q")
-            if c1.shape != (len(q), len(channel.inputs["X1"])):
-                raise OperatorError(
-                    f"x1_given_q shape {c1.shape} incompatible with |Q|={len(q)}, "
-                    f"|X1|={len(channel.inputs['X1'])}"
-                )
-            if c2.shape != (len(q), len(channel.inputs["X2"])):
-                raise OperatorError(
-                    f"x2_given_q shape {c2.shape} incompatible with |Q|={len(q)}, "
-                    f"|X2|={len(channel.inputs['X2'])}"
-                )
-            for row in c1:
-                validate_pmf(row, "x1_given_q row")
-            for row in c2:
-                validate_pmf(row, "x2_given_q row")
+            # every shape first, then every row
+            for x, c in conds.items():
+                if c.shape != (len(q), len(channel.inputs[x])):
+                    raise OperatorError(f"{x.lower()}_given_q shape {c.shape} incompatible with |Q|={len(q)}, "
+                                        f"|{x}|={len(channel.inputs[x])}")
+            for x, c in conds.items():
+                for row in c:
+                    validate_pmf(row, f"{x.lower()}_given_q row")
         elif self.kind == "hk":
             if not channel.has_splits():
                 raise OperatorError("split-form distribution requires a channel with splits")

@@ -124,10 +124,8 @@ def _write_json(payload: dict, path: str) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_vertex_csv(enum, path: str) -> None:
-    lines = ["R1,R2"]
-    for x, y in enum.vertices:
-        lines.append(f"{_fmt(x)},{_fmt(y)}")
+def _write_csv(path: str, header: str, rows) -> None:
+    lines = [header, *(",".join(map(_fmt, row)) for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -230,7 +228,7 @@ def cmd_region(args) -> int:
     _write_json(_region_report(poly, enum, params, penalties, args.smoothing, channel, args.theorem),
                 args.out)
     if enum is not None:
-        _write_vertex_csv(enum, args.csv)
+        _write_csv(args.csv, "R1,R2", enum.vertices)
         flag = " (degenerate)" if enum.degenerate else ""
         print(f"{args.theorem}: {len(poly.rows)} rows, {len(enum.vertices)} vertices{flag}")
         print(f"wrote {args.out} and {args.csv}")
@@ -255,10 +253,7 @@ def cmd_sweep(args) -> int:
         max_evals=args.max_evals,
         smoothing=args.smoothing,
     )
-    lines = ["direction,R1,R2"]
-    for theta, r1, r2 in result.rows():
-        lines.append(f"{_fmt(theta)},{_fmt(r1)},{_fmt(r2)}")
-    Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(args.csv, "direction,R1,R2", result.rows())
     print(f"sweep: {result.evaluations} distributions, {len(result.thetas)} rays, "
           f"{result.degenerate_count} degenerate; wrote {args.csv}")
     return 0

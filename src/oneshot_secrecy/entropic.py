@@ -139,7 +139,6 @@ def _kernel_mass(ws: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _clamped_spectrum(m) -> np.ndarray:
     w = np.linalg.eigvalsh(_as_matrix(m))
-    w = w.copy()
     w[np.abs(w) <= EIG_CLAMP] = 0.0
     return w
 

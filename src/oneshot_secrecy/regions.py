@@ -483,13 +483,9 @@ def hk_region_via_projection(
         for r in poly.rows:
             cmap = dict(zip(poly.variables, r.coeffs))
             rows.append(PolyRow(tuple(cmap.get(v, 0.0) for v in variables), r.bound, r.tag))
-    idx = {v: i for i, v in enumerate(variables)}
     for total, pa, pb in (("R1", "R10", "R11"), ("R2", "R20", "R22")):
-        coeffs = [0.0] * len(variables)
-        coeffs[idx[total]] = 1.0
-        coeffs[idx[pa]] = -1.0
-        coeffs[idx[pb]] = -1.0
-        rows.append(PolyRow(tuple(coeffs), 0.0, f"def:{total}+"))
+        coeffs = tuple({total: 1.0, pa: -1.0, pb: -1.0}.get(v, 0.0) for v in variables)
+        rows.append(PolyRow(coeffs, 0.0, f"def:{total}+"))
         rows.append(PolyRow(tuple(-c for c in coeffs), 0.0, f"def:{total}-"))
     lifted = RatePolytope(variables, rows, {"construction": "lift"})
     return fourier_motzkin(lifted, ["R10", "R11", "R20", "R22"])
@@ -826,32 +822,32 @@ def sweep_union(
         raise ValueError("q_size must lie in 1..4")
     if rays < 1:
         raise ValueError("rays must be >= 1")
-    if theorem != "t1" and q_size != 1:
-        raise ValueError(f"q_size applies to t1 sweeps only; theorem {theorem!r} got q_size={q_size}")
-    if channel.has_splits() == (theorem == "t1"):
-        need = "without" if theorem == "t1" else "with"
-        raise OperatorError(f"theorem {theorem!r} sweeps require a channel {need} splits")
     # one simplex per axis: Q, then X1|q and X2|q for each q; or the four split parts
     if theorem == "t1":
+        if channel.has_splits():
+            raise OperatorError(f"theorem {theorem!r} sweeps require a channel without splits")
         sizes = (q_size,) + tuple(len(channel.inputs[x]) for x in INPUT_NAMES) * q_size
+        conds = _t1_conditionals(channel, q_size)
+        to_probs = lambda v: _t1_probs(v[0], np.stack(v[1::2], axis=1), np.stack(v[2::2], axis=1))
     else:
+        if q_size != 1:
+            raise ValueError(f"q_size applies to t1 sweeps only; theorem {theorem!r} got q_size={q_size}")
+        if not channel.has_splits():
+            raise OperatorError(f"theorem {theorem!r} sweeps require a channel with splits")
         sizes = tuple(len(channel.part_alphabet(r)) for r in HK_REGISTERS)
+        conds = _hk_conditionals(channel)
+        to_probs = lambda v: _hk_probs(*v)
     count = math.prod(_grid_count(s, grid) for s in sizes)
     if count > max_evals:
         raise ValueError(f"grid of {count} distributions exceeds the cap of {max_evals}")
     axes = [_simplex_grid(s, grid) for s in sizes]
-    conds = _t1_conditionals(channel, q_size) if theorem == "t1" else _hk_conditionals(channel)
     table, constants = _THEOREMS[theorem]
     penalty = constants(params, penalties)
     thetas = np.linspace(0.0, math.pi / 2.0, rays)
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
 
     picks = np.unravel_index(np.arange(count), [len(a) for a in axes])
-    vectors = [a[i] for a, i in zip(axes, picks)]
-    if theorem == "t1":
-        probs = _t1_probs(vectors[0], np.stack(vectors[1::2], axis=1), np.stack(vectors[2::2], axis=1))
-    else:
-        probs = _hk_probs(*vectors)
+    probs = to_probs([a[i] for a, i in zip(axes, picks)])
     bounds = _bounds(table, _solve(conds, probs, params, smoothing, table.terms), penalty)[0]
     undefined = np.argwhere(np.isnan(bounds))
     if undefined.size:

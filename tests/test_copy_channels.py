@@ -10,10 +10,16 @@ written term by term from the theorems' printed systems, not through
 pair is classical, so ``D_H`` takes the exact Neyman-Pearson path).  The
 split-message rows 5, 8 and 9 of ``conjecture`` and ``hk-nosecrecy`` are
 left out.  The same check on mutated tables, each a swap of two
-registers or of a receiver, must miss some row.
+registers or of a receiver, must miss some row.  A split channel whose Y1
+is ``c xor P`` is checked the same way; every register there is a group
+homomorphic image of the parts, so a group is uniform on its image and
+``I(A : B) = log2 |A| |B| / |AB|`` over image sizes.
 """
+import dataclasses
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -100,9 +106,12 @@ def _t1_rows():
     }
 
 
-def _split_rows(prefix, leaks=True):
-    """Rows 1-4, 6 and 7 of the split-message system: ``c p`` (X10 X11) to Y1 and ``C P`` (X20 X22) to Y2."""
-    ih, imax = _closed_forms(SPLIT_SIZES, SPLIT_COPIES)
+def _split_rows(prefix, leaks=True, forms=None):
+    """Rows 1-4, 6 and 7 of the split-message system: ``c p`` (X10 X11) to Y1 and ``C P`` (X20 X22) to Y2.
+
+    ``forms`` is an ``(ih, imax)`` pair; by default the split copy channel's.
+    """
+    ih, imax = forms or _closed_forms(SPLIT_SIZES, SPLIT_COPIES)
     lc, lp, lC, lP = (imax("X10", "Z"), imax("X11", "Z X10 X20"), imax("X20", "Z X10"),
                       imax("X22", "Z X10 X11 X20")) if leaks else (0.0,) * 4
     return {
@@ -224,3 +233,63 @@ def test_a_mutated_table_misses_a_hand_row(t1_channel, split_channel, monkeypatc
     monkeypatch.setitem(regions._THEOREMS, theorem, (_compile(theorem, **change), regions._THEOREMS[theorem][1]))
     build, rows = _regions(t1_channel, split_channel)[theorem]
     assert _missed(build(), rows)
+
+
+# the split copy channel with Y1 = c xor P in place of the copy of P, each
+# register a tuple of XORs of parts.  There P put for C beside c moves a term
+# whose first group holds neither: I(c p : c+P, C) = 0 but I(c p : c+P, P) = 1
+XOR_COMPONENTS = {"X10": ("c",), "X11": ("p",), "X20": ("C",), "X22": ("P",),
+                  "Y1": ("cP",), "Y2": ("p",), "Z": ("c", "p", "C")}
+
+
+def _image_forms(components):
+    """``ih`` and ``imax`` as :func:`_closed_forms` gives them, from the image sizes of register groups."""
+    values = [dict(zip(SPLIT_SIZES, v)) for v in itertools.product(*map(range, SPLIT_SIZES.values()))]
+
+    def size(group):
+        return len({tuple(functools.reduce(operator.xor, (v[q] for q in xor)) for r in group.split()
+                          for xor in components[r]) for v in values})
+
+    def imax(a, b):
+        return math.log2(size(a) * size(b) / size(f"{a} {b}"))
+
+    return (lambda a, b: imax(a, b) - math.log2(1.0 - PARAMS.eps)), imax
+
+
+def _xor_copy_channel():
+    """The split copy channel with each state's leading Y1 digit, P, shifted by c: Y1 = c xor P."""
+    base = _split_copy_channel()
+    stride = base.outputs["Y2"] * base.outputs["Z"]
+    return dataclasses.replace(base, states={(x1, x2): np.roll(rho, int(x1[0]) * stride, axis=(0, 1))
+                                             for (x1, x2), rho in base.states.items()})
+
+
+@pytest.fixture(scope="module")
+def xor_copy_channel():
+    return _xor_copy_channel()
+
+
+def _xor_regions(channel):
+    hk, forms = uniform_hk(channel), _image_forms(XOR_COMPONENTS)
+    return {
+        "conjecture": (lambda: conjecture_region(channel, hk, PARAMS, OFF), _split_rows("conj", forms=forms)),
+        "hk-nosecrecy": (lambda: hk_nosecrecy_region(channel, hk, PARAMS.eps, OFF),
+                         _split_rows("hk", leaks=False, forms=forms)),
+    }
+
+
+@pytest.mark.parametrize("theorem", ["conjecture", "hk-nosecrecy"])
+def test_xor_channel_rows_match_the_hand_values(xor_copy_channel, theorem):
+    build, rows = _xor_regions(xor_copy_channel)[theorem]
+    assert _missed(build(), rows) == []
+
+
+def test_only_the_xor_channel_sees_a_message_put_for_another(t1_channel, split_channel, xor_copy_channel,
+                                                             monkeypatch):
+    """``cp:yC -> cp:yP`` in row 1: both terms are 0 on the plain copy channel, not with Y1 = c xor P."""
+    mutated = _compile("conjecture", table=_swap(regions._SPLIT_MESSAGE, "1", "cp:yC", "cp:yP"))
+    monkeypatch.setitem(regions._THEOREMS, "conjecture", (mutated, regions._THEOREMS["conjecture"][1]))
+    build, rows = _regions(t1_channel, split_channel)["conjecture"]
+    assert _missed(build(), rows) == []
+    build, rows = _xor_regions(xor_copy_channel)["conjecture"]
+    assert _missed(build(), rows) == ["conj:1"]
