@@ -371,6 +371,8 @@ SPEC_DEFECTS = {
               lambda diag, xor: dataclasses.replace(diag, inputs={**diag.inputs, "X1": ("0,1", "1")})),
     "output-dimension": ("output dimension Z must be >= 1",
                          lambda diag, xor: dataclasses.replace(diag, outputs={**diag.outputs, "Z": 0})),
+    "split-missing": ("splits must cover both inputs; X2 missing",
+                      lambda diag, xor: dataclasses.replace(xor, splits={"X1": xor.splits["X1"]})),
 }
 
 
@@ -420,3 +422,31 @@ def test_default_combining_table(xor_channel):
     # row-major identity: (c, p) -> symbol at index 2c + p, which equals c+p here
     assert spec.splits["X1"].combine("1", "0") == "10"
     assert dumps_channel(spec) == dumps_channel(xor_channel)
+    # parts of unequal sizes: the lone common symbol pairs with each personal one in turn
+    doc["splits"]["X1"]["parts"] = {"X10": ["c"], "X11": ["p", "q", "r", "s"]}
+    table = channel_from_document(doc).splits["X1"].table
+    assert dict(table) == {("c", "p"): "00", ("c", "q"): "01", ("c", "r"): "10", ("c", "s"): "11"}
+
+
+# (error, message, call) for the module's argument checks that no document reaches
+ARGUMENT_CHECKS = {
+    "no-splits": (OperatorError, "channel 'diag-deterministic' declares no message splits",
+                  lambda diag, xor: diag.part_alphabet("X10")),
+    "unknown-part": (OperatorError, "unknown split part 'X12'", lambda diag, xor: xor.part_alphabet("X12")),
+    "unknown-kind": (OperatorError, "unknown distribution kind 'mixed'",
+                     lambda diag, xor: InputDistribution("mixed").validate(diag)),
+    "t1-of-split-form": (OperatorError, "control_state_t1 needs a time-shared distribution",
+                         lambda diag, xor: control_state_t1(xor, uniform_hk(xor))),
+    "hk-of-time-shared-form": (OperatorError, "control_state_hk needs the four split marginals",
+                               lambda diag, xor: control_state_hk(diag, uniform_t1(diag))),
+    "bundled-name": (FileNotFoundError, "no bundled file named 'absent.json'",
+                     lambda diag, xor: bundled_path("absent.json")),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_CHECKS)
+def test_argument_checks(diag_channel, xor_channel, case):
+    error, message, call = ARGUMENT_CHECKS[case]
+    with pytest.raises(error) as got:
+        call(diag_channel, xor_channel)
+    assert type(got.value) is error and str(got.value) == message

@@ -483,6 +483,47 @@ def test_missing_input_alphabet_exits_1_with_or_without_a_default_table(tmp_path
     assert capsys.readouterr().err == "error: input alphabet X1 missing or empty\n"
 
 
+def _rekeyed(mapping, key, new_key):
+    """Move the entry of ``mapping`` at ``key`` to ``new_key``, in place."""
+    mapping[new_key] = mapping.pop(key)
+
+
+# (channel, edit, message) for a channel document that parses as JSON but not as a channel
+DEFECTIVE_DOCUMENTS = {
+    "state-key": (CHAN, lambda doc: _rekeyed(doc["states"], "0,0", "00"),
+                  "state key '00' is not of the form 'x1,x2'"),
+    "re-not-numeric": (CHAN, lambda doc: doc["states"]["0,0"].update(re="x"),
+                       "state '0,0': bad matrix payload (ValueError(\"could not convert string to float: 'x'\"))"),
+    "re-im-shapes": (CHAN, lambda doc: doc["states"]["0,0"].update(im=[[0.0]]),
+                     "state '0,0': re/im must be equal-shape 2-d arrays"),
+    "map-key": (XOR, lambda doc: _rekeyed(doc["splits"]["X1"]["map"], "0,0", "00"),
+                "X1 map key '00' not 'common,personal'"),
+    "splits-without-x2": (XOR, lambda doc: doc["splits"].pop("X2"), "splits must cover both inputs; X2 missing"),
+    "default-table-size": (XOR, lambda doc: doc["splits"].update(X1={"parts": {"X10": ["0"], "X11": ["0", "1"]}}),
+                           "X1: default combining table needs |X1| = |common| x |personal|"),
+}
+
+
+@pytest.mark.parametrize("case", DEFECTIVE_DOCUMENTS)
+def test_defective_channel_documents_exit_2(tmp_path, capsys, case):
+    chan, edit, message = DEFECTIVE_DOCUMENTS[case]
+    doc = channel_to_document(load_channel(chan))
+    edit(doc)
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_split_marginal_of_the_wrong_length_exits_1(tmp_path, capsys):
+    doc = json.loads(Path(HKDIST).read_text(encoding="utf-8"))
+    doc["x10"] = [0.5, 0.25, 0.25]
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", XOR, "--dist", str(path)]) == 1
+    assert capsys.readouterr().err == "error: marginal X10 has length (3,), expected 2\n"
+
+
 @pytest.mark.parametrize("dim", [2.7, "two"])
 def test_non_integer_output_dimension_exits_2(tmp_path, capsys, dim):
     doc = channel_to_document(load_channel(CHAN))

@@ -992,6 +992,32 @@ def test_non_finite_inputs_rejected(bad):
             von_neumann_entropy(op)
     with pytest.raises(OperatorError, match="dimension mismatch"):
         smooth_max_relative_entropy(m, np.eye(3) / 3, 0.25, "diagonal-scan")
+    state = classical_cq(("X", "W"), [[0.5, 0.0], [0.0, bad]])
+    # an infinite probability times a complex conditional makes a nan: numpy warns, the check then raises
+    with np.errstate(invalid="ignore"), pytest.raises(OperatorError, match="^non-finite entries in rho or sigma$"):
+        grid_terms(state.conds, state.probs[None], [("ht", ["X"], ["W"], None, 0.25)])
+
+
+# (error, message, call) for argument checks of the module's public functions
+ARGUMENT_CHECKS = {
+    "negative-theta": (ValueError, "theta must be nonnegative, got -1.0",
+                       lambda: ToleranceParams(eps=0.25, theta=-1.0)),
+    "oracle-eps": (ValueError, "eps must lie in (0, 1), got 1.0", lambda: classical_np_oracle([1.0], [1.0], 1.0)),
+    "oracle-lengths": (ValueError, "p and q must be 1-d arrays of equal length",
+                       lambda: classical_np_oracle([0.5, 0.5], [1.0], 0.25)),
+    "divergence-eps": (ValueError, "eps must lie in (0, 1), got 1.5", lambda: hypothesis_testing_divergence(R, S, 1.5)),
+    "quantum-cond": (OperatorError, "conditioning register 'Y' must be classical",
+                     lambda: cond_smooth_ht_mi(classical_cq(("X", "W"), [[0.5, 0.0], [0.0, 0.5]]), ["X"], ["W"], "Y",
+                                               0.25)),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_CHECKS)
+def test_argument_checks(case):
+    error, message, call = ARGUMENT_CHECKS[case]
+    with pytest.raises(error) as got:
+        call()
+    assert type(got.value) is error and str(got.value) == message
 
 
 def test_convergence_error_names_the_term(monkeypatch):

@@ -16,6 +16,7 @@ from oneshot_secrecy.operators import (
     trace_distance,
     validate_densities,
     validate_density,
+    validate_pmf,
 )
 from oneshot_secrecy.states import CQConditionals, CQState
 from conftest import rand_density, rand_unitary
@@ -293,11 +294,39 @@ def test_cq_check_matches_one_point_and_conditional_at_a_time(rng, defect, where
 def test_register_layout_invariants():
     with pytest.raises(OperatorError):
         RegisterLayout(("A", "A"), (2, 2))
+    with pytest.raises(OperatorError, match="^names and dims must have equal length$"):
+        RegisterLayout(("A", "B"), (2,))
     with pytest.raises(OperatorError):
         RegisterLayout(("A",), (0,))
     layout = RegisterLayout(("A", "B", "C"), (2, 3, 4))
     assert layout.total_dim == 24
     assert layout.subset(["C", "A"]).dims == (4, 2)
+
+
+AB = RegisterLayout(("A", "B"), (2, 2))
+CONDS = CQConditionals(("X",), (2,), AB, np.broadcast_to(np.eye(4) / 4, (2, 4, 4)))
+# (message, call) for the OperatorError argument checks of operators and states
+ARGUMENT_CHECKS = {
+    "not-square": ("expected a square matrix, got shape (2, 3)", lambda: trace_distance(np.ones((2, 3)), np.eye(2))),
+    "negative-probability": ("p: negative probability", lambda: validate_pmf([1.5, -0.5], "p")),
+    "repeated-keep": ("duplicate names in keep: ['A', 'A']", lambda: partial_trace_matrix(np.eye(4), AB, ["A", "A"])),
+    "not-a-permutation": ("new order ['A', 'A'] must be a permutation of ('A', 'B')",
+                          lambda: permute_registers_matrix(np.eye(4), AB, ["A", "A"])),
+    "conditionals-shape": ("conditionals shape (3, 4, 4) incompatible with alphabets (2,) and quantum dim 4",
+                           lambda: CQConditionals(("X",), (2,), AB, np.zeros((3, 4, 4)))),
+    "shared-name": ("classical and quantum register names must be distinct",
+                    lambda: CQConditionals(("A",), (2,), AB, np.zeros((2, 4, 4)))),
+    "unknown-classical": ("unknown classical register 'Y'", lambda: CONDS.axis("Y")),
+    "probs-shape": ("probs shape (3,) != alphabet sizes (2,)", lambda: CQState(CONDS, [0.5, 0.25, 0.25])),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_CHECKS)
+def test_argument_checks(case):
+    message, call = ARGUMENT_CHECKS[case]
+    with pytest.raises(OperatorError) as got:
+        call()
+    assert type(got.value) is OperatorError and str(got.value) == message
 
 
 def test_small_float_literals_live_in_the_tolerance_table():

@@ -15,6 +15,7 @@ from oneshot_secrecy.channel import (
     SplitSpec,
     control_state_hk,
     control_state_t1,
+    load_channel,
     uniform_hk,
     uniform_t1,
 )
@@ -600,6 +601,37 @@ def test_vertices_2d_degenerate():
     poly = polytope_from_arrays(("R1", "R2"), [((1.0, 0.0), -1.0), ((0.0, 1.0), 1.0)])
     enum = vertices_2d(poly)
     assert enum.degenerate and enum.vertices == [(0.0, 0.0)]
+
+
+# a two-variable polytope and a three-variable one, for the argument checks below
+SQUARE = polytope_from_arrays(("R1", "R2"), [((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0)])
+LIFTED = polytope_from_arrays(("R1", "R2", "W1"), [((1.0, 1.0, -1.0), 1.0)])
+# (error, message, call) for argument checks of the module's public functions
+ARGUMENT_CHECKS = {
+    "row-tag": (KeyError, "no row tagged 'sum'", lambda: SQUARE.row("sum")),
+    "penalty-mode": (ValueError, "penalty mode must be one of ('paper', 'off'), got 'loud'",
+                     lambda: PenaltyMode("loud")),
+    "eliminate": (OperatorError, "cannot eliminate unknown variable 'W2'", lambda: fourier_motzkin(LIFTED, ["W2"])),
+    "vertices": (OperatorError, "vertices_2d needs exactly two variables", lambda: vertices_2d(LIFTED)),
+    "minimal": (OperatorError, "minimal_2d needs exactly two variables", lambda: minimal_2d(LIFTED)),
+    "sweep-grid": (ValueError, "grid resolution must be >= 2",
+                   lambda: sweep_union(load_channel(bundled_path("diag_deterministic.json")), "t1", PARAMS,
+                                       PenaltyMode("off"), grid=1)),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_CHECKS)
+def test_argument_checks(case):
+    error, message, call = ARGUMENT_CHECKS[case]
+    with pytest.raises(error) as got:
+        call()
+    assert type(got.value) is error and got.value.args == (message,)
+
+
+def test_feasible_rejects_a_point_below_zero_beyond_the_tolerance():
+    """``feasible`` holds the nonnegativity rows to ``tol`` as it holds every other row."""
+    assert SQUARE.feasible([0.5, 0.5]) and SQUARE.feasible([-0.5 * FEAS_TOL, 0.5])
+    assert not SQUARE.feasible([-2.0 * FEAS_TOL, 0.5]) and not SQUARE.feasible([0.5, -2.0 * FEAS_TOL])
 
 
 @pytest.mark.parametrize("slope", [0.3, 1.0])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oneshot_secrecy.channel import (
+    HK_REGISTERS,
     ChannelSpec,
     SplitSpec,
     bundled_path,
@@ -15,7 +16,7 @@ from oneshot_secrecy.channel import (
     uniform_hk,
 )
 from oneshot_secrecy.entropic import ToleranceParams
-from oneshot_secrecy.operators import OperatorError
+from oneshot_secrecy.operators import OperatorError, RegisterLayout
 from oneshot_secrecy.regions import PenaltyMode, theorem2_region
 from oneshot_secrecy.secrecy import (
     VACUITY_THRESHOLD,
@@ -23,6 +24,7 @@ from oneshot_secrecy.secrecy import (
     randomizer_plan,
     secrecy_check,
 )
+from oneshot_secrecy.states import CQConditionals, CQState
 
 PARAMS = ToleranceParams(eps=0.25, eps_prime=0.1, delta=0.01, delta_prime=0.2)
 
@@ -153,6 +155,11 @@ def test_secrecy_check_requires_hk_state(diag_channel):
     state = control_state_t1(diag_channel, uniform_t1(diag_channel))
     with pytest.raises(OperatorError):
         secrecy_check(state, PARAMS)
+    # the four split registers, and no Z
+    no_z = CQState(CQConditionals(HK_REGISTERS, (1, 1, 1, 1), RegisterLayout(("Y1",), (1,)),
+                                  np.ones((1, 1, 1, 1, 1, 1))), np.ones((1, 1, 1, 1)))
+    with pytest.raises(OperatorError, match="^state carries no eavesdropper register Z$"):
+        secrecy_check(no_z, PARAMS)
     with pytest.raises(ValueError):
         secrecy_check(
             control_state_hk(
