@@ -7,6 +7,7 @@ Joint output basis index is row-major over (Y1, Y2, Z).
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -164,11 +165,7 @@ def _identity_table(inp: str, alph_c: Sequence[str], alph_p: Sequence[str], symb
         raise ChannelFormatError(
             f"{inp}: default combining table needs |{inp}| = |common| x |personal|"
         )
-    table = {}
-    for i, c in enumerate(alph_c):
-        for j, p in enumerate(alph_p):
-            table[(c, p)] = symbols[i * len(alph_p) + j]
-    return table
+    return dict(zip(itertools.product(alph_c, alph_p), symbols))
 
 
 def channel_from_document(doc: Mapping) -> ChannelSpec:

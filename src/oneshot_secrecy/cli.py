@@ -397,12 +397,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ChannelFormatError, OSError) as exc:
+    except (OSError, ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OperatorError, ValueError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ChannelFormatError, OSError)) else 1
 
 
 if __name__ == "__main__":

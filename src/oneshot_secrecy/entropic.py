@@ -53,7 +53,8 @@ _SCAN_STEP = 1e-4
 # terms share a solve, and the bench sweep's 41 KiB (81, 8, 2, 2) joint stacks
 # of one kind and eps go up to six a solve.  Against a quarter of it, the bench
 # sweep's peak RSS rose 3.9% with it, 4.9% at seven terms a solve and 13.5% at
-# four times it.  It bounds each batch of a register's terms in one max-min too.
+# four times it.  It bounds each batch of a register's terms in one max-min too,
+# and the float blocks of regions' crossing tests and sweep ray radii.
 _BATCH_BYTES = 1 << 21
 
 
@@ -215,9 +216,6 @@ def _block_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The public 2-D divergences solve a pair as the one row of this stack.
     """
     nonzero = np.logical_or(a, b)
-    # exactly diagonal pairs (every classical one) need no scan
-    if np.count_nonzero(nonzero) == np.count_nonzero(nonzero.diagonal()):
-        return a.diagonal()[:, None, None], b.diagonal()[:, None, None]
     n = a.shape[0]
     pos = np.arange(n)
     nonzero |= nonzero.T
@@ -234,8 +232,8 @@ def _block_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _classical_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rows of two ``(R, K, d, d)`` stacks with no nonzero entry off any block's diagonal.
 
-    This is :func:`_block_stack`'s first test: such a row, made dense, is an
-    exactly diagonal pair.
+    Such a row, made dense, is an exactly diagonal pair, which
+    :func:`_block_stack` cuts into 1x1 blocks.
     """
     nonzero = np.logical_or(a, b)
     diagonal = np.arange(a.shape[-1])
@@ -644,15 +642,13 @@ def _dmax_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     as zeros.
     """
     lam = np.zeros(len(a))
-    off_support = np.zeros(len(a), dtype=bool)
     classical = _classical_rows(a, b)
     rows = np.flatnonzero(classical)
     if rows.size:
         p, q = map(_diagonals, _take(classical, a, b))
-        off_support[rows] = _kernel_mass(q, p) >= EIG_CLAMP
         scale = _support_inv_sqrt(q)
         # the order of the block path's 1x1 product, so the value is bit-identical
-        lam[rows] = ((scale * p) * scale).max(axis=1)
+        lam[rows] = np.where(_kernel_mass(q, p) >= EIG_CLAMP, math.inf, ((scale * p) * scale).max(axis=1))
     rows = np.flatnonzero(~classical)
     if rows.size:
         a, b = _take(~classical, a, b)
@@ -660,10 +656,10 @@ def _dmax_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         live = _live_blocks(a, b)
         a = _gather(a, live)
         ws, vs = _eigh(_gather(b, live))
-        off_support[rows] = _kernel_mass(_scatter(ws, live, shape), _scatter(_weights(a, vs), live, shape)) >= EIG_CLAMP
-        lam[rows] = _scatter(_support_spectrum(a, ws, vs), live, shape).reshape(len(rows), -1).max(axis=1)
-    return np.array([math.inf if off else (math.log2(x) if x > 0.0 else -math.inf)
-                     for off, x in zip(off_support.tolist(), lam.tolist())])
+        off_support = _kernel_mass(_scatter(ws, live, shape), _scatter(_weights(a, vs), live, shape)) >= EIG_CLAMP
+        lam[rows] = np.where(off_support, math.inf,
+                             _scatter(_support_spectrum(a, ws, vs), live, shape).reshape(len(rows), -1).max(axis=1))
+    return np.array([math.log2(x) if x > 0.0 else -math.inf for x in lam.tolist()])
 
 
 def max_relative_entropy(rho, sigma) -> float:
@@ -753,13 +749,11 @@ def _diagonal_scan(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
     best = base.max(axis=1, initial=0.0)
     # every ordered (row, donor, recipient) pair whose donor has mass
     r, i, j = np.nonzero((p > 0.0)[:, :, None] & ~np.eye(d, dtype=bool))
-    if d > 2:
-        # the largest base ratio outside {i, j} is the first of the row's top
-        # three atoms that is neither donor nor recipient
-        top = np.argsort(-base, axis=1, kind="stable")[r, :3]
-        rest_max = base[r, top[np.arange(len(r)), ((top != i[:, None]) & (top != j[:, None])).argmax(axis=1)]]
-    else:
-        rest_max = 0.0
+    # the largest base ratio outside {i, j} is the first of the row's top three
+    # atoms that is neither donor nor recipient, or the zero atom appended here
+    base = np.concatenate([base, np.zeros((len(base), 1))], axis=1)
+    top = np.argsort(-base, axis=1, kind="stable")[r, :3]
+    rest_max = base[r, top[np.arange(len(r)), ((top != i[:, None]) & (top != j[:, None])).argmax(axis=1)]]
     pi, pj, qi, qj = p[r, i], p[r, j], q[r, i], q[r, j]
     rest = 1.0 - pi - pj
     # numpy's length of the arange; index `last` is p_i itself
@@ -792,8 +786,7 @@ def _diagonal_scan(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
     cross = _first_true(crossed, np.zeros_like(last), end)
     np.minimum.at(best, r, np.minimum(np.where(cross < end, cand(cross), math.inf),
                                       np.where(cross > 0, cand(cross - 1), math.inf)))
-    return np.array([-math.inf if b <= 0.0 else (math.log2(b) if b != math.inf else math.inf)
-                     for b in best.tolist()])
+    return np.array([-math.inf if b <= 0.0 else math.log2(b) for b in best.tolist()])
 
 
 def _scanned(joint: np.ndarray, product: np.ndarray, eps: float) -> np.ndarray:
@@ -926,7 +919,7 @@ def _cond_rows(conds: CQConditionals, probs, cond) -> _Rows:
     """
     ax = conds.axis(cond)
     others = tuple(1 + i for i in range(len(conds.classical_names)) if i != ax)
-    pz = probs.sum(axis=others) if others else probs
+    pz = probs.sum(axis=others)
     points, zs = np.nonzero(pz > COND_SUPPORT_TOL)
     given = np.moveaxis(probs, 1 + ax, 1)[points, zs]
     flat = (len(zs), math.prod(given.shape[1:]))

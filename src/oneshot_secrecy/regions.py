@@ -26,7 +26,7 @@ from .channel import (
     control_state_hk,
     control_state_t1,
 )
-from .entropic import ToleranceParams, grid_terms
+from .entropic import _BATCH_BYTES, ToleranceParams, grid_terms
 from .operators import COEF_TOL, DET_TOL, FEAS_TOL, RAY_TOL, OperatorError
 from .secrecy import PLAN_TERMS, SECRECY_TERMS, plan_from_terms, secrecy_report, within_threshold
 from .states import CQConditionals, CQState
@@ -35,9 +35,6 @@ from .states import CQConditionals, CQState
 from .entropic import cond_smooth_ht_mi, cond_smooth_max_mi, ht_mutual_info, smooth_max_mutual_info  # noqa: F401
 from .secrecy import randomizer_plan, secrecy_check  # noqa: F401
 
-# float64 bytes of each block of crossings _intersection_table tests at once,
-# and of the ray radii sweep_union computes for a block of grid points
-_CHUNK_BYTES = 1 << 21
 # bytes of the largest array fourier_motzkin (a step's combination rows) or
 # _intersection_table (sat, a byte per row and crossing) may build, counted
 # before it is built; a run's peak stays within a few times this
@@ -611,7 +608,7 @@ def _intersection_table(poly: RatePolytope):
     ``x`` and ``sat[k, p] = a[k] @ x[p] <= b[k] + FEAS_TOL``.
 
     ``sat`` is filled in blocks of crossings whose ``(crossings, rows)``
-    float64 products stay within ``_CHUNK_BYTES``, so the table's only
+    float64 products stay within ``entropic._BATCH_BYTES``, so the table's only
     cubic array is ``sat`` itself, one byte an entry, and its size is
     counted against ``_POLYTOPE_BYTES`` before anything is built; over it
     raises ``ValueError``.  Each block is a stacked product (not
@@ -629,7 +626,7 @@ def _intersection_table(poly: RatePolytope):
     i, j = i[np.abs(det) >= DET_TOL], j[np.abs(det) >= DET_TOL]
     x = np.linalg.solve(np.stack([a[i], a[j]], axis=1), np.stack([b[i], b[j]], axis=1)[..., None])[..., 0]
     sat = np.empty((len(b), len(x)), dtype=bool)
-    block = max(1, _CHUNK_BYTES // (8 * len(b)))
+    block = max(1, _BATCH_BYTES // (8 * len(b)))
     for start in range(0, len(x), block):
         sat[:, start:start + block] = (np.matmul(a[None], x[start:start + block, :, None])[..., 0]
                                        <= b + FEAS_TOL).T
@@ -856,8 +853,8 @@ def sweep_union(
         raise OperatorError(f"row {table.tags[row]} is undefined (nan) at grid point {point}")
     frontier = np.zeros(rays)
     degenerate = 0
-    # blocks of points whose (points, rays) float arrays, three live at once, fit in _CHUNK_BYTES
-    step = max(1, _CHUNK_BYTES // (3 * 8 * rays))
+    # blocks of points whose (points, rays) float arrays, three live at once, fit in _BATCH_BYTES
+    step = max(1, _BATCH_BYTES // (3 * 8 * rays))
     for block in np.split(bounds, range(step, len(bounds), step)):
         radii = _grid_radii(table.coeffs, block, dirs)
         degenerate += int(np.all(radii <= FEAS_TOL, axis=1).sum())
